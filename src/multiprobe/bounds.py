@@ -3,13 +3,19 @@
 All bounds reduce to prior-weighted sums of output-state fidelities raised
 to the copy number: the pretty-good-measurement upper bound uses F^M, the
 lower bound F^(2M).  Fidelities of block-structured probes factor over
-blocks and are degenerate within per-block (v, u, d) classes, so the heavy
-paths evaluate one Gaussian fidelity per class and count multiplicities
-combinatorially instead of enumerating pattern pairs.
+blocks and are degenerate within per-block (v, u, d) classes, so one
+Gaussian fidelity per block and class suffices.  On uniform
+position-finding spaces the two sums themselves factor over blocks too:
+``bounds_by_counting`` runs a DP over blocks whose state is (targets of
+pattern A so far, targets of B so far, whether the pair differs yet), with
+occupancy multiplicities in place of enumerated pattern pairs.  The
+per-class census (``counting_census``) remains for fidelity histograms and
+as the oracle of that DP.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -218,13 +224,18 @@ def class_log_fidelity(key: ClassKey, descs, family: ChannelFamily) -> float:
 # counting census (no pattern enumeration)
 
 
-def _block_occupancy_options(size: int, v: int, u: int):
+@functools.lru_cache(maxsize=None)
+def _block_occupancy_options(size: int, v: int, u: int) -> tuple[tuple[int, int], ...]:
     """(d, multiplicity) for ordered sub-pattern pairs with v and u targets."""
-    out = []
-    for t in range(max(v, u), min(v + u, size) + 1):
-        count = math.comb(size, t) * math.comb(t, u) * math.comb(u, v + u - t)
-        out.append((2 * t - (v + u), count))
-    return out
+    return tuple(
+        (2 * t - (v + u), math.comb(size, t) * math.comb(t, u) * math.comb(u, v + u - t))
+        for t in range(max(v, u), min(v + u, size) + 1)
+    )
+
+
+def counting_applies(space: ImageSpace) -> bool:
+    """Whether occupancy counting covers the space: uniform full/cpf/bcpf."""
+    return space.target_counts is not None and space.uniform
 
 
 def counting_census(m: int, block_sizes, ks) -> dict[ClassKey, int]:
@@ -295,6 +306,13 @@ class FidelityTable:
                 raise NumericError("fidelity matrix is not symmetric")
 
 
+def _copy_number(copies) -> float:
+    m_val = float(copies)
+    if m_val < 1:
+        raise ValueError(f"copy number must be >= 1, got {copies}")
+    return m_val
+
+
 def bounds_from_table(
     table: FidelityTable,
     copies,
@@ -308,9 +326,7 @@ def bounds_from_table(
     UB = sum_{i != j} sqrt(pi_i pi_j) F_ij^M, LB = (1/2) sum pi_i pi_j F_ij^(2M);
     uniform priors collapse to the 1/|U| and 1/(2|U|^2) prefactors.
     """
-    m_val = float(copies)
-    if m_val < 1:
-        raise ValueError(f"copy number must be >= 1, got {copies}")
+    m_val = _copy_number(copies)
     n = table.n_patterns
     if table.class_counts is not None:
         with np.errstate(invalid="ignore"):
@@ -337,13 +353,12 @@ def bounds_from_table(
 
 def fidelity_table_counting(space: ImageSpace, spec: ProbeSpec, family: ChannelFamily) -> FidelityTable:
     """Classed table via occupancy counting; uniform position-finding spaces only."""
-    ks = space.target_counts
-    if ks is None or not space.uniform:
+    if not counting_applies(space):
         raise ValueError("counting needs a uniform full/cpf/bcpf space")
     if spec.m != space.m:
         raise DimensionError(f"probe over m={spec.m} but space has m={space.m}")
     descs = spec.descriptors()
-    census = counting_census(space.m, [len(d.channels) for d in descs], ks)
+    census = counting_census(space.m, [len(d.channels) for d in descs], space.target_counts)
     counts = np.fromiter((c for c in census.values()), dtype=float, count=len(census))
     logf = np.fromiter(
         (class_log_fidelity(key, descs, family) for key in census), dtype=float, count=len(census)
@@ -404,37 +419,109 @@ def bounds_brute_force(space: ImageSpace, spec: ProbeSpec, family: ChannelFamily
     return bounds_from_table(table, copies, method="brute")
 
 
+def _counting_sums(space: ImageSpace, spec: ProbeSpec, family: ChannelFamily, m_val: float):
+    """(sum F^M, sum F^(2M)) over ordered pairs of distinct patterns.
+
+    A DP over blocks.  Its state is (targets of pattern A so far, targets
+    of pattern B so far, whether A and B differ in an earlier block); its
+    value is the two partial sums over the sub-pattern pairs that reach
+    the state.  Identical pairs are excluded by the flag, never by
+    subtracting |U| from a total, which would cancel at large M.
+    """
+    ks = set(space.target_counts)
+    kmin, kmax = min(ks), max(ks)
+    rem = space.m
+    states = {(0, 0, False): (1.0, 1.0)}
+    for desc in spec.descriptors():
+        size = len(desc.channels)
+        rem -= size
+        # per (v, u): the count of identical sub-pattern pairs, and the
+        # fidelity-weighted counts of differing ones at M and 2M copies
+        steps = []
+        for v in range(size + 1):
+            for u in range(size + 1):
+                same, diff_m, diff_2m = 0.0, 0.0, 0.0
+                for d, count in _block_occupancy_options(size, v, u):
+                    if d == 0:
+                        same = float(count)
+                        continue
+                    fid = block_subfidelity(desc, family, v, u, d)
+                    diff_m += count * fid**m_val
+                    diff_2m += count * fid ** (2.0 * m_val)
+                steps.append((v, u, same, diff_m, diff_2m))
+        new: dict[tuple[int, int, bool], tuple[float, float]] = {}
+
+        def add(state, dx, dy):
+            px, py = new.get(state, (0.0, 0.0))
+            new[state] = (px + dx, py + dy)
+
+        for (a0, b0, differs), (x, y) in states.items():
+            for v, u, same, diff_m, diff_2m in steps:
+                a, b = a0 + v, b0 + u
+                if a > kmax or b > kmax or a + rem < kmin or b + rem < kmin:
+                    continue
+                if differs:
+                    add((a, b, True), x * (same + diff_m), y * (same + diff_2m))
+                else:
+                    add((a, b, True), x * diff_m, y * diff_2m)
+                    if same:
+                        add((a, b, False), x * same, y * same)
+        states = new
+    sum_m = sum_2m = 0.0
+    for (a, b, differs), (x, y) in states.items():
+        if differs and a in ks and b in ks:
+            sum_m += x
+            sum_2m += y
+    return sum_m, sum_2m
+
+
 def bounds_by_counting(space: ImageSpace, spec: ProbeSpec, family: ChannelFamily, copies) -> BoundReport:
-    """Degeneracy-accelerated bounds; falls back to the dense block table
-    when the space is not a uniform position-finding space."""
-    try:
-        table = fidelity_table_counting(space, spec, family)
-        method = "counting"
-    except ValueError:
+    """Degeneracy-accelerated bounds by the block DP on uniform
+    position-finding spaces; any other space goes through the dense block
+    table."""
+    if not counting_applies(space):
         table = fidelity_table_blocks(
             space.patterns, None if space.uniform else space.priors, spec.descriptors(), family
         )
-        method = "blocks"
-    return bounds_from_table(table, copies, method=method)
+        return bounds_from_table(table, copies, method="blocks")
+    if spec.m != space.m:
+        raise DimensionError(f"probe over m={spec.m} but space has m={space.m}")
+    m_val = _copy_number(copies)
+    sum_m, sum_2m = _counting_sums(space, spec, family, m_val)
+    n = len(space)
+    return BoundReport(
+        lower_raw=0.5 * sum_2m / n**2,
+        upper_raw=sum_m / n,
+        copies=m_val,
+        m_bar=m_val,
+        method="counting",
+    )
 
 
-def _pair_sum(family: ChannelFamily, mu: float, power: float) -> float:
-    """1 + f01^p + f12^p + (f11^p + f02^p)/2 over the four TMSV classes."""
+def _pair_excess(family: ChannelFamily, mu: float, power: float) -> float:
+    """f01^p + f12^p + (f11^p + f02^p)/2: the per-pair factor of the
+    paired-TMSV sums minus its identical-pair 1, formed without that 1."""
     f01 = tmsv_subfidelity(family, mu, 0, 1, 1)
     f02 = tmsv_subfidelity(family, mu, 0, 2, 2)
     f11 = tmsv_subfidelity(family, mu, 1, 1, 2)
     f12 = tmsv_subfidelity(family, mu, 1, 2, 1)
-    return 1.0 + f01**power + f12**power + (f11**power + f02**power) / 2.0
+    return f01**power + f12**power + (f11**power + f02**power) / 2.0
 
 
 def bounds_tmsv_pairs(family: ChannelFamily, mu: float, copies, m: int) -> BoundReport:
     """Closed-form bounds for disjoint two-mode blocks over the full uniform
-    space of an even-length pattern."""
+    space of an even-length pattern: (1 + s)^(m/2) - 1, with s the pair
+    excess, evaluated as expm1((m/2) log1p(s)) so that it does not cancel
+    when s is tiny."""
     if m % 2:
         raise PartitionError(f"the paired-TMSV closed form needs even m, got {m}")
     m_val = float(copies)
-    ub = _pair_sum(family, mu, m_val) ** (m / 2) - 1.0
-    lb = (_pair_sum(family, mu, 2 * m_val) ** (m / 2) - 1.0) / 2 ** (m + 1)
+
+    def d_even(power: float) -> float:
+        return math.expm1(m / 2 * math.log1p(_pair_excess(family, mu, power)))
+
+    ub = d_even(m_val)
+    lb = d_even(2 * m_val) / 2 ** (m + 1)
     return BoundReport(lb, ub, m_val, m_val, "closed-form-d2")
 
 
@@ -444,7 +531,8 @@ def bounds_tmsv_pairs_odd(
     """Odd-m variant: paired blocks on m-1 channels plus a remainder term.
 
     The remainder channel contributes a factor (1 + F^M) where F is the
-    idler-assisted (Choi) fidelity or the coherent-probe fidelity.
+    idler-assisted (Choi) fidelity or the coherent-probe fidelity; the
+    product minus 1 is again formed through log1p/expm1.
     """
     if m % 2 == 0 or m < 3:
         raise PartitionError(f"odd-m closed form needs odd m >= 3, got {m}")
@@ -458,7 +546,9 @@ def bounds_tmsv_pairs_odd(
     m_val = float(copies)
 
     def d_odd(power: float) -> float:
-        return (1.0 + f_rem**power) * _pair_sum(family, mu, power) ** ((m - 1) / 2) - 1.0
+        return math.expm1(
+            math.log1p(f_rem**power) + (m - 1) / 2 * math.log1p(_pair_excess(family, mu, power))
+        )
 
     ub = d_odd(m_val)
     lb = d_odd(2 * m_val) / 2 ** (m + 1)
@@ -512,9 +602,8 @@ def classical_benchmark(space: ImageSpace, family: ChannelFamily, ns: float, cop
     """
     f = per_channel_classical_fidelity(family, ns)
     logf_ch = math.log(f) if f > 0 else -math.inf
-    ks = space.target_counts
-    if ks is not None and space.uniform:
-        census = counting_census(space.m, [space.m], ks)
+    if counting_applies(space):
+        census = counting_census(space.m, [space.m], space.target_counts)
         counts = np.fromiter(census.values(), dtype=float, count=len(census))
         dists = np.fromiter((key[0][2] for key in census), dtype=float, count=len(census))
         with np.errstate(invalid="ignore"):

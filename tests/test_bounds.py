@@ -22,6 +22,7 @@ from multiprobe.channels import ChannelFamily
 from multiprobe.closedform import coherent_loss_fidelity, vacuum_additive_fidelity
 from multiprobe.errors import (
     ComparabilityError,
+    DimensionError,
     PartitionError,
     UnsupportedBenchmarkError,
 )
@@ -32,6 +33,7 @@ from multiprobe.imagespace import (
     full_space,
     pair_degeneracy_census,
 )
+from multiprobe.presets import resolve_probe
 from multiprobe.probes import (
     HYBRID_COHERENT,
     SINGLE_IDLER,
@@ -399,3 +401,61 @@ def test_lemma_degeneracy_spread_small():
                 groups.setdefault(key, []).append(gaussian_fidelity(outs[i], outs[j]))
     for vals in groups.values():
         assert max(vals) - min(vals) < 1e-10
+
+
+FIGURE_COPIES = np.geomspace(10, 5000, 50)
+
+
+@pytest.mark.parametrize("probe", ["full-ghz", "tmsv-disjoint", "idler-full"])
+@pytest.mark.parametrize("space", [full_space(9), cpf_space(9, 3)], ids=["full", "cpf3"])
+@pytest.mark.parametrize("family", [LOSS, ADD], ids=["loss", "additive"])
+def test_counting_dp_equals_class_table_on_figure_grid(family, space, probe):
+    # the block DP against the per-class census table over the m=9 figure
+    # range; below 1e-300 both are subnormal and only roughly equal
+    spec = resolve_probe(probe, 9, 20.5).spec
+    table = fidelity_table_counting(space, spec, family)
+    for copies in FIGURE_COPIES:
+        want = bounds_from_table(table, copies)
+        got = bounds_by_counting(space, spec, family, copies)
+        assert got.method == "counting"
+        for g, w in ((got.upper_raw, want.upper_raw), (got.lower_raw, want.lower_raw)):
+            if w > 1e-300:
+                assert g == pytest.approx(w, rel=1e-12, abs=0.0)
+            else:
+                assert abs(g - w) <= 1e-300
+
+
+def test_counting_dp_errors_propagate(monkeypatch):
+    # a fault inside the DP must surface, not fall back to the dense table
+    import multiprobe.bounds as bounds_mod
+
+    def broken(*args, **kwargs):
+        raise ValueError("broken block fidelity")
+
+    monkeypatch.setattr(bounds_mod, "block_subfidelity", broken)
+    spec = odd_m_disjoint_spec(3, 20.5, SINGLE_IDLER)
+    with pytest.raises(ValueError, match="broken block fidelity"):
+        bounds_by_counting(full_space(3), spec, ADD, 2)
+
+
+def test_counting_rejects_mismatched_pattern_length():
+    spec = ProbeSpec(3, 20.5, blocks=((0, 1, 2),))
+    with pytest.raises(DimensionError):
+        bounds_by_counting(full_space(4), spec, LOSS, 2)
+
+
+@pytest.mark.parametrize("copies", [1000, 5000])
+@pytest.mark.parametrize("m", [9, 10])
+def test_tmsv_closed_forms_do_not_cancel_at_large_copies(m, copies):
+    # (1 + s)^(m/2) - 1 with s ~ 1e-17 at M = 1000: formed naively it is 0.0
+    space = full_space(m)
+    if m % 2:
+        spec = odd_m_disjoint_spec(m, 20.5, SINGLE_IDLER)
+        closed = bounds_tmsv_pairs_odd(LOSS, 20.5, copies, m, SINGLE_IDLER)
+    else:
+        spec = ProbeSpec.from_partition(pair_partition(m), 20.5)
+        closed = bounds_tmsv_pairs(LOSS, 20.5, copies, m)
+    counted = bounds_by_counting(space, spec, LOSS, copies)
+    assert counted.lower_raw > 0.0
+    assert closed.upper_raw == pytest.approx(counted.upper_raw, rel=1e-12, abs=0.0)
+    assert closed.lower_raw == pytest.approx(counted.lower_raw, rel=1e-12, abs=0.0)

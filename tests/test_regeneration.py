@@ -1,0 +1,68 @@
+"""The committed counting-route figures regenerate from the sweep scripts.
+
+Only the files whose quantum bounds come from ``bounds_by_counting`` are
+regenerated: the ``full-ghz`` files carry 9-mode fidelities that drift
+across machines by about 1e-10 relative, far above the block fidelities
+of the files checked here.
+"""
+
+import csv
+import importlib.util
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SPACES = {"full": "full", "cpf3": "cpf:3"}
+PROBES = ("tmsv-disjoint", "idler-full")
+TEXT_COLUMNS = {"family", "m", "space", "probe", "method", "rounds"}
+RTOL = 1e-9
+TINY = 1e-300
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _rows(path):
+    with open(path) as fh:
+        comment = fh.readline()
+        return comment, list(csv.DictReader(fh))
+
+
+def _assert_close(got: float, want: float, tol: float, where: str) -> None:
+    assert abs(got - want) <= tol, f"{where}: {got!r} vs committed {want!r}"
+
+
+@pytest.mark.parametrize("script, prefix", [("sweep_loss_m9", "loss"), ("sweep_noise_m9", "noise")])
+def test_counting_figures_regenerate(tmp_path, monkeypatch, script, prefix):
+    module = _load_script(script)
+    monkeypatch.setattr(module, "SPACES", SPACES)
+    monkeypatch.setattr(module, "PROBES", PROBES)
+    assert module.run(tmp_path, 50) == 0
+    for tag in SPACES:
+        for probe in PROBES:
+            name = f"{prefix}_m9_{tag}_{probe}.csv"
+            got_comment, got = _rows(tmp_path / name)
+            want_comment, want = _rows(ROOT / "results" / name)
+            assert got_comment == want_comment
+            assert len(got) == len(want) == 50
+            assert list(got[0]) == list(want[0])
+            for i, (g, w) in enumerate(zip(got, want)):
+                for col, w_text in w.items():
+                    where = f"{name} row {i} {col}"
+                    if col in TEXT_COLUMNS or w_text == "":
+                        assert g[col] == w_text, where
+                    elif col == "delta_perr":
+                        # classical lower minus quantum upper: judged on the
+                        # scale of its two terms, not of their difference
+                        upper = float(w["upper"])
+                        scale = abs(float(w_text) + upper) + upper
+                        _assert_close(float(g[col]), float(w_text), RTOL * scale, where)
+                    else:
+                        want_val = float(w_text)
+                        tol = RTOL * abs(want_val) if abs(want_val) > TINY else TINY
+                        _assert_close(float(g[col]), want_val, tol, where)
