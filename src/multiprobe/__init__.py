@@ -15,7 +15,6 @@ from .bounds import (
     bounds_tmsv_pairs,
     bounds_tmsv_pairs_odd,
     classical_benchmark,
-    counting_census,
     guaranteed_advantage,
     tmsv_subfidelity,
 )
@@ -25,7 +24,6 @@ from .channels import (
     IdlerLayout,
     apply_pattern,
     apply_pattern_with_idlers,
-    pattern_scaling,
 )
 from .closedform import subfidelity_oracle
 from .gaussian import (
@@ -45,7 +43,6 @@ from .imagespace import (
     cpf_space,
     full_space,
     hamming,
-    pair_degeneracy_census,
 )
 from .probes import (
     DisjointPartition,
@@ -90,7 +87,6 @@ __all__ = [
     "bounds_tmsv_pairs_odd",
     "classical_benchmark",
     "coherent_cm",
-    "counting_census",
     "cpf_space",
     "decompose_rounds",
     "extend_for_mutual_probing",
@@ -102,9 +98,7 @@ __all__ = [
     "hamming",
     "nn_partition",
     "odd_m_disjoint_spec",
-    "pair_degeneracy_census",
     "parse_partition",
-    "pattern_scaling",
     "subfidelity_oracle",
     "symplectic_spectrum",
     "tensor",

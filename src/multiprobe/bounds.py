@@ -2,15 +2,16 @@
 
 All bounds reduce to prior-weighted sums of output-state fidelities raised
 to the copy number: the pretty-good-measurement upper bound uses F^M, the
-lower bound F^(2M).  Fidelities of block-structured probes factor over
-blocks and are degenerate within per-block (v, u, d) classes, so one
-Gaussian fidelity per block and class suffices.  On uniform
-position-finding spaces the two sums themselves factor over blocks too:
-``bounds_by_counting`` runs a DP over blocks whose state is (targets of
-pattern A so far, targets of B so far, whether the pair differs yet), with
-occupancy multiplicities in place of enumerated pattern pairs.  The
-per-class census (``counting_census``) remains for fidelity histograms and
-as the oracle of that DP.
+lower bound F^(2M).  ``evaluate`` builds the fidelity table of one probe
+configuration once; ``bounds_from_table`` reads it at any copy number, and
+the ``census`` command histograms it.  Fidelities of block-structured
+probes factor over blocks and are degenerate within per-block (v, u, d)
+classes, so one Gaussian fidelity per block and class suffices.  On
+uniform position-finding spaces the table is classed: a DP over blocks
+counts ordered pattern pairs per distinct log-fidelity from occupancy
+multiplicities, without enumerating patterns.  Other spaces, overlapping
+blocks (via the copy-channel extension) and custom classical spaces get
+dense per-pair tables.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from .errors import (
     UnsupportedBenchmarkError,
 )
 from .gaussian import CovMatrix, coherent_cm, gaussian_fidelity, ghz_cm
-from .imagespace import ClassKey, ImageSpace, pair_class_key
+from .imagespace import ImageSpace
+from .presets import CLASSICAL, DISJOINT, MUTUAL, ProbePlan
 from .probes import (
     HYBRID_COHERENT,
     SINGLE_IDLER,
@@ -138,23 +140,8 @@ def block_subfidelity(desc: BlockDescriptor, family: ChannelFamily, v: int, u: i
     hit = _BLOCK_FID_CACHE.get(key)
     if hit is not None:
         return hit
-    pat_a, pat_b = representative_local_patterns(size, v, u, d)
-    if desc.kind == "coherent":
-        state = coherent_cm([desc.alpha])
-        pa, pb = family.params(pat_a[0]), family.params(pat_b[0])
-        out_a = apply_mode_channels(state, [pa.tau], [pa.nu])
-        out_b = apply_mode_channels(state, [pb.tau], [pb.nu])
-    else:
-        state = ghz_cm(desc.n_modes, desc.mu)
-        pad = [1.0] * desc.idlers
-        params_a = [family.params(bit) for bit in pat_a]
-        params_b = [family.params(bit) for bit in pat_b]
-        out_a = apply_mode_channels(
-            state, pad + [p.tau for p in params_a], [0.0] * desc.idlers + [p.nu for p in params_a]
-        )
-        out_b = apply_mode_channels(
-            state, pad + [p.tau for p in params_b], [0.0] * desc.idlers + [p.nu for p in params_b]
-        )
+    # the outputs are not cached: only the fidelity is reused, per class
+    out_a, out_b = _apply_block(desc, family, *representative_local_patterns(size, v, u, d))
     fid = gaussian_fidelity(out_a, out_b)
     _BLOCK_FID_CACHE[key] = fid
     return fid
@@ -166,6 +153,23 @@ def tmsv_subfidelity(family: ChannelFamily, mu: float, v: int, u: int, d: int) -
     return block_subfidelity(desc, family, v, u, d)
 
 
+def _apply_block(desc: BlockDescriptor, family: ChannelFamily, *local_patterns) -> list[CovMatrix]:
+    """Outputs of one block's probe state, one per local pattern; idlers pass."""
+    if desc.kind == "coherent":
+        state = coherent_cm([desc.alpha])
+    else:
+        state = ghz_cm(desc.n_modes, desc.mu)
+    outs = []
+    for bits in local_patterns:
+        params = [family.params(bit) for bit in bits]
+        outs.append(apply_mode_channels(
+            state,
+            [1.0] * desc.idlers + [p.tau for p in params],
+            [0.0] * desc.idlers + [p.nu for p in params],
+        ))
+    return outs
+
+
 _BLOCK_OUT_CACHE: dict[tuple, CovMatrix] = {}
 
 
@@ -173,19 +177,8 @@ def _block_output(desc: BlockDescriptor, family: ChannelFamily, local_bits) -> C
     sig = (desc.kind, len(desc.channels), desc.idlers, desc.mu, desc.alpha, _family_key(family))
     key = (sig, local_bits)
     out = _BLOCK_OUT_CACHE.get(key)
-    if out is not None:
-        return out
-    if desc.kind == "coherent":
-        state = coherent_cm([desc.alpha])
-    else:
-        state = ghz_cm(desc.n_modes, desc.mu)
-    params = [family.params(bit) for bit in local_bits]
-    out = apply_mode_channels(
-        state,
-        [1.0] * desc.idlers + [p.tau for p in params],
-        [0.0] * desc.idlers + [p.nu for p in params],
-    )
-    _BLOCK_OUT_CACHE[key] = out
+    if out is None:
+        out = _BLOCK_OUT_CACHE[key] = _apply_block(desc, family, local_bits)[0]
     return out
 
 
@@ -209,19 +202,8 @@ def block_pair_fidelity(desc: BlockDescriptor, family: ChannelFamily, local_a, l
     return fid
 
 
-def class_log_fidelity(key: ClassKey, descs, family: ChannelFamily) -> float:
-    """log of the product of block fidelities for one census class."""
-    total = 0.0
-    for desc, (v, u, d) in zip(descs, key):
-        fid = block_subfidelity(desc, family, v, u, d)
-        if fid <= 0.0:
-            return -math.inf
-        total += math.log(fid)
-    return total
-
-
 # ---------------------------------------------------------------------------
-# counting census (no pattern enumeration)
+# fidelity tables
 
 
 @functools.lru_cache(maxsize=None)
@@ -238,52 +220,15 @@ def counting_applies(space: ImageSpace) -> bool:
     return space.target_counts is not None and space.uniform
 
 
-def counting_census(m: int, block_sizes, ks) -> dict[ClassKey, int]:
-    """Census of ordered pattern pairs grouped by per-block (v, u, d) classes.
-
-    Equivalent to enumerating all pairs of patterns whose target count lies
-    in ks and classifying them per block, but runs on occupancy combinatorics
-    only.  Pairs with zero distance in every block (identical patterns) are
-    excluded, matching the off-diagonal pair census.
-    """
-    sizes = tuple(int(s) for s in block_sizes)
-    if sum(sizes) != m:
-        raise PartitionError(f"block sizes {sizes} do not tile m={m} channels")
-    ks = sorted(set(int(k) for k in ks))
-    kmin, kmax = ks[0], ks[-1]
-    suffix = np.concatenate([np.cumsum(sizes[::-1])[::-1][1:], [0]])
-    states: dict[tuple[int, int, ClassKey], int] = {(0, 0, ()): 1}
-    for j, size in enumerate(sizes):
-        rem = int(suffix[j])
-        new: dict[tuple[int, int, ClassKey], int] = {}
-        for (v0, u0, key), cnt in states.items():
-            for v in range(0, min(size, kmax - v0) + 1):
-                if v0 + v + rem < kmin:
-                    continue
-                for u in range(0, min(size, kmax - u0) + 1):
-                    if u0 + u + rem < kmin:
-                        continue
-                    for d, c in _block_occupancy_options(size, v, u):
-                        st = (v0 + v, u0 + u, key + ((min(v, u), max(v, u), d),))
-                        new[st] = new.get(st, 0) + cnt * c
-        states = new
-    census: dict[ClassKey, int] = {}
-    for (v, u, key), cnt in states.items():
-        if v in ks and u in ks and any(cls[2] for cls in key):
-            census[key] = census.get(key, 0) + cnt
-    return census
-
-
-# ---------------------------------------------------------------------------
-# fidelity tables
-
-
 @dataclass
 class FidelityTable:
     """Single-copy output fidelities, per degeneracy class or per pair.
 
     Classed tables assume uniform priors; dense tables carry a symmetric
     fidelity matrix (diagonal ignored) plus optional per-pattern priors.
+    ``method`` names the route that built the table; a mutual-probing
+    table also carries its overlapping ``partition``, which sets the
+    average channel use, and the number of disjoint ``rounds``.
     """
 
     n_patterns: int
@@ -291,6 +236,9 @@ class FidelityTable:
     class_logf: np.ndarray | None = None
     matrix: np.ndarray | None = None
     priors: np.ndarray | None = None
+    method: str = "brute"
+    partition: NonDisjointPartition | None = None
+    rounds: int | None = None
 
     def __post_init__(self):
         classed = self.class_counts is not None
@@ -306,27 +254,19 @@ class FidelityTable:
                 raise NumericError("fidelity matrix is not symmetric")
 
 
-def _copy_number(copies) -> float:
-    m_val = float(copies)
-    if m_val < 1:
-        raise ValueError(f"copy number must be >= 1, got {copies}")
-    return m_val
-
-
-def bounds_from_table(
-    table: FidelityTable,
-    copies,
-    *,
-    m_bar=None,
-    method: str = "brute",
-    rounds: int | None = None,
-) -> BoundReport:
+def bounds_from_table(table: FidelityTable, copies, *, m_bar=None) -> BoundReport:
     """Pretty-good-measurement upper bound and the matching lower bound.
 
     UB = sum_{i != j} sqrt(pi_i pi_j) F_ij^M, LB = (1/2) sum pi_i pi_j F_ij^(2M);
-    uniform priors collapse to the 1/|U| and 1/(2|U|^2) prefactors.
+    uniform priors collapse to the 1/|U| and 1/(2|U|^2) prefactors.  The
+    average channel use defaults to M, or to (m + l) / m * M for a
+    mutual-probing table.
     """
-    m_val = _copy_number(copies)
+    m_val = float(copies)
+    if m_val < 1:
+        raise ValueError(f"copy number must be >= 1, got {copies}")
+    if m_bar is None:
+        m_bar = m_val if table.partition is None else average_channel_use(table.partition, copies)
     n = table.n_patterns
     if table.class_counts is not None:
         with np.errstate(invalid="ignore"):
@@ -345,25 +285,59 @@ def bounds_from_table(
         lower_raw=lb,
         upper_raw=ub,
         copies=m_val,
-        m_bar=float(m_bar) if m_bar is not None else m_val,
-        method=method,
-        rounds=rounds,
+        m_bar=float(m_bar),
+        method=table.method,
+        rounds=table.rounds,
     )
 
 
 def fidelity_table_counting(space: ImageSpace, spec: ProbeSpec, family: ChannelFamily) -> FidelityTable:
-    """Classed table via occupancy counting; uniform position-finding spaces only."""
+    """Classed table by a DP over blocks; uniform position-finding spaces only.
+
+    The state is (targets of pattern A so far, targets of B so far, whether
+    A and B differ yet, log F so far); its value is the number of ordered
+    sub-pattern pairs that reach it, from occupancy multiplicities instead
+    of enumerated patterns.  log F sums one block fidelity per block and
+    (v, u, d) class in block order, so pairs whose blocks fall in the same
+    classes reach the same float and merge.  The flag excludes identical
+    pairs.
+    """
     if not counting_applies(space):
         raise ValueError("counting needs a uniform full/cpf/bcpf space")
     if spec.m != space.m:
         raise DimensionError(f"probe over m={spec.m} but space has m={space.m}")
-    descs = spec.descriptors()
-    census = counting_census(space.m, [len(d.channels) for d in descs], space.target_counts)
-    counts = np.fromiter((c for c in census.values()), dtype=float, count=len(census))
-    logf = np.fromiter(
-        (class_log_fidelity(key, descs, family) for key in census), dtype=float, count=len(census)
+    ks = set(space.target_counts)
+    kmin, kmax = min(ks), max(ks)
+    rem = space.m
+    states = {(0, 0, False, 0.0): 1}
+    for desc in spec.descriptors():
+        size = len(desc.channels)
+        rem -= size
+        steps = []
+        for v in range(size + 1):
+            for u in range(size + 1):
+                for d, count in _block_occupancy_options(size, v, u):
+                    fid = block_subfidelity(desc, family, v, u, d)
+                    steps.append((v, u, d > 0, count, math.log(fid) if fid > 0 else -math.inf))
+        new: dict[tuple[int, int, bool, float], int] = {}
+        for (a0, b0, differs, logf), cnt in states.items():
+            for v, u, step_differs, count, step_logf in steps:
+                a, b = a0 + v, b0 + u
+                if a > kmax or b > kmax or a + rem < kmin or b + rem < kmin:
+                    continue
+                key = (a, b, differs or step_differs, logf + step_logf)
+                new[key] = new.get(key, 0) + cnt * count
+        states = new
+    hist: dict[float, int] = {}
+    for (a, b, differs, logf), cnt in states.items():
+        if differs and a in ks and b in ks:
+            hist[logf] = hist.get(logf, 0) + cnt
+    return FidelityTable(
+        len(space),
+        class_counts=np.array(list(hist.values()), dtype=float),
+        class_logf=np.array(list(hist), dtype=float),
+        method="counting",
     )
-    return FidelityTable(len(space), class_counts=counts, class_logf=logf)
 
 
 def fidelity_table_blocks(patterns, priors, descs, family: ChannelFamily) -> FidelityTable:
@@ -385,7 +359,9 @@ def fidelity_table_blocks(patterns, priors, descs, family: ChannelFamily) -> Fid
     with np.errstate(invalid="ignore"):
         mat = np.exp(log_f)
     np.fill_diagonal(mat, 1.0)
-    return FidelityTable(n, matrix=mat, priors=None if priors is None else np.asarray(priors))
+    return FidelityTable(
+        n, matrix=mat, priors=None if priors is None else np.asarray(priors), method="blocks"
+    )
 
 
 def fidelity_table_bruteforce(space_patterns, priors, spec: ProbeSpec, family: ChannelFamily) -> FidelityTable:
@@ -408,6 +384,69 @@ def fidelity_table_bruteforce(space_patterns, priors, spec: ProbeSpec, family: C
     return FidelityTable(n, matrix=mat, priors=None if priors is None else np.asarray(priors))
 
 
+def per_channel_classical_fidelity(family: ChannelFamily, ns: float) -> float:
+    """Single-copy output fidelity of the optimal classical probe of one channel."""
+    if family.kind == PURE_LOSS:
+        return coherent_loss_fidelity(family.background.tau, family.target.tau, ns)
+    if family.kind == ADDITIVE:
+        return vacuum_additive_fidelity(family.background.nu, family.target.nu)
+    raise UnsupportedBenchmarkError(
+        f"no optimal classical benchmark is defined for {family.kind!r} patterns"
+    )
+
+
+def evaluate(plan: ProbePlan, space: ImageSpace, family: ChannelFamily, *, ns=None, mu=None) -> FidelityTable:
+    """The fidelity table of one probe configuration, for every copy number.
+
+    The one place a route is chosen: occupancy counting (classed) for a
+    disjoint probe on a uniform full/cpf/bcpf space, per-block lookups
+    (dense) on any other space, the copy-channel extension (dense) for
+    overlapping blocks, and the Hamming census for the optimal classical
+    probe at energy ``ns``, which factors per channel so that a pair at
+    distance d has fidelity f^d.  ``mu`` is the squeezing energy of the
+    mutual-probing blocks.
+    """
+    pri = None if space.uniform else space.priors
+    if plan.route == CLASSICAL:
+        f = per_channel_classical_fidelity(family, ns)
+        logf_ch = math.log(f) if f > 0 else -math.inf
+        if counting_applies(space):
+            # one block over all m channels, keyed like the per-block classes
+            census: dict[tuple[int, int, int], int] = {}
+            for v in space.target_counts:
+                for u in space.target_counts:
+                    for d, count in _block_occupancy_options(space.m, v, u):
+                        if d:
+                            key = (min(v, u), max(v, u), d)
+                            census[key] = census.get(key, 0) + count
+            counts = np.fromiter(census.values(), dtype=float, count=len(census))
+            dists = np.fromiter((key[2] for key in census), dtype=float, count=len(census))
+            with np.errstate(invalid="ignore"):
+                return FidelityTable(
+                    len(space), class_counts=counts, class_logf=dists * logf_ch, method="classical"
+                )
+        n = len(space)
+        if n > BLOCK_TABLE_MAX_PATTERNS:
+            raise CapacityError("classical dense table too large")
+        bits = np.array(space.patterns, dtype=np.uint8)
+        dmat = (bits[:, None, :] != bits[None, :, :]).sum(axis=-1).astype(float)
+        with np.errstate(invalid="ignore"):
+            mat = np.exp(dmat * logf_ch)
+        np.fill_diagonal(mat, 1.0)
+        return FidelityTable(n, matrix=mat, priors=pri, method="classical")
+    if plan.route == MUTUAL:
+        ext_partition, ext_space = extend_for_mutual_probing(plan.partition, space)
+        spec = ProbeSpec(ext_partition.m, mu, ext_partition.blocks)
+        table = fidelity_table_blocks(ext_space.extended, pri, spec.descriptors(), family)
+        table.method = "mutual"
+        table.partition = plan.partition
+        table.rounds = len(decompose_rounds(plan.partition))
+        return table
+    if counting_applies(space):
+        return fidelity_table_counting(space, plan.spec, family)
+    return fidelity_table_blocks(space.patterns, pri, plan.spec.descriptors(), family)
+
+
 # ---------------------------------------------------------------------------
 # top-level bound computations
 
@@ -416,86 +455,13 @@ def bounds_brute_force(space: ImageSpace, spec: ProbeSpec, family: ChannelFamily
     """Reference bounds from exhaustive full-state fidelity evaluation."""
     pri = None if space.uniform else space.priors
     table = fidelity_table_bruteforce(space.patterns, pri, spec, family)
-    return bounds_from_table(table, copies, method="brute")
-
-
-def _counting_sums(space: ImageSpace, spec: ProbeSpec, family: ChannelFamily, m_val: float):
-    """(sum F^M, sum F^(2M)) over ordered pairs of distinct patterns.
-
-    A DP over blocks.  Its state is (targets of pattern A so far, targets
-    of pattern B so far, whether A and B differ in an earlier block); its
-    value is the two partial sums over the sub-pattern pairs that reach
-    the state.  Identical pairs are excluded by the flag, never by
-    subtracting |U| from a total, which would cancel at large M.
-    """
-    ks = set(space.target_counts)
-    kmin, kmax = min(ks), max(ks)
-    rem = space.m
-    states = {(0, 0, False): (1.0, 1.0)}
-    for desc in spec.descriptors():
-        size = len(desc.channels)
-        rem -= size
-        # per (v, u): the count of identical sub-pattern pairs, and the
-        # fidelity-weighted counts of differing ones at M and 2M copies
-        steps = []
-        for v in range(size + 1):
-            for u in range(size + 1):
-                same, diff_m, diff_2m = 0.0, 0.0, 0.0
-                for d, count in _block_occupancy_options(size, v, u):
-                    if d == 0:
-                        same = float(count)
-                        continue
-                    fid = block_subfidelity(desc, family, v, u, d)
-                    diff_m += count * fid**m_val
-                    diff_2m += count * fid ** (2.0 * m_val)
-                steps.append((v, u, same, diff_m, diff_2m))
-        new: dict[tuple[int, int, bool], tuple[float, float]] = {}
-
-        def add(state, dx, dy):
-            px, py = new.get(state, (0.0, 0.0))
-            new[state] = (px + dx, py + dy)
-
-        for (a0, b0, differs), (x, y) in states.items():
-            for v, u, same, diff_m, diff_2m in steps:
-                a, b = a0 + v, b0 + u
-                if a > kmax or b > kmax or a + rem < kmin or b + rem < kmin:
-                    continue
-                if differs:
-                    add((a, b, True), x * (same + diff_m), y * (same + diff_2m))
-                else:
-                    add((a, b, True), x * diff_m, y * diff_2m)
-                    if same:
-                        add((a, b, False), x * same, y * same)
-        states = new
-    sum_m = sum_2m = 0.0
-    for (a, b, differs), (x, y) in states.items():
-        if differs and a in ks and b in ks:
-            sum_m += x
-            sum_2m += y
-    return sum_m, sum_2m
+    return bounds_from_table(table, copies)
 
 
 def bounds_by_counting(space: ImageSpace, spec: ProbeSpec, family: ChannelFamily, copies) -> BoundReport:
-    """Degeneracy-accelerated bounds by the block DP on uniform
-    position-finding spaces; any other space goes through the dense block
-    table."""
-    if not counting_applies(space):
-        table = fidelity_table_blocks(
-            space.patterns, None if space.uniform else space.priors, spec.descriptors(), family
-        )
-        return bounds_from_table(table, copies, method="blocks")
-    if spec.m != space.m:
-        raise DimensionError(f"probe over m={spec.m} but space has m={space.m}")
-    m_val = _copy_number(copies)
-    sum_m, sum_2m = _counting_sums(space, spec, family, m_val)
-    n = len(space)
-    return BoundReport(
-        lower_raw=0.5 * sum_2m / n**2,
-        upper_raw=sum_m / n,
-        copies=m_val,
-        m_bar=m_val,
-        method="counting",
-    )
+    """Degeneracy-accelerated bounds: occupancy counting on uniform
+    position-finding spaces, the dense block table on any other space."""
+    return bounds_from_table(evaluate(ProbePlan(DISJOINT, spec=spec), space, family), copies)
 
 
 def _pair_excess(family: ChannelFamily, mu: float, power: float) -> float:
@@ -568,54 +534,10 @@ def bounds_mutual_probing(
     fidelities factor per block, and the generic bounds apply; the average
     channel use bookkeeping grows by (m + l) / m.
     """
-    ext_partition, ext_space = extend_for_mutual_probing(partition, space)
-    spec = ProbeSpec(ext_partition.m, mu, ext_partition.blocks)
-    pri = None if space.uniform else space.priors
-    table = fidelity_table_blocks(ext_space.extended, pri, spec.descriptors(), family)
-    m_bar = average_channel_use(partition, copies)
-    return bounds_from_table(
-        table,
-        copies,
-        m_bar=float(m_bar),
-        method="mutual",
-        rounds=len(decompose_rounds(partition)),
-    )
-
-
-def per_channel_classical_fidelity(family: ChannelFamily, ns: float) -> float:
-    """Single-copy output fidelity of the optimal classical probe of one channel."""
-    if family.kind == PURE_LOSS:
-        return coherent_loss_fidelity(family.background.tau, family.target.tau, ns)
-    if family.kind == ADDITIVE:
-        return vacuum_additive_fidelity(family.background.nu, family.target.nu)
-    raise UnsupportedBenchmarkError(
-        f"no optimal classical benchmark is defined for {family.kind!r} patterns"
-    )
+    plan = ProbePlan(MUTUAL, partition=partition)
+    return bounds_from_table(evaluate(plan, space, family, mu=mu), copies)
 
 
 def classical_benchmark(space: ImageSpace, family: ChannelFamily, ns: float, copies) -> BoundReport:
-    """Bounds for the optimal classical strategy (coherent light or vacuum).
-
-    Classical probes factor per channel, so a pattern pair at Hamming
-    distance d has fidelity f^d with f from the closed forms; the sums then
-    collapse onto the Hamming-distance census of the space.
-    """
-    f = per_channel_classical_fidelity(family, ns)
-    logf_ch = math.log(f) if f > 0 else -math.inf
-    if counting_applies(space):
-        census = counting_census(space.m, [space.m], space.target_counts)
-        counts = np.fromiter(census.values(), dtype=float, count=len(census))
-        dists = np.fromiter((key[0][2] for key in census), dtype=float, count=len(census))
-        with np.errstate(invalid="ignore"):
-            table = FidelityTable(len(space), class_counts=counts, class_logf=dists * logf_ch)
-    else:
-        n = len(space)
-        if n > BLOCK_TABLE_MAX_PATTERNS:
-            raise CapacityError("classical dense table too large")
-        bits = np.array(space.patterns, dtype=np.uint8)
-        dmat = (bits[:, None, :] != bits[None, :, :]).sum(axis=-1).astype(float)
-        with np.errstate(invalid="ignore"):
-            mat = np.exp(dmat * logf_ch)
-        np.fill_diagonal(mat, 1.0)
-        table = FidelityTable(n, matrix=mat, priors=None if space.uniform else space.priors)
-    return bounds_from_table(table, copies, method="classical")
+    """Bounds for the optimal classical strategy (coherent light or vacuum)."""
+    return bounds_from_table(evaluate(ProbePlan(CLASSICAL), space, family, ns=ns), copies)

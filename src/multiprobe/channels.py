@@ -95,13 +95,6 @@ def check_pattern(pattern, m: int | None = None) -> tuple[int, ...]:
     return bits
 
 
-def pattern_scaling(x_b: float, x_t: float, pattern) -> np.ndarray:
-    """Diagonal 2m x 2m matrix with x_b or x_t per mode, following the pattern."""
-    bits = check_pattern(pattern)
-    per_mode = np.where(np.asarray(bits, dtype=bool), x_t, x_b)
-    return np.diag(np.repeat(per_mode, 2))
-
-
 def apply_mode_channels(state: CovMatrix, taus, nus) -> CovMatrix:
     """Apply an independent (tau_k, nu_k) channel to each mode."""
     taus = np.asarray(taus, dtype=float)
@@ -151,10 +144,6 @@ class IdlerLayout:
     @property
     def n_modes(self) -> int:
         return sum(b.n_modes for b in self.blocks)
-
-    @property
-    def total_idlers(self) -> int:
-        return sum(b.idlers for b in self.blocks)
 
     def mode_channels(self) -> list[int | None]:
         """Per mode: probed channel index, or None for an idler."""

@@ -17,20 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import (
-    bounds_by_counting,
-    bounds_mutual_probing,
-    classical_benchmark,
-    counting_applies,
-    fidelity_table_blocks,
-    fidelity_table_counting,
-    guaranteed_advantage,
-)
+from .bounds import bounds_from_table, evaluate, guaranteed_advantage
 from .channels import ChannelFamily
 from .errors import NumericError
 from .imagespace import bcpf_space, cpf_space, full_space, read_space
-from .presets import CLASSICAL, DISJOINT, MUTUAL, resolve_probe
-from .probes import SINGLE_IDLER, extend_for_mutual_probing
+from .presets import CLASSICAL, MUTUAL, ProbePlan, resolve_probe
+from .probes import SINGLE_IDLER
 from .validate import SCALES, run_suites
 
 COLUMNS = [
@@ -168,53 +160,57 @@ def _energy(payload: dict):
     return float(ns), float(mu)
 
 
-def _eval_point(payload: dict) -> dict:
-    """Evaluate one grid point; also the worker-pool entry point."""
-    family = build_family(payload)
-    ns, mu = _energy(payload)
-    m = payload["m"]
-    space = build_space(payload["space"], m)
-    plan = resolve_probe(payload["probe"], m, mu, payload["odd_strategy"])
+def _eval_config(payloads: list[dict]) -> list[dict]:
+    """Evaluate the grid points of one configuration, which differ only in
+    ``copies``/``mbar``, from one fidelity table; also the worker-pool
+    entry point."""
+    first = payloads[0]
+    family = build_family(first)
+    ns, mu = _energy(first)
+    m = first["m"]
+    space = build_space(first["space"], m)
+    plan = resolve_probe(first["probe"], m, mu, first["odd_strategy"])
     l_overlap = plan.partition.l_overlap if plan.route == MUTUAL else 0
-    copies, mbar = payload.get("copies"), payload.get("mbar")
-    if copies is None and mbar is None:
-        raise UsageError("need --copies or --mbar (or a grid over one of them)")
-    if copies is not None and mbar is not None:
-        raise UsageError("--copies and --mbar are mutually exclusive")
-    if copies is None:
-        copies = mbar * m / (m + l_overlap)
-    if plan.route == CLASSICAL:
-        report = classical_benchmark(space, family, ns, copies)
-    elif plan.route == MUTUAL:
-        report = bounds_mutual_probing(space, plan.partition, family, mu, copies)
-    else:
-        report = bounds_by_counting(space, plan.spec, family, copies)
-    delta = None
-    if payload["against_classical"] and plan.route != CLASSICAL:
-        comparator = classical_benchmark(space, family, ns, report.m_bar)
-        delta = guaranteed_advantage(comparator, report)
-        report.delta_perr = delta
-    row = {c: None for c in COLUMNS}
-    row.update(
-        family=family.kind,
-        m=m,
-        space=payload["space"],
-        probe=payload["probe"],
-        ns=ns,
-        mu=mu,
-        copies=report.copies,
-        m_bar=report.m_bar,
-        lower_raw=report.lower_raw,
-        lower=report.lower,
-        upper_raw=report.upper_raw,
-        upper=report.upper,
-        delta_perr=delta,
-        method=report.method,
-        rounds=report.rounds,
-    )
-    for key in ("eta-b", "eta-t", "nu-b", "nu-t", "tau-b", "tau-t", "eps-b", "eps-t"):
-        row[key.replace("-", "_")] = payload.get(key)
-    return row
+    copies_list = []
+    for payload in payloads:
+        copies, mbar = payload.get("copies"), payload.get("mbar")
+        if copies is None and mbar is None:
+            raise UsageError("need --copies or --mbar (or a grid over one of them)")
+        if copies is not None and mbar is not None:
+            raise UsageError("--copies and --mbar are mutually exclusive")
+        copies_list.append(mbar * m / (m + l_overlap) if copies is None else copies)
+    table = evaluate(plan, space, family, ns=ns, mu=mu)
+    comparator = None
+    if first["against_classical"] and plan.route != CLASSICAL:
+        comparator = evaluate(ProbePlan(CLASSICAL), space, family, ns=ns)
+    rows = []
+    for payload, copies in zip(payloads, copies_list):
+        report = bounds_from_table(table, copies)
+        delta = None
+        if comparator is not None:
+            delta = guaranteed_advantage(bounds_from_table(comparator, report.m_bar), report)
+        row = {c: None for c in COLUMNS}
+        row.update(
+            family=family.kind,
+            m=m,
+            space=payload["space"],
+            probe=payload["probe"],
+            ns=ns,
+            mu=mu,
+            copies=report.copies,
+            m_bar=report.m_bar,
+            lower_raw=report.lower_raw,
+            lower=report.lower,
+            upper_raw=report.upper_raw,
+            upper=report.upper,
+            delta_perr=delta,
+            method=report.method,
+            rounds=report.rounds,
+        )
+        for key in ("eta-b", "eta-t", "nu-b", "nu-t", "tau-b", "tau-t", "eps-b", "eps-t"):
+            row[key.replace("-", "_")] = payload.get(key)
+        rows.append(row)
+    return rows
 
 
 def _write_rows(rows, columns, fmt: str, out, comment: str) -> None:
@@ -278,13 +274,22 @@ def _common_sweep(args) -> Sweep:
 
 
 def cmd_bounds(args) -> int:
-    sweep = _common_sweep(args)
-    payloads = list(sweep.payloads())
+    payloads = list(_common_sweep(args).payloads())
+    # one configuration per setting of everything but the copy number
+    configs: dict[tuple, list[int]] = {}
+    for i, payload in enumerate(payloads):
+        key = tuple(item for item in payload.items() if item[0] not in ("copies", "mbar"))
+        configs.setdefault(key, []).append(i)
+    batches = [[payloads[i] for i in idx] for idx in configs.values()]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_eval_point, payloads))
+            results = list(pool.map(_eval_config, batches))
     else:
-        rows = [_eval_point(p) for p in payloads]
+        results = [_eval_config(batch) for batch in batches]
+    rows = [None] * len(payloads)
+    for idx, batch_rows in zip(configs.values(), results):
+        for i, row in zip(idx, batch_rows):
+            rows[i] = row
     out, close = _open_out(args.out)
     try:
         _write_rows(rows, COLUMNS, args.format, out, HEADER_COMMENT)
@@ -316,40 +321,18 @@ def _census_values(args):
     ns, mu = _energy(payload)
     space = build_space(args.space, args.m)
     plan = resolve_probe(args.probe, args.m, mu, args.odd_strategy)
+    table = evaluate(plan, space, family, ns=ns, mu=mu)
     copies = float(args.copies if args.copies is not None else 1.0)
-    if plan.route == CLASSICAL:
-        from .bounds import per_channel_classical_fidelity
-
-        f = per_channel_classical_fidelity(family, ns)
-        bits = np.array(space.patterns, dtype=np.uint8)
-        dmat = (bits[:, None, :] != bits[None, :, :]).sum(axis=-1)
-        values, counts = np.unique(dmat[~np.eye(len(space), dtype=bool)], return_counts=True)
-        pairs = [(float(f ** (d * copies)), int(c)) for d, c in zip(values, counts)]
-    elif plan.route == MUTUAL:
-        ext_part, ext_space = extend_for_mutual_probing(plan.partition, space)
-        from .probes import ProbeSpec
-
-        spec = ProbeSpec(ext_part.m, mu, ext_part.blocks)
-        table = fidelity_table_blocks(ext_space.extended, None, spec.descriptors(), family)
-        off = ~np.eye(table.n_patterns, dtype=bool)
-        vals = np.power(table.matrix[off], copies)
-        uniq, counts = np.unique(np.round(vals, 12), return_counts=True)
-        pairs = [(float(v), int(c)) for v, c in zip(uniq, counts)]
-    elif counting_applies(space):
-        table = fidelity_table_counting(space, plan.spec, family)
+    if table.class_counts is not None:
         with np.errstate(invalid="ignore"):
             vals = np.exp(copies * table.class_logf)
         uniq = {}
         for v, c in zip(np.round(vals, 12), table.class_counts):
             uniq[float(v)] = uniq.get(float(v), 0) + int(c)
-        pairs = sorted(uniq.items())
-    else:
-        table = fidelity_table_blocks(space.patterns, None, plan.spec.descriptors(), family)
-        off = ~np.eye(table.n_patterns, dtype=bool)
-        vals = np.power(table.matrix[off], copies)
-        uniq, counts = np.unique(np.round(vals, 12), return_counts=True)
-        pairs = [(float(v), int(c)) for v, c in zip(uniq, counts)]
-    return sorted(pairs)
+        return sorted(uniq.items())
+    off = ~np.eye(table.n_patterns, dtype=bool)
+    uniq, counts = np.unique(np.round(np.power(table.matrix[off], copies), 12), return_counts=True)
+    return [(float(v), int(c)) for v, c in zip(uniq, counts)]
 
 
 def cmd_census(args) -> int:

@@ -1,4 +1,4 @@
-"""Pattern image spaces: enumeration, priors, Hamming machinery, censuses.
+"""Pattern image spaces: enumeration, priors, Hamming machinery, pair classes.
 
 An image space is an ordered collection of binary patterns with prior
 weights.  Position-finding spaces fix the number of target channels:
@@ -9,6 +9,7 @@ a set of target counts, and the full space all 2^m patterns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -77,7 +78,7 @@ class ImageSpace:
     def index(self, pattern: Pattern) -> int:
         return self._index[tuple(pattern)]
 
-    @property
+    @cached_property
     def uniform(self) -> bool:
         return bool(np.allclose(self.priors, 1.0 / len(self), rtol=0, atol=PRIOR_TOL))
 
@@ -176,7 +177,7 @@ def read_space(fh) -> ImageSpace:
 
 
 # ---------------------------------------------------------------------------
-# degeneracy census
+# per-block degeneracy classes
 
 ClassKey = tuple[tuple[int, int, int], ...]
 
@@ -196,20 +197,3 @@ def block_class(pat_a: Pattern, pat_b: Pattern, block) -> tuple[int, int, int]:
 
 def pair_class_key(pat_a: Pattern, pat_b: Pattern, blocks) -> ClassKey:
     return tuple(block_class(pat_a, pat_b, blk) for blk in blocks)
-
-
-def pair_degeneracy_census(space: ImageSpace, blocks) -> dict[ClassKey, int]:
-    """Count ordered off-diagonal pattern pairs per per-block class tuple.
-
-    Two pairs in the same class share their output fidelity for any probe
-    whose entangled blocks match ``blocks``, so one evaluation per class
-    suffices.  Totals always sum to |U|^2 - |U|.
-    """
-    census: dict[ClassKey, int] = {}
-    for i, pa in enumerate(space.patterns):
-        for j, pb in enumerate(space.patterns):
-            if i == j:
-                continue
-            key = pair_class_key(pa, pb, blocks)
-            census[key] = census.get(key, 0) + 1
-    return census

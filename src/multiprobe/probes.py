@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
 from .channels import BlockLayout, IdlerLayout, apply_pattern_with_idlers
-from .errors import CapacityError, EnergyError, PartitionError
+from .errors import EnergyError, PartitionError
 from .gaussian import CovMatrix, coherent_cm, ghz_cm, tensor
 from .imagespace import ExtendedImageSpace, ImageSpace, Pattern
 
@@ -29,8 +28,6 @@ Block = tuple[int, ...]
 
 HYBRID_COHERENT = "hybrid-coherent"
 SINGLE_IDLER = "single-idler"
-
-ENUMERATION_MAX_M = 10
 
 
 def _check_cover(blocks, m: int, *, disjoint: bool) -> None:
@@ -90,10 +87,6 @@ class IdlerPartition:
     @property
     def l_overlap(self) -> int:
         return 0
-
-    @property
-    def total_modes(self) -> int:
-        return self.m + sum(self.idlers)
 
 
 @dataclass(frozen=True)
@@ -443,53 +436,3 @@ def assemble_probe(spec: ProbeSpec) -> ProbeState:
             parts.append(coherent_cm([desc.alpha]))
             layout_blocks.append(BlockLayout(0, desc.channels))
     return ProbeState(spec, tensor(*parts), IdlerLayout(tuple(layout_blocks)))
-
-
-# ---------------------------------------------------------------------------
-# bounded family iterators (exploratory use only)
-
-
-def iter_disjoint_partitions(m: int, n_blocks: int | None = None, min_block: int = 2):
-    """Yield every disjoint partition of m channels into blocks >= min_block.
-
-    Exploration helper; hard-capped at m <= 10 because the family grows
-    super-exponentially.
-    """
-    if m > ENUMERATION_MAX_M:
-        raise CapacityError(f"disjoint-partition enumeration capped at m={ENUMERATION_MAX_M}")
-
-    def rec(remaining: tuple[int, ...], acc: tuple[Block, ...]):
-        if not remaining:
-            if n_blocks is None or len(acc) == n_blocks:
-                yield DisjointPartition(m, acc)
-            return
-        if n_blocks is not None and len(acc) >= n_blocks:
-            return
-        anchor, rest = remaining[0], remaining[1:]
-        for size in range(min_block, len(remaining) + 1):
-            for extra in combinations(rest, size - 1):
-                left = tuple(c for c in rest if c not in extra)
-                yield from rec(left, acc + ((anchor,) + extra,))
-
-    yield from rec(tuple(range(m)), ())
-
-
-def iter_nondisjoint_partitions(m: int, n_blocks: int, min_block: int = 2):
-    """Yield covering multisets of n (possibly overlapping) blocks.
-
-    Exploration helper with hard caps (m <= 10, n_blocks <= 5): the family
-    size explodes combinatorially.
-    """
-    if m > ENUMERATION_MAX_M or n_blocks > 5:
-        raise CapacityError("non-disjoint enumeration capped at m<=10, n_blocks<=5")
-    pool = [
-        blk
-        for size in range(min_block, m + 1)
-        for blk in combinations(range(m), size)
-    ]
-    seen_all = set(range(m))
-    from itertools import combinations_with_replacement
-
-    for combo in combinations_with_replacement(pool, n_blocks):
-        if set().union(*combo) == seen_all:
-            yield NonDisjointPartition(m, tuple(combo))

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import strategies as st
 from scipy.linalg import sqrtm
 
+from multiprobe.bounds import _block_occupancy_options, block_subfidelity
 from multiprobe.channels import ChannelFamily
 from multiprobe.gaussian import symplectic_form
+from multiprobe.imagespace import pair_class_key
 
 
 @pytest.fixture
@@ -60,3 +62,76 @@ def any_family():
 
 def patterns(m):
     return st.lists(st.integers(0, 1), min_size=m, max_size=m).map(tuple)
+
+
+def pair_degeneracy_census(space, blocks):
+    """Count ordered off-diagonal pattern pairs per per-block class tuple.
+
+    Two pairs in the same class share their output fidelity for any probe
+    whose entangled blocks match ``blocks``.  Totals always sum to
+    |U|^2 - |U|.
+    """
+    census = {}
+    for i, pa in enumerate(space.patterns):
+        for j, pb in enumerate(space.patterns):
+            if i == j:
+                continue
+            key = pair_class_key(pa, pb, blocks)
+            census[key] = census.get(key, 0) + 1
+    return census
+
+
+def counting_sums(space, spec, family, m_val):
+    """(sum F^M, sum F^(2M)) over ordered pairs of distinct patterns.
+
+    A DP over blocks for one copy number.  Its state is (targets of pattern
+    A so far, targets of pattern B so far, whether A and B differ in an
+    earlier block); its value is the two partial sums over the sub-pattern
+    pairs that reach the state.  Identical pairs are excluded by the flag,
+    never by subtracting |U| from a total, which would cancel at large M.
+    """
+    ks = set(space.target_counts)
+    kmin, kmax = min(ks), max(ks)
+    rem = space.m
+    states = {(0, 0, False): (1.0, 1.0)}
+    for desc in spec.descriptors():
+        size = len(desc.channels)
+        rem -= size
+        # per (v, u): the count of identical sub-pattern pairs, and the
+        # fidelity-weighted counts of differing ones at M and 2M copies
+        steps = []
+        for v in range(size + 1):
+            for u in range(size + 1):
+                same, diff_m, diff_2m = 0.0, 0.0, 0.0
+                for d, count in _block_occupancy_options(size, v, u):
+                    if d == 0:
+                        same = float(count)
+                        continue
+                    fid = block_subfidelity(desc, family, v, u, d)
+                    diff_m += count * fid**m_val
+                    diff_2m += count * fid ** (2.0 * m_val)
+                steps.append((v, u, same, diff_m, diff_2m))
+        new = {}
+
+        def add(state, dx, dy):
+            px, py = new.get(state, (0.0, 0.0))
+            new[state] = (px + dx, py + dy)
+
+        for (a0, b0, differs), (x, y) in states.items():
+            for v, u, same, diff_m, diff_2m in steps:
+                a, b = a0 + v, b0 + u
+                if a > kmax or b > kmax or a + rem < kmin or b + rem < kmin:
+                    continue
+                if differs:
+                    add((a, b, True), x * (same + diff_m), y * (same + diff_2m))
+                else:
+                    add((a, b, True), x * diff_m, y * diff_2m)
+                    if same:
+                        add((a, b, False), x * same, y * same)
+        states = new
+    sum_m = sum_2m = 0.0
+    for (a, b, differs), (x, y) in states.items():
+        if differs and a in ks and b in ks:
+            sum_m += x
+            sum_2m += y
+    return sum_m, sum_2m

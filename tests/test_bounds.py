@@ -11,8 +11,8 @@ from multiprobe.bounds import (
     bounds_from_table,
     bounds_tmsv_pairs,
     bounds_tmsv_pairs_odd,
+    block_subfidelity,
     classical_benchmark,
-    counting_census,
     fidelity_table_counting,
     guaranteed_advantage,
     per_channel_classical_fidelity,
@@ -31,7 +31,6 @@ from multiprobe.imagespace import (
     bcpf_space,
     cpf_space,
     full_space,
-    pair_degeneracy_census,
 )
 from multiprobe.presets import resolve_probe
 from multiprobe.probes import (
@@ -42,6 +41,8 @@ from multiprobe.probes import (
     odd_m_disjoint_spec,
     pair_partition,
 )
+
+from conftest import counting_sums, pair_degeneracy_census
 
 LOSS = ChannelFamily.pure_loss(0.99, 0.97)
 ADD = ChannelFamily.additive(0.02, 0.01)
@@ -100,6 +101,23 @@ def test_one_cpf_ghz_closed_form():
     )
 
 
+def enumerated_histogram(space, spec, family):
+    """log F -> number of ordered pairs of distinct patterns, by enumerating
+    the pairs' class keys and summing block log-fidelities in block order."""
+    descs = spec.descriptors()
+    hist = {}
+    for key, count in pair_degeneracy_census(space, spec.census_blocks).items():
+        logf = 0.0
+        for desc, (v, u, d) in zip(descs, key):
+            logf += math.log(block_subfidelity(desc, family, v, u, d))
+        hist[logf] = hist.get(logf, 0) + count
+    return hist
+
+
+def table_histogram(table):
+    return dict(zip(table.class_logf.tolist(), table.class_counts.tolist()))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_counting_census_totals_random_configs(seed):
     # ordered off-diagonal pair count must equal |U|^2 - |U| for any block
@@ -113,23 +131,24 @@ def test_counting_census_totals_random_configs(seed):
         sizes.append(s)
         left -= s
     ks = sorted(rng.choice(range(m + 1), size=rng.integers(1, m + 1), replace=False))
-    census = counting_census(m, sizes, ks)
+    starts = np.cumsum([0] + sizes)
+    blocks = tuple(tuple(range(starts[j], starts[j + 1])) for j in range(len(sizes)))
+    spec = ProbeSpec(m, 20.5, blocks, tuple(int(s == 1) for s in sizes))
+    table = fidelity_table_counting(bcpf_space(m, ks), spec, LOSS)
     n_patterns = sum(math.comb(m, k) for k in ks)
-    assert sum(census.values()) == n_patterns**2 - n_patterns
+    assert sum(table.class_counts) == n_patterns**2 - n_patterns
 
 
 def test_counting_census_equals_enumeration_m6_three_blocks():
     spec = ProbeSpec(6, 20.5, blocks=((0, 1, 2), (3, 4, 5)))
     for space in (full_space(6), cpf_space(6, 2), bcpf_space(6, (1, 2))):
-        enum = pair_degeneracy_census(space, spec.census_blocks)
-        count = counting_census(6, [3, 3], space.target_counts)
-        assert enum == count
+        table = fidelity_table_counting(space, spec, LOSS)
+        assert table_histogram(table) == enumerated_histogram(space, spec, LOSS)
 
 
 def test_hybrid_coherent_block_additive_equals_vacuum_benchmark():
     # displacements cancel for additive noise, so the hybrid remainder's
     # fidelity is the vacuum benchmark regardless of amplitude
-    from multiprobe.bounds import block_subfidelity
     from multiprobe.probes import BlockDescriptor
 
     desc = BlockDescriptor("coherent", (0,), alpha=np.sqrt(20.0))
@@ -145,10 +164,8 @@ def test_counting_census_equals_enumeration(family, m):
         odd_m_disjoint_spec(m, 20.5, SINGLE_IDLER) if m % 2 else ProbeSpec.from_partition(pair_partition(m), 20.5),
     ):
         for space in (full_space(m), cpf_space(m, 1), bcpf_space(m, (1, 2))):
-            blocks = spec.census_blocks
-            enum = pair_degeneracy_census(space, blocks)
-            count = counting_census(m, [len(b) for b in blocks], space.target_counts)
-            assert enum == count
+            table = fidelity_table_counting(space, spec, family)
+            assert table_histogram(table) == enumerated_histogram(space, spec, family)
 
 
 @pytest.mark.parametrize("family", [LOSS, ADD], ids=["loss", "additive"])
@@ -345,7 +362,6 @@ def test_per_channel_classical_fidelity_dispatch():
 def test_idler_full_equals_choi_powers():
     # per-channel idler-assisted blocks: pattern pairs at distance d have
     # fidelity F_choi^d
-    from multiprobe.bounds import block_subfidelity
     from multiprobe.probes import BlockDescriptor
 
     m, copies = 3, 5
@@ -410,15 +426,16 @@ FIGURE_COPIES = np.geomspace(10, 5000, 50)
 @pytest.mark.parametrize("space", [full_space(9), cpf_space(9, 3)], ids=["full", "cpf3"])
 @pytest.mark.parametrize("family", [LOSS, ADD], ids=["loss", "additive"])
 def test_counting_dp_equals_class_table_on_figure_grid(family, space, probe):
-    # the block DP against the per-class census table over the m=9 figure
-    # range; below 1e-300 both are subnormal and only roughly equal
+    # the counting table against a per-copy-number DP of the two bound sums
+    # over the m=9 figure range; below 1e-300 both are subnormal and only
+    # roughly equal
     spec = resolve_probe(probe, 9, 20.5).spec
-    table = fidelity_table_counting(space, spec, family)
+    n = len(space)
     for copies in FIGURE_COPIES:
-        want = bounds_from_table(table, copies)
+        sum_m, sum_2m = counting_sums(space, spec, family, copies)
         got = bounds_by_counting(space, spec, family, copies)
         assert got.method == "counting"
-        for g, w in ((got.upper_raw, want.upper_raw), (got.lower_raw, want.lower_raw)):
+        for g, w in ((got.upper_raw, sum_m / n), (got.lower_raw, 0.5 * sum_2m / n**2)):
             if w > 1e-300:
                 assert g == pytest.approx(w, rel=1e-12, abs=0.0)
             else:

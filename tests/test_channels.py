@@ -10,7 +10,6 @@ from multiprobe.channels import (
     additive_params,
     apply_pattern,
     apply_pattern_with_idlers,
-    pattern_scaling,
     pure_loss_params,
     thermal_params,
 )
@@ -39,23 +38,6 @@ def test_param_constructors_reject_unphysical():
 def test_family_rejects_identical_channels():
     with pytest.raises(ValueError, match="identical"):
         ChannelFamily.pure_loss(0.97, 0.97)
-
-
-def test_pattern_scaling_identity():
-    mat = pattern_scaling(1.0, 1.0, (0, 1, 1))
-    assert np.array_equal(mat, np.eye(6))
-
-
-def test_pattern_scaling_pure_loss_pair():
-    eta_b, eta_t = 0.99, 0.97
-    mat = pattern_scaling(np.sqrt(eta_b), np.sqrt(eta_t), (0, 1))
-    want = np.diag([np.sqrt(eta_b)] * 2 + [np.sqrt(eta_t)] * 2)
-    assert np.allclose(mat, want, atol=0)
-
-
-def test_pattern_scaling_noise_ordering():
-    mat = pattern_scaling(0.02, 0.01, (1, 1, 0))
-    assert np.allclose(np.diag(mat), [0.01, 0.01, 0.01, 0.01, 0.02, 0.02], atol=0)
 
 
 def test_zero_noise_additive_is_identity():

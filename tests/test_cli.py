@@ -72,15 +72,24 @@ def test_bounds_csv_deterministic(tmp_path):
 
 
 def test_bounds_workers_match_sequential(tmp_path):
-    args = [
-        "bounds", "--family", "pure-loss", "--m", "3",
-        "--eta-b", "0.99", "--eta-t", "0.97", "--ns", "20",
-        "--probe", "classical", "--grid", "mbar=5:15:3",
-    ]
-    seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"
-    assert run_cli(args + ["--out", str(seq)]) == 0
-    assert run_cli(args + ["--out", str(par), "--workers", "2"]) == 0
-    assert seq.read_bytes() == par.read_bytes()
+    # mbar is the outer axis, so each ns configuration's rows are spread
+    # over the output; workers map over configurations
+    want = [(mbar, ns) for mbar in (5.0, 10.0, 15.0) for ns in (10.0, 20.0)]
+    for probe in ("tmsv-disjoint", "nn", "classical"):  # counting, mutual, classical
+        args = [
+            "bounds", "--family", "pure-loss", "--m", "3",
+            "--eta-b", "0.99", "--eta-t", "0.97", "--probe", probe,
+            "--grid", "mbar=5:15:3", "--grid", "ns=10:20:2", "--against-classical",
+        ]
+        seq, par = tmp_path / f"seq_{probe}.csv", tmp_path / f"par_{probe}.csv"
+        assert run_cli(args + ["--out", str(seq)]) == 0
+        assert run_cli(args + ["--out", str(par), "--workers", "2"]) == 0
+        assert seq.read_bytes() == par.read_bytes()
+        header, *rows = seq.read_text().splitlines()[1:]
+        cols = header.split(",")
+        got = [(float(r.split(",")[cols.index("m_bar")]), float(r.split(",")[cols.index("ns")]))
+               for r in rows]
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_bounds_jsonl_and_delta_pairing(tmp_path):
@@ -165,10 +174,10 @@ def test_numeric_error_exit_three(monkeypatch, capsys):
     import multiprobe.cli as cli
     from multiprobe.errors import NumericError
 
-    def boom(payload):
+    def boom(payloads):
         raise NumericError("synthetic instability")
 
-    monkeypatch.setattr(cli, "_eval_point", boom)
+    monkeypatch.setattr(cli, "_eval_config", boom)
     code = run_cli(
         ["bounds", "--family", "pure-loss", "--m", "2", "--eta-b", "0.9",
          "--eta-t", "0.8", "--ns", "1", "--copies", "1", "--probe", "classical"]

@@ -12,10 +12,11 @@ from multiprobe.imagespace import (
     full_space,
     hamming,
     pair_class_key,
-    pair_degeneracy_census,
     read_space,
     write_space,
 )
+
+from conftest import pair_degeneracy_census
 
 
 def test_full_space_m2_order():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiprobe.errors import CapacityError, EnergyError, PartitionError
+from multiprobe.errors import EnergyError, PartitionError
 from multiprobe.gaussian import ghz_cm, symplectic_spectrum
 from multiprobe.imagespace import full_space
 from multiprobe.probes import (
@@ -21,8 +21,6 @@ from multiprobe.probes import (
     extend_for_mutual_probing,
     format_partition,
     full_idler_partition,
-    iter_disjoint_partitions,
-    iter_nondisjoint_partitions,
     nn_partition,
     odd_m_disjoint_spec,
     pair_partition,
@@ -268,31 +266,3 @@ def test_assembled_probes_are_bona_fide_and_saturated():
         assert spectrum[0] >= 0.5 - 1e-9
         # saturated correlations pin the smallest eigenvalue at 1/2
         assert spectrum[0] == pytest.approx(0.5, abs=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# family iterators
-
-
-def test_iter_disjoint_partitions_m4():
-    parts = list(iter_disjoint_partitions(4))
-    assert len(parts) == 4  # {1234} and the three pairings
-    pairs = list(iter_disjoint_partitions(4, n_blocks=2))
-    assert sorted(p.blocks for p in pairs) == [
-        ((0, 1), (2, 3)),
-        ((0, 2), (1, 3)),
-        ((0, 3), (1, 2)),
-    ]
-
-
-def test_iter_disjoint_capacity_guard():
-    with pytest.raises(CapacityError):
-        next(iter_disjoint_partitions(11))
-
-
-def test_iter_nondisjoint_contains_nn():
-    found = list(iter_nondisjoint_partitions(3, 3))
-    target = sorted(tuple(sorted(b)) for b in nn_partition(3).blocks)
-    assert any(sorted(tuple(sorted(b)) for b in p.blocks) == target for p in found)
-    with pytest.raises(CapacityError):
-        next(iter_nondisjoint_partitions(11, 2))
