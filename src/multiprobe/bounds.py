@@ -1,17 +1,18 @@
 """Error-probability bounds for channel-pattern discrimination.
 
-All bounds reduce to prior-weighted sums of output-state fidelities raised
-to the copy number: the pretty-good-measurement upper bound uses F^M, the
-lower bound F^(2M).  ``evaluate`` builds the fidelity table of one probe
-configuration once; ``bounds_from_table`` reads it at any copy number, and
-the ``census`` command histograms it.  Fidelities of block-structured
-probes factor over blocks and are degenerate within per-block (v, u, d)
-classes, so one Gaussian fidelity per block and class suffices.  On
-uniform position-finding spaces the table is classed: a DP over blocks
-counts ordered pattern pairs per distinct log-fidelity from occupancy
+All bounds reduce to prior-weighted sums over ordered pattern pairs of
+output-state fidelities raised to the copy number: the
+pretty-good-measurement upper bound uses F^M, the lower bound F^(2M).
+``evaluate`` builds the fidelity table of one probe configuration once, as
+(ordered pair count, log F) entries; ``bounds_from_table`` reads it at any
+copy number, and ``census_histogram`` histograms it.  Fidelities of
+block-structured probes factor over blocks and are degenerate within
+per-block (v, u, d) classes, so one Gaussian fidelity per block and class
+suffices.  On uniform position-finding spaces a DP over blocks counts
+ordered pattern pairs per distinct log-fidelity from occupancy
 multiplicities, without enumerating patterns.  Other spaces, overlapping
-blocks (via the copy-channel extension) and custom classical spaces get
-dense per-pair tables.
+blocks (via the copy-channel extension) and custom classical spaces get one
+entry per unordered pattern pair.
 """
 
 from __future__ import annotations
@@ -222,36 +223,57 @@ def counting_applies(space: ImageSpace) -> bool:
 
 @dataclass
 class FidelityTable:
-    """Single-copy output fidelities, per degeneracy class or per pair.
+    """Single-copy output fidelities as (ordered pair count, log F) entries.
 
-    Classed tables assume uniform priors; dense tables carry a symmetric
-    fidelity matrix (diagonal ignored) plus optional per-pattern priors.
-    ``method`` names the route that built the table; a mutual-probing
-    table also carries its overlapping ``partition``, which sets the
-    average channel use, and the number of disjoint ``rounds``.
+    Every bound is a prior-weighted sum over ordered pattern pairs, so a
+    table is a list of entries: ``counts[k]`` ordered pairs share the
+    fidelity ``exp(logf[k])``.  Classed routes hold one entry per distinct
+    log-fidelity; dense routes one per unordered pair, counted twice.  The
+    optional per-entry ``weights`` = sqrt(pi_i pi_j) carry non-uniform
+    priors; without them the priors are uniform.  ``method`` names the
+    route that built the table; a mutual-probing table also carries its
+    overlapping ``partition``, which sets the average channel use, and the
+    number of disjoint ``rounds``.
     """
 
     n_patterns: int
-    class_counts: np.ndarray | None = None
-    class_logf: np.ndarray | None = None
-    matrix: np.ndarray | None = None
-    priors: np.ndarray | None = None
+    counts: np.ndarray
+    logf: np.ndarray
+    weights: np.ndarray | None = None
     method: str = "brute"
     partition: NonDisjointPartition | None = None
     rounds: int | None = None
 
     def __post_init__(self):
-        classed = self.class_counts is not None
-        if classed != (self.class_logf is not None) or classed == (self.matrix is not None):
-            raise ValueError("table must be either classed or dense")
-        if classed and self.priors is not None:
-            raise ValueError("classed tables assume uniform priors")
-        if self.matrix is not None:
-            mat = np.asarray(self.matrix, dtype=float)
-            if mat.shape != (self.n_patterns, self.n_patterns):
-                raise DimensionError("fidelity matrix shape mismatch")
-            if not np.allclose(mat, mat.T, rtol=0, atol=1e-12):
-                raise NumericError("fidelity matrix is not symmetric")
+        if len(self.counts) != len(self.logf) or (
+            self.weights is not None and len(self.weights) != len(self.logf)
+        ):
+            raise DimensionError("table counts, log-fidelities and weights differ in length")
+
+    @classmethod
+    def pairs(cls, n: int, logf, priors=None, **kw) -> FidelityTable:
+        """Dense table: ``logf`` holds one entry per unordered pair i < j in
+        row-major order (see ``_pair_entries``), each counted twice."""
+        logf = np.asarray(logf, dtype=float)
+        weights = None
+        if priors is not None:
+            pri = np.asarray(priors, dtype=float)
+            weights = _pair_entries(n, lambda i: np.sqrt(pri[i] * pri[i + 1:]))
+        return cls(n, np.full(len(logf), 2.0), logf, weights, **kw)
+
+
+def _log(fid: float) -> float:
+    return math.log(fid) if fid > 0 else -math.inf
+
+
+def _pair_entries(n: int, row) -> np.ndarray:
+    """Concatenate ``row(i)``, the values of the pairs (i, j > i), over i."""
+    out = np.empty(n * (n - 1) // 2)
+    start = 0
+    for i in range(n - 1):
+        out[start:start + n - 1 - i] = row(i)
+        start += n - 1 - i
+    return out
 
 
 def bounds_from_table(table: FidelityTable, copies, *, m_bar=None) -> BoundReport:
@@ -268,19 +290,15 @@ def bounds_from_table(table: FidelityTable, copies, *, m_bar=None) -> BoundRepor
     if m_bar is None:
         m_bar = m_val if table.partition is None else average_channel_use(table.partition, copies)
     n = table.n_patterns
-    if table.class_counts is not None:
-        with np.errstate(invalid="ignore"):
-            ub = float(table.class_counts @ np.exp(m_val * table.class_logf)) / n
-            lb = 0.5 * float(table.class_counts @ np.exp(2.0 * m_val * table.class_logf)) / n**2
+    fm = np.exp(m_val * table.logf)
+    f2m = np.exp(2.0 * m_val * table.logf)
+    if table.weights is None:
+        ub = float(table.counts @ fm) / n
+        lb = 0.5 * float(table.counts @ f2m) / n**2
     else:
-        pri = table.priors if table.priors is not None else np.full(n, 1.0 / n)
-        off = ~np.eye(n, dtype=bool)
-        fm = np.power(table.matrix, m_val, where=off, out=np.zeros((n, n)))
-        f2m = np.power(table.matrix, 2.0 * m_val, where=off, out=np.zeros((n, n)))
-        wub = np.sqrt(np.outer(pri, pri))
-        wlb = np.outer(pri, pri)
-        ub = float(np.sum(wub * fm, where=off))
-        lb = 0.5 * float(np.sum(wlb * f2m, where=off))
+        weighted = table.counts * table.weights
+        ub = float(weighted @ fm)
+        lb = 0.5 * float((weighted * table.weights) @ f2m)
     return BoundReport(
         lower_raw=lb,
         upper_raw=ub,
@@ -289,6 +307,15 @@ def bounds_from_table(table: FidelityTable, copies, *, m_bar=None) -> BoundRepor
         method=table.method,
         rounds=table.rounds,
     )
+
+
+def census_histogram(table: FidelityTable, copies=1.0) -> list[tuple[float, int]]:
+    """Degeneracy histogram: (F^copies rounded to 12 decimals, number of
+    ordered pattern pairs), in ascending fidelity."""
+    rounded = np.round(np.exp(float(copies) * table.logf), 12)
+    values = np.unique(rounded)
+    mult = np.bincount(np.searchsorted(values, rounded), weights=table.counts, minlength=len(values))
+    return [(float(v), int(c)) for v, c in zip(values, mult)]
 
 
 def fidelity_table_counting(space: ImageSpace, spec: ProbeSpec, family: ChannelFamily) -> FidelityTable:
@@ -318,7 +345,7 @@ def fidelity_table_counting(space: ImageSpace, spec: ProbeSpec, family: ChannelF
             for u in range(size + 1):
                 for d, count in _block_occupancy_options(size, v, u):
                     fid = block_subfidelity(desc, family, v, u, d)
-                    steps.append((v, u, d > 0, count, math.log(fid) if fid > 0 else -math.inf))
+                    steps.append((v, u, d > 0, count, _log(fid)))
         new: dict[tuple[int, int, bool, float], int] = {}
         for (a0, b0, differs, logf), cnt in states.items():
             for v, u, step_differs, count, step_logf in steps:
@@ -334,34 +361,30 @@ def fidelity_table_counting(space: ImageSpace, spec: ProbeSpec, family: ChannelF
             hist[logf] = hist.get(logf, 0) + cnt
     return FidelityTable(
         len(space),
-        class_counts=np.array(list(hist.values()), dtype=float),
-        class_logf=np.array(list(hist), dtype=float),
+        np.array(list(hist.values()), dtype=float),
+        np.array(list(hist), dtype=float),
         method="counting",
     )
 
 
 def fidelity_table_blocks(patterns, priors, descs, family: ChannelFamily) -> FidelityTable:
-    """Dense table from per-block fidelity lookups (any space, any priors)."""
+    """Dense table from per-block fidelity lookups (any space, any priors).
+
+    A pair's log F sums one looked-up block log-fidelity per block, in
+    block order.
+    """
     n = len(patterns)
     if n > BLOCK_TABLE_MAX_PATTERNS:
         raise CapacityError(f"dense block table capped at {BLOCK_TABLE_MAX_PATTERNS} patterns")
-    log_f = np.zeros((n, n))
+    lookups = []
     for desc in descs:
         locals_ = [tuple(p[c] for c in desc.channels) for p in patterns]
         uniq = sorted(set(locals_))
-        code = np.array([uniq.index(lp) for lp in locals_])
-        lut = np.zeros((len(uniq), len(uniq)))
-        for a, la in enumerate(uniq):
-            for b, lb in enumerate(uniq):
-                fid = block_pair_fidelity(desc, family, la, lb)
-                lut[a, b] = math.log(fid) if fid > 0 else -math.inf
-        log_f += lut[np.ix_(code, code)]
-    with np.errstate(invalid="ignore"):
-        mat = np.exp(log_f)
-    np.fill_diagonal(mat, 1.0)
-    return FidelityTable(
-        n, matrix=mat, priors=None if priors is None else np.asarray(priors), method="blocks"
-    )
+        index = {lp: a for a, lp in enumerate(uniq)}
+        lut = [[_log(block_pair_fidelity(desc, family, la, lb)) for lb in uniq] for la in uniq]
+        lookups.append((np.array(lut), np.array([index[lp] for lp in locals_])))
+    logf = _pair_entries(n, lambda i: sum(lut[code[i], code[i + 1:]] for lut, code in lookups))
+    return FidelityTable.pairs(n, logf, priors, method="blocks")
 
 
 def fidelity_table_bruteforce(space_patterns, priors, spec: ProbeSpec, family: ChannelFamily) -> FidelityTable:
@@ -376,12 +399,10 @@ def fidelity_table_bruteforce(space_patterns, priors, spec: ProbeSpec, family: C
         raise CapacityError(f"brute-force table capped at {BRUTE_TABLE_MAX_PATTERNS} patterns")
     probe = assemble_probe(spec)
     outputs = [probe.output(family, p) for p in patterns]
-    mat = np.ones((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            fid = gaussian_fidelity(outputs[i], outputs[j])
-            mat[i, j] = mat[j, i] = fid
-    return FidelityTable(n, matrix=mat, priors=None if priors is None else np.asarray(priors))
+    logf = _pair_entries(
+        n, lambda i: [_log(gaussian_fidelity(outputs[i], out)) for out in outputs[i + 1:]]
+    )
+    return FidelityTable.pairs(n, logf, priors)
 
 
 def per_channel_classical_fidelity(family: ChannelFamily, ns: float) -> float:
@@ -409,7 +430,7 @@ def evaluate(plan: ProbePlan, space: ImageSpace, family: ChannelFamily, *, ns=No
     pri = None if space.uniform else space.priors
     if plan.route == CLASSICAL:
         f = per_channel_classical_fidelity(family, ns)
-        logf_ch = math.log(f) if f > 0 else -math.inf
+        logf_ch = _log(f)
         if counting_applies(space):
             # one block over all m channels, keyed like the per-block classes
             census: dict[tuple[int, int, int], int] = {}
@@ -421,19 +442,13 @@ def evaluate(plan: ProbePlan, space: ImageSpace, family: ChannelFamily, *, ns=No
                             census[key] = census.get(key, 0) + count
             counts = np.fromiter(census.values(), dtype=float, count=len(census))
             dists = np.fromiter((key[2] for key in census), dtype=float, count=len(census))
-            with np.errstate(invalid="ignore"):
-                return FidelityTable(
-                    len(space), class_counts=counts, class_logf=dists * logf_ch, method="classical"
-                )
+            return FidelityTable(len(space), counts, dists * logf_ch, method="classical")
         n = len(space)
         if n > BLOCK_TABLE_MAX_PATTERNS:
             raise CapacityError("classical dense table too large")
         bits = np.array(space.patterns, dtype=np.uint8)
-        dmat = (bits[:, None, :] != bits[None, :, :]).sum(axis=-1).astype(float)
-        with np.errstate(invalid="ignore"):
-            mat = np.exp(dmat * logf_ch)
-        np.fill_diagonal(mat, 1.0)
-        return FidelityTable(n, matrix=mat, priors=pri, method="classical")
+        dists = _pair_entries(n, lambda i: (bits[i] != bits[i + 1:]).sum(axis=1))
+        return FidelityTable.pairs(n, dists * logf_ch, pri, method="classical")
     if plan.route == MUTUAL:
         ext_partition, ext_space = extend_for_mutual_probing(plan.partition, space)
         spec = ProbeSpec(ext_partition.m, mu, ext_partition.blocks)

@@ -10,14 +10,14 @@ README.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import bounds_from_table, evaluate, guaranteed_advantage
+from .bounds import bounds_from_table, census_histogram, evaluate, guaranteed_advantage
 from .channels import ChannelFamily
 from .errors import NumericError
 from .imagespace import bcpf_space, cpf_space, full_space, read_space
@@ -160,16 +160,22 @@ def _energy(payload: dict):
     return float(ns), float(mu)
 
 
+def _configure(payload: dict):
+    """(family, ns, mu, space, plan) of one grid point."""
+    family = build_family(payload)
+    ns, mu = _energy(payload)
+    space = build_space(payload["space"], payload["m"])
+    plan = resolve_probe(payload["probe"], payload["m"], mu, payload["odd_strategy"])
+    return family, ns, mu, space, plan
+
+
 def _eval_config(payloads: list[dict]) -> list[dict]:
     """Evaluate the grid points of one configuration, which differ only in
     ``copies``/``mbar``, from one fidelity table; also the worker-pool
     entry point."""
     first = payloads[0]
-    family = build_family(first)
-    ns, mu = _energy(first)
     m = first["m"]
-    space = build_space(first["space"], m)
-    plan = resolve_probe(first["probe"], m, mu, first["odd_strategy"])
+    family, ns, mu, space, plan = _configure(first)
     l_overlap = plan.partition.l_overlap if plan.route == MUTUAL else 0
     copies_list = []
     for payload in payloads:
@@ -234,27 +240,9 @@ def _open_out(path):
 # subcommands
 
 
-@dataclass
-class Sweep:
-    scalars: dict
-    grids: list = field(default_factory=list)  # [(name, values)]
-
-    def payloads(self):
-        def rec(idx, acc):
-            if idx == len(self.grids):
-                yield dict(acc)
-                return
-            name, values = self.grids[idx]
-            for v in values:
-                acc[name] = v
-                yield from rec(idx + 1, acc)
-            acc.pop(name, None)
-
-        base = dict(self.scalars)
-        yield from rec(0, base)
-
-
-def _common_sweep(args) -> Sweep:
+def _sweep_payloads(args) -> list[dict]:
+    """One payload per grid point, the first grid outermost; grid values
+    replace the scalar flags and follow them in key order."""
     scalars = {
         "family": args.family,
         "m": args.m,
@@ -264,17 +252,19 @@ def _common_sweep(args) -> Sweep:
         "against_classical": getattr(args, "against_classical", False),
     }
     for name in SWEEPABLE:
-        scalars[name] = getattr(args, name.replace("-", "_"))
-    grids = []
-    for spec in args.grid or []:
-        name, values = parse_grid(spec)
+        scalars[name] = getattr(args, name.replace("-", "_"), None)
+    grids = [parse_grid(spec) for spec in getattr(args, "grid", None) or []]
+    for name, _ in grids:
         scalars.pop(name, None)
-        grids.append((name, values))
-    return Sweep(scalars, grids)
+    names = [name for name, _ in grids]
+    return [
+        {**scalars, **dict(zip(names, point))}
+        for point in itertools.product(*(values for _, values in grids))
+    ]
 
 
 def cmd_bounds(args) -> int:
-    payloads = list(_common_sweep(args).payloads())
+    payloads = _sweep_payloads(args)
     # one configuration per setting of everything but the copy number
     configs: dict[tuple, list[int]] = {}
     for i, payload in enumerate(payloads):
@@ -306,37 +296,11 @@ def cmd_validate(args) -> int:
     return 0 if all(r.passed for r in results) else 2
 
 
-def _census_values(args):
-    payload = {
-        "family": args.family,
-        "m": args.m,
-        "space": args.space,
-        "probe": args.probe,
-        "odd_strategy": args.odd_strategy,
-    }
-    for name in ("eta-b", "eta-t", "nu-b", "nu-t", "tau-b", "tau-t", "eps-b", "eps-t"):
-        payload[name] = getattr(args, name.replace("-", "_"))
-    payload["ns"], payload["mu"] = args.ns, args.mu
-    family = build_family(payload)
-    ns, mu = _energy(payload)
-    space = build_space(args.space, args.m)
-    plan = resolve_probe(args.probe, args.m, mu, args.odd_strategy)
-    table = evaluate(plan, space, family, ns=ns, mu=mu)
-    copies = float(args.copies if args.copies is not None else 1.0)
-    if table.class_counts is not None:
-        with np.errstate(invalid="ignore"):
-            vals = np.exp(copies * table.class_logf)
-        uniq = {}
-        for v, c in zip(np.round(vals, 12), table.class_counts):
-            uniq[float(v)] = uniq.get(float(v), 0) + int(c)
-        return sorted(uniq.items())
-    off = ~np.eye(table.n_patterns, dtype=bool)
-    uniq, counts = np.unique(np.round(np.power(table.matrix[off], copies), 12), return_counts=True)
-    return [(float(v), int(c)) for v, c in zip(uniq, counts)]
-
-
 def cmd_census(args) -> int:
-    pairs = _census_values(args)
+    (payload,) = _sweep_payloads(args)
+    family, ns, mu, space, plan = _configure(payload)
+    table = evaluate(plan, space, family, ns=ns, mu=mu)
+    pairs = census_histogram(table, payload["copies"])
     rows = [{"fidelity": v, "multiplicity": c} for v, c in pairs]
     out, close = _open_out(args.out)
     try:

@@ -8,7 +8,7 @@ a set of target counts, and the full space all 2^m patterns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -52,7 +52,6 @@ class ImageSpace:
     patterns: tuple[Pattern, ...]
     priors: np.ndarray
     kind: tuple = (CUSTOM,)
-    _index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 1 <= self.m <= MAX_PATTERN_LEN:
@@ -70,13 +69,9 @@ class ImageSpace:
         if np.any(priors < 0) or abs(priors.sum() - 1.0) > PRIOR_TOL:
             raise ValueError("priors must be nonnegative and sum to 1")
         object.__setattr__(self, "priors", priors)
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.patterns)})
 
     def __len__(self) -> int:
         return len(self.patterns)
-
-    def index(self, pattern: Pattern) -> int:
-        return self._index[tuple(pattern)]
 
     @cached_property
     def uniform(self) -> bool:

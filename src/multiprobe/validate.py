@@ -327,7 +327,6 @@ def suite_mutual_vs_bruteforce(scale: str) -> SuiteResult:
                 lay = IdlerLayout((BlockLayout(0, tuple(range(len(blk)))),))
                 probe_blocks.append((blk, state, lay))
             n = len(ext_space.extended)
-            ref = np.ones((n, n))
             outs = []
             for pat in ext_space.extended:
                 outs.append(
@@ -336,15 +335,14 @@ def suite_mutual_vs_bruteforce(scale: str) -> SuiteResult:
                         for blk, st, lay in probe_blocks
                     ]
                 )
-            for i in range(n):
-                for j in range(i + 1, n):
-                    val = math.prod(
-                        gaussian_fidelity(a, b) for a, b in zip(outs[i], outs[j])
-                    )
-                    ref[i, j] = ref[j, i] = val
+            ref = FidelityTable.pairs(n, [
+                math.log(math.prod(gaussian_fidelity(a, b) for a, b in zip(outs[i], outs[j])))
+                for i in range(n)
+                for j in range(i + 1, n)
+            ])
             fast = fidelity_table_blocks(ext_space.extended, None, spec.descriptors(), family)
             for copies in (1, 7):
-                rb = bounds_from_table(FidelityTable(n, matrix=ref), copies)
+                rb = bounds_from_table(ref, copies)
                 rc = bounds_from_table(fast, copies)
                 for a, b in ((rb.upper_raw, rc.upper_raw), (rb.lower_raw, rc.lower_raw)):
                     if a > 0:

@@ -13,6 +13,7 @@ from multiprobe.bounds import (
     bounds_tmsv_pairs_odd,
     block_subfidelity,
     classical_benchmark,
+    evaluate,
     fidelity_table_counting,
     guaranteed_advantage,
     per_channel_classical_fidelity,
@@ -31,13 +32,18 @@ from multiprobe.imagespace import (
     bcpf_space,
     cpf_space,
     full_space,
+    hamming,
 )
-from multiprobe.presets import resolve_probe
+from multiprobe.gaussian import gaussian_fidelity
+from multiprobe.presets import CLASSICAL, DISJOINT, MUTUAL, ProbePlan, resolve_probe
 from multiprobe.probes import (
     HYBRID_COHERENT,
     SINGLE_IDLER,
     ProbeSpec,
+    assemble_probe,
+    extend_for_mutual_probing,
     full_idler_partition,
+    nn_partition,
     odd_m_disjoint_spec,
     pair_partition,
 )
@@ -50,7 +56,7 @@ ADD = ChannelFamily.additive(0.02, 0.01)
 
 def classed_table(counts, fids, n):
     logf = np.array([math.log(f) if f > 0 else -math.inf for f in fids])
-    return FidelityTable(n, class_counts=np.array(counts, float), class_logf=logf)
+    return FidelityTable(n, np.array(counts, float), logf)
 
 
 def test_perfect_discrimination_gives_zero_bounds():
@@ -93,8 +99,8 @@ def test_one_cpf_ghz_closed_form():
     space = cpf_space(m, 1)
     rep = bounds_by_counting(space, spec, ADD, copies)
     table = fidelity_table_counting(space, spec, ADD)
-    assert len(table.class_counts) == 1  # all 1-CPF pairs are one class
-    fid = math.exp(table.class_logf[0])
+    assert len(table.counts) == 1  # all 1-CPF pairs are one class
+    fid = math.exp(table.logf[0])
     assert rep.upper_raw == pytest.approx((m - 1) * fid**copies, rel=1e-12)
     assert rep.lower_raw == pytest.approx(
         (m - 1) / (2 * m) * fid ** (2 * copies), rel=1e-12
@@ -115,7 +121,7 @@ def enumerated_histogram(space, spec, family):
 
 
 def table_histogram(table):
-    return dict(zip(table.class_logf.tolist(), table.class_counts.tolist()))
+    return dict(zip(table.logf.tolist(), table.counts.tolist()))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -136,7 +142,7 @@ def test_counting_census_totals_random_configs(seed):
     spec = ProbeSpec(m, 20.5, blocks, tuple(int(s == 1) for s in sizes))
     table = fidelity_table_counting(bcpf_space(m, ks), spec, LOSS)
     n_patterns = sum(math.comb(m, k) for k in ks)
-    assert sum(table.class_counts) == n_patterns**2 - n_patterns
+    assert sum(table.counts) == n_patterns**2 - n_patterns
 
 
 def test_counting_census_equals_enumeration_m6_three_blocks():
@@ -476,3 +482,67 @@ def test_tmsv_closed_forms_do_not_cancel_at_large_copies(m, copies):
     assert counted.lower_raw > 0.0
     assert closed.upper_raw == pytest.approx(counted.upper_raw, rel=1e-12, abs=0.0)
     assert closed.lower_raw == pytest.approx(counted.lower_raw, rel=1e-12, abs=0.0)
+
+
+def test_fidelity_table_rejects_mismatched_lengths():
+    with pytest.raises(DimensionError):
+        FidelityTable(3, np.full(2, 2.0), np.zeros(3))
+    with pytest.raises(DimensionError):
+        FidelityTable(3, np.full(3, 2.0), np.zeros(3), weights=np.ones(2))
+
+
+def prior_weighted_sums(fid, priors, copies):
+    """sum_{i != j} sqrt(pi_i pi_j) F_ij^M and (1/2) sum_{i != j} pi_i pi_j F_ij^(2M)."""
+    ub = lb = 0.0
+    for i, pi in enumerate(priors):
+        for j, pj in enumerate(priors):
+            if i != j:
+                f = fid(i, j)
+                ub += math.sqrt(pi * pj) * f**copies
+                lb += 0.5 * pi * pj * f ** (2 * copies)
+    return ub, lb
+
+
+def block_product_fidelity(blocks, patterns, family, mu):
+    """F_ij as the product over blocks of the full-state fidelities of the
+    block's outputs, each block probed by its own single-block state."""
+    probes = [assemble_probe(ProbeSpec(len(b), mu, (tuple(range(len(b))),))) for b in blocks]
+    outs = [
+        [probe.output(family, tuple(p[c] for c in b)) for probe, b in zip(probes, blocks)]
+        for p in patterns
+    ]
+    return lambda i, j: math.prod(gaussian_fidelity(a, b) for a, b in zip(outs[i], outs[j]))
+
+
+@pytest.mark.parametrize("family", [LOSS, ADD], ids=["loss", "additive"])
+@pytest.mark.parametrize("route", ["blocks", "mutual", "classical"])
+def test_dense_routes_weight_nonuniform_priors(route, family):
+    # the dense routes against the prior-weighted double sum over ordered
+    # pairs.  Quantum fidelities are products of full-state block-output
+    # fidelities computed here; the classical probe's are f^d with the
+    # closed-form f, which the numeric fidelity matches only to ~1e-12.
+    m, mu, ns = 4, 20.5, 20.0
+    pri = np.random.default_rng(3).uniform(0.2, 2.0, 2**m)
+    space = ImageSpace(m, full_space(m).patterns, pri / pri.sum())
+    if route == "blocks":
+        spec = ProbeSpec(m, mu, blocks=((0, 1), (2, 3)))
+        table = evaluate(ProbePlan(DISJOINT, spec=spec), space, family)
+        fid = block_product_fidelity(spec.blocks, space.patterns, family, mu)
+    elif route == "mutual":
+        partition = nn_partition(m)
+        table = evaluate(ProbePlan(MUTUAL, partition=partition), space, family, mu=mu)
+        ext_partition, ext_space = extend_for_mutual_probing(partition, space)
+        fid = block_product_fidelity(ext_partition.blocks, ext_space.extended, family, mu)
+    else:
+        table = evaluate(ProbePlan(CLASSICAL), space, family, ns=ns)
+        f = per_channel_classical_fidelity(family, ns)
+
+        def fid(i, j):
+            return f ** hamming(space.patterns[i], space.patterns[j])
+
+    assert table.method == route
+    for copies in (1, 7, 100):
+        rep = bounds_from_table(table, copies)
+        ub, lb = prior_weighted_sums(fid, space.priors, copies)
+        assert rep.upper_raw == pytest.approx(ub, rel=1e-12, abs=0.0)
+        assert rep.lower_raw == pytest.approx(lb, rel=1e-12, abs=0.0)

@@ -5,15 +5,19 @@ import pytest
 
 from multiprobe.bounds import (
     FidelityTable,
+    block_pair_fidelity,
     bounds_brute_force,
     bounds_by_counting,
     bounds_from_table,
     bounds_mutual_probing,
+    census_histogram,
+    evaluate,
     fidelity_table_bruteforce,
 )
 from multiprobe.channels import BlockLayout, ChannelFamily, IdlerLayout, apply_pattern_with_idlers
 from multiprobe.gaussian import gaussian_fidelity, ghz_cm
 from multiprobe.imagespace import full_space
+from multiprobe.presets import MUTUAL, ProbePlan
 from multiprobe.probes import (
     NonDisjointPartition,
     ProbeSpec,
@@ -41,12 +45,12 @@ def exhaustive_product_table(partition, space, family, mu):
         for pat in ext_space.extended
     ]
     n = len(outs)
-    mat = np.ones((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = math.prod(gaussian_fidelity(a, b) for a, b in zip(outs[i], outs[j]))
-            mat[i, j] = mat[j, i] = val
-    return FidelityTable(n, matrix=mat)
+    logf = [
+        math.log(math.prod(gaussian_fidelity(a, b) for a, b in zip(outs[i], outs[j])))
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]
+    return FidelityTable.pairs(n, logf)
 
 
 @pytest.mark.parametrize("family", [LOSS, ADD], ids=["loss", "additive"])
@@ -104,3 +108,29 @@ def test_mutual_extension_cardinality_m4():
     space = full_space(4)
     _, ext_space = extend_for_mutual_probing(partition, space)
     assert len(ext_space.extended) == len(space) == 16
+
+
+@pytest.mark.parametrize("family", [LOSS, ADD], ids=["loss", "additive"])
+def test_dense_census_equals_pair_enumeration(family):
+    # F^copies over every ordered pair of distinct extended patterns, with
+    # log F summed over blocks in block order and rounded to 12 decimals
+    mu, copies = 20.5, 2.5
+    partition = nn_partition(4)
+    space = full_space(4)
+    table = evaluate(ProbePlan(MUTUAL, partition=partition), space, family, mu=mu)
+    ext_part, ext_space = extend_for_mutual_probing(partition, space)
+    descs = ProbeSpec(ext_part.m, mu, ext_part.blocks).descriptors()
+    hist = {}
+    for a in ext_space.extended:
+        for b in ext_space.extended:
+            if a == b:
+                continue
+            logf = 0.0
+            for desc in descs:
+                local_a = tuple(a[c] for c in desc.channels)
+                local_b = tuple(b[c] for c in desc.channels)
+                logf += math.log(block_pair_fidelity(desc, family, local_a, local_b))
+            value = float(np.round(np.exp(copies * logf), 12))
+            hist[value] = hist.get(value, 0) + 1
+    assert sum(hist.values()) == 16 * 15
+    assert census_histogram(table, copies) == sorted(hist.items())

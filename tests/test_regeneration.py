@@ -1,9 +1,11 @@
-"""The committed counting-route figures regenerate from the sweep scripts.
+"""The committed figures built from block fidelities regenerate from the
+scripts.
 
-Only the files whose quantum bounds come from ``bounds_by_counting`` are
-regenerated: the ``full-ghz`` files carry 9-mode fidelities that drift
-across machines by about 1e-10 relative, far above the block fidelities
-of the files checked here.
+Regenerated are the bound files whose quantum bounds come from
+``bounds_by_counting`` and the ``tmsv-disjoint`` and ``nn`` censuses: the
+``full-ghz`` files carry 9- and 10-mode fidelities that drift across
+machines by about 1e-10 relative, far above the block fidelities of the
+files checked here.
 """
 
 import csv
@@ -66,3 +68,22 @@ def test_counting_figures_regenerate(tmp_path, monkeypatch, script, prefix):
                         want_val = float(w_text)
                         tol = RTOL * abs(want_val) if abs(want_val) > TINY else TINY
                         _assert_close(float(g[col]), want_val, tol, where)
+
+
+def test_censuses_regenerate(tmp_path, monkeypatch):
+    module = _load_script("census_histograms")
+    configs = tuple(c for c in module.CONFIGS if c[0] in ("tmsv-disjoint", "nn"))
+    assert len(configs) == 2
+    monkeypatch.setattr(module, "CONFIGS", configs)
+    assert module.run(tmp_path) == 0
+    for probe, _ in configs:
+        name = f"census_loss_m10_{probe}.csv"
+        got_comment, got = _rows(tmp_path / name)
+        want_comment, want = _rows(ROOT / "results" / name)
+        assert got_comment == want_comment
+        assert len(got) == len(want)
+        for i, (g, w) in enumerate(zip(got, want)):
+            where = f"{name} row {i}"
+            assert g["multiplicity"] == w["multiplicity"], where
+            want_val = float(w["fidelity"])
+            _assert_close(float(g["fidelity"]), want_val, RTOL * want_val, where)
