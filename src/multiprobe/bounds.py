@@ -10,9 +10,11 @@ block-structured probes factor over blocks and are degenerate within
 per-block (v, u, d) classes, so one Gaussian fidelity per block and class
 suffices.  On uniform position-finding spaces a DP over blocks counts
 ordered pattern pairs per distinct log-fidelity from occupancy
-multiplicities, without enumerating patterns.  Other spaces, overlapping
-blocks (via the copy-channel extension) and custom classical spaces get one
-entry per unordered pattern pair.
+multiplicities, and overlapping blocks (the ``nn`` ring, ``part:``
+literals) are counted by a DP over channels that keeps the bits of the
+channels still read, both without enumerating patterns.  Custom spaces get
+one entry per unordered pattern pair, through the copy-channel extension
+for overlapping blocks.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ from .probes import (
 
 BRUTE_TABLE_MAX_PATTERNS = 512
 BLOCK_TABLE_MAX_PATTERNS = 4096
+# below this many states the frontier DP carries duplicates rather than sort
+_FRONTIER_MERGE_MIN = 256
 
 
 @dataclass
@@ -227,8 +231,9 @@ class FidelityTable:
 
     Every bound is a prior-weighted sum over ordered pattern pairs, so a
     table is a list of entries: ``counts[k]`` ordered pairs share the
-    fidelity ``exp(logf[k])``.  Classed routes hold one entry per distinct
-    log-fidelity; dense routes one per unordered pair, counted twice.  The
+    fidelity ``exp(logf[k])``.  The counting routes on full/cpf/bcpf spaces
+    hold one entry per distinct log-fidelity; the dense routes on custom
+    spaces one per unordered pair, counted twice.  The
     optional per-entry ``weights`` = sqrt(pi_i pi_j) carry non-uniform
     priors; without them the priors are uniform.  ``method`` names the
     route that built the table; a mutual-probing table also carries its
@@ -367,6 +372,127 @@ def fidelity_table_counting(space: ImageSpace, spec: ProbeSpec, family: ChannelF
     )
 
 
+def fidelity_table_frontier(
+    space: ImageSpace, partition: NonDisjointPartition, family: ChannelFamily, mu: float
+) -> FidelityTable:
+    """Table of possibly overlapping GHZ blocks by a DP over channels;
+    uniform position-finding spaces only.
+
+    The state is (A and B bits of the channels that a block not yet added
+    still reads, targets of A and of B when the space fixes them, whether
+    A and B differ yet, log F so far); its value is the number of ordered
+    pattern-pair prefixes that reach it.  Block j's log-fidelity is added
+    once every block up to j is complete, so log F sums in block order and
+    is the same float as the copy-channel extension's dense entry.  Only
+    the local pattern pairs that some state reaches are looked up.  More
+    states than the entries a dense table may hold raise CapacityError.
+    """
+    if not counting_applies(space):
+        raise ValueError("the frontier DP needs a uniform full/cpf/bcpf space")
+    if partition.m != space.m:
+        raise PartitionError(f"partition over m={partition.m} does not match space m={space.m}")
+    cap = BLOCK_TABLE_MAX_PATTERNS**2 // 2
+    steps, differs, targets_shift = _frontier_steps(partition, space.target_counts)
+    luts: dict[int, np.ndarray] = {}
+    key = np.zeros(1, dtype=np.int64)
+    logf = np.zeros(1)
+    cnt = np.ones(1, dtype=np.int64)
+    for inc, flip, feasible, adds, keep_bits in steps:
+        if 4 * len(key) > cap:
+            raise CapacityError(f"frontier DP capped at {cap} states")
+        key = ((key[:, None] + inc) | flip).ravel()
+        logf = np.repeat(logf, 4)
+        cnt = np.repeat(cnt, 4)
+        if feasible is not None:
+            keep = feasible[key >> targets_shift]
+            key, logf, cnt = key[keep], logf[keep], cnt[keep]
+        for blk, shifts, weights in adds:
+            size = len(blk)
+            idx = (key[:, None] >> shifts & 1) @ weights
+            # equal-size blocks share a fidelity signature, so they share a lut
+            lut = luts.setdefault(size, np.full(4**size, np.nan))
+            vals = lut[idx]
+            missing = np.isnan(vals)
+            if missing.any():
+                desc = BlockDescriptor("ghz", blk, mu=mu)
+                for pair in sorted(set(idx[missing].tolist())):
+                    local_a = tuple(pair >> k & 1 for k in range(size))
+                    local_b = tuple(pair >> size + k & 1 for k in range(size))
+                    lut[pair] = _log(block_pair_fidelity(desc, family, local_a, local_b))
+                vals = lut[idx]
+            logf = logf + vals
+        key &= keep_bits
+        if len(key) > _FRONTIER_MERGE_MIN:
+            key, logf, cnt = _merge_states(key, logf, cnt)
+    differ = (key & differs) != 0
+    _, logf, cnt = _merge_states(np.zeros(int(differ.sum()), dtype=np.int64), logf[differ], cnt[differ])
+    return FidelityTable(len(space), cnt.astype(float), logf, method="mutual", partition=partition)
+
+
+def _merge_states(key, logf, cnt):
+    """Sum the counts of equal (key, log F) states, sorted by key then log F."""
+    if not len(key):
+        return key, logf, cnt
+    order = np.lexsort((logf, key))
+    key, logf, cnt = key[order], logf[order], cnt[order]
+    first = np.flatnonzero(
+        np.concatenate(([True], (key[1:] != key[:-1]) | (logf[1:] != logf[:-1])))
+    )
+    return key[first], logf[first], np.add.reduceat(cnt, first)
+
+
+@functools.lru_cache(maxsize=128)
+def _frontier_steps(partition: NonDisjointPartition, target_counts: tuple[int, ...]):
+    """The frontier DP's per-channel steps, which depend on the partition
+    and the admissible target counts only; see ``fidelity_table_frontier``.
+
+    Each step holds the key increments of the four (a, b) bit choices, the
+    differs bit each sets, the feasibility table of the target fields (None
+    when every count is admissible), the blocks added with the key shifts
+    and weights of their local pair index, and the mask of the bits kept.
+    The steps are shared between calls and must not be modified.
+    """
+    m, blocks = partition.m, partition.blocks
+    # the step after which block j's log F is added, and the last step that reads channel c
+    added = [max(max(blk) for blk in blocks[:j + 1]) for j in range(len(blocks))]
+    last = [max(added[j] for j, blk in enumerate(blocks) if c in blk) for c in range(m)]
+    slot: dict[int, int] = {}
+    for c in range(m):
+        held = {slot[ch] for ch in range(c) if last[ch] >= c}
+        slot[c] = min(set(range(len(held) + 1)) - held)
+    width = max(slot.values()) + 1
+    # key bits: A per slot, B per slot, differs, then targets of A and of B
+    # (at most 59 bits, since patterns have at most 24 channels)
+    differs = 1 << 2 * width
+    ta_shift = 2 * width + 1
+    tbits = m.bit_length()
+    ks = set(target_counts)
+    track = len(ks) <= m
+    steps = []
+    for c in range(m):
+        a_inc, b_inc = 1 << slot[c], 1 << width + slot[c]
+        feasible = None
+        if track:
+            a_inc += 1 << ta_shift
+            b_inc += 1 << ta_shift + tbits
+            rem = m - 1 - c
+            ok = np.array([any(t <= k <= t + rem for k in ks) for t in range(1 << tbits)])
+            feasible = (ok[:, None] & ok).ravel()
+        adds = []
+        for j, blk in enumerate(blocks):
+            if added[j] == c:
+                shifts = [slot[ch] for ch in blk] + [width + slot[ch] for ch in blk]
+                adds.append((blk, np.array(shifts), 1 << np.arange(2 * len(blk))))
+        keep_bits = -1
+        for ch in range(c + 1):
+            if last[ch] == c:
+                keep_bits &= ~((1 << slot[ch]) | (1 << width + slot[ch]))
+        inc = np.array([0, a_inc, b_inc, a_inc + b_inc])
+        flip = np.array([0, differs, differs, 0])
+        steps.append((inc, flip, feasible, tuple(adds), keep_bits))
+    return tuple(steps), differs, ta_shift
+
+
 def fidelity_table_blocks(patterns, priors, descs, family: ChannelFamily) -> FidelityTable:
     """Dense table from per-block fidelity lookups (any space, any priors).
 
@@ -419,13 +545,13 @@ def per_channel_classical_fidelity(family: ChannelFamily, ns: float) -> float:
 def evaluate(plan: ProbePlan, space: ImageSpace, family: ChannelFamily, *, ns=None, mu=None) -> FidelityTable:
     """The fidelity table of one probe configuration, for every copy number.
 
-    The one place a route is chosen: occupancy counting (classed) for a
-    disjoint probe on a uniform full/cpf/bcpf space, per-block lookups
-    (dense) on any other space, the copy-channel extension (dense) for
-    overlapping blocks, and the Hamming census for the optimal classical
-    probe at energy ``ns``, which factors per channel so that a pair at
-    distance d has fidelity f^d.  ``mu`` is the squeezing energy of the
-    mutual-probing blocks.
+    The one place a route is chosen.  On a uniform full/cpf/bcpf space:
+    occupancy counting for a disjoint probe and the frontier DP for
+    overlapping blocks (classed).  On any other space: per-block lookups,
+    through the copy-channel extension for overlapping blocks (dense).  The
+    optimal classical probe at energy ``ns`` gets the Hamming census, which
+    factors per channel so that a pair at distance d has fidelity f^d.
+    ``mu`` is the squeezing energy of the mutual-probing blocks.
     """
     pri = None if space.uniform else space.priors
     if plan.route == CLASSICAL:
@@ -450,9 +576,12 @@ def evaluate(plan: ProbePlan, space: ImageSpace, family: ChannelFamily, *, ns=No
         dists = _pair_entries(n, lambda i: (bits[i] != bits[i + 1:]).sum(axis=1))
         return FidelityTable.pairs(n, dists * logf_ch, pri, method="classical")
     if plan.route == MUTUAL:
-        ext_partition, ext_space = extend_for_mutual_probing(plan.partition, space)
-        spec = ProbeSpec(ext_partition.m, mu, ext_partition.blocks)
-        table = fidelity_table_blocks(ext_space.extended, pri, spec.descriptors(), family)
+        if counting_applies(space):
+            table = fidelity_table_frontier(space, plan.partition, family, mu)
+        else:
+            ext_partition, ext_space = extend_for_mutual_probing(plan.partition, space)
+            spec = ProbeSpec(ext_partition.m, mu, ext_partition.blocks)
+            table = fidelity_table_blocks(ext_space.extended, pri, spec.descriptors(), family)
         table.method = "mutual"
         table.partition = plan.partition
         table.rounds = len(decompose_rounds(plan.partition))

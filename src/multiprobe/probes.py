@@ -14,6 +14,7 @@ form a non-disjoint partition, in which idlers are not supported.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -247,12 +248,14 @@ def _exact_coloring(adj, k: int) -> list[int] | None:
     return colors if place(0, -1) else None
 
 
+@functools.lru_cache(maxsize=128)
 def decompose_rounds(partition: NonDisjointPartition) -> tuple[tuple[Block, ...], ...]:
     """Split the blocks into a minimal number of internally disjoint rounds.
 
     Rounds need not cover every channel, only the union over rounds does.
     Minimality is exact for up to 12 blocks (backtracking on the conflict
-    graph), greedy first-fit beyond that.
+    graph), greedy first-fit beyond that.  Memoised per partition: a sweep
+    evaluates one partition at many channel parameters.
     """
     blocks = partition.blocks
     adj = _conflicts(blocks)

@@ -1,8 +1,9 @@
 """The committed figures built from block fidelities regenerate from the
 scripts.
 
-Regenerated are the bound files whose quantum bounds come from
-``bounds_by_counting`` and the ``tmsv-disjoint`` and ``nn`` censuses: the
+Regenerated are the bound files whose quantum bounds come from the two
+counting DPs (``tmsv-disjoint`` and ``idler-full`` over blocks, the ``nn``
+ring over channels) and the ``tmsv-disjoint`` and ``nn`` censuses: the
 ``full-ghz`` files carry 9- and 10-mode fidelities that drift across
 machines by about 1e-10 relative, far above the block fidelities of the
 files checked here.
@@ -16,7 +17,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SPACES = {"full": "full", "cpf3": "cpf:3"}
-PROBES = ("tmsv-disjoint", "idler-full")
+PROBES = ("tmsv-disjoint", "idler-full", "nn")
 TEXT_COLUMNS = {"family", "m", "space", "probe", "method", "rounds"}
 RTOL = 1e-9
 TINY = 1e-300
