@@ -29,6 +29,7 @@ from .closedform import subfidelity_oracle
 from .gaussian import (
     CovMatrix,
     coherent_cm,
+    gaussian_fidelities,
     gaussian_fidelity,
     ghz_cm,
     symplectic_spectrum,
@@ -92,6 +93,7 @@ __all__ = [
     "extend_for_mutual_probing",
     "format_partition",
     "full_space",
+    "gaussian_fidelities",
     "gaussian_fidelity",
     "ghz_cm",
     "guaranteed_advantage",

@@ -1,0 +1,8 @@
+"""``python -m multiprobe``: the same commands as the ``multiprobe`` script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

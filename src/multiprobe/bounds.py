@@ -35,7 +35,7 @@ from .errors import (
     PartitionError,
     UnsupportedBenchmarkError,
 )
-from .gaussian import CovMatrix, coherent_cm, gaussian_fidelity, ghz_cm
+from .gaussian import CovMatrix, coherent_cm, gaussian_fidelities, gaussian_fidelity, ghz_cm
 from .imagespace import ImageSpace
 from .presets import CLASSICAL, DISJOINT, MUTUAL, ProbePlan
 from .probes import (
@@ -516,8 +516,9 @@ def fidelity_table_blocks(patterns, priors, descs, family: ChannelFamily) -> Fid
 def fidelity_table_bruteforce(space_patterns, priors, spec: ProbeSpec, family: ChannelFamily) -> FidelityTable:
     """Dense table from full-state fidelities; the slow reference path.
 
-    Evaluates the fidelity on the complete output covariance matrices with
-    no block factorisation and no degeneracy grouping.
+    Evaluates the fidelity of every pattern pair on the complete output
+    covariance matrices, with no block factorisation and no degeneracy
+    grouping; each row of pairs (i, j > i) goes through one stacked call.
     """
     patterns = list(space_patterns)
     n = len(patterns)
@@ -526,7 +527,7 @@ def fidelity_table_bruteforce(space_patterns, priors, spec: ProbeSpec, family: C
     probe = assemble_probe(spec)
     outputs = [probe.output(family, p) for p in patterns]
     logf = _pair_entries(
-        n, lambda i: [_log(gaussian_fidelity(outputs[i], out)) for out in outputs[i + 1:]]
+        n, lambda i: [_log(fid) for fid in gaussian_fidelities(outputs[i], outputs[i + 1:]).tolist()]
     )
     return FidelityTable.pairs(n, logf, priors)
 

@@ -10,6 +10,8 @@ number N_S per mode, so ``mu = 1/2`` is the vacuum.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DimensionError, EnergyError, NumericError, PartitionError
@@ -34,23 +36,29 @@ BRANCH_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
 
 
-def _scale_tol(base: float, scale: float) -> float:
+def _scale_tol(base: float, scale):
     """Absolute tolerance for eigenvalues of a matrix with entries ~scale.
 
     States built at saturated correlations have zero analytic margin, and
     storing their CM in doubles already moves the critical eigenvalue by
     O(eps * scale^2) (the sensitivity is ~2*scale at the saturation point),
-    so the slack must widen quadratically with the matrix scale.
+    so the slack must widen quadratically with the matrix scale.  ``scale``
+    may be an array of per-matrix scales.
     """
-    return max(base, 64.0 * _EPS * scale * scale)
+    return np.maximum(base, 64.0 * _EPS * scale * scale)
 
 
+@functools.cache
 def symplectic_form(n: int) -> np.ndarray:
-    """Symplectic form matching the interleaved (x1, p1, ...) ordering."""
+    """Symplectic form matching the interleaved (x1, p1, ...) ordering.
+
+    Built once per n and shared, so the array is read-only.
+    """
     omega = np.zeros((2 * n, 2 * n))
     for k in range(n):
         omega[2 * k, 2 * k + 1] = 1.0
         omega[2 * k + 1, 2 * k] = -1.0
+    omega.flags.writeable = False
     return omega
 
 
@@ -76,7 +84,7 @@ class CovMatrix:
     treated as immutable values.
     """
 
-    __slots__ = ("n_modes", "data", "mean", "spectrum")
+    __slots__ = ("n_modes", "data", "mean", "spectrum", "is_pure")
 
     def __init__(self, data, mean=None):
         data = np.array(data, dtype=float)
@@ -103,11 +111,7 @@ class CovMatrix:
         self.data = data
         self.mean = mean
         self.spectrum = spectrum
-
-    @property
-    def is_pure(self) -> bool:
-        scale = max(1.0, float(np.max(np.abs(self.data))))
-        return bool(self.spectrum[-1] <= SHOT_NOISE + _scale_tol(PURITY_TOL, scale))
+        self.is_pure = bool(spectrum[-1] <= SHOT_NOISE + _scale_tol(PURITY_TOL, scale))
 
     def __repr__(self):
         return f"CovMatrix(n_modes={self.n_modes}, pure={self.is_pure})"
@@ -196,32 +200,58 @@ def tensor(*states: CovMatrix) -> CovMatrix:
     return CovMatrix(data, mean)
 
 
-def _log_fid_mixed(v1: np.ndarray, v2: np.ndarray, vsum: np.ndarray, logdet_vsum: float) -> float:
-    """log F0 for two mixed states via the auxiliary-matrix spectrum.
+def _fidelity(v1: np.ndarray, v2: np.ndarray, mixed: bool, delta: np.ndarray) -> np.ndarray:
+    """Fidelities of canonically ordered pairs (V1, V2), over any leading shape.
 
-    Uses the general Gaussian fidelity in the form
+    ``v1`` and ``v2`` are (..., 2n, 2n) covariance matrices and ``delta``
+    the (..., 2n) mean differences.  When ``mixed`` is false every pair has
+    a pure member and F0 = det(V1 + V2)^(-1/4); otherwise the general
+    mixed-state formula
     F0^2 = prod_k (2 w_k + sqrt(4 w_k^2 - 1)) / sqrt(det(V1 + V2))
-    where w_k are the paired moduli of eig(V_aux Omega).
+    applies, where w_k are the paired moduli of eig(V_aux Omega).  The mean
+    difference contributes exp(-delta^T (V1+V2)^(-1) delta / 4).  LAPACK
+    runs once per matrix in either case, so a pair's result does not
+    depend on the stack it sits in.
     """
-    n = v1.shape[0] // 2
-    omega = symplectic_form(n)
-    try:
-        inv_vsum = np.linalg.inv(vsum)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("singular V1 + V2 in fidelity") from exc
-    vaux = omega.T @ inv_vsum @ (omega / 4.0 + v2 @ omega @ v1)
-    eigs = np.linalg.eigvals(vaux @ omega)
-    vals = np.sort(np.abs(eigs))
-    lo, hi = vals[::2], vals[1::2]
-    scale = max(1.0, float(vals[-1]))
-    if np.any(np.abs(hi - lo) > 1e-7 * scale):
-        raise NumericError("auxiliary spectrum does not pair up; inputs may not be bona fide")
-    w = (lo + hi) / 2.0
-    terms = np.zeros_like(w)
-    mixed = w > 0.5 + _scale_tol(BRANCH_TOL, scale)
-    wm = w[mixed]
-    terms[mixed] = np.log(2.0 * wm + np.sqrt(np.maximum(4.0 * wm * wm - 1.0, 0.0)))
-    return float(0.5 * np.sum(terms) - 0.25 * logdet_vsum)
+    vsum = v1 + v2
+    sign, logdet = np.linalg.slogdet(vsum)
+    # array methods rather than np.any/np.all: a fraction of the call
+    # overhead, which matters for the many single-pair calls
+    if (sign <= 0).any():
+        raise NumericError("det(V_a + V_b) not positive")
+    if mixed:
+        omega = symplectic_form(v1.shape[-1] // 2)
+        try:
+            inv_vsum = np.linalg.inv(vsum)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError("singular V1 + V2 in fidelity") from exc
+        vaux = omega.T @ inv_vsum @ (omega / 4.0 + v2 @ omega @ v1)
+        vals = np.sort(np.abs(np.linalg.eigvals(vaux @ omega)), axis=-1)
+        lo, hi = vals[..., ::2], vals[..., 1::2]
+        scale = np.maximum(1.0, vals[..., -1:])
+        if (np.abs(hi - lo) > 1e-7 * scale).any():
+            raise NumericError("auxiliary spectrum does not pair up; inputs may not be bona fide")
+        w = (lo + hi) / 2.0
+        terms = np.zeros_like(w)
+        branch = w > 0.5 + _scale_tol(BRANCH_TOL, scale)
+        wm = w[branch]
+        terms[branch] = np.log(2.0 * wm + np.sqrt(np.maximum(4.0 * wm * wm - 1.0, 0.0)))
+        log_f = 0.5 * np.sum(terms, axis=-1) - 0.25 * logdet
+    else:
+        log_f = -0.25 * logdet
+    if delta.any():
+        shift = delta[..., None, :] @ np.linalg.solve(vsum, delta[..., None])
+        log_f = log_f - 0.25 * shift[..., 0, 0]
+    fid = np.exp(log_f)
+    ok = (fid <= 1.0 + FIDELITY_RANGE_TOL) & (fid >= -FIDELITY_RANGE_TOL)  # NaN fails both
+    if not ok.all():
+        bad = float(np.extract(~ok, fid)[0])
+        raise NumericError(f"fidelity {bad!r} outside [0, 1] beyond tolerance")
+    return np.minimum(fid, 1.0)  # exp is never negative
+
+
+def _key(state: CovMatrix) -> tuple[bytes, bytes]:
+    return state.data.tobytes(), state.mean.tobytes()
 
 
 def gaussian_fidelity(a: CovMatrix, b: CovMatrix) -> float:
@@ -237,24 +267,40 @@ def gaussian_fidelity(a: CovMatrix, b: CovMatrix) -> float:
         raise DimensionError(f"mode counts differ: {a.n_modes} vs {b.n_modes}")
     # canonical argument order makes the symmetry F(a,b) = F(b,a) exact,
     # and identical inputs return exactly 1
-    key_a = (a.data.tobytes(), a.mean.tobytes())
-    key_b = (b.data.tobytes(), b.mean.tobytes())
+    key_a, key_b = _key(a), _key(b)
     if key_a == key_b:
         return 1.0
     if key_b < key_a:
         a, b = b, a
-    vsum = a.data + b.data
-    sign, logdet = np.linalg.slogdet(vsum)
-    if sign <= 0:
-        raise NumericError("det(V_a + V_b) not positive")
-    if a.is_pure or b.is_pure:
-        log_f = -0.25 * logdet
-    else:
-        log_f = _log_fid_mixed(a.data, b.data, vsum, logdet)
-    delta = a.mean - b.mean
-    if np.any(delta):
-        log_f -= 0.25 * float(delta @ np.linalg.solve(vsum, delta))
-    fid = float(np.exp(log_f))
-    if not np.isfinite(fid) or fid > 1.0 + FIDELITY_RANGE_TOL or fid < -FIDELITY_RANGE_TOL:
-        raise NumericError(f"fidelity {fid!r} outside [0, 1] beyond tolerance")
-    return min(max(fid, 0.0), 1.0)
+    return float(_fidelity(a.data, b.data, not (a.is_pure or b.is_pure), a.mean - b.mean))
+
+
+def gaussian_fidelities(a: CovMatrix, others) -> np.ndarray:
+    """``[gaussian_fidelity(a, b) for b in others]`` as an array, bit for bit.
+
+    The pairs run through the same formula in one stacked LAPACK call per
+    step, with pairs that have a pure member stacked apart from mixed
+    pairs.  Raises DimensionError or NumericError when any single pair
+    would.
+    """
+    others = list(others)
+    out = np.ones(len(others))
+    key_a = _key(a)
+    groups: dict[bool, list] = {False: [], True: []}  # mixed -> [(j, first, second)]
+    for j, b in enumerate(others):
+        if b.n_modes != a.n_modes:
+            raise DimensionError(f"mode counts differ: {a.n_modes} vs {b.n_modes}")
+        key_b = _key(b)
+        if key_b != key_a:
+            first, second = (b, a) if key_b < key_a else (a, b)
+            groups[not (a.is_pure or b.is_pure)].append((j, first, second))
+    for mixed, group in groups.items():
+        if group:
+            idx, first, second = zip(*group)
+            out[list(idx)] = _fidelity(
+                np.stack([s.data for s in first]),
+                np.stack([s.data for s in second]),
+                mixed,
+                np.stack([s.mean for s in first]) - np.stack([s.mean for s in second]),
+            )
+    return out

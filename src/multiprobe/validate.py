@@ -26,7 +26,7 @@ from .bounds import (
     tmsv_subfidelity,
 )
 from .channels import BlockLayout, ChannelFamily, IdlerLayout, apply_pattern_with_idlers
-from .gaussian import gaussian_fidelity, ghz_cm, symplectic_spectrum, tensor
+from .gaussian import gaussian_fidelities, gaussian_fidelity, ghz_cm, symplectic_spectrum, tensor
 from .imagespace import bcpf_space, cpf_space, full_space, pair_class_key
 from .presets import MUTUAL, ProbePlan
 from .probes import (
@@ -119,7 +119,7 @@ def suite_ghz_spectrum(scale: str) -> SuiteResult:
     ms = range(2, 13)
     worst, cases = 0.0, 0
     for mu in mus:
-        slack = gaussian._scale_tol(0.0, mu)
+        slack = float(gaussian._scale_tol(0.0, mu))
         for m in ms:
             got = symplectic_spectrum(ghz_cm(m, mu))
             want = gaussian.ghz_spectrum_closed_form(m, mu)
@@ -255,12 +255,12 @@ def suite_degeneracy_classes(scale: str) -> SuiteResult:
             for spec in _partitions_for(m):
                 probe = assemble_probe(spec)
                 outputs = [probe.output(family, p) for p in space.patterns]
+                blocks = spec.census_blocks
                 seen: dict = {}
                 for i, pa in enumerate(space.patterns):
-                    for j in range(i + 1, len(space.patterns)):
-                        key = pair_class_key(pa, space.patterns[j], spec.census_blocks)
-                        fid = gaussian_fidelity(outputs[i], outputs[j])
-                        seen.setdefault(key, []).append(fid)
+                    fids = gaussian_fidelities(outputs[i], outputs[i + 1:]).tolist()
+                    for pb, fid in zip(space.patterns[i + 1:], fids):
+                        seen.setdefault(pair_class_key(pa, pb, blocks), []).append(fid)
                 for vals in seen.values():
                     worst = max(worst, max(vals) - min(vals))
                 cases += 1
@@ -339,11 +339,14 @@ def suite_mutual_vs_bruteforce(scale: str) -> SuiteResult:
                         for blk, st, lay in probe_blocks
                     ]
                 )
-            ref = FidelityTable.pairs(n, [
-                math.log(math.prod(gaussian_fidelity(a, b) for a, b in zip(outs[i], outs[j])))
-                for i in range(n)
-                for j in range(i + 1, n)
-            ])
+            ref_logf = []
+            for i in range(n):
+                per_block = [
+                    gaussian_fidelities(out, [later[b] for later in outs[i + 1:]]).tolist()
+                    for b, out in enumerate(outs[i])
+                ]
+                ref_logf.extend(math.log(math.prod(fids)) for fids in zip(*per_block))
+            ref = FidelityTable.pairs(n, ref_logf)
             dense = fidelity_table_blocks(ext_space.extended, None, spec.descriptors(), family)
             frontier = evaluate(ProbePlan(MUTUAL, partition=partition), space, family, mu=mu)
             for copies in (1, 7):

@@ -14,6 +14,7 @@ from multiprobe.bounds import (
     block_subfidelity,
     classical_benchmark,
     evaluate,
+    fidelity_table_bruteforce,
     fidelity_table_counting,
     guaranteed_advantage,
     per_channel_classical_fidelity,
@@ -190,6 +191,21 @@ def test_counting_matches_brute_force(family, m):
                 assert fast.method == "counting"
                 assert fast.upper_raw == pytest.approx(brute.upper_raw, rel=1e-10, abs=1e-300)
                 assert fast.lower_raw == pytest.approx(brute.lower_raw, rel=1e-10, abs=1e-300)
+
+
+@pytest.mark.parametrize("family", [LOSS, ADD], ids=["loss", "additive"])
+@pytest.mark.parametrize("space", [full_space(5), cpf_space(5, 2)], ids=["full", "cpf2"])
+def test_bruteforce_table_equals_scalar_pair_loop(space, family):
+    for spec in (ProbeSpec(5, 20.5, blocks=(tuple(range(5)),)), odd_m_disjoint_spec(5, 20.5, HYBRID_COHERENT)):
+        probe = assemble_probe(spec)
+        outs = [probe.output(family, p) for p in space.patterns]
+        want = [
+            math.log(gaussian_fidelity(outs[i], outs[j]))
+            for i in range(len(outs))
+            for j in range(i + 1, len(outs))
+        ]
+        table = fidelity_table_bruteforce(space.patterns, None, spec, family)
+        assert table.logf.tolist() == want
 
 
 def test_counting_falls_back_for_nonuniform_priors():

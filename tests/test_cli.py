@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -192,6 +196,19 @@ def test_validate_smoke_exit_zero(capsys):
     for line in lines:
         rec = json.loads(line)
         assert rec["passed"] is True
+
+
+def test_python_m_multiprobe_runs_uninstalled(capsys):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "multiprobe", "validate", "--scale", "smoke"],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert run_cli(["validate", "--scale", "smoke"]) == 0
+    assert proc.stdout == capsys.readouterr().out
+    assert all(json.loads(line)["passed"] is True for line in proc.stdout.splitlines())
 
 
 def test_validate_failure_exit_two(monkeypatch, capsys):

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiprobe.channels import ChannelFamily, apply_pattern
+from multiprobe.channels import ChannelFamily, apply_mode_channels, apply_pattern
 from multiprobe.errors import DimensionError, EnergyError, NumericError, PartitionError
 from multiprobe.gaussian import (
     CovMatrix,
     coherent_cm,
+    gaussian_fidelities,
     gaussian_fidelity,
     ghz_cm,
     ghz_spectrum_closed_form,
@@ -56,6 +57,13 @@ def test_tmsv_is_pure():
     state = tmsv_cm(20.5)
     assert state.is_pure
     assert np.allclose(state.spectrum, 0.5, atol=1e-10)
+
+
+def test_symplectic_form_is_shared_and_read_only():
+    omega = symplectic_form(3)
+    assert symplectic_form(3) is omega
+    with pytest.raises(ValueError):
+        omega[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("m", range(2, 13))
@@ -136,6 +144,73 @@ def test_pure_pure_overlap_form():
 def test_fidelity_mode_count_mismatch():
     with pytest.raises(DimensionError):
         gaussian_fidelity(vacuum_cm(1), vacuum_cm(2))
+    with pytest.raises(DimensionError):
+        gaussian_fidelities(vacuum_cm(1), [vacuum_cm(1), vacuum_cm(2)])
+
+
+def _unchecked_state(data):
+    """A CovMatrix that skipped the bona fide check, like a corrupted input."""
+    state = object.__new__(CovMatrix)
+    state.n_modes = data.shape[0] // 2
+    state.data = data
+    state.mean = np.zeros(data.shape[0])
+    state.spectrum = np.full(state.n_modes, 0.5)
+    state.is_pure = False
+    return state
+
+
+@pytest.mark.parametrize("a, bad", [
+    # pure-overlap form: det(V_a + V_b) < 0
+    (vacuum_cm(1), _unchecked_state(np.diag([0.1, -1.0]))),
+    # mixed-state form: an indefinite matrix pushes F above 1
+    (CovMatrix(1.5 * np.eye(2)), _unchecked_state(np.diag([2.0, -0.5]))),
+])
+def test_non_bona_fide_pair_raises_in_both_forms(a, bad):
+    with pytest.raises(NumericError):
+        gaussian_fidelity(a, bad)
+    with pytest.raises(NumericError):
+        gaussian_fidelities(a, [CovMatrix(0.7 * np.eye(2)), bad])
+
+
+def test_fidelities_of_no_states_is_empty():
+    got = gaussian_fidelities(tmsv_cm(2.5), [])
+    assert got.shape == (0,)
+
+
+@st.composite
+def gaussian_states(draw, n):
+    """Pure (coherent, squeezed), thermal and channel-mixed n-mode states,
+    optionally displaced."""
+    kind = draw(st.sampled_from(("coherent", "squeezed", "thermal", "channel")))
+    if kind == "coherent":
+        amps = st.complex_numbers(max_magnitude=2.0)
+        return coherent_cm(draw(st.lists(amps, min_size=n, max_size=n)))
+    if kind == "thermal":
+        occupation = np.array(draw(st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n)))
+        state = CovMatrix(np.diag(np.repeat(occupation + 0.5, 2)))
+    else:
+        mu = draw(st.floats(0.6, 40.0))
+        state = ghz_cm(n, mu) if n > 1 else CovMatrix(np.diag([mu, 0.25 / mu]))
+        if kind == "channel":
+            # loss tau plus excess noise on top of the vacuum it lets in
+            taus = np.array(draw(st.lists(st.floats(0.3, 1.0), min_size=n, max_size=n)))
+            excess = np.array(draw(st.lists(st.floats(0.0, 0.5), min_size=n, max_size=n)))
+            state = apply_mode_channels(state, taus, (1.0 - taus) / 2.0 + excess)
+    if draw(st.booleans()):
+        state = CovMatrix(state.data, draw(st.lists(st.floats(-2.0, 2.0), min_size=2 * n, max_size=2 * n)))
+    return state
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 7))
+def test_fidelities_equal_scalar_calls_bit_for_bit(data, n):
+    a = data.draw(gaussian_states(n))
+    others = data.draw(st.lists(gaussian_states(n), min_size=1, max_size=6))
+    others.insert(data.draw(st.integers(0, len(others))), a)
+    got = gaussian_fidelities(a, others).tolist()
+    assert got == [gaussian_fidelity(a, b) for b in others]
+    assert got == [gaussian_fidelity(b, a) for b in others]
+    assert got == [gaussian_fidelities(b, [a])[0] for b in others]
 
 
 @settings(max_examples=30, deadline=None)
