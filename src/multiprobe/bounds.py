@@ -8,7 +8,9 @@ pretty-good-measurement upper bound uses F^M, the lower bound F^(2M).
 copy number, and ``census_histogram`` histograms it.  Fidelities of
 block-structured probes factor over blocks and are degenerate within
 per-block (v, u, d) classes, so one Gaussian fidelity per block and class
-suffices.  On uniform position-finding spaces a DP over blocks counts
+suffices.  ``block_fidelities`` evaluates the local pattern pairs a table
+needs in one stacked batch per block signature and caches them per
+unordered pair; a class reads its representative pair.  On uniform position-finding spaces a DP over blocks counts
 ordered pattern pairs per distinct log-fidelity from occupancy
 multiplicities, and overlapping blocks (the ``nn`` ring, ``part:``
 literals) are counted by a DP over channels that keeps the bits of the
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ADDITIVE, PURE_LOSS, ChannelFamily, apply_mode_channels
+from .channels import ADDITIVE, PURE_LOSS, ChannelFamily, mode_channel_map
 from .closedform import coherent_loss_fidelity, vacuum_additive_fidelity
 from .errors import (
     CapacityError,
@@ -35,7 +37,7 @@ from .errors import (
     PartitionError,
     UnsupportedBenchmarkError,
 )
-from .gaussian import CovMatrix, coherent_cm, gaussian_fidelities, gaussian_fidelity, ghz_cm
+from .gaussian import coherent_cm, gaussian_fidelities, ghz_cm, stacked_fidelities
 from .imagespace import ImageSpace
 from .presets import CLASSICAL, DISJOINT, MUTUAL, ProbePlan
 from .probes import (
@@ -127,29 +129,53 @@ def representative_local_patterns(size: int, v: int, u: int, d: int):
 _BLOCK_FID_CACHE: dict[tuple, float] = {}
 
 
-def _family_key(family: ChannelFamily) -> tuple:
+def _block_signature(desc: BlockDescriptor, family: ChannelFamily) -> tuple:
+    """What a block's output fidelities depend on: not its channel labels."""
     b, t = family.background, family.target
-    return (family.kind, b.tau, b.nu, t.tau, t.nu)
+    return (desc.kind, len(desc.channels), desc.idlers, desc.mu, desc.alpha,
+            family.kind, b.tau, b.nu, t.tau, t.nu)
+
+
+def block_fidelities(desc: BlockDescriptor, family: ChannelFamily, pairs) -> list[float]:
+    """Output fidelities of one block for local pattern pairs (a, b).
+
+    Cached per block signature and unordered pair.  The misses are
+    evaluated in one batch: the block's probe state is built once, the
+    channels act on every distinct local pattern in one stacked step
+    (idlers pass), and the pairs run through ``stacked_fidelities``, so
+    each value equals ``gaussian_fidelity`` of the two output states bit
+    for bit, and identical outputs give exactly 1.0.
+    """
+    sig = _block_signature(desc, family)
+    keys = [(sig, a, b) if a <= b else (sig, b, a) for a, b in pairs]
+    missing = sorted({key for key in keys if key[1] != key[2] and key not in _BLOCK_FID_CACHE})
+    if missing:
+        locals_ = sorted({lp for _, a, b in missing for lp in (a, b)})
+        row = {lp: r for r, lp in enumerate(locals_)}
+        if desc.kind == "coherent":
+            state = coherent_cm([desc.alpha])
+        else:
+            state = ghz_cm(desc.n_modes, desc.mu)
+        bits = np.array(locals_, dtype=bool)
+        idle = np.zeros((len(locals_), desc.idlers))  # idler modes come first: tau 1, nu 0
+        taus = np.where(bits, family.target.tau, family.background.tau)
+        nus = np.where(bits, family.target.nu, family.background.nu)
+        data, means = mode_channel_map(state, np.hstack([idle + 1.0, taus]), np.hstack([idle, nus]))
+        fids = stacked_fidelities(data, means, [(row[a], row[b]) for _, a, b in missing])
+        _BLOCK_FID_CACHE.update(zip(missing, fids.tolist()))
+    return [1.0 if key[1] == key[2] else _BLOCK_FID_CACHE[key] for key in keys]
 
 
 def block_subfidelity(desc: BlockDescriptor, family: ChannelFamily, v: int, u: int, d: int) -> float:
     """Single-copy output fidelity of one block for a (v, u, d) class.
 
-    Degenerate within the class, so results are cached per block signature.
+    Degenerate within the class up to rounding, so one representative
+    local pattern pair stands for it (see ``block_fidelities``).
     """
-    v, u = min(v, u), max(v, u)
     if d == 0:
         return 1.0
-    size = len(desc.channels)
-    key = (desc.kind, size, desc.idlers, desc.mu, desc.alpha, _family_key(family), v, u, d)
-    hit = _BLOCK_FID_CACHE.get(key)
-    if hit is not None:
-        return hit
-    # the outputs are not cached: only the fidelity is reused, per class
-    out_a, out_b = _apply_block(desc, family, *representative_local_patterns(size, v, u, d))
-    fid = gaussian_fidelity(out_a, out_b)
-    _BLOCK_FID_CACHE[key] = fid
-    return fid
+    pair = representative_local_patterns(len(desc.channels), min(v, u), max(v, u), d)
+    return block_fidelities(desc, family, [pair])[0]
 
 
 def tmsv_subfidelity(family: ChannelFamily, mu: float, v: int, u: int, d: int) -> float:
@@ -158,53 +184,14 @@ def tmsv_subfidelity(family: ChannelFamily, mu: float, v: int, u: int, d: int) -
     return block_subfidelity(desc, family, v, u, d)
 
 
-def _apply_block(desc: BlockDescriptor, family: ChannelFamily, *local_patterns) -> list[CovMatrix]:
-    """Outputs of one block's probe state, one per local pattern; idlers pass."""
-    if desc.kind == "coherent":
-        state = coherent_cm([desc.alpha])
-    else:
-        state = ghz_cm(desc.n_modes, desc.mu)
-    outs = []
-    for bits in local_patterns:
-        params = [family.params(bit) for bit in bits]
-        outs.append(apply_mode_channels(
-            state,
-            [1.0] * desc.idlers + [p.tau for p in params],
-            [0.0] * desc.idlers + [p.nu for p in params],
-        ))
-    return outs
-
-
-_BLOCK_OUT_CACHE: dict[tuple, CovMatrix] = {}
-
-
-def _block_output(desc: BlockDescriptor, family: ChannelFamily, local_bits) -> CovMatrix:
-    sig = (desc.kind, len(desc.channels), desc.idlers, desc.mu, desc.alpha, _family_key(family))
-    key = (sig, local_bits)
-    out = _BLOCK_OUT_CACHE.get(key)
-    if out is None:
-        out = _BLOCK_OUT_CACHE[key] = _apply_block(desc, family, local_bits)[0]
-    return out
-
-
 def block_pair_fidelity(desc: BlockDescriptor, family: ChannelFamily, local_a, local_b) -> float:
     """Output fidelity of one block for a specific local pattern pair.
 
     Unlike block_subfidelity this does not substitute a class representative,
-    so it reproduces an exhaustive per-pair evaluation bit for bit (cached,
-    with the symmetric pair evaluated once).
+    so it reproduces an exhaustive per-pair evaluation bit for bit (see
+    ``block_fidelities``).
     """
-    if local_a == local_b:
-        return 1.0
-    la, lb = (local_a, local_b) if local_a <= local_b else (local_b, local_a)
-    sig = (desc.kind, len(desc.channels), desc.idlers, desc.mu, desc.alpha, _family_key(family))
-    key = (sig, la, lb)
-    hit = _BLOCK_FID_CACHE.get(key)
-    if hit is not None:
-        return hit
-    fid = gaussian_fidelity(_block_output(desc, family, la), _block_output(desc, family, lb))
-    _BLOCK_FID_CACHE[key] = fid
-    return fid
+    return block_fidelities(desc, family, [(local_a, local_b)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +329,14 @@ def fidelity_table_counting(space: ImageSpace, spec: ProbeSpec, family: ChannelF
     kmin, kmax = min(ks), max(ks)
     rem = space.m
     states = {(0, 0, False, 0.0): 1}
+    step_lists: dict[tuple, list] = {}
     for desc in spec.descriptors():
         size = len(desc.channels)
         rem -= size
-        steps = []
-        for v in range(size + 1):
-            for u in range(size + 1):
-                for d, count in _block_occupancy_options(size, v, u):
-                    fid = block_subfidelity(desc, family, v, u, d)
-                    steps.append((v, u, d > 0, count, _log(fid)))
+        sig = _block_signature(desc, family)
+        steps = step_lists.get(sig)
+        if steps is None:
+            steps = step_lists[sig] = _class_steps(desc, family)
         new: dict[tuple[int, int, bool, float], int] = {}
         for (a0, b0, differs, logf), cnt in states.items():
             for v, u, step_differs, count, step_logf in steps:
@@ -370,6 +356,22 @@ def fidelity_table_counting(space: ImageSpace, spec: ProbeSpec, family: ChannelF
         np.array(list(hist), dtype=float),
         method="counting",
     )
+
+
+def _class_steps(desc: BlockDescriptor, family: ChannelFamily) -> list[tuple]:
+    """(v, u, differs, ordered sub-pattern pairs, log f) for every ordered
+    (v, u, d) class of one block, with the class fidelities from one batch
+    of representative pairs (as ``block_subfidelity``)."""
+    size = len(desc.channels)
+    classes = [
+        (v, u, d, count)
+        for v in range(size + 1)
+        for u in range(size + 1)
+        for d, count in _block_occupancy_options(size, v, u)
+    ]
+    pairs = [representative_local_patterns(size, min(v, u), max(v, u), d) for v, u, d, _ in classes]
+    fids = block_fidelities(desc, family, pairs)
+    return [(v, u, d > 0, count, _log(f)) for (v, u, d, count), f in zip(classes, fids)]
 
 
 def fidelity_table_frontier(
@@ -414,11 +416,13 @@ def fidelity_table_frontier(
             vals = lut[idx]
             missing = np.isnan(vals)
             if missing.any():
-                desc = BlockDescriptor("ghz", blk, mu=mu)
-                for pair in sorted(set(idx[missing].tolist())):
-                    local_a = tuple(pair >> k & 1 for k in range(size))
-                    local_b = tuple(pair >> size + k & 1 for k in range(size))
-                    lut[pair] = _log(block_pair_fidelity(desc, family, local_a, local_b))
+                miss = sorted(set(idx[missing].tolist()))
+                pairs = [
+                    tuple(tuple(pair >> at + k & 1 for k in range(size)) for at in (0, size))
+                    for pair in miss
+                ]
+                fids = block_fidelities(BlockDescriptor("ghz", blk, mu=mu), family, pairs)
+                lut[miss] = [_log(f) for f in fids]
                 vals = lut[idx]
             logf = logf + vals
         key &= keep_bits
@@ -507,8 +511,9 @@ def fidelity_table_blocks(patterns, priors, descs, family: ChannelFamily) -> Fid
         locals_ = [tuple(p[c] for c in desc.channels) for p in patterns]
         uniq = sorted(set(locals_))
         index = {lp: a for a, lp in enumerate(uniq)}
-        lut = [[_log(block_pair_fidelity(desc, family, la, lb)) for lb in uniq] for la in uniq]
-        lookups.append((np.array(lut), np.array([index[lp] for lp in locals_])))
+        fids = block_fidelities(desc, family, [(la, lb) for la in uniq for lb in uniq])
+        lut = np.array([_log(f) for f in fids]).reshape(len(uniq), len(uniq))
+        lookups.append((lut, np.array([index[lp] for lp in locals_])))
     logf = _pair_entries(n, lambda i: sum(lut[code[i], code[i + 1:]] for lut, code in lookups))
     return FidelityTable.pairs(n, logf, priors, method="blocks")
 

@@ -95,15 +95,27 @@ def check_pattern(pattern, m: int | None = None) -> tuple[int, ...]:
     return bits
 
 
-def apply_mode_channels(state: CovMatrix, taus, nus) -> CovMatrix:
-    """Apply an independent (tau_k, nu_k) channel to each mode."""
+def mode_channel_map(state: CovMatrix, taus, nus) -> tuple[np.ndarray, np.ndarray]:
+    """Covariance matrices and means of ``state`` after an independent
+    (tau_k, nu_k) channel on each mode, unchecked, for a stack of rows.
+
+    ``taus`` and ``nus`` are (..., n) arrays; the results are (..., 2n, 2n)
+    and (..., 2n).
+    """
     taus = np.asarray(taus, dtype=float)
     nus = np.asarray(nus, dtype=float)
-    if taus.shape != (state.n_modes,) or nus.shape != (state.n_modes,):
+    if taus.shape[-1:] != (state.n_modes,) or nus.shape != taus.shape:
         raise DimensionError("one (tau, nu) pair per mode required")
-    scale = np.repeat(np.sqrt(taus), 2)
-    data = state.data * np.outer(scale, scale) + np.diag(np.repeat(nus, 2))
-    return CovMatrix(data, scale * state.mean)
+    scale = np.repeat(np.sqrt(taus), 2, axis=-1)
+    noise = np.zeros(scale.shape + scale.shape[-1:])
+    diag = np.arange(2 * state.n_modes)
+    noise[..., diag, diag] = np.repeat(nus, 2, axis=-1)
+    return state.data * (scale[..., :, None] * scale[..., None, :]) + noise, scale * state.mean
+
+
+def apply_mode_channels(state: CovMatrix, taus, nus) -> CovMatrix:
+    """Apply an independent (tau_k, nu_k) channel to each mode."""
+    return CovMatrix(*mode_channel_map(state, taus, nus))
 
 
 def apply_pattern(state: CovMatrix, family: ChannelFamily, pattern) -> CovMatrix:

@@ -35,6 +35,10 @@ BRANCH_TOL = 1e-10
 
 _EPS = float(np.finfo(float).eps)
 
+# Pairs per stacked fidelity call: bounds the (pairs, 2n, 2n) temporaries of
+# a large batch; the results do not depend on it.
+STACK_MAX_PAIRS = 64
+
 
 def _scale_tol(base: float, scale):
     """Absolute tolerance for eigenvalues of a matrix with entries ~scale.
@@ -63,17 +67,34 @@ def symplectic_form(n: int) -> np.ndarray:
 
 
 def _spectrum_of(data: np.ndarray) -> np.ndarray:
-    """Symplectic eigenvalues |eig(i Omega V)|, ascending, one per mode."""
-    if not np.all(np.isfinite(data)):
+    """Symplectic eigenvalues |eig(i Omega V)|, ascending, one per mode,
+    over any leading shape."""
+    if not np.isfinite(data).all():
         raise NumericError("covariance matrix has non-finite entries")
-    n = data.shape[0] // 2
+    n = data.shape[-1] // 2
     eigs = np.linalg.eigvals(symplectic_form(n) @ data)
-    vals = np.sort(np.abs(eigs))
-    lo, hi = vals[::2], vals[1::2]
-    scale = max(1.0, float(vals[-1]))
-    if np.any(np.abs(hi - lo) > 1e-8 * scale):
+    vals = np.sort(np.abs(eigs), axis=-1)
+    lo, hi = vals[..., ::2], vals[..., 1::2]
+    scale = np.maximum(1.0, vals[..., -1:])
+    if (np.abs(hi - lo) > 1e-8 * scale).any():
         raise NumericError("symplectic spectrum does not come in +/- pairs")
     return (lo + hi) / 2.0
+
+
+def _checked(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symplectic spectra and purity flags of symmetric covariance matrices
+    over any leading shape, one stacked eigensolve; NumericError unless
+    every matrix is bona fide."""
+    spectrum = _spectrum_of(data)
+    scale = np.maximum(1.0, np.abs(data).max(axis=(-2, -1)))
+    low = spectrum[..., 0]
+    bad = low < SHOT_NOISE - _scale_tol(BONA_FIDE_TOL, scale)
+    if bad.any():
+        raise NumericError(
+            f"covariance matrix is not bona fide: min symplectic eigenvalue "
+            f"{float(np.extract(bad, low)[0]):.12g} < 1/2"
+        )
+    return spectrum, spectrum[..., -1] <= SHOT_NOISE + _scale_tol(PURITY_TOL, scale)
 
 
 class CovMatrix:
@@ -98,20 +119,14 @@ class CovMatrix:
             mean = np.array(mean, dtype=float)
             if mean.shape != (2 * n,):
                 raise DimensionError(f"mean vector must have length {2 * n}, got {mean.shape}")
-            if not np.all(np.isfinite(mean)):
+            if not np.isfinite(mean).all():
                 raise NumericError("mean vector has non-finite entries")
-        spectrum = _spectrum_of(data)
-        scale = max(1.0, float(np.max(np.abs(data))))
-        if spectrum[0] < SHOT_NOISE - _scale_tol(BONA_FIDE_TOL, scale):
-            raise NumericError(
-                f"covariance matrix is not bona fide: min symplectic eigenvalue "
-                f"{spectrum[0]:.12g} < 1/2"
-            )
+        spectrum, is_pure = _checked(data)
         self.n_modes = n
         self.data = data
         self.mean = mean
         self.spectrum = spectrum
-        self.is_pure = bool(spectrum[-1] <= SHOT_NOISE + _scale_tol(PURITY_TOL, scale))
+        self.is_pure = bool(is_pure)
 
     def __repr__(self):
         return f"CovMatrix(n_modes={self.n_modes}, pure={self.is_pure})"
@@ -278,29 +293,60 @@ def gaussian_fidelity(a: CovMatrix, b: CovMatrix) -> float:
 def gaussian_fidelities(a: CovMatrix, others) -> np.ndarray:
     """``[gaussian_fidelity(a, b) for b in others]`` as an array, bit for bit.
 
-    The pairs run through the same formula in one stacked LAPACK call per
-    step, with pairs that have a pure member stacked apart from mixed
-    pairs.  Raises DimensionError or NumericError when any single pair
-    would.
+    The pairs run through the same formula in stacked LAPACK calls (see
+    ``_pair_fidelities``).  Raises DimensionError or NumericError when any
+    single pair would.
     """
-    others = list(others)
-    out = np.ones(len(others))
-    key_a = _key(a)
-    groups: dict[bool, list] = {False: [], True: []}  # mixed -> [(j, first, second)]
-    for j, b in enumerate(others):
+    states = [a, *others]
+    for b in states:
         if b.n_modes != a.n_modes:
             raise DimensionError(f"mode counts differ: {a.n_modes} vs {b.n_modes}")
-        key_b = _key(b)
-        if key_b != key_a:
-            first, second = (b, a) if key_b < key_a else (a, b)
-            groups[not (a.is_pure or b.is_pure)].append((j, first, second))
+    return _pair_fidelities(
+        np.stack([s.data for s in states]),
+        np.stack([s.mean for s in states]),
+        [s.is_pure for s in states],
+        [(0, j) for j in range(1, len(states))],
+    )
+
+
+def stacked_fidelities(data, means, pairs) -> np.ndarray:
+    """Fidelities of the index pairs (i, j) of states given as a (k, 2n, 2n)
+    stack of covariance matrices and a (k, 2n) stack of means.
+
+    Each equals ``gaussian_fidelity(CovMatrix(data[i], means[i]),
+    CovMatrix(data[j], means[j]))`` bit for bit: the stack is symmetrised
+    and checked as CovMatrix does, with one stacked eigensolve, and raises
+    NumericError where CovMatrix would.
+    """
+    data = np.asarray(data, dtype=float)
+    means = np.asarray(means, dtype=float)
+    if data.ndim != 3 or data.shape[1] != data.shape[2] or data.shape[1] % 2 or means.shape != data.shape[:2]:
+        raise DimensionError(f"need a (k, 2n, 2n) and a (k, 2n) stack, got {data.shape} and {means.shape}")
+    data = 0.5 * (data + data.swapaxes(1, 2))
+    if not np.isfinite(means).all():
+        raise NumericError("mean vector has non-finite entries")
+    _, pure = _checked(data)
+    return _pair_fidelities(data, means, pure, pairs)
+
+
+def _pair_fidelities(data: np.ndarray, means: np.ndarray, pure, pairs) -> np.ndarray:
+    """Fidelities of the index pairs (i, j) of a stack of checked states.
+
+    Each pair is put in canonical ``tobytes`` order and identical states
+    give exactly 1.0, as in ``gaussian_fidelity``; the other pairs run
+    through ``_fidelity`` in stacks of at most STACK_MAX_PAIRS, pairs with a
+    pure member apart from mixed pairs.
+    """
+    keys = [(d.tobytes(), m.tobytes()) for d, m in zip(data, means)]
+    out = np.ones(len(pairs))
+    groups: dict[bool, list] = {False: [], True: []}  # mixed -> [(p, first, second)]
+    for p, (i, j) in enumerate(pairs):
+        if keys[i] != keys[j]:
+            if keys[j] < keys[i]:
+                i, j = j, i
+            groups[not (pure[i] or pure[j])].append((p, i, j))
     for mixed, group in groups.items():
-        if group:
-            idx, first, second = zip(*group)
-            out[list(idx)] = _fidelity(
-                np.stack([s.data for s in first]),
-                np.stack([s.data for s in second]),
-                mixed,
-                np.stack([s.mean for s in first]) - np.stack([s.mean for s in second]),
-            )
+        for start in range(0, len(group), STACK_MAX_PAIRS):
+            idx, first, second = map(list, zip(*group[start:start + STACK_MAX_PAIRS]))
+            out[idx] = _fidelity(data[first], data[second], mixed, means[first] - means[second])
     return out

@@ -66,7 +66,7 @@ class ImageSpace:
         priors = np.asarray(self.priors, dtype=float)
         if priors.shape != (len(self.patterns),):
             raise DimensionError("one prior per pattern required")
-        if np.any(priors < 0) or abs(priors.sum() - 1.0) > PRIOR_TOL:
+        if (priors < 0).any() or abs(priors.sum() - 1.0) > PRIOR_TOL:
             raise ValueError("priors must be nonnegative and sum to 1")
         object.__setattr__(self, "priors", priors)
 

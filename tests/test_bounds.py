@@ -1,8 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import multiprobe.bounds as bounds_mod
 from multiprobe.bounds import (
     BoundReport,
     FidelityTable,
@@ -11,6 +15,7 @@ from multiprobe.bounds import (
     bounds_from_table,
     bounds_tmsv_pairs,
     bounds_tmsv_pairs_odd,
+    block_fidelities,
     block_subfidelity,
     classical_benchmark,
     evaluate,
@@ -20,7 +25,7 @@ from multiprobe.bounds import (
     per_channel_classical_fidelity,
     tmsv_subfidelity,
 )
-from multiprobe.channels import ChannelFamily
+from multiprobe.channels import ChannelFamily, apply_mode_channels
 from multiprobe.closedform import coherent_loss_fidelity, vacuum_additive_fidelity
 from multiprobe.errors import (
     ComparabilityError,
@@ -35,11 +40,12 @@ from multiprobe.imagespace import (
     full_space,
     hamming,
 )
-from multiprobe.gaussian import gaussian_fidelity
+from multiprobe.gaussian import STACK_MAX_PAIRS, coherent_cm, gaussian_fidelity, ghz_cm
 from multiprobe.presets import CLASSICAL, DISJOINT, MUTUAL, ProbePlan, resolve_probe
 from multiprobe.probes import (
     HYBRID_COHERENT,
     SINGLE_IDLER,
+    BlockDescriptor,
     ProbeSpec,
     assemble_probe,
     extend_for_mutual_probing,
@@ -49,7 +55,7 @@ from multiprobe.probes import (
     pair_partition,
 )
 
-from conftest import counting_sums, pair_degeneracy_census
+from conftest import any_family, counting_sums, pair_degeneracy_census, patterns
 
 LOSS = ChannelFamily.pure_loss(0.99, 0.97)
 ADD = ChannelFamily.additive(0.02, 0.01)
@@ -161,6 +167,67 @@ def test_hybrid_coherent_block_additive_equals_vacuum_benchmark():
     desc = BlockDescriptor("coherent", (0,), alpha=np.sqrt(20.0))
     got = block_subfidelity(desc, ADD, 0, 1, 1)
     assert got == pytest.approx(vacuum_additive_fidelity(0.02, 0.01), rel=1e-13)
+
+
+def scalar_block_fidelity(desc, family, local_a, local_b):
+    """gaussian_fidelity on separately built output states of one block."""
+    if local_a == local_b:
+        return 1.0
+    state = coherent_cm([desc.alpha]) if desc.kind == "coherent" else ghz_cm(desc.n_modes, desc.mu)
+    outs = []
+    for bits in (local_a, local_b):
+        params = [family.params(bit) for bit in bits]
+        taus = [1.0] * desc.idlers + [p.tau for p in params]
+        nus = [0.0] * desc.idlers + [p.nu for p in params]
+        outs.append(apply_mode_channels(state, taus, nus))
+    return gaussian_fidelity(*outs)
+
+
+@st.composite
+def block_descriptors(draw):
+    """GHZ blocks of 1-4 channels with 0-2 idlers (two modes at least), or a
+    coherent mode."""
+    if draw(st.integers(0, 4)) == 0:
+        return BlockDescriptor("coherent", (0,), alpha=draw(st.floats(0.0, 6.0)))
+    size = draw(st.integers(1, 4))
+    idlers = draw(st.integers(1 if size == 1 else 0, 2))
+    return BlockDescriptor("ghz", tuple(range(size)), idlers, mu=draw(st.floats(0.5, 50.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), desc=block_descriptors(), family=any_family())
+def test_block_fidelities_equal_scalar_path_bit_for_bit(data, desc, family):
+    size = len(desc.channels)
+    pairs = data.draw(st.lists(st.tuples(patterns(size), patterns(size)), min_size=1, max_size=30))
+    pairs += [(a, a) for a, _ in pairs[:3]] + [(b, a) for a, b in pairs[:6]]
+    if data.draw(st.booleans()):
+        every = list(itertools.product((0, 1), repeat=size))
+        pairs += list(itertools.product(every, every))
+    data.draw(st.randoms()).shuffle(pairs)
+    bounds_mod._BLOCK_FID_CACHE.clear()
+    got = block_fidelities(desc, family, pairs)
+    assert got == [scalar_block_fidelity(desc, family, a, b) for a, b in pairs]
+    # cached values are the same bits
+    assert block_fidelities(desc, family, pairs[::-1]) == got[::-1]
+
+
+@pytest.mark.parametrize("family", [
+    LOSS, ADD, ChannelFamily.thermal(0.9, 1.5, 1.2, 0.8), ChannelFamily.pure_loss(0.0, 1.0),
+], ids=["loss", "additive", "thermal", "loss-from-zero"])
+@pytest.mark.parametrize("idlers", [0, 2])
+def test_block_fidelities_beyond_the_stack_cap(family, idlers):
+    # every pair of a four-channel block: 120 distinct pairs, two stacks
+    desc = BlockDescriptor("ghz", (0, 1, 2, 3), idlers, mu=7.3)
+    every = list(itertools.product((0, 1), repeat=4))
+    pairs = list(itertools.product(every, every))
+    assert len(every) * (len(every) - 1) // 2 > STACK_MAX_PAIRS
+    bounds_mod._BLOCK_FID_CACHE.clear()
+    got = block_fidelities(desc, family, pairs)
+    assert got == [scalar_block_fidelity(desc, family, a, b) for a, b in pairs]
+    v_u_d = [(v, u, d) for v in range(5) for u in range(5) for d, _ in bounds_mod._block_occupancy_options(4, v, u)]
+    for v, u, d in v_u_d:
+        pair = bounds_mod.representative_local_patterns(4, min(v, u), max(v, u), d)
+        assert block_subfidelity(desc, family, v, u, d) == scalar_block_fidelity(desc, family, *pair)
 
 
 @pytest.mark.parametrize("family", [LOSS, ADD], ids=["loss", "additive"])
@@ -464,17 +531,28 @@ def test_counting_dp_equals_class_table_on_figure_grid(family, space, probe):
                 assert abs(g - w) <= 1e-300
 
 
-def test_counting_dp_errors_propagate(monkeypatch):
-    # a fault inside the DP must surface, not fall back to the dense table
-    import multiprobe.bounds as bounds_mod
-
+def _break_block_fidelities(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("broken block fidelity")
 
-    monkeypatch.setattr(bounds_mod, "block_subfidelity", broken)
+    # the batched evaluator both DPs call for their block fidelities
+    monkeypatch.setattr(bounds_mod, "block_fidelities", broken)
+
+
+def test_counting_dp_errors_propagate(monkeypatch):
+    # a fault inside the DP must surface, not fall back to the dense table
+    _break_block_fidelities(monkeypatch)
     spec = odd_m_disjoint_spec(3, 20.5, SINGLE_IDLER)
     with pytest.raises(ValueError, match="broken block fidelity"):
         bounds_by_counting(full_space(3), spec, ADD, 2)
+
+
+def test_frontier_dp_errors_propagate(monkeypatch):
+    # likewise for overlapping blocks: no fallback to the copy-channel extension
+    _break_block_fidelities(monkeypatch)
+    plan = ProbePlan(MUTUAL, partition=nn_partition(4))
+    with pytest.raises(ValueError, match="broken block fidelity"):
+        evaluate(plan, full_space(4), ADD, mu=20.5)
 
 
 def test_counting_rejects_mismatched_pattern_length():

@@ -5,13 +5,16 @@ from hypothesis import strategies as st
 
 from multiprobe.channels import ChannelFamily, apply_mode_channels, apply_pattern
 from multiprobe.errors import DimensionError, EnergyError, NumericError, PartitionError
+from multiprobe import gaussian
 from multiprobe.gaussian import (
+    STACK_MAX_PAIRS,
     CovMatrix,
     coherent_cm,
     gaussian_fidelities,
     gaussian_fidelity,
     ghz_cm,
     ghz_spectrum_closed_form,
+    stacked_fidelities,
     symplectic_form,
     symplectic_spectrum,
     tensor,
@@ -175,6 +178,60 @@ def test_non_bona_fide_pair_raises_in_both_forms(a, bad):
 def test_fidelities_of_no_states_is_empty():
     got = gaussian_fidelities(tmsv_cm(2.5), [])
     assert got.shape == (0,)
+
+
+def test_fidelities_beyond_the_stack_cap_equal_scalar_calls():
+    # both purity groups longer than one stack
+    a = coherent_cm([0.3 - 0.1j, 0.2j])
+    others = []
+    for k in range(2 * STACK_MAX_PAIRS + 5):
+        others.append(coherent_cm([0.01 * k, -0.02j * k]))
+        others.append(CovMatrix(np.diag(np.repeat([0.5 + 0.03 * k, 0.6 + 0.01 * k], 2))))
+    got = gaussian_fidelities(a, others).tolist()
+    assert got == [gaussian_fidelity(a, b) for b in others]
+    data = np.stack([s.data for s in others])
+    means = np.stack([s.mean for s in others])
+    pairs = [(i, j) for i in range(0, len(others), 7) for j in range(len(others))]
+    got = stacked_fidelities(data, means, pairs).tolist()
+    assert got == [gaussian_fidelity(others[i], others[j]) for i, j in pairs]
+
+
+GOOD_ROW = 0.7 * np.eye(2)
+BAD_ROWS = {
+    "non-finite": np.diag([np.nan, 0.5]),
+    "not bona fide": 0.4 * np.eye(2),
+    # not symmetric, so eig(Omega V) has moduli 0.21 and 4.79
+    "unpaired spectrum": np.array([[1.0, 5.0], [0.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_ROWS.values()), ids=list(BAD_ROWS))
+def test_stacked_check_raises_where_covmatrix_does(bad):
+    # the one-matrix case is the check CovMatrix runs after symmetrising
+    with pytest.raises(NumericError):
+        gaussian._checked(bad)
+    for rows in ([bad], [GOOD_ROW, bad], [GOOD_ROW, bad, GOOD_ROW]):
+        with pytest.raises(NumericError):
+            gaussian._checked(np.stack(rows))
+    gaussian._checked(np.stack([GOOD_ROW, GOOD_ROW]))
+
+
+@pytest.mark.parametrize("bad", [BAD_ROWS["non-finite"], BAD_ROWS["not bona fide"]])
+def test_stacked_fidelities_reject_rows_covmatrix_rejects(bad):
+    with pytest.raises(NumericError):
+        CovMatrix(bad)
+    with pytest.raises(NumericError):
+        stacked_fidelities(np.stack([GOOD_ROW, bad]), np.zeros((2, 2)), [(0, 1)])
+
+
+def test_stacked_fidelities_reject_bad_means_and_shapes():
+    data = np.stack([GOOD_ROW, GOOD_ROW])
+    with pytest.raises(NumericError):
+        stacked_fidelities(data, np.array([[0.0, 0.0], [np.inf, 0.0]]), [(0, 1)])
+    with pytest.raises(DimensionError):
+        stacked_fidelities(GOOD_ROW, np.zeros(2), [])
+    with pytest.raises(DimensionError):
+        stacked_fidelities(data, np.zeros((2, 4)), [])
 
 
 @st.composite

@@ -3,10 +3,11 @@ scripts.
 
 Regenerated are the bound files whose quantum bounds come from the two
 counting DPs (``tmsv-disjoint`` and ``idler-full`` over blocks, the ``nn``
-ring over channels) and the ``tmsv-disjoint`` and ``nn`` censuses: the
-``full-ghz`` files carry 9- and 10-mode fidelities that drift across
-machines by about 1e-10 relative, far above the block fidelities of the
-files checked here.
+ring over channels), the four advantage surfaces (``nn`` and
+``idler-full`` on ``cpf:1``) and the ``tmsv-disjoint`` and ``nn``
+censuses: the ``full-ghz`` files carry 9- and 10-mode fidelities that
+drift across machines by about 1e-10 relative, far above the block
+fidelities of the files checked here.
 """
 
 import csv
@@ -40,6 +41,30 @@ def _assert_close(got: float, want: float, tol: float, where: str) -> None:
     assert abs(got - want) <= tol, f"{where}: {got!r} vs committed {want!r}"
 
 
+def _assert_bounds_file_regenerates(got_path, want_path, n_rows):
+    got_comment, got = _rows(got_path)
+    want_comment, want = _rows(want_path)
+    name = want_path.name
+    assert got_comment == want_comment
+    assert len(got) == len(want) == n_rows
+    assert list(got[0]) == list(want[0])
+    for i, (g, w) in enumerate(zip(got, want)):
+        for col, w_text in w.items():
+            where = f"{name} row {i} {col}"
+            if col in TEXT_COLUMNS or w_text == "":
+                assert g[col] == w_text, where
+            elif col == "delta_perr":
+                # classical lower minus quantum upper: judged on the
+                # scale of its two terms, not of their difference
+                upper = float(w["upper"])
+                scale = abs(float(w_text) + upper) + upper
+                _assert_close(float(g[col]), float(w_text), RTOL * scale, where)
+            else:
+                want_val = float(w_text)
+                tol = RTOL * abs(want_val) if abs(want_val) > TINY else TINY
+                _assert_close(float(g[col]), want_val, tol, where)
+
+
 @pytest.mark.parametrize("script, prefix", [("sweep_loss_m9", "loss"), ("sweep_noise_m9", "noise")])
 def test_counting_figures_regenerate(tmp_path, monkeypatch, script, prefix):
     module = _load_script(script)
@@ -49,26 +74,16 @@ def test_counting_figures_regenerate(tmp_path, monkeypatch, script, prefix):
     for tag in SPACES:
         for probe in PROBES:
             name = f"{prefix}_m9_{tag}_{probe}.csv"
-            got_comment, got = _rows(tmp_path / name)
-            want_comment, want = _rows(ROOT / "results" / name)
-            assert got_comment == want_comment
-            assert len(got) == len(want) == 50
-            assert list(got[0]) == list(want[0])
-            for i, (g, w) in enumerate(zip(got, want)):
-                for col, w_text in w.items():
-                    where = f"{name} row {i} {col}"
-                    if col in TEXT_COLUMNS or w_text == "":
-                        assert g[col] == w_text, where
-                    elif col == "delta_perr":
-                        # classical lower minus quantum upper: judged on the
-                        # scale of its two terms, not of their difference
-                        upper = float(w["upper"])
-                        scale = abs(float(w_text) + upper) + upper
-                        _assert_close(float(g[col]), float(w_text), RTOL * scale, where)
-                    else:
-                        want_val = float(w_text)
-                        tol = RTOL * abs(want_val) if abs(want_val) > TINY else TINY
-                        _assert_close(float(g[col]), want_val, tol, where)
+            _assert_bounds_file_regenerates(tmp_path / name, ROOT / "results" / name, 50)
+
+
+def test_advantage_surfaces_regenerate(tmp_path):
+    # the script's default grid: 25 x 25 points per file
+    assert _load_script("advantage_surface").run(tmp_path, 25) == 0
+    for family in ("loss", "noise"):
+        for probe in ("nn", "idler-full"):
+            name = f"advantage_{family}_cpf1_{probe}.csv"
+            _assert_bounds_file_regenerates(tmp_path / name, ROOT / "results" / name, 25 * 25)
 
 
 def test_censuses_regenerate(tmp_path, monkeypatch):
