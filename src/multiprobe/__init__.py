@@ -43,7 +43,6 @@ from .imagespace import (
     bcpf_space,
     cpf_space,
     full_space,
-    hamming,
 )
 from .probes import (
     DisjointPartition,
@@ -97,7 +96,6 @@ __all__ = [
     "gaussian_fidelity",
     "ghz_cm",
     "guaranteed_advantage",
-    "hamming",
     "nn_partition",
     "odd_m_disjoint_spec",
     "parse_partition",

@@ -4,13 +4,16 @@ All bounds reduce to prior-weighted sums over ordered pattern pairs of
 output-state fidelities raised to the copy number: the
 pretty-good-measurement upper bound uses F^M, the lower bound F^(2M).
 ``evaluate`` builds the fidelity table of one probe configuration once, as
-(ordered pair count, log F) entries; ``bounds_from_table`` reads it at any
-copy number, and ``census_histogram`` histograms it.  Fidelities of
-block-structured probes factor over blocks and are degenerate within
-per-block (v, u, d) classes, so one Gaussian fidelity per block and class
-suffices.  ``block_fidelities`` evaluates the local pattern pairs a table
-needs in one stacked batch per block signature and caches them per
-unordered pair; a class reads its representative pair.  On uniform position-finding spaces a DP over blocks counts
+(ordered pair count, log F) entries, and ``evaluate_points`` those of
+configurations that differ only in channels and energy, in one batch;
+``bounds_from_table`` reads a table at any copy number, and
+``census_histogram`` histograms it.  Fidelities of block-structured probes
+factor over blocks and are degenerate within per-block (v, u, d) classes,
+so one Gaussian fidelity per block and class suffices.
+``block_fidelities`` evaluates the local pattern pairs the tables need in
+one stacked batch per block over all configurations and caches them per
+block signature and unordered pair; a class reads its representative
+pair.  On uniform position-finding spaces a DP over blocks counts
 ordered pattern pairs per distinct log-fidelity from occupancy
 multiplicities, and overlapping blocks (the ``nn`` ring, ``part:``
 literals) are counted by a DP over channels that keeps the bits of the
@@ -56,6 +59,10 @@ BRUTE_TABLE_MAX_PATTERNS = 512
 BLOCK_TABLE_MAX_PATTERNS = 4096
 # below this many states the frontier DP carries duplicates rather than sort
 _FRONTIER_MERGE_MIN = 256
+# Floats in one temporary of a batch over grid points: the covariance-matrix
+# entries of one stacked block batch, or the frontier DP's states x points.
+# Larger batches run in chunks of points; the results do not depend on it.
+BATCH_MAX_FLOATS = 1 << 16
 
 
 @dataclass
@@ -136,34 +143,77 @@ def _block_signature(desc: BlockDescriptor, family: ChannelFamily) -> tuple:
             family.kind, b.tau, b.nu, t.tau, t.nu)
 
 
-def block_fidelities(desc: BlockDescriptor, family: ChannelFamily, pairs) -> list[float]:
-    """Output fidelities of one block for local pattern pairs (a, b).
+def block_fidelities(points, pairs) -> np.ndarray:
+    """Output fidelities of one block at K points for local pattern pairs
+    (a, b), as a (K, len(pairs)) array.
 
-    Cached per block signature and unordered pair.  The misses are
-    evaluated in one batch: the block's probe state is built once, the
-    channels act on every distinct local pattern in one stacked step
-    (idlers pass), and the pairs run through ``stacked_fidelities``, so
-    each value equals ``gaussian_fidelity`` of the two output states bit
-    for bit, and identical outputs give exactly 1.0.
+    ``points`` holds one (descriptor, family) per point; the descriptors
+    differ at most in mu or alpha.  Values are cached per block signature
+    and unordered pair.  The misses of all points are evaluated in one
+    batch: one probe state per distinct energy, the channels act on every
+    distinct local pattern in one stacked step (idlers pass), and the pairs
+    run through ``stacked_fidelities`` in chunks of points of at most
+    BATCH_MAX_FLOATS matrix entries, so each value equals
+    ``gaussian_fidelity`` of the two output states bit for bit, and
+    identical outputs give exactly 1.0.
     """
-    sig = _block_signature(desc, family)
-    keys = [(sig, a, b) if a <= b else (sig, b, a) for a, b in pairs]
-    missing = sorted({key for key in keys if key[1] != key[2] and key not in _BLOCK_FID_CACHE})
-    if missing:
-        locals_ = sorted({lp for _, a, b in missing for lp in (a, b)})
-        row = {lp: r for r, lp in enumerate(locals_)}
-        if desc.kind == "coherent":
-            state = coherent_cm([desc.alpha])
-        else:
-            state = ghz_cm(desc.n_modes, desc.mu)
-        bits = np.array(locals_, dtype=bool)
-        idle = np.zeros((len(locals_), desc.idlers))  # idler modes come first: tau 1, nu 0
-        taus = np.where(bits, family.target.tau, family.background.tau)
-        nus = np.where(bits, family.target.nu, family.background.nu)
-        data, means = mode_channel_map(state, np.hstack([idle + 1.0, taus]), np.hstack([idle, nus]))
-        fids = stacked_fidelities(data, means, [(row[a], row[b]) for _, a, b in missing])
-        _BLOCK_FID_CACHE.update(zip(missing, fids.tolist()))
-    return [1.0 if key[1] == key[2] else _BLOCK_FID_CACHE[key] for key in keys]
+    sigs = [_block_signature(desc, family) for desc, family in points]
+    ordered = [(a, b) if a <= b else (b, a) for a, b in pairs]
+    distinct = sorted({pair for pair in ordered if pair[0] != pair[1]})
+    missing: dict[tuple, tuple[int, list]] = {}  # signature -> (point, missing pairs)
+    for k, sig in enumerate(sigs):
+        if sig not in missing:
+            missing[sig] = (k, [pair for pair in distinct if (sig, *pair) not in _BLOCK_FID_CACHE])
+    todo = [(sig, k, miss) for sig, (k, miss) in missing.items() if miss]
+    if todo:
+        _fill_block_cache(points, todo)
+    return np.array([[1.0 if a == b else _BLOCK_FID_CACHE[sig, a, b] for a, b in ordered] for sig in sigs])
+
+
+def _fill_block_cache(points, todo) -> None:
+    """Evaluate the missing pairs ``todo`` = [(signature, point, pairs)] of
+    one block into the cache; see ``block_fidelities``."""
+    desc = points[todo[0][1]][0]
+    locals_ = sorted({lp for _, _, miss in todo for pair in miss for lp in pair})
+    row = {lp: r for r, lp in enumerate(locals_)}
+    bits = np.array(locals_, dtype=bool)
+    states = {}  # one probe state per energy
+    probes = []
+    for _, k, _ in todo:
+        d = points[k][0]
+        energy = d.alpha if d.kind == "coherent" else d.mu
+        if energy not in states:
+            states[energy] = coherent_cm([d.alpha]) if d.kind == "coherent" else ghz_cm(d.n_modes, d.mu)
+        probes.append(states[energy])
+    fams = [points[k][1] for _, k, _ in todo]
+
+    def per_point(values):
+        return np.array(values)[:, None, None]
+
+    def channel(attr, idler):
+        """(points, local patterns, modes) of ``attr``; idler modes come first."""
+        target = per_point([getattr(f.target, attr) for f in fams])
+        background = per_point([getattr(f.background, attr) for f in fams])
+        idle = np.full((len(todo), len(locals_), desc.idlers), idler)
+        return np.concatenate([idle, np.where(bits, target, background)], axis=-1)
+
+    taus, nus = channel("tau", 1.0), channel("nu", 0.0)  # idlers pass
+    dim = 2 * desc.n_modes
+    per_call = max(1, BATCH_MAX_FLOATS // (len(locals_) * dim * dim))
+    for start in range(0, len(todo), per_call):
+        stop = min(start + per_call, len(todo))
+        data, means = mode_channel_map(
+            np.stack([p.data for p in probes[start:stop]])[:, None],
+            np.stack([p.mean for p in probes[start:stop]])[:, None],
+            taus[start:stop],
+            nus[start:stop],
+        )
+        pairs, keys = [], []
+        for c, (sig, _, miss) in enumerate(todo[start:stop]):
+            pairs += [(c * len(locals_) + row[a], c * len(locals_) + row[b]) for a, b in miss]
+            keys += [(sig, a, b) for a, b in miss]
+        fids = stacked_fidelities(data.reshape(-1, dim, dim), means.reshape(-1, dim), pairs)
+        _BLOCK_FID_CACHE.update(zip(keys, fids.tolist()))
 
 
 def block_subfidelity(desc: BlockDescriptor, family: ChannelFamily, v: int, u: int, d: int) -> float:
@@ -175,7 +225,7 @@ def block_subfidelity(desc: BlockDescriptor, family: ChannelFamily, v: int, u: i
     if d == 0:
         return 1.0
     pair = representative_local_patterns(len(desc.channels), min(v, u), max(v, u), d)
-    return block_fidelities(desc, family, [pair])[0]
+    return float(block_fidelities([(desc, family)], [pair])[0, 0])
 
 
 def tmsv_subfidelity(family: ChannelFamily, mu: float, v: int, u: int, d: int) -> float:
@@ -191,7 +241,7 @@ def block_pair_fidelity(desc: BlockDescriptor, family: ChannelFamily, local_a, l
     so it reproduces an exhaustive per-pair evaluation bit for bit (see
     ``block_fidelities``).
     """
-    return block_fidelities(desc, family, [(local_a, local_b)])[0]
+    return float(block_fidelities([(desc, family)], [(local_a, local_b)])[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -310,139 +360,182 @@ def census_histogram(table: FidelityTable, copies=1.0) -> list[tuple[float, int]
     return [(float(v), int(c)) for v, c in zip(values, mult)]
 
 
-def fidelity_table_counting(space: ImageSpace, spec: ProbeSpec, family: ChannelFamily) -> FidelityTable:
-    """Classed table by a DP over blocks; uniform position-finding spaces only.
+def fidelity_table_counting(space: ImageSpace, points) -> list[FidelityTable]:
+    """Classed tables by a DP over blocks, one per (spec, family) point;
+    uniform position-finding spaces only.
 
-    The state is (targets of pattern A so far, targets of B so far, whether
-    A and B differ yet, log F so far); its value is the number of ordered
+    The specs share their blocks and differ at most in energy.  The state
+    is (targets of pattern A so far, targets of B so far, whether A and B
+    differ yet, log F so far); its value is the number of ordered
     sub-pattern pairs that reach it, from occupancy multiplicities instead
     of enumerated patterns.  log F sums one block fidelity per block and
     (v, u, d) class in block order, so pairs whose blocks fall in the same
     classes reach the same float and merge.  The flag excludes identical
-    pairs.
+    pairs.  The class fidelities of every point come from one batch per
+    block signature; the DP then runs per point.
     """
     if not counting_applies(space):
         raise ValueError("counting needs a uniform full/cpf/bcpf space")
-    if spec.m != space.m:
-        raise DimensionError(f"probe over m={spec.m} but space has m={space.m}")
+    for spec, _ in points:
+        if spec.m != space.m:
+            raise DimensionError(f"probe over m={spec.m} but space has m={space.m}")
     ks = set(space.target_counts)
     kmin, kmax = min(ks), max(ks)
-    rem = space.m
-    states = {(0, 0, False, 0.0): 1}
+    families = [family for _, family in points]
     step_lists: dict[tuple, list] = {}
-    for desc in spec.descriptors():
-        size = len(desc.channels)
-        rem -= size
-        sig = _block_signature(desc, family)
-        steps = step_lists.get(sig)
-        if steps is None:
-            steps = step_lists[sig] = _class_steps(desc, family)
-        new: dict[tuple[int, int, bool, float], int] = {}
-        for (a0, b0, differs, logf), cnt in states.items():
-            for v, u, step_differs, count, step_logf in steps:
-                a, b = a0 + v, b0 + u
-                if a > kmax or b > kmax or a + rem < kmin or b + rem < kmin:
-                    continue
-                key = (a, b, differs or step_differs, logf + step_logf)
-                new[key] = new.get(key, 0) + cnt * count
-        states = new
-    hist: dict[float, int] = {}
-    for (a, b, differs, logf), cnt in states.items():
-        if differs and a in ks and b in ks:
-            hist[logf] = hist.get(logf, 0) + cnt
-    return FidelityTable(
-        len(space),
-        np.array(list(hist.values()), dtype=float),
-        np.array(list(hist), dtype=float),
-        method="counting",
-    )
+    block_steps = []  # (size, per-point steps) per block
+    for descs in zip(*(spec.descriptors() for spec, _ in points)):
+        sig = tuple(map(_block_signature, descs, families))
+        if sig not in step_lists:
+            step_lists[sig] = _class_steps(list(zip(descs, families)), space.m, kmin, kmax)
+        block_steps.append((len(descs[0].channels), step_lists[sig]))
+    tables = []
+    for k in range(len(points)):
+        rem = space.m
+        states = {(0, 0, False, 0.0): 1}
+        for size, steps in block_steps:
+            rem -= size
+            new: dict[tuple[int, int, bool, float], int] = {}
+            for (a0, b0, differs, logf), cnt in states.items():
+                for v, u, step_differs, count, step_logf in steps[k]:
+                    a, b = a0 + v, b0 + u
+                    if a > kmax or b > kmax or a + rem < kmin or b + rem < kmin:
+                        continue
+                    key = (a, b, differs or step_differs, logf + step_logf)
+                    new[key] = new.get(key, 0) + cnt * count
+            states = new
+        hist: dict[float, int] = {}
+        for (a, b, differs, logf), cnt in states.items():
+            if differs and a in ks and b in ks:
+                hist[logf] = hist.get(logf, 0) + cnt
+        tables.append(FidelityTable(
+            len(space),
+            np.array(list(hist.values()), dtype=float),
+            np.array(list(hist), dtype=float),
+            method="counting",
+        ))
+    return tables
 
 
-def _class_steps(desc: BlockDescriptor, family: ChannelFamily) -> list[tuple]:
-    """(v, u, differs, ordered sub-pattern pairs, log f) for every ordered
-    (v, u, d) class of one block, with the class fidelities from one batch
-    of representative pairs (as ``block_subfidelity``)."""
-    size = len(desc.channels)
+def _class_steps(points, m: int, kmin: int, kmax: int) -> list[list[tuple]]:
+    """Per (descriptor, family) point of one block, (v, u, differs, ordered
+    sub-pattern pairs, log f) for every ordered (v, u, d) class that a
+    pattern pair with kmin..kmax targets over m channels can pass through,
+    with the class fidelities of all points from one batch of
+    representative pairs (as ``block_subfidelity``)."""
+    size = len(points[0][0].channels)
+    # a block holds at most kmax targets, and the other m - size channels at most m - size
+    targets = range(max(0, kmin - (m - size)), min(size, kmax) + 1)
     classes = [
         (v, u, d, count)
-        for v in range(size + 1)
-        for u in range(size + 1)
+        for v in targets
+        for u in targets
         for d, count in _block_occupancy_options(size, v, u)
     ]
     pairs = [representative_local_patterns(size, min(v, u), max(v, u), d) for v, u, d, _ in classes]
-    fids = block_fidelities(desc, family, pairs)
-    return [(v, u, d > 0, count, _log(f)) for (v, u, d, count), f in zip(classes, fids)]
+    return [
+        [(v, u, d > 0, count, _log(f)) for (v, u, d, count), f in zip(classes, fids)]
+        for fids in block_fidelities(points, pairs).tolist()
+    ]
 
 
 def fidelity_table_frontier(
-    space: ImageSpace, partition: NonDisjointPartition, family: ChannelFamily, mu: float
-) -> FidelityTable:
-    """Table of possibly overlapping GHZ blocks by a DP over channels;
-    uniform position-finding spaces only.
+    space: ImageSpace, partition: NonDisjointPartition, points
+) -> list[FidelityTable]:
+    """Tables of possibly overlapping GHZ blocks by a DP over channels, one
+    per (family, mu) point; uniform position-finding spaces only.
 
     The state is (A and B bits of the channels that a block not yet added
     still reads, targets of A and of B when the space fixes them, whether
-    A and B differ yet, log F so far); its value is the number of ordered
-    pattern-pair prefixes that reach it.  Block j's log-fidelity is added
-    once every block up to j is complete, so log F sums in block order and
-    is the same float as the copy-channel extension's dense entry.  Only
-    the local pattern pairs that some state reaches are looked up.  More
-    states than the entries a dense table may hold raise CapacityError.
+    A and B differ yet, one log F so far per point); its value is the
+    number of ordered pattern-pair prefixes that reach it.  Block j's
+    log-fidelity is added once every block up to j is complete, so log F
+    sums in block order and is the same float as the copy-channel
+    extension's dense entry.  Only the local pattern pairs that some state
+    reaches are looked up, for every point in one batch.  States x points
+    beyond BATCH_MAX_FLOATS restart the DP on fewer points, down to one
+    point, whose states merge as a lone evaluation's do; more states than
+    the entries a dense table may hold raise CapacityError.
     """
     if not counting_applies(space):
         raise ValueError("the frontier DP needs a uniform full/cpf/bcpf space")
     if partition.m != space.m:
         raise PartitionError(f"partition over m={partition.m} does not match space m={space.m}")
+    tables, width = [], len(points)
+    while len(tables) < len(points):
+        got = _frontier_tables(space, partition, points[len(tables):len(tables) + width])
+        if isinstance(got, int):
+            width = got
+        else:
+            tables += got
+    return tables
+
+
+def _frontier_tables(space: ImageSpace, partition: NonDisjointPartition, points):
+    """The frontier DP's tables of all ``points`` at once or, when more
+    than one point would exceed BATCH_MAX_FLOATS, the number of points that
+    fit the step that would; see ``fidelity_table_frontier``."""
     cap = BLOCK_TABLE_MAX_PATTERNS**2 // 2
     steps, differs, targets_shift = _frontier_steps(partition, space.target_counts)
+    width = len(points)
     luts: dict[int, np.ndarray] = {}
     key = np.zeros(1, dtype=np.int64)
-    logf = np.zeros(1)
+    logf = np.zeros((width, 1))  # one row per point
     cnt = np.ones(1, dtype=np.int64)
     for inc, flip, feasible, adds, keep_bits in steps:
         if 4 * len(key) > cap:
             raise CapacityError(f"frontier DP capped at {cap} states")
+        if width > 1 and 4 * len(key) * width > BATCH_MAX_FLOATS:
+            return max(1, BATCH_MAX_FLOATS // (4 * len(key)))
         key = ((key[:, None] + inc) | flip).ravel()
-        logf = np.repeat(logf, 4)
+        logf = np.repeat(logf, 4, axis=1)
         cnt = np.repeat(cnt, 4)
         if feasible is not None:
             keep = feasible[key >> targets_shift]
-            key, logf, cnt = key[keep], logf[keep], cnt[keep]
+            key, logf, cnt = key[keep], np.compress(keep, logf, axis=1), cnt[keep]
         for blk, shifts, weights in adds:
             size = len(blk)
             idx = (key[:, None] >> shifts & 1) @ weights
             # equal-size blocks share a fidelity signature, so they share a lut
-            lut = luts.setdefault(size, np.full(4**size, np.nan))
-            vals = lut[idx]
-            missing = np.isnan(vals)
+            lut = luts.setdefault(size, np.full((width, 4**size), np.nan))
+            vals = np.take(lut, idx, axis=1)
+            missing = np.isnan(vals[0])
             if missing.any():
                 miss = sorted(set(idx[missing].tolist()))
                 pairs = [
                     tuple(tuple(pair >> at + k & 1 for k in range(size)) for at in (0, size))
                     for pair in miss
                 ]
-                fids = block_fidelities(BlockDescriptor("ghz", blk, mu=mu), family, pairs)
-                lut[miss] = [_log(f) for f in fids]
-                vals = lut[idx]
-            logf = logf + vals
+                block = [(BlockDescriptor("ghz", blk, mu=mu), family) for family, mu in points]
+                fids = block_fidelities(block, pairs).tolist()
+                lut[:, miss] = [[_log(f) for f in row] for row in fids]
+                vals = np.take(lut, idx, axis=1)
+            logf += vals
         key &= keep_bits
         if len(key) > _FRONTIER_MERGE_MIN:
             key, logf, cnt = _merge_states(key, logf, cnt)
     differ = (key & differs) != 0
-    _, logf, cnt = _merge_states(np.zeros(int(differ.sum()), dtype=np.int64), logf[differ], cnt[differ])
-    return FidelityTable(len(space), cnt.astype(float), logf, method="mutual", partition=partition)
+    same, cnt = np.zeros(int(differ.sum()), dtype=np.int64), cnt[differ]
+    tables = []
+    for row in logf[:, differ]:
+        _, merged, total = _merge_states(same, row[None], cnt)
+        tables.append(
+            FidelityTable(len(space), total.astype(float), merged[0], method="mutual", partition=partition)
+        )
+    return tables
 
 
 def _merge_states(key, logf, cnt):
-    """Sum the counts of equal (key, log F) states, sorted by key then log F."""
+    """Sum the counts of states equal in key and in every row of log F,
+    sorted by key, then by the first row of log F, and so on."""
     if not len(key):
         return key, logf, cnt
-    order = np.lexsort((logf, key))
-    key, logf, cnt = key[order], logf[order], cnt[order]
+    order = np.lexsort((*logf[::-1], key))
+    key, logf, cnt = key[order], np.take(logf, order, axis=1), cnt[order]
     first = np.flatnonzero(
-        np.concatenate(([True], (key[1:] != key[:-1]) | (logf[1:] != logf[:-1])))
+        np.concatenate(([True], (key[1:] != key[:-1]) | (logf[:, 1:] != logf[:, :-1]).any(axis=0)))
     )
-    return key[first], logf[first], np.add.reduceat(cnt, first)
+    return key[first], np.take(logf, first, axis=1), np.add.reduceat(cnt, first)
 
 
 @functools.lru_cache(maxsize=128)
@@ -511,8 +604,8 @@ def fidelity_table_blocks(patterns, priors, descs, family: ChannelFamily) -> Fid
         locals_ = [tuple(p[c] for c in desc.channels) for p in patterns]
         uniq = sorted(set(locals_))
         index = {lp: a for a, lp in enumerate(uniq)}
-        fids = block_fidelities(desc, family, [(la, lb) for la in uniq for lb in uniq])
-        lut = np.array([_log(f) for f in fids]).reshape(len(uniq), len(uniq))
+        fids = block_fidelities([(desc, family)], [(la, lb) for la in uniq for lb in uniq])[0]
+        lut = np.array([_log(f) for f in fids.tolist()]).reshape(len(uniq), len(uniq))
         lookups.append((lut, np.array([index[lp] for lp in locals_])))
     logf = _pair_entries(n, lambda i: sum(lut[code[i], code[i + 1:]] for lut, code in lookups))
     return FidelityTable.pairs(n, logf, priors, method="blocks")
@@ -549,20 +642,44 @@ def per_channel_classical_fidelity(family: ChannelFamily, ns: float) -> float:
 
 
 def evaluate(plan: ProbePlan, space: ImageSpace, family: ChannelFamily, *, ns=None, mu=None) -> FidelityTable:
-    """The fidelity table of one probe configuration, for every copy number.
+    """The fidelity table of one probe configuration, for every copy number:
+    the one-point case of ``evaluate_points``.  ``ns`` is the energy of the
+    optimal classical probe and ``mu`` the squeezing energy of the
+    mutual-probing blocks."""
+    return evaluate_points(space, [(plan, family, ns, mu)])[0]
+
+
+def _structure(plan: ProbePlan) -> tuple:
+    """What the points of one ``evaluate_points`` call share: the plan
+    without its energy."""
+    spec = plan.spec
+    blocks = None if spec is None else (spec.m, spec.blocks, spec.idlers, [c for c, _ in spec.coherent])
+    return plan.route, plan.partition, blocks
+
+
+def evaluate_points(space: ImageSpace, points) -> list[FidelityTable]:
+    """The fidelity tables of probe configurations that differ only in the
+    channels and the energy, one per (plan, family, ns, mu) point, each
+    equal bit for bit to the table of its point alone.
 
     The one place a route is chosen.  On a uniform full/cpf/bcpf space:
     occupancy counting for a disjoint probe and the frontier DP for
-    overlapping blocks (classed).  On any other space: per-block lookups,
-    through the copy-channel extension for overlapping blocks (dense).  The
-    optimal classical probe at energy ``ns`` gets the Hamming census, which
-    factors per channel so that a pair at distance d has fidelity f^d.
-    ``mu`` is the squeezing energy of the mutual-probing blocks.
+    overlapping blocks (classed), with the block fidelities of all points
+    in one batch per block.  On any other space: per-block lookups,
+    through the copy-channel extension for overlapping blocks (dense), per
+    point.  The optimal classical probe at energy ``ns`` gets the Hamming
+    census, which factors per channel so that a pair at distance d has
+    fidelity f^d.  ``mu`` is the squeezing energy of the mutual-probing
+    blocks; a disjoint plan carries its own.
     """
+    if not points:
+        return []
+    plan = points[0][0]
+    if any(_structure(p) != _structure(plan) for p, *_ in points[1:]):
+        raise ValueError("the points of one evaluation must share the probe structure")
     pri = None if space.uniform else space.priors
     if plan.route == CLASSICAL:
-        f = per_channel_classical_fidelity(family, ns)
-        logf_ch = _log(f)
+        logfs = [_log(per_channel_classical_fidelity(family, ns)) for _, family, ns, _ in points]
         if counting_applies(space):
             # one block over all m channels, keyed like the per-block classes
             census: dict[tuple[int, int, int], int] = {}
@@ -574,27 +691,33 @@ def evaluate(plan: ProbePlan, space: ImageSpace, family: ChannelFamily, *, ns=No
                             census[key] = census.get(key, 0) + count
             counts = np.fromiter(census.values(), dtype=float, count=len(census))
             dists = np.fromiter((key[2] for key in census), dtype=float, count=len(census))
-            return FidelityTable(len(space), counts, dists * logf_ch, method="classical")
+            return [FidelityTable(len(space), counts, dists * lf, method="classical") for lf in logfs]
         n = len(space)
         if n > BLOCK_TABLE_MAX_PATTERNS:
             raise CapacityError("classical dense table too large")
         bits = np.array(space.patterns, dtype=np.uint8)
         dists = _pair_entries(n, lambda i: (bits[i] != bits[i + 1:]).sum(axis=1))
-        return FidelityTable.pairs(n, dists * logf_ch, pri, method="classical")
+        return [FidelityTable.pairs(n, dists * lf, pri, method="classical") for lf in logfs]
     if plan.route == MUTUAL:
         if counting_applies(space):
-            table = fidelity_table_frontier(space, plan.partition, family, mu)
+            tables = fidelity_table_frontier(space, plan.partition, [(f, mu) for _, f, _, mu in points])
         else:
             ext_partition, ext_space = extend_for_mutual_probing(plan.partition, space)
-            spec = ProbeSpec(ext_partition.m, mu, ext_partition.blocks)
-            table = fidelity_table_blocks(ext_space.extended, pri, spec.descriptors(), family)
-        table.method = "mutual"
-        table.partition = plan.partition
-        table.rounds = len(decompose_rounds(plan.partition))
-        return table
+            tables = [
+                fidelity_table_blocks(
+                    ext_space.extended, pri, ProbeSpec(ext_partition.m, mu, ext_partition.blocks).descriptors(), f
+                )
+                for _, f, _, mu in points
+            ]
+        rounds = len(decompose_rounds(plan.partition))
+        for table in tables:
+            table.method = "mutual"
+            table.partition = plan.partition
+            table.rounds = rounds
+        return tables
     if counting_applies(space):
-        return fidelity_table_counting(space, plan.spec, family)
-    return fidelity_table_blocks(space.patterns, pri, plan.spec.descriptors(), family)
+        return fidelity_table_counting(space, [(p.spec, family) for p, family, _, _ in points])
+    return [fidelity_table_blocks(space.patterns, pri, p.spec.descriptors(), f) for p, f, _, _ in points]
 
 
 # ---------------------------------------------------------------------------

@@ -95,27 +95,28 @@ def check_pattern(pattern, m: int | None = None) -> tuple[int, ...]:
     return bits
 
 
-def mode_channel_map(state: CovMatrix, taus, nus) -> tuple[np.ndarray, np.ndarray]:
-    """Covariance matrices and means of ``state`` after an independent
-    (tau_k, nu_k) channel on each mode, unchecked, for a stack of rows.
+def mode_channel_map(data, mean, taus, nus) -> tuple[np.ndarray, np.ndarray]:
+    """Covariance matrices and means after an independent (tau_k, nu_k)
+    channel on each mode, unchecked.
 
-    ``taus`` and ``nus`` are (..., n) arrays; the results are (..., 2n, 2n)
+    ``data`` (..., 2n, 2n) and ``mean`` (..., 2n) broadcast against the
+    rows of ``taus`` and ``nus`` (..., n); the results are (..., 2n, 2n)
     and (..., 2n).
     """
     taus = np.asarray(taus, dtype=float)
     nus = np.asarray(nus, dtype=float)
-    if taus.shape[-1:] != (state.n_modes,) or nus.shape != taus.shape:
+    if taus.shape[-1:] != (data.shape[-1] // 2,) or nus.shape != taus.shape:
         raise DimensionError("one (tau, nu) pair per mode required")
     scale = np.repeat(np.sqrt(taus), 2, axis=-1)
     noise = np.zeros(scale.shape + scale.shape[-1:])
-    diag = np.arange(2 * state.n_modes)
+    diag = np.arange(data.shape[-1])
     noise[..., diag, diag] = np.repeat(nus, 2, axis=-1)
-    return state.data * (scale[..., :, None] * scale[..., None, :]) + noise, scale * state.mean
+    return data * (scale[..., :, None] * scale[..., None, :]) + noise, scale * mean
 
 
 def apply_mode_channels(state: CovMatrix, taus, nus) -> CovMatrix:
     """Apply an independent (tau_k, nu_k) channel to each mode."""
-    return CovMatrix(*mode_channel_map(state, taus, nus))
+    return CovMatrix(*mode_channel_map(state.data, state.mean, taus, nus))
 
 
 def apply_pattern(state: CovMatrix, family: ChannelFamily, pattern) -> CovMatrix:

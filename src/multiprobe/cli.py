@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .bounds import bounds_from_table, census_histogram, evaluate, guaranteed_advantage
+from .bounds import bounds_from_table, census_histogram, evaluate, evaluate_points, guaranteed_advantage
 from .channels import ChannelFamily
 from .errors import NumericError
 from .imagespace import bcpf_space, cpf_space, full_space, read_space
@@ -50,6 +50,10 @@ COLUMNS = [
     "method",
     "rounds",
 ]
+
+# Configurations whose tables one batch holds at once; the rows do not
+# depend on it.
+BATCH_MAX_CONFIGS = 128
 
 HEADER_COMMENT = "# multiprobe bounds columns-v1"
 CENSUS_COMMENT = "# multiprobe census columns-v1"
@@ -169,54 +173,76 @@ def _configure(payload: dict):
     return family, ns, mu, space, plan
 
 
-def _eval_config(payloads: list[dict]) -> list[dict]:
-    """Evaluate the grid points of one configuration, which differ only in
-    ``copies``/``mbar``, from one fidelity table; also the worker-pool
-    entry point."""
-    first = payloads[0]
+def _copies(payload: dict, m: int, l_overlap: int) -> float:
+    copies, mbar = payload.get("copies"), payload.get("mbar")
+    if copies is None and mbar is None:
+        raise UsageError("need --copies or --mbar (or a grid over one of them)")
+    if copies is not None and mbar is not None:
+        raise UsageError("--copies and --mbar are mutually exclusive")
+    return mbar * m / (m + l_overlap) if copies is None else copies
+
+
+def _eval_group(configs: list[list[dict]]) -> list[list[dict]]:
+    """Rows of configurations that share a structure (everything but the
+    channel parameters, the energy and the copy number), one list per
+    configuration, whose grid points differ only in ``copies``/``mbar``;
+    also the worker-pool entry point.
+
+    The space is built once, the plan once per energy, and the tables of
+    every configuration come from one ``evaluate_points`` batch.
+    """
+    first = configs[0][0]
     m = first["m"]
-    family, ns, mu, space, plan = _configure(first)
+    space = build_space(first["space"], m)
+    plans: dict[float, ProbePlan] = {}
+    points = []
+    for payloads in configs:
+        ns, mu = _energy(payloads[0])
+        if mu not in plans:
+            plans[mu] = resolve_probe(first["probe"], m, mu, first["odd_strategy"])
+        points.append((plans[mu], build_family(payloads[0]), ns, mu))
+    plan = points[0][0]
     l_overlap = plan.partition.l_overlap if plan.route == MUTUAL else 0
-    copies_list = []
-    for payload in payloads:
-        copies, mbar = payload.get("copies"), payload.get("mbar")
-        if copies is None and mbar is None:
-            raise UsageError("need --copies or --mbar (or a grid over one of them)")
-        if copies is not None and mbar is not None:
-            raise UsageError("--copies and --mbar are mutually exclusive")
-        copies_list.append(mbar * m / (m + l_overlap) if copies is None else copies)
-    table = evaluate(plan, space, family, ns=ns, mu=mu)
-    comparator = None
+    copies_lists = [[_copies(payload, m, l_overlap) for payload in payloads] for payloads in configs]
+    tables = evaluate_points(space, points)
+    comparators = [None] * len(points)
     if first["against_classical"] and plan.route != CLASSICAL:
-        comparator = evaluate(ProbePlan(CLASSICAL), space, family, ns=ns)
-    rows = []
-    for payload, copies in zip(payloads, copies_list):
-        report = bounds_from_table(table, copies)
-        delta = None
-        if comparator is not None:
-            delta = guaranteed_advantage(bounds_from_table(comparator, report.m_bar), report)
-        row = {c: None for c in COLUMNS}
-        row.update(
-            family=family.kind,
-            m=m,
-            space=payload["space"],
-            probe=payload["probe"],
-            ns=ns,
-            mu=mu,
-            copies=report.copies,
-            m_bar=report.m_bar,
-            lower_raw=report.lower_raw,
-            lower=report.lower,
-            upper_raw=report.upper_raw,
-            upper=report.upper,
-            delta_perr=delta,
-            method=report.method,
-            rounds=report.rounds,
+        comparators = evaluate_points(
+            space, [(ProbePlan(CLASSICAL), family, ns, None) for _, family, ns, _ in points]
         )
-        for key in ("eta-b", "eta-t", "nu-b", "nu-t", "tau-b", "tau-t", "eps-b", "eps-t"):
-            row[key.replace("-", "_")] = payload.get(key)
-        rows.append(row)
-    return rows
+    results = []
+    for payloads, copies_list, (_, family, ns, mu), table, comparator in zip(
+        configs, copies_lists, points, tables, comparators
+    ):
+        rows = []
+        for payload, copies in zip(payloads, copies_list):
+            report = bounds_from_table(table, copies)
+            delta = None
+            if comparator is not None:
+                delta = guaranteed_advantage(bounds_from_table(comparator, report.m_bar), report)
+            row = {c: None for c in COLUMNS}
+            row.update(
+                family=family.kind,
+                m=m,
+                space=payload["space"],
+                probe=payload["probe"],
+                ns=ns,
+                mu=mu,
+                copies=report.copies,
+                m_bar=report.m_bar,
+                lower_raw=report.lower_raw,
+                lower=report.lower,
+                upper_raw=report.upper_raw,
+                upper=report.upper,
+                delta_perr=delta,
+                method=report.method,
+                rounds=report.rounds,
+            )
+            for key in ("eta-b", "eta-t", "nu-b", "nu-t", "tau-b", "tau-t", "eps-b", "eps-t"):
+                row[key.replace("-", "_")] = payload.get(key)
+            rows.append(row)
+        results.append(rows)
+    return results
 
 
 def _write_rows(rows, columns, fmt: str, out, comment: str) -> None:
@@ -270,16 +296,23 @@ def cmd_bounds(args) -> int:
     for i, payload in enumerate(payloads):
         key = tuple(item for item in payload.items() if item[0] not in ("copies", "mbar"))
         configs.setdefault(key, []).append(i)
-    batches = [[payloads[i] for i in idx] for idx in configs.values()]
+    indices = list(configs.values())
+    # grids vary only channel parameters, energy and copy number, so all
+    # configurations share one structure; workers take contiguous shares of
+    # it, each evaluated in batches of at most BATCH_MAX_CONFIGS
+    share = min(BATCH_MAX_CONFIGS, -(-len(indices) // max(args.workers, 1)))
+    groups = [indices[at:at + share] for at in range(0, len(indices), share)]
+    batches = [[[payloads[i] for i in idx] for idx in group] for group in groups]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_eval_config, batches))
+            results = list(pool.map(_eval_group, batches))
     else:
-        results = [_eval_config(batch) for batch in batches]
+        results = [_eval_group(batch) for batch in batches]
     rows = [None] * len(payloads)
-    for idx, batch_rows in zip(configs.values(), results):
-        for i, row in zip(idx, batch_rows):
-            rows[i] = row
+    for group, group_rows in zip(groups, results):
+        for idx, config_rows in zip(group, group_rows):
+            for i, row in zip(idx, config_rows):
+                rows[i] = row
     out, close = _open_out(args.out)
     try:
         _write_rows(rows, COLUMNS, args.format, out, HEADER_COMMENT)

@@ -84,7 +84,7 @@ def _spectrum_of(data: np.ndarray) -> np.ndarray:
 def _checked(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symplectic spectra and purity flags of symmetric covariance matrices
     over any leading shape, one stacked eigensolve; NumericError unless
-    every matrix is bona fide."""
+    every matrix is bona fide and positive definite."""
     spectrum = _spectrum_of(data)
     scale = np.maximum(1.0, np.abs(data).max(axis=(-2, -1)))
     low = spectrum[..., 0]
@@ -94,6 +94,11 @@ def _checked(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"covariance matrix is not bona fide: min symplectic eigenvalue "
             f"{float(np.extract(bad, low)[0]):.12g} < 1/2"
         )
+    # |eig(i Omega V)| >= 1/2 holds for -V as well as for V
+    try:
+        np.linalg.cholesky(data)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError("covariance matrix is not positive definite") from exc
     return spectrum, spectrum[..., -1] <= SHOT_NOISE + _scale_tol(PURITY_TOL, scale)
 
 
@@ -101,7 +106,8 @@ class CovMatrix:
     """Covariance matrix of an n-mode Gaussian state, optionally displaced.
 
     The matrix is symmetrised on construction and checked bona fide: every
-    symplectic eigenvalue must be >= 1/2 - BONA_FIDE_TOL.  Instances are
+    symplectic eigenvalue must be >= 1/2 - BONA_FIDE_TOL, and the matrix
+    positive definite.  Instances are
     treated as immutable values.
     """
 

@@ -27,13 +27,6 @@ CUSTOM = "custom"
 PRIOR_TOL = 1e-12
 
 
-def hamming(a, b) -> int:
-    """Number of positions where two equal-length patterns differ."""
-    if len(a) != len(b):
-        raise DimensionError(f"pattern lengths differ: {len(a)} vs {len(b)}")
-    return sum(1 for x, y in zip(a, b) if x != y)
-
-
 def _cpf_patterns(m: int, k: int) -> list[Pattern]:
     pats = []
     for targets in combinations(range(m), k):

@@ -7,6 +7,7 @@ from scipy.linalg import sqrtm
 
 from multiprobe.bounds import _block_occupancy_options, block_subfidelity
 from multiprobe.channels import ChannelFamily
+from multiprobe.errors import DimensionError
 from multiprobe.gaussian import symplectic_form
 from multiprobe.imagespace import pair_class_key
 
@@ -14,6 +15,13 @@ from multiprobe.imagespace import pair_class_key
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260811)
+
+
+def hamming(a, b) -> int:
+    """Number of positions where two equal-length patterns differ."""
+    if len(a) != len(b):
+        raise DimensionError(f"pattern lengths differ: {len(a)} vs {len(b)}")
+    return sum(1 for x, y in zip(a, b) if x != y)
 
 
 def fidelity_sqrtm_reference(v1, v2):

@@ -141,7 +141,7 @@ def test_criterion_3_counting_equals_brute_force():
             for family in families:
                 for space in spaces:
                     brute = fidelity_table_bruteforce(space.patterns, None, spec, family)
-                    counting = fidelity_table_counting(space, spec, family)
+                    counting = fidelity_table_counting(space, [(spec, family)])[0]
                     for copies in (1, 10):
                         rb = bounds_from_table(brute, copies)
                         rc = bounds_from_table(counting, copies)
@@ -278,8 +278,8 @@ def test_criterion_6_pure_loss_figure_regime():
 
     space1 = cpf_space(m, 1)
     ghz_table = fidelity_table_counting(
-        space1, ProbeSpec(m, mu, blocks=(tuple(range(m)),)), family
-    )
+        space1, [(ProbeSpec(m, mu, blocks=(tuple(range(m)),)), family)]
+    )[0]
     ghz_cross = _first_advantage(
         space1, family, ns,
         lambda mb: bounds_from_table(ghz_table, mb, m_bar=mb),
@@ -288,8 +288,8 @@ def test_criterion_6_pure_loss_figure_regime():
     assert ghz_cross is not None and 300 <= ghz_cross <= 30000, f"GHZ crossover {ghz_cross}"
 
     idler_table = fidelity_table_counting(
-        space1, ProbeSpec.from_partition(full_idler_partition(m), mu), family
-    )
+        space1, [(ProbeSpec.from_partition(full_idler_partition(m), mu), family)]
+    )[0]
     idler_cross = _first_advantage(
         space1, family, ns,
         lambda mb: bounds_from_table(idler_table, mb, m_bar=mb),
@@ -321,7 +321,7 @@ def test_criterion_7_additive_noise_regime():
     space = cpf_space(m, 1)
 
     spec = odd_m_disjoint_spec(m, mu, SINGLE_IDLER)
-    table = fidelity_table_counting(space, spec, family)
+    table = fidelity_table_counting(space, [(spec, family)])[0]
     grid = np.geomspace(10, 5000, 40)
     informative = 0
     for mbar in grid:

@@ -19,6 +19,7 @@ from multiprobe.bounds import (
     block_subfidelity,
     classical_benchmark,
     evaluate,
+    evaluate_points,
     fidelity_table_bruteforce,
     fidelity_table_counting,
     guaranteed_advantage,
@@ -38,7 +39,6 @@ from multiprobe.imagespace import (
     bcpf_space,
     cpf_space,
     full_space,
-    hamming,
 )
 from multiprobe.gaussian import STACK_MAX_PAIRS, coherent_cm, gaussian_fidelity, ghz_cm
 from multiprobe.presets import CLASSICAL, DISJOINT, MUTUAL, ProbePlan, resolve_probe
@@ -55,7 +55,7 @@ from multiprobe.probes import (
     pair_partition,
 )
 
-from conftest import any_family, counting_sums, pair_degeneracy_census, patterns
+from conftest import any_family, counting_sums, hamming, pair_degeneracy_census, patterns
 
 LOSS = ChannelFamily.pure_loss(0.99, 0.97)
 ADD = ChannelFamily.additive(0.02, 0.01)
@@ -105,7 +105,7 @@ def test_one_cpf_ghz_closed_form():
     spec = ProbeSpec(m, 20.5, blocks=(tuple(range(m)),))
     space = cpf_space(m, 1)
     rep = bounds_by_counting(space, spec, ADD, copies)
-    table = fidelity_table_counting(space, spec, ADD)
+    table = fidelity_table_counting(space, [(spec, ADD)])[0]
     assert len(table.counts) == 1  # all 1-CPF pairs are one class
     fid = math.exp(table.logf[0])
     assert rep.upper_raw == pytest.approx((m - 1) * fid**copies, rel=1e-12)
@@ -147,7 +147,7 @@ def test_counting_census_totals_random_configs(seed):
     starts = np.cumsum([0] + sizes)
     blocks = tuple(tuple(range(starts[j], starts[j + 1])) for j in range(len(sizes)))
     spec = ProbeSpec(m, 20.5, blocks, tuple(int(s == 1) for s in sizes))
-    table = fidelity_table_counting(bcpf_space(m, ks), spec, LOSS)
+    table = fidelity_table_counting(bcpf_space(m, ks), [(spec, LOSS)])[0]
     n_patterns = sum(math.comb(m, k) for k in ks)
     assert sum(table.counts) == n_patterns**2 - n_patterns
 
@@ -155,7 +155,7 @@ def test_counting_census_totals_random_configs(seed):
 def test_counting_census_equals_enumeration_m6_three_blocks():
     spec = ProbeSpec(6, 20.5, blocks=((0, 1, 2), (3, 4, 5)))
     for space in (full_space(6), cpf_space(6, 2), bcpf_space(6, (1, 2))):
-        table = fidelity_table_counting(space, spec, LOSS)
+        table = fidelity_table_counting(space, [(spec, LOSS)])[0]
         assert table_histogram(table) == enumerated_histogram(space, spec, LOSS)
 
 
@@ -205,10 +205,10 @@ def test_block_fidelities_equal_scalar_path_bit_for_bit(data, desc, family):
         pairs += list(itertools.product(every, every))
     data.draw(st.randoms()).shuffle(pairs)
     bounds_mod._BLOCK_FID_CACHE.clear()
-    got = block_fidelities(desc, family, pairs)
+    got = block_fidelities([(desc, family)], pairs)[0].tolist()
     assert got == [scalar_block_fidelity(desc, family, a, b) for a, b in pairs]
     # cached values are the same bits
-    assert block_fidelities(desc, family, pairs[::-1]) == got[::-1]
+    assert block_fidelities([(desc, family)], pairs[::-1])[0].tolist() == got[::-1]
 
 
 @pytest.mark.parametrize("family", [
@@ -222,7 +222,7 @@ def test_block_fidelities_beyond_the_stack_cap(family, idlers):
     pairs = list(itertools.product(every, every))
     assert len(every) * (len(every) - 1) // 2 > STACK_MAX_PAIRS
     bounds_mod._BLOCK_FID_CACHE.clear()
-    got = block_fidelities(desc, family, pairs)
+    got = block_fidelities([(desc, family)], pairs)[0].tolist()
     assert got == [scalar_block_fidelity(desc, family, a, b) for a, b in pairs]
     v_u_d = [(v, u, d) for v in range(5) for u in range(5) for d, _ in bounds_mod._block_occupancy_options(4, v, u)]
     for v, u, d in v_u_d:
@@ -238,7 +238,7 @@ def test_counting_census_equals_enumeration(family, m):
         odd_m_disjoint_spec(m, 20.5, SINGLE_IDLER) if m % 2 else ProbeSpec.from_partition(pair_partition(m), 20.5),
     ):
         for space in (full_space(m), cpf_space(m, 1), bcpf_space(m, (1, 2))):
-            table = fidelity_table_counting(space, spec, family)
+            table = fidelity_table_counting(space, [(spec, family)])[0]
             assert table_histogram(table) == enumerated_histogram(space, spec, family)
 
 
@@ -417,7 +417,7 @@ def test_classical_near_degenerate_channels():
 def test_bound_monotonic_in_copies():
     spec = ProbeSpec(4, 20.5, blocks=((0, 1, 2, 3),))
     space = full_space(4)
-    table = fidelity_table_counting(space, spec, LOSS)
+    table = fidelity_table_counting(space, [(spec, LOSS)])[0]
     prev = None
     for copies in (1, 2, 4, 8, 32, 128):
         rep = bounds_from_table(table, copies)
@@ -471,7 +471,7 @@ def test_idler_assisted_m9_golden_values():
     """
     spec = ProbeSpec.from_partition(full_idler_partition(9), 20.5)
     space = cpf_space(9, 1)
-    table = fidelity_table_counting(space, spec, LOSS)
+    table = fidelity_table_counting(space, [(spec, LOSS)])[0]
     golden = {
         1.0: (7.192932616117448, 0.35929360847226527, 1e-10),
         10.0: (2.762167654357331, 0.05298312604706858, 1e-9),
@@ -553,6 +553,56 @@ def test_frontier_dp_errors_propagate(monkeypatch):
     plan = ProbePlan(MUTUAL, partition=nn_partition(4))
     with pytest.raises(ValueError, match="broken block fidelity"):
         evaluate(plan, full_space(4), ADD, mu=20.5)
+
+
+def test_evaluate_points_needs_one_structure():
+    space = cpf_space(4, 1)
+    assert evaluate_points(space, []) == []
+    mixed = [(resolve_probe(probe, 4, 20.5), ADD, 20.0, 20.5) for probe in ("full-ghz", "tmsv-disjoint")]
+    with pytest.raises(ValueError, match="share the probe structure"):
+        evaluate_points(space, mixed)
+    # energies may differ: each table is the one of its point alone
+    points = [(resolve_probe("tmsv-disjoint", 4, mu), fam, mu - 0.5, mu) for mu in (1.5, 20.5) for fam in (ADD, LOSS)]
+    bounds_mod._BLOCK_FID_CACHE.clear()
+    for table, (plan, fam, ns, mu) in zip(evaluate_points(space, points), points):
+        bounds_mod._BLOCK_FID_CACHE.clear()
+        alone = evaluate(plan, space, fam, ns=ns, mu=mu)
+        assert table.counts.tolist() == alone.counts.tolist()
+        assert table.logf.tolist() == alone.logf.tolist()
+
+
+@pytest.mark.parametrize("space, probe", [
+    (cpf_space(9, 1), "full-ghz"),
+    (cpf_space(7, 3), "tmsv-disjoint"),
+    (bcpf_space(6, (1, 2)), "idler-full"),
+    (full_space(5), "full-ghz"),
+], ids=["cpf1-full-ghz", "cpf3-tmsv", "bcpf-idler", "full-full-ghz"])
+def test_counting_evaluates_only_feasible_classes(monkeypatch, space, probe):
+    spec = resolve_probe(probe, space.m, 20.5).spec
+    kmin, kmax = min(space.target_counts), max(space.target_counts)
+    batches = []
+    evaluate_block = bounds_mod.block_fidelities
+
+    def spy(points, pairs):
+        batches.append((len(points[0][0].channels), list(pairs)))
+        return evaluate_block(points, pairs)
+
+    monkeypatch.setattr(bounds_mod, "block_fidelities", spy)
+    bounds_mod._BLOCK_FID_CACHE.clear()
+    got = fidelity_table_counting(space, [(spec, LOSS)])[0]
+    for size, pairs in batches:
+        # a block holds at most kmax targets, and the rest of the pattern at most m - size
+        lo, hi = max(0, kmin - (space.m - size)), min(size, kmax)
+        assert all(lo <= sum(a) <= hi and lo <= sum(b) <= hi for a, b in pairs)
+    if probe == "full-ghz" and space.target_counts == (1,):
+        # the block holds the whole pattern: (v, u, d) = (1, 1, 0) or (1, 1, 2) of all 220 classes
+        assert [len(pairs) for _, pairs in batches] == [2]
+    # the same table as from every class of every block
+    classes_of = bounds_mod._class_steps
+    monkeypatch.setattr(bounds_mod, "_class_steps", lambda points, m, kmin, kmax: classes_of(points, m, 0, m))
+    want = fidelity_table_counting(space, [(spec, LOSS)])[0]
+    assert got.counts.tolist() == want.counts.tolist()
+    assert got.logf.tolist() == want.logf.tolist()
 
 
 def test_counting_rejects_mismatched_pattern_length():

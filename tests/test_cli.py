@@ -178,10 +178,10 @@ def test_numeric_error_exit_three(monkeypatch, capsys):
     import multiprobe.cli as cli
     from multiprobe.errors import NumericError
 
-    def boom(payloads):
+    def boom(configs):
         raise NumericError("synthetic instability")
 
-    monkeypatch.setattr(cli, "_eval_config", boom)
+    monkeypatch.setattr(cli, "_eval_group", boom)
     code = run_cli(
         ["bounds", "--family", "pure-loss", "--m", "2", "--eta-b", "0.9",
          "--eta-t", "0.8", "--ns", "1", "--copies", "1", "--probe", "classical"]
@@ -209,6 +209,18 @@ def test_python_m_multiprobe_runs_uninstalled(capsys):
     assert run_cli(["validate", "--scale", "smoke"]) == 0
     assert proc.stdout == capsys.readouterr().out
     assert all(json.loads(line)["passed"] is True for line in proc.stdout.splitlines())
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test dependency only
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, multiprobe.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_validate_failure_exit_two(monkeypatch, capsys):

@@ -62,7 +62,7 @@ def merged(table):
 def test_frontier_matches_dense_extension(text, m, space_text, family):
     space = build_space(space_text, m)
     partition = _partition(text, m)
-    got = fidelity_table_frontier(space, partition, family, MU)
+    got = fidelity_table_frontier(space, partition, [(family, MU)])[0]
     ref = merged(dense_table(space, partition, family))
     n = len(space)
     assert got.counts.sum() == n * (n - 1)
@@ -90,7 +90,7 @@ def test_frontier_upper_bound_matches_exact_sum_m12():
     space = build_space("full", 12)
     partition = nn_partition(12)
     family = FAMILIES["loss"]
-    got = fidelity_table_frontier(space, partition, family, MU)
+    got = fidelity_table_frontier(space, partition, [(family, MU)])[0]
     dense_logf = dense_table(space, partition, family).logf
     n = len(space)
     for copies in (1, 100):
@@ -114,6 +114,6 @@ def test_nn_bounds_beyond_the_dense_cap(capsys):
 def test_frontier_state_cap(monkeypatch, capsys):
     monkeypatch.setattr(bounds_mod, "BLOCK_TABLE_MAX_PATTERNS", 8)
     with pytest.raises(CapacityError):
-        fidelity_table_frontier(build_space("full", 6), nn_partition(6), FAMILIES["loss"], MU)
+        fidelity_table_frontier(build_space("full", 6), nn_partition(6), [(FAMILIES["loss"], MU)])
     assert main(_nn_bounds_argv(6)) == 1
     assert "frontier DP capped" in capsys.readouterr().err

@@ -7,6 +7,7 @@ from multiprobe.channels import ChannelFamily, apply_mode_channels, apply_patter
 from multiprobe.errors import DimensionError, EnergyError, NumericError, PartitionError
 from multiprobe import gaussian
 from multiprobe.gaussian import (
+    SHOT_NOISE,
     STACK_MAX_PAIRS,
     CovMatrix,
     coherent_cm,
@@ -202,6 +203,10 @@ BAD_ROWS = {
     "not bona fide": 0.4 * np.eye(2),
     # not symmetric, so eig(Omega V) has moduli 0.21 and 4.79
     "unpaired spectrum": np.array([[1.0, 5.0], [0.0, 1.0]]),
+    # symplectic spectra [1.0] and [2.29] pass the bona fide test; V itself
+    # has eigenvalues -1, -1 and -1.5, 3.5
+    "negative definite": -np.eye(2),
+    "indefinite": np.array([[1.0, 2.5], [2.5, 1.0]]),
 }
 
 
@@ -216,12 +221,25 @@ def test_stacked_check_raises_where_covmatrix_does(bad):
     gaussian._checked(np.stack([GOOD_ROW, GOOD_ROW]))
 
 
-@pytest.mark.parametrize("bad", [BAD_ROWS["non-finite"], BAD_ROWS["not bona fide"]])
+@pytest.mark.parametrize(
+    "bad", [BAD_ROWS[name] for name in ("non-finite", "not bona fide", "negative definite", "indefinite")]
+)
 def test_stacked_fidelities_reject_rows_covmatrix_rejects(bad):
     with pytest.raises(NumericError):
         CovMatrix(bad)
     with pytest.raises(NumericError):
         stacked_fidelities(np.stack([GOOD_ROW, bad]), np.zeros((2, 2)), [(0, 1)])
+
+
+@pytest.mark.parametrize("bad", ["negative definite", "indefinite"])
+def test_covariance_matrices_must_be_positive_definite(bad):
+    # rejected where they are built, not later by a fidelity out of range
+    for build in (
+        lambda: CovMatrix(BAD_ROWS[bad]),
+        lambda: stacked_fidelities(np.stack([SHOT_NOISE * np.eye(2), BAD_ROWS[bad]]), np.zeros((2, 2)), [(0, 1)]),
+    ):
+        with pytest.raises(NumericError, match="not positive definite"):
+            build()
 
 
 def test_stacked_fidelities_reject_bad_means_and_shapes():

@@ -10,13 +10,12 @@ from multiprobe.imagespace import (
     bcpf_space,
     cpf_space,
     full_space,
-    hamming,
     pair_class_key,
     read_space,
     write_space,
 )
 
-from conftest import pair_degeneracy_census
+from conftest import hamming, pair_degeneracy_census
 
 
 def test_full_space_m2_order():
