@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ADDITIVE, PURE_LOSS, ChannelFamily, mode_channel_map
+from .channels import ADDITIVE, PURE_LOSS, ChannelFamily, check_pattern, mode_channel_map
 from .closedform import coherent_loss_fidelity, vacuum_additive_fidelity
 from .errors import (
     CapacityError,
@@ -40,7 +40,7 @@ from .errors import (
     PartitionError,
     UnsupportedBenchmarkError,
 )
-from .gaussian import coherent_cm, gaussian_fidelities, ghz_cm, stacked_fidelities
+from .gaussian import coherent_cm, ghz_cm, stacked_fidelities
 from .imagespace import ImageSpace
 from .presets import CLASSICAL, DISJOINT, MUTUAL, ProbePlan
 from .probes import (
@@ -302,6 +302,11 @@ class FidelityTable:
             pri = np.asarray(priors, dtype=float)
             weights = _pair_entries(n, lambda i: np.sqrt(pri[i] * pri[i + 1:]))
         return cls(n, np.full(len(logf), 2.0), logf, weights, **kw)
+
+    @classmethod
+    def from_fidelities(cls, n: int, fids, priors=None) -> FidelityTable:
+        """Dense table from one fidelity per unordered pair (see ``pairs``)."""
+        return cls.pairs(n, [_log(fid) for fid in np.asarray(fids).tolist()], priors)
 
 
 def _log(fid: float) -> float:
@@ -611,23 +616,45 @@ def fidelity_table_blocks(patterns, priors, descs, family: ChannelFamily) -> Fid
     return FidelityTable.pairs(n, logf, priors, method="blocks")
 
 
-def fidelity_table_bruteforce(space_patterns, priors, spec: ProbeSpec, family: ChannelFamily) -> FidelityTable:
-    """Dense table from full-state fidelities; the slow reference path.
+def bruteforce_fidelities(patterns, spec: ProbeSpec, family: ChannelFamily) -> np.ndarray:
+    """Full-state output fidelities of the pattern pairs i < j, in row-major
+    order; the slow reference path.
 
-    Evaluates the fidelity of every pattern pair on the complete output
-    covariance matrices, with no block factorisation and no degeneracy
-    grouping; each row of pairs (i, j > i) goes through one stacked call.
+    No block factorisation and no degeneracy grouping: the channels act on
+    the complete probe state for every pattern in one stacked step (idlers
+    pass), and every pair runs through one ``stacked_fidelities`` call, so
+    each value equals ``gaussian_fidelity`` of the two ``probe.output``
+    states bit for bit.  Patterns are checked as ``probe.output`` checks
+    them.
     """
-    patterns = list(space_patterns)
+    patterns = list(patterns)
     n = len(patterns)
     if n > BRUTE_TABLE_MAX_PATTERNS:
         raise CapacityError(f"brute-force table capped at {BRUTE_TABLE_MAX_PATTERNS} patterns")
     probe = assemble_probe(spec)
-    outputs = [probe.output(family, p) for p in patterns]
-    logf = _pair_entries(
-        n, lambda i: [_log(fid) for fid in gaussian_fidelities(outputs[i], outputs[i + 1:]).tolist()]
-    )
-    return FidelityTable.pairs(n, logf, priors)
+    modes = probe.layout.mode_channels()
+    probed = [k for k, ch in enumerate(modes) if ch is not None]
+    channels = [modes[k] for k in probed]
+    top = max(channels)
+    rows = []
+    for pattern in patterns:
+        bits = check_pattern(pattern)
+        if len(bits) <= top:
+            raise DimensionError(f"layout channel {top} outside pattern of length {len(bits)}")
+        rows.append([bits[c] for c in channels])
+    targets = np.array(rows, dtype=bool).reshape(n, len(channels))
+    taus, nus = np.ones((n, len(modes))), np.zeros((n, len(modes)))
+    taus[:, probed] = np.where(targets, family.target.tau, family.background.tau)
+    nus[:, probed] = np.where(targets, family.target.nu, family.background.nu)
+    data, means = mode_channel_map(probe.cm.data, probe.cm.mean, taus, nus)
+    first, second = np.triu_indices(n, 1)
+    return stacked_fidelities(data, means, list(zip(first.tolist(), second.tolist())))
+
+
+def fidelity_table_bruteforce(space_patterns, priors, spec: ProbeSpec, family: ChannelFamily) -> FidelityTable:
+    """Dense table from full-state fidelities (see ``bruteforce_fidelities``)."""
+    patterns = list(space_patterns)
+    return FidelityTable.from_fidelities(len(patterns), bruteforce_fidelities(patterns, spec, family), priors)
 
 
 def per_channel_classical_fidelity(family: ChannelFamily, ns: float) -> float:

@@ -1,4 +1,4 @@
-"""Pattern image spaces: enumeration, priors, Hamming machinery, pair classes.
+"""Pattern image spaces: enumeration, priors and serialization.
 
 An image space is an ordered collection of binary patterns with prior
 weights.  Position-finding spaces fix the number of target channels:
@@ -162,26 +162,3 @@ def read_space(fh) -> ImageSpace:
         pri = np.asarray(weights, dtype=float)
         pri = pri / pri.sum()
     return ImageSpace(m, tuple(patterns), pri, kind=(CUSTOM,))
-
-
-# ---------------------------------------------------------------------------
-# per-block degeneracy classes
-
-ClassKey = tuple[tuple[int, int, int], ...]
-
-
-def block_class(pat_a: Pattern, pat_b: Pattern, block) -> tuple[int, int, int]:
-    """(v, u, d) of one block's sub-patterns, with v <= u canonically.
-
-    Swapping the two patterns leaves the block fidelity unchanged, so the
-    unordered (v, u) labels one degeneracy class.
-    """
-    sub_a = [pat_a[c] for c in block]
-    sub_b = [pat_b[c] for c in block]
-    v, u = sum(sub_a), sum(sub_b)
-    d = sum(1 for x, y in zip(sub_a, sub_b) if x != y)
-    return (min(v, u), max(v, u), d)
-
-
-def pair_class_key(pat_a: Pattern, pat_b: Pattern, blocks) -> ClassKey:
-    return tuple(block_class(pat_a, pat_b, blk) for blk in blocks)

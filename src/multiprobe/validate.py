@@ -4,10 +4,16 @@ Each suite reports its maximum observed deviation against a fixed
 tolerance.  The ``quick`` scale keeps pattern lengths at m <= 4 and runs in
 well under a minute; ``full`` extends to m <= 6 and adds the mutual-probing
 cross-checks.  ``smoke`` is a seconds-scale subset used by the CLI tests.
+
+The full-state oracle, every pair fidelity on the full space of one probe
+configuration, is built once per configuration in ``run_suites`` and shared
+by ``counting_vs_bruteforce``, which reads its cpf and bcpf tables off it,
+and ``degeneracy_classes``; a suite called alone builds its own.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -20,14 +26,14 @@ from .bounds import (
     bounds_from_table,
     bounds_tmsv_pairs,
     bounds_tmsv_pairs_odd,
+    bruteforce_fidelities,
     evaluate,
     fidelity_table_blocks,
-    fidelity_table_bruteforce,
     tmsv_subfidelity,
 )
 from .channels import BlockLayout, ChannelFamily, IdlerLayout, apply_pattern_with_idlers
 from .gaussian import gaussian_fidelities, gaussian_fidelity, ghz_cm, symplectic_spectrum, tensor
-from .imagespace import bcpf_space, cpf_space, full_space, pair_class_key
+from .imagespace import bcpf_space, cpf_space, full_space
 from .presets import MUTUAL, ProbePlan
 from .probes import (
     SINGLE_IDLER,
@@ -187,28 +193,46 @@ def suite_closed_form_oracles(scale: str) -> SuiteResult:
     return SuiteResult("closed_form_oracles", worst < tol, worst, tol, cases)
 
 
-def _counting_configs(scale: str):
-    ms = {"smoke": [2, 3], "quick": [2, 3, 4], "full": [2, 3, 4, 5, 6]}[scale]
-    for m in ms:
-        for spec in _partitions_for(m):
-            for space in _spaces_for(m):
-                for family in _families():
-                    yield m, spec, space, family
+def _full_fidelities(spec: ProbeSpec, family: ChannelFamily) -> np.ndarray:
+    """The full-state oracle of one configuration: every pair i < j of
+    ``full_space(spec.m)``, in row-major order."""
+    return bruteforce_fidelities(full_space(spec.m).patterns, spec, family)
 
 
-def suite_counting_vs_bruteforce(scale: str) -> SuiteResult:
-    """Occupancy-counting bounds equal exhaustive full-state evaluation."""
+def _sub_pairs(fids: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
+    """The pairs i < j of the patterns ``rows`` (ascending indices into the
+    n patterns of ``fids``), in row-major order: a pair's fidelity does not
+    depend on the space it sits in."""
+    first, second = np.triu_indices(len(rows), 1)
+    a, b = rows[first], rows[second]
+    return fids[a * n - a * (a + 1) // 2 + b - a - 1]
+
+
+def suite_counting_vs_bruteforce(scale: str, oracle=None) -> SuiteResult:
+    """Occupancy-counting bounds equal exhaustive full-state evaluation.
+
+    ``oracle(spec, family)`` gives the full-space pair fidelities (see
+    ``_full_fidelities``); the tables of the smaller spaces index into them.
+    """
     tol = 1e-10
     worst, cases = 0.0, 0
-    for _m, spec, space, family in _counting_configs(scale):
-        table_b = fidelity_table_bruteforce(space.patterns, None, spec, family)
-        for copies in (1, 10):
-            rb = bounds_from_table(table_b, copies)
-            rc = bounds_by_counting(space, spec, family, copies)
-            for raw_b, raw_c in ((rb.upper_raw, rc.upper_raw), (rb.lower_raw, rc.lower_raw)):
-                if raw_b > 0:
-                    worst = max(worst, abs(raw_b - raw_c) / raw_b)
-            cases += 1
+    oracle = oracle or functools.cache(_full_fidelities)
+    ms = {"smoke": [2, 3], "quick": [2, 3, 4], "full": [2, 3, 4, 5, 6]}[scale]
+    for m in ms:
+        index = {p: i for i, p in enumerate(full_space(m).patterns)}
+        for spec in _partitions_for(m):
+            for space in _spaces_for(m):
+                rows = np.array([index[p] for p in space.patterns])
+                for family in _families():
+                    fids = _sub_pairs(oracle(spec, family), len(index), rows)
+                    table_b = FidelityTable.from_fidelities(len(rows), fids)
+                    for copies in (1, 10):
+                        rb = bounds_from_table(table_b, copies)
+                        rc = bounds_by_counting(space, spec, family, copies)
+                        for raw_b, raw_c in ((rb.upper_raw, rc.upper_raw), (rb.lower_raw, rc.lower_raw)):
+                            if raw_b > 0:
+                                worst = max(worst, abs(raw_b - raw_c) / raw_b)
+                        cases += 1
     return SuiteResult("counting_vs_bruteforce", worst < tol, worst, tol, cases)
 
 
@@ -239,30 +263,41 @@ def suite_tmsv_closed_form(scale: str) -> SuiteResult:
     return SuiteResult("tmsv_closed_form", worst < tol, worst, tol, cases)
 
 
-def suite_degeneracy_classes(scale: str) -> SuiteResult:
+def _class_codes(bits: np.ndarray, blocks) -> np.ndarray:
+    """One integer per pattern pair i < j, in row-major order, naming its
+    per-block (min(v, u), max(v, u), d) class; ``bits`` is (patterns, m)."""
+    first, second = np.triu_indices(len(bits), 1)
+    codes = np.zeros(len(first), dtype=np.int64)
+    for blk in blocks:
+        sub = bits[:, list(blk)]
+        a, b = sub[first], sub[second]
+        v, u, d = a.sum(axis=1), b.sum(axis=1), (a != b).sum(axis=1)
+        base = len(blk) + 1
+        codes = ((codes * base + np.minimum(v, u)) * base + np.maximum(v, u)) * base + d
+    return codes
+
+
+def suite_degeneracy_classes(scale: str, oracle=None) -> SuiteResult:
     """Fidelities are constant within per-block (v, u, d) classes.
 
     Checks a single GHZ probe (global classes) and a blocked probe
-    (per-block classes) by exhausting all pattern pairs.
+    (per-block classes) by exhausting all pattern pairs; ``oracle`` is as
+    in ``suite_counting_vs_bruteforce``.
     """
     tol = 1e-10
     worst, cases = 0.0, 0
+    oracle = oracle or functools.cache(_full_fidelities)
     ms = {"smoke": [3], "quick": [3, 4], "full": [3, 4, 5, 6]}[scale]
-    mu = 20.5
     for m in ms:
-        space = full_space(m)
+        bits = np.array(full_space(m).patterns)
         for family in _families():
             for spec in _partitions_for(m):
-                probe = assemble_probe(spec)
-                outputs = [probe.output(family, p) for p in space.patterns]
-                blocks = spec.census_blocks
-                seen: dict = {}
-                for i, pa in enumerate(space.patterns):
-                    fids = gaussian_fidelities(outputs[i], outputs[i + 1:]).tolist()
-                    for pb, fid in zip(space.patterns[i + 1:], fids):
-                        seen.setdefault(pair_class_key(pa, pb, blocks), []).append(fid)
-                for vals in seen.values():
-                    worst = max(worst, max(vals) - min(vals))
+                codes = _class_codes(bits, spec.census_blocks)
+                order = np.argsort(codes, kind="stable")
+                starts = np.flatnonzero(np.r_[True, np.diff(codes[order]) != 0])
+                fids = oracle(spec, family)[order]
+                spread = np.maximum.reduceat(fids, starts) - np.minimum.reduceat(fids, starts)
+                worst = max(worst, float(spread.max()))
                 cases += 1
     return SuiteResult("degeneracy_classes", worst < tol, worst, tol, cases)
 
@@ -376,7 +411,9 @@ _SUITES = [
 def run_suites(scale: str = "quick") -> list[SuiteResult]:
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
-    results = [suite(scale) for suite in _SUITES]
+    oracle = functools.cache(_full_fidelities)  # dropped on return
+    shared = (suite_counting_vs_bruteforce, suite_degeneracy_classes)
+    results = [suite(scale, oracle) if suite in shared else suite(scale) for suite in _SUITES]
     if scale == "full":
         results.append(suite_mutual_vs_bruteforce(scale))
     return results

@@ -9,7 +9,6 @@ from multiprobe.bounds import _block_occupancy_options, block_subfidelity
 from multiprobe.channels import ChannelFamily
 from multiprobe.errors import DimensionError
 from multiprobe.gaussian import symplectic_form
-from multiprobe.imagespace import pair_class_key
 
 
 @pytest.fixture
@@ -22,6 +21,27 @@ def hamming(a, b) -> int:
     if len(a) != len(b):
         raise DimensionError(f"pattern lengths differ: {len(a)} vs {len(b)}")
     return sum(1 for x, y in zip(a, b) if x != y)
+
+
+def block_class(pat_a, pat_b, block) -> tuple[int, int, int]:
+    """(v, u, d) of one block's sub-patterns, with v <= u canonically.
+
+    Swapping the two patterns leaves the block fidelity unchanged, so the
+    unordered (v, u) labels one degeneracy class.
+    """
+    sub_a = [pat_a[c] for c in block]
+    sub_b = [pat_b[c] for c in block]
+    v, u = sum(sub_a), sum(sub_b)
+    d = sum(1 for x, y in zip(sub_a, sub_b) if x != y)
+    return (min(v, u), max(v, u), d)
+
+
+ClassKey = tuple[tuple[int, int, int], ...]
+
+
+def pair_class_key(pat_a, pat_b, blocks) -> ClassKey:
+    """Per-block (v, u, d) classes of a pattern pair, in block order."""
+    return tuple(block_class(pat_a, pat_b, blk) for blk in blocks)
 
 
 def fidelity_sqrtm_reference(v1, v2):

@@ -55,10 +55,11 @@ from multiprobe.probes import (
     pair_partition,
 )
 
-from conftest import any_family, counting_sums, hamming, pair_degeneracy_census, patterns
+from conftest import any_family, counting_sums, hamming, pair_class_key, pair_degeneracy_census, patterns
 
 LOSS = ChannelFamily.pure_loss(0.99, 0.97)
 ADD = ChannelFamily.additive(0.02, 0.01)
+THERMAL = ChannelFamily.thermal(0.8, 1.2, 0.9, 0.7)
 
 
 def classed_table(counts, fids, n):
@@ -260,19 +261,86 @@ def test_counting_matches_brute_force(family, m):
                 assert fast.lower_raw == pytest.approx(brute.lower_raw, rel=1e-10, abs=1e-300)
 
 
-@pytest.mark.parametrize("family", [LOSS, ADD], ids=["loss", "additive"])
-@pytest.mark.parametrize("space", [full_space(5), cpf_space(5, 2)], ids=["full", "cpf2"])
+def _scalar_pair_logf(spec, family, patterns):
+    """log F of every pair i < j from one ``probe.output`` per pattern and
+    one ``gaussian_fidelity`` per pair: the loop the brute-force table replaced."""
+    probe = assemble_probe(spec)
+    outs = [probe.output(family, p) for p in patterns]
+    return [
+        math.log(gaussian_fidelity(outs[i], outs[j]))
+        for i in range(len(outs))
+        for j in range(i + 1, len(outs))
+    ]
+
+
+def _bruteforce_cases():
+    """Patterns and the probe specs to evaluate on them, per case id."""
+    odd = [
+        ProbeSpec(5, 20.5, blocks=(tuple(range(5)),)),
+        odd_m_disjoint_spec(5, 20.5, HYBRID_COHERENT),
+        odd_m_disjoint_spec(5, 20.5, SINGLE_IDLER),  # the idler mode passes through
+    ]
+    even = [
+        ProbeSpec.from_partition(pair_partition(6), 20.5),
+        ProbeSpec(6, 7.5, blocks=((0, 1, 2), (3, 4, 5))),
+        ProbeSpec.from_partition(full_idler_partition(6), 3.5),
+    ]
+    ext_part, ext_space = extend_for_mutual_probing(nn_partition(4), full_space(4))
+    return {
+        "full": (full_space(5).patterns, odd),
+        "cpf2": (cpf_space(5, 2).patterns, odd),
+        "bcpf6": (bcpf_space(6, (1, 2)).patterns, even),
+        # copy-channel patterns, as the mutual-probing cross-checks feed them
+        "nn4-extended": (ext_space.extended, [ProbeSpec(ext_part.m, 20.5, ext_part.blocks)]),
+    }
+
+
+BRUTEFORCE_CASES = _bruteforce_cases()
+
+
+@pytest.mark.parametrize("family", [LOSS, ADD, THERMAL], ids=["loss", "additive", "thermal"])
+@pytest.mark.parametrize("space", list(BRUTEFORCE_CASES))
 def test_bruteforce_table_equals_scalar_pair_loop(space, family):
-    for spec in (ProbeSpec(5, 20.5, blocks=(tuple(range(5)),)), odd_m_disjoint_spec(5, 20.5, HYBRID_COHERENT)):
-        probe = assemble_probe(spec)
-        outs = [probe.output(family, p) for p in space.patterns]
-        want = [
-            math.log(gaussian_fidelity(outs[i], outs[j]))
-            for i in range(len(outs))
-            for j in range(i + 1, len(outs))
-        ]
-        table = fidelity_table_bruteforce(space.patterns, None, spec, family)
-        assert table.logf.tolist() == want
+    patterns, specs = BRUTEFORCE_CASES[space]
+    for spec in specs:
+        table = fidelity_table_bruteforce(patterns, None, spec, family)
+        assert table.logf.tolist() == _scalar_pair_logf(spec, family, patterns)
+        assert table.counts.tolist() == [2.0] * len(table.logf)
+        assert table.weights is None
+
+
+@pytest.mark.parametrize("family", [LOSS, THERMAL], ids=["loss", "thermal"])
+def test_bruteforce_prior_weights_equal_scalar_loop(family):
+    m = 5
+    pri = np.linspace(1, 3, 2**m)
+    space = ImageSpace(m, full_space(m).patterns, pri / pri.sum())
+    spec = odd_m_disjoint_spec(m, 20.5, SINGLE_IDLER)
+    n = len(space)
+    want_logf = _scalar_pair_logf(spec, family, space.patterns)
+    want_weights = [
+        math.sqrt(space.priors[i] * space.priors[j]) for i in range(n) for j in range(i + 1, n)
+    ]
+    table = fidelity_table_bruteforce(space.patterns, space.priors, spec, family)
+    assert table.logf.tolist() == want_logf
+    assert table.weights.tolist() == want_weights
+    ref = FidelityTable.pairs(n, want_logf, space.priors)
+    for copies in (1, 7):
+        got = bounds_brute_force(space, spec, family, copies)
+        want = bounds_from_table(ref, copies)
+        assert (got.upper_raw, got.lower_raw) == (want.upper_raw, want.lower_raw)
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [((0, 1, 0), DimensionError), ((0, 1, 0, 2), ValueError), ((), DimensionError)],
+    ids=["short", "bit-two", "empty"],
+)
+def test_bruteforce_rejects_patterns_probe_output_rejects(bad, error):
+    spec = ProbeSpec.from_partition(pair_partition(4), 20.5)
+    with pytest.raises(error):
+        assemble_probe(spec).output(LOSS, bad)
+    with pytest.raises(error):
+        fidelity_table_bruteforce([(0, 0, 0, 0), bad], None, spec, LOSS)
 
 
 def test_counting_falls_back_for_nonuniform_priors():
@@ -490,7 +558,6 @@ def test_idler_assisted_m9_golden_values():
 def test_lemma_degeneracy_spread_small():
     # all pattern pairs in one (v, u, d) class share their fidelity
     from multiprobe.gaussian import gaussian_fidelity
-    from multiprobe.imagespace import pair_class_key
     from multiprobe.probes import assemble_probe
 
     m = 4

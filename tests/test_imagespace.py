@@ -10,12 +10,11 @@ from multiprobe.imagespace import (
     bcpf_space,
     cpf_space,
     full_space,
-    pair_class_key,
     read_space,
     write_space,
 )
 
-from conftest import hamming, pair_degeneracy_census
+from conftest import hamming, pair_class_key, pair_degeneracy_census
 
 
 def test_full_space_m2_order():

@@ -1,8 +1,16 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import multiprobe.gaussian as gaussian
+import multiprobe.validate as validate
+from multiprobe.bounds import FidelityTable, bruteforce_fidelities, fidelity_table_bruteforce
+from multiprobe.imagespace import bcpf_space, cpf_space, full_space
 from multiprobe.validate import run_suites
+
+from conftest import pair_class_key
 
 
 def test_smoke_suites_all_pass():
@@ -39,3 +47,59 @@ def test_suite_results_serialize():
     res = run_suites("smoke")[0]
     data = res.to_dict()
     assert set(data) == {"suite", "passed", "max_deviation", "tolerance", "cases"}
+
+
+def test_sub_space_tables_index_the_full_space_oracle():
+    # a pair's fidelity does not depend on the space it sits in, so the
+    # cpf and bcpf tables read off the full-space fidelities equal the
+    # brute-force tables of those spaces bit for bit
+    m = 4
+    index = {p: i for i, p in enumerate(full_space(m).patterns)}
+    for spec in validate._partitions_for(m):
+        for family in validate._families():
+            fids = validate._full_fidelities(spec, family)
+            for sub in (cpf_space(m, 1), cpf_space(m, 2), bcpf_space(m, (1, 2))):
+                rows = np.array([index[p] for p in sub.patterns])
+                got = FidelityTable.from_fidelities(len(rows), validate._sub_pairs(fids, len(index), rows))
+                want = fidelity_table_bruteforce(sub.patterns, None, spec, family)
+                assert got.logf.tolist() == want.logf.tolist()
+                assert got.counts.tolist() == want.counts.tolist()
+                assert got.weights is None and want.weights is None
+
+
+def test_run_suites_shares_the_oracle_and_drops_it(monkeypatch):
+    calls, alive = [], []
+
+    def recording(patterns, spec, family):
+        fids = bruteforce_fidelities(patterns, spec, family)
+        calls.append((spec, family))
+        alive.append(weakref.ref(fids))
+        return fids
+
+    monkeypatch.setattr(validate, "bruteforce_fidelities", recording)
+    results = run_suites("smoke")
+    assert all(r.passed for r in results)
+    # one call per configuration: m = 2 has one spec, m = 3 two, each under
+    # two families, and degeneracy_classes reuses the m = 3 ones
+    assert len(calls) == len(set(calls)) == 6
+    gc.collect()
+    assert all(ref() is None for ref in alive), "oracle outlived run_suites"
+
+    calls.clear()
+    res = validate.suite_degeneracy_classes("smoke")  # alone: builds its own
+    assert res.passed and res.cases == 4
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_class_codes_group_pairs_as_pair_class_key(m):
+    space = full_space(m)
+    bits = np.array(space.patterns)
+    n = len(space)
+    pairs = [(space.patterns[i], space.patterns[j]) for i in range(n) for j in range(i + 1, n)]
+    for spec in validate._partitions_for(m):
+        blocks = spec.census_blocks
+        codes = validate._class_codes(bits, blocks).tolist()
+        keys = [pair_class_key(a, b, blocks) for a, b in pairs]
+        # the codes name the classes one to one
+        assert len(set(zip(codes, keys))) == len(set(codes)) == len(set(keys))
