@@ -8,13 +8,14 @@ and quantum error-probability bounds for pattern discrimination.
 from .bounds import (
     BoundReport,
     FidelityTable,
-    bounds_brute_force,
-    bounds_by_counting,
+    block_subfidelity,
     bounds_from_table,
-    bounds_mutual_probing,
     bounds_tmsv_pairs,
     bounds_tmsv_pairs_odd,
-    classical_benchmark,
+    census_histogram,
+    evaluate,
+    evaluate_points,
+    fidelity_table_bruteforce,
     guaranteed_advantage,
     tmsv_subfidelity,
 )
@@ -44,6 +45,7 @@ from .imagespace import (
     cpf_space,
     full_space,
 )
+from .presets import ProbePlan
 from .probes import (
     DisjointPartition,
     IdlerPartition,
@@ -73,23 +75,25 @@ __all__ = [
     "IdlerPartition",
     "ImageSpace",
     "NonDisjointPartition",
+    "ProbePlan",
     "ProbeSpec",
     "apply_pattern",
     "apply_pattern_with_idlers",
     "assemble_probe",
     "average_channel_use",
     "bcpf_space",
-    "bounds_brute_force",
-    "bounds_by_counting",
+    "block_subfidelity",
     "bounds_from_table",
-    "bounds_mutual_probing",
     "bounds_tmsv_pairs",
     "bounds_tmsv_pairs_odd",
-    "classical_benchmark",
+    "census_histogram",
     "coherent_cm",
     "cpf_space",
     "decompose_rounds",
+    "evaluate",
+    "evaluate_points",
     "extend_for_mutual_probing",
+    "fidelity_table_bruteforce",
     "format_partition",
     "full_space",
     "gaussian_fidelities",

@@ -18,8 +18,9 @@ ordered pattern pairs per distinct log-fidelity from occupancy
 multiplicities, and overlapping blocks (the ``nn`` ring, ``part:``
 literals) are counted by a DP over channels that keeps the bits of the
 channels still read, both without enumerating patterns.  Custom spaces get
-one entry per unordered pattern pair, through the copy-channel extension
-for overlapping blocks.
+one entry per unordered pattern pair from per-block lookups, which read
+each block's channels off the pattern whether or not the blocks overlap,
+so overlapping blocks need no copy-channel extension.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .errors import (
 )
 from .gaussian import coherent_cm, ghz_cm, stacked_fidelities
 from .imagespace import ImageSpace
-from .presets import CLASSICAL, DISJOINT, MUTUAL, ProbePlan
+from .presets import CLASSICAL, MUTUAL, ProbePlan
 from .probes import (
     HYBRID_COHERENT,
     SINGLE_IDLER,
@@ -52,7 +53,6 @@ from .probes import (
     assemble_probe,
     average_channel_use,
     decompose_rounds,
-    extend_for_mutual_probing,
 )
 
 BRUTE_TABLE_MAX_PATTERNS = 512
@@ -232,16 +232,6 @@ def tmsv_subfidelity(family: ChannelFamily, mu: float, v: int, u: int, d: int) -
     """Numeric two-mode sub-fidelity F_{vu}(d) for a bare TMSV probe."""
     desc = BlockDescriptor("ghz", (0, 1), 0, mu=mu)
     return block_subfidelity(desc, family, v, u, d)
-
-
-def block_pair_fidelity(desc: BlockDescriptor, family: ChannelFamily, local_a, local_b) -> float:
-    """Output fidelity of one block for a specific local pattern pair.
-
-    Unlike block_subfidelity this does not substitute a class representative,
-    so it reproduces an exhaustive per-pair evaluation bit for bit (see
-    ``block_fidelities``).
-    """
-    return float(block_fidelities([(desc, family)], [(local_a, local_b)])[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +445,12 @@ def fidelity_table_frontier(
     A and B differ yet, one log F so far per point); its value is the
     number of ordered pattern-pair prefixes that reach it.  Block j's
     log-fidelity is added once every block up to j is complete, so log F
-    sums in block order and is the same float as the copy-channel
-    extension's dense entry.  Only the local pattern pairs that some state
-    reaches are looked up, for every point in one batch.  States x points
-    beyond BATCH_MAX_FLOATS restart the DP on fewer points, down to one
-    point, whose states merge as a lone evaluation's do; more states than
-    the entries a dense table may hold raise CapacityError.
+    sums in block order and is the same float as the dense route's entry.
+    Only the local pattern pairs that some state reaches are looked up,
+    for every point in one batch.  States x points beyond BATCH_MAX_FLOATS
+    restart the DP on fewer points, down to one point, whose states merge
+    as a lone evaluation's do; more states than the entries a dense table
+    may hold raise CapacityError.
     """
     if not counting_applies(space):
         raise ValueError("the frontier DP needs a uniform full/cpf/bcpf space")
@@ -635,12 +625,9 @@ def bruteforce_fidelities(patterns, spec: ProbeSpec, family: ChannelFamily) -> n
     modes = probe.layout.mode_channels()
     probed = [k for k, ch in enumerate(modes) if ch is not None]
     channels = [modes[k] for k in probed]
-    top = max(channels)
     rows = []
     for pattern in patterns:
-        bits = check_pattern(pattern)
-        if len(bits) <= top:
-            raise DimensionError(f"layout channel {top} outside pattern of length {len(bits)}")
+        bits = check_pattern(pattern, spec.m)
         rows.append([bits[c] for c in channels])
     targets = np.array(rows, dtype=bool).reshape(n, len(channels))
     taus, nus = np.ones((n, len(modes))), np.zeros((n, len(modes)))
@@ -692,11 +679,11 @@ def evaluate_points(space: ImageSpace, points) -> list[FidelityTable]:
     The one place a route is chosen.  On a uniform full/cpf/bcpf space:
     occupancy counting for a disjoint probe and the frontier DP for
     overlapping blocks (classed), with the block fidelities of all points
-    in one batch per block.  On any other space: per-block lookups,
-    through the copy-channel extension for overlapping blocks (dense), per
-    point.  The optimal classical probe at energy ``ns`` gets the Hamming
-    census, which factors per channel so that a pair at distance d has
-    fidelity f^d.  ``mu`` is the squeezing energy of the mutual-probing
+    in one batch per block.  On any other space: per-block lookups (dense),
+    per point, over the blocks as they sit, overlapping or not, with no
+    copy-channel extension.  The optimal classical probe at energy ``ns``
+    gets the Hamming census, which factors per channel so that a pair at
+    distance d has fidelity f^d.  ``mu`` is the squeezing energy of the mutual-probing
     blocks; a disjoint plan carries its own.
     """
     if not points:
@@ -729,10 +716,11 @@ def evaluate_points(space: ImageSpace, points) -> list[FidelityTable]:
         if counting_applies(space):
             tables = fidelity_table_frontier(space, plan.partition, [(f, mu) for _, f, _, mu in points])
         else:
-            ext_partition, ext_space = extend_for_mutual_probing(plan.partition, space)
+            if plan.partition.m != space.m:
+                raise PartitionError(f"partition over m={plan.partition.m} does not match space m={space.m}")
             tables = [
                 fidelity_table_blocks(
-                    ext_space.extended, pri, ProbeSpec(ext_partition.m, mu, ext_partition.blocks).descriptors(), f
+                    space.patterns, pri, [BlockDescriptor("ghz", blk, mu=mu) for blk in plan.partition.blocks], f
                 )
                 for _, f, _, mu in points
             ]
@@ -744,6 +732,8 @@ def evaluate_points(space: ImageSpace, points) -> list[FidelityTable]:
         return tables
     if counting_applies(space):
         return fidelity_table_counting(space, [(p.spec, family) for p, family, _, _ in points])
+    if plan.spec.m != space.m:
+        raise DimensionError(f"probe over m={plan.spec.m} but space has m={space.m}")
     return [fidelity_table_blocks(space.patterns, pri, p.spec.descriptors(), f) for p, f, _, _ in points]
 
 
@@ -751,26 +741,20 @@ def evaluate_points(space: ImageSpace, points) -> list[FidelityTable]:
 # top-level bound computations
 
 
-def bounds_brute_force(space: ImageSpace, spec: ProbeSpec, family: ChannelFamily, copies) -> BoundReport:
-    """Reference bounds from exhaustive full-state fidelity evaluation."""
-    pri = None if space.uniform else space.priors
-    table = fidelity_table_bruteforce(space.patterns, pri, spec, family)
-    return bounds_from_table(table, copies)
+def _tmsv_pair_fidelities(family: ChannelFamily, mu: float) -> list[float]:
+    """The sub-fidelities f01, f12, f11, f02 of the paired-TMSV sums, in one
+    batch (as ``tmsv_subfidelity``)."""
+    desc = BlockDescriptor("ghz", (0, 1), 0, mu=mu)
+    classes = ((0, 1, 1), (1, 2, 1), (1, 1, 2), (0, 2, 2))
+    pairs = [representative_local_patterns(2, v, u, d) for v, u, d in classes]
+    return block_fidelities([(desc, family)], pairs)[0].tolist()
 
 
-def bounds_by_counting(space: ImageSpace, spec: ProbeSpec, family: ChannelFamily, copies) -> BoundReport:
-    """Degeneracy-accelerated bounds: occupancy counting on uniform
-    position-finding spaces, the dense block table on any other space."""
-    return bounds_from_table(evaluate(ProbePlan(DISJOINT, spec=spec), space, family), copies)
-
-
-def _pair_excess(family: ChannelFamily, mu: float, power: float) -> float:
-    """f01^p + f12^p + (f11^p + f02^p)/2: the per-pair factor of the
-    paired-TMSV sums minus its identical-pair 1, formed without that 1."""
-    f01 = tmsv_subfidelity(family, mu, 0, 1, 1)
-    f02 = tmsv_subfidelity(family, mu, 0, 2, 2)
-    f11 = tmsv_subfidelity(family, mu, 1, 1, 2)
-    f12 = tmsv_subfidelity(family, mu, 1, 2, 1)
+def _pair_excess(fids: list[float], power: float) -> float:
+    """f01^p + f12^p + (f11^p + f02^p)/2 of ``_tmsv_pair_fidelities``: the
+    per-pair factor of the paired-TMSV sums minus its identical-pair 1,
+    formed without that 1."""
+    f01, f12, f11, f02 = fids
     return f01**power + f12**power + (f11**power + f02**power) / 2.0
 
 
@@ -782,9 +766,10 @@ def bounds_tmsv_pairs(family: ChannelFamily, mu: float, copies, m: int) -> Bound
     if m % 2:
         raise PartitionError(f"the paired-TMSV closed form needs even m, got {m}")
     m_val = float(copies)
+    fids = _tmsv_pair_fidelities(family, mu)
 
     def d_even(power: float) -> float:
-        return math.expm1(m / 2 * math.log1p(_pair_excess(family, mu, power)))
+        return math.expm1(m / 2 * math.log1p(_pair_excess(fids, power)))
 
     ub = d_even(m_val)
     lb = d_even(2 * m_val) / 2 ** (m + 1)
@@ -809,35 +794,14 @@ def bounds_tmsv_pairs_odd(
     else:
         raise ValueError(f"unknown odd-m strategy {strategy!r}")
     f_rem = block_subfidelity(desc, family, 0, 1, 1)
+    fids = _tmsv_pair_fidelities(family, mu)
     m_val = float(copies)
 
     def d_odd(power: float) -> float:
         return math.expm1(
-            math.log1p(f_rem**power) + (m - 1) / 2 * math.log1p(_pair_excess(family, mu, power))
+            math.log1p(f_rem**power) + (m - 1) / 2 * math.log1p(_pair_excess(fids, power))
         )
 
     ub = d_odd(m_val)
     lb = d_odd(2 * m_val) / 2 ** (m + 1)
     return BoundReport(lb, ub, m_val, m_val, "closed-form-d2")
-
-
-def bounds_mutual_probing(
-    space: ImageSpace,
-    partition: NonDisjointPartition,
-    family: ChannelFamily,
-    mu: float,
-    copies,
-) -> BoundReport:
-    """Bounds for overlapping blocks via the copy-channel extension.
-
-    The image space is mapped onto m + l channels where blocks are disjoint,
-    fidelities factor per block, and the generic bounds apply; the average
-    channel use bookkeeping grows by (m + l) / m.
-    """
-    plan = ProbePlan(MUTUAL, partition=partition)
-    return bounds_from_table(evaluate(plan, space, family, mu=mu), copies)
-
-
-def classical_benchmark(space: ImageSpace, family: ChannelFamily, ns: float, copies) -> BoundReport:
-    """Bounds for the optimal classical strategy (coherent light or vacuum)."""
-    return bounds_from_table(evaluate(ProbePlan(CLASSICAL), space, family, ns=ns), copies)

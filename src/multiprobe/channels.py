@@ -170,14 +170,16 @@ class IdlerLayout:
 def apply_pattern_with_idlers(
     state: CovMatrix, family: ChannelFamily, pattern, layout: IdlerLayout
 ) -> CovMatrix:
-    """Like apply_pattern, but modes marked as idlers pass through untouched."""
-    bits = check_pattern(pattern)
+    """Like apply_pattern, but modes marked as idlers pass through untouched;
+    the pattern holds one bit per channel the layout probes."""
+    modes = layout.mode_channels()
+    bits = check_pattern(pattern, sum(ch is not None for ch in modes))
     if layout.n_modes != state.n_modes:
         raise DimensionError(
             f"layout covers {layout.n_modes} modes but state has {state.n_modes}"
         )
     taus, nus = [], []
-    for ch in layout.mode_channels():
+    for ch in modes:
         if ch is None:
             taus.append(1.0)
             nus.append(0.0)

@@ -384,10 +384,6 @@ class ProbeSpec:
         return tuple(out)
 
     @property
-    def census_blocks(self) -> tuple[Block, ...]:
-        return tuple(d.channels for d in self.descriptors())
-
-    @property
     def n_modes(self) -> int:
         return sum(d.n_modes for d in self.descriptors())
 

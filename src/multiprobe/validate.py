@@ -5,7 +5,9 @@ tolerance.  The ``quick`` scale keeps pattern lengths at m <= 4 and runs in
 well under a minute; ``full`` extends to m <= 6 and adds the mutual-probing
 cross-checks.  ``smoke`` is a seconds-scale subset used by the CLI tests.
 
-The full-state oracle, every pair fidelity on the full space of one probe
+Every fidelity table is built once per configuration, through
+``evaluate``, and read at each copy number with ``bounds_from_table``.  The
+full-state oracle, every pair fidelity on the full space of one probe
 configuration, is built once per configuration in ``run_suites`` and shared
 by ``counting_vs_bruteforce``, which reads its cpf and bcpf tables off it,
 and ``degeneracy_classes``; a suite called alone builds its own.
@@ -22,7 +24,6 @@ import numpy as np
 from . import closedform, gaussian
 from .bounds import (
     FidelityTable,
-    bounds_by_counting,
     bounds_from_table,
     bounds_tmsv_pairs,
     bounds_tmsv_pairs_odd,
@@ -34,7 +35,7 @@ from .bounds import (
 from .channels import BlockLayout, ChannelFamily, IdlerLayout, apply_pattern_with_idlers
 from .gaussian import gaussian_fidelities, gaussian_fidelity, ghz_cm, symplectic_spectrum, tensor
 from .imagespace import bcpf_space, cpf_space, full_space
-from .presets import MUTUAL, ProbePlan
+from .presets import DISJOINT, MUTUAL, ProbePlan
 from .probes import (
     SINGLE_IDLER,
     ProbeSpec,
@@ -226,9 +227,10 @@ def suite_counting_vs_bruteforce(scale: str, oracle=None) -> SuiteResult:
                 for family in _families():
                     fids = _sub_pairs(oracle(spec, family), len(index), rows)
                     table_b = FidelityTable.from_fidelities(len(rows), fids)
+                    table_c = evaluate(ProbePlan(DISJOINT, spec=spec), space, family)
                     for copies in (1, 10):
                         rb = bounds_from_table(table_b, copies)
-                        rc = bounds_by_counting(space, spec, family, copies)
+                        rc = bounds_from_table(table_c, copies)
                         for raw_b, raw_c in ((rb.upper_raw, rc.upper_raw), (rb.lower_raw, rc.lower_raw)):
                             if raw_b > 0:
                                 worst = max(worst, abs(raw_b - raw_c) / raw_b)
@@ -245,17 +247,20 @@ def suite_tmsv_closed_form(scale: str) -> SuiteResult:
     mu = 20.5
     for m in ms:
         space = full_space(m)
+        if m % 2 == 0:
+            spec = ProbeSpec.from_partition(pair_partition(m), mu) if m > 2 else ProbeSpec(
+                m, mu, blocks=((0, 1),)
+            )
+        else:
+            spec = odd_m_disjoint_spec(m, mu, SINGLE_IDLER)
         for family in _families():
+            table = evaluate(ProbePlan(DISJOINT, spec=spec), space, family)
             for copies in (1, 10, 100, 1000, 5000):
                 if m % 2 == 0:
-                    spec = ProbeSpec.from_partition(pair_partition(m), mu) if m > 2 else ProbeSpec(
-                        m, mu, blocks=((0, 1),)
-                    )
                     closed = bounds_tmsv_pairs(family, mu, copies, m)
                 else:
-                    spec = odd_m_disjoint_spec(m, mu, SINGLE_IDLER)
                     closed = bounds_tmsv_pairs_odd(family, mu, copies, m, SINGLE_IDLER)
-                counted = bounds_by_counting(space, spec, family, copies)
+                counted = bounds_from_table(table, copies)
                 for a, b in ((closed.upper_raw, counted.upper_raw), (closed.lower_raw, counted.lower_raw)):
                     if b > 0:
                         worst = max(worst, abs(a - b) / b)
@@ -292,7 +297,7 @@ def suite_degeneracy_classes(scale: str, oracle=None) -> SuiteResult:
         bits = np.array(full_space(m).patterns)
         for family in _families():
             for spec in _partitions_for(m):
-                codes = _class_codes(bits, spec.census_blocks)
+                codes = _class_codes(bits, [desc.channels for desc in spec.descriptors()])
                 order = np.argsort(codes, kind="stable")
                 starts = np.flatnonzero(np.r_[True, np.diff(codes[order]) != 0])
                 fids = oracle(spec, family)[order]
@@ -333,11 +338,12 @@ def suite_monotonicity(scale: str) -> SuiteResult:
     ms = [3, 4] if scale != "full" else [3, 4, 5]
     for m in ms:
         space = full_space(m)
+        spec = _partitions_for(m)[0]
         for family in _families():
-            spec = _partitions_for(m)[0]
+            table = evaluate(ProbePlan(DISJOINT, spec=spec), space, family)
             prev = None
             for copies in (1, 2, 5, 10, 50, 200):
-                rep = bounds_by_counting(space, spec, family, copies)
+                rep = bounds_from_table(table, copies)
                 if prev is not None:
                     worst = max(worst, rep.upper - prev.upper, rep.lower - prev.lower)
                 prev = rep

@@ -15,7 +15,7 @@ from multiprobe.bounds import (
     bounds_from_table,
     bounds_tmsv_pairs,
     bounds_tmsv_pairs_odd,
-    classical_benchmark,
+    evaluate,
     fidelity_table_blocks,
     fidelity_table_bruteforce,
     fidelity_table_counting,
@@ -34,6 +34,7 @@ from multiprobe.closedform import (
 )
 from multiprobe.gaussian import CovMatrix, coherent_cm, gaussian_fidelity
 from multiprobe.imagespace import FULL, bcpf_space, cpf_space, full_space
+from multiprobe.presets import CLASSICAL, MUTUAL, ProbePlan
 from multiprobe.probes import (
     SINGLE_IDLER,
     ProbeSpec,
@@ -174,7 +175,7 @@ def test_criterion_4_mutual_probing_equals_extended_brute_force():
     """Nearest-neighbour rings match exhaustive extended-space evaluation."""
     import math
 
-    from multiprobe.bounds import FidelityTable, bounds_mutual_probing
+    from multiprobe.bounds import FidelityTable
     from multiprobe.channels import BlockLayout, IdlerLayout, apply_pattern_with_idlers
     from multiprobe.gaussian import ghz_cm
 
@@ -205,9 +206,10 @@ def test_criterion_4_mutual_probing_equals_extended_brute_force():
                 for i in range(n)
                 for j in range(i + 1, n)
             ])
+            table = evaluate(ProbePlan(MUTUAL, partition=partition), space, family, mu=20.5)
             for copies in (1, 5):
                 ref = bounds_from_table(ref_table, copies)
-                got = bounds_mutual_probing(space, partition, family, 20.5, copies)
+                got = bounds_from_table(table, copies)
                 for a, b in ((ref.upper_raw, got.upper_raw), (ref.lower_raw, got.lower_raw)):
                     worst = max(worst, abs(a - b) / a)
     assert worst <= 1e-12, f"mutual-probing deviation {worst}"
@@ -241,9 +243,10 @@ def test_criterion_5_classical_closed_forms():
 
 def _first_advantage(space, family, ns, quantum_eval, mbar_grid):
     """Smallest grid point with positive guaranteed advantage, or None."""
+    classical = evaluate(ProbePlan(CLASSICAL), space, family, ns=ns)
     for mbar in mbar_grid:
         q_rep = quantum_eval(mbar)
-        cl = classical_benchmark(space, family, ns, mbar)
+        cl = bounds_from_table(classical, mbar)
         if cl.lower - q_rep.upper > 0:
             return float(mbar)
     return None
@@ -322,11 +325,12 @@ def test_criterion_7_additive_noise_regime():
 
     spec = odd_m_disjoint_spec(m, mu, SINGLE_IDLER)
     table = fidelity_table_counting(space, [(spec, family)])[0]
+    classical = evaluate(ProbePlan(CLASSICAL), space, family, ns=ns)
     grid = np.geomspace(10, 5000, 40)
     informative = 0
     for mbar in grid:
         q = bounds_from_table(table, mbar, m_bar=mbar)
-        cl = classical_benchmark(space, family, ns, mbar)
+        cl = bounds_from_table(classical, mbar)
         assert cl.lower - q.upper <= 0, f"disjoint TMSV claimed advantage at {mbar}"
         if cl.upper < 1.0:
             informative += 1
@@ -359,5 +363,18 @@ def test_criterion_8_invariant_suites():
     failures = [r for r in results if not r.passed]
     assert not failures, f"failing suites: {[r.suite for r in failures]}"
     assert elapsed < 600.0, f"criterion 8 took {elapsed:.1f}s"
+    # the full-scale contract: every suite, in order, with all of its cases
+    assert [(r.suite, r.cases) for r in results] == [
+        ("ghz_spectrum", 66),
+        ("bona_fide_outputs", 200),
+        ("fidelity_symmetry", 150),
+        ("closed_form_oracles", 30),
+        ("counting_vs_bruteforce", 160),
+        ("tmsv_closed_form", 50),
+        ("degeneracy_classes", 18),
+        ("block_multiplicativity", 100),
+        ("bound_monotonicity", 36),
+        ("mutual_vs_bruteforce", 16),
+    ]
     names = ", ".join(r.suite for r in results)
     report(8, f"all {len(results)} invariant suites green ({names}) in {elapsed:.1f}s")

@@ -10,14 +10,11 @@ import multiprobe.bounds as bounds_mod
 from multiprobe.bounds import (
     BoundReport,
     FidelityTable,
-    bounds_brute_force,
-    bounds_by_counting,
     bounds_from_table,
     bounds_tmsv_pairs,
     bounds_tmsv_pairs_odd,
     block_fidelities,
     block_subfidelity,
-    classical_benchmark,
     evaluate,
     evaluate_points,
     fidelity_table_bruteforce,
@@ -62,6 +59,15 @@ ADD = ChannelFamily.additive(0.02, 0.01)
 THERMAL = ChannelFamily.thermal(0.8, 1.2, 0.9, 0.7)
 
 
+def disjoint(spec):
+    return ProbePlan(DISJOINT, spec=spec)
+
+
+def brute_table(space, spec, family):
+    """The full-state reference table of a space, with its priors."""
+    return fidelity_table_bruteforce(space.patterns, None if space.uniform else space.priors, spec, family)
+
+
 def classed_table(counts, fids, n):
     logf = np.array([math.log(f) if f > 0 else -math.inf for f in fids])
     return FidelityTable(n, np.array(counts, float), logf)
@@ -95,7 +101,7 @@ def test_report_clipping_and_invariants():
 
 def test_single_pattern_space_is_trivial():
     spec = ProbeSpec(2, 20.5, blocks=((0, 1),))
-    rep = bounds_by_counting(cpf_space(2, 2), spec, LOSS, 5)
+    rep = bounds_from_table(evaluate(disjoint(spec), cpf_space(2, 2), LOSS), 5)
     assert rep.upper_raw == 0.0
     assert rep.lower_raw == 0.0
 
@@ -105,7 +111,7 @@ def test_one_cpf_ghz_closed_form():
     m, copies = 5, 3
     spec = ProbeSpec(m, 20.5, blocks=(tuple(range(m)),))
     space = cpf_space(m, 1)
-    rep = bounds_by_counting(space, spec, ADD, copies)
+    rep = bounds_from_table(evaluate(disjoint(spec), space, ADD), copies)
     table = fidelity_table_counting(space, [(spec, ADD)])[0]
     assert len(table.counts) == 1  # all 1-CPF pairs are one class
     fid = math.exp(table.logf[0])
@@ -120,7 +126,7 @@ def enumerated_histogram(space, spec, family):
     the pairs' class keys and summing block log-fidelities in block order."""
     descs = spec.descriptors()
     hist = {}
-    for key, count in pair_degeneracy_census(space, spec.census_blocks).items():
+    for key, count in pair_degeneracy_census(space, [desc.channels for desc in descs]).items():
         logf = 0.0
         for desc, (v, u, d) in zip(descs, key):
             logf += math.log(block_subfidelity(desc, family, v, u, d))
@@ -253,9 +259,10 @@ def test_counting_matches_brute_force(family, m):
         specs.append(odd_m_disjoint_spec(m, 20.5, SINGLE_IDLER))
     for spec in specs:
         for space in (full_space(m), cpf_space(m, 1), bcpf_space(m, (1, 2))):
+            brute_t, fast_t = brute_table(space, spec, family), evaluate(disjoint(spec), space, family)
             for copies in (1, 10):
-                brute = bounds_brute_force(space, spec, family, copies)
-                fast = bounds_by_counting(space, spec, family, copies)
+                brute = bounds_from_table(brute_t, copies)
+                fast = bounds_from_table(fast_t, copies)
                 assert fast.method == "counting"
                 assert fast.upper_raw == pytest.approx(brute.upper_raw, rel=1e-10, abs=1e-300)
                 assert fast.lower_raw == pytest.approx(brute.lower_raw, rel=1e-10, abs=1e-300)
@@ -325,15 +332,20 @@ def test_bruteforce_prior_weights_equal_scalar_loop(family):
     assert table.weights.tolist() == want_weights
     ref = FidelityTable.pairs(n, want_logf, space.priors)
     for copies in (1, 7):
-        got = bounds_brute_force(space, spec, family, copies)
+        got = bounds_from_table(table, copies)
         want = bounds_from_table(ref, copies)
         assert (got.upper_raw, got.lower_raw) == (want.upper_raw, want.lower_raw)
 
 
 @pytest.mark.parametrize(
     "bad, error",
-    [((0, 1, 0), DimensionError), ((0, 1, 0, 2), ValueError), ((), DimensionError)],
-    ids=["short", "bit-two", "empty"],
+    [
+        ((0, 1, 0), DimensionError),
+        ((0, 1, 0, 1, 1), DimensionError),
+        ((0, 1, 0, 2), ValueError),
+        ((), DimensionError),
+    ],
+    ids=["short", "long", "bit-two", "empty"],
 )
 def test_bruteforce_rejects_patterns_probe_output_rejects(bad, error):
     spec = ProbeSpec.from_partition(pair_partition(4), 20.5)
@@ -349,9 +361,9 @@ def test_counting_falls_back_for_nonuniform_priors():
     pri = np.linspace(1, 2, len(space))
     skew = ImageSpace(m, space.patterns, pri / pri.sum())
     spec = odd_m_disjoint_spec(m, 20.5, SINGLE_IDLER)
-    rep = bounds_by_counting(skew, spec, ADD, 2)
+    rep = bounds_from_table(evaluate(disjoint(spec), skew, ADD), 2)
     assert rep.method == "blocks"
-    brute = bounds_brute_force(skew, spec, ADD, 2)
+    brute = bounds_from_table(brute_table(skew, spec, ADD), 2)
     assert rep.upper_raw == pytest.approx(brute.upper_raw, rel=1e-10)
     assert rep.lower_raw == pytest.approx(brute.lower_raw, rel=1e-10)
 
@@ -401,7 +413,7 @@ def test_tmsv_pairs_even_matches_brute(family):
     # the copy powers amplify; 1e-10 is the contract tolerance
     m, copies = 4, 10
     spec = ProbeSpec.from_partition(pair_partition(m), 20.5)
-    brute = bounds_brute_force(full_space(m), spec, family, copies)
+    brute = bounds_from_table(brute_table(full_space(m), spec, family), copies)
     closed = bounds_tmsv_pairs(family, 20.5, copies, m)
     assert closed.upper_raw == pytest.approx(brute.upper_raw, rel=1e-10)
     assert closed.lower_raw == pytest.approx(brute.lower_raw, rel=1e-10)
@@ -412,7 +424,7 @@ def test_tmsv_pairs_even_matches_brute(family):
 def test_tmsv_pairs_odd_matches_brute(strategy, family):
     m, copies = 3, 4
     spec = odd_m_disjoint_spec(m, 20.5, strategy)
-    brute = bounds_brute_force(full_space(m), spec, family, copies)
+    brute = bounds_from_table(brute_table(full_space(m), spec, family), copies)
     closed = bounds_tmsv_pairs_odd(family, 20.5, copies, m, strategy)
     assert closed.upper_raw == pytest.approx(brute.upper_raw, rel=1e-10)
     assert closed.lower_raw == pytest.approx(brute.lower_raw, rel=1e-10)
@@ -439,7 +451,7 @@ def test_classical_benchmark_pure_loss_value():
     # contribute f^(d M)
     m, ns, copies = 3, 20.0, 4
     space = cpf_space(m, 1)
-    rep = classical_benchmark(space, LOSS, ns, copies)
+    rep = bounds_from_table(evaluate(ProbePlan(CLASSICAL), space, LOSS, ns=ns), copies)
     f = coherent_loss_fidelity(0.99, 0.97, ns)
     want_ub = (m - 1) * f ** (2 * copies)  # 1-CPF pairs differ at 2 positions
     assert rep.upper_raw == pytest.approx(want_ub, rel=1e-12)
@@ -448,7 +460,8 @@ def test_classical_benchmark_pure_loss_value():
 
 def test_classical_benchmark_additive_vacuum():
     space = full_space(2)
-    rep = classical_benchmark(space, ADD, 123.0, 1)  # energy is ignored by vacuum
+    # the energy is ignored by the vacuum probe
+    rep = bounds_from_table(evaluate(ProbePlan(CLASSICAL), space, ADD, ns=123.0), 1)
     f = vacuum_additive_fidelity(0.02, 0.01)
     want = (8 * f + 4 * f**2) / 4  # 8 ordered pairs at distance 1, 4 at distance 2
     assert rep.upper_raw == pytest.approx(want, rel=1e-12)
@@ -457,8 +470,8 @@ def test_classical_benchmark_additive_vacuum():
 def test_classical_benchmark_counting_equals_dense():
     space = full_space(4)
     custom = ImageSpace(4, space.patterns, space.priors)  # kind custom, same priors
-    a = classical_benchmark(space, LOSS, 20.0, 3)
-    b = classical_benchmark(custom, LOSS, 20.0, 3)
+    a = bounds_from_table(evaluate(ProbePlan(CLASSICAL), space, LOSS, ns=20.0), 3)
+    b = bounds_from_table(evaluate(ProbePlan(CLASSICAL), custom, LOSS, ns=20.0), 3)
     assert a.upper_raw == pytest.approx(b.upper_raw, rel=1e-12)
     assert a.lower_raw == pytest.approx(b.lower_raw, rel=1e-12)
 
@@ -466,7 +479,7 @@ def test_classical_benchmark_counting_equals_dense():
 def test_classical_benchmark_rejects_thermal():
     thermal = ChannelFamily.thermal(0.8, 1.0, 0.8, 1.5)
     with pytest.raises(UnsupportedBenchmarkError):
-        classical_benchmark(full_space(2), thermal, 5.0, 1)
+        evaluate(ProbePlan(CLASSICAL), full_space(2), thermal, ns=5.0)
 
 
 def test_classical_near_degenerate_channels():
@@ -477,7 +490,7 @@ def test_classical_near_degenerate_channels():
         ChannelFamily.pure_loss(0.99, 0.99 - 1e-9),
         ChannelFamily.additive(0.02, 0.02 + 1e-12),
     ):
-        rep = classical_benchmark(space, family, 20.0, 1)
+        rep = bounds_from_table(evaluate(ProbePlan(CLASSICAL), space, family, ns=20.0), 1)
         assert rep.upper_raw == pytest.approx(len(space) - 1, rel=1e-6)
         assert rep.upper == 1.0
 
@@ -524,7 +537,7 @@ def test_idler_full_equals_choi_powers():
     m, copies = 3, 5
     spec = ProbeSpec.from_partition(full_idler_partition(m), 20.5)
     space = cpf_space(m, 1)
-    rep = bounds_by_counting(space, spec, LOSS, copies)
+    rep = bounds_from_table(evaluate(disjoint(spec), space, LOSS), copies)
     f_choi = block_subfidelity(BlockDescriptor("ghz", (0,), 1, mu=20.5), LOSS, 0, 1, 1)
     assert rep.upper_raw == pytest.approx((m - 1) * f_choi ** (2 * copies), rel=1e-12)
 
@@ -565,11 +578,12 @@ def test_lemma_degeneracy_spread_small():
     probe = assemble_probe(spec)
     space = full_space(m)
     outs = [probe.output(LOSS, p) for p in space.patterns]
+    blocks = [desc.channels for desc in spec.descriptors()]
     groups = {}
     for i, pa in enumerate(space.patterns):
         for j, pb in enumerate(space.patterns):
             if i < j:
-                key = pair_class_key(pa, pb, spec.census_blocks)
+                key = pair_class_key(pa, pb, blocks)
                 groups.setdefault(key, []).append(gaussian_fidelity(outs[i], outs[j]))
     for vals in groups.values():
         assert max(vals) - min(vals) < 1e-10
@@ -587,9 +601,10 @@ def test_counting_dp_equals_class_table_on_figure_grid(family, space, probe):
     # roughly equal
     spec = resolve_probe(probe, 9, 20.5).spec
     n = len(space)
+    table = evaluate(disjoint(spec), space, family)
     for copies in FIGURE_COPIES:
         sum_m, sum_2m = counting_sums(space, spec, family, copies)
-        got = bounds_by_counting(space, spec, family, copies)
+        got = bounds_from_table(table, copies)
         assert got.method == "counting"
         for g, w in ((got.upper_raw, sum_m / n), (got.lower_raw, 0.5 * sum_2m / n**2)):
             if w > 1e-300:
@@ -611,7 +626,7 @@ def test_counting_dp_errors_propagate(monkeypatch):
     _break_block_fidelities(monkeypatch)
     spec = odd_m_disjoint_spec(3, 20.5, SINGLE_IDLER)
     with pytest.raises(ValueError, match="broken block fidelity"):
-        bounds_by_counting(full_space(3), spec, ADD, 2)
+        evaluate(disjoint(spec), full_space(3), ADD)
 
 
 def test_frontier_dp_errors_propagate(monkeypatch):
@@ -675,7 +690,11 @@ def test_counting_evaluates_only_feasible_classes(monkeypatch, space, probe):
 def test_counting_rejects_mismatched_pattern_length():
     spec = ProbeSpec(3, 20.5, blocks=((0, 1, 2),))
     with pytest.raises(DimensionError):
-        bounds_by_counting(full_space(4), spec, LOSS, 2)
+        evaluate(disjoint(spec), full_space(4), LOSS)
+    # the dense route on a custom space too, rather than ignore the fourth channel
+    custom = ImageSpace(4, full_space(4).patterns, full_space(4).priors)
+    with pytest.raises(DimensionError):
+        evaluate(disjoint(spec), custom, LOSS)
 
 
 @pytest.mark.parametrize("copies", [1000, 5000])
@@ -689,7 +708,7 @@ def test_tmsv_closed_forms_do_not_cancel_at_large_copies(m, copies):
     else:
         spec = ProbeSpec.from_partition(pair_partition(m), 20.5)
         closed = bounds_tmsv_pairs(LOSS, 20.5, copies, m)
-    counted = bounds_by_counting(space, spec, LOSS, copies)
+    counted = bounds_from_table(evaluate(disjoint(spec), space, LOSS), copies)
     assert counted.lower_raw > 0.0
     assert closed.upper_raw == pytest.approx(counted.upper_raw, rel=1e-12, abs=0.0)
     assert closed.lower_raw == pytest.approx(counted.lower_raw, rel=1e-12, abs=0.0)

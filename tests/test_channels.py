@@ -14,7 +14,7 @@ from multiprobe.channels import (
     thermal_params,
 )
 from multiprobe.errors import DimensionError
-from multiprobe.gaussian import gaussian_fidelity, ghz_cm, tmsv_cm, vacuum_cm
+from multiprobe.gaussian import gaussian_fidelity, ghz_cm, tensor, tmsv_cm, vacuum_cm
 
 from conftest import any_family, patterns
 
@@ -152,8 +152,6 @@ def test_full_idler_assistance_fidelity_is_choi_squared():
     choi_t = apply_pattern_with_idlers(tmsv_cm(mu), family, (1,), choi_layout)
     f_choi = gaussian_fidelity(choi_b, choi_t)
 
-    from multiprobe.gaussian import tensor
-
     layout = IdlerLayout((BlockLayout(1, (0,)), BlockLayout(1, (1,))))
     probe = tensor(tmsv_cm(mu), tmsv_cm(mu))
     out_00 = apply_pattern_with_idlers(probe, family, (0, 0), layout)
@@ -168,3 +166,16 @@ def test_layout_dimension_mismatch():
         apply_pattern_with_idlers(ghz_cm(3, 2.0), family, (0,), layout)
     with pytest.raises(DimensionError):
         apply_pattern(ghz_cm(3, 2.0), family, (0, 1))
+
+
+def test_idler_layout_rejects_patterns_longer_than_the_probed_channels():
+    # one bit per probed channel: extra bits are an error, not ignored
+    family = ChannelFamily.pure_loss(0.9, 0.4)
+    choi = IdlerLayout((BlockLayout(1, (0,)),))
+    with pytest.raises(DimensionError):
+        apply_pattern_with_idlers(tmsv_cm(2.0), family, (0, 1), choi)
+    pairs = IdlerLayout((BlockLayout(0, (0, 1)), BlockLayout(0, (2, 3))))
+    probe = tensor(tmsv_cm(2.0), tmsv_cm(2.0))
+    apply_pattern_with_idlers(probe, family, (0, 1, 0, 1), pairs)
+    with pytest.raises(DimensionError):
+        apply_pattern_with_idlers(probe, family, (0, 1, 0, 1, 1, 1), pairs)

@@ -1,4 +1,5 @@
-"""The frontier DP for overlapping blocks against the dense copy-channel
+"""The frontier DP for overlapping blocks, and the dense route that
+``evaluate`` takes on custom spaces, against the dense copy-channel
 extension table, which evaluates every pattern pair."""
 
 import math
@@ -18,6 +19,7 @@ from multiprobe.bounds import (
 from multiprobe.channels import ChannelFamily
 from multiprobe.cli import build_space, main
 from multiprobe.errors import CapacityError
+from multiprobe.imagespace import ImageSpace
 from multiprobe.presets import MUTUAL, ProbePlan
 from multiprobe.probes import ProbeSpec, extend_for_mutual_probing, nn_partition, parse_partition
 
@@ -63,7 +65,15 @@ def test_frontier_matches_dense_extension(text, m, space_text, family):
     space = build_space(space_text, m)
     partition = _partition(text, m)
     got = fidelity_table_frontier(space, partition, [(family, MU)])[0]
-    ref = merged(dense_table(space, partition, family))
+    dense = dense_table(space, partition, family)
+    # a custom copy of the space takes the dense route, which reads the
+    # overlapping blocks off the patterns: the extension's entries exactly
+    custom = ImageSpace(m, space.patterns, space.priors)
+    direct = evaluate(ProbePlan(MUTUAL, partition=partition), custom, family, mu=MU)
+    assert np.array_equal(direct.logf, dense.logf)
+    assert np.array_equal(direct.counts, dense.counts)
+    assert direct.weights is None
+    ref = merged(dense)
     n = len(space)
     assert got.counts.sum() == n * (n - 1)
     # the same log F floats as the dense block-order sums, with their pair counts

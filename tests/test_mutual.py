@@ -5,19 +5,17 @@ import pytest
 
 from multiprobe.bounds import (
     FidelityTable,
-    block_pair_fidelity,
-    bounds_brute_force,
-    bounds_by_counting,
+    block_fidelities,
     bounds_from_table,
-    bounds_mutual_probing,
     census_histogram,
     evaluate,
     fidelity_table_bruteforce,
 )
 from multiprobe.channels import BlockLayout, ChannelFamily, IdlerLayout, apply_pattern_with_idlers
 from multiprobe.gaussian import gaussian_fidelity, ghz_cm
-from multiprobe.imagespace import full_space
-from multiprobe.presets import MUTUAL, ProbePlan
+from multiprobe.errors import PartitionError
+from multiprobe.imagespace import ImageSpace, full_space
+from multiprobe.presets import DISJOINT, MUTUAL, ProbePlan
 from multiprobe.probes import (
     NonDisjointPartition,
     ProbeSpec,
@@ -27,6 +25,10 @@ from multiprobe.probes import (
 
 LOSS = ChannelFamily.pure_loss(0.99, 0.97)
 ADD = ChannelFamily.additive(0.02, 0.01)
+
+
+def mutual_bounds(space, partition, family, mu, copies):
+    return bounds_from_table(evaluate(ProbePlan(MUTUAL, partition=partition), space, family, mu=mu), copies)
 
 
 def exhaustive_product_table(partition, space, family, mu):
@@ -59,7 +61,7 @@ def test_nn_matches_exhaustive_products(family, m):
     mu, copies = 20.5, 2
     partition = nn_partition(m)
     space = full_space(m)
-    got = bounds_mutual_probing(space, partition, family, mu, copies)
+    got = mutual_bounds(space, partition, family, mu, copies)
     ref = bounds_from_table(exhaustive_product_table(partition, space, family, mu), copies)
     assert got.upper_raw == pytest.approx(ref.upper_raw, rel=1e-12)
     assert got.lower_raw == pytest.approx(ref.lower_raw, rel=1e-12)
@@ -76,7 +78,7 @@ def test_nn_m3_matches_joint_state_fidelities(family):
     spec = ProbeSpec(ext_part.m, mu, ext_part.blocks)
     joint = fidelity_table_bruteforce(ext_space.extended, None, spec, family)
     ref = bounds_from_table(joint, copies)
-    got = bounds_mutual_probing(space, partition, family, mu, copies)
+    got = mutual_bounds(space, partition, family, mu, copies)
     assert got.upper_raw == pytest.approx(ref.upper_raw, rel=1e-10)
     assert got.lower_raw == pytest.approx(ref.lower_raw, rel=1e-10)
 
@@ -85,9 +87,9 @@ def test_mutual_with_disjoint_partition_reduces_to_counting():
     partition = NonDisjointPartition(4, ((0, 1), (2, 3)))
     space = full_space(4)
     spec = ProbeSpec(4, 20.5, blocks=((0, 1), (2, 3)))
-    mut = bounds_mutual_probing(space, partition, ADD, 20.5, 3)
-    cnt = bounds_by_counting(space, spec, ADD, 3)
-    brt = bounds_brute_force(space, spec, ADD, 3)
+    mut = mutual_bounds(space, partition, ADD, 20.5, 3)
+    cnt = bounds_from_table(evaluate(ProbePlan(DISJOINT, spec=spec), space, ADD), 3)
+    brt = bounds_from_table(fidelity_table_bruteforce(space.patterns, None, spec, ADD), 3)
     assert mut.m_bar == mut.copies == 3.0
     assert mut.rounds == 1
     assert mut.upper_raw == pytest.approx(cnt.upper_raw, rel=1e-10)
@@ -96,7 +98,7 @@ def test_mutual_with_disjoint_partition_reduces_to_counting():
 
 
 def test_mutual_resource_accounting():
-    rep = bounds_mutual_probing(full_space(4), nn_partition(4), ADD, 20.5, 5)
+    rep = mutual_bounds(full_space(4), nn_partition(4), ADD, 20.5, 5)
     assert rep.copies == 5.0
     assert rep.m_bar == 10.0  # l = m doubles the average channel use
     assert rep.rounds == 2
@@ -129,8 +131,17 @@ def test_dense_census_equals_pair_enumeration(family):
             for desc in descs:
                 local_a = tuple(a[c] for c in desc.channels)
                 local_b = tuple(b[c] for c in desc.channels)
-                logf += math.log(block_pair_fidelity(desc, family, local_a, local_b))
+                logf += math.log(block_fidelities([(desc, family)], [(local_a, local_b)])[0, 0])
             value = float(np.round(np.exp(copies * logf), 12))
             hist[value] = hist.get(value, 0) + 1
     assert sum(hist.values()) == 16 * 15
     assert census_histogram(table, copies) == sorted(hist.items())
+
+
+def test_dense_mutual_rejects_a_partition_of_another_length():
+    # custom spaces take the dense route, which reads blocks off the patterns
+    space = full_space(5)
+    custom = ImageSpace(5, space.patterns, space.priors)
+    for m in (4, 6):
+        with pytest.raises(PartitionError):
+            evaluate(ProbePlan(MUTUAL, partition=nn_partition(m)), custom, ADD, mu=20.5)
