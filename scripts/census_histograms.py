@@ -40,7 +40,8 @@ def run(outdir: pathlib.Path) -> int:
         )
         if code:
             return code
-        n_buckets = sum(1 for _ in open(out)) - 2
+        with open(out) as fh:
+            n_buckets = sum(1 for _ in fh) - 2
         print(f"wrote {out} ({n_buckets} distinct fidelity values)")
     return 0
 

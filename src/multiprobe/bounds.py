@@ -37,6 +37,7 @@ from .errors import (
     CapacityError,
     ComparabilityError,
     DimensionError,
+    EnergyError,
     NumericError,
     PartitionError,
     UnsupportedBenchmarkError,
@@ -647,6 +648,8 @@ def fidelity_table_bruteforce(space_patterns, priors, spec: ProbeSpec, family: C
 def per_channel_classical_fidelity(family: ChannelFamily, ns: float) -> float:
     """Single-copy output fidelity of the optimal classical probe of one channel."""
     if family.kind == PURE_LOSS:
+        if ns is None:
+            raise EnergyError("the optimal classical probe of pure loss needs an energy ns")
         return coherent_loss_fidelity(family.background.tau, family.target.tau, ns)
     if family.kind == ADDITIVE:
         return vacuum_additive_fidelity(family.background.nu, family.target.nu)
@@ -713,6 +716,8 @@ def evaluate_points(space: ImageSpace, points) -> list[FidelityTable]:
         dists = _pair_entries(n, lambda i: (bits[i] != bits[i + 1:]).sum(axis=1))
         return [FidelityTable.pairs(n, dists * lf, pri, method="classical") for lf in logfs]
     if plan.route == MUTUAL:
+        if any(mu is None for *_, mu in points):
+            raise EnergyError("mutual probing needs a squeezing energy mu")
         if counting_applies(space):
             tables = fidelity_table_frontier(space, plan.partition, [(f, mu) for _, f, _, mu in points])
         else:

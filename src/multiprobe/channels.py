@@ -167,17 +167,12 @@ class IdlerLayout:
         return out
 
 
-def apply_pattern_with_idlers(
-    state: CovMatrix, family: ChannelFamily, pattern, layout: IdlerLayout
-) -> CovMatrix:
-    """Like apply_pattern, but modes marked as idlers pass through untouched;
-    the pattern holds one bit per channel the layout probes."""
+def layout_channels(family: ChannelFamily, pattern, layout: IdlerLayout) -> tuple[list[float], list[float]]:
+    """Per-mode (taus, nus) that send each probed mode of the layout through
+    the pattern's channel; idler modes pass (tau 1, nu 0).  The pattern
+    holds one bit per channel the layout probes."""
     modes = layout.mode_channels()
     bits = check_pattern(pattern, sum(ch is not None for ch in modes))
-    if layout.n_modes != state.n_modes:
-        raise DimensionError(
-            f"layout covers {layout.n_modes} modes but state has {state.n_modes}"
-        )
     taus, nus = [], []
     for ch in modes:
         if ch is None:
@@ -189,4 +184,17 @@ def apply_pattern_with_idlers(
             p = family.params(bits[ch])
             taus.append(p.tau)
             nus.append(p.nu)
+    return taus, nus
+
+
+def apply_pattern_with_idlers(
+    state: CovMatrix, family: ChannelFamily, pattern, layout: IdlerLayout
+) -> CovMatrix:
+    """Like apply_pattern, but modes marked as idlers pass through untouched
+    (see ``layout_channels``)."""
+    taus, nus = layout_channels(family, pattern, layout)
+    if layout.n_modes != state.n_modes:
+        raise DimensionError(
+            f"layout covers {layout.n_modes} modes but state has {state.n_modes}"
+        )
     return apply_mode_channels(state, taus, nus)

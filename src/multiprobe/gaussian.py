@@ -179,13 +179,12 @@ def ghz_cm(m: int, mu: float) -> CovMatrix:
     if mu < SHOT_NOISE:
         raise EnergyError(f"squeezing mu must be >= 1/2, got {mu}")
     c = max_correlation(mu, m)
-    gamma = np.diag([c, -c])
-    data = np.zeros((2 * m, 2 * m))
-    for j in range(m):
-        data[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = mu * np.eye(2)
-        for k in range(j + 1, m):
-            data[2 * j : 2 * j + 2, 2 * k : 2 * k + 2] = gamma
-            data[2 * k : 2 * k + 2, 2 * j : 2 * j + 2] = gamma
+    x, p = np.full((m, m), c), np.full((m, m), -c)
+    np.fill_diagonal(x, mu)
+    np.fill_diagonal(p, mu)
+    data = np.zeros((2 * m, 2 * m))  # no x-p correlation
+    data[0::2, 0::2] = x
+    data[1::2, 1::2] = p
     return CovMatrix(data)
 
 
@@ -209,16 +208,22 @@ def tensor(*states: CovMatrix) -> CovMatrix:
     """Tensor product: block-diagonal CM, concatenated means."""
     if not states:
         raise DimensionError("tensor of zero states")
-    total = sum(s.n_modes for s in states)
-    data = np.zeros((2 * total, 2 * total))
-    mean = np.zeros(2 * total)
+    return CovMatrix(*direct_sum([(s.data, s.mean) for s in states]))
+
+
+def direct_sum(parts) -> tuple[np.ndarray, np.ndarray]:
+    """Block-diagonal matrix and concatenated mean of (covariance matrix,
+    mean) parts, unchecked: the arrays of their tensor product."""
+    total = sum(len(mean) for _, mean in parts)
+    data = np.zeros((total, total))
+    mean = np.zeros(total)
     at = 0
-    for s in states:
-        w = 2 * s.n_modes
-        data[at : at + w, at : at + w] = s.data
-        mean[at : at + w] = s.mean
+    for block, part_mean in parts:
+        w = len(part_mean)
+        data[at : at + w, at : at + w] = block
+        mean[at : at + w] = part_mean
         at += w
-    return CovMatrix(data, mean)
+    return data, mean
 
 
 def _fidelity(v1: np.ndarray, v2: np.ndarray, mixed: bool, delta: np.ndarray) -> np.ndarray:
@@ -339,20 +344,25 @@ def _pair_fidelities(data: np.ndarray, means: np.ndarray, pure, pairs) -> np.nda
     """Fidelities of the index pairs (i, j) of a stack of checked states.
 
     Each pair is put in canonical ``tobytes`` order and identical states
-    give exactly 1.0, as in ``gaussian_fidelity``; the other pairs run
-    through ``_fidelity`` in stacks of at most STACK_MAX_PAIRS, pairs with a
-    pure member apart from mixed pairs.
+    give exactly 1.0, as in ``gaussian_fidelity``: both follow from one rank
+    per state of its key.  The other pairs run through ``_fidelity`` in
+    stacks of at most STACK_MAX_PAIRS, in pair order, pairs with a pure
+    member apart from mixed pairs.
     """
     keys = [(d.tobytes(), m.tobytes()) for d, m in zip(data, means)]
-    out = np.ones(len(pairs))
-    groups: dict[bool, list] = {False: [], True: []}  # mixed -> [(p, first, second)]
-    for p, (i, j) in enumerate(pairs):
-        if keys[i] != keys[j]:
-            if keys[j] < keys[i]:
-                i, j = j, i
-            groups[not (pure[i] or pure[j])].append((p, i, j))
-    for mixed, group in groups.items():
-        for start in range(0, len(group), STACK_MAX_PAIRS):
-            idx, first, second = map(list, zip(*group[start:start + STACK_MAX_PAIRS]))
-            out[idx] = _fidelity(data[first], data[second], mixed, means[first] - means[second])
+    rank_of = {key: r for r, key in enumerate(sorted(set(keys)))}
+    rank = np.array([rank_of[key] for key in keys], dtype=np.int64)
+    pure = np.asarray(pure, dtype=bool)
+    i, j = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    swap = rank[j] < rank[i]
+    first, second = np.where(swap, j, i), np.where(swap, i, j)
+    differ = rank[i] != rank[j]
+    mixed = ~(pure[i] | pure[j])
+    out = np.ones(len(i))
+    for group in (False, True):
+        todo = np.flatnonzero(differ & (mixed == group))
+        for start in range(0, len(todo), STACK_MAX_PAIRS):
+            idx = todo[start:start + STACK_MAX_PAIRS]
+            a, b = first[idx], second[idx]
+            out[idx] = _fidelity(data[a], data[b], group, means[a] - means[b])
     return out

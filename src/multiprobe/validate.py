@@ -11,6 +11,13 @@ full-state oracle, every pair fidelity on the full space of one probe
 configuration, is built once per configuration in ``run_suites`` and shared
 by ``counting_vs_bruteforce``, which reads its cpf and bcpf tables off it,
 and ``degeneracy_classes``; a suite called alone builds its own.
+
+Every suite evaluates its states in stacked calls.  The random-state
+suites draw all their cases first, then send the states of each mode count
+through one channel map and one stacked check or ``stacked_fidelities``
+call; the mutual reference takes one channel map per block.  Each value
+equals the one-``CovMatrix``-per-state ``gaussian_fidelity`` evaluation
+bit for bit.
 """
 
 from __future__ import annotations
@@ -32,8 +39,8 @@ from .bounds import (
     fidelity_table_blocks,
     tmsv_subfidelity,
 )
-from .channels import BlockLayout, ChannelFamily, IdlerLayout, apply_pattern_with_idlers
-from .gaussian import gaussian_fidelities, gaussian_fidelity, ghz_cm, symplectic_spectrum, tensor
+from .channels import BlockLayout, ChannelFamily, IdlerLayout, layout_channels, mode_channel_map
+from .gaussian import direct_sum, ghz_cm, stacked_fidelities, symplectic_spectrum
 from .imagespace import bcpf_space, cpf_space, full_space
 from .presets import DISJOINT, MUTUAL, ProbePlan
 from .probes import (
@@ -136,20 +143,68 @@ def suite_ghz_spectrum(scale: str) -> SuiteResult:
     return SuiteResult("ghz_spectrum", worst < tol, worst, tol, cases)
 
 
+def _by_modes(states) -> list[list[int]]:
+    """Indices of (covariance matrix, mean) states, grouped by mode count."""
+    groups: dict[int, list[int]] = {}
+    for k, (data, _) in enumerate(states):
+        groups.setdefault(len(data), []).append(k)
+    return list(groups.values())
+
+
+def _outputs(cases) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(covariance matrix, mean) of each (state, layout, family, pattern)
+    case's output, as ``apply_pattern_with_idlers`` gives it: one
+    ``mode_channel_map`` call per mode count, the matrices symmetrised as
+    ``CovMatrix`` does but not checked."""
+    out = [None] * len(cases)
+    for idx in _by_modes([(state.data, state.mean) for state, *_ in cases]):
+        group = [cases[c] for c in idx]
+        taus, nus = zip(*(layout_channels(family, pattern, layout) for _, layout, family, pattern in group))
+        data, means = mode_channel_map(
+            np.stack([state.data for state, *_ in group]), np.stack([state.mean for state, *_ in group]), taus, nus
+        )
+        data = 0.5 * (data + data.swapaxes(1, 2))
+        for r, c in enumerate(idx):
+            out[c] = (data[r], means[r])
+    return out
+
+
+def _fidelities(states, pairs) -> list[float]:
+    """Fidelities of the index pairs (a, b) of (covariance matrix, mean)
+    states, a and b of one mode count: one ``stacked_fidelities`` call per
+    mode count."""
+    out = [0.0] * len(pairs)
+    for idx in _by_modes(states):
+        row = {k: r for r, k in enumerate(idx)}
+        mine = [p for p, (a, _) in enumerate(pairs) if a in row]
+        got = stacked_fidelities(
+            np.stack([states[k][0] for k in idx]),
+            np.stack([states[k][1] for k in idx]),
+            [(row[pairs[p][0]], row[pairs[p][1]]) for p in mine],
+        )
+        for p, fid in zip(mine, got.tolist()):
+            out[p] = fid
+    return out
+
+
 def suite_bona_fide(scale: str, seed: int = 0) -> SuiteResult:
     """Random probes through random physical channels stay bona fide."""
     tol = gaussian.BONA_FIDE_TOL
     rng = np.random.default_rng(seed)
     n_cases = {"smoke": 10, "quick": 60, "full": 200}[scale]
-    worst = 0.0
+    cases = []
     for _ in range(n_cases):
         m = int(rng.integers(2, 6))
         spec = _random_spec(rng, m)
         family = _random_family(rng)
         probe = assemble_probe(spec)
         pattern = tuple(int(b) for b in rng.integers(0, 2, m))
-        out = probe.output(family, pattern)  # construction re-validates
-        worst = max(worst, max(0.0, 0.5 - float(out.spectrum[0])))
+        cases.append((probe.cm, probe.layout, family, pattern))
+    outs = _outputs(cases)
+    worst = 0.0
+    for idx in _by_modes(outs):
+        spectrum, _ = gaussian._checked(np.stack([outs[c][0] for c in idx]))  # raises where CovMatrix would
+        worst = max(worst, float(np.max(0.5 - spectrum[:, 0])))
     return SuiteResult("bona_fide_outputs", worst < tol, worst, tol, n_cases)
 
 
@@ -158,7 +213,7 @@ def suite_fidelity_symmetry(scale: str, seed: int = 1) -> SuiteResult:
     tol = 1e-12
     rng = np.random.default_rng(seed)
     n_cases = {"smoke": 10, "quick": 50, "full": 150}[scale]
-    worst = 0.0
+    cases = []
     for _ in range(n_cases):
         m = int(rng.integers(2, 5))
         spec = _random_spec(rng, m)
@@ -166,8 +221,10 @@ def suite_fidelity_symmetry(scale: str, seed: int = 1) -> SuiteResult:
         probe = assemble_probe(spec)
         pa = tuple(int(b) for b in rng.integers(0, 2, m))
         pb = tuple(int(b) for b in rng.integers(0, 2, m))
-        oa, ob = probe.output(family, pa), probe.output(family, pb)
-        worst = max(worst, abs(gaussian_fidelity(oa, ob) - gaussian_fidelity(ob, oa)))
+        cases += [(probe.cm, probe.layout, family, pa), (probe.cm, probe.layout, family, pb)]
+    forward = [(c, c + 1) for c in range(0, len(cases), 2)]
+    fids = _fidelities(_outputs(cases), forward + [(b, a) for a, b in forward])
+    worst = max(abs(ab - ba) for ab, ba in zip(fids[:n_cases], fids[n_cases:]))
     return SuiteResult("fidelity_symmetry", worst < tol, worst, tol, n_cases)
 
 
@@ -312,22 +369,28 @@ def suite_multiplicativity(scale: str, seed: int = 2) -> SuiteResult:
     tol = 1e-10
     rng = np.random.default_rng(seed)
     n_cases = {"smoke": 10, "quick": 40, "full": 100}[scale]
-    worst = 0.0
+    cases, n_blocks = [], []  # per block: output A, then output B
     for _ in range(n_cases):
         family = _random_family(rng)
-        parts_a, parts_b = [], []
-        for _ in range(int(rng.integers(2, 4))):
+        n_blocks.append(int(rng.integers(2, 4)))
+        for _ in range(n_blocks[-1]):
             mu = float(rng.uniform(0.6, 30.0))
             k = int(rng.integers(2, 4))
             block = ghz_cm(k, mu)
             pa = tuple(int(b) for b in rng.integers(0, 2, k))
             pb = tuple(int(b) for b in rng.integers(0, 2, k))
             lay = IdlerLayout((BlockLayout(0, tuple(range(k))),))
-            parts_a.append(apply_pattern_with_idlers(block, family, pa, lay))
-            parts_b.append(apply_pattern_with_idlers(block, family, pb, lay))
-        joint = gaussian_fidelity(tensor(*parts_a), tensor(*parts_b))
-        product = math.prod(gaussian_fidelity(a, b) for a, b in zip(parts_a, parts_b))
-        worst = max(worst, abs(joint - product))
+            cases += [(block, lay, family, pa), (block, lay, family, pb)]
+    outs = _outputs(cases)
+    per_block = _fidelities(outs, [(c, c + 1) for c in range(0, len(cases), 2)])
+    starts = np.cumsum([0, *n_blocks]).tolist()
+    joints = []
+    for a, b in zip(starts, starts[1:]):
+        joints += [direct_sum(outs[2 * a:2 * b:2]), direct_sum(outs[2 * a + 1:2 * b:2])]
+    joint = _fidelities(joints, [(t, t + 1) for t in range(0, len(joints), 2)])
+    worst = 0.0
+    for fid, a, b in zip(joint, starts, starts[1:]):
+        worst = max(worst, abs(fid - math.prod(per_block[a:b])))
     return SuiteResult("block_multiplicativity", worst < tol, worst, tol, n_cases)
 
 
@@ -351,6 +414,22 @@ def suite_monotonicity(scale: str) -> SuiteResult:
     return SuiteResult("bound_monotonicity", worst < tol, worst, tol, cases)
 
 
+def _mutual_reference(ext_part, ext_space, family: ChannelFamily, mu: float) -> list[float]:
+    """log F of every extended pattern pair i < j, in row-major order: the
+    product of its per-block fidelities, with no grouping.  Each block's
+    outputs come from one channel map and its pairs from one
+    ``stacked_fidelities`` call."""
+    first, second = np.triu_indices(len(ext_space.extended), 1)
+    pairs = list(zip(first.tolist(), second.tolist()))
+    per_block = []
+    for blk in ext_part.blocks:
+        state = ghz_cm(len(blk), mu)
+        lay = IdlerLayout((BlockLayout(0, tuple(range(len(blk)))),))
+        cases = [(state, lay, family, tuple(pat[c] for c in blk)) for pat in ext_space.extended]
+        per_block.append(_fidelities(_outputs(cases), pairs))
+    return [math.log(math.prod(fids)) for fids in zip(*per_block)]
+
+
 def suite_mutual_vs_bruteforce(scale: str) -> SuiteResult:
     """Mutual-probing bounds, from the dense extension table and from the
     frontier DP that ``evaluate`` uses, equal exhaustive evaluation on the
@@ -365,29 +444,7 @@ def suite_mutual_vs_bruteforce(scale: str) -> SuiteResult:
         for family in _families():
             ext_part, ext_space = extend_for_mutual_probing(partition, space)
             spec = ProbeSpec(ext_part.m, mu, ext_part.blocks)
-            # reference: per-pair product of per-block fidelities, no grouping
-            probe_blocks = []
-            for blk in ext_part.blocks:
-                state = ghz_cm(len(blk), mu)
-                lay = IdlerLayout((BlockLayout(0, tuple(range(len(blk)))),))
-                probe_blocks.append((blk, state, lay))
-            n = len(ext_space.extended)
-            outs = []
-            for pat in ext_space.extended:
-                outs.append(
-                    [
-                        apply_pattern_with_idlers(st, family, tuple(pat[c] for c in blk), lay)
-                        for blk, st, lay in probe_blocks
-                    ]
-                )
-            ref_logf = []
-            for i in range(n):
-                per_block = [
-                    gaussian_fidelities(out, [later[b] for later in outs[i + 1:]]).tolist()
-                    for b, out in enumerate(outs[i])
-                ]
-                ref_logf.extend(math.log(math.prod(fids)) for fids in zip(*per_block))
-            ref = FidelityTable.pairs(n, ref_logf)
+            ref = FidelityTable.pairs(len(ext_space.extended), _mutual_reference(ext_part, ext_space, family, mu))
             dense = fidelity_table_blocks(ext_space.extended, None, spec.descriptors(), family)
             frontier = evaluate(ProbePlan(MUTUAL, partition=partition), space, family, mu=mu)
             for copies in (1, 7):

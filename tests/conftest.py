@@ -1,14 +1,19 @@
 """Shared strategies and reference implementations for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 from scipy.linalg import sqrtm
 
+from multiprobe import gaussian
 from multiprobe.bounds import _block_occupancy_options, block_subfidelity
-from multiprobe.channels import ChannelFamily
+from multiprobe.channels import BlockLayout, ChannelFamily, IdlerLayout, apply_pattern_with_idlers
 from multiprobe.errors import DimensionError
-from multiprobe.gaussian import symplectic_form
+from multiprobe.gaussian import gaussian_fidelities, gaussian_fidelity, ghz_cm, symplectic_form, tensor
+from multiprobe.probes import assemble_probe
+from multiprobe.validate import SuiteResult, _random_family, _random_spec
 
 
 @pytest.fixture
@@ -163,3 +168,90 @@ def counting_sums(space, spec, family, m_val):
             sum_m += x
             sum_2m += y
     return sum_m, sum_2m
+
+
+# Scalar references of the batched validate suites: one CovMatrix per state
+# and one gaussian_fidelity call per pair, drawing from the rng in the same
+# order as the suites.
+
+
+def scalar_bona_fide(scale: str, seed: int = 0) -> SuiteResult:
+    tol = gaussian.BONA_FIDE_TOL
+    rng = np.random.default_rng(seed)
+    n_cases = {"smoke": 10, "quick": 60, "full": 200}[scale]
+    worst = 0.0
+    for _ in range(n_cases):
+        m = int(rng.integers(2, 6))
+        spec = _random_spec(rng, m)
+        family = _random_family(rng)
+        probe = assemble_probe(spec)
+        pattern = tuple(int(b) for b in rng.integers(0, 2, m))
+        out = probe.output(family, pattern)  # construction re-validates
+        worst = max(worst, max(0.0, 0.5 - float(out.spectrum[0])))
+    return SuiteResult("bona_fide_outputs", worst < tol, worst, tol, n_cases)
+
+
+def scalar_fidelity_symmetry(scale: str, seed: int = 1) -> SuiteResult:
+    tol = 1e-12
+    rng = np.random.default_rng(seed)
+    n_cases = {"smoke": 10, "quick": 50, "full": 150}[scale]
+    worst = 0.0
+    for _ in range(n_cases):
+        m = int(rng.integers(2, 5))
+        spec = _random_spec(rng, m)
+        family = _random_family(rng)
+        probe = assemble_probe(spec)
+        pa = tuple(int(b) for b in rng.integers(0, 2, m))
+        pb = tuple(int(b) for b in rng.integers(0, 2, m))
+        oa, ob = probe.output(family, pa), probe.output(family, pb)
+        worst = max(worst, abs(gaussian_fidelity(oa, ob) - gaussian_fidelity(ob, oa)))
+    return SuiteResult("fidelity_symmetry", worst < tol, worst, tol, n_cases)
+
+
+def scalar_multiplicativity(scale: str, seed: int = 2) -> SuiteResult:
+    tol = 1e-10
+    rng = np.random.default_rng(seed)
+    n_cases = {"smoke": 10, "quick": 40, "full": 100}[scale]
+    worst = 0.0
+    for _ in range(n_cases):
+        family = _random_family(rng)
+        parts_a, parts_b = [], []
+        for _ in range(int(rng.integers(2, 4))):
+            mu = float(rng.uniform(0.6, 30.0))
+            k = int(rng.integers(2, 4))
+            block = ghz_cm(k, mu)
+            pa = tuple(int(b) for b in rng.integers(0, 2, k))
+            pb = tuple(int(b) for b in rng.integers(0, 2, k))
+            lay = IdlerLayout((BlockLayout(0, tuple(range(k))),))
+            parts_a.append(apply_pattern_with_idlers(block, family, pa, lay))
+            parts_b.append(apply_pattern_with_idlers(block, family, pb, lay))
+        joint = gaussian_fidelity(tensor(*parts_a), tensor(*parts_b))
+        product = math.prod(gaussian_fidelity(a, b) for a, b in zip(parts_a, parts_b))
+        worst = max(worst, abs(joint - product))
+    return SuiteResult("block_multiplicativity", worst < tol, worst, tol, n_cases)
+
+
+def scalar_mutual_reference(ext_part, ext_space, family, mu) -> list[float]:
+    """log F of every extended pattern pair i < j, row-major: the product of
+    per-block fidelities, one CovMatrix per pattern and block."""
+    probe_blocks = []
+    for blk in ext_part.blocks:
+        state = ghz_cm(len(blk), mu)
+        lay = IdlerLayout((BlockLayout(0, tuple(range(len(blk)))),))
+        probe_blocks.append((blk, state, lay))
+    outs = []
+    for pat in ext_space.extended:
+        outs.append(
+            [
+                apply_pattern_with_idlers(st, family, tuple(pat[c] for c in blk), lay)
+                for blk, st, lay in probe_blocks
+            ]
+        )
+    ref_logf = []
+    for i in range(len(outs)):
+        per_block = [
+            gaussian_fidelities(out, [later[b] for later in outs[i + 1:]]).tolist()
+            for b, out in enumerate(outs[i])
+        ]
+        ref_logf.extend(math.log(math.prod(fids)) for fids in zip(*per_block))
+    return ref_logf

@@ -28,6 +28,7 @@ from multiprobe.closedform import coherent_loss_fidelity, vacuum_additive_fideli
 from multiprobe.errors import (
     ComparabilityError,
     DimensionError,
+    EnergyError,
     PartitionError,
     UnsupportedBenchmarkError,
 )
@@ -651,6 +652,22 @@ def test_evaluate_points_needs_one_structure():
         alone = evaluate(plan, space, fam, ns=ns, mu=mu)
         assert table.counts.tolist() == alone.counts.tolist()
         assert table.logf.tolist() == alone.logf.tolist()
+
+
+@pytest.mark.parametrize("custom", [False, True], ids=["full", "custom"])
+def test_evaluate_without_the_energy_it_needs_raises_energy_error(custom):
+    space = full_space(4)
+    if custom:
+        space = ImageSpace(4, space.patterns, space.priors)
+    with pytest.raises(EnergyError, match="mu"):
+        evaluate(ProbePlan(MUTUAL, partition=nn_partition(4)), space, LOSS)
+    with pytest.raises(EnergyError, match="mu"):
+        evaluate_points(space, [(ProbePlan(MUTUAL, partition=nn_partition(4)), LOSS, None, mu) for mu in (20.5, None)])
+    with pytest.raises(EnergyError, match="ns"):
+        evaluate(ProbePlan(CLASSICAL), space, LOSS)
+    # the vacuum probe of additive noise has no energy
+    table = evaluate(ProbePlan(CLASSICAL), space, ADD)
+    assert table.logf.tolist() == evaluate(ProbePlan(CLASSICAL), space, ADD, ns=20.0).logf.tolist()
 
 
 @pytest.mark.parametrize("space, probe", [

@@ -87,6 +87,24 @@ def test_ghz_spectrum_large_mu_scale_aware(mu):
     assert np.max(np.abs(got - want) / np.maximum(want, 1.0)) < 1e-10 + 64 * 2.3e-16 * mu * mu
 
 
+def _ghz_blocks(m, mu):
+    """GHZ CM assembled 2x2 block by 2x2 block, as the definition reads."""
+    c = np.sqrt(mu * mu - 0.25) / (m - 1)
+    data = np.zeros((2 * m, 2 * m))
+    for j in range(m):
+        data[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = mu * np.eye(2)
+        for k in range(j + 1, m):
+            data[2 * j : 2 * j + 2, 2 * k : 2 * k + 2] = np.diag([c, -c])
+            data[2 * k : 2 * k + 2, 2 * j : 2 * j + 2] = np.diag([c, -c])
+    return data
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_ghz_cm_equals_blockwise_assembly(m):
+    for mu in (0.5, 0.6, 2.5, 20.5, 317.0, 1e4):
+        assert np.array_equal(ghz_cm(m, mu).data, _ghz_blocks(m, mu))
+
+
 def test_ghz_validation_errors():
     with pytest.raises(EnergyError):
         ghz_cm(3, 0.49)
@@ -195,6 +213,33 @@ def test_fidelities_beyond_the_stack_cap_equal_scalar_calls():
     pairs = [(i, j) for i in range(0, len(others), 7) for j in range(len(others))]
     got = stacked_fidelities(data, means, pairs).tolist()
     assert got == [gaussian_fidelity(others[i], others[j]) for i, j in pairs]
+
+
+def test_stacked_fidelities_canonicalise_each_pair_as_gaussian_fidelity():
+    # duplicates at other indices, both orders of every pair, self-pairs,
+    # and pure and mixed states, some displaced.  With a pure member at
+    # mu ~ 1000 the mixed form is off by 1e-6 to 1e-4, so each group must
+    # take the pure flags of its pair's own two states; the pure member is
+    # first in canonical order in one such pair and second in the other.
+    tmsv = tmsv_cm(3.5)
+    lossy = apply_mode_channels(tmsv, [0.8, 0.6], [0.1, 0.25])
+    states = [
+        lossy,
+        tmsv,
+        coherent_cm([0.3 + 0.2j, -0.1j]),
+        CovMatrix(lossy.data, [0.2, -0.1, 0.05, 0.3]),
+        CovMatrix(np.diag(np.repeat([0.9, 1.4], 2))),
+        CovMatrix(tmsv.data, [0.1, 0.0, -0.2, 0.4]),
+        tmsv_cm(1e3),
+        apply_mode_channels(tmsv, [0.99, 0.97], [0.005, 0.015]),
+        CovMatrix(tmsv_cm(1e3).data, [0.0, 0.1, 0.0, 0.0]),
+        tmsv_cm(1000.1),
+        apply_mode_channels(tmsv_cm(1000.1), [0.999, 0.999], [0.0005, 0.0005]),
+    ]
+    states += [CovMatrix(s.data, s.mean) for s in states[::-1]]
+    pairs = [(i, j) for i in range(len(states)) for j in range(len(states))]
+    got = stacked_fidelities(np.stack([s.data for s in states]), np.stack([s.mean for s in states]), pairs)
+    assert got.tolist() == [gaussian_fidelity(states[i], states[j]) for i, j in pairs]
 
 
 GOOD_ROW = 0.7 * np.eye(2)

@@ -8,9 +8,16 @@ import multiprobe.gaussian as gaussian
 import multiprobe.validate as validate
 from multiprobe.bounds import FidelityTable, bruteforce_fidelities, fidelity_table_bruteforce
 from multiprobe.imagespace import bcpf_space, cpf_space, full_space
-from multiprobe.validate import run_suites
+from multiprobe.probes import extend_for_mutual_probing, nn_partition
+from multiprobe.validate import SCALES, run_suites
 
-from conftest import pair_class_key
+from conftest import (
+    pair_class_key,
+    scalar_bona_fide,
+    scalar_fidelity_symmetry,
+    scalar_multiplicativity,
+    scalar_mutual_reference,
+)
 
 
 def test_smoke_suites_all_pass():
@@ -103,3 +110,28 @@ def test_class_codes_group_pairs_as_pair_class_key(m):
         keys = [pair_class_key(a, b, blocks) for a, b in pairs]
         # the codes name the classes one to one
         assert len(set(zip(codes, keys))) == len(set(codes)) == len(set(keys))
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("suite, scalar", [
+    (validate.suite_bona_fide, scalar_bona_fide),
+    (validate.suite_fidelity_symmetry, scalar_fidelity_symmetry),
+    (validate.suite_multiplicativity, scalar_multiplicativity),
+], ids=["bona_fide", "symmetry", "multiplicativity"])
+def test_stacked_random_state_suites_equal_scalar_loops(suite, scalar, scale):
+    # same rng draws, same states, same fidelities: equal deviations, not close ones
+    assert suite(scale) == scalar(scale)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_stacked_mutual_reference_equals_scalar_loop(m):
+    ext_part, ext_space = extend_for_mutual_probing(nn_partition(m), full_space(m))
+    for family in validate._families():
+        got = validate._mutual_reference(ext_part, ext_space, family, 20.5)
+        assert got == scalar_mutual_reference(ext_part, ext_space, family, 20.5)
+
+
+def test_mutual_suite_equals_its_scalar_reference(monkeypatch):
+    stacked = validate.suite_mutual_vs_bruteforce("full")
+    monkeypatch.setattr(validate, "_mutual_reference", scalar_mutual_reference)
+    assert validate.suite_mutual_vs_bruteforce("full") == stacked
