@@ -367,8 +367,11 @@ def fidelity_table_counting(space: ImageSpace, points) -> list[FidelityTable]:
     of enumerated patterns.  log F sums one block fidelity per block and
     (v, u, d) class in block order, so pairs whose blocks fall in the same
     classes reach the same float and merge.  The flag excludes identical
-    pairs.  The class fidelities of every point come from one batch per
-    block signature; the DP then runs per point.
+    pairs.  When every target count is admissible, as on the full space,
+    the target fields stay 0 and the classes of a block merge per (differs,
+    log f), which leaves the entries and their order as they are.  The
+    class fidelities of every point come from one batch per block
+    signature; the DP then runs per point.
     """
     if not counting_applies(space):
         raise ValueError("counting needs a uniform full/cpf/bcpf space")
@@ -384,6 +387,8 @@ def fidelity_table_counting(space: ImageSpace, points) -> list[FidelityTable]:
         sig = tuple(map(_block_signature, descs, families))
         if sig not in step_lists:
             step_lists[sig] = _class_steps(list(zip(descs, families)), space.m, kmin, kmax)
+            if len(ks) > space.m:
+                step_lists[sig] = [_untracked(steps) for steps in step_lists[sig]]
         block_steps.append((len(descs[0].channels), step_lists[sig]))
     tables = []
     for k in range(len(points)):
@@ -433,6 +438,16 @@ def _class_steps(points, m: int, kmin: int, kmax: int) -> list[list[tuple]]:
         [(v, u, d > 0, count, _log(f)) for (v, u, d, count), f in zip(classes, fids)]
         for fids in block_fidelities(points, pairs).tolist()
     ]
+
+
+def _untracked(steps: list[tuple]) -> list[tuple]:
+    """``_class_steps`` of one point without target counts: the ordered
+    sub-pattern pairs of the classes that share (differs, log f) summed, in
+    order of first appearance."""
+    merged: dict[tuple[bool, float], int] = {}
+    for _, _, differs, count, logf in steps:
+        merged[differs, logf] = merged.get((differs, logf), 0) + count
+    return [(0, 0, differs, count, logf) for (differs, logf), count in merged.items()]
 
 
 def fidelity_table_frontier(

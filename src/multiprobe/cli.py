@@ -10,10 +10,10 @@ README.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -304,6 +304,8 @@ def cmd_bounds(args) -> int:
     groups = [indices[at:at + share] for at in range(0, len(indices), share)]
     batches = [[[payloads[i] for i in idx] for idx in group] for group in groups]
     if args.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # slow to import; only pools need it
+
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_eval_group, batches))
     else:
@@ -367,7 +369,11 @@ def _add_common(p: _Parser, with_copies: bool = True) -> None:
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: ``main`` may run
+    many commands in one process, as the scripts do, and parsing leaves
+    the parser unchanged."""
     parser = _Parser(prog="multiprobe", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

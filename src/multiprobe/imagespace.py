@@ -8,6 +8,7 @@ a set of target counts, and the full space all 2^m patterns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -37,38 +38,53 @@ def _cpf_patterns(m: int, k: int) -> list[Pattern]:
     return pats
 
 
-@dataclass(frozen=True, eq=False)
+def _enumerate(m: int, ks) -> tuple[Pattern, ...]:
+    """Every pattern over m channels with a target count in ks, sorted."""
+    return tuple(sorted(p for k in ks for p in _cpf_patterns(m, k)))
+
+
 class ImageSpace:
-    """Ordered patterns plus priors.  Patterns are lexicographically sorted."""
+    """Ordered patterns plus priors.  Patterns are lexicographically sorted.
 
-    m: int
-    patterns: tuple[Pattern, ...]
-    priors: np.ndarray
-    kind: tuple = (CUSTOM,)
+    Without patterns, a full/cpf/bcpf ``kind`` describes a uniform
+    position-finding space: its size, target counts and uniformity follow
+    from m and the kind, and its patterns and priors are enumerated, and
+    checked as given ones are, on the first read of either.  Only the dense
+    routes, the brute-force oracle and serialization read them.
+    """
 
-    def __post_init__(self):
-        if not 1 <= self.m <= MAX_PATTERN_LEN:
+    def __init__(self, m: int, patterns=None, priors=None, kind: tuple = (CUSTOM,)):
+        if not 1 <= m <= MAX_PATTERN_LEN:
             raise DimensionError(f"pattern length must be in [1, {MAX_PATTERN_LEN}]")
-        if not self.patterns:
-            raise ValueError("image space is empty")
-        for p in self.patterns:
-            if len(p) != self.m or any(b not in (0, 1) for b in p):
-                raise ValueError(f"bad pattern {p!r} for m={self.m}")
-        if len(set(self.patterns)) != len(self.patterns):
-            raise ValueError("duplicate patterns in image space")
-        priors = np.asarray(self.priors, dtype=float)
-        if priors.shape != (len(self.patterns),):
-            raise DimensionError("one prior per pattern required")
-        if (priors < 0).any() or abs(priors.sum() - 1.0) > PRIOR_TOL:
-            raise ValueError("priors must be nonnegative and sum to 1")
-        object.__setattr__(self, "priors", priors)
-
-    def __len__(self) -> int:
-        return len(self.patterns)
+        self.m = m
+        self.kind = kind
+        if patterns is None:
+            if priors is not None or self.target_counts is None:
+                raise ValueError("only a uniform full/cpf/bcpf space may leave its patterns out")
+            self._size = sum(math.comb(m, k) for k in self.target_counts)
+            if not self._size:
+                raise ValueError("image space is empty")
+            self.uniform = True
+        else:
+            self._contents = _checked(m, tuple(patterns), priors)
+            self._size = len(self.patterns)
+            self.uniform = bool(np.allclose(self.priors, 1.0 / len(self), rtol=0, atol=PRIOR_TOL))
 
     @cached_property
-    def uniform(self) -> bool:
-        return bool(np.allclose(self.priors, 1.0 / len(self), rtol=0, atol=PRIOR_TOL))
+    def _contents(self) -> tuple[tuple[Pattern, ...], np.ndarray]:
+        pats = _enumerate(self.m, self.target_counts)
+        return _checked(self.m, pats, np.full(len(pats), 1.0 / len(pats)))
+
+    @property
+    def patterns(self) -> tuple[Pattern, ...]:
+        return self._contents[0]
+
+    @property
+    def priors(self) -> np.ndarray:
+        return self._contents[1]
+
+    def __len__(self) -> int:
+        return self._size
 
     @property
     def target_counts(self) -> tuple[int, ...] | None:
@@ -82,22 +98,35 @@ class ImageSpace:
         return None
 
 
+def _checked(m: int, patterns: tuple[Pattern, ...], priors) -> tuple[tuple[Pattern, ...], np.ndarray]:
+    """The patterns and priors of an image space over m channels, checked."""
+    if not patterns:
+        raise ValueError("image space is empty")
+    for p in patterns:
+        if len(p) != m or any(b not in (0, 1) for b in p):
+            raise ValueError(f"bad pattern {p!r} for m={m}")
+    if len(set(patterns)) != len(patterns):
+        raise ValueError("duplicate patterns in image space")
+    priors = np.asarray(priors, dtype=float)
+    if priors.shape != (len(patterns),):
+        raise DimensionError("one prior per pattern required")
+    if (priors < 0).any() or abs(priors.sum() - 1.0) > PRIOR_TOL:
+        raise ValueError("priors must be nonnegative and sum to 1")
+    return patterns, priors
+
+
 def full_space(m: int, priors=None) -> ImageSpace:
     """All 2^m patterns in lexicographic order."""
     if m > MAX_PATTERN_LEN:
         raise CapacityError(f"full space enumeration capped at m={MAX_PATTERN_LEN}")
-    pats = sorted(p for k in range(m + 1) for p in _cpf_patterns(m, k))
-    pri = np.full(len(pats), 1.0 / len(pats)) if priors is None else priors
-    return ImageSpace(m, tuple(pats), pri, kind=(FULL,))
+    return _position_space(m, (FULL,), priors)
 
 
 def cpf_space(m: int, k: int, priors=None) -> ImageSpace:
     """Patterns with exactly k target channels."""
     if not 0 <= k <= m:
         raise ValueError(f"target count k={k} outside [0, {m}]")
-    pats = sorted(_cpf_patterns(m, k))
-    pri = np.full(len(pats), 1.0 / len(pats)) if priors is None else priors
-    return ImageSpace(m, tuple(pats), pri, kind=(CPF, k))
+    return _position_space(m, (CPF, k), priors)
 
 
 def bcpf_space(m: int, ks, priors=None) -> ImageSpace:
@@ -105,9 +134,15 @@ def bcpf_space(m: int, ks, priors=None) -> ImageSpace:
     ks = tuple(sorted(set(int(k) for k in ks)))
     if not ks or ks[0] < 0 or ks[-1] > m:
         raise ValueError(f"target counts {ks} outside [0, {m}]")
-    pats = sorted(p for k in ks for p in _cpf_patterns(m, k))
-    pri = np.full(len(pats), 1.0 / len(pats)) if priors is None else priors
-    return ImageSpace(m, tuple(pats), pri, kind=(BCPF, ks))
+    return _position_space(m, (BCPF, ks), priors)
+
+
+def _position_space(m: int, kind: tuple, priors) -> ImageSpace:
+    """A lazy uniform space, or the enumerated one when priors are given."""
+    space = ImageSpace(m, kind=kind)
+    if priors is None:
+        return space
+    return ImageSpace(m, _enumerate(m, space.target_counts), priors, kind=kind)
 
 
 @dataclass(frozen=True, eq=False)

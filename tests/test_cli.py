@@ -6,7 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from multiprobe.cli import main, parse_grid, UsageError
+import multiprobe.imagespace as imagespace
+from multiprobe.bounds import evaluate_points
+from multiprobe.channels import ChannelFamily
+from multiprobe.cli import build_parser, build_space, main, parse_grid, UsageError
+from multiprobe.presets import PRESET_NAMES, resolve_probe
 
 
 def run_cli(args):
@@ -279,3 +283,65 @@ def test_census_nn_support_wider_than_disjoint(tmp_path):
     disjoint = buckets("tmsv-disjoint", 2.0)
     ring = buckets("nn", 1.0)
     assert ring > ghz and ring > disjoint
+
+
+def test_cli_import_leaves_process_pool_out():
+    # only --workers > 1 needs the pool, which is slow to import
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, multiprobe.cli; "
+         "print(sorted(m for m in sys.modules if m in ('concurrent.futures.process', 'multiprocessing')))"],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("space", ["full", "cpf:3", "bcpf:1,2"])
+def test_classed_routes_never_enumerate_patterns(monkeypatch, tmp_path, space):
+    def refuse(m, k):
+        raise RuntimeError("patterns enumerated")
+
+    monkeypatch.setattr(imagespace, "_cpf_patterns", refuse)
+    m, mu = 7, 20.5
+    families = [ChannelFamily.pure_loss(0.99, 0.97), ChannelFamily.additive(0.02, 0.01)]
+    for probe in PRESET_NAMES:
+        plan = resolve_probe(probe, m, mu)
+        tables = evaluate_points(build_space(space, m), [(plan, f, mu - 0.5, mu) for f in families])
+        assert {t.method for t in tables} <= {"counting", "mutual", "classical"}
+        flags = ["--family", "pure-loss", "--m", str(m), "--eta-b", "0.99", "--eta-t", "0.97",
+                 "--ns", "20", "--space", space, "--probe", probe]
+        assert main(["census", *flags, "--out", str(tmp_path / "census.csv")]) == 0
+        assert main(["bounds", *flags, "--mbar", "100", "--against-classical",
+                     "--out", str(tmp_path / "bounds.csv")]) == 0
+
+
+def test_reused_parser_leaks_nothing_between_runs(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": ["ns=5:15:2"], "ns": 7.0}))
+    flags = ["bounds", "--family", "pure-loss", "--m", "3", "--eta-b", "0.99",
+             "--eta-t", "0.97", "--ns", "20", "--probe", "tmsv-disjoint"]
+    runs = [
+        flags + ["--grid", "copies=1:5:3"],
+        flags + ["--grid", "mbar=2:6:2", "--grid", "ns=1:3:2"],
+        flags + ["--copies", "2", "--config", str(cfg)],
+    ]
+
+    def run_all(tag, fresh):
+        seen = []
+        for i, argv in enumerate(runs):
+            if fresh:
+                build_parser.cache_clear()
+            out = tmp_path / f"{tag}{i}.csv"
+            assert main(argv + ["--out", str(out)]) == 0
+            seen.append((out.read_bytes(), capsys.readouterr().err))
+        return seen
+
+    build_parser.cache_clear()
+    parser = build_parser()
+    reused = run_all("reused", fresh=False)
+    assert build_parser() is parser
+    assert parser.parse_args(flags).grid == []  # the append default stays empty
+    assert reused == run_all("fresh", fresh=True)
+    assert "overrides" in reused[2][1]

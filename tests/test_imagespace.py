@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 
 import numpy as np
@@ -48,6 +49,63 @@ def test_priors_uniform_and_custom():
         ImageSpace(2, ((0, 0), (1, 1)), np.array([0.7, 0.7]))
     custom = ImageSpace(2, ((0, 0), (1, 1)), np.array([0.25, 0.75]))
     assert not custom.uniform
+
+
+def _lazy_spaces(m: int):
+    """(lazy space, admissible target counts) for every kind over m channels:
+    the full space, every cpf space and the bcpf spaces of one or two counts."""
+    yield full_space(m), set(range(m + 1))
+    for k in range(m + 1):
+        yield cpf_space(m, k), {k}
+    for ks in itertools.combinations(range(m + 1), 2):
+        yield bcpf_space(m, ks), set(ks)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_lazy_spaces_match_materialised(m):
+    for space, ks in _lazy_spaces(m):
+        # size, counts and uniformity are read before any pattern is
+        pats = tuple(p for p in itertools.product((0, 1), repeat=m) if sum(p) in ks)
+        assert len(space) == len(pats)
+        assert space.target_counts == tuple(sorted(ks))
+        assert space.uniform is True
+        want = ImageSpace(m, pats, np.full(len(pats), 1.0 / len(pats)), kind=space.kind)
+        assert want.uniform is True
+        assert want.target_counts == space.target_counts
+        assert space.patterns == want.patterns
+        assert np.array_equal(space.priors, want.priors)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_explicit_priors_keep_the_eager_path(m):
+    rng = np.random.default_rng(m)
+    for build in (
+        lambda pri: full_space(m, pri),
+        lambda pri: cpf_space(m, m // 2, pri),
+        lambda pri: bcpf_space(m, (0, m), pri),
+    ):
+        lazy = build(None)
+        pri = rng.random(len(lazy))
+        pri /= pri.sum()
+        eager = build(pri)
+        assert eager.kind == lazy.kind
+        assert eager.target_counts == lazy.target_counts
+        assert len(eager) == len(lazy)
+        assert eager.patterns == lazy.patterns
+        assert np.array_equal(eager.priors, pri)
+        assert eager.uniform is (len(lazy) == 1)
+        assert build(np.full(len(lazy), 1.0 / len(lazy))).uniform is True
+        with pytest.raises(DimensionError):
+            build(np.full(len(lazy) + 1, 1.0 / (len(lazy) + 1)))
+
+
+def test_only_position_finding_spaces_leave_patterns_out():
+    with pytest.raises(ValueError):
+        ImageSpace(3)
+    with pytest.raises(ValueError):
+        ImageSpace(3, priors=np.full(8, 0.125), kind=full_space(3).kind)
+    with pytest.raises(DimensionError):
+        full_space(0)
 
 
 def test_full_space_capacity_guard():
