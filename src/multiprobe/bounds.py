@@ -463,41 +463,52 @@ def fidelity_table_frontier(
     log-fidelity is added once every block up to j is complete, so log F
     sums in block order and is the same float as the dense route's entry.
     Only the local pattern pairs that some state reaches are looked up,
-    for every point in one batch.  States x points beyond BATCH_MAX_FLOATS
-    restart the DP on fewer points, down to one point, whose states merge
-    as a lone evaluation's do; more states than the entries a dense table
-    may hold raise CapacityError.
+    for every point in one batch.  When states x points would pass
+    BATCH_MAX_FLOATS, the rows of the points that fit go on and the others
+    wait in a snapshot that resumes from that step (``_frontier_rows``);
+    each table sums exact counts per log F in the end, so it does not
+    depend on which rows ran together.  More states than the entries a
+    dense table may hold raise CapacityError.
     """
     if not counting_applies(space):
         raise ValueError("the frontier DP needs a uniform full/cpf/bcpf space")
     if partition.m != space.m:
         raise PartitionError(f"partition over m={partition.m} does not match space m={space.m}")
-    tables, width = [], len(points)
-    while len(tables) < len(points):
-        got = _frontier_tables(space, partition, points[len(tables):len(tables) + width])
-        if isinstance(got, int):
-            width = got
-        else:
-            tables += got
+    steps, differs, targets_shift = _frontier_steps(partition, space.target_counts)
+    luts: dict[int, np.ndarray] = {}
+    tables = [None] * len(points)
+    # snapshots (step, first point, key, log F rows, cnt) of rows still to run
+    queue = [(0, 0, np.zeros(1, dtype=np.int64), np.zeros((len(points), 1)), np.ones(1, dtype=np.int64))]
+    while queue:
+        first, key, logf, cnt = _frontier_rows(queue, steps, targets_shift, luts, points)
+        differ = (key & differs) != 0
+        same, cnt = np.zeros(int(differ.sum()), dtype=np.int64), cnt[differ]
+        for k, row in enumerate(logf[:, differ], first):
+            _, merged, total = _merge_states(same, row[None], cnt)
+            tables[k] = FidelityTable(
+                len(space), total.astype(float), merged[0], method="mutual", partition=partition
+            )
     return tables
 
 
-def _frontier_tables(space: ImageSpace, partition: NonDisjointPartition, points):
-    """The frontier DP's tables of all ``points`` at once or, when more
-    than one point would exceed BATCH_MAX_FLOATS, the number of points that
-    fit the step that would; see ``fidelity_table_frontier``."""
+def _frontier_rows(queue, steps, targets_shift, luts, points):
+    """Run the last snapshot of ``queue`` to the end of the frontier DP and
+    return (first point, key, log F rows, cnt); rows that would pass
+    BATCH_MAX_FLOATS go back on the queue as a snapshot of the step they
+    reached.  ``luts`` holds one block log-fidelity row per point and
+    block size, filled for every point at once; see
+    ``fidelity_table_frontier``."""
     cap = BLOCK_TABLE_MAX_PATTERNS**2 // 2
-    steps, differs, targets_shift = _frontier_steps(partition, space.target_counts)
-    width = len(points)
-    luts: dict[int, np.ndarray] = {}
-    key = np.zeros(1, dtype=np.int64)
-    logf = np.zeros((width, 1))  # one row per point
-    cnt = np.ones(1, dtype=np.int64)
-    for inc, flip, feasible, adds, keep_bits in steps:
+    start, first, key, logf, cnt = queue.pop()
+    for step in range(start, len(steps)):
         if 4 * len(key) > cap:
             raise CapacityError(f"frontier DP capped at {cap} states")
-        if width > 1 and 4 * len(key) * width > BATCH_MAX_FLOATS:
-            return max(1, BATCH_MAX_FLOATS // (4 * len(key)))
+        fit = max(1, BATCH_MAX_FLOATS // (4 * len(key)))
+        if len(logf) > fit:
+            # the snapshot shares these arrays: each step writes only to new ones
+            queue.append((step, first + fit, key, logf[fit:], cnt))
+            logf = logf[:fit]
+        inc, flip, feasible, adds, keep_bits = steps[step]
         key = ((key[:, None] + inc) | flip).ravel()
         logf = np.repeat(logf, 4, axis=1)
         cnt = np.repeat(cnt, 4)
@@ -508,9 +519,8 @@ def _frontier_tables(space: ImageSpace, partition: NonDisjointPartition, points)
             size = len(blk)
             idx = (key[:, None] >> shifts & 1) @ weights
             # equal-size blocks share a fidelity signature, so they share a lut
-            lut = luts.setdefault(size, np.full((width, 4**size), np.nan))
-            vals = np.take(lut, idx, axis=1)
-            missing = np.isnan(vals[0])
+            lut = luts.setdefault(size, np.full((len(points), 4**size), np.nan))
+            missing = np.isnan(lut[0, idx])
             if missing.any():
                 miss = sorted(set(idx[missing].tolist()))
                 pairs = [
@@ -520,20 +530,11 @@ def _frontier_tables(space: ImageSpace, partition: NonDisjointPartition, points)
                 block = [(BlockDescriptor("ghz", blk, mu=mu), family) for family, mu in points]
                 fids = block_fidelities(block, pairs).tolist()
                 lut[:, miss] = [[_log(f) for f in row] for row in fids]
-                vals = np.take(lut, idx, axis=1)
-            logf += vals
+            logf += np.take(lut[first:first + len(logf)], idx, axis=1)
         key &= keep_bits
         if len(key) > _FRONTIER_MERGE_MIN:
             key, logf, cnt = _merge_states(key, logf, cnt)
-    differ = (key & differs) != 0
-    same, cnt = np.zeros(int(differ.sum()), dtype=np.int64), cnt[differ]
-    tables = []
-    for row in logf[:, differ]:
-        _, merged, total = _merge_states(same, row[None], cnt)
-        tables.append(
-            FidelityTable(len(space), total.astype(float), merged[0], method="mutual", partition=partition)
-        )
-    return tables
+    return first, key, logf, cnt
 
 
 def _merge_states(key, logf, cnt):

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .bounds import bounds_from_table, census_histogram, evaluate, evaluate_points, guaranteed_advantage
+from .bounds import bounds_from_table, census_histogram, evaluate_points, guaranteed_advantage
 from .channels import ChannelFamily
 from .errors import NumericError
 from .imagespace import bcpf_space, cpf_space, full_space, read_space
@@ -50,10 +50,6 @@ COLUMNS = [
     "method",
     "rounds",
 ]
-
-# Configurations whose tables one batch holds at once; the rows do not
-# depend on it.
-BATCH_MAX_CONFIGS = 128
 
 HEADER_COMMENT = "# multiprobe bounds columns-v1"
 CENSUS_COMMENT = "# multiprobe census columns-v1"
@@ -164,15 +160,6 @@ def _energy(payload: dict):
     return float(ns), float(mu)
 
 
-def _configure(payload: dict):
-    """(family, ns, mu, space, plan) of one grid point."""
-    family = build_family(payload)
-    ns, mu = _energy(payload)
-    space = build_space(payload["space"], payload["m"])
-    plan = resolve_probe(payload["probe"], payload["m"], mu, payload["odd_strategy"])
-    return family, ns, mu, space, plan
-
-
 def _copies(payload: dict, m: int, l_overlap: int) -> float:
     copies, mbar = payload.get("copies"), payload.get("mbar")
     if copies is None and mbar is None:
@@ -182,25 +169,34 @@ def _copies(payload: dict, m: int, l_overlap: int) -> float:
     return mbar * m / (m + l_overlap) if copies is None else copies
 
 
-def _eval_group(configs: list[list[dict]]) -> list[list[dict]]:
-    """Rows of configurations that share a structure (everything but the
-    channel parameters, the energy and the copy number), one list per
-    configuration, whose grid points differ only in ``copies``/``mbar``;
-    also the worker-pool entry point.
-
-    The space is built once, the plan once per energy, and the tables of
-    every configuration come from one ``evaluate_points`` batch.
-    """
-    first = configs[0][0]
+def _points(payloads: list[dict]):
+    """The space and the (plan, family, ns, mu) evaluation point of each of
+    ``payloads``, which share a structure (everything but the channel
+    parameters, the energy and the copy number): the space is built once
+    and the plan once per energy."""
+    first = payloads[0]
     m = first["m"]
     space = build_space(first["space"], m)
     plans: dict[float, ProbePlan] = {}
     points = []
-    for payloads in configs:
-        ns, mu = _energy(payloads[0])
+    for payload in payloads:
+        ns, mu = _energy(payload)
         if mu not in plans:
             plans[mu] = resolve_probe(first["probe"], m, mu, first["odd_strategy"])
-        points.append((plans[mu], build_family(payloads[0]), ns, mu))
+        points.append((plans[mu], build_family(payload), ns, mu))
+    return space, points
+
+
+def _eval_group(configs: list[list[dict]]) -> list[list[dict]]:
+    """Rows of configurations that share a structure, one list per
+    configuration, whose grid points differ only in ``copies``/``mbar``.
+
+    The tables of every configuration come from one ``evaluate_points``
+    batch; ``cmd_bounds`` passes every configuration of a sweep in one call.
+    """
+    first = configs[0][0]
+    m = first["m"]
+    space, points = _points([payloads[0] for payloads in configs])
     plan = points[0][0]
     l_overlap = plan.partition.l_overlap if plan.route == MUTUAL else 0
     copies_lists = [[_copies(payload, m, l_overlap) for payload in payloads] for payloads in configs]
@@ -296,25 +292,13 @@ def cmd_bounds(args) -> int:
     for i, payload in enumerate(payloads):
         key = tuple(item for item in payload.items() if item[0] not in ("copies", "mbar"))
         configs.setdefault(key, []).append(i)
-    indices = list(configs.values())
     # grids vary only channel parameters, energy and copy number, so all
-    # configurations share one structure; workers take contiguous shares of
-    # it, each evaluated in batches of at most BATCH_MAX_CONFIGS
-    share = min(BATCH_MAX_CONFIGS, -(-len(indices) // max(args.workers, 1)))
-    groups = [indices[at:at + share] for at in range(0, len(indices), share)]
-    batches = [[[payloads[i] for i in idx] for idx in group] for group in groups]
-    if args.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # slow to import; only pools need it
-
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_eval_group, batches))
-    else:
-        results = [_eval_group(batch) for batch in batches]
+    # configurations share one structure and go into one batch
+    results = _eval_group([[payloads[i] for i in idx] for idx in configs.values()])
     rows = [None] * len(payloads)
-    for group, group_rows in zip(groups, results):
-        for idx, config_rows in zip(group, group_rows):
-            for i, row in zip(idx, config_rows):
-                rows[i] = row
+    for idx, config_rows in zip(configs.values(), results):
+        for i, row in zip(idx, config_rows):
+            rows[i] = row
     out, close = _open_out(args.out)
     try:
         _write_rows(rows, COLUMNS, args.format, out, HEADER_COMMENT)
@@ -333,8 +317,8 @@ def cmd_validate(args) -> int:
 
 def cmd_census(args) -> int:
     (payload,) = _sweep_payloads(args)
-    family, ns, mu, space, plan = _configure(payload)
-    table = evaluate(plan, space, family, ns=ns, mu=mu)
+    space, points = _points([payload])
+    (table,) = evaluate_points(space, points)
     pairs = census_histogram(table, payload["copies"])
     rows = [{"fidelity": v, "multiplicity": c} for v, c in pairs]
     out, close = _open_out(args.out)
@@ -384,7 +368,6 @@ def build_parser() -> _Parser:
                           help="sweep a parameter (repeatable; log:START:STOP:STEPS for geometric)")
     p_bounds.add_argument("--against-classical", action="store_true",
                           help="emit the guaranteed advantage against the classical benchmark")
-    p_bounds.add_argument("--workers", type=int, default=1)
     p_bounds.add_argument("--config", default=None, help="JSON config file (overrides flags)")
     p_bounds.set_defaults(func=cmd_bounds)
 
@@ -400,17 +383,26 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _apply_config(args) -> None:
+def _apply_config(args, parser: _Parser) -> None:
+    """Overlay the ``--config`` JSON object on the subcommand's options but
+    --help and --config: a key sets the option of that name, with a warning
+    when the command line gave it a value other than its default and the
+    file's; any other key is a usage error."""
     if getattr(args, "config", None) is None:
         return
     with open(args.config) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise UsageError("a config file holds one JSON object")
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    defaults = {a.dest: a.default for a in sub.choices[args.command]._actions
+                if a.option_strings and a.dest not in ("help", "config")}
     for key, value in data.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        if dest not in defaults:
             raise UsageError(f"unknown config field {key!r}")
         current = getattr(args, dest)
-        if current is not None and current != value and key not in ("config",):
+        if current != defaults[dest] and current != value:
             print(f"warning: config file overrides --{key}={current} with {value}", file=sys.stderr)
         setattr(args, dest, value)
 
@@ -419,7 +411,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args)
+        _apply_config(args, parser)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -79,9 +79,9 @@ def test_bounds_csv_deterministic(tmp_path):
     assert len(lines) == 2 + 3
 
 
-def test_bounds_workers_match_sequential(tmp_path):
+def test_bounds_rows_follow_the_grid_order(tmp_path):
     # mbar is the outer axis, so each ns configuration's rows are spread
-    # over the output; workers map over configurations
+    # over the output, although configurations are evaluated together
     want = [(mbar, ns) for mbar in (5.0, 10.0, 15.0) for ns in (10.0, 20.0)]
     for probe in ("tmsv-disjoint", "nn", "classical"):  # counting, mutual, classical
         args = [
@@ -89,11 +89,9 @@ def test_bounds_workers_match_sequential(tmp_path):
             "--eta-b", "0.99", "--eta-t", "0.97", "--probe", probe,
             "--grid", "mbar=5:15:3", "--grid", "ns=10:20:2", "--against-classical",
         ]
-        seq, par = tmp_path / f"seq_{probe}.csv", tmp_path / f"par_{probe}.csv"
-        assert run_cli(args + ["--out", str(seq)]) == 0
-        assert run_cli(args + ["--out", str(par), "--workers", "2"]) == 0
-        assert seq.read_bytes() == par.read_bytes()
-        header, *rows = seq.read_text().splitlines()[1:]
+        out = tmp_path / f"{probe}.csv"
+        assert run_cli(args + ["--out", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()[1:]
         cols = header.split(",")
         got = [(float(r.split(",")[cols.index("m_bar")]), float(r.split(",")[cols.index("ns")]))
                for r in rows]
@@ -126,8 +124,33 @@ def test_config_file_wins_with_warning(tmp_path, capsys):
          "--probe", "classical", "--config", str(cfg), "--out", str(out)]
     )
     assert code == 0
-    assert "overrides" in capsys.readouterr().err
+    assert "overrides --ns=5.0 with 20.0" in capsys.readouterr().err
     assert ",20.0,20.5," in out.read_text().splitlines()[2]
+
+
+CONFIG_FLAGS = ["bounds", "--family", "pure-loss", "--m", "2", "--eta-b", "0.99",
+                "--eta-t", "0.97", "--copies", "1", "--probe", "classical"]
+
+
+def test_config_warns_only_about_flags_given(tmp_path, capsys):
+    # --grid and --format keep their parser defaults ([] and "csv"), so the
+    # file overrides nothing the command line said
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": ["ns=5:15:2"], "format": "jsonl"}))
+    out = tmp_path / "o.jsonl"
+    assert run_cli(CONFIG_FLAGS + ["--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert [json.loads(line)["ns"] for line in out.read_text().splitlines()] == [5.0, 15.0]
+
+
+@pytest.mark.parametrize("data", [{"func": "x"}, {"command": "census"}, {"config": "other.json"},
+                                  {"help": True}, {"scale": "full"}, {"bogus": 1}, ["ns", 20.0]],
+                         ids=["func", "command", "config", "help", "validate-option", "unknown", "list"])
+def test_config_sets_only_the_subcommand_options(tmp_path, capsys, data):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    assert run_cli(CONFIG_FLAGS + ["--ns", "5", "--config", str(cfg)]) == 1
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_space_from_file(tmp_path):
@@ -286,7 +309,7 @@ def test_census_nn_support_wider_than_disjoint(tmp_path):
 
 
 def test_cli_import_leaves_process_pool_out():
-    # only --workers > 1 needs the pool, which is slow to import
+    # no command runs a process pool, which is slow to import
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(

@@ -127,3 +127,36 @@ def test_frontier_state_cap(monkeypatch, capsys):
         fidelity_table_frontier(build_space("full", 6), nn_partition(6), [(FAMILIES["loss"], MU)])
     assert main(_nn_bounds_argv(6)) == 1
     assert "frontier DP capped" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("floats", [64, 4096])
+def test_split_rows_give_the_tables_of_lone_points(monkeypatch, floats):
+    space, partition = build_space("full", 9), nn_partition(9)
+    points = [(family, mu) for family in FAMILIES.values() for mu in (MU, 5.5)]
+    alone = [fidelity_table_frontier(space, partition, [point])[0] for point in points]
+    groups, batches = [], []
+    rows, lookup = bounds_mod._frontier_rows, bounds_mod.block_fidelities
+
+    def rows_spy(*args):
+        got = rows(*args)
+        groups.append((got[0], len(got[2])))
+        return got
+
+    def lookup_spy(block, pairs):
+        batches.append(len(block))
+        return lookup(block, pairs)
+
+    monkeypatch.setattr(bounds_mod, "BATCH_MAX_FLOATS", floats)
+    monkeypatch.setattr(bounds_mod, "_frontier_rows", rows_spy)
+    monkeypatch.setattr(bounds_mod, "block_fidelities", lookup_spy)
+    got = fidelity_table_frontier(space, partition, points)
+    # the rows that did not fit resume later; together they cover every point once
+    assert len(groups) > 1
+    assert sorted(first + k for first, size in groups for k in range(size)) == list(range(len(points)))
+    if floats == 64:
+        assert sorted(groups) == [(k, 1) for k in range(len(points))]
+    # block log-fidelities are looked up for every point at once
+    assert batches and set(batches) == {len(points)}
+    for table, ref in zip(got, alone):
+        assert np.array_equal(table.logf, ref.logf)
+        assert np.array_equal(table.counts, ref.counts)

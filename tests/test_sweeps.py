@@ -8,7 +8,6 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import multiprobe.bounds as bounds_mod
-import multiprobe.cli as cli
 from multiprobe.cli import main, parse_grid
 
 FAMILIES = {
@@ -103,18 +102,44 @@ SURFACE = ["bounds", "--family", "additive-noise", "--m", "9", "--nu-t", "0.01",
            "--against-classical"]
 
 
-def test_workers_split_a_grid_without_changing_its_bytes(tmp_path):
-    _, seq = _run(SURFACE, tmp_path / "seq.csv")
-    code, par = _run(SURFACE + ["--workers", "2"], tmp_path / "par.csv")
-    assert code == 0
-    assert par == seq
-
-
 @pytest.mark.parametrize("floats", [64, 2048])
 def test_batch_bounds_do_not_change_the_bytes(tmp_path, monkeypatch, floats):
-    # small bounds split the frontier DP's points down to one and the
-    # block batches into one point per stack
+    # small bounds split the frontier DP's rows, down to one point at 64
+    # floats, and the block batches into one point per stack
     _, want = _run(SURFACE, tmp_path / "want.csv")
+    groups = []
+    rows = bounds_mod._frontier_rows
+
+    def spy(*args):
+        got = rows(*args)
+        groups.append(len(got[2]))
+        return got
+
     monkeypatch.setattr(bounds_mod, "BATCH_MAX_FLOATS", floats)
-    monkeypatch.setattr(cli, "BATCH_MAX_CONFIGS", 5)
+    monkeypatch.setattr(bounds_mod, "_frontier_rows", spy)
     assert _run(SURFACE, tmp_path / "got.csv") == (0, want)
+    assert sum(groups) == 16  # the 4 x 4 grid's configurations
+    if floats == 64:
+        assert groups == [1] * 16
+
+
+def test_large_nn_sweep_fills_its_block_fidelities_in_one_batch(tmp_path, monkeypatch):
+    # 12 x 11 = 132 configurations; the ring's blocks all have two channels
+    base = ["bounds", "--family", "pure-loss", "--m", "6", "--eta-t", "0.97", "--space", "cpf:1",
+            "--probe", "nn", "--mbar", "100"]
+    grids = ["eta-b=0.95:0.999:12", "ns=log:1:50:11"]
+    fills = []
+    fill = bounds_mod._fill_block_cache
+
+    def spy(points, todo):
+        fills.append(len(todo))
+        fill(points, todo)
+
+    monkeypatch.setattr(bounds_mod, "_fill_block_cache", spy)
+    assert _run(base + ["--eta-b", "0.99", "--ns", "20"], tmp_path / "one.csv")[0] == 0
+    lone = len(fills)
+    fills.clear()
+    assert _run(base + [arg for g in grids for arg in ("--grid", g)], tmp_path / "all.csv")[0] == 0
+    assert lone and fills == [132] * lone
+    monkeypatch.undo()
+    _assert_rows_equal_per_point_runs(tmp_path, base, grids)
