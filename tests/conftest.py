@@ -2,10 +2,10 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import strategies as st
-from scipy.linalg import sqrtm
 
 from multiprobe import gaussian
 from multiprobe.bounds import _block_occupancy_options, block_subfidelity
@@ -53,15 +53,20 @@ def fidelity_sqrtm_reference(v1, v2):
     """Matrix-function form of the mixed-state Gaussian fidelity.
 
     Independent of the production eigenvalue form; zero-mean states only.
+    Evaluated in 50-digit arithmetic, so it is exact for the given double
+    inputs: in doubles the cancellation in V2 Omega V1 and the square root
+    near its branch point left it up to 2e-10 off near purity.
     """
     n = v1.shape[0] // 2
-    omega = symplectic_form(n)
-    vsum = v1 + v2
-    vaux = omega.T @ np.linalg.inv(vsum) @ (omega / 4.0 + v2 @ omega @ v1)
-    w = vaux @ omega
-    mat = np.eye(2 * n) + np.linalg.inv(w @ w) / 4.0
-    core = 2.0 * (sqrtm(mat) + np.eye(2 * n)) @ vaux
-    return float(np.real(np.linalg.det(core) / np.linalg.det(vsum)) ** 0.25)
+    with mpmath.workdps(50):
+        omega = mpmath.matrix(symplectic_form(n).tolist())
+        a, b = mpmath.matrix(v1.tolist()), mpmath.matrix(v2.tolist())
+        vsum = a + b
+        vaux = omega.T * mpmath.inverse(vsum) * (omega / 4 + b * omega * a)
+        w = vaux * omega
+        mat = mpmath.eye(2 * n) + mpmath.inverse(w * w) / 4
+        core = 2 * (mpmath.sqrtm(mat) + mpmath.eye(2 * n)) * vaux
+        return float(mpmath.re(mpmath.det(core) / mpmath.det(vsum)) ** 0.25)
 
 
 def loss_families():

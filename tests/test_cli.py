@@ -239,7 +239,7 @@ def test_python_m_multiprobe_runs_uninstalled(capsys):
 
 
 def test_cli_import_leaves_scipy_out():
-    # scipy is a test dependency only
+    # the CLI runs on numpy alone
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(

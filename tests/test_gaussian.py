@@ -365,8 +365,8 @@ def test_fidelity_agrees_with_matrix_function_reference(family, pa, pb, mu):
 
     a = apply_pattern(tmsv_cm(mu), family, pa)
     b = apply_pattern(tmsv_cm(mu), family, pb)
-    # the matrix-function reference has no branch protection and loses
-    # ~sqrt(eps) accuracy near purity; compare on solidly mixed states
+    # the reference has no branch protection for pure tensor factors;
+    # compare on solidly mixed states
     assume(pa != pb)
     assume(min(a.spectrum[0], b.spectrum[0]) > 0.5 + 1e-2)
     got = gaussian_fidelity(a, b)
