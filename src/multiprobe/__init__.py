@@ -9,6 +9,7 @@ from .bounds import (
     BoundReport,
     FidelityTable,
     block_subfidelity,
+    bound_reports,
     bounds_from_table,
     bounds_tmsv_pairs,
     bounds_tmsv_pairs_odd,
@@ -83,6 +84,7 @@ __all__ = [
     "average_channel_use",
     "bcpf_space",
     "block_subfidelity",
+    "bound_reports",
     "bounds_from_table",
     "bounds_tmsv_pairs",
     "bounds_tmsv_pairs_odd",

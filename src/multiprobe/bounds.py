@@ -3,24 +3,33 @@
 All bounds reduce to prior-weighted sums over ordered pattern pairs of
 output-state fidelities raised to the copy number: the
 pretty-good-measurement upper bound uses F^M, the lower bound F^(2M).
-``evaluate`` builds the fidelity table of one probe configuration once, as
-(ordered pair count, log F) entries, and ``evaluate_points`` those of
-configurations that differ only in channels and energy, in one batch;
-``bounds_from_table`` reads a table at any copy number, and
-``census_histogram`` histograms it.  Fidelities of block-structured probes
-factor over blocks and are degenerate within per-block (v, u, d) classes,
-so one Gaussian fidelity per block and class suffices.
-``block_fidelities`` evaluates the local pattern pairs the tables need in
-one stacked batch per block over all configurations and caches them per
-block signature and unordered pair; a class reads its representative
-pair.  On uniform position-finding spaces a DP over blocks counts
-ordered pattern pairs per distinct log-fidelity from occupancy
-multiplicities, and overlapping blocks (the ``nn`` ring, ``part:``
-literals) are counted by a DP over channels that keeps the bits of the
-channels still read, both without enumerating patterns.  Custom spaces get
-one entry per unordered pattern pair from per-block lookups, which read
-each block's channels off the pattern whether or not the blocks overlap,
-so overlapping blocks need no copy-channel extension.
+There are two routes to these sums.
+
+- Tables: ``evaluate`` builds the fidelity table of one probe
+  configuration once, as (ordered pair count, log F) entries, and
+  ``evaluate_points`` those of configurations that differ only in
+  channels and energy; ``bounds_from_table`` reads a table at any copy
+  number, and ``census_histogram`` histograms it.
+- Sums: ``frontier_bounds`` sums F^M and F^(2M) of overlapping blocks
+  (the ``nn`` ring, ``part:`` literals) on uniform full/cpf/bcpf spaces
+  straight from the DP over channels, per configuration and copy number,
+  with no entry per distinct log F.
+
+``bound_reports`` picks the route for a sweep: the sums where they apply,
+the tables otherwise; the census and ``evaluate`` always build tables.
+Fidelities of block-structured probes factor over blocks and are
+degenerate within per-block (v, u, d) classes, so one Gaussian fidelity
+per block and class suffices.  ``block_fidelities`` evaluates the local
+pattern pairs the routes need in one stacked batch per block over all
+configurations and caches them per block signature and unordered pair; a
+class reads its representative pair.  On uniform position-finding spaces
+a DP over blocks counts ordered pattern pairs per distinct log-fidelity
+from occupancy multiplicities, and overlapping blocks are counted by a DP
+over channels that keeps the bits of the channels still read, both
+without enumerating patterns.  Custom spaces get one entry per unordered
+pattern pair from per-block lookups, which read each block's channels off
+the pattern whether or not the blocks overlap, so overlapping blocks need
+no copy-channel extension.
 """
 
 from __future__ import annotations
@@ -61,8 +70,8 @@ BLOCK_TABLE_MAX_PATTERNS = 4096
 # below this many states the frontier DP carries duplicates rather than sort
 _FRONTIER_MERGE_MIN = 256
 # Floats in one temporary of a batch over grid points: the covariance-matrix
-# entries of one stacked block batch, or the frontier DP's states x points.
-# Larger batches run in chunks of points; the results do not depend on it.
+# entries of one stacked block batch, or the frontier sums' states x columns.
+# Larger batches run in chunks; the results do not depend on it.
 BATCH_MAX_FLOATS = 1 << 16
 
 
@@ -454,100 +463,200 @@ def fidelity_table_frontier(
     space: ImageSpace, partition: NonDisjointPartition, points
 ) -> list[FidelityTable]:
     """Tables of possibly overlapping GHZ blocks by a DP over channels, one
-    per (family, mu) point; uniform position-finding spaces only.
+    per (family, mu) point, each from a DP of its own; uniform
+    position-finding spaces only.
 
     The state is (A and B bits of the channels that a block not yet added
     still reads, targets of A and of B when the space fixes them, whether
-    A and B differ yet, one log F so far per point); its value is the
-    number of ordered pattern-pair prefixes that reach it.  Block j's
-    log-fidelity is added once every block up to j is complete, so log F
-    sums in block order and is the same float as the dense route's entry.
-    Only the local pattern pairs that some state reaches are looked up,
-    for every point in one batch.  When states x points would pass
-    BATCH_MAX_FLOATS, the rows of the points that fit go on and the others
-    wait in a snapshot that resumes from that step (``_frontier_rows``);
-    each table sums exact counts per log F in the end, so it does not
-    depend on which rows ran together.  More states than the entries a
-    dense table may hold raise CapacityError.
+    A and B differ yet, log F so far); its value is the number of ordered
+    pattern-pair prefixes that reach it.  Block j's log-fidelity is added
+    once every block up to j is complete, so log F sums in block order and
+    is the same float as the dense route's entry.  Only the local pattern
+    pairs that some state reaches are looked up.  More states than the
+    entries a dense table may hold raise CapacityError.
     """
+    _check_frontier(space, partition)
+    return [_frontier_table(space, partition, family, mu) for family, mu in points]
+
+
+def _frontier_table(space: ImageSpace, partition: NonDisjointPartition, family: ChannelFamily, mu: float):
+    """The table of one point; see ``fidelity_table_frontier``."""
+    steps, differs, targets_shift = _frontier_steps(partition, space.target_counts)
+    cap = BLOCK_TABLE_MAX_PATTERNS**2 // 2
+    luts: dict[int, np.ndarray] = {}  # block log-fidelities per block size
+    key, logf, cnt = np.zeros(1, dtype=np.int64), np.zeros(1), np.ones(1, dtype=np.int64)
+    for inc, flip, feasible, adds, keep_bits in steps:
+        if 4 * len(key) > cap:
+            raise CapacityError(f"frontier DP capped at {cap} states")
+        key = ((key[:, None] + inc) | flip).ravel()
+        logf, cnt = np.repeat(logf, 4), np.repeat(cnt, 4)
+        if feasible is not None:
+            keep = feasible[key >> targets_shift]
+            key, logf, cnt = key[keep], logf[keep], cnt[keep]
+        for blk, shifts, weights in adds:
+            idx = (key[:, None] >> shifts & 1) @ weights
+            # equal-size blocks share a fidelity signature, so they share a lut
+            lut = luts.setdefault(len(blk), np.full(4 ** len(blk), np.nan))
+            missing = np.isnan(lut[idx])
+            if missing.any():
+                miss = sorted(set(idx[missing].tolist()))
+                desc = BlockDescriptor("ghz", blk, mu=mu)
+                fids = block_fidelities([(desc, family)], _local_pairs(miss, len(blk)))[0]
+                lut[miss] = [_log(f) for f in fids.tolist()]
+            logf += lut[idx]
+        key &= keep_bits
+        if len(key) > _FRONTIER_MERGE_MIN:
+            key, logf, cnt = _merge_states(key, logf, cnt)
+    differ = (key & differs) != 0
+    _, logf, cnt = _merge_states(np.zeros(int(differ.sum()), dtype=np.int64), logf[differ], cnt[differ])
+    return FidelityTable(len(space), cnt.astype(float), logf, method="mutual", partition=partition)
+
+
+def _check_frontier(space: ImageSpace, partition: NonDisjointPartition) -> None:
     if not counting_applies(space):
         raise ValueError("the frontier DP needs a uniform full/cpf/bcpf space")
     if partition.m != space.m:
         raise PartitionError(f"partition over m={partition.m} does not match space m={space.m}")
-    steps, differs, targets_shift = _frontier_steps(partition, space.target_counts)
-    luts: dict[int, np.ndarray] = {}
-    tables = [None] * len(points)
-    # snapshots (step, first point, key, log F rows, cnt) of rows still to run
-    queue = [(0, 0, np.zeros(1, dtype=np.int64), np.zeros((len(points), 1)), np.ones(1, dtype=np.int64))]
-    while queue:
-        first, key, logf, cnt = _frontier_rows(queue, steps, targets_shift, luts, points)
-        differ = (key & differs) != 0
-        same, cnt = np.zeros(int(differ.sum()), dtype=np.int64), cnt[differ]
-        for k, row in enumerate(logf[:, differ], first):
-            _, merged, total = _merge_states(same, row[None], cnt)
-            tables[k] = FidelityTable(
-                len(space), total.astype(float), merged[0], method="mutual", partition=partition
-            )
-    return tables
 
 
-def _frontier_rows(queue, steps, targets_shift, luts, points):
-    """Run the last snapshot of ``queue`` to the end of the frontier DP and
-    return (first point, key, log F rows, cnt); rows that would pass
-    BATCH_MAX_FLOATS go back on the queue as a snapshot of the step they
-    reached.  ``luts`` holds one block log-fidelity row per point and
-    block size, filled for every point at once; see
-    ``fidelity_table_frontier``."""
-    cap = BLOCK_TABLE_MAX_PATTERNS**2 // 2
-    start, first, key, logf, cnt = queue.pop()
-    for step in range(start, len(steps)):
-        if 4 * len(key) > cap:
-            raise CapacityError(f"frontier DP capped at {cap} states")
-        fit = max(1, BATCH_MAX_FLOATS // (4 * len(key)))
-        if len(logf) > fit:
-            # the snapshot shares these arrays: each step writes only to new ones
-            queue.append((step, first + fit, key, logf[fit:], cnt))
-            logf = logf[:fit]
-        inc, flip, feasible, adds, keep_bits = steps[step]
-        key = ((key[:, None] + inc) | flip).ravel()
-        logf = np.repeat(logf, 4, axis=1)
-        cnt = np.repeat(cnt, 4)
-        if feasible is not None:
-            keep = feasible[key >> targets_shift]
-            key, logf, cnt = key[keep], np.compress(keep, logf, axis=1), cnt[keep]
-        for blk, shifts, weights in adds:
-            size = len(blk)
-            idx = (key[:, None] >> shifts & 1) @ weights
-            # equal-size blocks share a fidelity signature, so they share a lut
-            lut = luts.setdefault(size, np.full((len(points), 4**size), np.nan))
-            missing = np.isnan(lut[0, idx])
-            if missing.any():
-                miss = sorted(set(idx[missing].tolist()))
-                pairs = [
-                    tuple(tuple(pair >> at + k & 1 for k in range(size)) for at in (0, size))
-                    for pair in miss
-                ]
-                block = [(BlockDescriptor("ghz", blk, mu=mu), family) for family, mu in points]
-                fids = block_fidelities(block, pairs).tolist()
-                lut[:, miss] = [[_log(f) for f in row] for row in fids]
-            logf += np.take(lut[first:first + len(logf)], idx, axis=1)
-        key &= keep_bits
-        if len(key) > _FRONTIER_MERGE_MIN:
-            key, logf, cnt = _merge_states(key, logf, cnt)
-    return first, key, logf, cnt
+def _local_pairs(codes, size: int) -> list[tuple]:
+    """The local pattern pairs (a, b) of a block of ``size`` channels whose
+    bits a0..a(size-1) b0..b(size-1) form the integers ``codes``."""
+    return [
+        tuple(tuple(code >> at + k & 1 for k in range(size)) for at in (0, size))
+        for code in codes
+    ]
 
 
 def _merge_states(key, logf, cnt):
-    """Sum the counts of states equal in key and in every row of log F,
-    sorted by key, then by the first row of log F, and so on."""
+    """Sum the counts of states equal in key and log F, sorted by key, then
+    by log F."""
     if not len(key):
         return key, logf, cnt
-    order = np.lexsort((*logf[::-1], key))
-    key, logf, cnt = key[order], np.take(logf, order, axis=1), cnt[order]
-    first = np.flatnonzero(
-        np.concatenate(([True], (key[1:] != key[:-1]) | (logf[:, 1:] != logf[:, :-1]).any(axis=0)))
+    order = np.lexsort((logf, key))
+    key, logf, cnt = key[order], logf[order], cnt[order]
+    first = np.flatnonzero(np.concatenate(([True], (key[1:] != key[:-1]) | (logf[1:] != logf[:-1]))))
+    return key[first], logf[first], np.add.reduceat(cnt, first)
+
+
+def frontier_bounds(
+    space: ImageSpace, partition: NonDisjointPartition, points, copies
+) -> list[list[BoundReport]]:
+    """Bound reports of possibly overlapping GHZ blocks, one list per
+    (family, mu) point with one report per copy number in ``copies``,
+    summed straight from the frontier DP; uniform position-finding spaces
+    only.
+
+    The DP runs over the keys of ``fidelity_table_frontier``, but states
+    that share a key merge whatever their fidelities (``_frontier_plan``),
+    and each carries count * F^M and count * F^(2M) per (point, copy
+    number) row: adding a block multiplies them by its f^M and f^(2M).  The
+    rows are independent of each other and of the keys, so they run in
+    chunks whose states x rows stay within BATCH_MAX_FLOATS, each chunk
+    over the same plan, and every sum adds in a fixed order, so a row's
+    value does not depend on the rows that ran with it.  The block
+    fidelities of every point come from one batch per block size, of the
+    local pattern pairs that some state reaches.  More states than the
+    entries a dense table may hold raise CapacityError.
+    """
+    _check_frontier(space, partition)
+    plan, final, reach = _frontier_plan(partition, space.target_counts)
+    power = np.array([float(c) for cs in copies for c in cs])
+    if (power < 1).any():
+        raise ValueError(f"copy number must be >= 1, got {power.min()}")
+    point = np.repeat(np.arange(len(copies)), [len(cs) for cs in copies])
+    fids = {
+        size: block_fidelities([(BlockDescriptor("ghz", blk, mu=mu), family) for family, mu in points],
+                               _local_pairs(codes, size))
+        for size, (blk, codes) in reach.items()
+    }
+    # columns F^M of each row, then F^2M of each row
+    per_chunk = max(1, BATCH_MAX_FLOATS // (2 * max(len(parent) for parent, *_ in plan)))
+    sums = []
+    for start in range(0, len(power), per_chunk):
+        rows = slice(start, start + per_chunk)
+        cols, col_point = np.concatenate((power[rows], 2.0 * power[rows])), np.tile(point[rows], 2)
+        luts = {size: f[col_point].T ** cols for size, f in fids.items()}
+        sums += _frontier_sums(plan, final, luts).reshape(2, -1).T.tolist()
+    n = len(space)
+    rounds = len(decompose_rounds(partition))
+    reports = [
+        BoundReport(
+            lower_raw=0.5 * s2 / n**2,
+            upper_raw=s1 / n,
+            copies=c,
+            m_bar=float(average_channel_use(partition, c)),
+            method="mutual",
+            rounds=rounds,
+        )
+        for c, (s1, s2) in zip(power.tolist(), sums)
+    ]
+    ends = np.cumsum([len(cs) for cs in copies]).tolist()
+    return [reports[end - len(cs):end] for cs, end in zip(copies, ends)]
+
+
+def _frontier_sums(plan, final, luts) -> np.ndarray:
+    """Replay ``plan`` on one chunk of rows; ``luts`` maps a block size to
+    its (reachable local pair, column) block factors.  Returns the column
+    sums over the final states whose patterns differ."""
+    vals = np.ones((1, next(iter(luts.values())).shape[1]))
+    for parent, adds, starts in plan:
+        vals = vals[parent]
+        for size, idx in adds:
+            vals *= luts[size][idx]
+        # reduceat sums each column alone, so no column depends on the others
+        vals = np.add.reduceat(vals, starts, axis=0)
+    if not len(final):
+        return np.zeros(vals.shape[1])
+    return np.add.reduceat(vals[final], [0], axis=0)[0]
+
+
+def _frontier_plan(partition: NonDisjointPartition, target_counts: tuple[int, ...]):
+    """The frontier DP over keys alone, which depends on the partition and
+    the admissible target counts only; see ``frontier_bounds``.
+
+    Returns per step the parent state of each new state and, per block
+    added, its size and the index of each new state's local pair among
+    the reachable ones, both in the order of the merged keys, with the
+    first new state of each merged key; then the final states whose
+    patterns differ, and per block size one of its blocks and the sorted
+    codes of its reachable local pairs (see ``_local_pairs``).  More
+    states than the entries a dense table may hold raise CapacityError,
+    as in ``fidelity_table_frontier``.
+    """
+    steps, differs, targets_shift = _frontier_steps(partition, target_counts)
+    cap = BLOCK_TABLE_MAX_PATTERNS**2 // 2
+    key = np.zeros(1, dtype=np.int64)
+    raw = []
+    blocks: dict[int, tuple] = {}
+    codes: dict[int, list] = {}
+    for inc, flip, feasible, adds, keep_bits in steps:
+        if 4 * len(key) > cap:
+            raise CapacityError(f"frontier DP capped at {cap} states")
+        child = ((key[:, None] + inc) | flip).ravel()
+        parent = np.repeat(np.arange(len(key)), 4)
+        if feasible is not None:
+            keep = feasible[child >> targets_shift]
+            child, parent = child[keep], parent[keep]
+        order = np.argsort(child & keep_bits, kind="stable")
+        child, parent = child[order], parent[order]
+        step_adds = []
+        for blk, shifts, weights in adds:
+            idx = (child[:, None] >> shifts & 1) @ weights
+            blocks.setdefault(len(blk), blk)
+            codes.setdefault(len(blk), []).append(idx)
+            step_adds.append((len(blk), idx))
+        merged = child & keep_bits
+        starts = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
+        key = merged[starts]
+        raw.append((parent, step_adds, starts))
+    # sorted(set()) rather than np.unique, whose first call imports numpy.ma
+    reach = {size: (blocks[size], sorted(set(np.concatenate(idx).tolist()))) for size, idx in codes.items()}
+    plan = tuple(
+        (parent, tuple((size, np.searchsorted(reach[size][1], idx)) for size, idx in adds), starts)
+        for parent, adds, starts in raw
     )
-    return key[first], np.take(logf, first, axis=1), np.add.reduceat(cnt, first)
+    return plan, np.flatnonzero(key & differs), reach
 
 
 @functools.lru_cache(maxsize=128)
@@ -690,26 +799,35 @@ def _structure(plan: ProbePlan) -> tuple:
     return plan.route, plan.partition, blocks
 
 
+def _check_points(points) -> ProbePlan:
+    """The plan that ``points`` share; see ``evaluate_points``."""
+    plan = points[0][0]
+    if any(_structure(p) != _structure(plan) for p, *_ in points[1:]):
+        raise ValueError("the points of one evaluation must share the probe structure")
+    if plan.route == MUTUAL and any(mu is None for *_, mu in points):
+        raise EnergyError("mutual probing needs a squeezing energy mu")
+    return plan
+
+
 def evaluate_points(space: ImageSpace, points) -> list[FidelityTable]:
     """The fidelity tables of probe configurations that differ only in the
     channels and the energy, one per (plan, family, ns, mu) point, each
     equal bit for bit to the table of its point alone.
 
-    The one place a route is chosen.  On a uniform full/cpf/bcpf space:
-    occupancy counting for a disjoint probe and the frontier DP for
-    overlapping blocks (classed), with the block fidelities of all points
-    in one batch per block.  On any other space: per-block lookups (dense),
-    per point, over the blocks as they sit, overlapping or not, with no
-    copy-channel extension.  The optimal classical probe at energy ``ns``
-    gets the Hamming census, which factors per channel so that a pair at
-    distance d has fidelity f^d.  ``mu`` is the squeezing energy of the mutual-probing
-    blocks; a disjoint plan carries its own.
+    The one place a table's route is chosen.  On a uniform full/cpf/bcpf
+    space: occupancy counting for a disjoint probe, with the block
+    fidelities of all points in one batch per block, and the frontier DP
+    for overlapping blocks, per point (classed).  On any other space:
+    per-block lookups (dense), per point, over the blocks as they sit,
+    overlapping or not, with no copy-channel extension.  The optimal
+    classical probe at energy ``ns`` gets the Hamming census, which
+    factors per channel so that a pair at distance d has fidelity f^d.
+    ``mu`` is the squeezing energy of the mutual-probing blocks; a
+    disjoint plan carries its own.
     """
     if not points:
         return []
-    plan = points[0][0]
-    if any(_structure(p) != _structure(plan) for p, *_ in points[1:]):
-        raise ValueError("the points of one evaluation must share the probe structure")
+    plan = _check_points(points)
     pri = None if space.uniform else space.priors
     if plan.route == CLASSICAL:
         logfs = [_log(per_channel_classical_fidelity(family, ns)) for _, family, ns, _ in points]
@@ -732,8 +850,6 @@ def evaluate_points(space: ImageSpace, points) -> list[FidelityTable]:
         dists = _pair_entries(n, lambda i: (bits[i] != bits[i + 1:]).sum(axis=1))
         return [FidelityTable.pairs(n, dists * lf, pri, method="classical") for lf in logfs]
     if plan.route == MUTUAL:
-        if any(mu is None for *_, mu in points):
-            raise EnergyError("mutual probing needs a squeezing energy mu")
         if counting_applies(space):
             tables = fidelity_table_frontier(space, plan.partition, [(f, mu) for _, f, _, mu in points])
         else:
@@ -756,6 +872,32 @@ def evaluate_points(space: ImageSpace, points) -> list[FidelityTable]:
     if plan.spec.m != space.m:
         raise DimensionError(f"probe over m={plan.spec.m} but space has m={space.m}")
     return [fidelity_table_blocks(space.patterns, pri, p.spec.descriptors(), f) for p, f, _, _ in points]
+
+
+def bound_reports(space: ImageSpace, points, copies) -> list[list[BoundReport]]:
+    """The bound reports of probe configurations of one structure, one list
+    per (plan, family, ns, mu) point (as ``evaluate_points``) with one
+    report per copy number in the matching list of ``copies``.
+
+    The one place a sweep's route is chosen.  A mutual plan on a uniform
+    full/cpf/bcpf space sums its bounds straight from the frontier DP
+    (``frontier_bounds``), with no table.  Every other route reads tables
+    from ``evaluate_points``: the classed ones of all points in one batch,
+    the dense ones of custom spaces one at a time, each read at every copy
+    number before the next is built.
+    """
+    if not points:
+        return []
+    plan = _check_points(points)
+    if plan.route == MUTUAL and counting_applies(space):
+        return frontier_bounds(space, plan.partition, [(f, mu) for _, f, _, mu in points], copies)
+    if counting_applies(space):
+        return [_reports(table, cs) for table, cs in zip(evaluate_points(space, points), copies)]
+    return [_reports(evaluate_points(space, [point])[0], cs) for point, cs in zip(points, copies)]
+
+
+def _reports(table: FidelityTable, copies) -> list[BoundReport]:
+    return [bounds_from_table(table, c) for c in copies]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .bounds import bounds_from_table, census_histogram, evaluate_points, guaranteed_advantage
+from .bounds import bound_reports, census_histogram, evaluate_points, guaranteed_advantage
 from .channels import ChannelFamily
 from .errors import NumericError
 from .imagespace import bcpf_space, cpf_space, full_space, read_space
@@ -191,8 +191,9 @@ def _eval_group(configs: list[list[dict]]) -> list[list[dict]]:
     """Rows of configurations that share a structure, one list per
     configuration, whose grid points differ only in ``copies``/``mbar``.
 
-    The tables of every configuration come from one ``evaluate_points``
-    batch; ``cmd_bounds`` passes every configuration of a sweep in one call.
+    ``cmd_bounds`` passes every configuration of a sweep in one call, and
+    ``bound_reports`` picks the route of the probe and of its classical
+    comparator, which is read at the probe's average channel use.
     """
     first = configs[0][0]
     m = first["m"]
@@ -200,22 +201,21 @@ def _eval_group(configs: list[list[dict]]) -> list[list[dict]]:
     plan = points[0][0]
     l_overlap = plan.partition.l_overlap if plan.route == MUTUAL else 0
     copies_lists = [[_copies(payload, m, l_overlap) for payload in payloads] for payloads in configs]
-    tables = evaluate_points(space, points)
-    comparators = [None] * len(points)
+    reports = bound_reports(space, points, copies_lists)
+    comparisons = [[None] * len(copies_list) for copies_list in copies_lists]
     if first["against_classical"] and plan.route != CLASSICAL:
-        comparators = evaluate_points(
-            space, [(ProbePlan(CLASSICAL), family, ns, None) for _, family, ns, _ in points]
+        comparisons = bound_reports(
+            space,
+            [(ProbePlan(CLASSICAL), family, ns, None) for _, family, ns, _ in points],
+            [[report.m_bar for report in config_reports] for config_reports in reports],
         )
     results = []
-    for payloads, copies_list, (_, family, ns, mu), table, comparator in zip(
-        configs, copies_lists, points, tables, comparators
+    for payloads, (_, family, ns, mu), config_reports, config_comparisons in zip(
+        configs, points, reports, comparisons
     ):
         rows = []
-        for payload, copies in zip(payloads, copies_list):
-            report = bounds_from_table(table, copies)
-            delta = None
-            if comparator is not None:
-                delta = guaranteed_advantage(bounds_from_table(comparator, report.m_bar), report)
+        for payload, report, comparison in zip(payloads, config_reports, config_comparisons):
+            delta = None if comparison is None else guaranteed_advantage(comparison, report)
             row = {c: None for c in COLUMNS}
             row.update(
                 family=family.kind,
@@ -383,11 +383,42 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _config_value(action: argparse.Action, key: str, value):
+    """A config file's ``value`` for the option of ``action``, as the
+    command line would give it: converted with the option's type and
+    checked against its choices, a list of such values for a repeatable
+    option, a JSON boolean for a switch, or null for an option unset by
+    default; any other value is a usage error."""
+    if value is None and action.default is None:
+        return None
+    if isinstance(action, argparse._StoreTrueAction):
+        if not isinstance(value, bool):
+            raise UsageError(f"config field {key!r} must be true or false")
+        return value
+    if isinstance(action, argparse._AppendAction):
+        values = value if isinstance(value, list) else [value]
+        return [_config_scalar(action, key, v) for v in values]
+    return _config_scalar(action, key, value)
+
+
+def _config_scalar(action: argparse.Action, key: str, value):
+    kind = {int: (int,), float: (int, float), None: (str,)}[action.type]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        name = {int: "an integer", float: "a number", None: "a string"}[action.type]
+        raise UsageError(f"config field {key!r} must be {name}, got {value!r}")
+    if action.type is not None:
+        value = action.type(value)
+    if action.choices is not None and value not in action.choices:
+        raise UsageError(f"config field {key!r}: {value!r} is not one of {', '.join(map(str, action.choices))}")
+    return value
+
+
 def _apply_config(args, parser: _Parser) -> None:
     """Overlay the ``--config`` JSON object on the subcommand's options but
     --help and --config: a key sets the option of that name, with a warning
     when the command line gave it a value other than its default and the
-    file's; any other key is a usage error."""
+    file's; any other key, or a value the option would not take, is a
+    usage error."""
     if getattr(args, "config", None) is None:
         return
     with open(args.config) as fh:
@@ -395,14 +426,15 @@ def _apply_config(args, parser: _Parser) -> None:
     if not isinstance(data, dict):
         raise UsageError("a config file holds one JSON object")
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    defaults = {a.dest: a.default for a in sub.choices[args.command]._actions
-                if a.option_strings and a.dest not in ("help", "config")}
+    actions = {a.dest: a for a in sub.choices[args.command]._actions
+               if a.option_strings and a.dest not in ("help", "config")}
     for key, value in data.items():
         dest = key.replace("-", "_")
-        if dest not in defaults:
+        if dest not in actions:
             raise UsageError(f"unknown config field {key!r}")
+        value = _config_value(actions[dest], key, value)
         current = getattr(args, dest)
-        if current != defaults[dest] and current != value:
+        if current != actions[dest].default and current != value:
             print(f"warning: config file overrides --{key}={current} with {value}", file=sys.stderr)
         setattr(args, dest, value)
 

@@ -37,6 +37,7 @@ from .bounds import (
     bruteforce_fidelities,
     evaluate,
     fidelity_table_blocks,
+    frontier_bounds,
     tmsv_subfidelity,
 )
 from .channels import BlockLayout, ChannelFamily, IdlerLayout, layout_channels, mode_channel_map
@@ -431,12 +432,13 @@ def _mutual_reference(ext_part, ext_space, family: ChannelFamily, mu: float) -> 
 
 
 def suite_mutual_vs_bruteforce(scale: str) -> SuiteResult:
-    """Mutual-probing bounds, from the dense extension table and from the
-    frontier DP that ``evaluate`` uses, equal exhaustive evaluation on the
-    extension."""
+    """Mutual-probing bounds, from the dense extension table, from the
+    frontier DP table that ``evaluate`` uses and from the frontier sums
+    that ``bounds`` uses, equal exhaustive evaluation on the extension."""
     tol = 1e-12
     worst, cases = 0.0, 0
     mu = 20.5
+    copies = (1, 7)
     ms = [3] if scale != "full" else [3, 4]
     for m in ms:
         partition = nn_partition(m)
@@ -447,10 +449,10 @@ def suite_mutual_vs_bruteforce(scale: str) -> SuiteResult:
             ref = FidelityTable.pairs(len(ext_space.extended), _mutual_reference(ext_part, ext_space, family, mu))
             dense = fidelity_table_blocks(ext_space.extended, None, spec.descriptors(), family)
             frontier = evaluate(ProbePlan(MUTUAL, partition=partition), space, family, mu=mu)
-            for copies in (1, 7):
-                rb = bounds_from_table(ref, copies)
-                for fast in (dense, frontier):
-                    rc = bounds_from_table(fast, copies)
+            (sums,) = frontier_bounds(space, partition, [(family, mu)], [copies])
+            for c, rs in zip(copies, sums):
+                rb = bounds_from_table(ref, c)
+                for rc in (bounds_from_table(dense, c), bounds_from_table(frontier, c), rs):
                     for a, b in ((rb.upper_raw, rc.upper_raw), (rb.lower_raw, rc.lower_raw)):
                         if a > 0:
                             worst = max(worst, abs(a - b) / a)

@@ -374,7 +374,7 @@ def test_criterion_8_invariant_suites():
         ("degeneracy_classes", 18),
         ("block_multiplicativity", 100),
         ("bound_monotonicity", 36),
-        ("mutual_vs_bruteforce", 16),
+        ("mutual_vs_bruteforce", 24),
     ]
     names = ", ".join(r.suite for r in results)
     report(8, f"all {len(results)} invariant suites green ({names}) in {elapsed:.1f}s")

@@ -153,6 +153,38 @@ def test_config_sets_only_the_subcommand_options(tmp_path, capsys, data):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"m": "3"}, "'m' must be an integer"),
+    ({"space": 5}, "'space' must be a string"),
+    ({"ns": "abc"}, "'ns' must be a number"),
+    ({"copies": True}, "'copies' must be a number"),
+    ({"family": "bogus"}, "is not one of"),
+    ({"format": "xml"}, "is not one of"),
+    ({"grid": ["ns=5:15:2", 3]}, "'grid' must be a string"),
+    ({"against-classical": "yes"}, "true or false"),
+], ids=["int-as-string", "space-as-number", "float-as-string", "float-as-bool", "family-choice",
+        "format-choice", "grid-item", "switch"])
+def test_config_values_take_the_option_types(tmp_path, capsys, data, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    assert run_cli(CONFIG_FLAGS + ["--ns", "5", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and message in err
+    assert "Traceback" not in err
+
+
+def test_config_values_convert_as_the_command_line_does(tmp_path, capsys):
+    # an integer for a float option, one grid spec for the repeatable
+    # --grid, null to unset an option that is unset by default
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"copies": None, "mbar": 2, "grid": "ns=5:15:2", "m": 3}))
+    out = tmp_path / "o.jsonl"
+    assert run_cli(CONFIG_FLAGS + ["--format", "jsonl", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [(r["m"], r["ns"], r["m_bar"]) for r in rows] == [(3, 5.0, 2.0), (3, 15.0, 2.0)]
+    assert "overrides --m=2 with 3" in capsys.readouterr().err
+
+
 def test_space_from_file(tmp_path):
     space_file = tmp_path / "space.txt"
     space_file.write_text("# three-pattern custom space\n000 0.5\n011 0.25\n101 0.25\n")

@@ -1,6 +1,8 @@
 """The frontier DP for overlapping blocks, and the dense route that
 ``evaluate`` takes on custom spaces, against the dense copy-channel
-extension table, which evaluates every pattern pair."""
+extension table, which evaluates every pattern pair; and the bound sums
+that ``bounds`` takes straight from the frontier DP, against the tables
+of the frontier DP."""
 
 import math
 
@@ -10,18 +12,27 @@ import pytest
 import multiprobe.bounds as bounds_mod
 from multiprobe.bounds import (
     FidelityTable,
+    bound_reports,
     bounds_from_table,
     census_histogram,
     evaluate,
+    evaluate_points,
     fidelity_table_blocks,
     fidelity_table_frontier,
+    frontier_bounds,
 )
 from multiprobe.channels import ChannelFamily
 from multiprobe.cli import build_space, main
 from multiprobe.errors import CapacityError
 from multiprobe.imagespace import ImageSpace
 from multiprobe.presets import MUTUAL, ProbePlan
-from multiprobe.probes import ProbeSpec, extend_for_mutual_probing, nn_partition, parse_partition
+from multiprobe.probes import (
+    ProbeSpec,
+    decompose_rounds,
+    extend_for_mutual_probing,
+    nn_partition,
+    parse_partition,
+)
 
 MU = 20.5
 FAMILIES = {
@@ -129,34 +140,108 @@ def test_frontier_state_cap(monkeypatch, capsys):
     assert "frontier DP capped" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("floats", [64, 4096])
-def test_split_rows_give_the_tables_of_lone_points(monkeypatch, floats):
+def test_evaluate_points_gives_the_tables_of_lone_points():
     space, partition = build_space("full", 9), nn_partition(9)
+    plan = ProbePlan(MUTUAL, partition=partition)
+    points = [(plan, family, None, mu) for family in FAMILIES.values() for mu in (MU, 5.5)]
+    tables = evaluate_points(space, points)
+    assert len(tables) == len(points)
+    for table, point in zip(tables, points):
+        (alone,) = evaluate_points(space, [point])
+        assert np.array_equal(table.logf, alone.logf)
+        assert np.array_equal(table.counts, alone.counts)
+        assert (table.method, table.partition, table.rounds) == ("mutual", partition, alone.rounds)
+
+
+# the sums route: bounds summed straight from the frontier DP, against the
+# bounds read off the tables of the entries route
+SUMS_PROBES = {"nn": (9, "nn"), "part": (7, "123|345|567|71")}
+SUMS_COPIES = [1, 10, 100, 1000, 5000]
+
+
+def _assert_sums_match_entries(reports, tables, copies):
+    for table, row in zip(tables, reports):
+        assert [r.copies for r in row] == [float(c) for c in copies]
+        for c, got in zip(copies, row):
+            want = bounds_from_table(table, c)
+            assert (got.m_bar, got.method) == (want.m_bar, "mutual")
+            assert got.rounds == len(decompose_rounds(table.partition))
+            for a, b in ((got.upper_raw, want.upper_raw), (got.lower_raw, want.lower_raw)):
+                if b >= np.finfo(float).tiny:
+                    assert a == pytest.approx(b, rel=1e-12, abs=0)
+                elif b > 0:
+                    assert a > 0
+                else:
+                    assert a == 0
+
+
+@pytest.mark.parametrize("family", FAMILIES.values(), ids=FAMILIES.keys())
+@pytest.mark.parametrize("space_text", ["full", "cpf:3", "bcpf:1,2"])
+@pytest.mark.parametrize("probe", SUMS_PROBES.values(), ids=SUMS_PROBES.keys())
+def test_sums_route_matches_the_entries_route(probe, space_text, family):
+    m, text = probe
+    space, partition = build_space(space_text, m), _partition(text, m)
+    points = [(family, MU), (family, 5.5)]
+    tables = fidelity_table_frontier(space, partition, points)
+    reports = frontier_bounds(space, partition, points, [SUMS_COPIES, SUMS_COPIES[::-1]])
+    _assert_sums_match_entries(reports[:1], tables[:1], SUMS_COPIES)
+    _assert_sums_match_entries(reports[1:], tables[1:], SUMS_COPIES[::-1])
+    # the route bounds takes
+    plan = ProbePlan(MUTUAL, partition=partition)
+    assert bound_reports(space, [(plan, f, None, mu) for f, mu in points], [SUMS_COPIES] * 2)[0] == reports[0]
+
+
+def test_sums_route_rows_do_not_depend_on_their_chunks(monkeypatch):
+    space, partition = build_space("cpf:3", 9), nn_partition(9)
     points = [(family, mu) for family in FAMILIES.values() for mu in (MU, 5.5)]
-    alone = [fidelity_table_frontier(space, partition, [point])[0] for point in points]
-    groups, batches = [], []
-    rows, lookup = bounds_mod._frontier_rows, bounds_mod.block_fidelities
+    copies = [SUMS_COPIES] * len(points)
+    whole = frontier_bounds(space, partition, points, copies)
+    chunks = []
+    sums = bounds_mod._frontier_sums
 
-    def rows_spy(*args):
-        got = rows(*args)
-        groups.append((got[0], len(got[2])))
-        return got
+    def spy(plan, final, luts):
+        chunks.append(next(iter(luts.values())).shape[1])
+        return sums(plan, final, luts)
 
-    def lookup_spy(block, pairs):
-        batches.append(len(block))
+    monkeypatch.setattr(bounds_mod, "BATCH_MAX_FLOATS", 8)
+    monkeypatch.setattr(bounds_mod, "_frontier_sums", spy)
+    chunked = frontier_bounds(space, partition, points, copies)
+    # one (point, copy number) row, as F^M and F^2M columns, per chunk
+    assert chunks == [2] * len(points) * len(SUMS_COPIES)
+    assert chunked == whole
+    tables = fidelity_table_frontier(space, partition, points)
+    _assert_sums_match_entries(chunked, tables, SUMS_COPIES)
+    alone = [frontier_bounds(space, partition, [point], [[c]])[0][0] for point in points for c in SUMS_COPIES]
+    assert [r for row in whole for r in row] == alone
+
+
+def test_sums_route_looks_up_reachable_pairs_in_one_batch(monkeypatch):
+    space, partition = build_space("cpf:1", 9), nn_partition(9)
+    points = [(family, mu) for family in FAMILIES.values() for mu in (MU, 5.5)]
+    batches = []
+    lookup = bounds_mod.block_fidelities
+
+    def spy(block, pairs):
+        batches.append((len(block), len(pairs)))
         return lookup(block, pairs)
 
-    monkeypatch.setattr(bounds_mod, "BATCH_MAX_FLOATS", floats)
-    monkeypatch.setattr(bounds_mod, "_frontier_rows", rows_spy)
-    monkeypatch.setattr(bounds_mod, "block_fidelities", lookup_spy)
-    got = fidelity_table_frontier(space, partition, points)
-    # the rows that did not fit resume later; together they cover every point once
-    assert len(groups) > 1
-    assert sorted(first + k for first, size in groups for k in range(size)) == list(range(len(points)))
-    if floats == 64:
-        assert sorted(groups) == [(k, 1) for k in range(len(points))]
-    # block log-fidelities are looked up for every point at once
-    assert batches and set(batches) == {len(points)}
-    for table, ref in zip(got, alone):
-        assert np.array_equal(table.logf, ref.logf)
-        assert np.array_equal(table.counts, ref.counts)
+    monkeypatch.setattr(bounds_mod, "block_fidelities", spy)
+    frontier_bounds(space, partition, points, [[1]] * len(points))
+    # two-channel blocks; on cpf:1 a pair of blocks never holds more than two targets
+    ((n_points, n_pairs),) = batches
+    assert n_points == len(points) and n_pairs < 16
+
+
+def test_sums_route_on_a_one_pattern_space():
+    # no pair of patterns differs: both bounds are an empty sum
+    space, partition = build_space("cpf:0", 4), nn_partition(4)
+    (row,) = frontier_bounds(space, partition, [(FAMILIES["loss"], MU)], [[1, 7]])
+    assert [(r.lower_raw, r.upper_raw) for r in row] == [(0.0, 0.0)] * 2
+    (table,) = fidelity_table_frontier(space, partition, [(FAMILIES["loss"], MU)])
+    assert len(table.logf) == 0
+
+
+def test_sums_route_checks_its_copy_numbers():
+    space, partition = build_space("full", 4), nn_partition(4)
+    with pytest.raises(ValueError, match="copy number"):
+        frontier_bounds(space, partition, [(FAMILIES["loss"], MU)], [[0.5]])

@@ -17,7 +17,7 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SPACES = {"full": "full", "cpf3": "cpf:3"}
+SPACES = {"full": "full", "cpf3": "cpf:3", "cpf1": "cpf:1"}
 PROBES = ("tmsv-disjoint", "idler-full", "nn")
 TEXT_COLUMNS = {"family", "m", "space", "probe", "method", "rounds"}
 RTOL = 1e-9

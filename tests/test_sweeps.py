@@ -2,6 +2,7 @@
 must be the bytes that a run of that point alone writes."""
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -104,23 +105,23 @@ SURFACE = ["bounds", "--family", "additive-noise", "--m", "9", "--nu-t", "0.01",
 
 @pytest.mark.parametrize("floats", [64, 2048])
 def test_batch_bounds_do_not_change_the_bytes(tmp_path, monkeypatch, floats):
-    # small bounds split the frontier DP's rows, down to one point at 64
-    # floats, and the block batches into one point per stack
+    # small bounds split the frontier sums' rows into chunks, down to one
+    # configuration at 64 floats, and the block batches into one point per stack
     _, want = _run(SURFACE, tmp_path / "want.csv")
-    groups = []
-    rows = bounds_mod._frontier_rows
+    chunks = []
+    sums = bounds_mod._frontier_sums
 
-    def spy(*args):
-        got = rows(*args)
-        groups.append(len(got[2]))
-        return got
+    def spy(plan, final, luts):
+        chunks.append(next(iter(luts.values())).shape[1] // 2)
+        return sums(plan, final, luts)
 
     monkeypatch.setattr(bounds_mod, "BATCH_MAX_FLOATS", floats)
-    monkeypatch.setattr(bounds_mod, "_frontier_rows", spy)
+    monkeypatch.setattr(bounds_mod, "_frontier_sums", spy)
     assert _run(SURFACE, tmp_path / "got.csv") == (0, want)
-    assert sum(groups) == 16  # the 4 x 4 grid's configurations
+    assert sum(chunks) == 16  # the 4 x 4 grid's configurations
+    assert len(chunks) > 1
     if floats == 64:
-        assert groups == [1] * 16
+        assert chunks == [1] * 16
 
 
 def test_large_nn_sweep_fills_its_block_fidelities_in_one_batch(tmp_path, monkeypatch):
@@ -143,3 +144,25 @@ def test_large_nn_sweep_fills_its_block_fidelities_in_one_batch(tmp_path, monkey
     assert lone and fills == [132] * lone
     monkeypatch.undo()
     _assert_rows_equal_per_point_runs(tmp_path, base, grids)
+
+
+def test_dense_sweep_reads_each_table_before_the_next(tmp_path):
+    # 512 weighted patterns: each dense table and its classical comparator
+    # hold 130,816 entries, which dominate the run's memory
+    pats = list(itertools.product((0, 1), repeat=9))
+    path = tmp_path / "space.txt"
+    path.write_text("".join("".join(map(str, p)) + f" {1.0 + sum(p)!r}\n" for p in pats))
+    base = ["bounds", "--family", "pure-loss", "--m", "9", "--space", f"file:{path}", "--probe", "nn",
+            "--eta-b", "0.99", "--eta-t", "0.97", "--mbar", "100", "--against-classical"]
+
+    def peak(points):
+        bounds_mod._BLOCK_FID_CACHE.clear()
+        tracemalloc.start()
+        try:
+            assert main(base + ["--grid", f"ns=1:50:{points}", "--out", str(tmp_path / "o.csv")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(1)
+    assert peak(4) < 2 * one

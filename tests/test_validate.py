@@ -135,3 +135,10 @@ def test_mutual_suite_equals_its_scalar_reference(monkeypatch):
     stacked = validate.suite_mutual_vs_bruteforce("full")
     monkeypatch.setattr(validate, "_mutual_reference", scalar_mutual_reference)
     assert validate.suite_mutual_vs_bruteforce("full") == stacked
+
+
+def test_mutual_suite_checks_the_frontier_sums():
+    # reference against the dense table, the frontier table and the
+    # frontier sums, at m = 3 and 4, two families, copies 1 and 7
+    res = validate.suite_mutual_vs_bruteforce("full")
+    assert res.passed and res.cases == 24 and res.tolerance == 1e-12
