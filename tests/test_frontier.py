@@ -215,6 +215,39 @@ def test_sums_route_rows_do_not_depend_on_their_chunks(monkeypatch):
     assert [r for row in whole for r in row] == alone
 
 
+@pytest.mark.parametrize("floats", [64, 4096])
+def test_split_rows_give_the_tables_of_lone_points(monkeypatch, floats):
+    space, partition = build_space("full", 9), nn_partition(9)
+    points = [(family, mu) for family in FAMILIES.values() for mu in (MU, 5.5)]
+    copies = [SUMS_COPIES] * len(points)
+    alone_tables = [fidelity_table_frontier(space, partition, [point])[0] for point in points]
+    alone = [frontier_bounds(space, partition, [point], [SUMS_COPIES])[0] for point in points]
+    chunks, batches = [], []
+    sums, lookup = bounds_mod._frontier_sums, bounds_mod.block_fidelities
+
+    def sums_spy(plan, final, luts):
+        chunks.append(next(iter(luts.values())).shape[1] // 2)
+        return sums(plan, final, luts)
+
+    def lookup_spy(block, pairs):
+        batches.append(len(block))
+        return lookup(block, pairs)
+
+    monkeypatch.setattr(bounds_mod, "BATCH_MAX_FLOATS", floats)
+    monkeypatch.setattr(bounds_mod, "_frontier_sums", sums_spy)
+    monkeypatch.setattr(bounds_mod, "block_fidelities", lookup_spy)
+    got = frontier_bounds(space, partition, points, copies)
+    # the rows that did not fit run in later chunks; together they cover every row once
+    assert len(chunks) > 1
+    assert sum(chunks) == len(points) * len(SUMS_COPIES)
+    if floats == 64:
+        assert chunks == [1] * len(points) * len(SUMS_COPIES)
+    # block fidelities are looked up for every point at once
+    assert batches and set(batches) == {len(points)}
+    assert got == alone
+    _assert_sums_match_entries(got, alone_tables, SUMS_COPIES)
+
+
 def test_sums_route_looks_up_reachable_pairs_in_one_batch(monkeypatch):
     space, partition = build_space("cpf:1", 9), nn_partition(9)
     points = [(family, mu) for family in FAMILIES.values() for mu in (MU, 5.5)]
