@@ -31,7 +31,6 @@ from .closedform import subfidelity_oracle
 from .gaussian import (
     CovMatrix,
     coherent_cm,
-    gaussian_fidelities,
     gaussian_fidelity,
     ghz_cm,
     symplectic_spectrum,
@@ -98,7 +97,6 @@ __all__ = [
     "fidelity_table_bruteforce",
     "format_partition",
     "full_space",
-    "gaussian_fidelities",
     "gaussian_fidelity",
     "ghz_cm",
     "guaranteed_advantage",

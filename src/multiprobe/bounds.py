@@ -3,7 +3,7 @@
 All bounds reduce to prior-weighted sums over ordered pattern pairs of
 output-state fidelities raised to the copy number: the
 pretty-good-measurement upper bound uses F^M, the lower bound F^(2M).
-There are two routes to these sums.
+They are read off a fidelity table or summed directly.
 
 - Tables: ``evaluate`` builds the fidelity table of one probe
   configuration once, as (ordered pair count, log F) entries, and
@@ -12,8 +12,7 @@ There are two routes to these sums.
   number, and ``census_histogram`` histograms it.
 - Sums: ``frontier_bounds`` sums F^M and F^(2M) of overlapping blocks
   (the ``nn`` ring, ``part:`` literals) on uniform full/cpf/bcpf spaces
-  straight from the DP over channels, per configuration and copy number,
-  with no entry per distinct log F.
+  per configuration and copy number, with no entry per distinct log F.
 
 ``bound_reports`` picks the route for a sweep: the sums where they apply,
 the tables otherwise; the census and ``evaluate`` always build tables.
@@ -26,10 +25,12 @@ class reads its representative pair.  On uniform position-finding spaces
 a DP over blocks counts ordered pattern pairs per distinct log-fidelity
 from occupancy multiplicities, and overlapping blocks are counted by a DP
 over channels that keeps the bits of the channels still read, both
-without enumerating patterns.  Custom spaces get one entry per unordered
-pattern pair from per-block lookups, which read each block's channels off
-the pattern whether or not the blocks overlap, so overlapping blocks need
-no copy-channel extension.
+without enumerating patterns.  The DP over channels is one plan of key
+transitions (``_frontier_plan``): the table replays it with (log F,
+count) entries per state, the sums with F^M and F^(2M) per state.
+Custom spaces get one entry per unordered pattern pair from per-block
+lookups, which read each block's channels off the pattern whether or not
+the blocks overlap, so overlapping blocks need no copy-channel extension.
 """
 
 from __future__ import annotations
@@ -67,8 +68,6 @@ from .probes import (
 
 BRUTE_TABLE_MAX_PATTERNS = 512
 BLOCK_TABLE_MAX_PATTERNS = 4096
-# below this many states the frontier DP carries duplicates rather than sort
-_FRONTIER_MERGE_MIN = 256
 # Floats in one temporary of a batch over grid points: the covariance-matrix
 # entries of one stacked block batch, or the frontier sums' states x columns.
 # Larger batches run in chunks; the results do not depend on it.
@@ -359,10 +358,14 @@ def bounds_from_table(table: FidelityTable, copies, *, m_bar=None) -> BoundRepor
 def census_histogram(table: FidelityTable, copies=1.0) -> list[tuple[float, int]]:
     """Degeneracy histogram: (F^copies rounded to 12 decimals, number of
     ordered pattern pairs), in ascending fidelity."""
+    if not len(table.logf):
+        return []
+    # a stable sort and reduceat rather than np.unique, whose first call imports numpy.ma
     rounded = np.round(np.exp(float(copies) * table.logf), 12)
-    values = np.unique(rounded)
-    mult = np.bincount(np.searchsorted(values, rounded), weights=table.counts, minlength=len(values))
-    return [(float(v), int(c)) for v, c in zip(values, mult)]
+    order = np.argsort(rounded, kind="stable")
+    rounded = rounded[order]
+    first = np.flatnonzero(np.concatenate(([True], rounded[1:] != rounded[:-1])))
+    return [(float(v), int(c)) for v, c in zip(rounded[first], np.add.reduceat(table.counts[order], first))]
 
 
 def fidelity_table_counting(space: ImageSpace, points) -> list[FidelityTable]:
@@ -462,81 +465,26 @@ def _untracked(steps: list[tuple]) -> list[tuple]:
 def fidelity_table_frontier(
     space: ImageSpace, partition: NonDisjointPartition, points
 ) -> list[FidelityTable]:
-    """Tables of possibly overlapping GHZ blocks by a DP over channels, one
-    per (family, mu) point, each from a DP of its own; uniform
-    position-finding spaces only.
+    """Tables of possibly overlapping GHZ blocks by the frontier DP over
+    channels, one per (family, mu) point; uniform position-finding spaces
+    only.
 
-    The state is (A and B bits of the channels that a block not yet added
-    still reads, targets of A and of B when the space fixes them, whether
-    A and B differ yet, log F so far); its value is the number of ordered
-    pattern-pair prefixes that reach it.  Block j's log-fidelity is added
-    once every block up to j is complete, so log F sums in block order and
-    is the same float as the dense route's entry.  Only the local pattern
-    pairs that some state reaches are looked up.  More states than the
-    entries a dense table may hold raise CapacityError.
+    Each point replays the plan of ``_frontier_plan`` with (log F, ordered
+    pair count) entries per state: a new state takes every entry of its
+    parent, plus the log-fidelities of the blocks added at that channel in
+    block order, and entries equal in state and log F merge at every step.
+    So log F sums in block order and is the same float as the dense route's
+    entry.  The block fidelities of every point come from one batch per
+    block size (see ``_frontier``).  More entries than a dense table may
+    hold raise CapacityError, as more states do.
     """
-    _check_frontier(space, partition)
-    return [_frontier_table(space, partition, family, mu) for family, mu in points]
-
-
-def _frontier_table(space: ImageSpace, partition: NonDisjointPartition, family: ChannelFamily, mu: float):
-    """The table of one point; see ``fidelity_table_frontier``."""
-    steps, differs, targets_shift = _frontier_steps(partition, space.target_counts)
-    cap = BLOCK_TABLE_MAX_PATTERNS**2 // 2
-    luts: dict[int, np.ndarray] = {}  # block log-fidelities per block size
-    key, logf, cnt = np.zeros(1, dtype=np.int64), np.zeros(1), np.ones(1, dtype=np.int64)
-    for inc, flip, feasible, adds, keep_bits in steps:
-        if 4 * len(key) > cap:
-            raise CapacityError(f"frontier DP capped at {cap} states")
-        key = ((key[:, None] + inc) | flip).ravel()
-        logf, cnt = np.repeat(logf, 4), np.repeat(cnt, 4)
-        if feasible is not None:
-            keep = feasible[key >> targets_shift]
-            key, logf, cnt = key[keep], logf[keep], cnt[keep]
-        for blk, shifts, weights in adds:
-            idx = (key[:, None] >> shifts & 1) @ weights
-            # equal-size blocks share a fidelity signature, so they share a lut
-            lut = luts.setdefault(len(blk), np.full(4 ** len(blk), np.nan))
-            missing = np.isnan(lut[idx])
-            if missing.any():
-                miss = sorted(set(idx[missing].tolist()))
-                desc = BlockDescriptor("ghz", blk, mu=mu)
-                fids = block_fidelities([(desc, family)], _local_pairs(miss, len(blk)))[0]
-                lut[miss] = [_log(f) for f in fids.tolist()]
-            logf += lut[idx]
-        key &= keep_bits
-        if len(key) > _FRONTIER_MERGE_MIN:
-            key, logf, cnt = _merge_states(key, logf, cnt)
-    differ = (key & differs) != 0
-    _, logf, cnt = _merge_states(np.zeros(int(differ.sum()), dtype=np.int64), logf[differ], cnt[differ])
-    return FidelityTable(len(space), cnt.astype(float), logf, method="mutual", partition=partition)
-
-
-def _check_frontier(space: ImageSpace, partition: NonDisjointPartition) -> None:
-    if not counting_applies(space):
-        raise ValueError("the frontier DP needs a uniform full/cpf/bcpf space")
-    if partition.m != space.m:
-        raise PartitionError(f"partition over m={partition.m} does not match space m={space.m}")
-
-
-def _local_pairs(codes, size: int) -> list[tuple]:
-    """The local pattern pairs (a, b) of a block of ``size`` channels whose
-    bits a0..a(size-1) b0..b(size-1) form the integers ``codes``."""
-    return [
-        tuple(tuple(code >> at + k & 1 for k in range(size)) for at in (0, size))
-        for code in codes
-    ]
-
-
-def _merge_states(key, logf, cnt):
-    """Sum the counts of states equal in key and log F, sorted by key, then
-    by log F."""
-    if not len(key):
-        return key, logf, cnt
-    order = np.lexsort((logf, key))
-    key, logf, cnt = key[order], logf[order], cnt[order]
-    first = np.flatnonzero(np.concatenate(([True], (key[1:] != key[:-1]) | (logf[1:] != logf[:-1]))))
-    return key[first], logf[first], np.add.reduceat(cnt, first)
+    plan, final, fids = _frontier(space, partition, points)
+    tables = []
+    for k in range(len(points)):
+        luts = {size: np.array([_log(f) for f in f_all[k].tolist()]) for size, f_all in fids.items()}
+        logf, cnt = _frontier_entries(plan, final, luts)
+        tables.append(FidelityTable(len(space), cnt.astype(float), logf, method="mutual", partition=partition))
+    return tables
 
 
 def frontier_bounds(
@@ -547,29 +495,21 @@ def frontier_bounds(
     summed straight from the frontier DP; uniform position-finding spaces
     only.
 
-    The DP runs over the keys of ``fidelity_table_frontier``, but states
-    that share a key merge whatever their fidelities (``_frontier_plan``),
-    and each carries count * F^M and count * F^(2M) per (point, copy
-    number) row: adding a block multiplies them by its f^M and f^(2M).  The
+    The plan is that of ``fidelity_table_frontier``, but each state carries
+    count * F^M and count * F^(2M) per (point, copy number) row instead of
+    its entries: adding a block multiplies them by its f^M and f^(2M).  The
     rows are independent of each other and of the keys, so they run in
     chunks whose states x rows stay within BATCH_MAX_FLOATS, each chunk
     over the same plan, and every sum adds in a fixed order, so a row's
     value does not depend on the rows that ran with it.  The block
-    fidelities of every point come from one batch per block size, of the
-    local pattern pairs that some state reaches.  More states than the
-    entries a dense table may hold raise CapacityError.
+    fidelities of every point come from one batch per block size.  More
+    states than the entries a dense table may hold raise CapacityError.
     """
-    _check_frontier(space, partition)
-    plan, final, reach = _frontier_plan(partition, space.target_counts)
+    plan, final, fids = _frontier(space, partition, points)
     power = np.array([float(c) for cs in copies for c in cs])
     if (power < 1).any():
         raise ValueError(f"copy number must be >= 1, got {power.min()}")
     point = np.repeat(np.arange(len(copies)), [len(cs) for cs in copies])
-    fids = {
-        size: block_fidelities([(BlockDescriptor("ghz", blk, mu=mu), family) for family, mu in points],
-                               _local_pairs(codes, size))
-        for size, (blk, codes) in reach.items()
-    }
     # columns F^M of each row, then F^2M of each row
     per_chunk = max(1, BATCH_MAX_FLOATS // (2 * max(len(parent) for parent, *_ in plan)))
     sums = []
@@ -595,6 +535,51 @@ def frontier_bounds(
     return [reports[end - len(cs):end] for cs, end in zip(copies, ends)]
 
 
+def _frontier(space: ImageSpace, partition: NonDisjointPartition, points):
+    """The plan of the frontier DP of ``partition`` on ``space`` (see
+    ``_frontier_plan``) and, per block size, the (point, reachable local
+    pair) fidelities of every (family, mu) point, from one batch."""
+    if not counting_applies(space):
+        raise ValueError("the frontier DP needs a uniform full/cpf/bcpf space")
+    if partition.m != space.m:
+        raise PartitionError(f"partition over m={partition.m} does not match space m={space.m}")
+    plan, final, reach = _frontier_plan(partition, space.target_counts)
+    fids = {
+        size: block_fidelities([(BlockDescriptor("ghz", blk, mu=mu), family) for family, mu in points],
+                               _local_pairs(codes, size))
+        for size, (blk, codes) in reach.items()
+    }
+    return plan, final, fids
+
+
+def _frontier_entries(plan, final, luts):
+    """Replay ``plan`` on the entries of one point; ``luts`` maps a block
+    size to the log-fidelities of its reachable local pairs.  Returns the
+    log F and ordered pair counts of the final states whose patterns
+    differ, merged by log F, in ascending log F."""
+    # the entries, grouped by state
+    state, logf, cnt = np.zeros(1, dtype=np.int64), np.zeros(1), np.ones(1, dtype=np.int64)
+    n_states = 1
+    for parent, adds, starts in plan:
+        _check_states(4 * len(logf))
+        # each new state copies the entries first[p]:first[p + 1] of its parent p
+        first = np.searchsorted(state, np.arange(n_states + 1))
+        size = np.diff(first)[parent]
+        new = np.repeat(np.arange(len(parent)), size)
+        entry = np.arange(len(new)) + np.repeat(first[parent] - (np.cumsum(size) - size), size)
+        logf, cnt = logf[entry], cnt[entry]
+        for blk_size, idx in adds:
+            logf += luts[blk_size][idx[new]]
+        merged = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(parent)))
+        state, logf, cnt = _merge_states(merged[new], logf, cnt)
+        n_states = len(starts)
+    differ = np.zeros(n_states, dtype=bool)
+    differ[final] = True
+    keep = differ[state]
+    _, logf, cnt = _merge_states(np.zeros(int(keep.sum()), dtype=np.int64), logf[keep], cnt[keep])
+    return logf, cnt
+
+
 def _frontier_sums(plan, final, luts) -> np.ndarray:
     """Replay ``plan`` on one chunk of rows; ``luts`` maps a block size to
     its (reachable local pair, column) block factors.  Returns the column
@@ -613,65 +598,27 @@ def _frontier_sums(plan, final, luts) -> np.ndarray:
 
 def _frontier_plan(partition: NonDisjointPartition, target_counts: tuple[int, ...]):
     """The frontier DP over keys alone, which depends on the partition and
-    the admissible target counts only; see ``frontier_bounds``.
+    the admissible target counts only.
 
-    Returns per step the parent state of each new state and, per block
-    added, its size and the index of each new state's local pair among
-    the reachable ones, both in the order of the merged keys, with the
-    first new state of each merged key; then the final states whose
-    patterns differ, and per block size one of its blocks and the sorted
-    codes of its reachable local pairs (see ``_local_pairs``).  More
-    states than the entries a dense table may hold raise CapacityError,
-    as in ``fidelity_table_frontier``.
-    """
-    steps, differs, targets_shift = _frontier_steps(partition, target_counts)
-    cap = BLOCK_TABLE_MAX_PATTERNS**2 // 2
-    key = np.zeros(1, dtype=np.int64)
-    raw = []
-    blocks: dict[int, tuple] = {}
-    codes: dict[int, list] = {}
-    for inc, flip, feasible, adds, keep_bits in steps:
-        if 4 * len(key) > cap:
-            raise CapacityError(f"frontier DP capped at {cap} states")
-        child = ((key[:, None] + inc) | flip).ravel()
-        parent = np.repeat(np.arange(len(key)), 4)
-        if feasible is not None:
-            keep = feasible[child >> targets_shift]
-            child, parent = child[keep], parent[keep]
-        order = np.argsort(child & keep_bits, kind="stable")
-        child, parent = child[order], parent[order]
-        step_adds = []
-        for blk, shifts, weights in adds:
-            idx = (child[:, None] >> shifts & 1) @ weights
-            blocks.setdefault(len(blk), blk)
-            codes.setdefault(len(blk), []).append(idx)
-            step_adds.append((len(blk), idx))
-        merged = child & keep_bits
-        starts = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
-        key = merged[starts]
-        raw.append((parent, step_adds, starts))
-    # sorted(set()) rather than np.unique, whose first call imports numpy.ma
-    reach = {size: (blocks[size], sorted(set(np.concatenate(idx).tolist()))) for size, idx in codes.items()}
-    plan = tuple(
-        (parent, tuple((size, np.searchsorted(reach[size][1], idx)) for size, idx in adds), starts)
-        for parent, adds, starts in raw
-    )
-    return plan, np.flatnonzero(key & differs), reach
+    A state's key holds the A and B bits of the channels that a block not
+    yet added still reads, the targets of A and of B when the space fixes
+    them, and whether A and B differ yet.  At channel c each state has a
+    child per (a, b) bit choice, less those whose targets can no longer
+    reach an admissible count.  Block j is added at the channel that
+    completes every block up to j, so blocks add in block order, and its
+    local pair is read off the child's key.  Then the bits that no later
+    block reads are dropped, and children of equal keys merge.
 
-
-@functools.lru_cache(maxsize=128)
-def _frontier_steps(partition: NonDisjointPartition, target_counts: tuple[int, ...]):
-    """The frontier DP's per-channel steps, which depend on the partition
-    and the admissible target counts only; see ``fidelity_table_frontier``.
-
-    Each step holds the key increments of the four (a, b) bit choices, the
-    differs bit each sets, the feasibility table of the target fields (None
-    when every count is admissible), the blocks added with the key shifts
-    and weights of their local pair index, and the mask of the bits kept.
-    The steps are shared between calls and must not be modified.
+    Returns per step the parent state of each child and, per block added,
+    its size and the index of each child's local pair among the reachable
+    ones, both in the order of the merged keys, with the first child of
+    each merged key; then the final states whose patterns differ, and per
+    block size one of its blocks and the sorted codes of its reachable
+    local pairs (see ``_local_pairs``).  More states than the entries a
+    dense table may hold raise CapacityError.
     """
     m, blocks = partition.m, partition.blocks
-    # the step after which block j's log F is added, and the last step that reads channel c
+    # the step after which block j is added, and the last step that reads channel c
     added = [max(max(blk) for blk in blocks[:j + 1]) for j in range(len(blocks))]
     last = [max(added[j] for j, blk in enumerate(blocks) if c in blk) for c in range(m)]
     slot: dict[int, int] = {}
@@ -686,29 +633,73 @@ def _frontier_steps(partition: NonDisjointPartition, target_counts: tuple[int, .
     tbits = m.bit_length()
     ks = set(target_counts)
     track = len(ks) <= m
-    steps = []
+    key = np.zeros(1, dtype=np.int64)
+    raw = []
+    sample: dict[int, tuple] = {}  # one block per size
+    codes: dict[int, list] = {}
     for c in range(m):
+        _check_states(4 * len(key))
         a_inc, b_inc = 1 << slot[c], 1 << width + slot[c]
-        feasible = None
         if track:
             a_inc += 1 << ta_shift
             b_inc += 1 << ta_shift + tbits
-            rem = m - 1 - c
-            ok = np.array([any(t <= k <= t + rem for k in ks) for t in range(1 << tbits)])
-            feasible = (ok[:, None] & ok).ravel()
-        adds = []
+        child = ((key[:, None] + np.array([0, a_inc, b_inc, a_inc + b_inc]))
+                 | np.array([0, differs, differs, 0])).ravel()
+        parent = np.repeat(np.arange(len(key)), 4)
+        if track:
+            ok = np.array([any(t <= k <= t + m - 1 - c for k in ks) for t in range(1 << tbits)])
+            feasible = (ok[:, None] & ok).ravel()[child >> ta_shift]
+            child, parent = child[feasible], parent[feasible]
+        keep_bits = ~sum((1 << slot[ch]) | (1 << width + slot[ch]) for ch in range(m) if last[ch] == c)
+        order = np.argsort(child & keep_bits, kind="stable")
+        child, parent = child[order], parent[order]
+        step_adds = []
         for j, blk in enumerate(blocks):
             if added[j] == c:
-                shifts = [slot[ch] for ch in blk] + [width + slot[ch] for ch in blk]
-                adds.append((blk, np.array(shifts), 1 << np.arange(2 * len(blk))))
-        keep_bits = -1
-        for ch in range(c + 1):
-            if last[ch] == c:
-                keep_bits &= ~((1 << slot[ch]) | (1 << width + slot[ch]))
-        inc = np.array([0, a_inc, b_inc, a_inc + b_inc])
-        flip = np.array([0, differs, differs, 0])
-        steps.append((inc, flip, feasible, tuple(adds), keep_bits))
-    return tuple(steps), differs, ta_shift
+                shifts = np.array([slot[ch] for ch in blk] + [width + slot[ch] for ch in blk])
+                idx = (child[:, None] >> shifts & 1) @ (1 << np.arange(2 * len(blk)))
+                sample.setdefault(len(blk), blk)
+                codes.setdefault(len(blk), []).append(idx)
+                step_adds.append((len(blk), idx))
+        merged = child & keep_bits
+        starts = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
+        key = merged[starts]
+        raw.append((parent, step_adds, starts))
+    # sorted(set()) rather than np.unique, whose first call imports numpy.ma
+    reach = {size: (sample[size], sorted(set(np.concatenate(idx).tolist()))) for size, idx in codes.items()}
+    plan = tuple(
+        (parent, tuple((size, np.searchsorted(reach[size][1], idx)) for size, idx in adds), starts)
+        for parent, adds, starts in raw
+    )
+    return plan, np.flatnonzero(key & differs), reach
+
+
+def _check_states(n: int) -> None:
+    """Raise CapacityError for more frontier DP states or entries than the
+    entries a dense table may hold."""
+    cap = BLOCK_TABLE_MAX_PATTERNS**2 // 2
+    if n > cap:
+        raise CapacityError(f"frontier DP capped at {cap} states")
+
+
+def _local_pairs(codes, size: int) -> list[tuple]:
+    """The local pattern pairs (a, b) of a block of ``size`` channels whose
+    bits a0..a(size-1) b0..b(size-1) form the integers ``codes``."""
+    return [
+        tuple(tuple(code >> at + k & 1 for k in range(size)) for at in (0, size))
+        for code in codes
+    ]
+
+
+def _merge_states(key, logf, cnt):
+    """Sum the counts of states equal in key and log F, sorted by key, then
+    by log F."""
+    if not len(key):
+        return key, logf, cnt
+    order = np.lexsort((logf, key))
+    key, logf, cnt = key[order], logf[order], cnt[order]
+    first = np.flatnonzero(np.concatenate(([True], (key[1:] != key[:-1]) | (logf[1:] != logf[:-1]))))
+    return key[first], logf[first], np.add.reduceat(cnt, first)
 
 
 def fidelity_table_blocks(patterns, priors, descs, family: ChannelFamily) -> FidelityTable:
@@ -815,9 +806,9 @@ def evaluate_points(space: ImageSpace, points) -> list[FidelityTable]:
     equal bit for bit to the table of its point alone.
 
     The one place a table's route is chosen.  On a uniform full/cpf/bcpf
-    space: occupancy counting for a disjoint probe, with the block
-    fidelities of all points in one batch per block, and the frontier DP
-    for overlapping blocks, per point (classed).  On any other space:
+    space: occupancy counting for a disjoint probe and the frontier DP
+    for overlapping blocks, both with the block fidelities of all points
+    in one batch per block (classed).  On any other space:
     per-block lookups (dense), per point, over the blocks as they sit,
     overlapping or not, with no copy-channel extension.  The optimal
     classical probe at energy ``ns`` gets the Hamming census, which

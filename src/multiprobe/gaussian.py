@@ -328,25 +328,6 @@ def gaussian_fidelity(a: CovMatrix, b: CovMatrix) -> float:
     return float(_fidelity(a.data, b.data, not (a.is_pure or b.is_pure), a.mean - b.mean))
 
 
-def gaussian_fidelities(a: CovMatrix, others) -> np.ndarray:
-    """``[gaussian_fidelity(a, b) for b in others]`` as an array, bit for bit.
-
-    The pairs run through the same formula in stacked LAPACK calls (see
-    ``_pair_fidelities``).  Raises DimensionError or NumericError when any
-    single pair would.
-    """
-    states = [a, *others]
-    for b in states:
-        if b.n_modes != a.n_modes:
-            raise DimensionError(f"mode counts differ: {a.n_modes} vs {b.n_modes}")
-    return _pair_fidelities(
-        np.stack([s.data for s in states]),
-        np.stack([s.mean for s in states]),
-        [s.is_pure for s in states],
-        [(0, j) for j in range(1, len(states))],
-    )
-
-
 def stacked_fidelities(data, means, pairs) -> np.ndarray:
     """Fidelities of the index pairs (i, j) of states given as a (k, 2n, 2n)
     stack of covariance matrices and a (k, 2n) stack of means.

@@ -110,8 +110,9 @@ def _checked(m: int, patterns: tuple[Pattern, ...], priors) -> tuple[tuple[Patte
     priors = np.asarray(priors, dtype=float)
     if priors.shape != (len(patterns),):
         raise DimensionError("one prior per pattern required")
-    if (priors < 0).any() or abs(priors.sum() - 1.0) > PRIOR_TOL:
-        raise ValueError("priors must be nonnegative and sum to 1")
+    # NaN fails every comparison, so it needs a test of its own
+    if not np.isfinite(priors).all() or (priors < 0).any() or abs(priors.sum() - 1.0) > PRIOR_TOL:
+        raise ValueError("priors must be finite, nonnegative and sum to 1")
     return patterns, priors
 
 
@@ -195,5 +196,7 @@ def read_space(fh) -> ImageSpace:
         pri = np.full(len(patterns), 1.0 / len(patterns))
     else:
         pri = np.asarray(weights, dtype=float)
+        if not np.isfinite(pri).all() or (pri < 0).any() or not pri.sum() > 0:
+            raise ValueError("pattern weights must be finite and nonnegative, with a positive sum")
         pri = pri / pri.sum()
     return ImageSpace(m, tuple(patterns), pri, kind=(CUSTOM,))

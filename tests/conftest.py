@@ -11,7 +11,7 @@ from multiprobe import gaussian
 from multiprobe.bounds import _block_occupancy_options, block_subfidelity
 from multiprobe.channels import BlockLayout, ChannelFamily, IdlerLayout, apply_pattern_with_idlers
 from multiprobe.errors import DimensionError
-from multiprobe.gaussian import gaussian_fidelities, gaussian_fidelity, ghz_cm, symplectic_form, tensor
+from multiprobe.gaussian import gaussian_fidelity, ghz_cm, stacked_fidelities, symplectic_form, tensor
 from multiprobe.probes import assemble_probe
 from multiprobe.validate import SuiteResult, _random_family, _random_spec
 
@@ -252,11 +252,10 @@ def scalar_mutual_reference(ext_part, ext_space, family, mu) -> list[float]:
                 for blk, st, lay in probe_blocks
             ]
         )
-    ref_logf = []
-    for i in range(len(outs)):
-        per_block = [
-            gaussian_fidelities(out, [later[b] for later in outs[i + 1:]]).tolist()
-            for b, out in enumerate(outs[i])
-        ]
-        ref_logf.extend(math.log(math.prod(fids)) for fids in zip(*per_block))
-    return ref_logf
+    pairs = list(zip(*(idx.tolist() for idx in np.triu_indices(len(outs), 1))))
+    per_block = [
+        stacked_fidelities(np.stack([out[b].data for out in outs]), np.stack([out[b].mean for out in outs]),
+                           pairs).tolist()
+        for b in range(len(probe_blocks))
+    ]
+    return [math.log(math.prod(fids)) for fids in zip(*per_block)]

@@ -211,6 +211,19 @@ def test_space_file_wrong_length_is_usage_error(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("weights", ["0 0 0", "0.5 nan 0.25"])
+def test_space_file_bad_weights_is_config_error(tmp_path, capsys, weights):
+    space_file = tmp_path / "space.txt"
+    space_file.write_text("".join(f"{p} {w}\n" for p, w in zip(("000", "011", "101"), weights.split())))
+    code = run_cli(
+        ["bounds", "--family", "pure-loss", "--m", "3", "--eta-b", "0.99",
+         "--eta-t", "0.97", "--ns", "20", "--copies", "2",
+         "--probe", "classical", "--space", f"file:{space_file}"]
+    )
+    assert code == 1
+    assert "pattern weights" in capsys.readouterr().err
+
+
 def test_thermal_family_bounds_run(tmp_path):
     out = tmp_path / "thermal.csv"
     code = run_cli(
@@ -280,6 +293,26 @@ def test_cli_import_leaves_scipy_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_census_leaves_numpy_ma_out():
+    # importing numpy.ma costs every census process about 11 ms
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    script = """
+import contextlib, io, sys
+from multiprobe.cli import main
+for probe in ("nn", "tmsv-disjoint", "classical"):
+    for space in ("full", "cpf:2"):
+        argv = ["census", "--family", "pure-loss", "--m", "6", "--eta-b", "0.99", "--eta-t", "0.97",
+                "--ns", "20", "--space", space, "--probe", probe, "--copies", "1"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_validate_failure_exit_two(monkeypatch, capsys):

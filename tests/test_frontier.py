@@ -140,6 +140,16 @@ def test_frontier_state_cap(monkeypatch, capsys):
     assert "frontier DP capped" in capsys.readouterr().err
 
 
+def test_entries_are_capped_apart_from_the_keys(monkeypatch):
+    # nn at m=9 has at most 20 keys per channel, but far more (key, log F) entries
+    monkeypatch.setattr(bounds_mod, "BLOCK_TABLE_MAX_PATTERNS", 16)
+    space, partition, points = build_space("full", 9), nn_partition(9), [(FAMILIES["loss"], MU)]
+    (row,) = frontier_bounds(space, partition, points, [[1, 10]])
+    assert len(row) == 2
+    with pytest.raises(CapacityError, match="frontier DP capped at 128 states"):
+        fidelity_table_frontier(space, partition, points)
+
+
 def test_evaluate_points_gives_the_tables_of_lone_points():
     space, partition = build_space("full", 9), nn_partition(9)
     plan = ProbePlan(MUTUAL, partition=partition)
@@ -248,7 +258,12 @@ def test_split_rows_give_the_tables_of_lone_points(monkeypatch, floats):
     _assert_sums_match_entries(got, alone_tables, SUMS_COPIES)
 
 
-def test_sums_route_looks_up_reachable_pairs_in_one_batch(monkeypatch):
+@pytest.mark.parametrize("consumer", [
+    lambda space, partition, points: frontier_bounds(space, partition, points, [[1]] * len(points)),
+    fidelity_table_frontier,
+], ids=["sums", "entries"])
+def test_frontier_looks_up_reachable_pairs_in_one_batch(monkeypatch, consumer):
+    # both consumers of the plan share its lookup
     space, partition = build_space("cpf:1", 9), nn_partition(9)
     points = [(family, mu) for family in FAMILIES.values() for mu in (MU, 5.5)]
     batches = []
@@ -259,7 +274,7 @@ def test_sums_route_looks_up_reachable_pairs_in_one_batch(monkeypatch):
         return lookup(block, pairs)
 
     monkeypatch.setattr(bounds_mod, "block_fidelities", spy)
-    frontier_bounds(space, partition, points, [[1]] * len(points))
+    consumer(space, partition, points)
     # two-channel blocks; on cpf:1 a pair of blocks never holds more than two targets
     ((n_points, n_pairs),) = batches
     assert n_points == len(points) and n_pairs < 16

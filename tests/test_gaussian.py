@@ -11,7 +11,6 @@ from multiprobe.gaussian import (
     STACK_MAX_PAIRS,
     CovMatrix,
     coherent_cm,
-    gaussian_fidelities,
     gaussian_fidelity,
     ghz_cm,
     ghz_spectrum_closed_form,
@@ -166,8 +165,6 @@ def test_pure_pure_overlap_form():
 def test_fidelity_mode_count_mismatch():
     with pytest.raises(DimensionError):
         gaussian_fidelity(vacuum_cm(1), vacuum_cm(2))
-    with pytest.raises(DimensionError):
-        gaussian_fidelities(vacuum_cm(1), [vacuum_cm(1), vacuum_cm(2)])
 
 
 def _unchecked_state(data):
@@ -190,12 +187,14 @@ def _unchecked_state(data):
 def test_non_bona_fide_pair_raises_in_both_forms(a, bad):
     with pytest.raises(NumericError):
         gaussian_fidelity(a, bad)
+    states = [a, CovMatrix(0.7 * np.eye(2)), bad]
     with pytest.raises(NumericError):
-        gaussian_fidelities(a, [CovMatrix(0.7 * np.eye(2)), bad])
+        stacked_fidelities(np.stack([s.data for s in states]), np.stack([s.mean for s in states]), [(0, 1), (0, 2)])
 
 
 def test_fidelities_of_no_states_is_empty():
-    got = gaussian_fidelities(tmsv_cm(2.5), [])
+    a = tmsv_cm(2.5)
+    got = stacked_fidelities(a.data[None], a.mean[None], [])
     assert got.shape == (0,)
 
 
@@ -206,13 +205,13 @@ def test_fidelities_beyond_the_stack_cap_equal_scalar_calls():
     for k in range(2 * STACK_MAX_PAIRS + 5):
         others.append(coherent_cm([0.01 * k, -0.02j * k]))
         others.append(CovMatrix(np.diag(np.repeat([0.5 + 0.03 * k, 0.6 + 0.01 * k], 2))))
-    got = gaussian_fidelities(a, others).tolist()
-    assert got == [gaussian_fidelity(a, b) for b in others]
-    data = np.stack([s.data for s in others])
-    means = np.stack([s.mean for s in others])
-    pairs = [(i, j) for i in range(0, len(others), 7) for j in range(len(others))]
+    states = [a, *others]
+    data = np.stack([s.data for s in states])
+    means = np.stack([s.mean for s in states])
+    pairs = [(0, j) for j in range(1, len(states))]
+    pairs += [(i, j) for i in range(1, len(states), 7) for j in range(1, len(states))]
     got = stacked_fidelities(data, means, pairs).tolist()
-    assert got == [gaussian_fidelity(others[i], others[j]) for i, j in pairs]
+    assert got == [gaussian_fidelity(states[i], states[j]) for i, j in pairs]
 
 
 def test_stacked_fidelities_canonicalise_each_pair_as_gaussian_fidelity():
@@ -327,10 +326,13 @@ def test_fidelities_equal_scalar_calls_bit_for_bit(data, n):
     a = data.draw(gaussian_states(n))
     others = data.draw(st.lists(gaussian_states(n), min_size=1, max_size=6))
     others.insert(data.draw(st.integers(0, len(others))), a)
-    got = gaussian_fidelities(a, others).tolist()
+    states = [a, *others]
+    covs = np.stack([s.data for s in states])
+    means = np.stack([s.mean for s in states])
+    got = stacked_fidelities(covs, means, [(0, j) for j in range(1, len(states))]).tolist()
     assert got == [gaussian_fidelity(a, b) for b in others]
     assert got == [gaussian_fidelity(b, a) for b in others]
-    assert got == [gaussian_fidelities(b, [a])[0] for b in others]
+    assert got == stacked_fidelities(covs, means, [(j, 0) for j in range(1, len(states))]).tolist()
 
 
 @settings(max_examples=30, deadline=None)

@@ -51,6 +51,19 @@ def test_priors_uniform_and_custom():
     assert not custom.uniform
 
 
+@pytest.mark.parametrize("priors", [[np.nan, 1.0], [np.inf, 0.0], [0.5, np.nan]])
+def test_non_finite_priors_rejected(priors):
+    with pytest.raises(ValueError, match="finite"):
+        ImageSpace(2, ((0, 0), (1, 1)), np.array(priors))
+
+
+@pytest.mark.parametrize("weights", ["0 0 0", "0.5 nan 0.25", "0.5 inf 0.25", "-1 1 0"])
+def test_read_space_rejects_weights_it_cannot_normalise(weights):
+    lines = [f"{p} {w}" for p, w in zip(("000", "011", "101"), weights.split())]
+    with pytest.raises(ValueError, match="pattern weights"):
+        read_space(io.StringIO("\n".join(lines) + "\n"))
+
+
 def _lazy_spaces(m: int):
     """(lazy space, admissible target counts) for every kind over m channels:
     the full space, every cpf space and the bcpf spaces of one or two counts."""
