@@ -24,7 +24,6 @@ from .channels import (
     ChannelFamily,
     GpiParams,
     IdlerLayout,
-    apply_pattern,
     apply_pattern_with_idlers,
 )
 from .closedform import subfidelity_oracle
@@ -77,7 +76,6 @@ __all__ = [
     "NonDisjointPartition",
     "ProbePlan",
     "ProbeSpec",
-    "apply_pattern",
     "apply_pattern_with_idlers",
     "assemble_probe",
     "average_channel_use",

@@ -10,9 +10,10 @@ They are read off a fidelity table or summed directly.
   ``evaluate_points`` those of configurations that differ only in
   channels and energy; ``bounds_from_table`` reads a table at any copy
   number, and ``census_histogram`` histograms it.
-- Sums: ``frontier_bounds`` sums F^M and F^(2M) of overlapping blocks
-  (the ``nn`` ring, ``part:`` literals) on uniform full/cpf/bcpf spaces
-  per configuration and copy number, with no entry per distinct log F.
+- Sums: on uniform full/cpf/bcpf spaces, ``counting_bounds`` (disjoint
+  blocks) and ``frontier_bounds`` (overlapping blocks: the ``nn`` ring,
+  ``part:`` literals) sum F^M and F^(2M) per configuration and copy
+  number, with no entry per distinct log F.
 
 ``bound_reports`` picks the route for a sweep: the sums where they apply,
 the tables otherwise; the census and ``evaluate`` always build tables.
@@ -25,9 +26,10 @@ class reads its representative pair.  On uniform position-finding spaces
 a DP over blocks counts ordered pattern pairs per distinct log-fidelity
 from occupancy multiplicities, and overlapping blocks are counted by a DP
 over channels that keeps the bits of the channels still read, both
-without enumerating patterns.  The DP over channels is one plan of key
-transitions (``_frontier_plan``): the table replays it with (log F,
-count) entries per state, the sums with F^M and F^(2M) per state.
+without enumerating patterns.  Each DP is one plan of key transitions
+that depends on no fidelity (``multiprobe.dp``): the table replays it with
+(log F, count) entries per state, the sums with count * F^M and
+count * F^(2M) per state.
 Custom spaces get one entry per unordered pattern pair from per-block
 lookups, which read each block's channels off the pattern whether or not
 the blocks overlap, so overlapping blocks need no copy-channel extension.
@@ -43,6 +45,7 @@ import numpy as np
 
 from .channels import ADDITIVE, PURE_LOSS, ChannelFamily, check_pattern, mode_channel_map
 from .closedform import coherent_loss_fidelity, vacuum_additive_fidelity
+from .dp import counting_plan, frontier_plan, local_pairs, replay_entries, replay_sums
 from .errors import (
     CapacityError,
     ComparabilityError,
@@ -54,7 +57,7 @@ from .errors import (
 )
 from .gaussian import coherent_cm, ghz_cm, stacked_fidelities
 from .imagespace import ImageSpace
-from .presets import CLASSICAL, MUTUAL, ProbePlan
+from .presets import CLASSICAL, DISJOINT, MUTUAL, ProbePlan
 from .probes import (
     HYBRID_COHERENT,
     SINGLE_IDLER,
@@ -69,7 +72,7 @@ from .probes import (
 BRUTE_TABLE_MAX_PATTERNS = 512
 BLOCK_TABLE_MAX_PATTERNS = 4096
 # Floats in one temporary of a batch over grid points: the covariance-matrix
-# entries of one stacked block batch, or the frontier sums' states x columns.
+# entries of one stacked block batch, or the bound sums' states x columns.
 # Larger batches run in chunks; the results do not depend on it.
 BATCH_MAX_FLOATS = 1 << 16
 
@@ -369,74 +372,84 @@ def census_histogram(table: FidelityTable, copies=1.0) -> list[tuple[float, int]
 
 
 def fidelity_table_counting(space: ImageSpace, points) -> list[FidelityTable]:
-    """Classed tables by a DP over blocks, one per (spec, family) point;
-    uniform position-finding spaces only.
+    """Classed tables of a disjoint probe by the counting DP over blocks,
+    one per (spec, family) point; uniform position-finding spaces only.
 
-    The specs share their blocks and differ at most in energy.  The state
-    is (targets of pattern A so far, targets of B so far, whether A and B
-    differ yet, log F so far); its value is the number of ordered
-    sub-pattern pairs that reach it, from occupancy multiplicities instead
-    of enumerated patterns.  log F sums one block fidelity per block and
-    (v, u, d) class in block order, so pairs whose blocks fall in the same
-    classes reach the same float and merge.  The flag excludes identical
-    pairs.  When every target count is admissible, as on the full space,
-    the target fields stay 0 and the classes of a block merge per (differs,
-    log f), which leaves the entries and their order as they are.  The
+    The specs share their blocks and differ at most in energy.  Each point
+    replays the plan of ``dp.counting_plan`` with (log F, ordered pair count)
+    entries per state: a child takes every entry of its parent, its class's
+    count of ordered sub-pattern pairs and the class's block log-fidelity,
+    and entries equal in state and log F merge at every step.  So log F
+    sums one class fidelity per block in block order, and pairs whose
+    blocks fall in the same classes reach the same float and merge.  The
     class fidelities of every point come from one batch per block
-    signature; the DP then runs per point.
+    signature (see ``_counting``).
     """
+    plan, final, fids = _counting(space, points)
+    tables = []
+    for k in range(len(points)):
+        luts = {sig: np.array([_log(f) for f in f_all[k].tolist()]) for sig, f_all in fids.items()}
+        logf, cnt = replay_entries(plan, final, luts, _state_cap())
+        tables.append(FidelityTable(len(space), cnt.astype(float), logf, method="counting"))
+    return tables
+
+
+def counting_bounds(space: ImageSpace, points, copies) -> list[list[BoundReport]]:
+    """Bound reports of a disjoint probe, one list per (spec, family) point
+    with one report per copy number in ``copies``, summed straight from the
+    counting DP; uniform position-finding spaces only.
+
+    The plan is that of ``fidelity_table_counting``, but each state carries
+    count * F^M and count * F^(2M) per (point, copy number) row instead of
+    its entries, as in ``frontier_bounds``: adding a block multiplies them
+    by the class count and the block's f^M and f^(2M).  The reports carry
+    m_bar = M.
+    """
+    plan, final, fids = _counting(space, points)
+    n = len(space)
+    return [
+        [BoundReport(lower_raw=0.5 * s2 / n**2, upper_raw=s1 / n, copies=c, m_bar=c, method="counting")
+         for c, s1, s2 in row]
+        for row in _plan_sums(plan, final, fids, copies)
+    ]
+
+
+def _counting(space: ImageSpace, points):
+    """The plan of the counting DP of the points' shared blocks on
+    ``space`` (see ``dp.counting_plan``) and, per block signature, the
+    (point, representative pair) fidelities of every (spec, family) point,
+    from one batch (as ``block_subfidelity``)."""
     if not counting_applies(space):
         raise ValueError("counting needs a uniform full/cpf/bcpf space")
     for spec, _ in points:
         if spec.m != space.m:
             raise DimensionError(f"probe over m={spec.m} but space has m={space.m}")
-    ks = set(space.target_counts)
-    kmin, kmax = min(ks), max(ks)
     families = [family for _, family in points]
-    step_lists: dict[tuple, list] = {}
-    block_steps = []  # (size, per-point steps) per block
-    for descs in zip(*(spec.descriptors() for spec, _ in points)):
+    descriptors: dict[ProbeSpec, tuple] = {}  # a sweep's points share few specs
+    for spec, _ in points:
+        if spec not in descriptors:
+            descriptors[spec] = spec.descriptors()
+    groups: dict[tuple, list] = {}  # signature -> the block's (descriptor, family) per point
+    blocks = []
+    for descs in zip(*(descriptors[spec] for spec, _ in points)):
         sig = tuple(map(_block_signature, descs, families))
-        if sig not in step_lists:
-            step_lists[sig] = _class_steps(list(zip(descs, families)), space.m, kmin, kmax)
-            if len(ks) > space.m:
-                step_lists[sig] = [_untracked(steps) for steps in step_lists[sig]]
-        block_steps.append((len(descs[0].channels), step_lists[sig]))
-    tables = []
-    for k in range(len(points)):
-        rem = space.m
-        states = {(0, 0, False, 0.0): 1}
-        for size, steps in block_steps:
-            rem -= size
-            new: dict[tuple[int, int, bool, float], int] = {}
-            for (a0, b0, differs, logf), cnt in states.items():
-                for v, u, step_differs, count, step_logf in steps[k]:
-                    a, b = a0 + v, b0 + u
-                    if a > kmax or b > kmax or a + rem < kmin or b + rem < kmin:
-                        continue
-                    key = (a, b, differs or step_differs, logf + step_logf)
-                    new[key] = new.get(key, 0) + cnt * count
-            states = new
-        hist: dict[float, int] = {}
-        for (a, b, differs, logf), cnt in states.items():
-            if differs and a in ks and b in ks:
-                hist[logf] = hist.get(logf, 0) + cnt
-        tables.append(FidelityTable(
-            len(space),
-            np.array(list(hist.values()), dtype=float),
-            np.array(list(hist), dtype=float),
-            method="counting",
-        ))
-    return tables
+        groups.setdefault(sig, list(zip(descs, families)))
+        blocks.append((sig, len(descs[0].channels)))
+    ks = space.target_counts
+    classes = {size: _block_classes(size, space.m, min(ks), max(ks)) for _, size in blocks}
+    plan, final = counting_plan(blocks, {size: arrays for size, (arrays, _) in classes.items()}, space.m, ks)
+    fids = {sig: block_fidelities(block, classes[len(block[0][0].channels)][1]) for sig, block in groups.items()}
+    return plan, final, fids
 
 
-def _class_steps(points, m: int, kmin: int, kmax: int) -> list[list[tuple]]:
-    """Per (descriptor, family) point of one block, (v, u, differs, ordered
-    sub-pattern pairs, log f) for every ordered (v, u, d) class that a
+@functools.lru_cache(maxsize=None)
+def _block_classes(size: int, m: int, kmin: int, kmax: int):
+    """The ordered (v, u, d) classes of a block of ``size`` channels that a
     pattern pair with kmin..kmax targets over m channels can pass through,
-    with the class fidelities of all points from one batch of
-    representative pairs (as ``block_subfidelity``)."""
-    size = len(points[0][0].channels)
+    as arrays v, u, d, ordered sub-pattern pair counts and the index of
+    each class's representative local pair (as ``block_subfidelity``),
+    then the distinct pairs.  (v, u, d) and (u, v, d) share one.  Cached,
+    so the arrays are read-only."""
     # a block holds at most kmax targets, and the other m - size channels at most m - size
     targets = range(max(0, kmin - (m - size)), min(size, kmax) + 1)
     classes = [
@@ -445,21 +458,13 @@ def _class_steps(points, m: int, kmin: int, kmax: int) -> list[list[tuple]]:
         for u in targets
         for d, count in _block_occupancy_options(size, v, u)
     ]
-    pairs = [representative_local_patterns(size, min(v, u), max(v, u), d) for v, u, d, _ in classes]
-    return [
-        [(v, u, d > 0, count, _log(f)) for (v, u, d, count), f in zip(classes, fids)]
-        for fids in block_fidelities(points, pairs).tolist()
-    ]
-
-
-def _untracked(steps: list[tuple]) -> list[tuple]:
-    """``_class_steps`` of one point without target counts: the ordered
-    sub-pattern pairs of the classes that share (differs, log f) summed, in
-    order of first appearance."""
-    merged: dict[tuple[bool, float], int] = {}
-    for _, _, differs, count, logf in steps:
-        merged[differs, logf] = merged.get((differs, logf), 0) + count
-    return [(0, 0, differs, count, logf) for (differs, logf), count in merged.items()]
+    index: dict[tuple, int] = {}
+    pair = [index.setdefault((min(v, u), max(v, u), d), len(index)) for v, u, d, _ in classes]
+    pairs = tuple(representative_local_patterns(size, *vud) for vud in index)
+    arrays = (*np.array(classes, dtype=np.int64).T, np.array(pair))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays, pairs
 
 
 def fidelity_table_frontier(
@@ -469,7 +474,7 @@ def fidelity_table_frontier(
     channels, one per (family, mu) point; uniform position-finding spaces
     only.
 
-    Each point replays the plan of ``_frontier_plan`` with (log F, ordered
+    Each point replays the plan of ``dp.frontier_plan`` with (log F, ordered
     pair count) entries per state: a new state takes every entry of its
     parent, plus the log-fidelities of the blocks added at that channel in
     block order, and entries equal in state and log F merge at every step.
@@ -482,7 +487,7 @@ def fidelity_table_frontier(
     tables = []
     for k in range(len(points)):
         luts = {size: np.array([_log(f) for f in f_all[k].tolist()]) for size, f_all in fids.items()}
-        logf, cnt = _frontier_entries(plan, final, luts)
+        logf, cnt = replay_entries(plan, final, luts, _state_cap())
         tables.append(FidelityTable(len(space), cnt.astype(float), logf, method="mutual", partition=partition))
     return tables
 
@@ -506,200 +511,67 @@ def frontier_bounds(
     states than the entries a dense table may hold raise CapacityError.
     """
     plan, final, fids = _frontier(space, partition, points)
+    n = len(space)
+    rounds = len(decompose_rounds(partition))
+    return [
+        [BoundReport(lower_raw=0.5 * s2 / n**2, upper_raw=s1 / n, copies=c,
+                     m_bar=float(average_channel_use(partition, c)), method="mutual", rounds=rounds)
+         for c, s1, s2 in row]
+        for row in _plan_sums(plan, final, fids, copies)
+    ]
+
+
+def _plan_sums(plan, final, fids, copies) -> list[list[tuple[float, float, float]]]:
+    """(M, sum F^M, sum F^(2M)) over the ordered pattern pairs that differ,
+    one list per point with one triple per copy number M in the matching
+    list of ``copies``, by replaying ``plan``; ``fids`` maps a lut key to
+    the (point, lut entry) block fidelities of every point.
+
+    A (point, copy number) row is an F^M and an F^(2M) column; the block
+    factors of a column are f^M and f^(2M) of its point's fidelities.  The
+    rows are independent of each other and of the keys, so they run in
+    chunks whose states x rows stay within BATCH_MAX_FLOATS, each chunk
+    over the same plan, and every sum adds in a fixed order, so a row's
+    value does not depend on the rows that ran with it.
+    """
     power = np.array([float(c) for cs in copies for c in cs])
     if (power < 1).any():
         raise ValueError(f"copy number must be >= 1, got {power.min()}")
     point = np.repeat(np.arange(len(copies)), [len(cs) for cs in copies])
-    # columns F^M of each row, then F^2M of each row
-    per_chunk = max(1, BATCH_MAX_FLOATS // (2 * max(len(parent) for parent, *_ in plan)))
+    # columns F^M of each row, then F^2M of each row; no points, no blocks: an empty plan
+    per_chunk = max(1, BATCH_MAX_FLOATS // (2 * max((len(parent) for parent, *_ in plan), default=1)))
     sums = []
     for start in range(0, len(power), per_chunk):
         rows = slice(start, start + per_chunk)
         cols, col_point = np.concatenate((power[rows], 2.0 * power[rows])), np.tile(point[rows], 2)
-        luts = {size: f[col_point].T ** cols for size, f in fids.items()}
-        sums += _frontier_sums(plan, final, luts).reshape(2, -1).T.tolist()
-    n = len(space)
-    rounds = len(decompose_rounds(partition))
-    reports = [
-        BoundReport(
-            lower_raw=0.5 * s2 / n**2,
-            upper_raw=s1 / n,
-            copies=c,
-            m_bar=float(average_channel_use(partition, c)),
-            method="mutual",
-            rounds=rounds,
-        )
-        for c, (s1, s2) in zip(power.tolist(), sums)
-    ]
+        luts = {key: f[col_point].T ** cols for key, f in fids.items()}
+        sums += replay_sums(plan, final, luts).reshape(2, -1).T.tolist()
+    rows = [(c, s1, s2) for c, (s1, s2) in zip(power.tolist(), sums)]
     ends = np.cumsum([len(cs) for cs in copies]).tolist()
-    return [reports[end - len(cs):end] for cs, end in zip(copies, ends)]
+    return [rows[end - len(cs):end] for cs, end in zip(copies, ends)]
 
 
 def _frontier(space: ImageSpace, partition: NonDisjointPartition, points):
     """The plan of the frontier DP of ``partition`` on ``space`` (see
-    ``_frontier_plan``) and, per block size, the (point, reachable local
+    ``dp.frontier_plan``) and, per block size, the (point, reachable local
     pair) fidelities of every (family, mu) point, from one batch."""
     if not counting_applies(space):
         raise ValueError("the frontier DP needs a uniform full/cpf/bcpf space")
     if partition.m != space.m:
         raise PartitionError(f"partition over m={partition.m} does not match space m={space.m}")
-    plan, final, reach = _frontier_plan(partition, space.target_counts)
+    plan, final, reach = frontier_plan(partition, space.target_counts, _state_cap())
     fids = {
         size: block_fidelities([(BlockDescriptor("ghz", blk, mu=mu), family) for family, mu in points],
-                               _local_pairs(codes, size))
+                               local_pairs(codes, size))
         for size, (blk, codes) in reach.items()
     }
     return plan, final, fids
 
 
-def _frontier_entries(plan, final, luts):
-    """Replay ``plan`` on the entries of one point; ``luts`` maps a block
-    size to the log-fidelities of its reachable local pairs.  Returns the
-    log F and ordered pair counts of the final states whose patterns
-    differ, merged by log F, in ascending log F."""
-    # the entries, grouped by state
-    state, logf, cnt = np.zeros(1, dtype=np.int64), np.zeros(1), np.ones(1, dtype=np.int64)
-    n_states = 1
-    for parent, adds, starts in plan:
-        _check_states(4 * len(logf))
-        # each new state copies the entries first[p]:first[p + 1] of its parent p
-        first = np.searchsorted(state, np.arange(n_states + 1))
-        size = np.diff(first)[parent]
-        new = np.repeat(np.arange(len(parent)), size)
-        entry = np.arange(len(new)) + np.repeat(first[parent] - (np.cumsum(size) - size), size)
-        logf, cnt = logf[entry], cnt[entry]
-        for blk_size, idx in adds:
-            logf += luts[blk_size][idx[new]]
-        merged = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(parent)))
-        state, logf, cnt = _merge_states(merged[new], logf, cnt)
-        n_states = len(starts)
-    differ = np.zeros(n_states, dtype=bool)
-    differ[final] = True
-    keep = differ[state]
-    _, logf, cnt = _merge_states(np.zeros(int(keep.sum()), dtype=np.int64), logf[keep], cnt[keep])
-    return logf, cnt
-
-
-def _frontier_sums(plan, final, luts) -> np.ndarray:
-    """Replay ``plan`` on one chunk of rows; ``luts`` maps a block size to
-    its (reachable local pair, column) block factors.  Returns the column
-    sums over the final states whose patterns differ."""
-    vals = np.ones((1, next(iter(luts.values())).shape[1]))
-    for parent, adds, starts in plan:
-        vals = vals[parent]
-        for size, idx in adds:
-            vals *= luts[size][idx]
-        # reduceat sums each column alone, so no column depends on the others
-        vals = np.add.reduceat(vals, starts, axis=0)
-    if not len(final):
-        return np.zeros(vals.shape[1])
-    return np.add.reduceat(vals[final], [0], axis=0)[0]
-
-
-def _frontier_plan(partition: NonDisjointPartition, target_counts: tuple[int, ...]):
-    """The frontier DP over keys alone, which depends on the partition and
-    the admissible target counts only.
-
-    A state's key holds the A and B bits of the channels that a block not
-    yet added still reads, the targets of A and of B when the space fixes
-    them, and whether A and B differ yet.  At channel c each state has a
-    child per (a, b) bit choice, less those whose targets can no longer
-    reach an admissible count.  Block j is added at the channel that
-    completes every block up to j, so blocks add in block order, and its
-    local pair is read off the child's key.  Then the bits that no later
-    block reads are dropped, and children of equal keys merge.
-
-    Returns per step the parent state of each child and, per block added,
-    its size and the index of each child's local pair among the reachable
-    ones, both in the order of the merged keys, with the first child of
-    each merged key; then the final states whose patterns differ, and per
-    block size one of its blocks and the sorted codes of its reachable
-    local pairs (see ``_local_pairs``).  More states than the entries a
-    dense table may hold raise CapacityError.
-    """
-    m, blocks = partition.m, partition.blocks
-    # the step after which block j is added, and the last step that reads channel c
-    added = [max(max(blk) for blk in blocks[:j + 1]) for j in range(len(blocks))]
-    last = [max(added[j] for j, blk in enumerate(blocks) if c in blk) for c in range(m)]
-    slot: dict[int, int] = {}
-    for c in range(m):
-        held = {slot[ch] for ch in range(c) if last[ch] >= c}
-        slot[c] = min(set(range(len(held) + 1)) - held)
-    width = max(slot.values()) + 1
-    # key bits: A per slot, B per slot, differs, then targets of A and of B
-    # (at most 59 bits, since patterns have at most 24 channels)
-    differs = 1 << 2 * width
-    ta_shift = 2 * width + 1
-    tbits = m.bit_length()
-    ks = set(target_counts)
-    track = len(ks) <= m
-    key = np.zeros(1, dtype=np.int64)
-    raw = []
-    sample: dict[int, tuple] = {}  # one block per size
-    codes: dict[int, list] = {}
-    for c in range(m):
-        _check_states(4 * len(key))
-        a_inc, b_inc = 1 << slot[c], 1 << width + slot[c]
-        if track:
-            a_inc += 1 << ta_shift
-            b_inc += 1 << ta_shift + tbits
-        child = ((key[:, None] + np.array([0, a_inc, b_inc, a_inc + b_inc]))
-                 | np.array([0, differs, differs, 0])).ravel()
-        parent = np.repeat(np.arange(len(key)), 4)
-        if track:
-            ok = np.array([any(t <= k <= t + m - 1 - c for k in ks) for t in range(1 << tbits)])
-            feasible = (ok[:, None] & ok).ravel()[child >> ta_shift]
-            child, parent = child[feasible], parent[feasible]
-        keep_bits = ~sum((1 << slot[ch]) | (1 << width + slot[ch]) for ch in range(m) if last[ch] == c)
-        order = np.argsort(child & keep_bits, kind="stable")
-        child, parent = child[order], parent[order]
-        step_adds = []
-        for j, blk in enumerate(blocks):
-            if added[j] == c:
-                shifts = np.array([slot[ch] for ch in blk] + [width + slot[ch] for ch in blk])
-                idx = (child[:, None] >> shifts & 1) @ (1 << np.arange(2 * len(blk)))
-                sample.setdefault(len(blk), blk)
-                codes.setdefault(len(blk), []).append(idx)
-                step_adds.append((len(blk), idx))
-        merged = child & keep_bits
-        starts = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
-        key = merged[starts]
-        raw.append((parent, step_adds, starts))
-    # sorted(set()) rather than np.unique, whose first call imports numpy.ma
-    reach = {size: (sample[size], sorted(set(np.concatenate(idx).tolist()))) for size, idx in codes.items()}
-    plan = tuple(
-        (parent, tuple((size, np.searchsorted(reach[size][1], idx)) for size, idx in adds), starts)
-        for parent, adds, starts in raw
-    )
-    return plan, np.flatnonzero(key & differs), reach
-
-
-def _check_states(n: int) -> None:
-    """Raise CapacityError for more frontier DP states or entries than the
-    entries a dense table may hold."""
-    cap = BLOCK_TABLE_MAX_PATTERNS**2 // 2
-    if n > cap:
-        raise CapacityError(f"frontier DP capped at {cap} states")
-
-
-def _local_pairs(codes, size: int) -> list[tuple]:
-    """The local pattern pairs (a, b) of a block of ``size`` channels whose
-    bits a0..a(size-1) b0..b(size-1) form the integers ``codes``."""
-    return [
-        tuple(tuple(code >> at + k & 1 for k in range(size)) for at in (0, size))
-        for code in codes
-    ]
-
-
-def _merge_states(key, logf, cnt):
-    """Sum the counts of states equal in key and log F, sorted by key, then
-    by log F."""
-    if not len(key):
-        return key, logf, cnt
-    order = np.lexsort((logf, key))
-    key, logf, cnt = key[order], logf[order], cnt[order]
-    first = np.flatnonzero(np.concatenate(([True], (key[1:] != key[:-1]) | (logf[1:] != logf[:-1]))))
-    return key[first], logf[first], np.add.reduceat(cnt, first)
+def _state_cap() -> int:
+    """The most states or entries a DP may hold: the entries of the largest
+    dense table."""
+    return BLOCK_TABLE_MAX_PATTERNS**2 // 2
 
 
 def fidelity_table_blocks(patterns, priors, descs, family: ChannelFamily) -> FidelityTable:
@@ -808,7 +680,9 @@ def evaluate_points(space: ImageSpace, points) -> list[FidelityTable]:
     The one place a table's route is chosen.  On a uniform full/cpf/bcpf
     space: occupancy counting for a disjoint probe and the frontier DP
     for overlapping blocks, both with the block fidelities of all points
-    in one batch per block (classed).  On any other space:
+    in one batch per block (classed); these are the tables that ``census``
+    and ``validate`` read, while ``bound_reports`` sums the bounds of the
+    same DPs without them.  On any other space:
     per-block lookups (dense), per point, over the blocks as they sit,
     overlapping or not, with no copy-channel extension.  The optimal
     classical probe at energy ``ns`` gets the Hamming census, which
@@ -870,19 +744,23 @@ def bound_reports(space: ImageSpace, points, copies) -> list[list[BoundReport]]:
     per (plan, family, ns, mu) point (as ``evaluate_points``) with one
     report per copy number in the matching list of ``copies``.
 
-    The one place a sweep's route is chosen.  A mutual plan on a uniform
-    full/cpf/bcpf space sums its bounds straight from the frontier DP
-    (``frontier_bounds``), with no table.  Every other route reads tables
-    from ``evaluate_points``: the classed ones of all points in one batch,
-    the dense ones of custom spaces one at a time, each read at every copy
-    number before the next is built.
+    The one place a sweep's route is chosen.  On a uniform full/cpf/bcpf
+    space a probe sums its bounds straight from its DP, with no table: a
+    mutual plan from the frontier DP (``frontier_bounds``), a disjoint one
+    from the counting DP (``counting_bounds``).  The classical probe, and
+    every probe on a custom space, reads tables from ``evaluate_points``:
+    the classed ones of all points in one batch, the dense ones of custom
+    spaces one at a time, each read at every copy number before the next
+    is built.
     """
     if not points:
         return []
     plan = _check_points(points)
-    if plan.route == MUTUAL and counting_applies(space):
-        return frontier_bounds(space, plan.partition, [(f, mu) for _, f, _, mu in points], copies)
     if counting_applies(space):
+        if plan.route == MUTUAL:
+            return frontier_bounds(space, plan.partition, [(f, mu) for _, f, _, mu in points], copies)
+        if plan.route == DISJOINT:
+            return counting_bounds(space, [(p.spec, f) for p, f, _, _ in points], copies)
         return [_reports(table, cs) for table, cs in zip(evaluate_points(space, points), copies)]
     return [_reports(evaluate_points(space, [point])[0], cs) for point, cs in zip(points, copies)]
 

@@ -119,13 +119,6 @@ def apply_mode_channels(state: CovMatrix, taus, nus) -> CovMatrix:
     return CovMatrix(*mode_channel_map(state.data, state.mean, taus, nus))
 
 
-def apply_pattern(state: CovMatrix, family: ChannelFamily, pattern) -> CovMatrix:
-    """Send mode k of the state through the pattern's k-th channel."""
-    bits = check_pattern(pattern, state.n_modes)
-    params = [family.params(b) for b in bits]
-    return apply_mode_channels(state, [p.tau for p in params], [p.nu for p in params])
-
-
 @dataclass(frozen=True)
 class BlockLayout:
     """One entangled block: idler modes first, then one probe mode per channel."""
@@ -190,8 +183,8 @@ def layout_channels(family: ChannelFamily, pattern, layout: IdlerLayout) -> tupl
 def apply_pattern_with_idlers(
     state: CovMatrix, family: ChannelFamily, pattern, layout: IdlerLayout
 ) -> CovMatrix:
-    """Like apply_pattern, but modes marked as idlers pass through untouched
-    (see ``layout_channels``)."""
+    """Send each probed mode of the layout through the pattern's channel;
+    modes marked as idlers pass through untouched (see ``layout_channels``)."""
     taus, nus = layout_channels(family, pattern, layout)
     if layout.n_modes != state.n_modes:
         raise DimensionError(

@@ -1,0 +1,227 @@
+"""Key plans of the pattern-pair DPs and their replays.
+
+Both DPs count ordered pattern pairs on uniform full/cpf/bcpf spaces
+without enumerating patterns: ``counting_plan`` over the blocks of a
+disjoint probe, ``frontier_plan`` over the channels of possibly
+overlapping blocks.  A plan depends on no fidelity.  Per step it holds the
+parent state of each child, the child's multiplicity (None: every child
+counts one pair of sub-patterns) and, per block added, its lut key and the
+index of each child's local pair in that lut, all in the order of the
+merged keys, with the first child of each merged key; then come the final
+states whose patterns differ.  ``replay_entries`` replays a plan with
+(log F, ordered pair count) entries per state, ``replay_sums`` with
+products of block factors per column.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import CapacityError
+from .probes import NonDisjointPartition
+
+
+def counting_plan(blocks, classes, m: int, target_counts: tuple[int, ...]):
+    """The counting DP over keys alone, which depends on the block sizes
+    and the admissible target counts only.
+
+    ``blocks`` holds (lut key, size) per block, in block order, and
+    ``classes`` maps a block size to the arrays v, u, d, count and pair of
+    its ordered (v, u, d) classes: the ordered sub-pattern pairs in each
+    and the lut index of its representative local pair.  A state's key
+    holds the targets of A and of B so far when the space fixes them, and
+    whether A and B differ yet.  Adding a block gives each state a child
+    per class, less those whose targets can no longer reach an admissible
+    count; the child's multiplicity is the class's count, and its block
+    reads the class's pair.  Children of equal keys merge.
+    """
+    admissible = np.zeros(m + 1, dtype=bool)
+    admissible[list(target_counts)] = True
+    track = not admissible.all()
+    # key: (targets of A * (m + 1) + targets of B) * 2 + differs; the targets stay 0 untracked
+    key = np.zeros(1, dtype=np.int64)
+    if track:
+        # reach[rem, t]: t targets so far can end admissible with rem channels left
+        below = np.concatenate(([0], np.cumsum(admissible)))
+        t = np.arange(m + 1)
+        reach = below[np.minimum(t + t[:, None] + 1, m + 1)] > below[t]
+        feasible = np.repeat(reach[:, :, None] & reach[:, None, :], 2).reshape(m + 1, -1)
+    steps: dict[int, tuple] = {}
+    plan = []
+    rem = m
+    for lut, size in blocks:
+        rem -= size
+        if size not in steps:
+            v, u, d, count, pair = classes[size]
+            steps[size] = ((v * (m + 1) + u) * 2 * track, d > 0, count, pair)
+        inc, step_differs, count, pair = steps[size]
+        # child (state, class) sits at state * classes + class
+        child = ((key[:, None] + inc) | step_differs).ravel()
+        if track:
+            flat = np.flatnonzero(feasible[rem][child])
+            child = child[flat]
+        else:
+            flat = np.arange(len(child))
+        order = np.argsort(child, kind="stable")
+        child = child[order]
+        parent, cls = np.divmod(flat[order], len(inc))
+        starts = np.flatnonzero(np.concatenate(([True], child[1:] != child[:-1])))
+        key = child[starts]
+        plan.append((parent, count[cls], ((lut, pair[cls]),), starts))
+    return tuple(plan), np.flatnonzero(key & 1)
+
+
+def frontier_plan(partition: NonDisjointPartition, target_counts: tuple[int, ...], cap: int):
+    """The frontier DP over keys alone, which depends on the partition and
+    the admissible target counts only.
+
+    A state's key holds the A and B bits of the channels that a block not
+    yet added still reads, the targets of A and of B when the space fixes
+    them, and whether A and B differ yet.  At channel c each state has a
+    child per (a, b) bit choice, less those whose targets can no longer
+    reach an admissible count.  Block j is added at the channel that
+    completes every block up to j, so blocks add in block order, and its
+    local pair is read off the child's key.  Then the bits that no later
+    block reads are dropped, and children of equal keys merge.
+
+    Returns the plan, its lut keys the block sizes and each child's local
+    pair indexed among the reachable ones; then the final states, and per
+    block size one of its blocks and the sorted codes of its reachable
+    local pairs (see ``local_pairs``).  More than ``cap`` states, or keys
+    wider than an int64 holds, raise CapacityError.
+    """
+    m, blocks = partition.m, partition.blocks
+    # the step after which block j is added, and the last step that reads channel c
+    added = [max(max(blk) for blk in blocks[:j + 1]) for j in range(len(blocks))]
+    last = [max(added[j] for j, blk in enumerate(blocks) if c in blk) for c in range(m)]
+    slot: dict[int, int] = {}
+    for c in range(m):
+        held = {slot[ch] for ch in range(c) if last[ch] >= c}
+        slot[c] = min(set(range(len(held) + 1)) - held)
+    width = max(slot.values()) + 1
+    # key bits: A per slot, B per slot, differs, then targets of A and of B
+    differs = 1 << 2 * width
+    ta_shift = 2 * width + 1
+    tbits = m.bit_length()
+    if ta_shift + 2 * tbits > 63:
+        raise CapacityError(f"frontier DP keys need {ta_shift + 2 * tbits} bits, more than the 63 of an int64")
+    ks = set(target_counts)
+    track = len(ks) <= m
+    key = np.zeros(1, dtype=np.int64)
+    raw = []
+    sample: dict[int, tuple] = {}  # one block per size
+    codes: dict[int, list] = {}
+    for c in range(m):
+        check_states(4 * len(key), cap)
+        a_inc, b_inc = 1 << slot[c], 1 << width + slot[c]
+        if track:
+            a_inc += 1 << ta_shift
+            b_inc += 1 << ta_shift + tbits
+        child = ((key[:, None] + np.array([0, a_inc, b_inc, a_inc + b_inc]))
+                 | np.array([0, differs, differs, 0])).ravel()
+        parent = np.repeat(np.arange(len(key)), 4)
+        if track:
+            ok = np.array([any(t <= k <= t + m - 1 - c for k in ks) for t in range(1 << tbits)])
+            feasible = (ok[:, None] & ok).ravel()[child >> ta_shift]
+            child, parent = child[feasible], parent[feasible]
+        keep_bits = ~sum((1 << slot[ch]) | (1 << width + slot[ch]) for ch in range(m) if last[ch] == c)
+        order = np.argsort(child & keep_bits, kind="stable")
+        child, parent = child[order], parent[order]
+        step_adds = []
+        for j, blk in enumerate(blocks):
+            if added[j] == c:
+                shifts = np.array([slot[ch] for ch in blk] + [width + slot[ch] for ch in blk])
+                idx = (child[:, None] >> shifts & 1) @ (1 << np.arange(2 * len(blk)))
+                sample.setdefault(len(blk), blk)
+                codes.setdefault(len(blk), []).append(idx)
+                step_adds.append((len(blk), idx))
+        merged = child & keep_bits
+        starts = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
+        key = merged[starts]
+        raw.append((parent, step_adds, starts))
+    # sorted(set()) rather than np.unique, whose first call imports numpy.ma
+    reach = {size: (sample[size], sorted(set(np.concatenate(idx).tolist()))) for size, idx in codes.items()}
+    plan = tuple(
+        (parent, None, tuple((size, np.searchsorted(reach[size][1], idx)) for size, idx in adds), starts)
+        for parent, adds, starts in raw
+    )
+    return plan, np.flatnonzero(key & differs), reach
+
+
+def local_pairs(codes, size: int) -> list[tuple]:
+    """The local pattern pairs (a, b) of a block of ``size`` channels whose
+    bits a0..a(size-1) b0..b(size-1) form the integers ``codes``."""
+    return [
+        tuple(tuple(code >> at + k & 1 for k in range(size)) for at in (0, size))
+        for code in codes
+    ]
+
+
+def replay_entries(plan, final, luts, cap: int):
+    """Replay ``plan`` on the entries of one point; ``luts`` maps a lut key
+    to the log-fidelities of its local pairs.  A child's entries are its
+    parent's, with their counts times the child's multiplicity and the
+    log-fidelities of its blocks added.  Returns the log F and ordered pair
+    counts of the final states whose patterns differ, merged by log F, in
+    ascending log F.  More than ``cap`` entries raise CapacityError."""
+    # the entries, grouped by state
+    state, logf, cnt = np.zeros(1, dtype=np.int64), np.zeros(1), np.ones(1, dtype=np.int64)
+    n_states = 1
+    for parent, mult, adds, starts in plan:
+        # each new state copies the entries first[p]:first[p + 1] of its parent p
+        first = np.searchsorted(state, np.arange(n_states + 1))
+        size = (first[1:] - first[:-1])[parent]
+        check_states(int(size.sum()), cap)
+        new = np.repeat(np.arange(len(parent)), size)
+        entry = np.arange(len(new)) + np.repeat(first[parent] - (np.cumsum(size) - size), size)
+        logf, cnt = logf[entry], cnt[entry]
+        if mult is not None:
+            cnt *= mult[new]
+        for key, idx in adds:
+            logf += luts[key][idx[new]]
+        # the merged state of each child: the number of merged keys that start at or before it, less one
+        merged = np.zeros(len(parent), dtype=np.int64)
+        merged[starts[1:]] = 1
+        state, logf, cnt = merge_states(merged.cumsum()[new], logf, cnt)
+        n_states = len(starts)
+    differ = np.zeros(n_states, dtype=bool)
+    differ[final] = True
+    keep = differ[state]
+    _, logf, cnt = merge_states(np.zeros(int(keep.sum()), dtype=np.int64), logf[keep], cnt[keep])
+    return logf, cnt
+
+
+def replay_sums(plan, final, luts) -> np.ndarray:
+    """Replay ``plan`` on one chunk of rows; ``luts`` maps a lut key to its
+    (local pair, column) block factors, which a child's values take on
+    after its parent's and its multiplicity.  Returns the column sums over
+    the final states whose patterns differ."""
+    vals = np.ones((1, next(iter(luts.values())).shape[1]))
+    for parent, mult, adds, starts in plan:
+        vals = vals[parent]
+        if mult is not None:
+            vals *= mult[:, None]
+        for key, idx in adds:
+            vals *= luts[key][idx]
+        # reduceat sums each column alone, so no column depends on the others
+        vals = np.add.reduceat(vals, starts, axis=0)
+    if not len(final):
+        return np.zeros(vals.shape[1])
+    return np.add.reduceat(vals[final], [0], axis=0)[0]
+
+
+def check_states(n: int, cap: int) -> None:
+    """Raise CapacityError for more than ``cap`` DP states or entries."""
+    if n > cap:
+        raise CapacityError(f"frontier DP capped at {cap} states")
+
+
+def merge_states(key, logf, cnt):
+    """Sum the counts of states equal in key and log F, sorted by key, then
+    by log F."""
+    if not len(key):
+        return key, logf, cnt
+    order = np.lexsort((logf, key))
+    key, logf, cnt = key[order], logf[order], cnt[order]
+    first = np.flatnonzero(np.concatenate(([True], (key[1:] != key[:-1]) | (logf[1:] != logf[:-1]))))
+    return key[first], logf[first], np.add.reduceat(cnt, first)

@@ -184,6 +184,8 @@ def read_space(fh) -> ImageSpace:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
+        if len(parts) > 2:
+            raise ValueError(f"space file line {line!r} holds more than a pattern and a weight")
         bits = tuple(int(c) for c in parts[0])
         patterns.append(bits)
         weights.append(float(parts[1]) if len(parts) > 1 else None)

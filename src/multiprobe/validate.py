@@ -35,7 +35,9 @@ from .bounds import (
     bounds_tmsv_pairs,
     bounds_tmsv_pairs_odd,
     bruteforce_fidelities,
+    counting_bounds,
     evaluate,
+    evaluate_points,
     fidelity_table_blocks,
     frontier_bounds,
     tmsv_subfidelity,
@@ -268,31 +270,39 @@ def _sub_pairs(fids: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
 
 
 def suite_counting_vs_bruteforce(scale: str, oracle=None) -> SuiteResult:
-    """Occupancy-counting bounds equal exhaustive full-state evaluation.
+    """Occupancy-counting bounds, from the counting DP tables that
+    ``evaluate`` uses and from the counting sums that ``bounds`` uses, equal
+    exhaustive full-state evaluation.
 
     ``oracle(spec, family)`` gives the full-space pair fidelities (see
     ``_full_fidelities``); the tables of the smaller spaces index into them.
+    The families of one configuration run in one batch, as a sweep's
+    points do.
     """
     tol = 1e-10
     worst, cases = 0.0, 0
     oracle = oracle or functools.cache(_full_fidelities)
     ms = {"smoke": [2, 3], "quick": [2, 3, 4], "full": [2, 3, 4, 5, 6]}[scale]
+    copies = (1, 10)
+    families = _families()
     for m in ms:
         index = {p: i for i, p in enumerate(full_space(m).patterns)}
         for spec in _partitions_for(m):
             for space in _spaces_for(m):
                 rows = np.array([index[p] for p in space.patterns])
-                for family in _families():
+                plan = ProbePlan(DISJOINT, spec=spec)
+                tables = evaluate_points(space, [(plan, family, None, None) for family in families])
+                sums = counting_bounds(space, [(spec, family) for family in families], [copies] * len(families))
+                for family, table_c, row in zip(families, tables, sums):
                     fids = _sub_pairs(oracle(spec, family), len(index), rows)
                     table_b = FidelityTable.from_fidelities(len(rows), fids)
-                    table_c = evaluate(ProbePlan(DISJOINT, spec=spec), space, family)
-                    for copies in (1, 10):
-                        rb = bounds_from_table(table_b, copies)
-                        rc = bounds_from_table(table_c, copies)
-                        for raw_b, raw_c in ((rb.upper_raw, rc.upper_raw), (rb.lower_raw, rc.lower_raw)):
-                            if raw_b > 0:
-                                worst = max(worst, abs(raw_b - raw_c) / raw_b)
-                        cases += 1
+                    for c, rs in zip(copies, row):
+                        rb = bounds_from_table(table_b, c)
+                        for rc in (bounds_from_table(table_c, c), rs):
+                            for raw_b, raw_c in ((rb.upper_raw, rc.upper_raw), (rb.lower_raw, rc.lower_raw)):
+                                if raw_b > 0:
+                                    worst = max(worst, abs(raw_b - raw_c) / raw_b)
+                            cases += 1
     return SuiteResult("counting_vs_bruteforce", worst < tol, worst, tol, cases)
 
 

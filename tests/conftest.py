@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from multiprobe import gaussian
 from multiprobe.bounds import _block_occupancy_options, block_subfidelity
-from multiprobe.channels import BlockLayout, ChannelFamily, IdlerLayout, apply_pattern_with_idlers
+from multiprobe.channels import (
+    BlockLayout,
+    ChannelFamily,
+    IdlerLayout,
+    apply_mode_channels,
+    apply_pattern_with_idlers,
+    check_pattern,
+)
 from multiprobe.errors import DimensionError
 from multiprobe.gaussian import gaussian_fidelity, ghz_cm, stacked_fidelities, symplectic_form, tensor
 from multiprobe.probes import assemble_probe
@@ -19,6 +26,13 @@ from multiprobe.validate import SuiteResult, _random_family, _random_spec
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260811)
+
+
+def apply_pattern(state, family, pattern):
+    """Send mode k of the state through the pattern's k-th channel."""
+    bits = check_pattern(pattern, state.n_modes)
+    params = [family.params(b) for b in bits]
+    return apply_mode_channels(state, [p.tau for p in params], [p.nu for p in params])
 
 
 def hamming(a, b) -> int:

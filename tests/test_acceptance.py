@@ -21,7 +21,7 @@ from multiprobe.bounds import (
     fidelity_table_counting,
     tmsv_subfidelity,
 )
-from multiprobe.channels import ChannelFamily, apply_pattern
+from multiprobe.channels import ChannelFamily
 from multiprobe.closedform import (
     coherent_loss_fidelity,
     tmsv_additive_f01_limit,
@@ -46,6 +46,8 @@ from multiprobe.probes import (
     pair_partition,
 )
 from multiprobe.validate import run_suites
+
+from conftest import apply_pattern
 
 NU_GRID = (0.005, 0.01, 0.02, 0.05, 0.1)
 ETA_GRID = (0.9, 0.95, 0.99, 0.999)
@@ -369,7 +371,7 @@ def test_criterion_8_invariant_suites():
         ("bona_fide_outputs", 200),
         ("fidelity_symmetry", 150),
         ("closed_form_oracles", 30),
-        ("counting_vs_bruteforce", 160),
+        ("counting_vs_bruteforce", 320),
         ("tmsv_closed_form", 50),
         ("degeneracy_classes", 18),
         ("block_multiplicativity", 100),

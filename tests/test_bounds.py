@@ -697,8 +697,8 @@ def test_counting_evaluates_only_feasible_classes(monkeypatch, space, probe):
         # the block holds the whole pattern: (v, u, d) = (1, 1, 0) or (1, 1, 2) of all 220 classes
         assert [len(pairs) for _, pairs in batches] == [2]
     # the same table as from every class of every block
-    classes_of = bounds_mod._class_steps
-    monkeypatch.setattr(bounds_mod, "_class_steps", lambda points, m, kmin, kmax: classes_of(points, m, 0, m))
+    classes_of = bounds_mod._block_classes
+    monkeypatch.setattr(bounds_mod, "_block_classes", lambda size, m, kmin, kmax: classes_of(size, m, 0, m))
     want = fidelity_table_counting(space, [(spec, LOSS)])[0]
     assert got.counts.tolist() == want.counts.tolist()
     assert got.logf.tolist() == want.logf.tolist()

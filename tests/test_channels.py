@@ -8,7 +8,6 @@ from multiprobe.channels import (
     ChannelFamily,
     IdlerLayout,
     additive_params,
-    apply_pattern,
     apply_pattern_with_idlers,
     pure_loss_params,
     thermal_params,
@@ -16,7 +15,7 @@ from multiprobe.channels import (
 from multiprobe.errors import DimensionError
 from multiprobe.gaussian import gaussian_fidelity, ghz_cm, tensor, tmsv_cm, vacuum_cm
 
-from conftest import any_family, patterns
+from conftest import any_family, apply_pattern, patterns
 
 
 def test_param_constructors_derive_noise():

@@ -224,6 +224,18 @@ def test_space_file_bad_weights_is_config_error(tmp_path, capsys, weights):
     assert "pattern weights" in capsys.readouterr().err
 
 
+def test_space_file_line_with_extra_tokens_is_config_error(tmp_path, capsys):
+    space_file = tmp_path / "space.txt"
+    space_file.write_text("000 0.5 junk\n011 0.25\n101 0.25\n")
+    code = run_cli(
+        ["bounds", "--family", "pure-loss", "--m", "3", "--eta-b", "0.99",
+         "--eta-t", "0.97", "--ns", "20", "--copies", "2",
+         "--probe", "classical", "--space", f"file:{space_file}"]
+    )
+    assert code == 1
+    assert "more than a pattern and a weight" in capsys.readouterr().err
+
+
 def test_thermal_family_bounds_run(tmp_path):
     out = tmp_path / "thermal.csv"
     code = run_cli(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from multiprobe.channels import ChannelFamily, apply_pattern
+from multiprobe.channels import ChannelFamily
 from multiprobe.closedform import (
     coherent_loss_fidelity,
     subfidelity_oracle,
@@ -16,6 +16,8 @@ from multiprobe.closedform import (
 from multiprobe.errors import NoClosedFormError
 from multiprobe.gaussian import CovMatrix, coherent_cm, gaussian_fidelity, tmsv_cm
 from multiprobe.bounds import tmsv_subfidelity
+
+from conftest import apply_pattern
 
 
 def test_coherent_loss_fidelity_matches_displaced_vacua():

@@ -1,0 +1,156 @@
+"""The bound sums that ``bounds`` takes straight from the counting DP of a
+disjoint probe, against the tables of the same DP, which ``census`` and
+``evaluate`` read, and against exact products of the block fidelities."""
+
+import itertools
+
+import mpmath
+import numpy as np
+import pytest
+
+import multiprobe.bounds as bounds_mod
+from multiprobe.bounds import (
+    block_fidelities,
+    bound_reports,
+    bounds_from_table,
+    counting_bounds,
+    fidelity_table_counting,
+)
+from multiprobe.channels import ChannelFamily
+from multiprobe.cli import build_space
+from multiprobe.presets import resolve_probe
+from multiprobe.probes import HYBRID_COHERENT, SINGLE_IDLER
+
+FAMILIES = {
+    "loss": ChannelFamily.pure_loss(0.99, 0.97),
+    "additive": ChannelFamily.additive(0.02, 0.01),
+    "thermal": ChannelFamily.thermal(0.9, 1.2, 0.8, 1.5),
+}
+# (probe, m, odd-m strategy): every disjoint structure the presets build, and a literal
+PROBES = {
+    "tmsv-even": ("tmsv-disjoint", 8, SINGLE_IDLER),
+    "tmsv-single-idler": ("tmsv-disjoint", 7, SINGLE_IDLER),
+    "tmsv-hybrid-coherent": ("tmsv-disjoint", 7, HYBRID_COHERENT),
+    "idler-full": ("idler-full", 9, SINGLE_IDLER),
+    "full-ghz": ("full-ghz", 9, SINGLE_IDLER),
+    "literal": ("part:123|45*|6*|7*", 7, SINGLE_IDLER),
+}
+COPIES = [1, 10, 100, 1000, 5000]
+MUS = (20.5, 5.5, 50.5)
+
+
+def _points(probe, family):
+    name, m, strategy = probe
+    return [(resolve_probe(name, m, mu, strategy).spec, family) for mu in MUS]
+
+
+def _assert_sums_match_entries(reports, tables, copies):
+    for table, row in zip(tables, reports):
+        assert [r.copies for r in row] == [float(c) for c in copies]
+        for c, got in zip(copies, row):
+            want = bounds_from_table(table, c)
+            assert (got.m_bar, got.method, got.rounds) == (want.m_bar, "counting", None)
+            for a, b in ((got.upper_raw, want.upper_raw), (got.lower_raw, want.lower_raw)):
+                if b >= np.finfo(float).tiny:
+                    assert a == pytest.approx(b, rel=1e-12, abs=0)
+                elif b > 0:
+                    assert a > 0
+                else:
+                    assert a == 0
+
+
+@pytest.mark.parametrize("family", FAMILIES.values(), ids=FAMILIES.keys())
+@pytest.mark.parametrize("space_text", ["full", "cpf:1", "cpf:3", "bcpf:1,2"])
+@pytest.mark.parametrize("probe", PROBES.values(), ids=PROBES.keys())
+def test_sums_route_matches_the_entries_route(probe, space_text, family):
+    space, points = build_space(space_text, probe[1]), _points(probe, family)
+    tables = fidelity_table_counting(space, points)
+    copies = [COPIES, COPIES[::-1], COPIES[1:3]]
+    reports = counting_bounds(space, points, copies)
+    for row, table, cs in zip(reports, tables, copies):
+        _assert_sums_match_entries([row], [table], cs)
+
+
+def test_bound_reports_sums_disjoint_probes_without_tables(monkeypatch):
+    space, family = build_space("cpf:3", 9), FAMILIES["loss"]
+    plans = [resolve_probe("idler-full", 9, mu) for mu in MUS]
+    points = [(plan, family, mu - 0.5, mu) for plan, mu in zip(plans, MUS)]
+    want = counting_bounds(space, [(plan.spec, family) for plan in plans], [COPIES] * len(MUS))
+
+    def no_table(*args):
+        raise AssertionError("the sums route builds no table")
+
+    monkeypatch.setattr(bounds_mod, "fidelity_table_counting", no_table)
+    assert bound_reports(space, points, [COPIES] * len(MUS)) == want
+
+
+@pytest.mark.parametrize("space_text", ["full", "cpf:3"])
+def test_sums_route_rows_do_not_depend_on_their_chunks(monkeypatch, space_text):
+    space = build_space(space_text, 9)
+    probe = ("tmsv-disjoint", 9, SINGLE_IDLER)
+    points = [point for family in FAMILIES.values() for point in _points(probe, family)]
+    copies = [COPIES] * len(points)
+    whole = counting_bounds(space, points, copies)
+    chunks = []
+    sums = bounds_mod.replay_sums
+
+    def spy(plan, final, luts):
+        chunks.append(next(iter(luts.values())).shape[1])
+        return sums(plan, final, luts)
+
+    monkeypatch.setattr(bounds_mod, "BATCH_MAX_FLOATS", 8)
+    monkeypatch.setattr(bounds_mod, "replay_sums", spy)
+    chunked = counting_bounds(space, points, copies)
+    # one (point, copy number) row, as F^M and F^2M columns, per chunk
+    assert chunks == [2] * len(points) * len(COPIES)
+    assert chunked == whole
+    alone = [counting_bounds(space, [point], [[c]])[0][0] for point in points for c in COPIES]
+    assert [r for row in whole for r in row] == alone
+
+
+def test_sums_route_on_a_one_pattern_space():
+    space = build_space("cpf:0", 4)
+    spec = resolve_probe("tmsv-disjoint", 4, 20.5).spec
+    (row,) = counting_bounds(space, [(spec, FAMILIES["loss"])], [[1, 7]])
+    assert [(r.lower_raw, r.upper_raw) for r in row] == [(0.0, 0.0)] * 2
+    # no points: no reports, as from the tables
+    assert counting_bounds(space, [], []) == [] == fidelity_table_counting(space, [])
+
+
+def test_sums_route_checks_its_copy_numbers():
+    spec = resolve_probe("idler-full", 4, 20.5).spec
+    with pytest.raises(ValueError, match="copy number"):
+        counting_bounds(build_space("full", 4), [(spec, FAMILIES["loss"])], [[0.5]])
+
+
+def test_sums_route_is_exact_to_rounding_at_tiny_bounds():
+    # the advantage surface's idler-assisted noise sweep on cpf:1: bounds
+    # down to 1e-300, where exp(M log F) of a table loses up to 1e-13
+    m, space = 9, build_space("cpf:1", 9)
+    copies = [100.0, 500.0, 2000.0]
+    configs = list(itertools.product(np.linspace(0.012, 0.1, 5), np.geomspace(1.0, 50.0, 5)))
+    points = [(resolve_probe("idler-full", m, ns + 0.5).spec, ChannelFamily.additive(nu_b, 0.01))
+              for nu_b, ns in configs]
+    reports = counting_bounds(space, points, [copies] * len(points))
+    patterns = space.patterns
+    checked = 0
+    with mpmath.workdps(50):
+        for (spec, family), row in zip(points, reports):
+            descs = spec.descriptors()
+            # every block of idler-full has one channel: its two local patterns
+            f = block_fidelities([(descs[0], family)], [((0,), (1,))])[0, 0]
+            assert all(len(d.channels) == 1 for d in descs)
+            fids = {(a, b): mpmath.mpf(1.0 if a == b else f) for a in (0, 1) for b in (0, 1)}
+            pair_fids = [
+                mpmath.fprod(fids[pa[c], pb[c]] for c in range(m))
+                for pa, pb in itertools.permutations(patterns, 2)
+            ]
+            n = len(patterns)
+            for c, report in zip(copies, row):
+                upper = mpmath.fsum(fid**c for fid in pair_fids) / n
+                lower = mpmath.fsum(fid ** (2 * c) for fid in pair_fids) / (2 * n**2)
+                for got, want in ((report.upper_raw, upper), (report.lower_raw, lower)):
+                    if want > 1e-300:
+                        assert abs(got - want) <= 1e-14 * want
+                        checked += 1
+    assert checked > len(points)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import multiprobe.bounds as bounds_mod
+import multiprobe.dp as dp
 from multiprobe.bounds import (
     FidelityTable,
     bound_reports,
@@ -27,6 +28,7 @@ from multiprobe.errors import CapacityError
 from multiprobe.imagespace import ImageSpace
 from multiprobe.presets import MUTUAL, ProbePlan
 from multiprobe.probes import (
+    NonDisjointPartition,
     ProbeSpec,
     decompose_rounds,
     extend_for_mutual_probing,
@@ -207,14 +209,14 @@ def test_sums_route_rows_do_not_depend_on_their_chunks(monkeypatch):
     copies = [SUMS_COPIES] * len(points)
     whole = frontier_bounds(space, partition, points, copies)
     chunks = []
-    sums = bounds_mod._frontier_sums
+    sums = bounds_mod.replay_sums
 
     def spy(plan, final, luts):
         chunks.append(next(iter(luts.values())).shape[1])
         return sums(plan, final, luts)
 
     monkeypatch.setattr(bounds_mod, "BATCH_MAX_FLOATS", 8)
-    monkeypatch.setattr(bounds_mod, "_frontier_sums", spy)
+    monkeypatch.setattr(bounds_mod, "replay_sums", spy)
     chunked = frontier_bounds(space, partition, points, copies)
     # one (point, copy number) row, as F^M and F^2M columns, per chunk
     assert chunks == [2] * len(points) * len(SUMS_COPIES)
@@ -233,7 +235,7 @@ def test_split_rows_give_the_tables_of_lone_points(monkeypatch, floats):
     alone_tables = [fidelity_table_frontier(space, partition, [point])[0] for point in points]
     alone = [frontier_bounds(space, partition, [point], [SUMS_COPIES])[0] for point in points]
     chunks, batches = [], []
-    sums, lookup = bounds_mod._frontier_sums, bounds_mod.block_fidelities
+    sums, lookup = bounds_mod.replay_sums, bounds_mod.block_fidelities
 
     def sums_spy(plan, final, luts):
         chunks.append(next(iter(luts.values())).shape[1] // 2)
@@ -244,7 +246,7 @@ def test_split_rows_give_the_tables_of_lone_points(monkeypatch, floats):
         return lookup(block, pairs)
 
     monkeypatch.setattr(bounds_mod, "BATCH_MAX_FLOATS", floats)
-    monkeypatch.setattr(bounds_mod, "_frontier_sums", sums_spy)
+    monkeypatch.setattr(bounds_mod, "replay_sums", sums_spy)
     monkeypatch.setattr(bounds_mod, "block_fidelities", lookup_spy)
     got = frontier_bounds(space, partition, points, copies)
     # the rows that did not fit run in later chunks; together they cover every row once
@@ -293,3 +295,15 @@ def test_sums_route_checks_its_copy_numbers():
     space, partition = build_space("full", 4), nn_partition(4)
     with pytest.raises(ValueError, match="copy number"):
         frontier_bounds(space, partition, [(FAMILIES["loss"], MU)], [[0.5]])
+
+
+def test_frontier_keys_fit_an_int64_up_to_the_boundary():
+    # a block over every channel holds them all to the end: m slots, so
+    # 2 * 26 + 1 + 2 * bit_length(26) = 63 key bits at m = 26, 65 at m = 27
+    partition = NonDisjointPartition(26, (tuple(range(26)), (0, 1)))
+    plan, final, reach = dp.frontier_plan(partition, (1,), cap=10**6)
+    # with every block factor 1 the sum counts the ordered pairs of one-target patterns
+    luts = {size: np.ones((len(codes), 1)) for size, (_, codes) in reach.items()}
+    assert dp.replay_sums(plan, final, luts).tolist() == [26 * 25]
+    with pytest.raises(CapacityError, match="65 bits"):
+        dp.frontier_plan(NonDisjointPartition(27, (tuple(range(27)), (0, 1))), (1,), cap=10**6)

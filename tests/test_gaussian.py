@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiprobe.channels import ChannelFamily, apply_mode_channels, apply_pattern
+from multiprobe.channels import ChannelFamily, apply_mode_channels
 from multiprobe.errors import DimensionError, EnergyError, NumericError, PartitionError
 from multiprobe import gaussian
 from multiprobe.gaussian import (
@@ -22,7 +22,7 @@ from multiprobe.gaussian import (
     vacuum_cm,
 )
 
-from conftest import any_family, fidelity_sqrtm_reference, patterns
+from conftest import any_family, apply_pattern, fidelity_sqrtm_reference, patterns
 
 
 def test_symplectic_form_squares_to_minus_identity():

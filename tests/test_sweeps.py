@@ -109,14 +109,14 @@ def test_batch_bounds_do_not_change_the_bytes(tmp_path, monkeypatch, floats):
     # configuration at 64 floats, and the block batches into one point per stack
     _, want = _run(SURFACE, tmp_path / "want.csv")
     chunks = []
-    sums = bounds_mod._frontier_sums
+    sums = bounds_mod.replay_sums
 
     def spy(plan, final, luts):
         chunks.append(next(iter(luts.values())).shape[1] // 2)
         return sums(plan, final, luts)
 
     monkeypatch.setattr(bounds_mod, "BATCH_MAX_FLOATS", floats)
-    monkeypatch.setattr(bounds_mod, "_frontier_sums", spy)
+    monkeypatch.setattr(bounds_mod, "replay_sums", spy)
     assert _run(SURFACE, tmp_path / "got.csv") == (0, want)
     assert sum(chunks) == 16  # the 4 x 4 grid's configurations
     assert len(chunks) > 1

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -142,3 +143,18 @@ def test_mutual_suite_checks_the_frontier_sums():
     # frontier sums, at m = 3 and 4, two families, copies 1 and 7
     res = validate.suite_mutual_vs_bruteforce("full")
     assert res.passed and res.cases == 24 and res.tolerance == 1e-12
+
+
+def test_counting_suite_checks_the_counting_sums(monkeypatch):
+    # reference against the counting table and the counting sums, copies 1 and 10
+    res = validate.suite_counting_vs_bruteforce("smoke")
+    assert res.passed and res.cases == 96 and res.tolerance == 1e-10
+    counting_bounds = validate.counting_bounds
+
+    def off(space, points, copies):
+        return [[replace(r, upper_raw=r.upper_raw * (1 + 1e-9)) for r in row]
+                for row in counting_bounds(space, points, copies)]
+
+    monkeypatch.setattr(validate, "counting_bounds", off)
+    broken = validate.suite_counting_vs_bruteforce("smoke")
+    assert not broken.passed and broken.max_deviation > 5e-10
