@@ -19,10 +19,10 @@ They are read off a fidelity table or summed directly.
 the tables otherwise; the census and ``evaluate`` always build tables.
 Fidelities of block-structured probes factor over blocks and are
 degenerate within per-block (v, u, d) classes, so one Gaussian fidelity
-per block and class suffices.  ``block_fidelities`` evaluates the local
+per block and class suffices.  ``multiprobe.blocks`` evaluates the local
 pattern pairs the routes need in one stacked batch per block over all
-configurations and caches them per block signature and unordered pair; a
-class reads its representative pair.  On uniform position-finding spaces
+configurations and caches them; a class reads its representative pair.
+On uniform position-finding spaces
 a DP over blocks counts ordered pattern pairs per distinct log-fidelity
 from occupancy multiplicities, and overlapping blocks are counted by a DP
 over channels that keeps the bits of the channels still read, both
@@ -38,6 +38,7 @@ the blocks overlap, so overlapping blocks need no copy-channel extension.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -45,6 +46,8 @@ import numpy as np
 
 from .channels import ADDITIVE, PURE_LOSS, ChannelFamily, check_pattern, mode_channel_map
 from .closedform import coherent_loss_fidelity, vacuum_additive_fidelity
+from .blocks import (BATCH_MAX_FLOATS, block_fidelities, block_signature, block_subfidelity,
+                     representative_local_patterns)
 from .dp import counting_plan, frontier_plan, local_pairs, replay_entries, replay_sums
 from .errors import (
     CapacityError,
@@ -55,9 +58,9 @@ from .errors import (
     PartitionError,
     UnsupportedBenchmarkError,
 )
-from .gaussian import coherent_cm, ghz_cm, stacked_fidelities
+from .gaussian import stacked_fidelities
 from .imagespace import ImageSpace
-from .presets import CLASSICAL, DISJOINT, MUTUAL, ProbePlan
+from .presets import CLASSICAL, MUTUAL, ProbePlan
 from .probes import (
     HYBRID_COHERENT,
     SINGLE_IDLER,
@@ -71,10 +74,6 @@ from .probes import (
 
 BRUTE_TABLE_MAX_PATTERNS = 512
 BLOCK_TABLE_MAX_PATTERNS = 4096
-# Floats in one temporary of a batch over grid points: the covariance-matrix
-# entries of one stacked block batch, or the bound sums' states x columns.
-# Larger batches run in chunks; the results do not depend on it.
-BATCH_MAX_FLOATS = 1 << 16
 
 
 @dataclass
@@ -82,7 +81,8 @@ class BoundReport:
     """Lower/upper error-probability bounds plus resource accounting.
 
     Raw values are the bare fidelity sums (the upper one may exceed 1 for
-    small M); ``lower``/``upper`` are clipped to [0, 1].
+    small M); ``lower``/``upper`` are clipped to [0, 1].  The routes
+    range-check their reports together (``_checked_reports``).
     """
 
     lower_raw: float
@@ -93,14 +93,6 @@ class BoundReport:
     rounds: int | None = None
     delta_perr: float | None = None
 
-    def __post_init__(self):
-        if not np.isfinite(self.lower_raw) or not np.isfinite(self.upper_raw):
-            raise NumericError("bound sums are not finite")
-        if self.lower_raw < -1e-12:
-            raise NumericError(f"negative lower bound {self.lower_raw}")
-        if self.upper_raw < self.lower_raw - 1e-12:
-            raise NumericError("upper bound fell below lower bound")
-
     @property
     def lower(self) -> float:
         return min(max(self.lower_raw, 0.0), 1.0)
@@ -108,6 +100,22 @@ class BoundReport:
     @property
     def upper(self) -> float:
         return min(max(self.upper_raw, 0.0), 1.0)
+
+
+def _checked_reports(rows: list, copies, method: str, rounds: int | None = None) -> list[list[BoundReport]]:
+    """The reports of (M, m_bar, lower_raw, upper_raw) rows (see ``_rows``),
+    one list per point, after one range check of them all: NumericError for
+    the first row whose sums are not finite, whose lower bound is negative
+    beyond rounding, or whose upper bound falls below it."""
+    for *_, lower, upper in rows:
+        if not (math.isfinite(lower) and math.isfinite(upper)):
+            raise NumericError("bound sums are not finite")
+        if lower < -1e-12:
+            raise NumericError(f"negative lower bound {lower}")
+        if upper < lower - 1e-12:
+            raise NumericError("upper bound fell below lower bound")
+    reports = iter([BoundReport(lb, ub, c, mb, method, rounds) for c, mb, lb, ub in rows])
+    return [list(itertools.islice(reports, len(cs))) for cs in copies]
 
 
 def guaranteed_advantage(classical: BoundReport, quantum: BoundReport) -> float:
@@ -125,119 +133,6 @@ def guaranteed_advantage(classical: BoundReport, quantum: BoundReport) -> float:
 
 # ---------------------------------------------------------------------------
 # per-block fidelity classes
-
-
-def representative_local_patterns(size: int, v: int, u: int, d: int):
-    """A sub-pattern pair with v and u targets at Hamming distance d."""
-    if (v + u - d) % 2:
-        raise ValueError(f"class {(v, u, d)} has non-integer overlap")
-    overlap = (v + u - d) // 2
-    if overlap < 0 or overlap > min(v, u) or v + u - overlap > size:
-        raise ValueError(f"class {(v, u, d)} impossible for block size {size}")
-    pat_a = [0] * size
-    pat_b = [0] * size
-    for k in range(v):
-        pat_a[k] = 1
-    for k in range(overlap):
-        pat_b[k] = 1
-    for k in range(v, v + u - overlap):
-        pat_b[k] = 1
-    return tuple(pat_a), tuple(pat_b)
-
-
-_BLOCK_FID_CACHE: dict[tuple, float] = {}
-
-
-def _block_signature(desc: BlockDescriptor, family: ChannelFamily) -> tuple:
-    """What a block's output fidelities depend on: not its channel labels."""
-    b, t = family.background, family.target
-    return (desc.kind, len(desc.channels), desc.idlers, desc.mu, desc.alpha,
-            family.kind, b.tau, b.nu, t.tau, t.nu)
-
-
-def block_fidelities(points, pairs) -> np.ndarray:
-    """Output fidelities of one block at K points for local pattern pairs
-    (a, b), as a (K, len(pairs)) array.
-
-    ``points`` holds one (descriptor, family) per point; the descriptors
-    differ at most in mu or alpha.  Values are cached per block signature
-    and unordered pair.  The misses of all points are evaluated in one
-    batch: one probe state per distinct energy, the channels act on every
-    distinct local pattern in one stacked step (idlers pass), and the pairs
-    run through ``stacked_fidelities`` in chunks of points of at most
-    BATCH_MAX_FLOATS matrix entries, so each value equals
-    ``gaussian_fidelity`` of the two output states bit for bit, and
-    identical outputs give exactly 1.0.
-    """
-    sigs = [_block_signature(desc, family) for desc, family in points]
-    ordered = [(a, b) if a <= b else (b, a) for a, b in pairs]
-    distinct = sorted({pair for pair in ordered if pair[0] != pair[1]})
-    missing: dict[tuple, tuple[int, list]] = {}  # signature -> (point, missing pairs)
-    for k, sig in enumerate(sigs):
-        if sig not in missing:
-            missing[sig] = (k, [pair for pair in distinct if (sig, *pair) not in _BLOCK_FID_CACHE])
-    todo = [(sig, k, miss) for sig, (k, miss) in missing.items() if miss]
-    if todo:
-        _fill_block_cache(points, todo)
-    return np.array([[1.0 if a == b else _BLOCK_FID_CACHE[sig, a, b] for a, b in ordered] for sig in sigs])
-
-
-def _fill_block_cache(points, todo) -> None:
-    """Evaluate the missing pairs ``todo`` = [(signature, point, pairs)] of
-    one block into the cache; see ``block_fidelities``."""
-    desc = points[todo[0][1]][0]
-    locals_ = sorted({lp for _, _, miss in todo for pair in miss for lp in pair})
-    row = {lp: r for r, lp in enumerate(locals_)}
-    bits = np.array(locals_, dtype=bool)
-    states = {}  # one probe state per energy
-    probes = []
-    for _, k, _ in todo:
-        d = points[k][0]
-        energy = d.alpha if d.kind == "coherent" else d.mu
-        if energy not in states:
-            states[energy] = coherent_cm([d.alpha]) if d.kind == "coherent" else ghz_cm(d.n_modes, d.mu)
-        probes.append(states[energy])
-    fams = [points[k][1] for _, k, _ in todo]
-
-    def per_point(values):
-        return np.array(values)[:, None, None]
-
-    def channel(attr, idler):
-        """(points, local patterns, modes) of ``attr``; idler modes come first."""
-        target = per_point([getattr(f.target, attr) for f in fams])
-        background = per_point([getattr(f.background, attr) for f in fams])
-        idle = np.full((len(todo), len(locals_), desc.idlers), idler)
-        return np.concatenate([idle, np.where(bits, target, background)], axis=-1)
-
-    taus, nus = channel("tau", 1.0), channel("nu", 0.0)  # idlers pass
-    dim = 2 * desc.n_modes
-    per_call = max(1, BATCH_MAX_FLOATS // (len(locals_) * dim * dim))
-    for start in range(0, len(todo), per_call):
-        stop = min(start + per_call, len(todo))
-        data, means = mode_channel_map(
-            np.stack([p.data for p in probes[start:stop]])[:, None],
-            np.stack([p.mean for p in probes[start:stop]])[:, None],
-            taus[start:stop],
-            nus[start:stop],
-        )
-        pairs, keys = [], []
-        for c, (sig, _, miss) in enumerate(todo[start:stop]):
-            pairs += [(c * len(locals_) + row[a], c * len(locals_) + row[b]) for a, b in miss]
-            keys += [(sig, a, b) for a, b in miss]
-        fids = stacked_fidelities(data.reshape(-1, dim, dim), means.reshape(-1, dim), pairs)
-        _BLOCK_FID_CACHE.update(zip(keys, fids.tolist()))
-
-
-def block_subfidelity(desc: BlockDescriptor, family: ChannelFamily, v: int, u: int, d: int) -> float:
-    """Single-copy output fidelity of one block for a (v, u, d) class.
-
-    Degenerate within the class up to rounding, so one representative
-    local pattern pair stands for it (see ``block_fidelities``).
-    """
-    if d == 0:
-        return 1.0
-    pair = representative_local_patterns(len(desc.channels), min(v, u), max(v, u), d)
-    return float(block_fidelities([(desc, family)], [pair])[0, 0])
 
 
 def tmsv_subfidelity(family: ChannelFamily, mu: float, v: int, u: int, d: int) -> float:
@@ -333,29 +228,41 @@ def bounds_from_table(table: FidelityTable, copies, *, m_bar=None) -> BoundRepor
     average channel use defaults to M, or to (m + l) / m * M for a
     mutual-probing table.
     """
+    ((report,),) = _checked_reports([_table_row(table, copies, m_bar)], [[copies]], table.method, table.rounds)
+    return report
+
+
+def _table_row(table: FidelityTable, copies, m_bar=None) -> tuple[float, float, float, float]:
+    """The (M, m_bar, lower_raw, upper_raw) row of ``table`` at ``copies``
+    (see ``bounds_from_table``)."""
     m_val = float(copies)
     if m_val < 1:
         raise ValueError(f"copy number must be >= 1, got {copies}")
     if m_bar is None:
         m_bar = m_val if table.partition is None else average_channel_use(table.partition, copies)
-    n = table.n_patterns
-    fm = np.exp(m_val * table.logf)
-    f2m = np.exp(2.0 * m_val * table.logf)
+    ((lb, ub),) = _table_sums(table, np.array([m_val]))
+    return m_val, float(m_bar), lb, ub
+
+
+def _table_sums(table: FidelityTable, power, scale=None) -> list[tuple[float, float]]:
+    """(lower_raw, upper_raw) of rows that read ``table`` at copy number
+    ``power[r]``, with log F times ``scale[r]`` if given (see
+    ``bounds_from_table``), in chunks of at most BATCH_MAX_FLOATS entries.
+    Each row takes one exp per entry and one dot product per bound, so its
+    value is that of the row alone."""
     if table.weights is None:
-        ub = float(table.counts @ fm) / n
-        lb = 0.5 * float(table.counts @ f2m) / n**2
+        upper, lower, n_upper, n_lower = table.counts, table.counts, table.n_patterns, table.n_patterns**2
     else:
-        weighted = table.counts * table.weights
-        ub = float(weighted @ fm)
-        lb = 0.5 * float((weighted * table.weights) @ f2m)
-    return BoundReport(
-        lower_raw=lb,
-        upper_raw=ub,
-        copies=m_val,
-        m_bar=float(m_bar),
-        method=table.method,
-        rounds=table.rounds,
-    )
+        upper = table.counts * table.weights
+        lower, n_upper, n_lower = upper * table.weights, 1, 1
+    per_chunk = max(1, BATCH_MAX_FLOATS // max(1, len(table.logf)))
+    sums = []
+    for start in range(0, len(power), per_chunk):
+        logf = table.logf if scale is None else table.logf * scale[start:start + per_chunk, None]
+        m_val = power[start:start + per_chunk, None]
+        sums += [(0.5 * float(lower @ f2m) / n_lower, float(upper @ fm) / n_upper)
+                 for fm, f2m in zip(np.exp(m_val * logf), np.exp(2.0 * m_val * logf))]
+    return sums
 
 
 def census_histogram(table: FidelityTable, copies=1.0) -> list[tuple[float, int]]:
@@ -377,20 +284,22 @@ def fidelity_table_counting(space: ImageSpace, points) -> list[FidelityTable]:
 
     The specs share their blocks and differ at most in energy.  Each point
     replays the plan of ``dp.counting_plan`` with (log F, ordered pair count)
-    entries per state: a child takes every entry of its parent, its class's
-    count of ordered sub-pattern pairs and the class's block log-fidelity,
-    and entries equal in state and log F merge at every step.  So log F
-    sums one class fidelity per block in block order, and pairs whose
-    blocks fall in the same classes reach the same float and merge.  The
-    class fidelities of every point come from one batch per block
-    signature (see ``_counting``).
+    entries per state, merged by state and log F at every step, so log F
+    sums one class fidelity per block in block order and pairs whose blocks
+    fall in the same classes reach the same float.  The class fidelities of
+    every point come from one batch per group of blocks (see ``_counting``).
     """
-    plan, final, fids = _counting(space, points)
+    return _plan_tables(len(space), len(points), *_counting(space, points), method="counting")
+
+
+def _plan_tables(n: int, n_points: int, plan, final, fids, **kw) -> list[FidelityTable]:
+    """The table over n patterns of each point, by replaying ``plan`` with
+    its entries; ``fids`` maps a lut key to every point's block fidelities."""
     tables = []
-    for k in range(len(points)):
-        luts = {sig: np.array([_log(f) for f in f_all[k].tolist()]) for sig, f_all in fids.items()}
+    for k in range(n_points):
+        luts = {key: np.array([_log(f) for f in f_all[k].tolist()]) for key, f_all in fids.items()}
         logf, cnt = replay_entries(plan, final, luts, _state_cap())
-        tables.append(FidelityTable(len(space), cnt.astype(float), logf, method="counting"))
+        tables.append(FidelityTable(n, cnt.astype(float), logf, **kw))
     return tables
 
 
@@ -399,46 +308,42 @@ def counting_bounds(space: ImageSpace, points, copies) -> list[list[BoundReport]
     with one report per copy number in ``copies``, summed straight from the
     counting DP; uniform position-finding spaces only.
 
-    The plan is that of ``fidelity_table_counting``, but each state carries
-    count * F^M and count * F^(2M) per (point, copy number) row instead of
-    its entries, as in ``frontier_bounds``: adding a block multiplies them
-    by the class count and the block's f^M and f^(2M).  The reports carry
-    m_bar = M.
+    The plan is that of ``fidelity_table_counting``, replayed with sums
+    instead of entries (see ``_plan_reports``): adding a block multiplies
+    them by the class count and the block's f^M and f^(2M).  The reports
+    carry m_bar = M.
     """
-    plan, final, fids = _counting(space, points)
-    n = len(space)
-    return [
-        [BoundReport(lower_raw=0.5 * s2 / n**2, upper_raw=s1 / n, copies=c, m_bar=c, method="counting")
-         for c, s1, s2 in row]
-        for row in _plan_sums(plan, final, fids, copies)
-    ]
+    return _plan_reports(len(space), *_counting(space, points), copies, "counting")
 
 
 def _counting(space: ImageSpace, points):
     """The plan of the counting DP of the points' shared blocks on
-    ``space`` (see ``dp.counting_plan``) and, per block signature, the
-    (point, representative pair) fidelities of every (spec, family) point,
-    from one batch (as ``block_subfidelity``)."""
+    ``space`` (see ``dp.counting_plan``) and, per group of blocks with the
+    same signatures, the (point, representative pair) fidelities of every
+    (spec, family) point, from one batch (as ``block_subfidelity``).  A
+    sweep's points share few specs, so blocks are grouped once per spec."""
     if not counting_applies(space):
         raise ValueError("counting needs a uniform full/cpf/bcpf space")
-    for spec, _ in points:
+    specs: dict[ProbeSpec, int] = {}
+    index = [specs.setdefault(spec, len(specs)) for spec, _ in points]
+    for spec in specs:
         if spec.m != space.m:
             raise DimensionError(f"probe over m={spec.m} but space has m={space.m}")
-    families = [family for _, family in points]
-    descriptors: dict[ProbeSpec, tuple] = {}  # a sweep's points share few specs
-    for spec, _ in points:
-        if spec not in descriptors:
-            descriptors[spec] = spec.descriptors()
-    groups: dict[tuple, list] = {}  # signature -> the block's (descriptor, family) per point
+    groups: dict[tuple, tuple] = {}  # signatures -> the block's descriptor under each spec
     blocks = []
-    for descs in zip(*(descriptors[spec] for spec, _ in points)):
-        sig = tuple(map(_block_signature, descs, families))
-        groups.setdefault(sig, list(zip(descs, families)))
-        blocks.append((sig, len(descs[0].channels)))
+    for descs in zip(*(spec.descriptors() for spec in specs)):
+        # the family is the same for every block of a point, so one stands for all
+        shape = tuple(block_signature(desc, points[0][1]) for desc in descs)
+        groups.setdefault(shape, descs)
+        blocks.append((shape, len(descs[0].channels)))
     ks = space.target_counts
     classes = {size: _block_classes(size, space.m, min(ks), max(ks)) for _, size in blocks}
     plan, final = counting_plan(blocks, {size: arrays for size, (arrays, _) in classes.items()}, space.m, ks)
-    fids = {sig: block_fidelities(block, classes[len(block[0][0].channels)][1]) for sig, block in groups.items()}
+    fids = {
+        shape: block_fidelities([(descs[i], family) for i, (_, family) in zip(index, points)],
+                                classes[len(descs[0].channels)][1])
+        for shape, descs in groups.items()
+    }
     return plan, final, fids
 
 
@@ -483,13 +388,8 @@ def fidelity_table_frontier(
     block size (see ``_frontier``).  More entries than a dense table may
     hold raise CapacityError, as more states do.
     """
-    plan, final, fids = _frontier(space, partition, points)
-    tables = []
-    for k in range(len(points)):
-        luts = {size: np.array([_log(f) for f in f_all[k].tolist()]) for size, f_all in fids.items()}
-        logf, cnt = replay_entries(plan, final, luts, _state_cap())
-        tables.append(FidelityTable(len(space), cnt.astype(float), logf, method="mutual", partition=partition))
-    return tables
+    return _plan_tables(len(space), len(points), *_frontier(space, partition, points),
+                        method="mutual", partition=partition)
 
 
 def frontier_bounds(
@@ -500,32 +400,29 @@ def frontier_bounds(
     summed straight from the frontier DP; uniform position-finding spaces
     only.
 
-    The plan is that of ``fidelity_table_frontier``, but each state carries
-    count * F^M and count * F^(2M) per (point, copy number) row instead of
-    its entries: adding a block multiplies them by its f^M and f^(2M).  The
-    rows are independent of each other and of the keys, so they run in
-    chunks whose states x rows stay within BATCH_MAX_FLOATS, each chunk
-    over the same plan, and every sum adds in a fixed order, so a row's
-    value does not depend on the rows that ran with it.  The block
-    fidelities of every point come from one batch per block size.  More
-    states than the entries a dense table may hold raise CapacityError.
+    The plan is that of ``fidelity_table_frontier``, replayed with sums
+    instead of entries (see ``_plan_reports``): adding a block multiplies
+    them by its f^M and f^(2M).  More states than the entries a dense table
+    may hold raise CapacityError.
     """
-    plan, final, fids = _frontier(space, partition, points)
-    n = len(space)
-    rounds = len(decompose_rounds(partition))
-    return [
-        [BoundReport(lower_raw=0.5 * s2 / n**2, upper_raw=s1 / n, copies=c,
-                     m_bar=float(average_channel_use(partition, c)), method="mutual", rounds=rounds)
-         for c, s1, s2 in row]
-        for row in _plan_sums(plan, final, fids, copies)
-    ]
+    return _plan_reports(len(space), *_frontier(space, partition, points), copies, "mutual",
+                         lambda c: float(average_channel_use(partition, c)), len(decompose_rounds(partition)))
 
 
-def _plan_sums(plan, final, fids, copies) -> list[list[tuple[float, float, float]]]:
-    """(M, sum F^M, sum F^(2M)) over the ordered pattern pairs that differ,
-    one list per point with one triple per copy number M in the matching
-    list of ``copies``, by replaying ``plan``; ``fids`` maps a lut key to
-    the (point, lut entry) block fidelities of every point.
+def _rows(copies) -> tuple[np.ndarray, np.ndarray]:
+    """The copy number and the point of each (point, copy number) row: the
+    rows of each point in the order of its list in ``copies``."""
+    power = np.array([float(c) for cs in copies for c in cs])
+    if (power < 1).any():
+        raise ValueError(f"copy number must be >= 1, got {power.min()}")
+    return power, np.repeat(np.arange(len(copies)), [len(cs) for cs in copies])
+
+
+def _plan_reports(n: int, plan, final, fids, copies, method: str, m_bar=float, rounds=None):
+    """The reports over n patterns of each row (see ``_rows``), whose sums
+    of F^M and F^(2M) over the ordered pattern pairs that differ come from
+    replaying ``plan``; ``fids`` maps a lut key to the (point, lut entry)
+    block fidelities of every point.
 
     A (point, copy number) row is an F^M and an F^(2M) column; the block
     factors of a column are f^M and f^(2M) of its point's fidelities.  The
@@ -534,10 +431,7 @@ def _plan_sums(plan, final, fids, copies) -> list[list[tuple[float, float, float
     over the same plan, and every sum adds in a fixed order, so a row's
     value does not depend on the rows that ran with it.
     """
-    power = np.array([float(c) for cs in copies for c in cs])
-    if (power < 1).any():
-        raise ValueError(f"copy number must be >= 1, got {power.min()}")
-    point = np.repeat(np.arange(len(copies)), [len(cs) for cs in copies])
+    power, point = _rows(copies)
     # columns F^M of each row, then F^2M of each row; no points, no blocks: an empty plan
     per_chunk = max(1, BATCH_MAX_FLOATS // (2 * max((len(parent) for parent, *_ in plan), default=1)))
     sums = []
@@ -546,9 +440,8 @@ def _plan_sums(plan, final, fids, copies) -> list[list[tuple[float, float, float
         cols, col_point = np.concatenate((power[rows], 2.0 * power[rows])), np.tile(point[rows], 2)
         luts = {key: f[col_point].T ** cols for key, f in fids.items()}
         sums += replay_sums(plan, final, luts).reshape(2, -1).T.tolist()
-    rows = [(c, s1, s2) for c, (s1, s2) in zip(power.tolist(), sums)]
-    ends = np.cumsum([len(cs) for cs in copies]).tolist()
-    return [rows[end - len(cs):end] for cs, end in zip(copies, ends)]
+    rows = [(c, m_bar(c), 0.5 * s2 / n**2, s1 / n) for c, (s1, s2) in zip(power.tolist(), sums)]
+    return _checked_reports(rows, copies, method, rounds)
 
 
 def _frontier(space: ImageSpace, partition: NonDisjointPartition, points):
@@ -560,11 +453,10 @@ def _frontier(space: ImageSpace, partition: NonDisjointPartition, points):
     if partition.m != space.m:
         raise PartitionError(f"partition over m={partition.m} does not match space m={space.m}")
     plan, final, reach = frontier_plan(partition, space.target_counts, _state_cap())
-    fids = {
-        size: block_fidelities([(BlockDescriptor("ghz", blk, mu=mu), family) for family, mu in points],
-                               local_pairs(codes, size))
-        for size, (blk, codes) in reach.items()
-    }
+    fids = {}
+    for size, (blk, codes) in reach.items():
+        descs = {mu: BlockDescriptor("ghz", blk, mu=mu) for mu in dict.fromkeys(mu for _, mu in points)}
+        fids[size] = block_fidelities([(descs[mu], family) for family, mu in points], local_pairs(codes, size))
     return plan, final, fids
 
 
@@ -665,7 +557,9 @@ def _structure(plan: ProbePlan) -> tuple:
 def _check_points(points) -> ProbePlan:
     """The plan that ``points`` share; see ``evaluate_points``."""
     plan = points[0][0]
-    if any(_structure(p) != _structure(plan) for p, *_ in points[1:]):
+    structure = _structure(plan)
+    # a sweep's points share few plan objects
+    if any(_structure(p) != structure for p in {id(p): p for p, *_ in points}.values()):
         raise ValueError("the points of one evaluation must share the probe structure")
     if plan.route == MUTUAL and any(mu is None for *_, mu in points):
         raise EnergyError("mutual probing needs a squeezing energy mu")
@@ -695,25 +589,9 @@ def evaluate_points(space: ImageSpace, points) -> list[FidelityTable]:
     plan = _check_points(points)
     pri = None if space.uniform else space.priors
     if plan.route == CLASSICAL:
-        logfs = [_log(per_channel_classical_fidelity(family, ns)) for _, family, ns, _ in points]
-        if counting_applies(space):
-            # one block over all m channels, keyed like the per-block classes
-            census: dict[tuple[int, int, int], int] = {}
-            for v in space.target_counts:
-                for u in space.target_counts:
-                    for d, count in _block_occupancy_options(space.m, v, u):
-                        if d:
-                            key = (min(v, u), max(v, u), d)
-                            census[key] = census.get(key, 0) + count
-            counts = np.fromiter(census.values(), dtype=float, count=len(census))
-            dists = np.fromiter((key[2] for key in census), dtype=float, count=len(census))
-            return [FidelityTable(len(space), counts, dists * lf, method="classical") for lf in logfs]
-        n = len(space)
-        if n > BLOCK_TABLE_MAX_PATTERNS:
-            raise CapacityError("classical dense table too large")
-        bits = np.array(space.patterns, dtype=np.uint8)
-        dists = _pair_entries(n, lambda i: (bits[i] != bits[i + 1:]).sum(axis=1))
-        return [FidelityTable.pairs(n, dists * lf, pri, method="classical") for lf in logfs]
+        table, logfs = _classical(space, points)
+        return [FidelityTable(table.n_patterns, table.counts, table.logf * lf, table.weights, method="classical")
+                for lf in logfs]
     if plan.route == MUTUAL:
         if counting_applies(space):
             tables = fidelity_table_frontier(space, plan.partition, [(f, mu) for _, f, _, mu in points])
@@ -739,6 +617,42 @@ def evaluate_points(space: ImageSpace, points) -> list[FidelityTable]:
     return [fidelity_table_blocks(space.patterns, pri, p.spec.descriptors(), f) for p, f, _, _ in points]
 
 
+def _classical(space: ImageSpace, points) -> tuple[FidelityTable, list[float]]:
+    """The optimal classical probe's per-channel log-fidelity at each
+    (plan, family, ns, mu) point, and its table with each pair's Hamming
+    distance d in place of log F: the probe factors per channel, so the
+    pair's fidelity is f^d.  The Hamming census on uniform full/cpf/bcpf
+    spaces, one entry per unordered pair otherwise."""
+    logfs = [_log(per_channel_classical_fidelity(family, ns)) for _, family, ns, _ in points]
+    if counting_applies(space):
+        return FidelityTable(len(space), *_hamming_census(space.m, space.target_counts), method="classical"), logfs
+    n = len(space)
+    if n > BLOCK_TABLE_MAX_PATTERNS:
+        raise CapacityError("classical dense table too large")
+    bits = np.array(space.patterns, dtype=np.uint8)
+    dists = _pair_entries(n, lambda i: (bits[i] != bits[i + 1:]).sum(axis=1))
+    return FidelityTable.pairs(n, dists, None if space.uniform else space.priors, method="classical"), logfs
+
+
+@functools.lru_cache(maxsize=None)
+def _hamming_census(m: int, target_counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered pattern pair counts and their Hamming distances d > 0 on a
+    uniform full/cpf/bcpf space: one block over all m channels, keyed like
+    the per-block classes.  Cached, so the arrays are read-only."""
+    census: dict[tuple[int, int, int], int] = {}
+    for v in target_counts:
+        for u in target_counts:
+            for d, count in _block_occupancy_options(m, v, u):
+                if d:
+                    key = (min(v, u), max(v, u), d)
+                    census[key] = census.get(key, 0) + count
+    arrays = (np.fromiter(census.values(), dtype=float, count=len(census)),
+              np.fromiter((key[2] for key in census), dtype=float, count=len(census)))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 def bound_reports(space: ImageSpace, points, copies) -> list[list[BoundReport]]:
     """The bound reports of probe configurations of one structure, one list
     per (plan, family, ns, mu) point (as ``evaluate_points``) with one
@@ -747,26 +661,30 @@ def bound_reports(space: ImageSpace, points, copies) -> list[list[BoundReport]]:
     The one place a sweep's route is chosen.  On a uniform full/cpf/bcpf
     space a probe sums its bounds straight from its DP, with no table: a
     mutual plan from the frontier DP (``frontier_bounds``), a disjoint one
-    from the counting DP (``counting_bounds``).  The classical probe, and
-    every probe on a custom space, reads tables from ``evaluate_points``:
-    the classed ones of all points in one batch, the dense ones of custom
-    spaces one at a time, each read at every copy number before the next
-    is built.
+    from the counting DP (``counting_bounds``).  The classical probe reads
+    one distance table for the whole sweep, every (point, copy number) row
+    at its point's per-channel log-fidelity.  Every other probe on a custom
+    space reads dense tables from ``evaluate_points``, one at a time, each
+    read at every copy number before the next is built.  Each route
+    range-checks its reports once.
     """
     if not points:
         return []
     plan = _check_points(points)
+    if plan.route == CLASSICAL:
+        table, logfs = _classical(space, points)
+        power, point = _rows(copies)
+        sums = _table_sums(table, power, np.array(logfs)[point])
+        return _checked_reports([(c, c, lb, ub) for c, (lb, ub) in zip(power.tolist(), sums)], copies, "classical")
     if counting_applies(space):
         if plan.route == MUTUAL:
             return frontier_bounds(space, plan.partition, [(f, mu) for _, f, _, mu in points], copies)
-        if plan.route == DISJOINT:
-            return counting_bounds(space, [(p.spec, f) for p, f, _, _ in points], copies)
-        return [_reports(table, cs) for table, cs in zip(evaluate_points(space, points), copies)]
-    return [_reports(evaluate_points(space, [point])[0], cs) for point, cs in zip(points, copies)]
-
-
-def _reports(table: FidelityTable, copies) -> list[BoundReport]:
-    return [bounds_from_table(table, c) for c in copies]
+        return counting_bounds(space, [(p.spec, f) for p, f, _, _ in points], copies)
+    rows = []
+    for point, cs in zip(points, copies):
+        (table,) = evaluate_points(space, [point])
+        rows += [_table_row(table, c) for c in cs]
+    return _checked_reports(rows, copies, table.method, table.rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +723,7 @@ def bounds_tmsv_pairs(family: ChannelFamily, mu: float, copies, m: int) -> Bound
 
     ub = d_even(m_val)
     lb = d_even(2 * m_val) / 2 ** (m + 1)
-    return BoundReport(lb, ub, m_val, m_val, "closed-form-d2")
+    return _checked_reports([(m_val, m_val, lb, ub)], [[copies]], "closed-form-d2")[0][0]
 
 
 def bounds_tmsv_pairs_odd(
@@ -836,4 +754,4 @@ def bounds_tmsv_pairs_odd(
 
     ub = d_odd(m_val)
     lb = d_odd(2 * m_val) / 2 ** (m + 1)
-    return BoundReport(lb, ub, m_val, m_val, "closed-form-d2")
+    return _checked_reports([(m_val, m_val, lb, ub)], [[copies]], "closed-form-d2")[0][0]

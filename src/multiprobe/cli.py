@@ -13,6 +13,8 @@ import argparse
 import functools
 import itertools
 import json
+import math
+import operator
 import sys
 
 import numpy as np
@@ -25,48 +27,23 @@ from .presets import CLASSICAL, MUTUAL, ProbePlan, resolve_probe
 from .probes import SINGLE_IDLER
 from .validate import SCALES, run_suites
 
+# grouped as ``_eval_group`` fills a row
 COLUMNS = [
-    "family",
-    "m",
-    "space",
-    "probe",
-    "eta_b",
-    "eta_t",
-    "nu_b",
-    "nu_t",
-    "tau_b",
-    "tau_t",
-    "eps_b",
-    "eps_t",
-    "ns",
-    "mu",
-    "copies",
-    "m_bar",
-    "lower_raw",
-    "lower",
-    "upper_raw",
-    "upper",
-    "delta_perr",
-    "method",
-    "rounds",
+    "family", "m", "space", "probe",
+    "eta_b", "eta_t", "nu_b", "nu_t", "tau_b", "tau_t", "eps_b", "eps_t",
+    "ns", "mu", "copies", "m_bar",
+    "lower_raw", "lower", "upper_raw", "upper", "delta_perr",
+    "method", "rounds",
 ]
 
 HEADER_COMMENT = "# multiprobe bounds columns-v1"
 CENSUS_COMMENT = "# multiprobe census columns-v1"
 
+# the eight channel parameters, the energy, then the copy number
 SWEEPABLE = (
-    "eta-b",
-    "eta-t",
-    "nu-b",
-    "nu-t",
-    "tau-b",
-    "tau-t",
-    "eps-b",
-    "eps-t",
-    "ns",
-    "mu",
-    "copies",
-    "mbar",
+    "eta-b", "eta-t", "nu-b", "nu-t", "tau-b", "tau-t", "eps-b", "eps-t",
+    "ns", "mu",
+    "copies", "mbar",
 )
 
 
@@ -150,13 +127,18 @@ def build_family(payload: dict) -> ChannelFamily:
 
 
 def _energy(payload: dict):
+    """(ns, mu) from either or both; both must agree up to rounding."""
     ns, mu = payload.get("ns"), payload.get("mu")
     if mu is None and ns is None:
         raise UsageError("need --ns or --mu (or a grid over one of them)")
     if mu is None:
         mu = ns + 0.5
-    if ns is None:
+    elif ns is None:
         ns = mu - 0.5
+    elif abs(mu - (ns + 0.5)) > 2 * math.ulp(mu):
+        raise UsageError(f"--ns {ns!r} and --mu {mu!r} disagree; mu = ns + 1/2")
+    if not (math.isfinite(ns) and math.isfinite(mu)):
+        raise UsageError(f"energies must be finite, got ns={ns!r}, mu={mu!r}")
     return float(ns), float(mu)
 
 
@@ -166,24 +148,33 @@ def _copies(payload: dict, m: int, l_overlap: int) -> float:
         raise UsageError("need --copies or --mbar (or a grid over one of them)")
     if copies is not None and mbar is not None:
         raise UsageError("--copies and --mbar are mutually exclusive")
-    return mbar * m / (m + l_overlap) if copies is None else copies
+    if copies is None:
+        copies = mbar * m / (m + l_overlap)
+    if not (math.isfinite(copies) and copies >= 1):
+        raise UsageError(f"copy number must be finite and >= 1, got {copies!r}")
+    return copies
 
 
 def _points(payloads: list[dict]):
     """The space and the (plan, family, ns, mu) evaluation point of each of
     ``payloads``, which share a structure (everything but the channel
-    parameters, the energy and the copy number): the space is built once
-    and the plan once per energy."""
+    parameters, the energy and the copy number): the space is built once,
+    the plan once per energy and the family once per channel setting."""
     first = payloads[0]
     m = first["m"]
     space = build_space(first["space"], m)
     plans: dict[float, ProbePlan] = {}
+    families: dict[tuple, ChannelFamily] = {}
+    setting = operator.itemgetter("family", *SWEEPABLE[:8])  # the channel parameters
     points = []
     for payload in payloads:
         ns, mu = _energy(payload)
         if mu not in plans:
             plans[mu] = resolve_probe(first["probe"], m, mu, first["odd_strategy"])
-        points.append((plans[mu], build_family(payload), ns, mu))
+        key = setting(payload)
+        if key not in families:
+            families[key] = build_family(payload)
+        points.append((plans[mu], families[key], ns, mu))
     return space, points
 
 
@@ -204,9 +195,10 @@ def _eval_group(configs: list[list[dict]]) -> list[list[dict]]:
     reports = bound_reports(space, points, copies_lists)
     comparisons = [[None] * len(copies_list) for copies_list in copies_lists]
     if first["against_classical"] and plan.route != CLASSICAL:
+        classical = ProbePlan(CLASSICAL)
         comparisons = bound_reports(
             space,
-            [(ProbePlan(CLASSICAL), family, ns, None) for _, family, ns, _ in points],
+            [(classical, family, ns, None) for _, family, ns, _ in points],
             [[report.m_bar for report in config_reports] for config_reports in reports],
         )
     results = []
@@ -216,46 +208,40 @@ def _eval_group(configs: list[list[dict]]) -> list[list[dict]]:
         rows = []
         for payload, report, comparison in zip(payloads, config_reports, config_comparisons):
             delta = None if comparison is None else guaranteed_advantage(comparison, report)
-            row = {c: None for c in COLUMNS}
-            row.update(
-                family=family.kind,
-                m=m,
-                space=payload["space"],
-                probe=payload["probe"],
-                ns=ns,
-                mu=mu,
-                copies=report.copies,
-                m_bar=report.m_bar,
-                lower_raw=report.lower_raw,
-                lower=report.lower,
-                upper_raw=report.upper_raw,
-                upper=report.upper,
-                delta_perr=delta,
-                method=report.method,
-                rounds=report.rounds,
-            )
-            for key in ("eta-b", "eta-t", "nu-b", "nu-t", "tau-b", "tau-t", "eps-b", "eps-t"):
-                row[key.replace("-", "_")] = payload.get(key)
-            rows.append(row)
+            rows.append(dict(zip(COLUMNS, (
+                family.kind, m, payload["space"], payload["probe"], *map(payload.get, SWEEPABLE[:8]), ns, mu,
+                report.copies, report.m_bar, report.lower_raw, report.lower, report.upper_raw, report.upper,
+                delta, report.method, report.rounds,
+            ))))
         results.append(rows)
     return results
 
 
-def _write_rows(rows, columns, fmt: str, out, comment: str) -> None:
-    if fmt == "csv":
-        out.write(comment + "\n")
-        out.write(",".join(columns) + "\n")
-        for row in rows:
-            out.write(",".join(_fmt(row[c]) for c in columns) + "\n")
-    else:
-        for row in rows:
-            out.write(json.dumps({c: row[c] for c in columns}) + "\n")
-
-
-def _open_out(path):
-    if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w"), True
+def _write_rows(rows, columns, args, comment: str) -> None:
+    """Write ``rows`` to ``args.out`` (default: standard output) in ``args.format``."""
+    out = sys.stdout if args.out in (None, "-") else open(args.out, "w")
+    try:
+        if args.format == "csv":
+            out.write(comment + "\n")
+            out.write(",".join(columns) + "\n")
+            # each column's values are formatted once, but for falsy ones:
+            # 0.0 and -0.0 are equal keys that format apart
+            texts = [{} for _ in columns]
+            for row in rows:
+                line = []
+                for c, text in zip(columns, texts):
+                    value = row[c]
+                    cell = text.get(value)
+                    if cell is None or not value:
+                        cell = text[value] = _fmt(value)
+                    line.append(cell)
+                out.write(",".join(line) + "\n")
+        else:
+            for row in rows:
+                out.write(json.dumps({c: row[c] for c in columns}) + "\n")
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
 # ---------------------------------------------------------------------------
@@ -287,24 +273,18 @@ def _sweep_payloads(args) -> list[dict]:
 
 def cmd_bounds(args) -> int:
     payloads = _sweep_payloads(args)
-    # one configuration per setting of everything but the copy number
+    # one configuration per setting of everything but the copy number; only
+    # the sweepable values differ between payloads
+    setting = operator.itemgetter(*SWEEPABLE[:-2])
     configs: dict[tuple, list[int]] = {}
     for i, payload in enumerate(payloads):
-        key = tuple(item for item in payload.items() if item[0] not in ("copies", "mbar"))
-        configs.setdefault(key, []).append(i)
+        configs.setdefault(setting(payload), []).append(i)
     # grids vary only channel parameters, energy and copy number, so all
     # configurations share one structure and go into one batch
     results = _eval_group([[payloads[i] for i in idx] for idx in configs.values()])
-    rows = [None] * len(payloads)
-    for idx, config_rows in zip(configs.values(), results):
-        for i, row in zip(idx, config_rows):
-            rows[i] = row
-    out, close = _open_out(args.out)
-    try:
-        _write_rows(rows, COLUMNS, args.format, out, HEADER_COMMENT)
-    finally:
-        if close:
-            out.close()
+    # back in grid order
+    rows = dict(zip(itertools.chain(*configs.values()), itertools.chain(*results)))
+    _write_rows([rows[i] for i in range(len(payloads))], COLUMNS, args, HEADER_COMMENT)
     return 0
 
 
@@ -317,16 +297,12 @@ def cmd_validate(args) -> int:
 
 def cmd_census(args) -> int:
     (payload,) = _sweep_payloads(args)
+    copies = _copies(payload, payload["m"], 0)
     space, points = _points([payload])
     (table,) = evaluate_points(space, points)
-    pairs = census_histogram(table, payload["copies"])
+    pairs = census_histogram(table, copies)
     rows = [{"fidelity": v, "multiplicity": c} for v, c in pairs]
-    out, close = _open_out(args.out)
-    try:
-        _write_rows(rows, ["fidelity", "multiplicity"], args.format, out, CENSUS_COMMENT)
-    finally:
-        if close:
-            out.close()
+    _write_rows(rows, ["fidelity", "multiplicity"], args, CENSUS_COMMENT)
     return 0
 
 

@@ -179,11 +179,16 @@ def coherent_cm(alphas) -> CovMatrix:
     With x = (a + a^dag)/sqrt(2) the mean of |alpha> is
     (sqrt(2) Re alpha, sqrt(2) Im alpha).
     """
+    return CovMatrix(*coherent_state(alphas))
+
+
+def coherent_state(alphas) -> tuple[np.ndarray, np.ndarray]:
+    """Covariance matrix and mean of ``coherent_cm``, unchecked."""
     alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
     mean = np.empty(2 * len(alphas))
     mean[0::2] = np.sqrt(2.0) * alphas.real
     mean[1::2] = np.sqrt(2.0) * alphas.imag
-    return CovMatrix(SHOT_NOISE * np.eye(2 * len(alphas)), mean)
+    return SHOT_NOISE * np.eye(2 * len(alphas)), mean
 
 
 def max_correlation(mu: float, m: int) -> float:
@@ -198,6 +203,11 @@ def ghz_cm(m: int, mu: float) -> CovMatrix:
     c = sqrt(mu^2 - 1/4) / (m - 1), which saturates the bona fide condition.
     For m = 2 this is the standard two-mode squeezed vacuum.
     """
+    return CovMatrix(*ghz_state(m, mu))
+
+
+def ghz_state(m: int, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Covariance matrix and (zero) mean of ``ghz_cm``, unchecked."""
     if m < 2:
         raise PartitionError(f"GHZ state needs at least 2 modes, got m={m}")
     if mu < SHOT_NOISE:
@@ -209,7 +219,7 @@ def ghz_cm(m: int, mu: float) -> CovMatrix:
     data = np.zeros((2 * m, 2 * m))  # no x-p correlation
     data[0::2, 0::2] = x
     data[1::2, 1::2] = p
-    return CovMatrix(data)
+    return data, np.zeros(2 * m)
 
 
 def tmsv_cm(mu: float) -> CovMatrix:

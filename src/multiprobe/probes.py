@@ -22,7 +22,7 @@ import numpy as np
 
 from .channels import BlockLayout, IdlerLayout, apply_pattern_with_idlers
 from .errors import EnergyError, PartitionError
-from .gaussian import CovMatrix, coherent_cm, ghz_cm, tensor
+from .gaussian import CovMatrix, coherent_state, direct_sum, ghz_state
 from .imagespace import ExtendedImageSpace, ImageSpace, Pattern
 
 Block = tuple[int, ...]
@@ -322,6 +322,12 @@ class BlockDescriptor:
     def n_modes(self) -> int:
         return self.idlers + len(self.channels)
 
+    def state(self) -> tuple[np.ndarray, np.ndarray]:
+        """Covariance matrix and mean of the sub-state, unchecked: a GHZ
+        state over idlers + probe modes (idlers first), or a displaced
+        vacuum mode."""
+        return ghz_state(self.n_modes, self.mu) if self.kind == "ghz" else coherent_state([self.alpha])
+
 
 @dataclass(frozen=True)
 class ProbeSpec:
@@ -423,15 +429,9 @@ def assemble_probe(spec: ProbeSpec) -> ProbeState:
     """Build the block-diagonal probe CM in descriptor order.
 
     Entangled blocks become GHZ states over idlers + probe modes (idlers
-    first); coherent entries become displaced vacuum modes.
+    first); coherent entries become displaced vacuum modes.  The tensor
+    product is checked once: it is bona fide exactly when every block is.
     """
-    parts = []
-    layout_blocks = []
-    for desc in spec.descriptors():
-        if desc.kind == "ghz":
-            parts.append(ghz_cm(desc.n_modes, desc.mu))
-            layout_blocks.append(BlockLayout(desc.idlers, desc.channels))
-        else:
-            parts.append(coherent_cm([desc.alpha]))
-            layout_blocks.append(BlockLayout(0, desc.channels))
-    return ProbeState(spec, tensor(*parts), IdlerLayout(tuple(layout_blocks)))
+    descs = spec.descriptors()
+    layout = IdlerLayout(tuple(BlockLayout(desc.idlers, desc.channels) for desc in descs))
+    return ProbeState(spec, CovMatrix(*direct_sum([desc.state() for desc in descs])), layout)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import multiprobe.blocks as blocks_mod
 import multiprobe.bounds as bounds_mod
 from multiprobe.bounds import (
     BoundReport,
@@ -212,7 +213,7 @@ def test_block_fidelities_equal_scalar_path_bit_for_bit(data, desc, family):
         every = list(itertools.product((0, 1), repeat=size))
         pairs += list(itertools.product(every, every))
     data.draw(st.randoms()).shuffle(pairs)
-    bounds_mod._BLOCK_FID_CACHE.clear()
+    blocks_mod._BLOCK_FID_CACHE.clear()
     got = block_fidelities([(desc, family)], pairs)[0].tolist()
     assert got == [scalar_block_fidelity(desc, family, a, b) for a, b in pairs]
     # cached values are the same bits
@@ -229,7 +230,7 @@ def test_block_fidelities_beyond_the_stack_cap(family, idlers):
     every = list(itertools.product((0, 1), repeat=4))
     pairs = list(itertools.product(every, every))
     assert len(every) * (len(every) - 1) // 2 > STACK_MAX_PAIRS
-    bounds_mod._BLOCK_FID_CACHE.clear()
+    blocks_mod._BLOCK_FID_CACHE.clear()
     got = block_fidelities([(desc, family)], pairs)[0].tolist()
     assert got == [scalar_block_fidelity(desc, family, a, b) for a, b in pairs]
     v_u_d = [(v, u, d) for v in range(5) for u in range(5) for d, _ in bounds_mod._block_occupancy_options(4, v, u)]
@@ -646,9 +647,9 @@ def test_evaluate_points_needs_one_structure():
         evaluate_points(space, mixed)
     # energies may differ: each table is the one of its point alone
     points = [(resolve_probe("tmsv-disjoint", 4, mu), fam, mu - 0.5, mu) for mu in (1.5, 20.5) for fam in (ADD, LOSS)]
-    bounds_mod._BLOCK_FID_CACHE.clear()
+    blocks_mod._BLOCK_FID_CACHE.clear()
     for table, (plan, fam, ns, mu) in zip(evaluate_points(space, points), points):
-        bounds_mod._BLOCK_FID_CACHE.clear()
+        blocks_mod._BLOCK_FID_CACHE.clear()
         alone = evaluate(plan, space, fam, ns=ns, mu=mu)
         assert table.counts.tolist() == alone.counts.tolist()
         assert table.logf.tolist() == alone.logf.tolist()
@@ -687,7 +688,7 @@ def test_counting_evaluates_only_feasible_classes(monkeypatch, space, probe):
         return evaluate_block(points, pairs)
 
     monkeypatch.setattr(bounds_mod, "block_fidelities", spy)
-    bounds_mod._BLOCK_FID_CACHE.clear()
+    blocks_mod._BLOCK_FID_CACHE.clear()
     got = fidelity_table_counting(space, [(spec, LOSS)])[0]
     for size, pairs in batches:
         # a block holds at most kmax targets, and the rest of the pattern at most m - size

@@ -9,7 +9,7 @@ import pytest
 import multiprobe.imagespace as imagespace
 from multiprobe.bounds import evaluate_points
 from multiprobe.channels import ChannelFamily
-from multiprobe.cli import build_parser, build_space, main, parse_grid, UsageError
+from multiprobe.cli import COLUMNS, build_parser, build_space, main, parse_grid, UsageError
 from multiprobe.presets import PRESET_NAMES, resolve_probe
 
 
@@ -183,6 +183,53 @@ def test_config_values_convert_as_the_command_line_does(tmp_path, capsys):
     rows = [json.loads(line) for line in out.read_text().splitlines()]
     assert [(r["m"], r["ns"], r["m_bar"]) for r in rows] == [(3, 5.0, 2.0), (3, 15.0, 2.0)]
     assert "overrides --m=2 with 3" in capsys.readouterr().err
+
+
+# the guaranteed advantage compares the probe with the classical probe at the same energy
+ENERGY_FLAGS = ["bounds", "--family", "pure-loss", "--eta-b", "0.99", "--eta-t", "0.97", "--m", "4",
+                "--space", "cpf:1", "--probe", "tmsv-disjoint", "--copies", "10", "--against-classical"]
+
+
+@pytest.mark.parametrize("energy", [["--ns", "5", "--mu", "3"], ["--ns", "5", "--grid", "mu=3:5.5:2"]],
+                         ids=["flags", "grid"])
+def test_inconsistent_ns_and_mu_are_usage_errors(capsys, energy):
+    assert run_cli(ENERGY_FLAGS + energy) == 1
+    assert "disagree" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ns, mu", [("5", "5.5"), ("0.1", "0.6"), ("0.13039117352056168", "0.6303911735205617")],
+                         ids=["exact", "decimal", "one-ulp"])
+def test_consistent_ns_and_mu_are_accepted(tmp_path, ns, mu):
+    # in the last case ns + 0.5 rounds one unit in the last place below mu
+    out = tmp_path / "both.csv"
+    assert run_cli(ENERGY_FLAGS + ["--ns", ns, "--mu", mu, "--out", str(out)]) == 0
+    row = dict(zip(COLUMNS, out.read_text().splitlines()[2].split(",")))
+    assert (row["ns"], row["mu"]) == (repr(float(ns)), repr(float(mu)))
+
+
+CENSUS_FLAGS = ["census", "--family", "pure-loss", "--m", "4", "--eta-b", "0.99", "--eta-t", "0.97",
+                "--probe", "tmsv-disjoint"]
+
+
+@pytest.mark.parametrize("argv", [
+    CENSUS_FLAGS + ["--ns", "20", "--copies", "-1"],
+    CENSUS_FLAGS + ["--ns", "20", "--copies", "nan"],
+    CENSUS_FLAGS + ["--ns", "20", "--copies", "0.5"],
+    CENSUS_FLAGS + ["--ns", "nan"],
+    ENERGY_FLAGS[:-3] + ["--ns", "20", "--copies", "nan"],
+    ENERGY_FLAGS[:-3] + ["--ns", "20", "--mbar", "inf"],
+    ENERGY_FLAGS + ["--ns", "nan"],
+    ENERGY_FLAGS + ["--ns", "inf"],
+    ENERGY_FLAGS + ["--mu", "inf"],
+], ids=["census-negative-copies", "census-nan-copies", "census-half-copy", "census-nan-ns", "nan-copies",
+        "inf-mbar", "nan-ns", "inf-ns", "inf-mu"])
+def test_bad_copy_numbers_and_energies_are_config_errors(tmp_path, capsys, argv):
+    out = tmp_path / "o.csv"
+    assert run_cli(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    assert "copy number must be finite" in err or "energies must be finite" in err
+    assert not out.exists()
 
 
 def test_space_from_file(tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multiprobe.channels import ChannelFamily, apply_mode_channels
@@ -362,6 +362,8 @@ def test_fidelity_multiplicative_over_blocks(family, pa, pb, mu1, mu2):
 
 @settings(max_examples=30, deadline=None)
 @given(family=any_family(), pa=patterns(2), pb=patterns(2), mu=st.floats(0.6, 60.0))
+# a case that once failed here, near purity at large mu
+@example(family=ChannelFamily.pure_loss(0.7622, 0.9914), pa=(1, 0), pb=(1, 1), mu=53.807)
 def test_fidelity_agrees_with_matrix_function_reference(family, pa, pb, mu):
     from hypothesis import assume
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multiprobe.errors import EnergyError, PartitionError
-from multiprobe.gaussian import ghz_cm, symplectic_spectrum
+from multiprobe import gaussian
+from multiprobe.gaussian import coherent_cm, ghz_cm, symplectic_spectrum, tensor
 from multiprobe.imagespace import full_space
 from multiprobe.probes import (
     HYBRID_COHERENT,
@@ -266,3 +267,17 @@ def test_assembled_probes_are_bona_fide_and_saturated():
         assert spectrum[0] >= 0.5 - 1e-9
         # saturated correlations pin the smallest eigenvalue at 1/2
         assert spectrum[0] == pytest.approx(0.5, abs=1e-10)
+
+
+def test_assembly_checks_the_tensor_product_once(monkeypatch):
+    # a block-diagonal state is bona fide exactly when each block is
+    spec = odd_m_disjoint_spec(5, 20.5, HYBRID_COHERENT)
+    want = tensor(*(ghz_cm(2, 20.5) for _ in range(2)), coherent_cm([np.sqrt(20.0)]))
+    calls = []
+    checked = gaussian._checked
+    monkeypatch.setattr(gaussian, "_checked", lambda data: calls.append(data.shape) or checked(data))
+    probe = assemble_probe(spec)
+    assert calls == [(10, 10)]
+    assert probe.cm.data.tolist() == want.data.tolist()
+    assert probe.cm.mean.tolist() == want.mean.tolist()
+    assert probe.cm.is_pure == want.is_pure

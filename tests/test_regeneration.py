@@ -3,7 +3,8 @@ scripts.
 
 Regenerated are the bound files whose quantum bounds come from the two
 counting DPs (``tmsv-disjoint`` and ``idler-full`` over blocks, the ``nn``
-ring over channels), the four advantage surfaces (``nn`` and
+ring over channels), the six ``classical`` files, whose bounds are closed
+forms read off the Hamming census, the four advantage surfaces (``nn`` and
 ``idler-full`` on ``cpf:1``) and the ``tmsv-disjoint`` and ``nn``
 censuses: the ``full-ghz`` files carry 9- and 10-mode fidelities that
 drift across machines by about 1e-10 relative, far above the block
@@ -18,7 +19,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SPACES = {"full": "full", "cpf3": "cpf:3", "cpf1": "cpf:1"}
-PROBES = ("tmsv-disjoint", "idler-full", "nn")
+PROBES = ("tmsv-disjoint", "idler-full", "nn", "classical")
 TEXT_COLUMNS = {"family", "m", "space", "probe", "method", "rounds"}
 RTOL = 1e-9
 TINY = 1e-300

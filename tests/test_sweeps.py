@@ -4,11 +4,14 @@ must be the bytes that a run of that point alone writes."""
 import itertools
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import multiprobe.blocks as blocks_mod
 import multiprobe.bounds as bounds_mod
+import multiprobe.cli as cli_mod
 from multiprobe.cli import main, parse_grid
 
 FAMILIES = {
@@ -31,7 +34,7 @@ def _write_space(path, m):
 def _run(argv, out):
     """Exit code and output bytes of one bounds run, its block fidelities
     computed afresh."""
-    bounds_mod._BLOCK_FID_CACHE.clear()
+    blocks_mod._BLOCK_FID_CACHE.clear()
     code = main(argv + ["--out", str(out)])
     return code, out.read_bytes() if code == 0 else None
 
@@ -116,6 +119,7 @@ def test_batch_bounds_do_not_change_the_bytes(tmp_path, monkeypatch, floats):
         return sums(plan, final, luts)
 
     monkeypatch.setattr(bounds_mod, "BATCH_MAX_FLOATS", floats)
+    monkeypatch.setattr(blocks_mod, "BATCH_MAX_FLOATS", floats)
     monkeypatch.setattr(bounds_mod, "replay_sums", spy)
     assert _run(SURFACE, tmp_path / "got.csv") == (0, want)
     assert sum(chunks) == 16  # the 4 x 4 grid's configurations
@@ -130,13 +134,13 @@ def test_large_nn_sweep_fills_its_block_fidelities_in_one_batch(tmp_path, monkey
             "--probe", "nn", "--mbar", "100"]
     grids = ["eta-b=0.95:0.999:12", "ns=log:1:50:11"]
     fills = []
-    fill = bounds_mod._fill_block_cache
+    fill = blocks_mod._fill_block_cache
 
-    def spy(points, todo):
+    def spy(points, distinct, todo):
         fills.append(len(todo))
-        fill(points, todo)
+        fill(points, distinct, todo)
 
-    monkeypatch.setattr(bounds_mod, "_fill_block_cache", spy)
+    monkeypatch.setattr(blocks_mod, "_fill_block_cache", spy)
     assert _run(base + ["--eta-b", "0.99", "--ns", "20"], tmp_path / "one.csv")[0] == 0
     lone = len(fills)
     fills.clear()
@@ -156,7 +160,7 @@ def test_dense_sweep_reads_each_table_before_the_next(tmp_path):
             "--eta-b", "0.99", "--eta-t", "0.97", "--mbar", "100", "--against-classical"]
 
     def peak(points):
-        bounds_mod._BLOCK_FID_CACHE.clear()
+        blocks_mod._BLOCK_FID_CACHE.clear()
         tracemalloc.start()
         try:
             assert main(base + ["--grid", f"ns=1:50:{points}", "--out", str(tmp_path / "o.csv")]) == 0
@@ -166,3 +170,55 @@ def test_dense_sweep_reads_each_table_before_the_next(tmp_path):
 
     one = peak(1)
     assert peak(4) < 2 * one
+
+
+@pytest.mark.parametrize("probe", ["tmsv-disjoint", "idler-full", "nn", "classical"])
+@pytest.mark.parametrize("space", ["cpf:1", "cpf:3", "bcpf:1,3", "file"])
+def test_energy_and_channel_grid_equals_per_point_runs(tmp_path, space, probe):
+    # the probe's sums, its classical comparator and the rows of every route
+    if space == "file":
+        space = _write_space(tmp_path / "space.txt", 6)
+    base = ["bounds", "--family", "pure-loss", "--m", "6", "--space", space, "--probe", probe,
+            "--eta-t", "0.97", "--mbar", "100", "--against-classical"]
+    _assert_rows_equal_per_point_runs(tmp_path, base, ["ns=log:1:50:3", "eta-b=0.95:0.999:3"])
+
+
+SWEEP = ["bounds", "--family", "additive-noise", "--m", "6", "--nu-t", "0.01", "--space", "cpf:1",
+         "--mbar", "100", "--grid", "nu-b=0.012:0.1:3", "--grid", "ns=log:1:50:3", "--against-classical"]
+
+
+@pytest.mark.parametrize("probe, broken", [("nn", "replay_sums"), ("idler-full", "_table_sums")],
+                         ids=["probe-sums", "classical-comparator"])
+def test_sweep_with_a_non_finite_row_is_a_numeric_error(tmp_path, monkeypatch, capsys, probe, broken):
+    evaluate = getattr(bounds_mod, broken)
+
+    def one_row_infinite(*args):
+        sums = evaluate(*args)
+        sums[1] = np.inf if broken == "replay_sums" else (sums[1][0], np.inf)
+        return sums
+
+    checks = []
+    check = bounds_mod._checked_reports
+
+    def spy(rows, *args):
+        checks.append(len(rows))
+        return check(rows, *args)
+
+    monkeypatch.setattr(bounds_mod, broken, one_row_infinite)
+    monkeypatch.setattr(bounds_mod, "_checked_reports", spy)
+    assert _run(SWEEP + ["--probe", probe], tmp_path / "o.csv") == (3, None)
+    assert "numeric error: bound sums are not finite" in capsys.readouterr().err
+    # one range check of every row of the sweep: the probe's, then the comparator's
+    assert checks == [9] if broken == "replay_sums" else [9, 9]
+
+
+def test_sweep_builds_its_families_and_probe_states_once(tmp_path, monkeypatch):
+    # 3 x 3 points: three channel settings, three energies
+    builds, stacks = [], []
+    build, checked = cli_mod.build_family, blocks_mod._checked
+    monkeypatch.setattr(cli_mod, "build_family", lambda payload: builds.append(payload["nu-b"]) or build(payload))
+    monkeypatch.setattr(blocks_mod, "_checked", lambda data: stacks.append(data.shape) or checked(data))
+    assert _run(SWEEP + ["--probe", "idler-full"], tmp_path / "o.csv")[0] == 0
+    assert len(builds) == len(set(builds)) == 3
+    # the nine blocks of idler-full share one batch: one (idler, channel) GHZ state per energy
+    assert stacks == [(3, 4, 4)]
