@@ -72,22 +72,36 @@ def _times_omega(x: np.ndarray) -> np.ndarray:
     return np.stack([-x[..., 1::2], x[..., 0::2]], axis=-1).reshape(x.shape)
 
 
-def _cancelling_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` over any leading shape, within about one rounding of each
-    entry even where its sum cancels far below its terms.
+def _split(x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact split ``x == head + tail`` of the rows (``axis`` -1) or columns
+    (``axis`` -2) of square matrices, over any leading shape.
 
-    Each row of ``a`` and column of ``b`` is split into a head of s bits
-    below its largest entry and an exact tail.  Sums of K head products are
-    multiples of one unit bounded by K 2^(2s) units, so with
-    2s + log2 K <= 53 the head product is exact; the tail products carry
-    2^-s of the terms' size, so their rounding is negligible.
+    Each head line is rounded to multiples of the unit 2^e that sits
+    s = (53 - bitlen(2n - 1)) // 2 bits below the line's largest entry, so
+    its entries are integers of at most s significant bits times that unit;
+    the tail is the exact rounding remainder.  The split of a matrix
+    depends on that matrix alone, so a stack of pairs can split each of its
+    states once.
     """
-    s = (53 - (a.shape[-1] - 1).bit_length()) // 2
-    ea = np.frexp(np.abs(a).max(axis=-1, keepdims=True))[1] - s
-    eb = np.frexp(np.abs(b).max(axis=-2, keepdims=True))[1] - s
-    ah = np.ldexp(np.round(np.ldexp(a, -ea)), ea)
-    bh = np.ldexp(np.round(np.ldexp(b, -eb)), eb)
-    return ah @ bh + (ah @ (b - bh) + (a - ah) @ b)
+    s = (53 - (x.shape[-1] - 1).bit_length()) // 2
+    e = np.frexp(np.abs(x).max(axis=axis, keepdims=True))[1] - s
+    head = np.ldexp(np.round(np.ldexp(x, -e)), e)
+    return head, x - head
+
+
+def _cancelling_product(rows, cols, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` over any leading shape, within about one rounding of each
+    entry even where its sum cancels far below its terms, from the row
+    split ``rows`` of ``a`` and the column split ``cols`` of ``b``
+    (``_split``).
+
+    Sums of 2n head products are multiples of one unit bounded by
+    2n 2^(2s) units, so with 2s + log2 2n <= 53 the head product is exact;
+    the tail products carry 2^-s of the terms' size, so their rounding is
+    negligible.
+    """
+    (ah, at), (bh, bt) = rows, cols
+    return ah @ bh + (ah @ bt + at @ b)
 
 
 def _spectrum_of(data: np.ndarray) -> np.ndarray:
@@ -260,7 +274,7 @@ def direct_sum(parts) -> tuple[np.ndarray, np.ndarray]:
     return data, mean
 
 
-def _fidelity(v1: np.ndarray, v2: np.ndarray, mixed: bool, delta: np.ndarray) -> np.ndarray:
+def _fidelity(v1: np.ndarray, v2: np.ndarray, mixed: bool, delta: np.ndarray, split=None) -> np.ndarray:
     """Fidelities of canonically ordered pairs (V1, V2), over any leading shape.
 
     ``v1`` and ``v2`` are (..., 2n, 2n) covariance matrices and ``delta``
@@ -272,6 +286,10 @@ def _fidelity(v1: np.ndarray, v2: np.ndarray, mixed: bool, delta: np.ndarray) ->
     difference contributes exp(-delta^T (V1+V2)^(-1) delta / 4).  LAPACK
     runs once per matrix in either case, so a pair's result does not
     depend on the stack it sits in.
+
+    ``split`` holds the ``_split`` rows of V2 Omega and columns of V1 for a
+    mixed stack whose caller split each state once; without it they are
+    split here.
     """
     vsum = v1 + v2
     sign, logdet = np.linalg.slogdet(vsum)
@@ -284,7 +302,8 @@ def _fidelity(v1: np.ndarray, v2: np.ndarray, mixed: bool, delta: np.ndarray) ->
         # Near purity V2 Omega V1 cancels to far below its terms, and
         # 2w + sqrt(4w^2 - 1) amplifies an error in w ~ 1/2: a plain double
         # product cost up to 3e-10 of the fidelity at mu ~ 50
-        rhs = omega / 4.0 + _cancelling_product(_times_omega(v2), v1)
+        rows, cols = split or (_split(_times_omega(v2), -1), _split(v1, -2))
+        rhs = omega / 4.0 + _cancelling_product(rows, cols, v1)
         try:
             vaux = omega.T @ np.linalg.solve(vsum, rhs)
         except np.linalg.LinAlgError as exc:
@@ -365,7 +384,9 @@ def _pair_fidelities(data: np.ndarray, means: np.ndarray, pure, pairs) -> np.nda
     give exactly 1.0, as in ``gaussian_fidelity``: both follow from one rank
     per state of its key.  The other pairs run through ``_fidelity`` in
     stacks of at most STACK_MAX_PAIRS, in pair order, pairs with a pure
-    member apart from mixed pairs.
+    member apart from mixed pairs.  Each state that is first in a mixed
+    pair has its columns split once (``_split``), and each that is second
+    the rows of its V Omega, for all the pairs it is in.
     """
     keys = [(d.tobytes(), m.tobytes()) for d, m in zip(data, means)]
     rank_of = {key: r for r, key in enumerate(sorted(set(keys)))}
@@ -376,11 +397,18 @@ def _pair_fidelities(data: np.ndarray, means: np.ndarray, pure, pairs) -> np.nda
     first, second = np.where(swap, j, i), np.where(swap, i, j)
     differ = rank[i] != rank[j]
     mixed = ~(pure[i] | pure[j])
+    ones, twos = np.zeros(len(data), dtype=bool), np.zeros(len(data), dtype=bool)
+    ones[first[differ & mixed]] = True
+    twos[second[differ & mixed]] = True
+    cols, rows = _split(data[ones], -2), _split(_times_omega(data[twos]), -1)
+    at_one, at_two = np.cumsum(ones) - 1, np.cumsum(twos) - 1  # position among the split states
     out = np.ones(len(i))
     for group in (False, True):
         todo = np.flatnonzero(differ & (mixed == group))
         for start in range(0, len(todo), STACK_MAX_PAIRS):
             idx = todo[start:start + STACK_MAX_PAIRS]
             a, b = first[idx], second[idx]
-            out[idx] = _fidelity(data[a], data[b], group, means[a] - means[b])
+            one, two = at_one[a], at_two[b]
+            split = ((rows[0][two], rows[1][two]), (cols[0][one], cols[1][one])) if group else None
+            out[idx] = _fidelity(data[a], data[b], group, means[a] - means[b], split)
     return out

@@ -425,13 +425,20 @@ class ProbeState:
         return apply_pattern_with_idlers(self.cm, family, pattern, self.layout)
 
 
-def assemble_probe(spec: ProbeSpec) -> ProbeState:
-    """Build the block-diagonal probe CM in descriptor order.
+def probe_state(spec: ProbeSpec) -> tuple[np.ndarray, np.ndarray, IdlerLayout]:
+    """Covariance matrix, mean and layout of the probe of ``spec``,
+    unchecked: the block-diagonal matrix of its descriptors in order.
 
     Entangled blocks become GHZ states over idlers + probe modes (idlers
-    first); coherent entries become displaced vacuum modes.  The tensor
-    product is checked once: it is bona fide exactly when every block is.
+    first); coherent entries become displaced vacuum modes.
     """
     descs = spec.descriptors()
     layout = IdlerLayout(tuple(BlockLayout(desc.idlers, desc.channels) for desc in descs))
-    return ProbeState(spec, CovMatrix(*direct_sum([desc.state() for desc in descs])), layout)
+    return (*direct_sum([desc.state() for desc in descs]), layout)
+
+
+def assemble_probe(spec: ProbeSpec) -> ProbeState:
+    """The probe of ``spec`` (see ``probe_state``), checked once as a
+    whole: the tensor product is bona fide exactly when every block is."""
+    data, mean, layout = probe_state(spec)
+    return ProbeState(spec, CovMatrix(data, mean), layout)

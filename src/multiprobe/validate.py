@@ -12,12 +12,16 @@ configuration, is built once per configuration in ``run_suites`` and shared
 by ``counting_vs_bruteforce``, which reads its cpf and bcpf tables off it,
 and ``degeneracy_classes``; a suite called alone builds its own.
 
-Every suite evaluates its states in stacked calls.  The random-state
-suites draw all their cases first, then send the states of each mode count
-through one channel map and one stacked check or ``stacked_fidelities``
-call; the mutual reference takes one channel map per block.  Each value
-equals the one-``CovMatrix``-per-state ``gaussian_fidelity`` evaluation
-bit for bit.
+Every suite evaluates its states in stacked calls.  States are built
+unchecked (``probes.probe_state``, ``gaussian.ghz_state``) and checked in
+one stacked ``gaussian._checked`` call per mode count, so the only
+``CovMatrix`` a run builds is the probe of each brute-force oracle.  The
+random-state suites draw all their cases first, then send the states of
+each mode count through one channel map and one stacked check or
+``stacked_fidelities`` call; the mutual reference takes one channel map per
+block.  Each value equals the one-``CovMatrix``-per-state evaluation bit
+for bit.  ``fidelity_symmetry`` runs the fidelity formula itself in both
+argument orders, since ``gaussian_fidelity`` orders each pair canonically.
 """
 
 from __future__ import annotations
@@ -43,17 +47,17 @@ from .bounds import (
     tmsv_subfidelity,
 )
 from .channels import BlockLayout, ChannelFamily, IdlerLayout, layout_channels, mode_channel_map
-from .gaussian import direct_sum, ghz_cm, stacked_fidelities, symplectic_spectrum
+from .gaussian import direct_sum, ghz_state, stacked_fidelities
 from .imagespace import bcpf_space, cpf_space, full_space
 from .presets import DISJOINT, MUTUAL, ProbePlan
 from .probes import (
     SINGLE_IDLER,
     ProbeSpec,
-    assemble_probe,
     extend_for_mutual_probing,
     nn_partition,
     odd_m_disjoint_spec,
     pair_partition,
+    probe_state,
 )
 
 SCALES = ("smoke", "quick", "full")
@@ -135,12 +139,12 @@ def suite_ghz_spectrum(scale: str) -> SuiteResult:
     mus = [0.5, 0.7, 2.5, 20.5, 317.0, 1e4]
     ms = range(2, 13)
     worst, cases = 0.0, 0
+    spectra = iter(_spectra([ghz_state(m, mu) for mu in mus for m in ms]))
     for mu in mus:
         slack = float(gaussian._scale_tol(0.0, mu))
         for m in ms:
-            got = symplectic_spectrum(ghz_cm(m, mu))
             want = gaussian.ghz_spectrum_closed_form(m, mu)
-            dev = float(np.max(np.abs(got - want) / np.maximum(want, 1.0)))
+            dev = float(np.max(np.abs(next(spectra) - want) / np.maximum(want, 1.0)))
             worst = max(worst, dev - slack)
             cases += 1
     return SuiteResult("ghz_spectrum", worst < tol, worst, tol, cases)
@@ -154,18 +158,29 @@ def _by_modes(states) -> list[list[int]]:
     return list(groups.values())
 
 
+def _spectra(states) -> list[np.ndarray]:
+    """Symplectic spectra of (covariance matrix, mean) states, one stacked
+    ``gaussian._checked`` call per mode count, which raises where
+    ``CovMatrix`` would."""
+    out = [None] * len(states)
+    for idx in _by_modes(states):
+        spectrum, _ = gaussian._checked(np.stack([states[k][0] for k in idx]))
+        for k, row in zip(idx, spectrum):
+            out[k] = row
+    return out
+
+
 def _outputs(cases) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(covariance matrix, mean) of each (state, layout, family, pattern)
-    case's output, as ``apply_pattern_with_idlers`` gives it: one
-    ``mode_channel_map`` call per mode count, the matrices symmetrised as
-    ``CovMatrix`` does but not checked."""
+    """(covariance matrix, mean) of each ((covariance matrix, mean), layout,
+    family, pattern) case's output, as ``apply_pattern_with_idlers`` gives
+    it: one ``mode_channel_map`` call per mode count, the matrices
+    symmetrised as ``CovMatrix`` does but not checked."""
     out = [None] * len(cases)
-    for idx in _by_modes([(state.data, state.mean) for state, *_ in cases]):
+    for idx in _by_modes([state for state, *_ in cases]):
         group = [cases[c] for c in idx]
         taus, nus = zip(*(layout_channels(family, pattern, layout) for _, layout, family, pattern in group))
-        data, means = mode_channel_map(
-            np.stack([state.data for state, *_ in group]), np.stack([state.mean for state, *_ in group]), taus, nus
-        )
+        data, means = (np.stack(part) for part in zip(*(state for state, *_ in group)))
+        data, means = mode_channel_map(data, means, taus, nus)
         data = 0.5 * (data + data.swapaxes(1, 2))
         for r, c in enumerate(idx):
             out[c] = (data[r], means[r])
@@ -200,34 +215,48 @@ def suite_bona_fide(scale: str, seed: int = 0) -> SuiteResult:
         m = int(rng.integers(2, 6))
         spec = _random_spec(rng, m)
         family = _random_family(rng)
-        probe = assemble_probe(spec)
+        *state, layout = probe_state(spec)
         pattern = tuple(int(b) for b in rng.integers(0, 2, m))
-        cases.append((probe.cm, probe.layout, family, pattern))
-    outs = _outputs(cases)
-    worst = 0.0
-    for idx in _by_modes(outs):
-        spectrum, _ = gaussian._checked(np.stack([outs[c][0] for c in idx]))  # raises where CovMatrix would
-        worst = max(worst, float(np.max(0.5 - spectrum[:, 0])))
+        cases.append((state, layout, family, pattern))
+    _spectra([state for state, *_ in cases])
+    worst = max([0.0] + [0.5 - float(spectrum[0]) for spectrum in _spectra(_outputs(cases))])
     return SuiteResult("bona_fide_outputs", worst < tol, worst, tol, n_cases)
 
 
 def suite_fidelity_symmetry(scale: str, seed: int = 1) -> SuiteResult:
-    """F(a, b) == F(b, a) on random physical output pairs."""
+    """F(a, b) == F(b, a) on random physical output pairs, from the
+    fidelity formula in both argument orders with each pair's purity flags.
+
+    ``gaussian_fidelity`` and ``stacked_fidelities`` put every pair in one
+    canonical order first, so their two orders would run one computation.
+    """
     tol = 1e-12
     rng = np.random.default_rng(seed)
     n_cases = {"smoke": 10, "quick": 50, "full": 150}[scale]
-    cases = []
+    probes, cases = [], []
     for _ in range(n_cases):
         m = int(rng.integers(2, 5))
         spec = _random_spec(rng, m)
         family = _random_family(rng)
-        probe = assemble_probe(spec)
+        *state, layout = probe_state(spec)
         pa = tuple(int(b) for b in rng.integers(0, 2, m))
         pb = tuple(int(b) for b in rng.integers(0, 2, m))
-        cases += [(probe.cm, probe.layout, family, pa), (probe.cm, probe.layout, family, pb)]
-    forward = [(c, c + 1) for c in range(0, len(cases), 2)]
-    fids = _fidelities(_outputs(cases), forward + [(b, a) for a, b in forward])
-    worst = max(abs(ab - ba) for ab, ba in zip(fids[:n_cases], fids[n_cases:]))
+        probes.append(state)
+        cases += [(state, layout, family, pa), (state, layout, family, pb)]
+    _spectra(probes)
+    outs = _outputs(cases)
+    worst = 0.0
+    for idx in _by_modes(outs):
+        data, means = (np.stack(part) for part in zip(*(outs[c] for c in idx)))
+        _, pure = gaussian._checked(data)
+        a, b = np.arange(0, len(idx), 2), np.arange(1, len(idx), 2)  # a case's two outputs are adjacent
+        mixed = ~(pure[a] | pure[b])
+        for group in (False, True):
+            ia, ib = a[mixed == group], b[mixed == group]
+            if len(ia):
+                ab = gaussian._fidelity(data[ia], data[ib], group, means[ia] - means[ib])
+                ba = gaussian._fidelity(data[ib], data[ia], group, means[ib] - means[ia])
+                worst = max(worst, float(np.max(np.abs(ab - ba))))
     return SuiteResult("fidelity_symmetry", worst < tol, worst, tol, n_cases)
 
 
@@ -380,18 +409,20 @@ def suite_multiplicativity(scale: str, seed: int = 2) -> SuiteResult:
     tol = 1e-10
     rng = np.random.default_rng(seed)
     n_cases = {"smoke": 10, "quick": 40, "full": 100}[scale]
-    cases, n_blocks = [], []  # per block: output A, then output B
+    blocks, cases, n_blocks = [], [], []  # cases per block: output A, then output B
     for _ in range(n_cases):
         family = _random_family(rng)
         n_blocks.append(int(rng.integers(2, 4)))
         for _ in range(n_blocks[-1]):
             mu = float(rng.uniform(0.6, 30.0))
             k = int(rng.integers(2, 4))
-            block = ghz_cm(k, mu)
+            block = ghz_state(k, mu)
             pa = tuple(int(b) for b in rng.integers(0, 2, k))
             pb = tuple(int(b) for b in rng.integers(0, 2, k))
             lay = IdlerLayout((BlockLayout(0, tuple(range(k))),))
+            blocks.append(block)
             cases += [(block, lay, family, pa), (block, lay, family, pb)]
+    _spectra(blocks)
     outs = _outputs(cases)
     per_block = _fidelities(outs, [(c, c + 1) for c in range(0, len(cases), 2)])
     starts = np.cumsum([0, *n_blocks]).tolist()
@@ -427,14 +458,15 @@ def suite_monotonicity(scale: str) -> SuiteResult:
 
 def _mutual_reference(ext_part, ext_space, family: ChannelFamily, mu: float) -> list[float]:
     """log F of every extended pattern pair i < j, in row-major order: the
-    product of its per-block fidelities, with no grouping.  Each block's
-    outputs come from one channel map and its pairs from one
-    ``stacked_fidelities`` call."""
+    product of its per-block fidelities, with no grouping.  The blocks'
+    GHZ states are checked together; each block's outputs come from one
+    channel map and its pairs from one ``stacked_fidelities`` call."""
     first, second = np.triu_indices(len(ext_space.extended), 1)
     pairs = list(zip(first.tolist(), second.tolist()))
+    states = [ghz_state(len(blk), mu) for blk in ext_part.blocks]
+    _spectra(states)
     per_block = []
-    for blk in ext_part.blocks:
-        state = ghz_cm(len(blk), mu)
+    for blk, state in zip(ext_part.blocks, states):
         lay = IdlerLayout((BlockLayout(0, tuple(range(len(blk)))),))
         cases = [(state, lay, family, tuple(pat[c] for c in blk)) for pat in ext_space.extended]
         per_block.append(_fidelities(_outputs(cases), pairs))

@@ -194,6 +194,19 @@ def counting_sums(space, spec, family, m_val):
 # order as the suites.
 
 
+def scalar_ghz_spectrum(scale: str) -> SuiteResult:
+    tol = 1e-10
+    worst, cases = 0.0, 0
+    for mu in [0.5, 0.7, 2.5, 20.5, 317.0, 1e4]:
+        slack = float(gaussian._scale_tol(0.0, mu))
+        for m in range(2, 13):
+            got = gaussian.symplectic_spectrum(ghz_cm(m, mu))
+            want = gaussian.ghz_spectrum_closed_form(m, mu)
+            worst = max(worst, float(np.max(np.abs(got - want) / np.maximum(want, 1.0))) - slack)
+            cases += 1
+    return SuiteResult("ghz_spectrum", worst < tol, worst, tol, cases)
+
+
 def scalar_bona_fide(scale: str, seed: int = 0) -> SuiteResult:
     tol = gaussian.BONA_FIDE_TOL
     rng = np.random.default_rng(seed)
@@ -223,7 +236,10 @@ def scalar_fidelity_symmetry(scale: str, seed: int = 1) -> SuiteResult:
         pa = tuple(int(b) for b in rng.integers(0, 2, m))
         pb = tuple(int(b) for b in rng.integers(0, 2, m))
         oa, ob = probe.output(family, pa), probe.output(family, pb)
-        worst = max(worst, abs(gaussian_fidelity(oa, ob) - gaussian_fidelity(ob, oa)))
+        mixed = not (oa.is_pure or ob.is_pure)
+        ab = float(gaussian._fidelity(oa.data, ob.data, mixed, oa.mean - ob.mean))
+        ba = float(gaussian._fidelity(ob.data, oa.data, mixed, ob.mean - oa.mean))
+        worst = max(worst, abs(ab - ba))
     return SuiteResult("fidelity_symmetry", worst < tol, worst, tol, n_cases)
 
 

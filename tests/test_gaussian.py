@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -237,6 +240,43 @@ def test_stacked_fidelities_canonicalise_each_pair_as_gaussian_fidelity():
     ]
     states += [CovMatrix(s.data, s.mean) for s in states[::-1]]
     pairs = [(i, j) for i in range(len(states)) for j in range(len(states))]
+    got = stacked_fidelities(np.stack([s.data for s in states]), np.stack([s.mean for s in states]), pairs)
+    assert got.tolist() == [gaussian_fidelity(states[i], states[j]) for i, j in pairs]
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 16])
+@pytest.mark.parametrize("axis", [-1, -2])
+def test_split_is_exact_and_heads_keep_s_bits(rng, n, axis):
+    # entries spread over many orders of magnitude, one zero line per matrix
+    x = rng.standard_normal((5, 2 * n, 2 * n)) * 10.0 ** rng.integers(-8, 9, (5, 2 * n, 2 * n))
+    (x[:, 0, :] if axis == -2 else x[:, :, 0]).fill(0.0)
+    head, tail = gaussian._split(x, axis)
+    assert np.array_equal(head + tail, x)
+    s = (53 - (2 * n - 1).bit_length()) // 2
+    unit = np.ldexp(1.0, np.frexp(np.abs(x).max(axis=axis, keepdims=True))[1] - s)
+    digits = head / unit  # exact: a power-of-two scaling
+    assert np.array_equal(digits, np.round(digits))
+    assert np.abs(digits).max() <= 2.0**s
+    # so the head product has no rounding: every entry equals its exact sum
+    a, b = gaussian._split(x[0], -1)[0], gaussian._split(x[1], -2)[0]
+    exact = [[sum((Fraction(p) * Fraction(q) for p, q in zip(row, col)), Fraction(0)) for col in b.T] for row in a]
+    assert (a @ b).tolist() == [[float(v) for v in row] for row in exact]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_stacked_fidelities_equal_scalar_calls_where_the_product_cancels(m):
+    # GHZ/TMSV outputs near purity at mu ~ 50 through loss 0.999 vs 0.998,
+    # where V2 Omega V1 cancels far below its terms; more pairs than one
+    # stack, every state first in many mixed pairs and second in many
+    family = ChannelFamily.pure_loss(0.999, 0.998)
+    states = [
+        apply_pattern(ghz_cm(m, mu), family, bits)
+        for mu in (49.5, 50.5)
+        for bits in itertools.product((0, 1), repeat=m)
+    ]
+    assert not any(s.is_pure for s in states)
+    pairs = [(i, j) for i in range(len(states)) for j in range(len(states)) if i != j]
+    pairs = pairs * (2 * STACK_MAX_PAIRS // len(pairs) + 1)
     got = stacked_fidelities(np.stack([s.data for s in states]), np.stack([s.mean for s in states]), pairs)
     assert got.tolist() == [gaussian_fidelity(states[i], states[j]) for i, j in pairs]
 

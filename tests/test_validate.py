@@ -16,6 +16,7 @@ from conftest import (
     pair_class_key,
     scalar_bona_fide,
     scalar_fidelity_symmetry,
+    scalar_ghz_spectrum,
     scalar_multiplicativity,
     scalar_mutual_reference,
 )
@@ -115,10 +116,11 @@ def test_class_codes_group_pairs_as_pair_class_key(m):
 
 @pytest.mark.parametrize("scale", SCALES)
 @pytest.mark.parametrize("suite, scalar", [
+    (validate.suite_ghz_spectrum, scalar_ghz_spectrum),
     (validate.suite_bona_fide, scalar_bona_fide),
     (validate.suite_fidelity_symmetry, scalar_fidelity_symmetry),
     (validate.suite_multiplicativity, scalar_multiplicativity),
-], ids=["bona_fide", "symmetry", "multiplicativity"])
+], ids=["ghz_spectrum", "bona_fide", "symmetry", "multiplicativity"])
 def test_stacked_random_state_suites_equal_scalar_loops(suite, scalar, scale):
     # same rng draws, same states, same fidelities: equal deviations, not close ones
     assert suite(scale) == scalar(scale)
@@ -158,3 +160,26 @@ def test_counting_suite_checks_the_counting_sums(monkeypatch):
     monkeypatch.setattr(validate, "counting_bounds", off)
     broken = validate.suite_counting_vs_bruteforce("smoke")
     assert not broken.passed and broken.max_deviation > 5e-10
+
+
+def test_quick_suites_build_a_covmatrix_only_per_bruteforce_probe(monkeypatch):
+    # every other state is built unchecked and checked in a stacked call
+    # per mode count; one CovMatrix per state would show up here
+    built, oracles = [], []
+    init = gaussian.CovMatrix.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def recording(patterns, spec, family):
+        oracles.append((spec, family))
+        return bruteforce_fidelities(patterns, spec, family)
+
+    monkeypatch.setattr(gaussian.CovMatrix, "__init__", counting)
+    monkeypatch.setattr(validate, "bruteforce_fidelities", recording)
+    results = run_suites("quick")
+    assert all(r.passed for r in results)
+    # m = 2 has one spec, m = 3 and 4 two each, each under two families
+    assert len(oracles) == 10
+    assert len(built) == len(oracles)
