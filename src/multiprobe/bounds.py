@@ -10,13 +10,15 @@ They are read off a fidelity table or summed directly.
   ``evaluate_points`` those of configurations that differ only in
   channels and energy; ``bounds_from_table`` reads a table at any copy
   number, and ``census_histogram`` histograms it.
-- Sums: on uniform full/cpf/bcpf spaces, ``counting_bounds`` (disjoint
-  blocks) and ``frontier_bounds`` (overlapping blocks: the ``nn`` ring,
-  ``part:`` literals) sum F^M and F^(2M) per configuration and copy
-  number, with no entry per distinct log F.
+- Sums: ``bound_reports`` gives the bounds of a sweep; on uniform
+  full/cpf/bcpf spaces it sums F^M and F^(2M) per configuration and copy
+  number straight from the DP, with no entry per distinct log F.
 
-``bound_reports`` picks the route for a sweep: the sums where they apply,
-the tables otherwise; the census and ``evaluate`` always build tables.
+Both entry points resolve a sweep's route alike: the classed DP of a
+uniform full/cpf/bcpf space (``_dp``: the counting DP for disjoint blocks,
+the frontier DP for overlapping ones such as the ``nn`` ring and ``part:``
+literals), one dense table per point on any other space (``_dense_table``),
+or the classical probe's distance table.
 Fidelities of block-structured probes factor over blocks and are
 degenerate within per-block (v, u, d) classes, so one Gaussian fidelity
 per block and class suffices.  ``multiprobe.blocks`` evaluates the local
@@ -228,20 +230,18 @@ def bounds_from_table(table: FidelityTable, copies, *, m_bar=None) -> BoundRepor
     average channel use defaults to M, or to (m + l) / m * M for a
     mutual-probing table.
     """
-    ((report,),) = _checked_reports([_table_row(table, copies, m_bar)], [[copies]], table.method, table.rounds)
-    return report
-
-
-def _table_row(table: FidelityTable, copies, m_bar=None) -> tuple[float, float, float, float]:
-    """The (M, m_bar, lower_raw, upper_raw) row of ``table`` at ``copies``
-    (see ``bounds_from_table``)."""
     m_val = float(copies)
     if m_val < 1:
         raise ValueError(f"copy number must be >= 1, got {copies}")
-    if m_bar is None:
-        m_bar = m_val if table.partition is None else average_channel_use(table.partition, copies)
     ((lb, ub),) = _table_sums(table, np.array([m_val]))
-    return m_val, float(m_bar), lb, ub
+    m_bar = _m_bar(table.partition, copies) if m_bar is None else float(m_bar)
+    return _checked_reports([(m_val, m_bar, lb, ub)], [[copies]], table.method, table.rounds)[0][0]
+
+
+def _m_bar(partition: NonDisjointPartition | None, copies) -> float:
+    """The average channel use at ``copies``: M, or (m + l) / m * M for a
+    mutual-probing ``partition``."""
+    return float(copies if partition is None else average_channel_use(partition, copies))
 
 
 def _table_sums(table: FidelityTable, power, scale=None) -> list[tuple[float, float]]:
@@ -278,42 +278,24 @@ def census_histogram(table: FidelityTable, copies=1.0) -> list[tuple[float, int]
     return [(float(v), int(c)) for v, c in zip(rounded[first], np.add.reduceat(table.counts[order], first))]
 
 
-def fidelity_table_counting(space: ImageSpace, points) -> list[FidelityTable]:
-    """Classed tables of a disjoint probe by the counting DP over blocks,
-    one per (spec, family) point; uniform position-finding spaces only.
-
-    The specs share their blocks and differ at most in energy.  Each point
-    replays the plan of ``dp.counting_plan`` with (log F, ordered pair count)
-    entries per state, merged by state and log F at every step, so log F
-    sums one class fidelity per block in block order and pairs whose blocks
-    fall in the same classes reach the same float.  The class fidelities of
-    every point come from one batch per group of blocks (see ``_counting``).
-    """
-    return _plan_tables(len(space), len(points), *_counting(space, points), method="counting")
-
-
-def _plan_tables(n: int, n_points: int, plan, final, fids, **kw) -> list[FidelityTable]:
-    """The table over n patterns of each point, by replaying ``plan`` with
-    its entries; ``fids`` maps a lut key to every point's block fidelities."""
-    tables = []
-    for k in range(n_points):
-        luts = {key: np.array([_log(f) for f in f_all[k].tolist()]) for key, f_all in fids.items()}
-        logf, cnt = replay_entries(plan, final, luts, _state_cap())
-        tables.append(FidelityTable(n, cnt.astype(float), logf, **kw))
-    return tables
+def _dp(space: ImageSpace, points):
+    """The classed route of (plan, family, ns, mu) points that share one
+    probe structure on a uniform full/cpf/bcpf space: the plan and final
+    states of its DP, its block fidelities (a lut key -> (point, lut entry)
+    map, from one batch per key over every point) and the fields of its
+    tables.  A mutual plan takes the frontier DP over channels, a disjoint
+    one the counting DP over blocks.  ``evaluate_points`` replays the plan
+    with entries per state, ``bound_reports`` with sums."""
+    plan = points[0][0]
+    if plan.route == MUTUAL:
+        return (*_frontier(space, plan.partition, [(family, mu) for _, family, _, mu in points]),
+                _mutual_fields(plan.partition))
+    return (*_counting(space, [(p.spec, family) for p, family, _, _ in points]), {"method": "counting"})
 
 
-def counting_bounds(space: ImageSpace, points, copies) -> list[list[BoundReport]]:
-    """Bound reports of a disjoint probe, one list per (spec, family) point
-    with one report per copy number in ``copies``, summed straight from the
-    counting DP; uniform position-finding spaces only.
-
-    The plan is that of ``fidelity_table_counting``, replayed with sums
-    instead of entries (see ``_plan_reports``): adding a block multiplies
-    them by the class count and the block's f^M and f^(2M).  The reports
-    carry m_bar = M.
-    """
-    return _plan_reports(len(space), *_counting(space, points), copies, "counting")
+def _mutual_fields(partition: NonDisjointPartition) -> dict:
+    """The table fields of mutual probing over ``partition``."""
+    return {"method": "mutual", "partition": partition, "rounds": len(decompose_rounds(partition))}
 
 
 def _counting(space: ImageSpace, points):
@@ -321,14 +303,14 @@ def _counting(space: ImageSpace, points):
     ``space`` (see ``dp.counting_plan``) and, per group of blocks with the
     same signatures, the (point, representative pair) fidelities of every
     (spec, family) point, from one batch (as ``block_subfidelity``).  A
-    sweep's points share few specs, so blocks are grouped once per spec."""
-    if not counting_applies(space):
-        raise ValueError("counting needs a uniform full/cpf/bcpf space")
+    sweep's points share few specs, so blocks are grouped once per spec.
+
+    Replayed with entries, log F sums one class fidelity per block in block
+    order, so pairs whose blocks fall in the same classes reach the same
+    float; replayed with sums, adding a block multiplies them by the class
+    count and the block's f^M and f^(2M)."""
     specs: dict[ProbeSpec, int] = {}
     index = [specs.setdefault(spec, len(specs)) for spec, _ in points]
-    for spec in specs:
-        if spec.m != space.m:
-            raise DimensionError(f"probe over m={spec.m} but space has m={space.m}")
     groups: dict[tuple, tuple] = {}  # signatures -> the block's descriptor under each spec
     blocks = []
     for descs in zip(*(spec.descriptors() for spec in specs)):
@@ -372,43 +354,6 @@ def _block_classes(size: int, m: int, kmin: int, kmax: int):
     return arrays, pairs
 
 
-def fidelity_table_frontier(
-    space: ImageSpace, partition: NonDisjointPartition, points
-) -> list[FidelityTable]:
-    """Tables of possibly overlapping GHZ blocks by the frontier DP over
-    channels, one per (family, mu) point; uniform position-finding spaces
-    only.
-
-    Each point replays the plan of ``dp.frontier_plan`` with (log F, ordered
-    pair count) entries per state: a new state takes every entry of its
-    parent, plus the log-fidelities of the blocks added at that channel in
-    block order, and entries equal in state and log F merge at every step.
-    So log F sums in block order and is the same float as the dense route's
-    entry.  The block fidelities of every point come from one batch per
-    block size (see ``_frontier``).  More entries than a dense table may
-    hold raise CapacityError, as more states do.
-    """
-    return _plan_tables(len(space), len(points), *_frontier(space, partition, points),
-                        method="mutual", partition=partition)
-
-
-def frontier_bounds(
-    space: ImageSpace, partition: NonDisjointPartition, points, copies
-) -> list[list[BoundReport]]:
-    """Bound reports of possibly overlapping GHZ blocks, one list per
-    (family, mu) point with one report per copy number in ``copies``,
-    summed straight from the frontier DP; uniform position-finding spaces
-    only.
-
-    The plan is that of ``fidelity_table_frontier``, replayed with sums
-    instead of entries (see ``_plan_reports``): adding a block multiplies
-    them by its f^M and f^(2M).  More states than the entries a dense table
-    may hold raise CapacityError.
-    """
-    return _plan_reports(len(space), *_frontier(space, partition, points), copies, "mutual",
-                         lambda c: float(average_channel_use(partition, c)), len(decompose_rounds(partition)))
-
-
 def _rows(copies) -> tuple[np.ndarray, np.ndarray]:
     """The copy number and the point of each (point, copy number) row: the
     rows of each point in the order of its list in ``copies``."""
@@ -418,11 +363,10 @@ def _rows(copies) -> tuple[np.ndarray, np.ndarray]:
     return power, np.repeat(np.arange(len(copies)), [len(cs) for cs in copies])
 
 
-def _plan_reports(n: int, plan, final, fids, copies, method: str, m_bar=float, rounds=None):
+def _plan_reports(n: int, plan, final, fids, fields: dict, copies):
     """The reports over n patterns of each row (see ``_rows``), whose sums
     of F^M and F^(2M) over the ordered pattern pairs that differ come from
-    replaying ``plan``; ``fids`` maps a lut key to the (point, lut entry)
-    block fidelities of every point.
+    replaying ``plan``; ``fids`` and ``fields`` as ``_dp`` gives them.
 
     A (point, copy number) row is an F^M and an F^(2M) column; the block
     factors of a column are f^M and f^(2M) of its point's fidelities.  The
@@ -440,18 +384,21 @@ def _plan_reports(n: int, plan, final, fids, copies, method: str, m_bar=float, r
         cols, col_point = np.concatenate((power[rows], 2.0 * power[rows])), np.tile(point[rows], 2)
         luts = {key: f[col_point].T ** cols for key, f in fids.items()}
         sums += replay_sums(plan, final, luts).reshape(2, -1).T.tolist()
-    rows = [(c, m_bar(c), 0.5 * s2 / n**2, s1 / n) for c, (s1, s2) in zip(power.tolist(), sums)]
-    return _checked_reports(rows, copies, method, rounds)
+    partition = fields.get("partition")
+    rows = [(c, _m_bar(partition, c), 0.5 * s2 / n**2, s1 / n) for c, (s1, s2) in zip(power.tolist(), sums)]
+    return _checked_reports(rows, copies, fields["method"], fields.get("rounds"))
 
 
 def _frontier(space: ImageSpace, partition: NonDisjointPartition, points):
     """The plan of the frontier DP of ``partition`` on ``space`` (see
     ``dp.frontier_plan``) and, per block size, the (point, reachable local
-    pair) fidelities of every (family, mu) point, from one batch."""
-    if not counting_applies(space):
-        raise ValueError("the frontier DP needs a uniform full/cpf/bcpf space")
-    if partition.m != space.m:
-        raise PartitionError(f"partition over m={partition.m} does not match space m={space.m}")
+    pair) fidelities of every (family, mu) point, from one batch.
+
+    Replayed with entries, a new state takes every entry of its parent plus
+    the log-fidelities of the blocks added at that channel in block order,
+    so log F is the same float as the dense route's entry; replayed with
+    sums, adding a block multiplies them by its f^M and f^(2M).  More
+    states or entries than a dense table may hold raise CapacityError."""
     plan, final, reach = frontier_plan(partition, space.target_counts, _state_cap())
     fids = {}
     for size, (blk, codes) in reach.items():
@@ -466,8 +413,10 @@ def _state_cap() -> int:
     return BLOCK_TABLE_MAX_PATTERNS**2 // 2
 
 
-def fidelity_table_blocks(patterns, priors, descs, family: ChannelFamily) -> FidelityTable:
-    """Dense table from per-block fidelity lookups (any space, any priors).
+def fidelity_table_blocks(patterns, priors, descs, family: ChannelFamily, *, method="blocks",
+                          **fields) -> FidelityTable:
+    """Dense table from per-block fidelity lookups (any space, any priors),
+    with the table ``fields`` given.
 
     A pair's log F sums one looked-up block log-fidelity per block, in
     block order.
@@ -484,7 +433,7 @@ def fidelity_table_blocks(patterns, priors, descs, family: ChannelFamily) -> Fid
         lut = np.array([_log(f) for f in fids.tolist()]).reshape(len(uniq), len(uniq))
         lookups.append((lut, np.array([index[lp] for lp in locals_])))
     logf = _pair_entries(n, lambda i: sum(lut[code[i], code[i + 1:]] for lut, code in lookups))
-    return FidelityTable.pairs(n, logf, priors, method="blocks")
+    return FidelityTable.pairs(n, logf, priors, method=method, **fields)
 
 
 def bruteforce_fidelities(patterns, spec: ProbeSpec, family: ChannelFamily) -> np.ndarray:
@@ -554,8 +503,10 @@ def _structure(plan: ProbePlan) -> tuple:
     return plan.route, plan.partition, blocks
 
 
-def _check_points(points) -> ProbePlan:
-    """The plan that ``points`` share; see ``evaluate_points``."""
+def _check_points(space: ImageSpace, points) -> ProbePlan:
+    """The plan that ``points`` share, checked against ``space``; see
+    ``evaluate_points``.  A probe over another number of channels than the
+    space raises DimensionError, a partition PartitionError."""
     plan = points[0][0]
     structure = _structure(plan)
     # a sweep's points share few plan objects
@@ -563,6 +514,10 @@ def _check_points(points) -> ProbePlan:
         raise ValueError("the points of one evaluation must share the probe structure")
     if plan.route == MUTUAL and any(mu is None for *_, mu in points):
         raise EnergyError("mutual probing needs a squeezing energy mu")
+    if plan.partition is not None and plan.partition.m != space.m:
+        raise PartitionError(f"partition over m={plan.partition.m} does not match space m={space.m}")
+    if plan.spec is not None and plan.spec.m != space.m:
+        raise DimensionError(f"probe over m={plan.spec.m} but space has m={space.m}")
     return plan
 
 
@@ -571,50 +526,45 @@ def evaluate_points(space: ImageSpace, points) -> list[FidelityTable]:
     channels and the energy, one per (plan, family, ns, mu) point, each
     equal bit for bit to the table of its point alone.
 
-    The one place a table's route is chosen.  On a uniform full/cpf/bcpf
-    space: occupancy counting for a disjoint probe and the frontier DP
-    for overlapping blocks, both with the block fidelities of all points
-    in one batch per block (classed); these are the tables that ``census``
-    and ``validate`` read, while ``bound_reports`` sums the bounds of the
-    same DPs without them.  On any other space:
-    per-block lookups (dense), per point, over the blocks as they sit,
-    overlapping or not, with no copy-channel extension.  The optimal
-    classical probe at energy ``ns`` gets the Hamming census, which
-    factors per channel so that a pair at distance d has fidelity f^d.
-    ``mu`` is the squeezing energy of the mutual-probing blocks; a
-    disjoint plan carries its own.
+    On a uniform full/cpf/bcpf space each point replays the plan of its
+    DP (``_dp``) with (log F, ordered pair count) entries per state,
+    merged by state and log F at every step (classed); these are the
+    tables that ``census`` and ``validate`` read, while ``bound_reports``
+    sums the bounds of the same DPs without them.  On any other space:
+    per-block lookups (dense, ``_dense_table``), per point, over the
+    blocks as they sit, overlapping or not, with no copy-channel
+    extension.  The optimal classical probe at energy ``ns`` gets the
+    Hamming census, which factors per channel so that a pair at distance
+    d has fidelity f^d.  ``mu`` is the squeezing energy of the
+    mutual-probing blocks; a disjoint plan carries its own.
     """
     if not points:
         return []
-    plan = _check_points(points)
-    pri = None if space.uniform else space.priors
+    plan = _check_points(space, points)
     if plan.route == CLASSICAL:
         table, logfs = _classical(space, points)
         return [FidelityTable(table.n_patterns, table.counts, table.logf * lf, table.weights, method="classical")
                 for lf in logfs]
+    if not counting_applies(space):
+        return [_dense_table(space, point) for point in points]
+    dp_plan, final, fids, fields = _dp(space, points)
+    tables = []
+    for k in range(len(points)):
+        luts = {key: np.array([_log(f) for f in f_all[k].tolist()]) for key, f_all in fids.items()}
+        logf, cnt = replay_entries(dp_plan, final, luts, _state_cap())
+        tables.append(FidelityTable(len(space), cnt.astype(float), logf, **fields))
+    return tables
+
+
+def _dense_table(space: ImageSpace, point) -> FidelityTable:
+    """The dense table of one (plan, family, ns, mu) point on a custom
+    space, from per-block lookups (``fidelity_table_blocks``)."""
+    plan, family, _, mu = point
+    priors = None if space.uniform else space.priors
     if plan.route == MUTUAL:
-        if counting_applies(space):
-            tables = fidelity_table_frontier(space, plan.partition, [(f, mu) for _, f, _, mu in points])
-        else:
-            if plan.partition.m != space.m:
-                raise PartitionError(f"partition over m={plan.partition.m} does not match space m={space.m}")
-            tables = [
-                fidelity_table_blocks(
-                    space.patterns, pri, [BlockDescriptor("ghz", blk, mu=mu) for blk in plan.partition.blocks], f
-                )
-                for _, f, _, mu in points
-            ]
-        rounds = len(decompose_rounds(plan.partition))
-        for table in tables:
-            table.method = "mutual"
-            table.partition = plan.partition
-            table.rounds = rounds
-        return tables
-    if counting_applies(space):
-        return fidelity_table_counting(space, [(p.spec, family) for p, family, _, _ in points])
-    if plan.spec.m != space.m:
-        raise DimensionError(f"probe over m={plan.spec.m} but space has m={space.m}")
-    return [fidelity_table_blocks(space.patterns, pri, p.spec.descriptors(), f) for p, f, _, _ in points]
+        descs = [BlockDescriptor("ghz", blk, mu=mu) for blk in plan.partition.blocks]
+        return fidelity_table_blocks(space.patterns, priors, descs, family, **_mutual_fields(plan.partition))
+    return fidelity_table_blocks(space.patterns, priors, plan.spec.descriptors(), family)
 
 
 def _classical(space: ImageSpace, points) -> tuple[FidelityTable, list[float]]:
@@ -658,32 +608,31 @@ def bound_reports(space: ImageSpace, points, copies) -> list[list[BoundReport]]:
     per (plan, family, ns, mu) point (as ``evaluate_points``) with one
     report per copy number in the matching list of ``copies``.
 
-    The one place a sweep's route is chosen.  On a uniform full/cpf/bcpf
-    space a probe sums its bounds straight from its DP, with no table: a
-    mutual plan from the frontier DP (``frontier_bounds``), a disjoint one
-    from the counting DP (``counting_bounds``).  The classical probe reads
-    one distance table for the whole sweep, every (point, copy number) row
-    at its point's per-channel log-fidelity.  Every other probe on a custom
-    space reads dense tables from ``evaluate_points``, one at a time, each
-    read at every copy number before the next is built.  Each route
+    The route is that of ``evaluate_points``, read with sums.  On a uniform
+    full/cpf/bcpf space a probe sums its bounds straight from the plan of
+    its DP (``_dp``), with no table.  The classical probe reads one
+    distance table for the whole sweep, every (point, copy number) row at
+    its point's per-channel log-fidelity.  Every other probe on a custom
+    space reads dense tables (``_dense_table``), one at a time, each read
+    at all its copy numbers before the next is built.  Each route
     range-checks its reports once.
     """
     if not points:
         return []
-    plan = _check_points(points)
+    plan = _check_points(space, points)
     if plan.route == CLASSICAL:
         table, logfs = _classical(space, points)
         power, point = _rows(copies)
         sums = _table_sums(table, power, np.array(logfs)[point])
         return _checked_reports([(c, c, lb, ub) for c, (lb, ub) in zip(power.tolist(), sums)], copies, "classical")
     if counting_applies(space):
-        if plan.route == MUTUAL:
-            return frontier_bounds(space, plan.partition, [(f, mu) for _, f, _, mu in points], copies)
-        return counting_bounds(space, [(p.spec, f) for p, f, _, _ in points], copies)
+        return _plan_reports(len(space), *_dp(space, points), copies)
+    power, point = _rows(copies)
     rows = []
-    for point, cs in zip(points, copies):
-        (table,) = evaluate_points(space, [point])
-        rows += [_table_row(table, c) for c in cs]
+    for k, (p, cs) in enumerate(zip(points, copies)):
+        table = _dense_table(space, p)
+        sums = _table_sums(table, power[point == k])
+        rows += [(float(c), _m_bar(table.partition, c), lb, ub) for c, (lb, ub) in zip(cs, sums)]
     return _checked_reports(rows, copies, table.method, table.rounds)
 
 

@@ -23,9 +23,8 @@ from .bounds import bound_reports, census_histogram, evaluate_points, guaranteed
 from .channels import ChannelFamily
 from .errors import NumericError
 from .imagespace import bcpf_space, cpf_space, full_space, read_space
-from .presets import CLASSICAL, MUTUAL, ProbePlan, resolve_probe
+from .presets import CLASSICAL, MUTUAL, SCALES, ProbePlan, resolve_probe
 from .probes import SINGLE_IDLER
-from .validate import SCALES, run_suites
 
 # grouped as ``_eval_group`` fills a row
 COLUMNS = [
@@ -289,6 +288,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    # imported here, so that bounds and census do not load the suites
+    from .validate import run_suites
+
     results = run_suites(args.scale)
     for res in results:
         print(json.dumps(res.to_dict()))

@@ -1,4 +1,5 @@
-"""Named probe presets used by the CLI and the experiment scripts.
+"""Named probe presets used by the CLI and the experiment scripts, and the
+scale names of ``multiprobe validate``.
 
 A preset resolves to one of three computation routes: a disjoint (possibly
 idler-assisted) ProbeSpec, a non-disjoint partition handled by mutual
@@ -26,6 +27,9 @@ MUTUAL = "mutual"
 CLASSICAL = "classical"
 
 PRESET_NAMES = ("full-ghz", "tmsv-disjoint", "nn", "idler-full", "classical")
+
+# the scales of ``multiprobe validate``, smallest first (see ``multiprobe.validate``)
+SCALES = ("smoke", "quick", "full")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ well under a minute; ``full`` extends to m <= 6 and adds the mutual-probing
 cross-checks.  ``smoke`` is a seconds-scale subset used by the CLI tests.
 
 Every fidelity table is built once per configuration, through
-``evaluate``, and read at each copy number with ``bounds_from_table``.  The
+``evaluate`` or ``evaluate_points``, and read at each copy number with
+``bounds_from_table``; the bound sums that ``bounds`` takes come from
+``bound_reports``, with the same (plan, family, ns, mu) points.  The
 full-state oracle, every pair fidelity on the full space of one probe
 configuration, is built once per configuration in ``run_suites`` and shared
 by ``counting_vs_bruteforce``, which reads its cpf and bcpf tables off it,
@@ -39,17 +41,16 @@ from .bounds import (
     bounds_tmsv_pairs,
     bounds_tmsv_pairs_odd,
     bruteforce_fidelities,
-    counting_bounds,
+    bound_reports,
     evaluate,
     evaluate_points,
     fidelity_table_blocks,
-    frontier_bounds,
     tmsv_subfidelity,
 )
 from .channels import BlockLayout, ChannelFamily, IdlerLayout, layout_channels, mode_channel_map
 from .gaussian import direct_sum, ghz_state, stacked_fidelities
 from .imagespace import bcpf_space, cpf_space, full_space
-from .presets import DISJOINT, MUTUAL, ProbePlan
+from .presets import DISJOINT, MUTUAL, SCALES, ProbePlan
 from .probes import (
     SINGLE_IDLER,
     ProbeSpec,
@@ -59,8 +60,6 @@ from .probes import (
     pair_partition,
     probe_state,
 )
-
-SCALES = ("smoke", "quick", "full")
 
 
 @dataclass
@@ -299,9 +298,9 @@ def _sub_pairs(fids: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
 
 
 def suite_counting_vs_bruteforce(scale: str, oracle=None) -> SuiteResult:
-    """Occupancy-counting bounds, from the counting DP tables that
-    ``evaluate`` uses and from the counting sums that ``bounds`` uses, equal
-    exhaustive full-state evaluation.
+    """Occupancy-counting bounds, from the counting DP tables of
+    ``evaluate_points`` and from the counting sums of ``bound_reports``,
+    equal exhaustive full-state evaluation.
 
     ``oracle(spec, family)`` gives the full-space pair fidelities (see
     ``_full_fidelities``); the tables of the smaller spaces index into them.
@@ -320,8 +319,9 @@ def suite_counting_vs_bruteforce(scale: str, oracle=None) -> SuiteResult:
             for space in _spaces_for(m):
                 rows = np.array([index[p] for p in space.patterns])
                 plan = ProbePlan(DISJOINT, spec=spec)
-                tables = evaluate_points(space, [(plan, family, None, None) for family in families])
-                sums = counting_bounds(space, [(spec, family) for family in families], [copies] * len(families))
+                points = [(plan, family, None, None) for family in families]
+                tables = evaluate_points(space, points)
+                sums = bound_reports(space, points, [copies] * len(families))
                 for family, table_c, row in zip(families, tables, sums):
                     fids = _sub_pairs(oracle(spec, family), len(index), rows)
                     table_b = FidelityTable.from_fidelities(len(rows), fids)
@@ -475,8 +475,8 @@ def _mutual_reference(ext_part, ext_space, family: ChannelFamily, mu: float) -> 
 
 def suite_mutual_vs_bruteforce(scale: str) -> SuiteResult:
     """Mutual-probing bounds, from the dense extension table, from the
-    frontier DP table that ``evaluate`` uses and from the frontier sums
-    that ``bounds`` uses, equal exhaustive evaluation on the extension."""
+    frontier DP table of ``evaluate_points`` and from the frontier sums of
+    ``bound_reports``, equal exhaustive evaluation on the extension."""
     tol = 1e-12
     worst, cases = 0.0, 0
     mu = 20.5
@@ -490,8 +490,9 @@ def suite_mutual_vs_bruteforce(scale: str) -> SuiteResult:
             spec = ProbeSpec(ext_part.m, mu, ext_part.blocks)
             ref = FidelityTable.pairs(len(ext_space.extended), _mutual_reference(ext_part, ext_space, family, mu))
             dense = fidelity_table_blocks(ext_space.extended, None, spec.descriptors(), family)
-            frontier = evaluate(ProbePlan(MUTUAL, partition=partition), space, family, mu=mu)
-            (sums,) = frontier_bounds(space, partition, [(family, mu)], [copies])
+            point = (ProbePlan(MUTUAL, partition=partition), family, None, mu)
+            (frontier,) = evaluate_points(space, [point])
+            (sums,) = bound_reports(space, [point], [copies])
             for c, rs in zip(copies, sums):
                 rb = bounds_from_table(ref, c)
                 for rc in (bounds_from_table(dense, c), bounds_from_table(frontier, c), rs):

@@ -18,7 +18,6 @@ from multiprobe.bounds import (
     evaluate,
     fidelity_table_blocks,
     fidelity_table_bruteforce,
-    fidelity_table_counting,
     tmsv_subfidelity,
 )
 from multiprobe.channels import ChannelFamily
@@ -34,7 +33,7 @@ from multiprobe.closedform import (
 )
 from multiprobe.gaussian import CovMatrix, coherent_cm, gaussian_fidelity
 from multiprobe.imagespace import FULL, bcpf_space, cpf_space, full_space
-from multiprobe.presets import CLASSICAL, MUTUAL, ProbePlan
+from multiprobe.presets import CLASSICAL, DISJOINT, MUTUAL, ProbePlan
 from multiprobe.probes import (
     SINGLE_IDLER,
     ProbeSpec,
@@ -144,7 +143,7 @@ def test_criterion_3_counting_equals_brute_force():
             for family in families:
                 for space in spaces:
                     brute = fidelity_table_bruteforce(space.patterns, None, spec, family)
-                    counting = fidelity_table_counting(space, [(spec, family)])[0]
+                    counting = evaluate(ProbePlan(DISJOINT, spec=spec), space, family)
                     for copies in (1, 10):
                         rb = bounds_from_table(brute, copies)
                         rc = bounds_from_table(counting, copies)
@@ -282,9 +281,8 @@ def test_criterion_6_pure_loss_figure_regime():
         crossings[f"nn-{name}"] = found
 
     space1 = cpf_space(m, 1)
-    ghz_table = fidelity_table_counting(
-        space1, [(ProbeSpec(m, mu, blocks=(tuple(range(m)),)), family)]
-    )[0]
+    ghz_spec = ProbeSpec(m, mu, blocks=(tuple(range(m)),))
+    ghz_table = evaluate(ProbePlan(DISJOINT, spec=ghz_spec), space1, family)
     ghz_cross = _first_advantage(
         space1, family, ns,
         lambda mb: bounds_from_table(ghz_table, mb, m_bar=mb),
@@ -292,9 +290,8 @@ def test_criterion_6_pure_loss_figure_regime():
     )
     assert ghz_cross is not None and 300 <= ghz_cross <= 30000, f"GHZ crossover {ghz_cross}"
 
-    idler_table = fidelity_table_counting(
-        space1, [(ProbeSpec.from_partition(full_idler_partition(m), mu), family)]
-    )[0]
+    idler_spec = ProbeSpec.from_partition(full_idler_partition(m), mu)
+    idler_table = evaluate(ProbePlan(DISJOINT, spec=idler_spec), space1, family)
     idler_cross = _first_advantage(
         space1, family, ns,
         lambda mb: bounds_from_table(idler_table, mb, m_bar=mb),
@@ -326,7 +323,7 @@ def test_criterion_7_additive_noise_regime():
     space = cpf_space(m, 1)
 
     spec = odd_m_disjoint_spec(m, mu, SINGLE_IDLER)
-    table = fidelity_table_counting(space, [(spec, family)])[0]
+    table = evaluate(ProbePlan(DISJOINT, spec=spec), space, family)
     classical = evaluate(ProbePlan(CLASSICAL), space, family, ns=ns)
     grid = np.geomspace(10, 5000, 40)
     informative = 0

@@ -11,6 +11,7 @@ import multiprobe.bounds as bounds_mod
 from multiprobe.bounds import (
     BoundReport,
     FidelityTable,
+    bound_reports,
     bounds_from_table,
     bounds_tmsv_pairs,
     bounds_tmsv_pairs_odd,
@@ -19,7 +20,6 @@ from multiprobe.bounds import (
     evaluate,
     evaluate_points,
     fidelity_table_bruteforce,
-    fidelity_table_counting,
     guaranteed_advantage,
     per_channel_classical_fidelity,
     tmsv_subfidelity,
@@ -114,7 +114,7 @@ def test_one_cpf_ghz_closed_form():
     spec = ProbeSpec(m, 20.5, blocks=(tuple(range(m)),))
     space = cpf_space(m, 1)
     rep = bounds_from_table(evaluate(disjoint(spec), space, ADD), copies)
-    table = fidelity_table_counting(space, [(spec, ADD)])[0]
+    table = evaluate(disjoint(spec), space, ADD)
     assert len(table.counts) == 1  # all 1-CPF pairs are one class
     fid = math.exp(table.logf[0])
     assert rep.upper_raw == pytest.approx((m - 1) * fid**copies, rel=1e-12)
@@ -156,7 +156,7 @@ def test_counting_census_totals_random_configs(seed):
     starts = np.cumsum([0] + sizes)
     blocks = tuple(tuple(range(starts[j], starts[j + 1])) for j in range(len(sizes)))
     spec = ProbeSpec(m, 20.5, blocks, tuple(int(s == 1) for s in sizes))
-    table = fidelity_table_counting(bcpf_space(m, ks), [(spec, LOSS)])[0]
+    table = evaluate(disjoint(spec), bcpf_space(m, ks), LOSS)
     n_patterns = sum(math.comb(m, k) for k in ks)
     assert sum(table.counts) == n_patterns**2 - n_patterns
 
@@ -164,7 +164,7 @@ def test_counting_census_totals_random_configs(seed):
 def test_counting_census_equals_enumeration_m6_three_blocks():
     spec = ProbeSpec(6, 20.5, blocks=((0, 1, 2), (3, 4, 5)))
     for space in (full_space(6), cpf_space(6, 2), bcpf_space(6, (1, 2))):
-        table = fidelity_table_counting(space, [(spec, LOSS)])[0]
+        table = evaluate(disjoint(spec), space, LOSS)
         assert table_histogram(table) == enumerated_histogram(space, spec, LOSS)
 
 
@@ -247,7 +247,7 @@ def test_counting_census_equals_enumeration(family, m):
         odd_m_disjoint_spec(m, 20.5, SINGLE_IDLER) if m % 2 else ProbeSpec.from_partition(pair_partition(m), 20.5),
     ):
         for space in (full_space(m), cpf_space(m, 1), bcpf_space(m, (1, 2))):
-            table = fidelity_table_counting(space, [(spec, family)])[0]
+            table = evaluate(disjoint(spec), space, family)
             assert table_histogram(table) == enumerated_histogram(space, spec, family)
 
 
@@ -500,7 +500,7 @@ def test_classical_near_degenerate_channels():
 def test_bound_monotonic_in_copies():
     spec = ProbeSpec(4, 20.5, blocks=((0, 1, 2, 3),))
     space = full_space(4)
-    table = fidelity_table_counting(space, [(spec, LOSS)])[0]
+    table = evaluate(disjoint(spec), space, LOSS)
     prev = None
     for copies in (1, 2, 4, 8, 32, 128):
         rep = bounds_from_table(table, copies)
@@ -554,7 +554,7 @@ def test_idler_assisted_m9_golden_values():
     """
     spec = ProbeSpec.from_partition(full_idler_partition(9), 20.5)
     space = cpf_space(9, 1)
-    table = fidelity_table_counting(space, [(spec, LOSS)])[0]
+    table = evaluate(disjoint(spec), space, LOSS)
     golden = {
         1.0: (7.192932616117448, 0.35929360847226527, 1e-10),
         10.0: (2.762167654357331, 0.05298312604706858, 1e-9),
@@ -689,7 +689,7 @@ def test_counting_evaluates_only_feasible_classes(monkeypatch, space, probe):
 
     monkeypatch.setattr(bounds_mod, "block_fidelities", spy)
     blocks_mod._BLOCK_FID_CACHE.clear()
-    got = fidelity_table_counting(space, [(spec, LOSS)])[0]
+    got = evaluate(disjoint(spec), space, LOSS)
     for size, pairs in batches:
         # a block holds at most kmax targets, and the rest of the pattern at most m - size
         lo, hi = max(0, kmin - (space.m - size)), min(size, kmax)
@@ -700,19 +700,21 @@ def test_counting_evaluates_only_feasible_classes(monkeypatch, space, probe):
     # the same table as from every class of every block
     classes_of = bounds_mod._block_classes
     monkeypatch.setattr(bounds_mod, "_block_classes", lambda size, m, kmin, kmax: classes_of(size, m, 0, m))
-    want = fidelity_table_counting(space, [(spec, LOSS)])[0]
+    want = evaluate(disjoint(spec), space, LOSS)
     assert got.counts.tolist() == want.counts.tolist()
     assert got.logf.tolist() == want.logf.tolist()
 
 
 def test_counting_rejects_mismatched_pattern_length():
     spec = ProbeSpec(3, 20.5, blocks=((0, 1, 2),))
-    with pytest.raises(DimensionError):
-        evaluate(disjoint(spec), full_space(4), LOSS)
     # the dense route on a custom space too, rather than ignore the fourth channel
     custom = ImageSpace(4, full_space(4).patterns, full_space(4).priors)
-    with pytest.raises(DimensionError):
-        evaluate(disjoint(spec), custom, LOSS)
+    for space in (full_space(4), custom):
+        with pytest.raises(DimensionError):
+            evaluate(disjoint(spec), space, LOSS)
+        # the sums that bounds takes
+        with pytest.raises(DimensionError):
+            bound_reports(space, [(disjoint(spec), LOSS, None, None)], [[1]])
 
 
 @pytest.mark.parametrize("copies", [1000, 5000])

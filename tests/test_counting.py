@@ -1,6 +1,7 @@
-"""The bound sums that ``bounds`` takes straight from the counting DP of a
-disjoint probe, against the tables of the same DP, which ``census`` and
-``evaluate`` read, and against exact products of the block fidelities."""
+"""The bound sums that ``bound_reports`` takes straight from the counting DP
+of a disjoint probe, against the tables of the same DP, which ``census``
+and ``evaluate_points`` read, and against exact products of the block
+fidelities."""
 
 import itertools
 
@@ -13,8 +14,7 @@ from multiprobe.bounds import (
     block_fidelities,
     bound_reports,
     bounds_from_table,
-    counting_bounds,
-    fidelity_table_counting,
+    evaluate_points,
 )
 from multiprobe.channels import ChannelFamily
 from multiprobe.cli import build_space
@@ -41,15 +41,15 @@ MUS = (20.5, 5.5, 50.5)
 
 def _points(probe, family):
     name, m, strategy = probe
-    return [(resolve_probe(name, m, mu, strategy).spec, family) for mu in MUS]
+    return [(resolve_probe(name, m, mu, strategy), family, None, None) for mu in MUS]
 
 
-def _assert_sums_match_entries(reports, tables, copies):
+def _assert_sums_match_entries(reports, tables, copies, method="counting"):
     for table, row in zip(tables, reports):
         assert [r.copies for r in row] == [float(c) for c in copies]
         for c, got in zip(copies, row):
             want = bounds_from_table(table, c)
-            assert (got.m_bar, got.method, got.rounds) == (want.m_bar, "counting", None)
+            assert (got.m_bar, got.method, got.rounds) == (want.m_bar, method, want.rounds)
             for a, b in ((got.upper_raw, want.upper_raw), (got.lower_raw, want.lower_raw)):
                 if b >= np.finfo(float).tiny:
                     assert a == pytest.approx(b, rel=1e-12, abs=0)
@@ -64,24 +64,27 @@ def _assert_sums_match_entries(reports, tables, copies):
 @pytest.mark.parametrize("probe", PROBES.values(), ids=PROBES.keys())
 def test_sums_route_matches_the_entries_route(probe, space_text, family):
     space, points = build_space(space_text, probe[1]), _points(probe, family)
-    tables = fidelity_table_counting(space, points)
+    tables = evaluate_points(space, points)
+    assert {table.method for table in tables} == {"counting"}
     copies = [COPIES, COPIES[::-1], COPIES[1:3]]
-    reports = counting_bounds(space, points, copies)
+    reports = bound_reports(space, points, copies)
     for row, table, cs in zip(reports, tables, copies):
         _assert_sums_match_entries([row], [table], cs)
 
 
-def test_bound_reports_sums_disjoint_probes_without_tables(monkeypatch):
+# the counting DP of a disjoint probe, the frontier DP of overlapping blocks
+@pytest.mark.parametrize("probe, method", [("idler-full", "counting"), ("nn", "mutual")], ids=["idler-full", "nn"])
+def test_bound_reports_sums_disjoint_probes_without_tables(monkeypatch, probe, method):
     space, family = build_space("cpf:3", 9), FAMILIES["loss"]
-    plans = [resolve_probe("idler-full", 9, mu) for mu in MUS]
-    points = [(plan, family, mu - 0.5, mu) for plan, mu in zip(plans, MUS)]
-    want = counting_bounds(space, [(plan.spec, family) for plan in plans], [COPIES] * len(MUS))
+    points = [(resolve_probe(probe, 9, mu), family, mu - 0.5, mu) for mu in MUS]
+    tables = evaluate_points(space, points)
 
     def no_table(*args):
         raise AssertionError("the sums route builds no table")
 
-    monkeypatch.setattr(bounds_mod, "fidelity_table_counting", no_table)
-    assert bound_reports(space, points, [COPIES] * len(MUS)) == want
+    monkeypatch.setattr(bounds_mod, "replay_entries", no_table)
+    reports = bound_reports(space, points, [COPIES] * len(MUS))
+    _assert_sums_match_entries(reports, tables, COPIES, method)
 
 
 @pytest.mark.parametrize("space_text", ["full", "cpf:3"])
@@ -90,7 +93,7 @@ def test_sums_route_rows_do_not_depend_on_their_chunks(monkeypatch, space_text):
     probe = ("tmsv-disjoint", 9, SINGLE_IDLER)
     points = [point for family in FAMILIES.values() for point in _points(probe, family)]
     copies = [COPIES] * len(points)
-    whole = counting_bounds(space, points, copies)
+    whole = bound_reports(space, points, copies)
     chunks = []
     sums = bounds_mod.replay_sums
 
@@ -100,27 +103,27 @@ def test_sums_route_rows_do_not_depend_on_their_chunks(monkeypatch, space_text):
 
     monkeypatch.setattr(bounds_mod, "BATCH_MAX_FLOATS", 8)
     monkeypatch.setattr(bounds_mod, "replay_sums", spy)
-    chunked = counting_bounds(space, points, copies)
+    chunked = bound_reports(space, points, copies)
     # one (point, copy number) row, as F^M and F^2M columns, per chunk
     assert chunks == [2] * len(points) * len(COPIES)
     assert chunked == whole
-    alone = [counting_bounds(space, [point], [[c]])[0][0] for point in points for c in COPIES]
+    alone = [bound_reports(space, [point], [[c]])[0][0] for point in points for c in COPIES]
     assert [r for row in whole for r in row] == alone
 
 
 def test_sums_route_on_a_one_pattern_space():
     space = build_space("cpf:0", 4)
-    spec = resolve_probe("tmsv-disjoint", 4, 20.5).spec
-    (row,) = counting_bounds(space, [(spec, FAMILIES["loss"])], [[1, 7]])
+    plan = resolve_probe("tmsv-disjoint", 4, 20.5)
+    (row,) = bound_reports(space, [(plan, FAMILIES["loss"], None, None)], [[1, 7]])
     assert [(r.lower_raw, r.upper_raw) for r in row] == [(0.0, 0.0)] * 2
     # no points: no reports, as from the tables
-    assert counting_bounds(space, [], []) == [] == fidelity_table_counting(space, [])
+    assert bound_reports(space, [], []) == [] == evaluate_points(space, [])
 
 
 def test_sums_route_checks_its_copy_numbers():
-    spec = resolve_probe("idler-full", 4, 20.5).spec
+    plan = resolve_probe("idler-full", 4, 20.5)
     with pytest.raises(ValueError, match="copy number"):
-        counting_bounds(build_space("full", 4), [(spec, FAMILIES["loss"])], [[0.5]])
+        bound_reports(build_space("full", 4), [(plan, FAMILIES["loss"], None, None)], [[0.5]])
 
 
 def test_sums_route_is_exact_to_rounding_at_tiny_bounds():
@@ -129,14 +132,14 @@ def test_sums_route_is_exact_to_rounding_at_tiny_bounds():
     m, space = 9, build_space("cpf:1", 9)
     copies = [100.0, 500.0, 2000.0]
     configs = list(itertools.product(np.linspace(0.012, 0.1, 5), np.geomspace(1.0, 50.0, 5)))
-    points = [(resolve_probe("idler-full", m, ns + 0.5).spec, ChannelFamily.additive(nu_b, 0.01))
+    points = [(resolve_probe("idler-full", m, ns + 0.5), ChannelFamily.additive(nu_b, 0.01), None, None)
               for nu_b, ns in configs]
-    reports = counting_bounds(space, points, [copies] * len(points))
+    reports = bound_reports(space, points, [copies] * len(points))
     patterns = space.patterns
     checked = 0
     with mpmath.workdps(50):
-        for (spec, family), row in zip(points, reports):
-            descs = spec.descriptors()
+        for (plan, family, _, _), row in zip(points, reports):
+            descs = plan.spec.descriptors()
             # every block of idler-full has one channel: its two local patterns
             f = block_fidelities([(descs[0], family)], [((0,), (1,))])[0, 0]
             assert all(len(d.channels) == 1 for d in descs)

@@ -1,8 +1,8 @@
 """The frontier DP for overlapping blocks, and the dense route that
 ``evaluate`` takes on custom spaces, against the dense copy-channel
 extension table, which evaluates every pattern pair; and the bound sums
-that ``bounds`` takes straight from the frontier DP, against the tables
-of the frontier DP."""
+that ``bound_reports`` takes straight from the frontier DP, against the
+tables of the frontier DP that ``evaluate_points`` builds."""
 
 import math
 
@@ -19,8 +19,6 @@ from multiprobe.bounds import (
     evaluate,
     evaluate_points,
     fidelity_table_blocks,
-    fidelity_table_frontier,
-    frontier_bounds,
 )
 from multiprobe.channels import ChannelFamily
 from multiprobe.cli import build_space, main
@@ -58,6 +56,18 @@ def _partition(text, m):
     return nn_partition(m) if text == "nn" else parse_partition(text, m)
 
 
+def frontier_tables(space, partition, points):
+    """The frontier DP tables of (family, mu) points, through ``evaluate_points``."""
+    plan = ProbePlan(MUTUAL, partition=partition)
+    return evaluate_points(space, [(plan, family, None, mu) for family, mu in points])
+
+
+def frontier_sums(space, partition, points, copies):
+    """The frontier DP sums of (family, mu) points, through ``bound_reports``."""
+    plan = ProbePlan(MUTUAL, partition=partition)
+    return bound_reports(space, [(plan, family, None, mu) for family, mu in points], copies)
+
+
 def dense_table(space, partition, family):
     """One entry per unordered pair of extended patterns."""
     ext_part, ext_space = extend_for_mutual_probing(partition, space)
@@ -77,7 +87,7 @@ def merged(table):
 def test_frontier_matches_dense_extension(text, m, space_text, family):
     space = build_space(space_text, m)
     partition = _partition(text, m)
-    got = fidelity_table_frontier(space, partition, [(family, MU)])[0]
+    got = frontier_tables(space, partition, [(family, MU)])[0]
     dense = dense_table(space, partition, family)
     # a custom copy of the space takes the dense route, which reads the
     # overlapping blocks off the patterns: the extension's entries exactly
@@ -113,7 +123,7 @@ def test_frontier_upper_bound_matches_exact_sum_m12():
     space = build_space("full", 12)
     partition = nn_partition(12)
     family = FAMILIES["loss"]
-    got = fidelity_table_frontier(space, partition, [(family, MU)])[0]
+    got = frontier_tables(space, partition, [(family, MU)])[0]
     dense_logf = dense_table(space, partition, family).logf
     n = len(space)
     for copies in (1, 100):
@@ -137,7 +147,7 @@ def test_nn_bounds_beyond_the_dense_cap(capsys):
 def test_frontier_state_cap(monkeypatch, capsys):
     monkeypatch.setattr(bounds_mod, "BLOCK_TABLE_MAX_PATTERNS", 8)
     with pytest.raises(CapacityError):
-        fidelity_table_frontier(build_space("full", 6), nn_partition(6), [(FAMILIES["loss"], MU)])
+        frontier_tables(build_space("full", 6), nn_partition(6), [(FAMILIES["loss"], MU)])
     assert main(_nn_bounds_argv(6)) == 1
     assert "frontier DP capped" in capsys.readouterr().err
 
@@ -146,10 +156,10 @@ def test_entries_are_capped_apart_from_the_keys(monkeypatch):
     # nn at m=9 has at most 20 keys per channel, but far more (key, log F) entries
     monkeypatch.setattr(bounds_mod, "BLOCK_TABLE_MAX_PATTERNS", 16)
     space, partition, points = build_space("full", 9), nn_partition(9), [(FAMILIES["loss"], MU)]
-    (row,) = frontier_bounds(space, partition, points, [[1, 10]])
+    (row,) = frontier_sums(space, partition, points, [[1, 10]])
     assert len(row) == 2
     with pytest.raises(CapacityError, match="frontier DP capped at 128 states"):
-        fidelity_table_frontier(space, partition, points)
+        frontier_tables(space, partition, points)
 
 
 def test_evaluate_points_gives_the_tables_of_lone_points():
@@ -194,20 +204,19 @@ def test_sums_route_matches_the_entries_route(probe, space_text, family):
     m, text = probe
     space, partition = build_space(space_text, m), _partition(text, m)
     points = [(family, MU), (family, 5.5)]
-    tables = fidelity_table_frontier(space, partition, points)
-    reports = frontier_bounds(space, partition, points, [SUMS_COPIES, SUMS_COPIES[::-1]])
+    tables = frontier_tables(space, partition, points)
+    reports = frontier_sums(space, partition, points, [SUMS_COPIES, SUMS_COPIES[::-1]])
     _assert_sums_match_entries(reports[:1], tables[:1], SUMS_COPIES)
     _assert_sums_match_entries(reports[1:], tables[1:], SUMS_COPIES[::-1])
-    # the route bounds takes
-    plan = ProbePlan(MUTUAL, partition=partition)
-    assert bound_reports(space, [(plan, f, None, mu) for f, mu in points], [SUMS_COPIES] * 2)[0] == reports[0]
+    # a point's rows do not depend on the copy numbers of the others
+    assert frontier_sums(space, partition, points, [SUMS_COPIES] * 2)[0] == reports[0]
 
 
 def test_sums_route_rows_do_not_depend_on_their_chunks(monkeypatch):
     space, partition = build_space("cpf:3", 9), nn_partition(9)
     points = [(family, mu) for family in FAMILIES.values() for mu in (MU, 5.5)]
     copies = [SUMS_COPIES] * len(points)
-    whole = frontier_bounds(space, partition, points, copies)
+    whole = frontier_sums(space, partition, points, copies)
     chunks = []
     sums = bounds_mod.replay_sums
 
@@ -217,13 +226,13 @@ def test_sums_route_rows_do_not_depend_on_their_chunks(monkeypatch):
 
     monkeypatch.setattr(bounds_mod, "BATCH_MAX_FLOATS", 8)
     monkeypatch.setattr(bounds_mod, "replay_sums", spy)
-    chunked = frontier_bounds(space, partition, points, copies)
+    chunked = frontier_sums(space, partition, points, copies)
     # one (point, copy number) row, as F^M and F^2M columns, per chunk
     assert chunks == [2] * len(points) * len(SUMS_COPIES)
     assert chunked == whole
-    tables = fidelity_table_frontier(space, partition, points)
+    tables = frontier_tables(space, partition, points)
     _assert_sums_match_entries(chunked, tables, SUMS_COPIES)
-    alone = [frontier_bounds(space, partition, [point], [[c]])[0][0] for point in points for c in SUMS_COPIES]
+    alone = [frontier_sums(space, partition, [point], [[c]])[0][0] for point in points for c in SUMS_COPIES]
     assert [r for row in whole for r in row] == alone
 
 
@@ -232,8 +241,8 @@ def test_split_rows_give_the_tables_of_lone_points(monkeypatch, floats):
     space, partition = build_space("full", 9), nn_partition(9)
     points = [(family, mu) for family in FAMILIES.values() for mu in (MU, 5.5)]
     copies = [SUMS_COPIES] * len(points)
-    alone_tables = [fidelity_table_frontier(space, partition, [point])[0] for point in points]
-    alone = [frontier_bounds(space, partition, [point], [SUMS_COPIES])[0] for point in points]
+    alone_tables = [frontier_tables(space, partition, [point])[0] for point in points]
+    alone = [frontier_sums(space, partition, [point], [SUMS_COPIES])[0] for point in points]
     chunks, batches = [], []
     sums, lookup = bounds_mod.replay_sums, bounds_mod.block_fidelities
 
@@ -248,7 +257,7 @@ def test_split_rows_give_the_tables_of_lone_points(monkeypatch, floats):
     monkeypatch.setattr(bounds_mod, "BATCH_MAX_FLOATS", floats)
     monkeypatch.setattr(bounds_mod, "replay_sums", sums_spy)
     monkeypatch.setattr(bounds_mod, "block_fidelities", lookup_spy)
-    got = frontier_bounds(space, partition, points, copies)
+    got = frontier_sums(space, partition, points, copies)
     # the rows that did not fit run in later chunks; together they cover every row once
     assert len(chunks) > 1
     assert sum(chunks) == len(points) * len(SUMS_COPIES)
@@ -261,8 +270,8 @@ def test_split_rows_give_the_tables_of_lone_points(monkeypatch, floats):
 
 
 @pytest.mark.parametrize("consumer", [
-    lambda space, partition, points: frontier_bounds(space, partition, points, [[1]] * len(points)),
-    fidelity_table_frontier,
+    lambda space, partition, points: frontier_sums(space, partition, points, [[1]] * len(points)),
+    frontier_tables,
 ], ids=["sums", "entries"])
 def test_frontier_looks_up_reachable_pairs_in_one_batch(monkeypatch, consumer):
     # both consumers of the plan share its lookup
@@ -285,16 +294,16 @@ def test_frontier_looks_up_reachable_pairs_in_one_batch(monkeypatch, consumer):
 def test_sums_route_on_a_one_pattern_space():
     # no pair of patterns differs: both bounds are an empty sum
     space, partition = build_space("cpf:0", 4), nn_partition(4)
-    (row,) = frontier_bounds(space, partition, [(FAMILIES["loss"], MU)], [[1, 7]])
+    (row,) = frontier_sums(space, partition, [(FAMILIES["loss"], MU)], [[1, 7]])
     assert [(r.lower_raw, r.upper_raw) for r in row] == [(0.0, 0.0)] * 2
-    (table,) = fidelity_table_frontier(space, partition, [(FAMILIES["loss"], MU)])
+    (table,) = frontier_tables(space, partition, [(FAMILIES["loss"], MU)])
     assert len(table.logf) == 0
 
 
 def test_sums_route_checks_its_copy_numbers():
     space, partition = build_space("full", 4), nn_partition(4)
     with pytest.raises(ValueError, match="copy number"):
-        frontier_bounds(space, partition, [(FAMILIES["loss"], MU)], [[0.5]])
+        frontier_sums(space, partition, [(FAMILIES["loss"], MU)], [[0.5]])
 
 
 def test_frontier_keys_fit_an_int64_up_to_the_boundary():

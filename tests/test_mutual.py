@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from multiprobe.bounds import (
     FidelityTable,
     block_fidelities,
     bounds_from_table,
+    bound_reports,
     census_histogram,
     evaluate,
     fidelity_table_bruteforce,
@@ -139,9 +141,13 @@ def test_dense_census_equals_pair_enumeration(family):
 
 
 def test_dense_mutual_rejects_a_partition_of_another_length():
-    # custom spaces take the dense route, which reads blocks off the patterns
+    # custom spaces take the dense route, which reads blocks off the patterns;
+    # classed spaces the frontier DP
     space = full_space(5)
     custom = ImageSpace(5, space.patterns, space.priors)
-    for m in (4, 6):
+    for target, m in itertools.product((custom, space), (4, 6)):
+        plan = ProbePlan(MUTUAL, partition=nn_partition(m))
         with pytest.raises(PartitionError):
-            evaluate(ProbePlan(MUTUAL, partition=nn_partition(m)), custom, ADD, mu=20.5)
+            evaluate(plan, target, ADD, mu=20.5)
+        with pytest.raises(PartitionError):
+            bound_reports(target, [(plan, ADD, None, 20.5)], [[1]])

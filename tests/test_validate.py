@@ -151,13 +151,13 @@ def test_counting_suite_checks_the_counting_sums(monkeypatch):
     # reference against the counting table and the counting sums, copies 1 and 10
     res = validate.suite_counting_vs_bruteforce("smoke")
     assert res.passed and res.cases == 96 and res.tolerance == 1e-10
-    counting_bounds = validate.counting_bounds
+    bound_reports = validate.bound_reports
 
     def off(space, points, copies):
         return [[replace(r, upper_raw=r.upper_raw * (1 + 1e-9)) for r in row]
-                for row in counting_bounds(space, points, copies)]
+                for row in bound_reports(space, points, copies)]
 
-    monkeypatch.setattr(validate, "counting_bounds", off)
+    monkeypatch.setattr(validate, "bound_reports", off)
     broken = validate.suite_counting_vs_bruteforce("smoke")
     assert not broken.passed and broken.max_deviation > 5e-10
 
