@@ -23,7 +23,6 @@ from .bounds import (
 from .channels import (
     ChannelFamily,
     GpiParams,
-    IdlerLayout,
     apply_pattern_with_idlers,
 )
 from .closedform import subfidelity_oracle
@@ -38,7 +37,6 @@ from .gaussian import (
     vacuum_cm,
 )
 from .imagespace import (
-    ExtendedImageSpace,
     ImageSpace,
     bcpf_space,
     cpf_space,
@@ -46,9 +44,7 @@ from .imagespace import (
 )
 from .presets import ProbePlan
 from .probes import (
-    DisjointPartition,
-    IdlerPartition,
-    NonDisjointPartition,
+    Partition,
     ProbeSpec,
     assemble_probe,
     average_channel_use,
@@ -66,14 +62,10 @@ __all__ = [
     "BoundReport",
     "ChannelFamily",
     "CovMatrix",
-    "DisjointPartition",
-    "ExtendedImageSpace",
     "FidelityTable",
     "GpiParams",
-    "IdlerLayout",
-    "IdlerPartition",
     "ImageSpace",
-    "NonDisjointPartition",
+    "Partition",
     "ProbePlan",
     "ProbeSpec",
     "apply_pattern_with_idlers",

@@ -67,7 +67,7 @@ from .probes import (
     HYBRID_COHERENT,
     SINGLE_IDLER,
     BlockDescriptor,
-    NonDisjointPartition,
+    Partition,
     ProbeSpec,
     assemble_probe,
     average_channel_use,
@@ -182,7 +182,7 @@ class FidelityTable:
     logf: np.ndarray
     weights: np.ndarray | None = None
     method: str = "brute"
-    partition: NonDisjointPartition | None = None
+    partition: Partition | None = None
     rounds: int | None = None
 
     def __post_init__(self):
@@ -238,7 +238,7 @@ def bounds_from_table(table: FidelityTable, copies, *, m_bar=None) -> BoundRepor
     return _checked_reports([(m_val, m_bar, lb, ub)], [[copies]], table.method, table.rounds)[0][0]
 
 
-def _m_bar(partition: NonDisjointPartition | None, copies) -> float:
+def _m_bar(partition: Partition | None, copies) -> float:
     """The average channel use at ``copies``: M, or (m + l) / m * M for a
     mutual-probing ``partition``."""
     return float(copies if partition is None else average_channel_use(partition, copies))
@@ -293,7 +293,7 @@ def _dp(space: ImageSpace, points):
     return (*_counting(space, [(p.spec, family) for p, family, _, _ in points]), {"method": "counting"})
 
 
-def _mutual_fields(partition: NonDisjointPartition) -> dict:
+def _mutual_fields(partition: Partition) -> dict:
     """The table fields of mutual probing over ``partition``."""
     return {"method": "mutual", "partition": partition, "rounds": len(decompose_rounds(partition))}
 
@@ -389,7 +389,7 @@ def _plan_reports(n: int, plan, final, fids, fields: dict, copies):
     return _checked_reports(rows, copies, fields["method"], fields.get("rounds"))
 
 
-def _frontier(space: ImageSpace, partition: NonDisjointPartition, points):
+def _frontier(space: ImageSpace, partition: Partition, points):
     """The plan of the frontier DP of ``partition`` on ``space`` (see
     ``dp.frontier_plan``) and, per block size, the (point, reachable local
     pair) fidelities of every (family, mu) point, from one batch.
@@ -452,7 +452,7 @@ def bruteforce_fidelities(patterns, spec: ProbeSpec, family: ChannelFamily) -> n
     if n > BRUTE_TABLE_MAX_PATTERNS:
         raise CapacityError(f"brute-force table capped at {BRUTE_TABLE_MAX_PATTERNS} patterns")
     probe = assemble_probe(spec)
-    modes = probe.layout.mode_channels()
+    modes = probe.layout
     probed = [k for k, ch in enumerate(modes) if ch is not None]
     channels = [modes[k] for k in probed]
     rows = []
@@ -506,7 +506,8 @@ def _structure(plan: ProbePlan) -> tuple:
 def _check_points(space: ImageSpace, points) -> ProbePlan:
     """The plan that ``points`` share, checked against ``space``; see
     ``evaluate_points``.  A probe over another number of channels than the
-    space raises DimensionError, a partition PartitionError."""
+    space raises DimensionError, a partition PartitionError, as do idlers
+    on the blocks of a mutual plan, which its routes do not read."""
     plan = points[0][0]
     structure = _structure(plan)
     # a sweep's points share few plan objects
@@ -516,6 +517,8 @@ def _check_points(space: ImageSpace, points) -> ProbePlan:
         raise EnergyError("mutual probing needs a squeezing energy mu")
     if plan.partition is not None and plan.partition.m != space.m:
         raise PartitionError(f"partition over m={plan.partition.m} does not match space m={space.m}")
+    if plan.route == MUTUAL and any(plan.partition.idlers):
+        raise PartitionError("mutual probing takes no idlers")
     if plan.spec is not None and plan.spec.m != space.m:
         raise DimensionError(f"probe over m={plan.spec.m} but space has m={space.m}")
     return plan

@@ -2,7 +2,9 @@
 
 A channel (tau, nu) maps a covariance matrix V to tau*V + nu*I per mode and
 scales means by sqrt(tau).  A pattern is a tuple of bits, one per channel,
-with 0 = background and 1 = target.
+with 0 = background and 1 = target.  A layout maps the modes of a probe
+to channels: per mode the 0-based index of the channel it probes, or None
+for an idler mode, which passes untouched.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, PartitionError
+from .errors import DimensionError
 from .gaussian import CovMatrix
 
 PURE_LOSS = "pure-loss"
@@ -119,55 +121,14 @@ def apply_mode_channels(state: CovMatrix, taus, nus) -> CovMatrix:
     return CovMatrix(*mode_channel_map(state.data, state.mean, taus, nus))
 
 
-@dataclass(frozen=True)
-class BlockLayout:
-    """One entangled block: idler modes first, then one probe mode per channel."""
-
-    idlers: int
-    channels: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.idlers < 0:
-            raise PartitionError("idler count must be >= 0")
-        if len(set(self.channels)) != len(self.channels):
-            raise PartitionError(f"duplicate channel in block {self.channels}")
-
-    @property
-    def n_modes(self) -> int:
-        return self.idlers + len(self.channels)
-
-
-@dataclass(frozen=True)
-class IdlerLayout:
-    """Mode-to-channel assignment of a multi-block probe state.
-
-    Blocks are laid out in order; within a block the idler modes come first.
-    Channel indices are 0-based.
-    """
-
-    blocks: tuple[BlockLayout, ...]
-
-    @property
-    def n_modes(self) -> int:
-        return sum(b.n_modes for b in self.blocks)
-
-    def mode_channels(self) -> list[int | None]:
-        """Per mode: probed channel index, or None for an idler."""
-        out: list[int | None] = []
-        for b in self.blocks:
-            out.extend([None] * b.idlers)
-            out.extend(b.channels)
-        return out
-
-
-def layout_channels(family: ChannelFamily, pattern, layout: IdlerLayout) -> tuple[list[float], list[float]]:
-    """Per-mode (taus, nus) that send each probed mode of the layout through
-    the pattern's channel; idler modes pass (tau 1, nu 0).  The pattern
-    holds one bit per channel the layout probes."""
-    modes = layout.mode_channels()
-    bits = check_pattern(pattern, sum(ch is not None for ch in modes))
+def layout_channels(family: ChannelFamily, pattern, layout) -> tuple[list[float], list[float]]:
+    """Per-mode (taus, nus) that send each probed mode through the pattern's
+    channel; idler modes pass (tau 1, nu 0).  The layout holds per mode its
+    0-based channel index, or None for an idler, and the pattern one bit
+    per channel the layout probes."""
+    bits = check_pattern(pattern, sum(ch is not None for ch in layout))
     taus, nus = [], []
-    for ch in modes:
+    for ch in layout:
         if ch is None:
             taus.append(1.0)
             nus.append(0.0)
@@ -180,14 +141,11 @@ def layout_channels(family: ChannelFamily, pattern, layout: IdlerLayout) -> tupl
     return taus, nus
 
 
-def apply_pattern_with_idlers(
-    state: CovMatrix, family: ChannelFamily, pattern, layout: IdlerLayout
-) -> CovMatrix:
+def apply_pattern_with_idlers(state: CovMatrix, family: ChannelFamily, pattern, layout) -> CovMatrix:
     """Send each probed mode of the layout through the pattern's channel;
-    modes marked as idlers pass through untouched (see ``layout_channels``)."""
+    modes marked as idlers (None) pass through untouched (see
+    ``layout_channels``)."""
     taus, nus = layout_channels(family, pattern, layout)
-    if layout.n_modes != state.n_modes:
-        raise DimensionError(
-            f"layout covers {layout.n_modes} modes but state has {state.n_modes}"
-        )
+    if len(layout) != state.n_modes:
+        raise DimensionError(f"layout covers {len(layout)} modes but state has {state.n_modes}")
     return apply_mode_channels(state, taus, nus)

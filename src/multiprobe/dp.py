@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError
-from .probes import NonDisjointPartition
+from .probes import Partition
 
 
 def counting_plan(blocks, classes, m: int, target_counts: tuple[int, ...]):
@@ -71,7 +71,7 @@ def counting_plan(blocks, classes, m: int, target_counts: tuple[int, ...]):
     return tuple(plan), np.flatnonzero(key & 1)
 
 
-def frontier_plan(partition: NonDisjointPartition, target_counts: tuple[int, ...], cap: int):
+def frontier_plan(partition: Partition, target_counts: tuple[int, ...], cap: int):
     """The frontier DP over keys alone, which depends on the partition and
     the admissible target counts only.
 

@@ -332,10 +332,6 @@ def _fidelity(v1: np.ndarray, v2: np.ndarray, mixed: bool, delta: np.ndarray, sp
     return np.minimum(fid, 1.0)  # exp is never negative
 
 
-def _key(state: CovMatrix) -> tuple[bytes, bytes]:
-    return state.data.tobytes(), state.mean.tobytes()
-
-
 def gaussian_fidelity(a: CovMatrix, b: CovMatrix) -> float:
     """Bures fidelity F(rho_a, rho_b) = ||sqrt(rho_a) sqrt(rho_b)||_1.
 
@@ -343,18 +339,15 @@ def gaussian_fidelity(a: CovMatrix, b: CovMatrix) -> float:
     either state is pure the exact overlap form
     F = det(V_a + V_b)^(-1/4) * exp(-delta^T (V_a+V_b)^(-1) delta / 4)
     is used; otherwise the general mixed-state formula.  The result is
-    clamped to [0, 1]; an excursion beyond the 1e-9 tolerance raises.
+    clamped to [0, 1]; an excursion beyond the 1e-9 tolerance raises.  The
+    pair runs through ``_pair_fidelities``, whose canonical argument order
+    makes the symmetry F(a,b) = F(b,a) exact and gives identical inputs
+    exactly 1.
     """
     if a.n_modes != b.n_modes:
         raise DimensionError(f"mode counts differ: {a.n_modes} vs {b.n_modes}")
-    # canonical argument order makes the symmetry F(a,b) = F(b,a) exact,
-    # and identical inputs return exactly 1
-    key_a, key_b = _key(a), _key(b)
-    if key_a == key_b:
-        return 1.0
-    if key_b < key_a:
-        a, b = b, a
-    return float(_fidelity(a.data, b.data, not (a.is_pure or b.is_pure), a.mean - b.mean))
+    data, means = np.stack((a.data, b.data)), np.stack((a.mean, b.mean))
+    return float(_pair_fidelities(data, means, (a.is_pure, b.is_pure), [(0, 1)])[0])
 
 
 def stacked_fidelities(data, means, pairs) -> np.ndarray:
@@ -380,13 +373,13 @@ def stacked_fidelities(data, means, pairs) -> np.ndarray:
 def _pair_fidelities(data: np.ndarray, means: np.ndarray, pure, pairs) -> np.ndarray:
     """Fidelities of the index pairs (i, j) of a stack of checked states.
 
-    Each pair is put in canonical ``tobytes`` order and identical states
-    give exactly 1.0, as in ``gaussian_fidelity``: both follow from one rank
-    per state of its key.  The other pairs run through ``_fidelity`` in
-    stacks of at most STACK_MAX_PAIRS, in pair order, pairs with a pure
-    member apart from mixed pairs.  Each state that is first in a mixed
-    pair has its columns split once (``_split``), and each that is second
-    the rows of its V Omega, for all the pairs it is in.
+    Each pair is put in canonical order, that of the states' (data, mean)
+    ``tobytes`` keys, and identical states give exactly 1.0: both follow
+    from one rank per state of its key.  The other pairs run through
+    ``_fidelity`` in stacks of at most STACK_MAX_PAIRS, in pair order, pairs
+    with a pure member apart from mixed pairs.  Each state that is first in
+    a mixed pair has its columns split once (``_split``), and each that is
+    second the rows of its V Omega, for all the pairs it is in.
     """
     keys = [(d.tobytes(), m.tobytes()) for d, m in zip(data, means)]
     rank_of = {key: r for r, key in enumerate(sorted(set(keys)))}

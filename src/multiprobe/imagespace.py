@@ -9,7 +9,6 @@ a set of target counts, and the full space all 2^m patterns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -144,28 +143,6 @@ def _position_space(m: int, kind: tuple, priors) -> ImageSpace:
     if priors is None:
         return space
     return ImageSpace(m, _enumerate(m, space.target_counts), priors, kind=kind)
-
-
-@dataclass(frozen=True, eq=False)
-class ExtendedImageSpace:
-    """An image space mapped over copy-channels to m + l channels.
-
-    extended[i] is the image of base.patterns[i]; the map is injective and
-    priors carry over unchanged, so |extended| = |base|.
-    """
-
-    base: ImageSpace
-    extended: tuple[Pattern, ...]
-    m_ext: int
-
-    def __post_init__(self):
-        if len(self.extended) != len(self.base):
-            raise ValueError("extension must preserve the number of patterns")
-        if len(set(self.extended)) != len(self.extended):
-            raise ValueError("extension map is not injective")
-        for p in self.extended:
-            if len(p) != self.m_ext:
-                raise DimensionError(f"extended pattern {p!r} has wrong length")
 
 
 # ---------------------------------------------------------------------------

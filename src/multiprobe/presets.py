@@ -2,8 +2,8 @@
 scale names of ``multiprobe validate``.
 
 A preset resolves to one of three computation routes: a disjoint (possibly
-idler-assisted) ProbeSpec, a non-disjoint partition handled by mutual
-probing, or the closed-form classical benchmark.
+idler-assisted) ProbeSpec, a partition of overlapping blocks handled by
+mutual probing, or the closed-form classical benchmark.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import PartitionError
 from .probes import (
     SINGLE_IDLER,
-    NonDisjointPartition,
+    Partition,
     ProbeSpec,
     full_idler_partition,
     nn_partition,
@@ -38,8 +38,7 @@ class ProbePlan:
 
     route: str
     spec: ProbeSpec | None = None
-    partition: NonDisjointPartition | None = None
-    label: str = ""
+    partition: Partition | None = None
 
 
 def resolve_probe(name: str, m: int, mu: float | None, odd_strategy: str = SINGLE_IDLER) -> ProbePlan:
@@ -50,26 +49,24 @@ def resolve_probe(name: str, m: int, mu: float | None, odd_strategy: str = SINGL
     """
     name = name.strip()
     if name == "classical":
-        return ProbePlan(CLASSICAL, label="classical")
+        return ProbePlan(CLASSICAL)
     if name.startswith("part:"):
         partition = parse_partition(name[5:], m)
-        if isinstance(partition, NonDisjointPartition):
-            return ProbePlan(MUTUAL, partition=partition, label=name[5:])
-        return ProbePlan(DISJOINT, spec=ProbeSpec.from_partition(partition, mu), label=name[5:])
+        if partition.disjoint:
+            return ProbePlan(DISJOINT, spec=ProbeSpec.from_partition(partition, mu))
+        return ProbePlan(MUTUAL, partition=partition)
     if name == "full-ghz":
-        spec = ProbeSpec(m, mu, blocks=(tuple(range(m)),))
-        return ProbePlan(DISJOINT, spec=spec, label="full-ghz")
+        return ProbePlan(DISJOINT, spec=ProbeSpec(m, mu, blocks=(tuple(range(m)),)))
     if name == "tmsv-disjoint":
         if m % 2 == 0:
             spec = ProbeSpec.from_partition(pair_partition(m), mu)
         else:
             spec = odd_m_disjoint_spec(m, mu, odd_strategy)
-        return ProbePlan(DISJOINT, spec=spec, label="tmsv-disjoint")
+        return ProbePlan(DISJOINT, spec=spec)
     if name == "nn":
-        return ProbePlan(MUTUAL, partition=nn_partition(m), label="nn")
+        return ProbePlan(MUTUAL, partition=nn_partition(m))
     if name == "idler-full":
-        spec = ProbeSpec.from_partition(full_idler_partition(m), mu)
-        return ProbePlan(DISJOINT, spec=spec, label="idler-full")
+        return ProbePlan(DISJOINT, spec=ProbeSpec.from_partition(full_idler_partition(m), mu))
     raise PartitionError(
         f"unknown probe {name!r}; use one of {PRESET_NAMES} or a 'part:' literal"
     )

@@ -1,15 +1,16 @@
 """Partition sets over channel patterns and probe-state assembly.
 
-Partitions distribute entangled blocks over the m channels of a pattern.
-Disjoint partitions tile the channels, idler partitions attach protected
-modes to blocks, and non-disjoint partitions let blocks overlap; overlaps
-are realised by extending the pattern with copy-channels.
+A partition distributes entangled blocks over the m channels of a
+pattern.  Disjoint blocks tile the channels and may carry idler modes;
+overlapping blocks (mutual probing) are realised by extending the pattern
+with copy-channels.
 
 Text grammar (1-based channel labels): blocks are separated by ``|``.  A
 block containing a comma lists channels as comma-separated integers
 ("1,2|3,10"); otherwise every character is a single-digit channel.  Each
-``*`` in a block adds one idler mode to it ("1*|23").  Overlapping blocks
-form a non-disjoint partition, in which idlers are not supported.
+``*`` in a block adds one idler mode to it ("1*|23").  A one-channel block
+over channel 10 or beyond therefore needs a trailing comma ("10,*"), since
+"10*" reads as channels 1 and 0.  Overlapping blocks take no idlers.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channels import BlockLayout, IdlerLayout, apply_pattern_with_idlers
+from .channels import apply_pattern_with_idlers
 from .errors import EnergyError, PartitionError
 from .gaussian import CovMatrix, coherent_state, direct_sum, ghz_state
-from .imagespace import ExtendedImageSpace, ImageSpace, Pattern
+from .imagespace import ImageSpace, Pattern
 
 Block = tuple[int, ...]
 
@@ -47,69 +48,37 @@ def _check_cover(blocks, m: int, *, disjoint: bool) -> None:
 
 
 @dataclass(frozen=True)
-class DisjointPartition:
-    """Pairwise-disjoint blocks of size >= 2 tiling the m channels."""
+class Partition:
+    """Entangled blocks over m channels, each with an idler count (none by
+    default), covering every channel.  Blocks may overlap (mutual probing)
+    only without idlers; every block holds at least two modes."""
 
     m: int
     blocks: tuple[Block, ...]
+    idlers: tuple[int, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
-        _check_cover(self.blocks, self.m, disjoint=True)
-        for blk in self.blocks:
-            if len(blk) < 2:
-                raise PartitionError(f"unassisted block {blk} needs at least 2 channels")
-
-    @property
-    def l_overlap(self) -> int:
-        return 0
-
-
-@dataclass(frozen=True)
-class IdlerPartition:
-    """Disjoint blocks of size >= 1 plus a per-block idler count."""
-
-    m: int
-    blocks: tuple[Block, ...]
-    idlers: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
-        object.__setattr__(self, "idlers", tuple(int(i) for i in self.idlers))
+        object.__setattr__(self, "idlers", tuple(int(q) for q in self.idlers or (0,) * len(self.blocks)))
         if len(self.idlers) != len(self.blocks):
             raise PartitionError("need one idler count per block")
-        _check_cover(self.blocks, self.m, disjoint=True)
+        _check_cover(self.blocks, self.m, disjoint=False)
+        if any(self.idlers) and not self.disjoint:
+            raise PartitionError("idlers are not supported on overlapping blocks")
         for blk, q in zip(self.blocks, self.idlers):
             if q < 0:
                 raise PartitionError("idler counts must be >= 0")
             if len(blk) + q < 2:
-                raise PartitionError(f"block {blk} with {q} idlers is a bare single mode")
+                raise PartitionError(f"block {blk} with {q} idlers has fewer than 2 modes")
 
     @property
     def l_overlap(self) -> int:
-        return 0
-
-
-@dataclass(frozen=True)
-class NonDisjointPartition:
-    """Blocks of size >= 2 that may overlap; every channel covered at least once."""
-
-    m: int
-    blocks: tuple[Block, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
-        _check_cover(self.blocks, self.m, disjoint=False)
-        for blk in self.blocks:
-            if len(blk) < 2:
-                raise PartitionError(f"unassisted block {blk} needs at least 2 channels")
-
-    @property
-    def l_overlap(self) -> int:
+        """Channel instances beyond one per channel."""
         return sum(len(b) for b in self.blocks) - self.m
 
-
-Partition = DisjointPartition | IdlerPartition | NonDisjointPartition
+    @property
+    def disjoint(self) -> bool:
+        return self.l_overlap == 0
 
 
 # ---------------------------------------------------------------------------
@@ -136,25 +105,18 @@ def parse_partition(text: str, m: int | None = None) -> Partition:
         idlers.append(stars)
     if m is None:
         m = max(c for blk in blocks for c in blk) + 1
-    flat = [c for blk in blocks for c in blk]
-    overlapping = len(flat) != len(set(flat))
-    if overlapping:
-        if any(idlers):
-            raise PartitionError("idlers are not supported on non-disjoint partitions")
-        return NonDisjointPartition(m, tuple(blocks))
-    if any(idlers):
-        return IdlerPartition(m, tuple(blocks), tuple(idlers))
-    return DisjointPartition(m, tuple(blocks))
+    return Partition(m, tuple(blocks), tuple(idlers))
 
 
 def format_partition(partition: Partition) -> str:
     """Inverse of parse_partition (round-trips for every valid partition)."""
-    idlers = getattr(partition, "idlers", (0,) * len(partition.blocks))
     multi = partition.m > 9
     parts = []
-    for blk, q in zip(partition.blocks, idlers):
+    for blk, q in zip(partition.blocks, partition.idlers):
         labels = [c + 1 for c in blk]
         body = ",".join(str(x) for x in labels) if multi else "".join(str(x) for x in labels)
+        if len(labels) == 1 and labels[0] > 9:
+            body += ","  # "10*" would read as channels 1 and 0
         parts.append(body + "*" * q)
     return "|".join(parts)
 
@@ -163,24 +125,24 @@ def format_partition(partition: Partition) -> str:
 # standard constructions
 
 
-def nn_partition(m: int) -> NonDisjointPartition:
+def nn_partition(m: int) -> Partition:
     """Nearest-neighbour ring: blocks (k, k+1) on a closed 1-d lattice."""
     if m < 3:
         raise PartitionError(f"nearest-neighbour ring needs m >= 3, got {m}")
     blocks = tuple((k, (k + 1) % m) for k in range(m))
-    return NonDisjointPartition(m, blocks)
+    return Partition(m, blocks)
 
 
-def pair_partition(m: int) -> DisjointPartition:
+def pair_partition(m: int) -> Partition:
     """Adjacent disjoint pairs (12)(34)... for even m."""
     if m % 2:
         raise PartitionError(f"pair tiling needs even m, got {m}")
-    return DisjointPartition(m, tuple((2 * k, 2 * k + 1) for k in range(m // 2)))
+    return Partition(m, tuple((2 * k, 2 * k + 1) for k in range(m // 2)))
 
 
-def full_idler_partition(m: int) -> IdlerPartition:
+def full_idler_partition(m: int) -> Partition:
     """Every channel probed by its own two-mode block with one idler."""
-    return IdlerPartition(m, tuple((k,) for k in range(m)), (1,) * m)
+    return Partition(m, tuple((k,) for k in range(m)), (1,) * m)
 
 
 def average_channel_use(partition: Partition, copies):
@@ -249,7 +211,7 @@ def _exact_coloring(adj, k: int) -> list[int] | None:
 
 
 @functools.lru_cache(maxsize=128)
-def decompose_rounds(partition: NonDisjointPartition) -> tuple[tuple[Block, ...], ...]:
+def decompose_rounds(partition: Partition) -> tuple[tuple[Block, ...], ...]:
     """Split the blocks into a minimal number of internally disjoint rounds.
 
     Rounds need not cover every channel, only the union over rounds does.
@@ -278,14 +240,15 @@ def decompose_rounds(partition: NonDisjointPartition) -> tuple[tuple[Block, ...]
 
 
 def extend_for_mutual_probing(
-    partition: NonDisjointPartition, space: ImageSpace
-) -> tuple[DisjointPartition, ExtendedImageSpace]:
+    partition: Partition, space: ImageSpace
+) -> tuple[Partition, tuple[Pattern, ...]]:
     """Relabel overlapping blocks onto m + l fresh channels.
 
     Every channel instance in block order gets a new label, so the blocks
-    become consecutive disjoint groups; each extended pattern is the
-    original pattern's bits read off per block.  The image-space size is
-    unchanged because copy-channels are determined by their originals.
+    become consecutive disjoint groups (with their idlers); the i-th
+    extended pattern is the bits of ``space.patterns[i]`` read off per
+    block.  The map is injective, since every channel sits in a block, so
+    the extended patterns are as many as the space's and keep its priors.
     """
     if space.m != partition.m:
         raise PartitionError(
@@ -300,8 +263,7 @@ def extend_for_mutual_probing(
     extended = tuple(
         tuple(pat[c] for blk in partition.blocks for c in blk) for pat in space.patterns
     )
-    ext_space = ExtendedImageSpace(space, extended, m_ext)
-    return DisjointPartition(m_ext, new_blocks), ext_space
+    return Partition(m_ext, new_blocks, partition.idlers), extended
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +327,10 @@ class ProbeSpec:
                 raise EnergyError(f"squeezing mu must be >= 1/2, got {self.mu}")
 
     @classmethod
-    def from_partition(cls, partition, mu: float) -> "ProbeSpec":
-        if isinstance(partition, NonDisjointPartition):
-            raise PartitionError(
-                "non-disjoint partitions are probed via mutual probing, not directly"
-            )
-        if isinstance(partition, IdlerPartition):
-            return cls(partition.m, mu, partition.blocks, partition.idlers)
-        return cls(partition.m, mu, partition.blocks)
+    def from_partition(cls, partition: Partition, mu: float) -> "ProbeSpec":
+        if not partition.disjoint:
+            raise PartitionError("overlapping blocks are probed via mutual probing, not directly")
+        return cls(partition.m, mu, partition.blocks, partition.idlers)
 
     @classmethod
     def classical(cls, m: int, alpha: float = 0.0) -> "ProbeSpec":
@@ -388,10 +346,6 @@ class ProbeSpec:
             BlockDescriptor("coherent", (c,), alpha=a) for c, a in self.coherent
         )
         return tuple(out)
-
-    @property
-    def n_modes(self) -> int:
-        return sum(d.n_modes for d in self.descriptors())
 
 
 def odd_m_disjoint_spec(m: int, mu: float, strategy: str) -> ProbeSpec:
@@ -415,17 +369,18 @@ def odd_m_disjoint_spec(m: int, mu: float, strategy: str) -> ProbeSpec:
 
 @dataclass(frozen=True)
 class ProbeState:
-    """Assembled probe: covariance matrix plus its mode-to-channel layout."""
+    """Assembled probe: covariance matrix plus its layout, the probed
+    channel of each mode or None for an idler."""
 
     spec: ProbeSpec
     cm: CovMatrix
-    layout: IdlerLayout
+    layout: tuple[int | None, ...]
 
     def output(self, family, pattern) -> CovMatrix:
         return apply_pattern_with_idlers(self.cm, family, pattern, self.layout)
 
 
-def probe_state(spec: ProbeSpec) -> tuple[np.ndarray, np.ndarray, IdlerLayout]:
+def probe_state(spec: ProbeSpec) -> tuple[np.ndarray, np.ndarray, tuple[int | None, ...]]:
     """Covariance matrix, mean and layout of the probe of ``spec``,
     unchecked: the block-diagonal matrix of its descriptors in order.
 
@@ -433,7 +388,7 @@ def probe_state(spec: ProbeSpec) -> tuple[np.ndarray, np.ndarray, IdlerLayout]:
     first); coherent entries become displaced vacuum modes.
     """
     descs = spec.descriptors()
-    layout = IdlerLayout(tuple(BlockLayout(desc.idlers, desc.channels) for desc in descs))
+    layout = tuple(ch for desc in descs for ch in (None,) * desc.idlers + desc.channels)
     return (*direct_sum([desc.state() for desc in descs]), layout)
 
 

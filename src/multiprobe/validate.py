@@ -47,7 +47,7 @@ from .bounds import (
     fidelity_table_blocks,
     tmsv_subfidelity,
 )
-from .channels import BlockLayout, ChannelFamily, IdlerLayout, layout_channels, mode_channel_map
+from .channels import ChannelFamily, layout_channels, mode_channel_map
 from .gaussian import direct_sum, ghz_state, stacked_fidelities
 from .imagespace import bcpf_space, cpf_space, full_space
 from .presets import DISJOINT, MUTUAL, SCALES, ProbePlan
@@ -419,7 +419,7 @@ def suite_multiplicativity(scale: str, seed: int = 2) -> SuiteResult:
             block = ghz_state(k, mu)
             pa = tuple(int(b) for b in rng.integers(0, 2, k))
             pb = tuple(int(b) for b in rng.integers(0, 2, k))
-            lay = IdlerLayout((BlockLayout(0, tuple(range(k))),))
+            lay = tuple(range(k))
             blocks.append(block)
             cases += [(block, lay, family, pa), (block, lay, family, pb)]
     _spectra(blocks)
@@ -456,19 +456,19 @@ def suite_monotonicity(scale: str) -> SuiteResult:
     return SuiteResult("bound_monotonicity", worst < tol, worst, tol, cases)
 
 
-def _mutual_reference(ext_part, ext_space, family: ChannelFamily, mu: float) -> list[float]:
+def _mutual_reference(ext_part, ext_patterns, family: ChannelFamily, mu: float) -> list[float]:
     """log F of every extended pattern pair i < j, in row-major order: the
     product of its per-block fidelities, with no grouping.  The blocks'
     GHZ states are checked together; each block's outputs come from one
     channel map and its pairs from one ``stacked_fidelities`` call."""
-    first, second = np.triu_indices(len(ext_space.extended), 1)
+    first, second = np.triu_indices(len(ext_patterns), 1)
     pairs = list(zip(first.tolist(), second.tolist()))
     states = [ghz_state(len(blk), mu) for blk in ext_part.blocks]
     _spectra(states)
     per_block = []
     for blk, state in zip(ext_part.blocks, states):
-        lay = IdlerLayout((BlockLayout(0, tuple(range(len(blk)))),))
-        cases = [(state, lay, family, tuple(pat[c] for c in blk)) for pat in ext_space.extended]
+        lay = tuple(range(len(blk)))
+        cases = [(state, lay, family, tuple(pat[c] for c in blk)) for pat in ext_patterns]
         per_block.append(_fidelities(_outputs(cases), pairs))
     return [math.log(math.prod(fids)) for fids in zip(*per_block)]
 
@@ -486,10 +486,10 @@ def suite_mutual_vs_bruteforce(scale: str) -> SuiteResult:
         partition = nn_partition(m)
         space = full_space(m)
         for family in _families():
-            ext_part, ext_space = extend_for_mutual_probing(partition, space)
+            ext_part, ext_patterns = extend_for_mutual_probing(partition, space)
             spec = ProbeSpec(ext_part.m, mu, ext_part.blocks)
-            ref = FidelityTable.pairs(len(ext_space.extended), _mutual_reference(ext_part, ext_space, family, mu))
-            dense = fidelity_table_blocks(ext_space.extended, None, spec.descriptors(), family)
+            ref = FidelityTable.pairs(len(ext_patterns), _mutual_reference(ext_part, ext_patterns, family, mu))
+            dense = fidelity_table_blocks(ext_patterns, None, spec.descriptors(), family)
             point = (ProbePlan(MUTUAL, partition=partition), family, None, mu)
             (frontier,) = evaluate_points(space, [point])
             (sums,) = bound_reports(space, [point], [copies])

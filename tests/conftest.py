@@ -8,18 +8,16 @@ import pytest
 from hypothesis import strategies as st
 
 from multiprobe import gaussian
-from multiprobe.bounds import _block_occupancy_options, block_subfidelity
+from multiprobe.bounds import _block_occupancy_options, block_subfidelity, bounds_from_table
 from multiprobe.channels import (
-    BlockLayout,
     ChannelFamily,
-    IdlerLayout,
     apply_mode_channels,
     apply_pattern_with_idlers,
     check_pattern,
 )
 from multiprobe.errors import DimensionError
 from multiprobe.gaussian import gaussian_fidelity, ghz_cm, stacked_fidelities, symplectic_form, tensor
-from multiprobe.probes import assemble_probe
+from multiprobe.probes import assemble_probe, decompose_rounds
 from multiprobe.validate import SuiteResult, _random_family, _random_spec
 
 
@@ -189,6 +187,26 @@ def counting_sums(space, spec, family, m_val):
     return sum_m, sum_2m
 
 
+def assert_sums_match_entries(reports, tables, copies, method):
+    """Each point's ``bound_reports`` row at ``copies`` equals the bounds
+    read off its table (``evaluate_points``) to rounding, and carries the
+    table's route ``method``, channel use and rounds."""
+    for table, row in zip(tables, reports):
+        assert [r.copies for r in row] == [float(c) for c in copies]
+        rounds = None if table.partition is None else len(decompose_rounds(table.partition))
+        for c, got in zip(copies, row):
+            want = bounds_from_table(table, c)
+            assert (got.m_bar, got.method, got.rounds) == (want.m_bar, method, rounds)
+            assert want.rounds == rounds
+            for a, b in ((got.upper_raw, want.upper_raw), (got.lower_raw, want.lower_raw)):
+                if b >= np.finfo(float).tiny:
+                    assert a == pytest.approx(b, rel=1e-12, abs=0)
+                elif b > 0:
+                    assert a > 0
+                else:
+                    assert a == 0
+
+
 # Scalar references of the batched validate suites: one CovMatrix per state
 # and one gaussian_fidelity call per pair, drawing from the rng in the same
 # order as the suites.
@@ -257,7 +275,7 @@ def scalar_multiplicativity(scale: str, seed: int = 2) -> SuiteResult:
             block = ghz_cm(k, mu)
             pa = tuple(int(b) for b in rng.integers(0, 2, k))
             pb = tuple(int(b) for b in rng.integers(0, 2, k))
-            lay = IdlerLayout((BlockLayout(0, tuple(range(k))),))
+            lay = tuple(range(k))
             parts_a.append(apply_pattern_with_idlers(block, family, pa, lay))
             parts_b.append(apply_pattern_with_idlers(block, family, pb, lay))
         joint = gaussian_fidelity(tensor(*parts_a), tensor(*parts_b))
@@ -266,16 +284,16 @@ def scalar_multiplicativity(scale: str, seed: int = 2) -> SuiteResult:
     return SuiteResult("block_multiplicativity", worst < tol, worst, tol, n_cases)
 
 
-def scalar_mutual_reference(ext_part, ext_space, family, mu) -> list[float]:
+def scalar_mutual_reference(ext_part, ext_patterns, family, mu) -> list[float]:
     """log F of every extended pattern pair i < j, row-major: the product of
     per-block fidelities, one CovMatrix per pattern and block."""
     probe_blocks = []
     for blk in ext_part.blocks:
         state = ghz_cm(len(blk), mu)
-        lay = IdlerLayout((BlockLayout(0, tuple(range(len(blk)))),))
+        lay = tuple(range(len(blk)))
         probe_blocks.append((blk, state, lay))
     outs = []
-    for pat in ext_space.extended:
+    for pat in ext_patterns:
         outs.append(
             [
                 apply_pattern_with_idlers(st, family, tuple(pat[c] for c in blk), lay)

@@ -177,29 +177,29 @@ def test_criterion_4_mutual_probing_equals_extended_brute_force():
     import math
 
     from multiprobe.bounds import FidelityTable
-    from multiprobe.channels import BlockLayout, IdlerLayout, apply_pattern_with_idlers
+    from multiprobe.channels import apply_pattern_with_idlers
     from multiprobe.gaussian import ghz_cm
 
     worst = 0.0
     for m in (3, 4):
         partition = nn_partition(m)
         space = full_space(m)
-        ext_part, ext_space = extend_for_mutual_probing(partition, space)
-        assert len(set(ext_space.extended)) == len(space)
+        ext_part, ext_patterns = extend_for_mutual_probing(partition, space)
+        assert len(set(ext_patterns)) == len(space)
         for family in (
             ChannelFamily.pure_loss(0.99, 0.97),
             ChannelFamily.additive(0.02, 0.01),
         ):
             blocks = []
             for blk in ext_part.blocks:
-                lay = IdlerLayout((BlockLayout(0, tuple(range(len(blk)))),))
+                lay = tuple(range(len(blk)))
                 blocks.append((blk, ghz_cm(len(blk), 20.5), lay))
             outs = [
                 [
                     apply_pattern_with_idlers(st, family, tuple(pat[c] for c in blk), lay)
                     for blk, st, lay in blocks
                 ]
-                for pat in ext_space.extended
+                for pat in ext_patterns
             ]
             n = len(outs)
             ref_table = FidelityTable.pairs(n, [
@@ -269,9 +269,9 @@ def test_criterion_6_pure_loss_figure_regime():
         ("3-CPF", cpf_space(m, 3)),
         ("full", full_space(m)),
     ):
-        ext_part, ext_space = extend_for_mutual_probing(nn, space)
+        ext_part, ext_patterns = extend_for_mutual_probing(nn, space)
         spec = ProbeSpec(ext_part.m, mu, ext_part.blocks)
-        table = fidelity_table_blocks(ext_space.extended, None, spec.descriptors(), family)
+        table = fidelity_table_blocks(ext_patterns, None, spec.descriptors(), family)
         found = _first_advantage(
             space, family, ns,
             lambda mb: bounds_from_table(table, mb / 2.0, m_bar=mb),
@@ -337,9 +337,9 @@ def test_criterion_7_additive_noise_regime():
     assert informative >= 5, "grid never left the clipped regime"
 
     nn = nn_partition(m)
-    ext_part, ext_space = extend_for_mutual_probing(nn, space)
+    ext_part, ext_patterns = extend_for_mutual_probing(nn, space)
     nn_spec = ProbeSpec(ext_part.m, mu, ext_part.blocks)
-    nn_table = fidelity_table_blocks(ext_space.extended, None, nn_spec.descriptors(), family)
+    nn_table = fidelity_table_blocks(ext_patterns, None, nn_spec.descriptors(), family)
     found = _first_advantage(
         space, family, ns,
         lambda mb: bounds_from_table(nn_table, mb / 2.0, m_bar=mb),

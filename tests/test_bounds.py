@@ -294,13 +294,13 @@ def _bruteforce_cases():
         ProbeSpec(6, 7.5, blocks=((0, 1, 2), (3, 4, 5))),
         ProbeSpec.from_partition(full_idler_partition(6), 3.5),
     ]
-    ext_part, ext_space = extend_for_mutual_probing(nn_partition(4), full_space(4))
+    ext_part, ext_patterns = extend_for_mutual_probing(nn_partition(4), full_space(4))
     return {
         "full": (full_space(5).patterns, odd),
         "cpf2": (cpf_space(5, 2).patterns, odd),
         "bcpf6": (bcpf_space(6, (1, 2)).patterns, even),
         # copy-channel patterns, as the mutual-probing cross-checks feed them
-        "nn4-extended": (ext_space.extended, [ProbeSpec(ext_part.m, 20.5, ext_part.blocks)]),
+        "nn4-extended": (ext_patterns, [ProbeSpec(ext_part.m, 20.5, ext_part.blocks)]),
     }
 
 
@@ -781,8 +781,8 @@ def test_dense_routes_weight_nonuniform_priors(route, family):
     elif route == "mutual":
         partition = nn_partition(m)
         table = evaluate(ProbePlan(MUTUAL, partition=partition), space, family, mu=mu)
-        ext_partition, ext_space = extend_for_mutual_probing(partition, space)
-        fid = block_product_fidelity(ext_partition.blocks, ext_space.extended, family, mu)
+        ext_partition, ext_patterns = extend_for_mutual_probing(partition, space)
+        fid = block_product_fidelity(ext_partition.blocks, ext_patterns, family, mu)
     else:
         table = evaluate(ProbePlan(CLASSICAL), space, family, ns=ns)
         f = per_channel_classical_fidelity(family, ns)

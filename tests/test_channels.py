@@ -4,9 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multiprobe.channels import (
-    BlockLayout,
     ChannelFamily,
-    IdlerLayout,
     additive_params,
     apply_pattern_with_idlers,
     pure_loss_params,
@@ -122,7 +120,7 @@ def test_outputs_stay_bona_fide(family, pattern, mu):
 def test_idler_layout_zero_idlers_matches_plain_apply():
     family = ChannelFamily.pure_loss(0.9, 0.6)
     state = ghz_cm(3, 5.5)
-    layout = IdlerLayout((BlockLayout(0, (0, 1, 2)),))
+    layout = (0, 1, 2)
     a = apply_pattern_with_idlers(state, family, (1, 0, 1), layout)
     b = apply_pattern(state, family, (1, 0, 1))
     assert np.array_equal(a.data, b.data)
@@ -133,7 +131,7 @@ def test_idler_choi_state():
     # idler is untouched
     mu, eta = 12.5, 0.8
     family = ChannelFamily.pure_loss(eta, 0.3)
-    layout = IdlerLayout((BlockLayout(1, (0,)),))
+    layout = (None, 0)
     out = apply_pattern_with_idlers(tmsv_cm(mu), family, (0,), layout)
     c = np.sqrt(mu**2 - 0.25)
     want = np.zeros((4, 4))
@@ -146,12 +144,12 @@ def test_idler_choi_state():
 def test_full_idler_assistance_fidelity_is_choi_squared():
     mu = 20.5
     family = ChannelFamily.pure_loss(0.99, 0.97)
-    choi_layout = IdlerLayout((BlockLayout(1, (0,)),))
+    choi_layout = (None, 0)
     choi_b = apply_pattern_with_idlers(tmsv_cm(mu), family, (0,), choi_layout)
     choi_t = apply_pattern_with_idlers(tmsv_cm(mu), family, (1,), choi_layout)
     f_choi = gaussian_fidelity(choi_b, choi_t)
 
-    layout = IdlerLayout((BlockLayout(1, (0,)), BlockLayout(1, (1,))))
+    layout = (None, 0, None, 1)
     probe = tensor(tmsv_cm(mu), tmsv_cm(mu))
     out_00 = apply_pattern_with_idlers(probe, family, (0, 0), layout)
     out_11 = apply_pattern_with_idlers(probe, family, (1, 1), layout)
@@ -160,7 +158,7 @@ def test_full_idler_assistance_fidelity_is_choi_squared():
 
 def test_layout_dimension_mismatch():
     family = ChannelFamily.pure_loss(0.9, 0.4)
-    layout = IdlerLayout((BlockLayout(1, (0,)),))
+    layout = (None, 0)
     with pytest.raises(DimensionError):
         apply_pattern_with_idlers(ghz_cm(3, 2.0), family, (0,), layout)
     with pytest.raises(DimensionError):
@@ -170,10 +168,10 @@ def test_layout_dimension_mismatch():
 def test_idler_layout_rejects_patterns_longer_than_the_probed_channels():
     # one bit per probed channel: extra bits are an error, not ignored
     family = ChannelFamily.pure_loss(0.9, 0.4)
-    choi = IdlerLayout((BlockLayout(1, (0,)),))
+    choi = (None, 0)
     with pytest.raises(DimensionError):
         apply_pattern_with_idlers(tmsv_cm(2.0), family, (0, 1), choi)
-    pairs = IdlerLayout((BlockLayout(0, (0, 1)), BlockLayout(0, (2, 3))))
+    pairs = (0, 1, 2, 3)
     probe = tensor(tmsv_cm(2.0), tmsv_cm(2.0))
     apply_pattern_with_idlers(probe, family, (0, 1, 0, 1), pairs)
     with pytest.raises(DimensionError):

@@ -11,6 +11,7 @@ from multiprobe.bounds import evaluate_points
 from multiprobe.channels import ChannelFamily
 from multiprobe.cli import COLUMNS, build_parser, build_space, main, parse_grid, UsageError
 from multiprobe.presets import PRESET_NAMES, resolve_probe
+from multiprobe.probes import Partition, format_partition
 
 
 def run_cli(args):
@@ -384,6 +385,20 @@ def test_validate_failure_exit_two(monkeypatch, capsys):
 
     monkeypatch.setattr(validate, "_SUITES", [broken])
     assert run_cli(["validate", "--scale", "smoke"]) == 2
+
+
+def test_one_channel_block_beyond_nine_takes_a_trailing_comma(tmp_path, capsys):
+    # "10*" reads as channels 1 and 0; the formatted "10,*" as channel 10
+    partition = Partition(10, ((0, 1), (2, 3), (4, 5), (6, 7), (8,), (9,)), (0, 0, 0, 0, 1, 1))
+    literal = format_partition(partition)
+    assert literal == "1,2|3,4|5,6|7,8|9*|10,*"
+    args = ["bounds", "--family", "pure-loss", "--m", "10", "--eta-b", "0.99", "--eta-t", "0.97",
+            "--ns", "20", "--copies", "2", "--space", "cpf:1", "--probe"]
+    out = tmp_path / "rows.csv"
+    assert run_cli(args + [f"part:{literal}", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 3
+    assert run_cli(args + ["part:1,2|3,4|5,6|7,8|9*|10*"]) == 1
+    assert "1-based" in capsys.readouterr().err
 
 
 def test_census_tmsv_m2(tmp_path):

@@ -1,6 +1,7 @@
-"""The bound sums that ``bound_reports`` takes straight from the counting DP
-of a disjoint probe, against the tables of the same DP, which ``census``
-and ``evaluate_points`` read, and against exact products of the block
+"""The bound sums that ``bound_reports`` takes straight from the DPs, the
+counting DP of a disjoint probe and the frontier DP of overlapping blocks,
+against the tables of the same DPs, which ``census`` and
+``evaluate_points`` read, and against exact products of the block
 fidelities."""
 
 import itertools
@@ -13,20 +14,23 @@ import multiprobe.bounds as bounds_mod
 from multiprobe.bounds import (
     block_fidelities,
     bound_reports,
-    bounds_from_table,
     evaluate_points,
 )
 from multiprobe.channels import ChannelFamily
 from multiprobe.cli import build_space
-from multiprobe.presets import resolve_probe
+from multiprobe.presets import MUTUAL, resolve_probe
 from multiprobe.probes import HYBRID_COHERENT, SINGLE_IDLER
+
+from conftest import assert_sums_match_entries
 
 FAMILIES = {
     "loss": ChannelFamily.pure_loss(0.99, 0.97),
     "additive": ChannelFamily.additive(0.02, 0.01),
     "thermal": ChannelFamily.thermal(0.9, 1.2, 0.8, 1.5),
 }
-# (probe, m, odd-m strategy): every disjoint structure the presets build, and a literal
+# (probe, m, odd-m strategy): every disjoint structure the presets build and
+# a literal, which take the counting DP; the ring and a literal of
+# overlapping blocks, which take the frontier DP
 PROBES = {
     "tmsv-even": ("tmsv-disjoint", 8, SINGLE_IDLER),
     "tmsv-single-idler": ("tmsv-disjoint", 7, SINGLE_IDLER),
@@ -34,29 +38,22 @@ PROBES = {
     "idler-full": ("idler-full", 9, SINGLE_IDLER),
     "full-ghz": ("full-ghz", 9, SINGLE_IDLER),
     "literal": ("part:123|45*|6*|7*", 7, SINGLE_IDLER),
+    "nn": ("nn", 9, SINGLE_IDLER),
+    "part": ("part:123|345|567|71", 7, SINGLE_IDLER),
 }
+# one probe of each DP
+DPS = ("tmsv-disjoint", "nn")
 COPIES = [1, 10, 100, 1000, 5000]
 MUS = (20.5, 5.5, 50.5)
 
 
 def _points(probe, family):
     name, m, strategy = probe
-    return [(resolve_probe(name, m, mu, strategy), family, None, None) for mu in MUS]
+    return [(resolve_probe(name, m, mu, strategy), family, None, mu) for mu in MUS]
 
 
-def _assert_sums_match_entries(reports, tables, copies, method="counting"):
-    for table, row in zip(tables, reports):
-        assert [r.copies for r in row] == [float(c) for c in copies]
-        for c, got in zip(copies, row):
-            want = bounds_from_table(table, c)
-            assert (got.m_bar, got.method, got.rounds) == (want.m_bar, method, want.rounds)
-            for a, b in ((got.upper_raw, want.upper_raw), (got.lower_raw, want.lower_raw)):
-                if b >= np.finfo(float).tiny:
-                    assert a == pytest.approx(b, rel=1e-12, abs=0)
-                elif b > 0:
-                    assert a > 0
-                else:
-                    assert a == 0
+def _method(points):
+    return "mutual" if points[0][0].route == MUTUAL else "counting"
 
 
 @pytest.mark.parametrize("family", FAMILIES.values(), ids=FAMILIES.keys())
@@ -65,11 +62,13 @@ def _assert_sums_match_entries(reports, tables, copies, method="counting"):
 def test_sums_route_matches_the_entries_route(probe, space_text, family):
     space, points = build_space(space_text, probe[1]), _points(probe, family)
     tables = evaluate_points(space, points)
-    assert {table.method for table in tables} == {"counting"}
+    assert {table.method for table in tables} == {_method(points)}
     copies = [COPIES, COPIES[::-1], COPIES[1:3]]
     reports = bound_reports(space, points, copies)
     for row, table, cs in zip(reports, tables, copies):
-        _assert_sums_match_entries([row], [table], cs)
+        assert_sums_match_entries([row], [table], cs, _method(points))
+    # a point's rows do not depend on the copy numbers of the others
+    assert bound_reports(space, points, [COPIES] * len(points))[0] == reports[0]
 
 
 # the counting DP of a disjoint probe, the frontier DP of overlapping blocks
@@ -84,46 +83,53 @@ def test_bound_reports_sums_disjoint_probes_without_tables(monkeypatch, probe, m
 
     monkeypatch.setattr(bounds_mod, "replay_entries", no_table)
     reports = bound_reports(space, points, [COPIES] * len(MUS))
-    _assert_sums_match_entries(reports, tables, COPIES, method)
+    assert_sums_match_entries(reports, tables, COPIES, method)
 
 
 @pytest.mark.parametrize("space_text", ["full", "cpf:3"])
 def test_sums_route_rows_do_not_depend_on_their_chunks(monkeypatch, space_text):
     space = build_space(space_text, 9)
-    probe = ("tmsv-disjoint", 9, SINGLE_IDLER)
-    points = [point for family in FAMILIES.values() for point in _points(probe, family)]
-    copies = [COPIES] * len(points)
-    whole = bound_reports(space, points, copies)
-    chunks = []
-    sums = bounds_mod.replay_sums
+    for name in DPS:
+        points = [point for family in FAMILIES.values() for point in _points((name, 9, SINGLE_IDLER), family)]
+        copies = [COPIES] * len(points)
+        whole = bound_reports(space, points, copies)
+        chunks = []
+        sums = bounds_mod.replay_sums
 
-    def spy(plan, final, luts):
-        chunks.append(next(iter(luts.values())).shape[1])
-        return sums(plan, final, luts)
+        def spy(plan, final, luts):
+            chunks.append(next(iter(luts.values())).shape[1])
+            return sums(plan, final, luts)
 
-    monkeypatch.setattr(bounds_mod, "BATCH_MAX_FLOATS", 8)
-    monkeypatch.setattr(bounds_mod, "replay_sums", spy)
-    chunked = bound_reports(space, points, copies)
-    # one (point, copy number) row, as F^M and F^2M columns, per chunk
-    assert chunks == [2] * len(points) * len(COPIES)
-    assert chunked == whole
-    alone = [bound_reports(space, [point], [[c]])[0][0] for point in points for c in COPIES]
-    assert [r for row in whole for r in row] == alone
+        with monkeypatch.context() as patch:
+            patch.setattr(bounds_mod, "BATCH_MAX_FLOATS", 8)
+            patch.setattr(bounds_mod, "replay_sums", spy)
+            chunked = bound_reports(space, points, copies)
+        # one (point, copy number) row, as F^M and F^2M columns, per chunk
+        assert chunks == [2] * len(points) * len(COPIES)
+        assert chunked == whole
+        assert_sums_match_entries(chunked, evaluate_points(space, points), COPIES, _method(points))
+        alone = [bound_reports(space, [point], [[c]])[0][0] for point in points for c in COPIES]
+        assert [r for row in whole for r in row] == alone
 
 
 def test_sums_route_on_a_one_pattern_space():
+    # no pair of patterns differs: both bounds are an empty sum, and the table is empty
     space = build_space("cpf:0", 4)
-    plan = resolve_probe("tmsv-disjoint", 4, 20.5)
-    (row,) = bound_reports(space, [(plan, FAMILIES["loss"], None, None)], [[1, 7]])
-    assert [(r.lower_raw, r.upper_raw) for r in row] == [(0.0, 0.0)] * 2
+    for name in DPS:
+        point = (resolve_probe(name, 4, 20.5), FAMILIES["loss"], None, 20.5)
+        (row,) = bound_reports(space, [point], [[1, 7]])
+        assert [(r.lower_raw, r.upper_raw) for r in row] == [(0.0, 0.0)] * 2
+        (table,) = evaluate_points(space, [point])
+        assert len(table.logf) == 0
     # no points: no reports, as from the tables
     assert bound_reports(space, [], []) == [] == evaluate_points(space, [])
 
 
 def test_sums_route_checks_its_copy_numbers():
-    plan = resolve_probe("idler-full", 4, 20.5)
-    with pytest.raises(ValueError, match="copy number"):
-        bound_reports(build_space("full", 4), [(plan, FAMILIES["loss"], None, None)], [[0.5]])
+    for name in ("idler-full", "nn"):
+        point = (resolve_probe(name, 4, 20.5), FAMILIES["loss"], None, 20.5)
+        with pytest.raises(ValueError, match="copy number"):
+            bound_reports(build_space("full", 4), [point], [[0.5]])
 
 
 def test_sums_route_is_exact_to_rounding_at_tiny_bounds():

@@ -1,8 +1,9 @@
 """The frontier DP for overlapping blocks, and the dense route that
 ``evaluate`` takes on custom spaces, against the dense copy-channel
-extension table, which evaluates every pattern pair; and the bound sums
-that ``bound_reports`` takes straight from the frontier DP, against the
-tables of the frontier DP that ``evaluate_points`` builds."""
+extension table, which evaluates every pattern pair; and how the bound
+sums that ``bound_reports`` takes straight from the frontier DP split
+their rows and look up their block fidelities.  The sums against the
+tables of both DPs are checked in ``test_counting``."""
 
 import math
 
@@ -26,13 +27,14 @@ from multiprobe.errors import CapacityError
 from multiprobe.imagespace import ImageSpace
 from multiprobe.presets import MUTUAL, ProbePlan
 from multiprobe.probes import (
-    NonDisjointPartition,
+    Partition,
     ProbeSpec,
-    decompose_rounds,
     extend_for_mutual_probing,
     nn_partition,
     parse_partition,
 )
+
+from conftest import assert_sums_match_entries
 
 MU = 20.5
 FAMILIES = {
@@ -70,9 +72,9 @@ def frontier_sums(space, partition, points, copies):
 
 def dense_table(space, partition, family):
     """One entry per unordered pair of extended patterns."""
-    ext_part, ext_space = extend_for_mutual_probing(partition, space)
+    ext_part, ext_patterns = extend_for_mutual_probing(partition, space)
     descs = ProbeSpec(ext_part.m, MU, ext_part.blocks).descriptors()
-    return fidelity_table_blocks(ext_space.extended, None, descs, family)
+    return fidelity_table_blocks(ext_patterns, None, descs, family)
 
 
 def merged(table):
@@ -175,65 +177,7 @@ def test_evaluate_points_gives_the_tables_of_lone_points():
         assert (table.method, table.partition, table.rounds) == ("mutual", partition, alone.rounds)
 
 
-# the sums route: bounds summed straight from the frontier DP, against the
-# bounds read off the tables of the entries route
-SUMS_PROBES = {"nn": (9, "nn"), "part": (7, "123|345|567|71")}
 SUMS_COPIES = [1, 10, 100, 1000, 5000]
-
-
-def _assert_sums_match_entries(reports, tables, copies):
-    for table, row in zip(tables, reports):
-        assert [r.copies for r in row] == [float(c) for c in copies]
-        for c, got in zip(copies, row):
-            want = bounds_from_table(table, c)
-            assert (got.m_bar, got.method) == (want.m_bar, "mutual")
-            assert got.rounds == len(decompose_rounds(table.partition))
-            for a, b in ((got.upper_raw, want.upper_raw), (got.lower_raw, want.lower_raw)):
-                if b >= np.finfo(float).tiny:
-                    assert a == pytest.approx(b, rel=1e-12, abs=0)
-                elif b > 0:
-                    assert a > 0
-                else:
-                    assert a == 0
-
-
-@pytest.mark.parametrize("family", FAMILIES.values(), ids=FAMILIES.keys())
-@pytest.mark.parametrize("space_text", ["full", "cpf:3", "bcpf:1,2"])
-@pytest.mark.parametrize("probe", SUMS_PROBES.values(), ids=SUMS_PROBES.keys())
-def test_sums_route_matches_the_entries_route(probe, space_text, family):
-    m, text = probe
-    space, partition = build_space(space_text, m), _partition(text, m)
-    points = [(family, MU), (family, 5.5)]
-    tables = frontier_tables(space, partition, points)
-    reports = frontier_sums(space, partition, points, [SUMS_COPIES, SUMS_COPIES[::-1]])
-    _assert_sums_match_entries(reports[:1], tables[:1], SUMS_COPIES)
-    _assert_sums_match_entries(reports[1:], tables[1:], SUMS_COPIES[::-1])
-    # a point's rows do not depend on the copy numbers of the others
-    assert frontier_sums(space, partition, points, [SUMS_COPIES] * 2)[0] == reports[0]
-
-
-def test_sums_route_rows_do_not_depend_on_their_chunks(monkeypatch):
-    space, partition = build_space("cpf:3", 9), nn_partition(9)
-    points = [(family, mu) for family in FAMILIES.values() for mu in (MU, 5.5)]
-    copies = [SUMS_COPIES] * len(points)
-    whole = frontier_sums(space, partition, points, copies)
-    chunks = []
-    sums = bounds_mod.replay_sums
-
-    def spy(plan, final, luts):
-        chunks.append(next(iter(luts.values())).shape[1])
-        return sums(plan, final, luts)
-
-    monkeypatch.setattr(bounds_mod, "BATCH_MAX_FLOATS", 8)
-    monkeypatch.setattr(bounds_mod, "replay_sums", spy)
-    chunked = frontier_sums(space, partition, points, copies)
-    # one (point, copy number) row, as F^M and F^2M columns, per chunk
-    assert chunks == [2] * len(points) * len(SUMS_COPIES)
-    assert chunked == whole
-    tables = frontier_tables(space, partition, points)
-    _assert_sums_match_entries(chunked, tables, SUMS_COPIES)
-    alone = [frontier_sums(space, partition, [point], [[c]])[0][0] for point in points for c in SUMS_COPIES]
-    assert [r for row in whole for r in row] == alone
 
 
 @pytest.mark.parametrize("floats", [64, 4096])
@@ -266,7 +210,7 @@ def test_split_rows_give_the_tables_of_lone_points(monkeypatch, floats):
     # block fidelities are looked up for every point at once
     assert batches and set(batches) == {len(points)}
     assert got == alone
-    _assert_sums_match_entries(got, alone_tables, SUMS_COPIES)
+    assert_sums_match_entries(got, alone_tables, SUMS_COPIES, "mutual")
 
 
 @pytest.mark.parametrize("consumer", [
@@ -291,28 +235,13 @@ def test_frontier_looks_up_reachable_pairs_in_one_batch(monkeypatch, consumer):
     assert n_points == len(points) and n_pairs < 16
 
 
-def test_sums_route_on_a_one_pattern_space():
-    # no pair of patterns differs: both bounds are an empty sum
-    space, partition = build_space("cpf:0", 4), nn_partition(4)
-    (row,) = frontier_sums(space, partition, [(FAMILIES["loss"], MU)], [[1, 7]])
-    assert [(r.lower_raw, r.upper_raw) for r in row] == [(0.0, 0.0)] * 2
-    (table,) = frontier_tables(space, partition, [(FAMILIES["loss"], MU)])
-    assert len(table.logf) == 0
-
-
-def test_sums_route_checks_its_copy_numbers():
-    space, partition = build_space("full", 4), nn_partition(4)
-    with pytest.raises(ValueError, match="copy number"):
-        frontier_sums(space, partition, [(FAMILIES["loss"], MU)], [[0.5]])
-
-
 def test_frontier_keys_fit_an_int64_up_to_the_boundary():
     # a block over every channel holds them all to the end: m slots, so
     # 2 * 26 + 1 + 2 * bit_length(26) = 63 key bits at m = 26, 65 at m = 27
-    partition = NonDisjointPartition(26, (tuple(range(26)), (0, 1)))
+    partition = Partition(26, (tuple(range(26)), (0, 1)))
     plan, final, reach = dp.frontier_plan(partition, (1,), cap=10**6)
     # with every block factor 1 the sum counts the ordered pairs of one-target patterns
     luts = {size: np.ones((len(codes), 1)) for size, (_, codes) in reach.items()}
     assert dp.replay_sums(plan, final, luts).tolist() == [26 * 25]
     with pytest.raises(CapacityError, match="65 bits"):
-        dp.frontier_plan(NonDisjointPartition(27, (tuple(range(27)), (0, 1))), (1,), cap=10**6)
+        dp.frontier_plan(Partition(27, (tuple(range(27)), (0, 1))), (1,), cap=10**6)

@@ -13,13 +13,13 @@ from multiprobe.bounds import (
     evaluate,
     fidelity_table_bruteforce,
 )
-from multiprobe.channels import BlockLayout, ChannelFamily, IdlerLayout, apply_pattern_with_idlers
+from multiprobe.channels import ChannelFamily, apply_pattern_with_idlers
 from multiprobe.gaussian import gaussian_fidelity, ghz_cm
 from multiprobe.errors import PartitionError
 from multiprobe.imagespace import ImageSpace, full_space
 from multiprobe.presets import DISJOINT, MUTUAL, ProbePlan
 from multiprobe.probes import (
-    NonDisjointPartition,
+    Partition,
     ProbeSpec,
     extend_for_mutual_probing,
     nn_partition,
@@ -35,18 +35,18 @@ def mutual_bounds(space, partition, family, mu, copies):
 
 def exhaustive_product_table(partition, space, family, mu):
     """Per-pair products of per-block fidelities, no grouping or lookup."""
-    ext_part, ext_space = extend_for_mutual_probing(partition, space)
+    ext_part, ext_patterns = extend_for_mutual_probing(partition, space)
     blocks = []
     for blk in ext_part.blocks:
         state = ghz_cm(len(blk), mu)
-        lay = IdlerLayout((BlockLayout(0, tuple(range(len(blk)))),))
+        lay = tuple(range(len(blk)))
         blocks.append((blk, state, lay))
     outs = [
         [
             apply_pattern_with_idlers(state, family, tuple(pat[c] for c in blk), lay)
             for blk, state, lay in blocks
         ]
-        for pat in ext_space.extended
+        for pat in ext_patterns
     ]
     n = len(outs)
     logf = [
@@ -76,9 +76,9 @@ def test_nn_m3_matches_joint_state_fidelities(family):
     mu, copies = 20.5, 2
     partition = nn_partition(3)
     space = full_space(3)
-    ext_part, ext_space = extend_for_mutual_probing(partition, space)
+    ext_part, ext_patterns = extend_for_mutual_probing(partition, space)
     spec = ProbeSpec(ext_part.m, mu, ext_part.blocks)
-    joint = fidelity_table_bruteforce(ext_space.extended, None, spec, family)
+    joint = fidelity_table_bruteforce(ext_patterns, None, spec, family)
     ref = bounds_from_table(joint, copies)
     got = mutual_bounds(space, partition, family, mu, copies)
     assert got.upper_raw == pytest.approx(ref.upper_raw, rel=1e-10)
@@ -86,7 +86,7 @@ def test_nn_m3_matches_joint_state_fidelities(family):
 
 
 def test_mutual_with_disjoint_partition_reduces_to_counting():
-    partition = NonDisjointPartition(4, ((0, 1), (2, 3)))
+    partition = Partition(4, ((0, 1), (2, 3)))
     space = full_space(4)
     spec = ProbeSpec(4, 20.5, blocks=((0, 1), (2, 3)))
     mut = mutual_bounds(space, partition, ADD, 20.5, 3)
@@ -97,6 +97,16 @@ def test_mutual_with_disjoint_partition_reduces_to_counting():
     assert mut.upper_raw == pytest.approx(cnt.upper_raw, rel=1e-10)
     assert mut.upper_raw == pytest.approx(brt.upper_raw, rel=1e-10)
     assert mut.lower_raw == pytest.approx(brt.lower_raw, rel=1e-10)
+
+
+def test_mutual_plan_rejects_idlers():
+    # the frontier and dense routes read no idlers: they are refused, not dropped
+    plan = ProbePlan(MUTUAL, partition=Partition(3, ((0,), (1, 2)), (1, 0)))
+    for space in (full_space(3), ImageSpace(3, full_space(3).patterns, full_space(3).priors)):
+        with pytest.raises(PartitionError, match="idlers"):
+            evaluate(plan, space, LOSS, mu=20.5)
+        with pytest.raises(PartitionError, match="idlers"):
+            bound_reports(space, [(plan, LOSS, None, 20.5)], [[1]])
 
 
 def test_mutual_resource_accounting():
@@ -110,8 +120,8 @@ def test_mutual_resource_accounting():
 def test_mutual_extension_cardinality_m4():
     partition = nn_partition(4)
     space = full_space(4)
-    _, ext_space = extend_for_mutual_probing(partition, space)
-    assert len(ext_space.extended) == len(space) == 16
+    _, ext_patterns = extend_for_mutual_probing(partition, space)
+    assert len(ext_patterns) == len(space) == 16
 
 
 @pytest.mark.parametrize("family", [LOSS, ADD], ids=["loss", "additive"])
@@ -122,11 +132,11 @@ def test_dense_census_equals_pair_enumeration(family):
     partition = nn_partition(4)
     space = full_space(4)
     table = evaluate(ProbePlan(MUTUAL, partition=partition), space, family, mu=mu)
-    ext_part, ext_space = extend_for_mutual_probing(partition, space)
+    ext_part, ext_patterns = extend_for_mutual_probing(partition, space)
     descs = ProbeSpec(ext_part.m, mu, ext_part.blocks).descriptors()
     hist = {}
-    for a in ext_space.extended:
-        for b in ext_space.extended:
+    for a in ext_patterns:
+        for b in ext_patterns:
             if a == b:
                 continue
             logf = 0.0

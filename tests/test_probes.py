@@ -12,9 +12,7 @@ from multiprobe.imagespace import full_space
 from multiprobe.probes import (
     HYBRID_COHERENT,
     SINGLE_IDLER,
-    DisjointPartition,
-    IdlerPartition,
-    NonDisjointPartition,
+    Partition,
     ProbeSpec,
     assemble_probe,
     average_channel_use,
@@ -34,21 +32,22 @@ from multiprobe.probes import (
 
 def test_parse_disjoint():
     p = parse_partition("12|34")
-    assert isinstance(p, DisjointPartition)
+    assert p == Partition(4, ((0, 1), (2, 3)), (0, 0))
     assert p.blocks == ((0, 1), (2, 3))
     assert p.m == 4
+    assert p.disjoint and p.idlers == (0, 0)
 
 
 def test_parse_idler():
     p = parse_partition("1*|23")
-    assert isinstance(p, IdlerPartition)
+    assert p.disjoint
     assert p.blocks == ((0,), (1, 2))
     assert p.idlers == (1, 0)
 
 
 def test_parse_nondisjoint():
     p = parse_partition("12|23|31")
-    assert isinstance(p, NonDisjointPartition)
+    assert not p.disjoint
     assert p.l_overlap == 3
 
 
@@ -67,12 +66,39 @@ def test_parse_rejects_bare_single():
         parse_partition("12|23*")  # idlers on overlapping blocks
 
 
+def test_partition_rules():
+    with pytest.raises(PartitionError, match="overlapping"):
+        Partition(3, ((0, 1), (1, 2)), (1, 0))
+    with pytest.raises(PartitionError, match="fewer than 2 modes"):
+        Partition(3, ((0, 1), (2,)))
+    with pytest.raises(PartitionError, match="one idler count per block"):
+        Partition(3, ((0, 1), (2,)), (1,))
+    with pytest.raises(PartitionError, match=">= 0"):
+        Partition(3, ((0, 1, 2),), (-1,))
+    with pytest.raises(PartitionError, match="not covered"):
+        Partition(4, ((0, 1), (1, 2)))
+    with pytest.raises(PartitionError, match="mutual probing"):
+        ProbeSpec.from_partition(nn_partition(4), 20.5)
+    # a bare channel with an idler is a two-mode block
+    assert Partition(3, ((0, 1), (2,)), (0, 1)).disjoint
+
+
 def test_format_round_trip_examples():
-    for text in ("12|34", "12|23|31", "1*|23", "123|45", "1,2|3,4,5|6,7|8,9,10"):
+    for text in ("12|34", "12|23|31", "1*|23", "123|45", "1,2|3,4,5|6,7|8,9,10",
+                 "1,2|3,4|5,6|7,8|9*|10,*", "1,10*|2,3,4,5,6,7,8,9|11,*|12,**"):
         p = parse_partition(text)
         assert format_partition(p) == text
         q = parse_partition(format_partition(p), p.m)
         assert q == p
+
+
+@pytest.mark.parametrize("m", [10, 11, 12])
+def test_format_round_trips_one_channel_blocks_beyond_nine(m):
+    # "10*" reads as channels 1 and 0: a lone two-digit label keeps its comma
+    p = full_idler_partition(m)
+    text = format_partition(p)
+    assert text.split("|")[8:] == ["9*"] + [f"{c},*" for c in range(10, m + 1)]
+    assert parse_partition(text, m) == p
 
 
 @settings(max_examples=40, deadline=None)
@@ -80,14 +106,13 @@ def test_format_round_trip_examples():
 def test_format_parse_round_trip_random(data):
     m = data.draw(st.integers(4, 12))
     order = data.draw(st.permutations(range(m)))
-    blocks, at = [], 0
+    blocks, idlers, at = [], [], 0
     while at < m:
-        size = data.draw(st.integers(2, min(3, m - at)))
-        if m - at - size == 1:
-            size += 1  # avoid leaving a bare single channel
+        size = data.draw(st.integers(1, min(3, m - at)))
         blocks.append(tuple(sorted(order[at : at + size])))
+        idlers.append(data.draw(st.integers(max(0, 2 - size), 2)))  # a single channel needs an idler
         at += size
-    p = DisjointPartition(m, tuple(blocks))
+    p = Partition(m, tuple(blocks), tuple(idlers))
     assert parse_partition(format_partition(p), m) == p
 
 
@@ -112,7 +137,7 @@ def test_nn_requires_ring():
 
 
 def test_decompose_rounds_disjoint_is_single():
-    p = NonDisjointPartition(4, ((0, 1), (2, 3)))
+    p = Partition(4, ((0, 1), (2, 3)))
     assert len(decompose_rounds(p)) == 1
 
 
@@ -132,7 +157,7 @@ def test_decompose_rounds_nn_odd_is_three():
 
 def test_decompose_rounds_three_round_example():
     blocks = ((0, 1), (2, 5), (3, 4), (0, 3), (1, 2), (4, 5), (0, 4), (1, 5))
-    p = NonDisjointPartition(6, blocks)
+    p = Partition(6, blocks)
     rounds = decompose_rounds(p)
     assert len(rounds) == 3
     all_blocks = sorted(blk for rnd in rounds for blk in rnd)
@@ -140,9 +165,9 @@ def test_decompose_rounds_three_round_example():
 
 
 def test_average_channel_use_examples():
-    assert average_channel_use(DisjointPartition(4, ((0, 1), (2, 3))), 100) == 100
+    assert average_channel_use(Partition(4, ((0, 1), (2, 3))), 100) == 100
     # all-pairs set on m=4: l = 2 C(4,2) - 4 = 8, so (4+8)/4 * 1 = 3
-    all_pairs = NonDisjointPartition(
+    all_pairs = Partition(
         4, tuple((i, j) for i in range(4) for j in range(i + 1, 4))
     )
     assert average_channel_use(all_pairs, 1) == Fraction(3)
@@ -158,30 +183,30 @@ def test_average_channel_use_examples():
 def test_extension_all_pairs_m3():
     # {12|23|13} relabels onto {12|34|56}; patterns map to
     # (i1 i2, i2 i3, i1 i3)
-    part = NonDisjointPartition(3, ((0, 1), (1, 2), (0, 2)))
+    part = Partition(3, ((0, 1), (1, 2), (0, 2)))
     space = full_space(3)
-    ext_part, ext_space = extend_for_mutual_probing(part, space)
+    ext_part, ext_patterns = extend_for_mutual_probing(part, space)
     assert ext_part.blocks == ((0, 1), (2, 3), (4, 5))
     assert ext_part.m == 6
     i = space.patterns.index((1, 0, 1))
-    assert ext_space.extended[i] == (1, 0, 0, 1, 1, 1)
-    assert len(ext_space.extended) == len(space)
+    assert ext_patterns[i] == (1, 0, 0, 1, 1, 1)
+    assert len(ext_patterns) == len(space)
 
 
 def test_extension_identity_for_disjoint():
-    part = NonDisjointPartition(4, ((0, 1), (2, 3)))
+    part = Partition(4, ((0, 1), (2, 3)))
     space = full_space(4)
-    ext_part, ext_space = extend_for_mutual_probing(part, space)
+    ext_part, ext_patterns = extend_for_mutual_probing(part, space)
     assert part.l_overlap == 0
     assert ext_part.m == 4
-    assert ext_space.extended == space.patterns
+    assert ext_patterns == space.patterns
 
 
 def test_extension_nn_m4_preserves_cardinality():
     part = nn_partition(4)
     space = full_space(4)
-    _, ext_space = extend_for_mutual_probing(part, space)
-    assert len(set(ext_space.extended)) == 16
+    _, ext_patterns = extend_for_mutual_probing(part, space)
+    assert len(set(ext_patterns)) == 16
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +253,7 @@ def test_odd_spec_single_idler():
     assert spec.idlers == (0, 1)
     probe = assemble_probe(spec)
     assert probe.cm.n_modes == 4
-    assert probe.layout.mode_channels() == [0, 1, None, 2]
+    assert probe.layout == (0, 1, None, 2)
 
 
 def test_odd_spec_hybrid():
@@ -248,7 +273,7 @@ def test_odd_spec_rejects_even():
 def test_three_block_odd_partition_literal():
     # odd m handled with one wider block: {12|34|56|789}
     p = parse_partition("12|34|56|789")
-    assert isinstance(p, DisjointPartition)
+    assert p.disjoint
     assert sorted(len(b) for b in p.blocks) == [2, 2, 2, 3]
     spec = ProbeSpec.from_partition(p, 20.5)
     probe = assemble_probe(spec)

@@ -128,10 +128,10 @@ def test_stacked_random_state_suites_equal_scalar_loops(suite, scalar, scale):
 
 @pytest.mark.parametrize("m", [3, 4])
 def test_stacked_mutual_reference_equals_scalar_loop(m):
-    ext_part, ext_space = extend_for_mutual_probing(nn_partition(m), full_space(m))
+    ext_part, ext_patterns = extend_for_mutual_probing(nn_partition(m), full_space(m))
     for family in validate._families():
-        got = validate._mutual_reference(ext_part, ext_space, family, 20.5)
-        assert got == scalar_mutual_reference(ext_part, ext_space, family, 20.5)
+        got = validate._mutual_reference(ext_part, ext_patterns, family, 20.5)
+        assert got == scalar_mutual_reference(ext_part, ext_patterns, family, 20.5)
 
 
 def test_mutual_suite_equals_its_scalar_reference(monkeypatch):
