@@ -41,8 +41,6 @@ PROBES = {
     "nn": ("nn", 9, SINGLE_IDLER),
     "part": ("part:123|345|567|71", 7, SINGLE_IDLER),
 }
-# one probe of each DP
-DPS = ("tmsv-disjoint", "nn")
 COPIES = [1, 10, 100, 1000, 5000]
 MUS = (20.5, 5.5, 50.5)
 
@@ -89,47 +87,44 @@ def test_bound_reports_sums_disjoint_probes_without_tables(monkeypatch, probe, m
 @pytest.mark.parametrize("space_text", ["full", "cpf:3"])
 def test_sums_route_rows_do_not_depend_on_their_chunks(monkeypatch, space_text):
     space = build_space(space_text, 9)
-    for name in DPS:
-        points = [point for family in FAMILIES.values() for point in _points((name, 9, SINGLE_IDLER), family)]
-        copies = [COPIES] * len(points)
-        whole = bound_reports(space, points, copies)
-        chunks = []
-        sums = bounds_mod.replay_sums
+    probe = ("tmsv-disjoint", 9, SINGLE_IDLER)
+    points = [point for family in FAMILIES.values() for point in _points(probe, family)]
+    copies = [COPIES] * len(points)
+    whole = bound_reports(space, points, copies)
+    chunks = []
+    sums = bounds_mod.replay_sums
 
-        def spy(plan, final, luts):
-            chunks.append(next(iter(luts.values())).shape[1])
-            return sums(plan, final, luts)
+    def spy(plan, final, luts):
+        chunks.append(next(iter(luts.values())).shape[1])
+        return sums(plan, final, luts)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(bounds_mod, "BATCH_MAX_FLOATS", 8)
-            patch.setattr(bounds_mod, "replay_sums", spy)
-            chunked = bound_reports(space, points, copies)
-        # one (point, copy number) row, as F^M and F^2M columns, per chunk
-        assert chunks == [2] * len(points) * len(COPIES)
-        assert chunked == whole
-        assert_sums_match_entries(chunked, evaluate_points(space, points), COPIES, _method(points))
-        alone = [bound_reports(space, [point], [[c]])[0][0] for point in points for c in COPIES]
-        assert [r for row in whole for r in row] == alone
+    monkeypatch.setattr(bounds_mod, "BATCH_MAX_FLOATS", 8)
+    monkeypatch.setattr(bounds_mod, "replay_sums", spy)
+    chunked = bound_reports(space, points, copies)
+    # one (point, copy number) row, as F^M and F^2M columns, per chunk
+    assert chunks == [2] * len(points) * len(COPIES)
+    assert chunked == whole
+    assert_sums_match_entries(chunked, evaluate_points(space, points), COPIES, "counting")
+    alone = [bound_reports(space, [point], [[c]])[0][0] for point in points for c in COPIES]
+    assert [r for row in whole for r in row] == alone
 
 
 def test_sums_route_on_a_one_pattern_space():
     # no pair of patterns differs: both bounds are an empty sum, and the table is empty
     space = build_space("cpf:0", 4)
-    for name in DPS:
-        point = (resolve_probe(name, 4, 20.5), FAMILIES["loss"], None, 20.5)
-        (row,) = bound_reports(space, [point], [[1, 7]])
-        assert [(r.lower_raw, r.upper_raw) for r in row] == [(0.0, 0.0)] * 2
-        (table,) = evaluate_points(space, [point])
-        assert len(table.logf) == 0
+    point = (resolve_probe("tmsv-disjoint", 4, 20.5), FAMILIES["loss"], None, 20.5)
+    (row,) = bound_reports(space, [point], [[1, 7]])
+    assert [(r.lower_raw, r.upper_raw) for r in row] == [(0.0, 0.0)] * 2
+    (table,) = evaluate_points(space, [point])
+    assert len(table.logf) == 0
     # no points: no reports, as from the tables
     assert bound_reports(space, [], []) == [] == evaluate_points(space, [])
 
 
 def test_sums_route_checks_its_copy_numbers():
-    for name in ("idler-full", "nn"):
-        point = (resolve_probe(name, 4, 20.5), FAMILIES["loss"], None, 20.5)
-        with pytest.raises(ValueError, match="copy number"):
-            bound_reports(build_space("full", 4), [point], [[0.5]])
+    point = (resolve_probe("idler-full", 4, 20.5), FAMILIES["loss"], None, 20.5)
+    with pytest.raises(ValueError, match="copy number"):
+        bound_reports(build_space("full", 4), [point], [[0.5]])
 
 
 def test_sums_route_is_exact_to_rounding_at_tiny_bounds():

@@ -1,9 +1,9 @@
 """The frontier DP for overlapping blocks, and the dense route that
 ``evaluate`` takes on custom spaces, against the dense copy-channel
-extension table, which evaluates every pattern pair; and how the bound
-sums that ``bound_reports`` takes straight from the frontier DP split
-their rows and look up their block fidelities.  The sums against the
-tables of both DPs are checked in ``test_counting``."""
+extension table, which evaluates every pattern pair; and the bound sums
+that ``bound_reports`` takes straight from the frontier DP: how they split
+their rows, look up their block fidelities and meet their edge cases.  The
+sums against the tables of both DPs are checked in ``test_counting``."""
 
 import math
 
@@ -180,6 +180,30 @@ def test_evaluate_points_gives_the_tables_of_lone_points():
 SUMS_COPIES = [1, 10, 100, 1000, 5000]
 
 
+def test_sums_route_rows_do_not_depend_on_their_chunks(monkeypatch):
+    space, partition = build_space("cpf:3", 9), nn_partition(9)
+    points = [(family, mu) for family in FAMILIES.values() for mu in (MU, 5.5)]
+    copies = [SUMS_COPIES] * len(points)
+    whole = frontier_sums(space, partition, points, copies)
+    chunks = []
+    sums = bounds_mod.replay_sums
+
+    def spy(plan, final, luts):
+        chunks.append(next(iter(luts.values())).shape[1])
+        return sums(plan, final, luts)
+
+    monkeypatch.setattr(bounds_mod, "BATCH_MAX_FLOATS", 8)
+    monkeypatch.setattr(bounds_mod, "replay_sums", spy)
+    chunked = frontier_sums(space, partition, points, copies)
+    # one (point, copy number) row, as F^M and F^2M columns, per chunk
+    assert chunks == [2] * len(points) * len(SUMS_COPIES)
+    assert chunked == whole
+    tables = frontier_tables(space, partition, points)
+    assert_sums_match_entries(chunked, tables, SUMS_COPIES, "mutual")
+    alone = [frontier_sums(space, partition, [point], [[c]])[0][0] for point in points for c in SUMS_COPIES]
+    assert [r for row in whole for r in row] == alone
+
+
 @pytest.mark.parametrize("floats", [64, 4096])
 def test_split_rows_give_the_tables_of_lone_points(monkeypatch, floats):
     space, partition = build_space("full", 9), nn_partition(9)
@@ -233,6 +257,21 @@ def test_frontier_looks_up_reachable_pairs_in_one_batch(monkeypatch, consumer):
     # two-channel blocks; on cpf:1 a pair of blocks never holds more than two targets
     ((n_points, n_pairs),) = batches
     assert n_points == len(points) and n_pairs < 16
+
+
+def test_sums_route_on_a_one_pattern_space():
+    # no pair of patterns differs: both bounds are an empty sum
+    space, partition = build_space("cpf:0", 4), nn_partition(4)
+    (row,) = frontier_sums(space, partition, [(FAMILIES["loss"], MU)], [[1, 7]])
+    assert [(r.lower_raw, r.upper_raw) for r in row] == [(0.0, 0.0)] * 2
+    (table,) = frontier_tables(space, partition, [(FAMILIES["loss"], MU)])
+    assert len(table.logf) == 0
+
+
+def test_sums_route_checks_its_copy_numbers():
+    space, partition = build_space("full", 4), nn_partition(4)
+    with pytest.raises(ValueError, match="copy number"):
+        frontier_sums(space, partition, [(FAMILIES["loss"], MU)], [[0.5]])
 
 
 def test_frontier_keys_fit_an_int64_up_to_the_boundary():
