@@ -107,8 +107,6 @@ def _cancelling_product(rows, cols, b: np.ndarray) -> np.ndarray:
 def _spectrum_of(data: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues |eig(i Omega V)|, ascending, one per mode,
     over any leading shape."""
-    if not np.isfinite(data).all():
-        raise NumericError("covariance matrix has non-finite entries")
     n = data.shape[-1] // 2
     eigs = np.linalg.eigvals(symplectic_form(n) @ data)
     vals = np.sort(np.abs(eigs), axis=-1)
@@ -119,11 +117,48 @@ def _spectrum_of(data: np.ndarray) -> np.ndarray:
     return (lo + hi) / 2.0
 
 
+def _half_spectrum(data: np.ndarray) -> np.ndarray | None:
+    """Symplectic eigenvalues, ascending, of symmetric covariance matrices
+    over any leading shape, when no matrix has x-p correlations: every
+    ``data[..., 0::2, 1::2]`` entry is zero, so V = X (+) P in the
+    interleaved order.  None unless that holds, every X and P is positive
+    definite and every eigenvalue of X P positive.
+
+    V > 0 exactly when X > 0 and P > 0, so the two n x n Cholesky
+    factorisations are the positive-definiteness check, and the spectrum is
+    sqrt(eig(X P)) = sqrt(eig(L^T P L)) with X = L L^T, one n x n symmetric
+    eigensolve in place of the 2n x 2n general one.
+    """
+    if data[..., 0::2, 1::2].any():
+        return None
+    p = data[..., 1::2, 1::2]
+    try:
+        lx = np.linalg.cholesky(data[..., 0::2, 0::2])
+        np.linalg.cholesky(p)
+    except np.linalg.LinAlgError:
+        return None
+    squares = np.linalg.eigvalsh(lx.swapaxes(-2, -1) @ p @ lx)
+    return np.sqrt(squares) if (squares > 0.0).all() else None
+
+
 def _checked(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symplectic spectra and purity flags of symmetric covariance matrices
     over any leading shape, one stacked eigensolve; NumericError unless
-    every matrix is bona fide and positive definite."""
-    spectrum = _spectrum_of(data)
+    every matrix is bona fide and positive definite.
+
+    A stack without x-p correlations, as is every probe of this package
+    through phase-insensitive channels, takes the half-size route on its
+    n x n X and P blocks (``_half_spectrum``).  Any other stack, and one
+    whose X or P is not positive definite, takes the 2n x 2n route: the
+    general eigensolve of Omega V (``_spectrum_of``) and a Cholesky
+    factorisation of V, so every error reads as it does there.
+    """
+    if not np.isfinite(data).all():
+        raise NumericError("covariance matrix has non-finite entries")
+    spectrum = _half_spectrum(data)
+    definite = spectrum is not None
+    if not definite:
+        spectrum = _spectrum_of(data)
     scale = np.maximum(1.0, np.abs(data).max(axis=(-2, -1)))
     low = spectrum[..., 0]
     bad = low < SHOT_NOISE - _scale_tol(BONA_FIDE_TOL, scale)
@@ -133,10 +168,11 @@ def _checked(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"{float(np.extract(bad, low)[0]):.12g} < 1/2"
         )
     # |eig(i Omega V)| >= 1/2 holds for -V as well as for V
-    try:
-        np.linalg.cholesky(data)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("covariance matrix is not positive definite") from exc
+    if not definite:
+        try:
+            np.linalg.cholesky(data)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError("covariance matrix is not positive definite") from exc
     return spectrum, spectrum[..., -1] <= SHOT_NOISE + _scale_tol(PURITY_TOL, scale)
 
 
@@ -145,8 +181,9 @@ class CovMatrix:
 
     The matrix is symmetrised on construction and checked bona fide: every
     symplectic eigenvalue must be >= 1/2 - BONA_FIDE_TOL, and the matrix
-    positive definite.  Instances are
-    treated as immutable values.
+    positive definite.  A matrix without x-p correlations is checked on
+    its n x n X and P blocks, any other on the whole 2n x 2n matrix (see
+    ``_checked``).  Instances are treated as immutable values.
     """
 
     __slots__ = ("n_modes", "data", "mean", "spectrum", "is_pure")
@@ -390,18 +427,21 @@ def _pair_fidelities(data: np.ndarray, means: np.ndarray, pure, pairs) -> np.nda
     first, second = np.where(swap, j, i), np.where(swap, i, j)
     differ = rank[i] != rank[j]
     mixed = ~(pure[i] | pure[j])
-    ones, twos = np.zeros(len(data), dtype=bool), np.zeros(len(data), dtype=bool)
-    ones[first[differ & mixed]] = True
-    twos[second[differ & mixed]] = True
-    cols, rows = _split(data[ones], -2), _split(_times_omega(data[twos]), -1)
-    at_one, at_two = np.cumsum(ones) - 1, np.cumsum(twos) - 1  # position among the split states
+    todo_pure, todo_mixed = np.flatnonzero(differ & ~mixed), np.flatnonzero(differ & mixed)
+    if len(todo_mixed):
+        ones, twos = np.zeros(len(data), dtype=bool), np.zeros(len(data), dtype=bool)
+        ones[first[todo_mixed]] = True
+        twos[second[todo_mixed]] = True
+        cols, rows = _split(data[ones], -2), _split(_times_omega(data[twos]), -1)
+        at_one, at_two = np.cumsum(ones) - 1, np.cumsum(twos) - 1  # position among the split states
     out = np.ones(len(i))
-    for group in (False, True):
-        todo = np.flatnonzero(differ & (mixed == group))
+    for group, todo in ((False, todo_pure), (True, todo_mixed)):
         for start in range(0, len(todo), STACK_MAX_PAIRS):
             idx = todo[start:start + STACK_MAX_PAIRS]
             a, b = first[idx], second[idx]
-            one, two = at_one[a], at_two[b]
-            split = ((rows[0][two], rows[1][two]), (cols[0][one], cols[1][one])) if group else None
+            split = None
+            if group:
+                one, two = at_one[a], at_two[b]
+                split = (rows[0][two], rows[1][two]), (cols[0][one], cols[1][one])
             out[idx] = _fidelity(data[a], data[b], group, means[a] - means[b], split)
     return out

@@ -100,7 +100,10 @@ def parse_partition(text: str, m: int | None = None) -> Partition:
         else:
             labels = [int(ch) for ch in body]
         if any(lab < 1 for lab in labels):
-            raise PartitionError("channel labels are 1-based")
+            msg = f"channel labels are 1-based, but block {chunk!r} reads as channels {labels}"
+            if "," not in body and len(body) > 1:
+                msg += f"; list channels 10 and beyond with commas, as in {body + ',' + '*' * stars!r}"
+            raise PartitionError(msg)
         blocks.append(tuple(lab - 1 for lab in labels))
         idlers.append(stars)
     if m is None:

@@ -398,7 +398,10 @@ def test_one_channel_block_beyond_nine_takes_a_trailing_comma(tmp_path, capsys):
     assert run_cli(args + [f"part:{literal}", "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 3
     assert run_cli(args + ["part:1,2|3,4|5,6|7,8|9*|10*"]) == 1
-    assert "1-based" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "1-based" in err
+    assert "block '10*' reads as channels [1, 0]" in err  # the offending block
+    assert "'10,*'" in err  # and the spelling that means channel 10
 
 
 def test_census_tmsv_m2(tmp_path):

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from multiprobe.channels import ChannelFamily, apply_mode_channels
+from multiprobe.channels import (
+    ChannelFamily,
+    additive_params,
+    apply_mode_channels,
+    mode_channel_map,
+    pure_loss_params,
+    thermal_params,
+)
 from multiprobe.errors import DimensionError, EnergyError, NumericError, PartitionError
 from multiprobe import gaussian
 from multiprobe.gaussian import (
@@ -14,9 +21,12 @@ from multiprobe.gaussian import (
     STACK_MAX_PAIRS,
     CovMatrix,
     coherent_cm,
+    coherent_state,
+    direct_sum,
     gaussian_fidelity,
     ghz_cm,
     ghz_spectrum_closed_form,
+    ghz_state,
     stacked_fidelities,
     symplectic_form,
     symplectic_spectrum,
@@ -324,6 +334,107 @@ def test_covariance_matrices_must_be_positive_definite(bad):
     ):
         with pytest.raises(NumericError, match="not positive definite"):
             build()
+
+
+def _x_plus_p(x, p):
+    """The interleaved covariance matrix X (+) P, without x-p correlations."""
+    n = len(x)
+    data = np.zeros((2 * n, 2 * n))
+    data[0::2, 0::2] = x
+    data[1::2, 1::2] = p
+    return data
+
+
+def _random_channel(rng):
+    """A random physical channel: identity, pure loss, additive noise or thermal."""
+    kind = rng.integers(4)
+    if kind == 0:
+        return pure_loss_params(1.0)
+    if kind == 1:
+        return pure_loss_params(rng.uniform(0.0, 1.0))
+    if kind == 2:
+        return additive_params(rng.uniform(0.0, 2.0))
+    return thermal_params(rng.uniform(0.0, 2.0), rng.uniform(0.5, 3.0))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 9])
+def test_half_size_spectra_match_the_general_eigensolve(rng, m):
+    # GHZ (TMSV at m = 2) and coherent outputs of random physical channels;
+    # identity channels on every mode of each fifth output, and loss on
+    # coherent states, leave some outputs pure
+    probes = [ghz_state(m, mu) for mu in (0.5, 0.7, 2.5, 20.5, 1000.0) if m > 1]
+    probes.append(coherent_state(rng.standard_normal(m) + 1j * rng.standard_normal(m)))
+    data, means, taus, nus = [], [], [], []
+    for k in range(60):
+        probe = probes[rng.integers(len(probes))]
+        params = [pure_loss_params(1.0) if k % 5 == 0 else _random_channel(rng) for _ in range(m)]
+        channels = [p.tau for p in params], [p.nu for p in params]
+        for part, value in zip((data, means, taus, nus), (*probe, *channels)):
+            part.append(value)
+    data, _ = mode_channel_map(np.stack(data), np.stack(means), taus, nus)
+    data = 0.5 * (data + data.swapaxes(1, 2))
+    half = gaussian._half_spectrum(data)
+    assert half is not None
+    spectrum, pure = gaussian._checked(data)
+    assert np.array_equal(spectrum, half)
+    full = gaussian._spectrum_of(data)
+    scale = np.maximum(1.0, np.abs(data).max(axis=(-2, -1)))
+    slack = gaussian._scale_tol(1e-12, scale)[:, None] * np.maximum(1.0, full)
+    assert (np.abs(half - full) <= slack).all()
+    assert pure.tolist() == (full[:, -1] <= SHOT_NOISE + gaussian._scale_tol(gaussian.PURITY_TOL, scale)).tolist()
+    assert pure.any() and not pure.all()
+
+
+def test_xp_correlated_states_take_the_general_eigensolve(monkeypatch):
+    # thermal states squeezed by r and rotated by theta: V = (nbar + 1/2)
+    # R S R^T, whose one symplectic eigenvalue is nbar + 1/2 whatever r, theta
+    def rotated_squeezed(nbar, r, theta):
+        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        return (nbar + 0.5) * rot @ np.diag([np.exp(2 * r), np.exp(-2 * r)]) @ rot.T
+
+    calls, spectrum_of = [], gaussian._spectrum_of
+    monkeypatch.setattr(gaussian, "_spectrum_of", lambda data: calls.append(data.shape) or spectrum_of(data))
+    single = rotated_squeezed(0.0, 0.8, 0.3)
+    pair, _ = direct_sum([(rotated_squeezed(2.3, 1.1, 1.2), np.zeros(2)), (SHOT_NOISE * np.eye(2), np.zeros(2))])
+    assert single[0, 1] != 0.0 and pair[0, 1] != 0.0
+    spectrum, pure = gaussian._checked(single)
+    assert spectrum[0] == pytest.approx(0.5, abs=1e-12) and pure
+    spectrum, pure = gaussian._checked(np.stack([pair, _x_plus_p(np.eye(2), np.eye(2))]))
+    assert spectrum[0] == pytest.approx([0.5, 2.8], rel=1e-12)
+    assert spectrum[1] == pytest.approx([1.0, 1.0], rel=1e-12)
+    assert pure.tolist() == [False, False]
+    assert calls == [(2, 2), (2, 4, 4)]
+
+
+XP_FREE_BAD_ROWS = {
+    "non-finite": _x_plus_p(np.array([[1.0, np.nan], [np.nan, 1.0]]), np.eye(2)),
+    "not bona fide": _x_plus_p(0.4 * np.eye(2), 0.4 * np.eye(2)),
+    # X and P positive definite, eig(X P) = 0.2 and 1
+    "not bona fide, definite blocks": _x_plus_p(np.diag([2.0, 1.0]), np.diag([0.1, 1.0])),
+    "negative definite": _x_plus_p(-np.eye(2), -np.eye(2)),
+    # the 2n x 2n route finds this one not bona fide before its Cholesky
+    "negative definite, not bona fide": _x_plus_p(-0.1 * np.eye(2), -0.1 * np.eye(2)),
+    # its 2n x 2n spectrum sqrt(1.5), sqrt(3.5) passes the bona fide test
+    "indefinite X": _x_plus_p(np.array([[1.0, 2.5], [2.5, 1.0]]), np.eye(2)),
+    "indefinite P": _x_plus_p(np.eye(2), np.array([[1.0, 2.5], [2.5, 1.0]])),
+}
+
+
+@pytest.mark.parametrize("bad", list(XP_FREE_BAD_ROWS.values()), ids=list(XP_FREE_BAD_ROWS))
+def test_half_size_check_raises_as_the_general_route(monkeypatch, bad):
+    good = _x_plus_p(0.7 * np.eye(2), 0.7 * np.eye(2))
+
+    def messages():
+        out = []
+        for data in (bad, np.stack([bad]), np.stack([good, bad, good])):
+            with pytest.raises(NumericError) as exc:
+                gaussian._checked(data)
+            out.append(str(exc.value))
+        return out
+
+    got = messages()
+    monkeypatch.setattr(gaussian, "_half_spectrum", lambda data: None)  # the 2n x 2n route alone
+    assert got == messages()
 
 
 def test_stacked_fidelities_reject_bad_means_and_shapes():

@@ -5,9 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import multiprobe.blocks as blocks
 import multiprobe.gaussian as gaussian
 import multiprobe.validate as validate
 from multiprobe.bounds import FidelityTable, bruteforce_fidelities, fidelity_table_bruteforce
+from multiprobe.errors import NumericError
 from multiprobe.imagespace import bcpf_space, cpf_space, full_space
 from multiprobe.probes import extend_for_mutual_probing, nn_partition
 from multiprobe.validate import SCALES, run_suites
@@ -37,19 +39,24 @@ def test_unknown_scale_rejected():
 
 def test_corrupted_symplectic_form_fails_loudly(monkeypatch):
     # a symplectic form that does not match the quadrature ordering breaks
-    # the spectrum; the ghz suite must flag it rather than pass silently
+    # the mixed-state fidelity.  The suites' states have no x-p
+    # correlations, so their spectra come from the X and P blocks without
+    # the form, and the suites that read it through the fidelity must flag
+    # it, by raising or by failing, rather than pass silently
     def xxpp_form(n):
         top = np.hstack([np.zeros((n, n)), np.eye(n)])
         bottom = np.hstack([-np.eye(n), np.zeros((n, n))])
         return np.vstack([top, bottom])
 
     monkeypatch.setattr(gaussian, "symplectic_form", xxpp_form)
-    try:
-        results = run_suites("smoke")
-        failed = [r for r in results if not r.passed]
-        assert failed, "corrupted build slipped through every suite"
-    except Exception:
-        pass  # failing by raising is also loud
+    monkeypatch.setattr(blocks, "_BLOCK_FID_CACHE", {})  # nothing cached before, nothing corrupted kept
+    for suite in (validate.suite_fidelity_symmetry, validate.suite_counting_vs_bruteforce):
+        with pytest.raises(NumericError, match=r"outside \[0, 1\]"):
+            suite("smoke")
+    for suite in (validate.suite_closed_form_oracles, validate.suite_multiplicativity):
+        assert not suite("smoke").passed, suite.__name__
+    with pytest.raises(NumericError):
+        run_suites("smoke")
 
 
 def test_suite_results_serialize():
