@@ -35,9 +35,18 @@ BRANCH_TOL = 1e-10
 
 _EPS = float(np.finfo(float).eps)
 
-# Pairs per stacked fidelity call: bounds the (pairs, 2n, 2n) temporaries of
-# a large batch; the results do not depend on it.
+# Pairs per stacked fidelity call (``_stack_pairs``): STACK_MAX_PAIRS, or
+# more where that many pairs keep within STACK_MAX_ENTRIES matrix entries,
+# those of 64 pairs of 5-mode states.  This bounds the (pairs, 2n, 2n)
+# temporaries of a large batch while pairs of small states share few calls;
+# the results do not depend on it.
 STACK_MAX_PAIRS = 64
+STACK_MAX_ENTRIES = 64 * 10 * 10
+
+
+def _stack_pairs(dim: int) -> int:
+    """Pairs of (dim, dim) covariance matrices per stacked fidelity call."""
+    return max(STACK_MAX_PAIRS, STACK_MAX_ENTRIES // (dim * dim))
 
 
 def _scale_tol(base: float, scale):
@@ -311,7 +320,7 @@ def direct_sum(parts) -> tuple[np.ndarray, np.ndarray]:
     return data, mean
 
 
-def _fidelity(v1: np.ndarray, v2: np.ndarray, mixed: bool, delta: np.ndarray, split=None) -> np.ndarray:
+def _fidelity(v1: np.ndarray, v2: np.ndarray, mixed: bool, delta: np.ndarray) -> np.ndarray:
     """Fidelities of canonically ordered pairs (V1, V2), over any leading shape.
 
     ``v1`` and ``v2`` are (..., 2n, 2n) covariance matrices and ``delta``
@@ -320,14 +329,31 @@ def _fidelity(v1: np.ndarray, v2: np.ndarray, mixed: bool, delta: np.ndarray, sp
     mixed-state formula
     F0^2 = prod_k (2 w_k + sqrt(4 w_k^2 - 1)) / sqrt(det(V1 + V2))
     applies, where w_k are the paired moduli of eig(V_aux Omega).  The mean
-    difference contributes exp(-delta^T (V1+V2)^(-1) delta / 4).  LAPACK
-    runs once per matrix in either case, so a pair's result does not
-    depend on the stack it sits in.
+    difference contributes exp(-delta^T (V1+V2)^(-1) delta / 4).
 
-    ``split`` holds the ``_split`` rows of V2 Omega and columns of V1 for a
-    mixed stack whose caller split each state once; without it they are
-    split here.
+    Mixed pairs without x-p correlations, as are all outputs of this
+    package's probes, take the half-size route on their n x n X and P
+    blocks (``_half_log_fidelity``); any other mixed stack, and one whose
+    X or P sums are not positive definite, takes the 2n x 2n route, the
+    general eigensolve of V_aux Omega.  The route follows from the stack
+    alone, and LAPACK runs once per matrix in either case, so a pair's
+    result does not depend on the other pairs of a stack of its route.
     """
+    log_f = None
+    if mixed and not (v1[..., 0::2, 1::2].any() or v2[..., 0::2, 1::2].any()):
+        log_f = _half_log_fidelity(v1, v2, delta)
+    if log_f is None:
+        log_f = _full_log_fidelity(v1, v2, mixed, delta)
+    fid = np.exp(log_f)
+    ok = (fid <= 1.0 + FIDELITY_RANGE_TOL) & (fid >= -FIDELITY_RANGE_TOL)  # NaN fails both
+    if not ok.all():
+        bad = float(np.extract(~ok, fid)[0])
+        raise NumericError(f"fidelity {bad!r} outside [0, 1] beyond tolerance")
+    return np.minimum(fid, 1.0)  # exp is never negative
+
+
+def _full_log_fidelity(v1: np.ndarray, v2: np.ndarray, mixed: bool, delta: np.ndarray) -> np.ndarray:
+    """log F of ``_fidelity`` on the whole 2n x 2n matrices."""
     vsum = v1 + v2
     sign, logdet = np.linalg.slogdet(vsum)
     # array methods rather than np.any/np.all: a fraction of the call
@@ -339,8 +365,7 @@ def _fidelity(v1: np.ndarray, v2: np.ndarray, mixed: bool, delta: np.ndarray, sp
         # Near purity V2 Omega V1 cancels to far below its terms, and
         # 2w + sqrt(4w^2 - 1) amplifies an error in w ~ 1/2: a plain double
         # product cost up to 3e-10 of the fidelity at mu ~ 50
-        rows, cols = split or (_split(_times_omega(v2), -1), _split(v1, -2))
-        rhs = omega / 4.0 + _cancelling_product(rows, cols, v1)
+        rhs = omega / 4.0 + _cancelling_product(_split(_times_omega(v2), -1), _split(v1, -2), v1)
         try:
             vaux = omega.T @ np.linalg.solve(vsum, rhs)
         except np.linalg.LinAlgError as exc:
@@ -361,12 +386,67 @@ def _fidelity(v1: np.ndarray, v2: np.ndarray, mixed: bool, delta: np.ndarray, sp
     if delta.any():
         shift = delta[..., None, :] @ np.linalg.solve(vsum, delta[..., None])
         log_f = log_f - 0.25 * shift[..., 0, 0]
-    fid = np.exp(log_f)
-    ok = (fid <= 1.0 + FIDELITY_RANGE_TOL) & (fid >= -FIDELITY_RANGE_TOL)  # NaN fails both
-    if not ok.all():
-        bad = float(np.extract(~ok, fid)[0])
-        raise NumericError(f"fidelity {bad!r} outside [0, 1] beyond tolerance")
-    return np.minimum(fid, 1.0)  # exp is never negative
+    return log_f
+
+
+def _half_log_fidelity(v1: np.ndarray, v2: np.ndarray, delta: np.ndarray) -> np.ndarray | None:
+    """log F of mixed pairs without x-p correlations, from their n x n X
+    and P blocks, over any leading shape; None unless Sx = X1 + X2 and
+    Sp = P1 + P2 are positive definite.
+
+    In the xxpp order V_aux Omega is [[0, A], [-B, 0]] with
+    A = Sp^-1 (I/4 + P2 X1) and B = Sx^-1 (I/4 + X2 P1), so the squared
+    auxiliary moduli are w^2 = eig(A B).  With the impurities
+    D_i = X_i P_i - I/4, which vanish for pure states,
+    A B - I/4 = Sp^-1 D2^T Sx^-1 D1 exactly, so y = 4 w^2 - 1, which
+    2w + sqrt(4w^2 - 1) = sqrt(1 + y) + sqrt(y) amplifies near purity, is
+    the spectrum of 4 G H with the balanced factors G = Lp^-1 D2^T Lx^-T and
+    H = Lx^-1 D1 Lp^-T (Sx = Lx Lx^T, Sp = Lp Lp^T): no I/4 cancels inside
+    the eigensolve.  Each X_i P_i cancels to about I/4, so it is the exact
+    split product.  log det(V1 + V2) = log det Sx + log det Sp comes from the
+    Cholesky diagonals, refined by tr(L^-1 R L^-T) for the residual
+    R = S - L L^T, which the exact sum (two-sum) and the exact split product
+    give to far below eps |S|: S is ill conditioned for strongly correlated
+    blocks.  The mean term is |Lx^-1 dx|^2 + |Lp^-1 dp|^2.
+    """
+    blocks = np.stack((v1[..., 0::2, 0::2], v1[..., 1::2, 1::2], v2[..., 0::2, 0::2], v2[..., 1::2, 1::2]))
+    first, second = blocks[:2], blocks[2:]  # (X1, P1), (X2, P2)
+    x, p = blocks[0::2], blocks[1::2]  # (X1, X2), (P1, P2)
+    sums = first + second  # Sx, Sp
+    try:
+        lower = np.linalg.cholesky(sums)
+    except np.linalg.LinAlgError:
+        return None
+    inverse = np.linalg.solve(lower, np.broadcast_to(np.eye(lower.shape[-1]), lower.shape))
+    ix, ip = inverse
+    # one split for the rows of X, of P^T (the columns of P) and of L
+    heads, tails = _split(np.stack((x, p.swapaxes(-2, -1), lower)), -1)
+    cols = heads[1].swapaxes(-2, -1), tails[1].swapaxes(-2, -1)
+    d1, d2 = _cancelling_product((heads[0], tails[0]), cols, p) - np.eye(x.shape[-1]) / 4.0
+    y = np.linalg.eigvals(4.0 * (ip @ d2.swapaxes(-2, -1) @ ix.swapaxes(-2, -1)) @ (ix @ d1 @ ip.swapaxes(-2, -1)))
+    if np.iscomplexobj(y) or (y < -1.0).any():
+        # 4 |w^2| - 1, as the 2n x 2n form takes |lambda|; y itself wherever
+        # it is real and at least -1
+        y = np.where((y.imag == 0.0) & (y.real >= -1.0), y.real, np.abs(1.0 + y) - 1.0)
+    w = np.sqrt(1.0 + y) / 2.0
+    scale = np.maximum(1.0, w.max(axis=-1, keepdims=True))
+    branch = w > 0.5 + _scale_tol(BRANCH_TOL, scale)
+    terms = np.where(branch, np.log(2.0 * w + np.sqrt(np.maximum(y, 0.0))), 0.0)  # 2w + sqrt(4w^2 - 1)
+    # the residual R = S - L L^T: the head product of L L^T is exact, so is
+    # its difference from the rounded sum, and the two-sum error of
+    # X1 + X2 puts back what rounding the sum lost
+    upper = lower.swapaxes(-2, -1)
+    ah, at = heads[2], tails[2]  # the column split of L^T is its transpose
+    bh, bt = ah.swapaxes(-2, -1), at.swapaxes(-2, -1)
+    rounding = (first - (sums - (sums - first))) + (second - (sums - first))
+    residual = ((sums - ah @ bh) - (ah @ bt + at @ upper)) + rounding
+    logdet = 2.0 * np.sum(np.log(np.diagonal(lower, axis1=-2, axis2=-1)), axis=-1)
+    logdet = logdet + np.sum((inverse @ residual) * inverse, axis=(-2, -1))
+    log_f = 0.5 * np.sum(terms, axis=-1) - 0.25 * (logdet[0] + logdet[1])
+    if delta.any():
+        shift = np.sum((ix @ delta[..., 0::2, None]) ** 2 + (ip @ delta[..., 1::2, None]) ** 2, axis=(-2, -1))
+        log_f = log_f - 0.25 * shift
+    return log_f
 
 
 def gaussian_fidelity(a: CovMatrix, b: CovMatrix) -> float:
@@ -375,11 +455,14 @@ def gaussian_fidelity(a: CovMatrix, b: CovMatrix) -> float:
     Covers arbitrary displaced Gaussian states of equal mode count.  When
     either state is pure the exact overlap form
     F = det(V_a + V_b)^(-1/4) * exp(-delta^T (V_a+V_b)^(-1) delta / 4)
-    is used; otherwise the general mixed-state formula.  The result is
-    clamped to [0, 1]; an excursion beyond the 1e-9 tolerance raises.  The
-    pair runs through ``_pair_fidelities``, whose canonical argument order
-    makes the symmetry F(a,b) = F(b,a) exact and gives identical inputs
-    exactly 1.
+    is used; otherwise the general mixed-state formula, on the n x n X and
+    P blocks when neither state has x-p correlations (every output of this
+    package's probes) and on the whole 2n x 2n matrices otherwise (see
+    ``_fidelity``).  The result is clamped to [0, 1]; an excursion beyond
+    the 1e-9 tolerance raises.  The pair runs through ``_pair_fidelities``,
+    whose canonical form makes the symmetry F(a,b) = F(b,a) exact, gives
+    pairs that differ by a mode permutation alike in both states the same
+    bits, and gives identical inputs exactly 1.
     """
     if a.n_modes != b.n_modes:
         raise DimensionError(f"mode counts differ: {a.n_modes} vs {b.n_modes}")
@@ -394,7 +477,9 @@ def stacked_fidelities(data, means, pairs) -> np.ndarray:
     Each equals ``gaussian_fidelity(CovMatrix(data[i], means[i]),
     CovMatrix(data[j], means[j]))`` bit for bit: the stack is symmetrised
     and checked as CovMatrix does, with one stacked eigensolve, and raises
-    NumericError where CovMatrix would.
+    NumericError where CovMatrix would.  Mixed pairs of two states without
+    x-p correlations take the half-size n x n route, others the 2n x 2n
+    one; the route of a pair depends on its two states alone.
     """
     data = np.asarray(data, dtype=float)
     means = np.asarray(means, dtype=float)
@@ -410,38 +495,76 @@ def stacked_fidelities(data, means, pairs) -> np.ndarray:
 def _pair_fidelities(data: np.ndarray, means: np.ndarray, pure, pairs) -> np.ndarray:
     """Fidelities of the index pairs (i, j) of a stack of checked states.
 
-    Each pair is put in canonical order, that of the states' (data, mean)
-    ``tobytes`` keys, and identical states give exactly 1.0: both follow
-    from one rank per state of its key.  The other pairs run through
-    ``_fidelity`` in stacks of at most STACK_MAX_PAIRS, in pair order, pairs
-    with a pure member apart from mixed pairs.  Each state that is first in
-    a mixed pair has its columns split once (``_split``), and each that is
-    second the rows of its V Omega, for all the pairs it is in.
+    Identical states give exactly 1.0, from one rank per state of its
+    (data, mean) ``tobytes`` key.  Every other pair is put in canonical
+    form under mode permutation and argument order: of its two candidates,
+    (a, b) and (b, a) with the modes of each sorted by the two states'
+    variances and means (``_canonical``), it takes the one that comes
+    first lexicographically.  So F(a, b) and F(b, a) are one
+    computation, and so are pairs that differ only by a permutation of
+    modes alike in both states, such as mirror-image patterns on a
+    symmetric block.  The pairs run through ``_fidelity`` in stacks of at
+    most ``_stack_pairs``, in pair order, pairs with a pure member, mixed
+    pairs without x-p correlations and other mixed pairs apart, so that
+    each stack takes one route.
     """
     keys = [(d.tobytes(), m.tobytes()) for d, m in zip(data, means)]
     rank_of = {key: r for r, key in enumerate(sorted(set(keys)))}
     rank = np.array([rank_of[key] for key in keys], dtype=np.int64)
     pure = np.asarray(pure, dtype=bool)
     i, j = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
-    swap = rank[j] < rank[i]
-    first, second = np.where(swap, j, i), np.where(swap, i, j)
     differ = rank[i] != rank[j]
-    mixed = ~(pure[i] | pure[j])
-    todo_pure, todo_mixed = np.flatnonzero(differ & ~mixed), np.flatnonzero(differ & mixed)
-    if len(todo_mixed):
-        ones, twos = np.zeros(len(data), dtype=bool), np.zeros(len(data), dtype=bool)
-        ones[first[todo_mixed]] = True
-        twos[second[todo_mixed]] = True
-        cols, rows = _split(data[ones], -2), _split(_times_omega(data[twos]), -1)
-        at_one, at_two = np.cumsum(ones) - 1, np.cumsum(twos) - 1  # position among the split states
+    free = ~data[:, 0::2, 1::2].any(axis=(-2, -1))
+    route = np.where(pure[i] | pure[j], 0, np.where(free[i] & free[j], 1, 2))
+    n = data.shape[-1] // 2
+    per_mode = np.concatenate([np.diagonal(data, axis1=-2, axis2=-1).reshape(-1, n, 2), means.reshape(-1, n, 2)], -1)
     out = np.ones(len(i))
-    for group, todo in ((False, todo_pure), (True, todo_mixed)):
-        for start in range(0, len(todo), STACK_MAX_PAIRS):
-            idx = todo[start:start + STACK_MAX_PAIRS]
-            a, b = first[idx], second[idx]
-            split = None
-            if group:
-                one, two = at_one[a], at_two[b]
-                split = (rows[0][two], rows[1][two]), (cols[0][one], cols[1][one])
-            out[idx] = _fidelity(data[a], data[b], group, means[a] - means[b], split)
+    per_stack = _stack_pairs(data.shape[-1])
+    for group in range(3):
+        todo = np.flatnonzero(differ & (route == group))
+        for start in range(0, len(todo), per_stack):
+            idx = todo[start:start + per_stack]
+            v1, m1, v2, m2 = _canonical(data, means, per_mode, i[idx], j[idx])
+            out[idx] = _fidelity(v1, v2, group > 0, m1 - m2)
     return out
+
+
+def _canonical(data: np.ndarray, means: np.ndarray, per_mode: np.ndarray, i: np.ndarray, j: np.ndarray) -> list:
+    """V1, mean 1, V2 and mean 2 of the canonical forms of pairs (i, j) of a
+    stack (see ``_pair_fidelities``); ``per_mode`` holds each state's
+    (x variance, p variance, x mean, p mean) per mode.
+
+    The candidates are (i, j) and (j, i), each with its modes sorted by the
+    first state's numbers, then the second's, ties in mode order (one
+    stable lexsort).  They are compared by their sorted per-mode numbers
+    first, and by their whole arrays where those tie; only the chosen
+    candidate, and both of a tie, are gathered."""
+    # candidate c < len(i) is pair c in its given order, c + len(i) the pair swapped
+    first, second = np.concatenate([i, j]), np.concatenate([j, i])
+    keys = np.concatenate([per_mode[first], per_mode[second]], axis=-1)  # (candidates, n, 8)
+    order = np.lexsort(keys.transpose(2, 0, 1)[::-1], axis=-1)  # column 0 primary; stable
+    ranked = keys[np.arange(len(keys))[:, None], order].reshape(len(first), -1)
+    swap = _after(ranked[:len(i)], ranked[len(i):])
+    tie = np.flatnonzero((ranked[:len(i)] == ranked[len(i):]).all(axis=1))
+    if len(tie):
+        both = np.concatenate([tie, tie + len(i)])
+        parts = [_permuted(data, means, k, order[both]) for k in (first[both], second[both])]
+        flat = np.concatenate([part.reshape(len(both), -1) for pair in parts for part in pair], axis=1)
+        swap[tie] = _after(flat[:len(tie)], flat[len(tie):])
+    pick = np.arange(len(i)) + len(i) * swap
+    return [part for k in (first[pick], second[pick]) for part in _permuted(data, means, k, order[pick])]
+
+
+def _after(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row, whether row a comes after row b lexicographically."""
+    at = np.arange(len(a)), (a != b).argmax(axis=1)  # first differing entry
+    return b[at] < a[at]
+
+
+def _permuted(data: np.ndarray, means: np.ndarray, k: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """States ``k`` of a stack with their modes in the orders ``order``
+    (one row per state), gathered from the flat arrays."""
+    dim = data.shape[-1]
+    q = (2 * order[..., None] + np.arange(2)).reshape(len(k), dim)  # quadrature order
+    square = (k * dim)[:, None, None] + q[:, :, None]
+    return data.reshape(-1).take(square * dim + q[:, None, :]), means.reshape(-1).take((k * dim)[:, None] + q)

@@ -33,6 +33,20 @@ def apply_pattern(state, family, pattern):
     return apply_mode_channels(state, [p.tau for p in params], [p.nu for p in params])
 
 
+def rotated_squeezed(nbar, r, theta):
+    """Covariance matrix of a thermal state squeezed by r and rotated by
+    theta: x-p correlated unless theta is a multiple of pi/2; its one
+    symplectic eigenvalue is nbar + 1/2."""
+    rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    return (nbar + 0.5) * rot @ np.diag([np.exp(2 * r), np.exp(-2 * r)]) @ rot.T
+
+
+def squeezed_product(*modes):
+    """Covariance matrix of a product of ``rotated_squeezed`` modes, given
+    as (nbar, r, theta) each."""
+    return gaussian.direct_sum([(rotated_squeezed(*mode), np.zeros(2)) for mode in modes])[0]
+
+
 def hamming(a, b) -> int:
     """Number of positions where two equal-length patterns differ."""
     if len(a) != len(b):

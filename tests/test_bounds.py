@@ -39,7 +39,8 @@ from multiprobe.imagespace import (
     cpf_space,
     full_space,
 )
-from multiprobe.gaussian import STACK_MAX_PAIRS, coherent_cm, gaussian_fidelity, ghz_cm
+from multiprobe import gaussian
+from multiprobe.gaussian import coherent_cm, gaussian_fidelity, ghz_cm
 from multiprobe.presets import CLASSICAL, DISJOINT, MUTUAL, ProbePlan, resolve_probe
 from multiprobe.probes import (
     HYBRID_COHERENT,
@@ -225,18 +226,42 @@ def test_block_fidelities_equal_scalar_path_bit_for_bit(data, desc, family):
 ], ids=["loss", "additive", "thermal", "loss-from-zero"])
 @pytest.mark.parametrize("idlers", [0, 2])
 def test_block_fidelities_beyond_the_stack_cap(family, idlers):
-    # every pair of a four-channel block: 120 distinct pairs, two stacks
-    desc = BlockDescriptor("ghz", (0, 1, 2, 3), idlers, mu=7.3)
-    every = list(itertools.product((0, 1), repeat=4))
+    # every pair of a five-channel block without idlers (496 distinct pairs,
+    # eight stacks of 5-mode pairs) or of a four-channel one with two idlers
+    # (120 distinct pairs, two stacks of 6-mode pairs)
+    size = {0: 5, 2: 4}[idlers]
+    desc = BlockDescriptor("ghz", tuple(range(size)), idlers, mu=7.3)
+    every = list(itertools.product((0, 1), repeat=size))
     pairs = list(itertools.product(every, every))
-    assert len(every) * (len(every) - 1) // 2 > STACK_MAX_PAIRS
+    assert len(every) * (len(every) - 1) // 2 > gaussian._stack_pairs(2 * (size + idlers))
     blocks_mod._BLOCK_FID_CACHE.clear()
     got = block_fidelities([(desc, family)], pairs)[0].tolist()
     assert got == [scalar_block_fidelity(desc, family, a, b) for a, b in pairs]
-    v_u_d = [(v, u, d) for v in range(5) for u in range(5) for d, _ in bounds_mod._block_occupancy_options(4, v, u)]
+    v_u_d = [(v, u, d) for v in range(size + 1) for u in range(size + 1)
+             for d, _ in bounds_mod._block_occupancy_options(size, v, u)]
     for v, u, d in v_u_d:
-        pair = bounds_mod.representative_local_patterns(4, min(v, u), max(v, u), d)
+        pair = bounds_mod.representative_local_patterns(size, min(v, u), max(v, u), d)
         assert block_subfidelity(desc, family, v, u, d) == scalar_block_fidelity(desc, family, *pair)
+
+
+@pytest.mark.parametrize("size, idlers", [(2, 0), (3, 0), (4, 0), (2, 1)])
+def test_mirror_image_local_pairs_give_the_same_bits(size, idlers):
+    # a GHZ block is symmetric under any permutation of its channels, so a
+    # pair of local patterns and its image under one permutation have one
+    # fidelity; over the advantage surfaces' grid they share its bits
+    # (evaluated in their given mode order they differ by up to 7e-13 at 2
+    # modes and 3e-11 at 4)
+    every = list(itertools.product((0, 1), repeat=size))
+    pairs = list(itertools.combinations(every, 2))
+    images = [tuple(tuple(bits[k] for k in perm) for bits in pair)
+              for perm in itertools.permutations(range(size)) for pair in pairs]
+    families = [ChannelFamily.pure_loss(eta, 1.0) for eta in (0.95, 0.98, 0.999)]
+    families += [ChannelFamily.additive(nu, 0.01) for nu in (0.012, 0.05, 0.1)]
+    points = [(BlockDescriptor("ghz", tuple(range(size)), idlers, mu=ns + 0.5), family)
+              for ns in (1.0, 7.1, 50.0) for family in families]
+    blocks_mod._BLOCK_FID_CACHE.clear()
+    got = block_fidelities(points, images).reshape(len(points), -1, len(pairs))
+    assert (got == got[:, :1]).all()
 
 
 @pytest.mark.parametrize("family", [LOSS, ADD], ids=["loss", "additive"])

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -35,7 +36,14 @@ from multiprobe.gaussian import (
     vacuum_cm,
 )
 
-from conftest import any_family, apply_pattern, fidelity_sqrtm_reference, patterns
+from conftest import (
+    any_family,
+    apply_pattern,
+    fidelity_sqrtm_reference,
+    patterns,
+    rotated_squeezed,
+    squeezed_product,
+)
 
 
 def test_symplectic_form_squares_to_minus_identity():
@@ -212,7 +220,7 @@ def test_fidelities_of_no_states_is_empty():
 
 
 def test_fidelities_beyond_the_stack_cap_equal_scalar_calls():
-    # both purity groups longer than one stack
+    # both purity groups longer than one stack of 2-mode pairs
     a = coherent_cm([0.3 - 0.1j, 0.2j])
     others = []
     for k in range(2 * STACK_MAX_PAIRS + 5):
@@ -223,6 +231,8 @@ def test_fidelities_beyond_the_stack_cap_equal_scalar_calls():
     means = np.stack([s.mean for s in states])
     pairs = [(0, j) for j in range(1, len(states))]
     pairs += [(i, j) for i in range(1, len(states), 7) for j in range(1, len(states))]
+    mixed = sum(i != j and not (states[i].is_pure or states[j].is_pure) for i, j in pairs)
+    assert min(mixed, len(pairs) - mixed - len(states)) > gaussian._stack_pairs(4)
     got = stacked_fidelities(data, means, pairs).tolist()
     assert got == [gaussian_fidelity(states[i], states[j]) for i, j in pairs]
 
@@ -286,7 +296,7 @@ def test_stacked_fidelities_equal_scalar_calls_where_the_product_cancels(m):
     ]
     assert not any(s.is_pure for s in states)
     pairs = [(i, j) for i in range(len(states)) for j in range(len(states)) if i != j]
-    pairs = pairs * (2 * STACK_MAX_PAIRS // len(pairs) + 1)
+    pairs = pairs * (2 * gaussian._stack_pairs(2 * m) // len(pairs) + 1)
     got = stacked_fidelities(np.stack([s.data for s in states]), np.stack([s.mean for s in states]), pairs)
     assert got.tolist() == [gaussian_fidelity(states[i], states[j]) for i, j in pairs]
 
@@ -386,12 +396,8 @@ def test_half_size_spectra_match_the_general_eigensolve(rng, m):
 
 
 def test_xp_correlated_states_take_the_general_eigensolve(monkeypatch):
-    # thermal states squeezed by r and rotated by theta: V = (nbar + 1/2)
-    # R S R^T, whose one symplectic eigenvalue is nbar + 1/2 whatever r, theta
-    def rotated_squeezed(nbar, r, theta):
-        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        return (nbar + 0.5) * rot @ np.diag([np.exp(2 * r), np.exp(-2 * r)]) @ rot.T
-
+    # V = (nbar + 1/2) R S R^T, whose one symplectic eigenvalue is nbar + 1/2
+    # whatever r, theta
     calls, spectrum_of = [], gaussian._spectrum_of
     monkeypatch.setattr(gaussian, "_spectrum_of", lambda data: calls.append(data.shape) or spectrum_of(data))
     single = rotated_squeezed(0.0, 0.8, 0.3)
@@ -435,6 +441,193 @@ def test_half_size_check_raises_as_the_general_route(monkeypatch, bad):
     got = messages()
     monkeypatch.setattr(gaussian, "_half_spectrum", lambda data: None)  # the 2n x 2n route alone
     assert got == messages()
+
+
+def _exact_ghz_output(m, mu, taus, nus):
+    """X and P blocks, at the working mpmath precision, of the GHZ state
+    ``ghz_state(m, mu)`` after a (tau_k, nu_k) channel on each mode, built
+    from the parameters rather than from rounded matrices."""
+    mu = mpmath.mpf(mu)
+    c = mpmath.sqrt(mu * mu - mpmath.mpf(1) / 4) / (m - 1)
+    roots = [mpmath.sqrt(mpmath.mpf(t)) for t in taus]
+    x, p = mpmath.matrix(m), mpmath.matrix(m)
+    for k in range(m):
+        for l in range(m):
+            x[k, l] = (mu if k == l else c) * roots[k] * roots[l]
+            p[k, l] = (mu if k == l else -c) * roots[k] * roots[l]
+        x[k, k] += mpmath.mpf(nus[k])
+        p[k, k] += mpmath.mpf(nus[k])
+    return x, p
+
+
+def _exact_fidelity(a, b):
+    """Fidelity of two states without x-p correlations from their (X, P)
+    blocks: the squared auxiliary moduli are eig(A B) with
+    A = (P1 + P2)^-1 (I/4 + P2 X1) and B = (X1 + X2)^-1 (I/4 + X2 P1), each
+    adding asinh(sqrt(4 w^2 - 1)) = log(2w + sqrt(4w^2 - 1)) to 2 log F."""
+    (x1, p1), (x2, p2) = a, b
+    quarter = mpmath.eye(x1.rows) / 4
+    sx, sp = x1 + x2, p1 + p2
+    ab = mpmath.inverse(sp) * (quarter + p2 * x1) * mpmath.inverse(sx) * (quarter + x2 * p1)
+    # mpmath's QR iteration stalls on the exactly degenerate spectra of
+    # symmetric pattern pairs; a fixed perturbation 1e-40 below the entries
+    # splits them and moves no eigenvalue by more than about 1e-20
+    nudge = mpmath.matrix([[mpmath.mpf(10) ** -40 / (k + 2 * l + 1) for l in range(ab.cols)] for k in range(ab.rows)])
+    terms = sum(mpmath.asinh(mpmath.sqrt(max(4 * mpmath.re(w2) - 1, 0)))
+                for w2 in mpmath.eig(ab + nudge, left=False, right=False))
+    return mpmath.exp(terms / 2) / (mpmath.det(sx) * mpmath.det(sp)) ** mpmath.mpf(0.25)
+
+
+def _blocks_of(data):
+    """The X and P blocks of an interleaved float matrix, as mpmath matrices."""
+    return mpmath.matrix(data[0::2, 0::2].tolist()), mpmath.matrix(data[1::2, 1::2].tolist())
+
+
+def test_exact_block_fidelity_is_the_mixed_state_formula():
+    # the X/P reduction the accuracy reference uses agrees with the 2n x 2n
+    # matrix-function form on the same float matrices, to far below the
+    # errors measured against it
+    family = ChannelFamily.pure_loss(0.97, 0.99)
+    for m, mu in ((2, 3.5), (3, 20.5), (4, 7.3)):
+        probe = ghz_cm(m, mu)
+        a = apply_pattern(probe, family, (1,) + (0,) * (m - 1))
+        b = apply_pattern(probe, family, (0,) * (m - 1) + (1,))
+        with mpmath.workdps(50):
+            got = _exact_fidelity(_blocks_of(a.data), _blocks_of(b.data))
+        assert abs(float(got) - fidelity_sqrtm_reference(a.data, b.data)) < 1e-15
+
+
+# Measured worst relative errors on these cases at 2 / 3 / 4 modes: 4.6e-13,
+# 1.2e-13 and 4.6e-13 for the half-size form; 7.9e-13, 1.0e-12 and 5.7e-12
+# when every mixed pair took the 2n x 2n form
+FIDELITY_ACCURACY = 1.5e-12
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_block_fidelities_match_exact_arithmetic(m):
+    # GHZ (TMSV at m = 2) outputs over the advantage surfaces' grid: pure
+    # loss eta-b 0.95-0.999 against a perfect target, additive noise nu-b
+    # 0.012-0.1 against 0.01, N_S 1-50; the reference is built from the
+    # parameters in 50-digit arithmetic
+    rng = np.random.default_rng(24 + m)
+    data, means, cases = [], [], []
+    for k in range(150):
+        if k % 2:
+            family = ChannelFamily.additive(rng.uniform(0.012, 0.1), 0.01)
+        else:
+            family = ChannelFamily.pure_loss(rng.uniform(0.95, 0.999), 1.0)
+        mu = float(np.exp(rng.uniform(0.0, np.log(50.0)))) + SHOT_NOISE
+        pa = tuple(int(bit) for bit in rng.integers(0, 2, m))
+        pb = tuple(int(bit) for bit in rng.integers(0, 2, m))
+        if pa == pb:
+            pb = tuple(1 - bit for bit in pa)
+        probe = ghz_state(m, mu)
+        for pattern in (pa, pb):
+            params = [family.params(bit) for bit in pattern]
+            taus, nus = [q.tau for q in params], [q.nu for q in params]
+            state = mode_channel_map(*probe, taus, nus)
+            data.append(state[0])
+            means.append(state[1])
+            cases.append((mu, taus, nus))
+    got = stacked_fidelities(np.stack(data), np.stack(means), [(k, k + 1) for k in range(0, len(data), 2)])
+    with mpmath.workdps(50):
+        want = [float(_exact_fidelity(_exact_ghz_output(m, *cases[k]), _exact_ghz_output(m, *cases[k + 1])))
+                for k in range(0, len(data), 2)]
+    errors = np.abs(got - want) / want
+    assert errors.max() < FIDELITY_ACCURACY
+
+
+def _route_calls(monkeypatch):
+    """Record the form each ``_fidelity`` stack takes: 'half' (the
+    half-size form evaluated it), 'half declined', 'full mixed' or
+    'full pure' (the 2n x 2n form with or without the mixed-state terms)."""
+    calls, half, full = [], gaussian._half_log_fidelity, gaussian._full_log_fidelity
+
+    def recording_half(*args):
+        out = half(*args)
+        calls.append("half" if out is not None else "half declined")
+        return out
+
+    def recording_full(v1, v2, mixed, delta):
+        calls.append("full mixed" if mixed else "full pure")
+        return full(v1, v2, mixed, delta)
+
+    monkeypatch.setattr(gaussian, "_half_log_fidelity", recording_half)
+    monkeypatch.setattr(gaussian, "_full_log_fidelity", recording_full)
+    return calls
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_phase_insensitive_pairs_take_the_half_size_route(monkeypatch, rng, m):
+    # GHZ and coherent outputs of random physical channels; the half-size
+    # and 2n x 2n forms agree to about 1e-12 on every mixed pair
+    probes = [ghz_state(m, mu) for mu in (0.7, 2.5, 20.5) if m > 1]
+    probes.append(coherent_state(rng.standard_normal(m) + 1j * rng.standard_normal(m)))
+    data, means = [], []
+    for _ in range(12):
+        probe = probes[rng.integers(len(probes))]
+        params = [_random_channel(rng) for _ in range(m)]
+        state = mode_channel_map(*probe, [q.tau for q in params], [q.nu for q in params])
+        data.append(state[0])
+        means.append(state[1])
+    data, means = np.stack(data), np.stack(means)
+    pairs = list(itertools.combinations(range(len(data)), 2))
+    calls = _route_calls(monkeypatch)
+    half = stacked_fidelities(data, means, pairs)
+    assert "half" in calls and not {"half declined", "full mixed"} & set(calls)
+    monkeypatch.setattr(gaussian, "_half_log_fidelity", lambda *args: None)  # the 2n x 2n route alone
+    full = stacked_fidelities(data, means, pairs)
+    assert half == pytest.approx(full, rel=1e-12, abs=0.0)
+
+
+def test_xp_correlated_pairs_take_the_general_route(monkeypatch):
+    # products of rotated squeezed thermal states, each in a mixed pair
+    # with another such state or with a phase-insensitive one; the pair of
+    # two phase-insensitive states in the same call takes the half-size form
+    data = np.stack([
+        squeezed_product((0.2, 0.8, 0.3), (0.1, 0.5, 1.1)),
+        squeezed_product((0.25, 0.7, 0.35), (0.1, 0.55, 1.0)),
+        _x_plus_p(np.diag([1.2, 0.9]), np.diag([0.8, 1.1])),
+        _x_plus_p(np.array([[1.0, 0.3], [0.3, 1.4]]), np.diag([0.9, 1.3])),
+    ])
+    assert data[0, 0, 1] != 0.0 and data[1, 0, 1] != 0.0
+    pairs = [(0, 1), (0, 2), (3, 1), (2, 3)]
+    calls = _route_calls(monkeypatch)
+    got = stacked_fidelities(data, np.zeros((4, 4)), pairs)
+    assert calls == ["half", "full mixed"]  # one stack per route, the half-size one first
+    want = [fidelity_sqrtm_reference(data[i], data[j]) for i, j in pairs]
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+# Unchecked mixed pairs without x-p correlations, as a corrupted input would
+# reach ``_fidelity``.  Non-finite entries are left out: every input is
+# checked finite first, and both routes then stop in LAPACK.
+XP_FREE_BAD_PAIRS = {
+    **{name: (_x_plus_p(0.7 * np.eye(2), 0.7 * np.eye(2)), row)
+       for name, row in XP_FREE_BAD_ROWS.items() if name != "non-finite"},
+    # the mixed pair of test_non_bona_fide_pair_raises_in_both_forms
+    "indefinite, one mode": (1.5 * np.eye(2), np.diag([2.0, -0.5])),
+    "indefinite sums": (_x_plus_p(np.diag([1.0, -2.0, 1.0]), np.eye(3)), _x_plus_p(np.eye(3), np.eye(3))),
+    "negative definite pair": (_x_plus_p(-np.eye(2), -np.eye(2)), _x_plus_p(-0.5 * np.eye(2), -0.5 * np.eye(2))),
+}
+
+
+@pytest.mark.parametrize("pair", list(XP_FREE_BAD_PAIRS.values()), ids=list(XP_FREE_BAD_PAIRS))
+def test_half_size_fidelity_raises_where_the_general_route_does(monkeypatch, pair):
+    def raises():
+        out = []
+        for a, b in (pair, pair[::-1]):
+            try:
+                gaussian._fidelity(a[None], b[None], True, np.zeros((1, len(a))))
+            except NumericError:
+                out.append(True)
+            else:
+                out.append(False)
+        return out
+
+    got = raises()
+    monkeypatch.setattr(gaussian, "_half_log_fidelity", lambda *args: None)  # the 2n x 2n route alone
+    assert got == raises()
 
 
 def test_stacked_fidelities_reject_bad_means_and_shapes():

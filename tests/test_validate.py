@@ -21,6 +21,7 @@ from conftest import (
     scalar_ghz_spectrum,
     scalar_multiplicativity,
     scalar_mutual_reference,
+    squeezed_product,
 )
 
 
@@ -38,25 +39,31 @@ def test_unknown_scale_rejected():
 
 
 def test_corrupted_symplectic_form_fails_loudly(monkeypatch):
-    # a symplectic form that does not match the quadrature ordering breaks
-    # the mixed-state fidelity.  The suites' states have no x-p
-    # correlations, so their spectra come from the X and P blocks without
-    # the form, and the suites that read it through the fidelity must flag
-    # it, by raising or by failing, rather than pass silently
+    # a symplectic form that does not match the quadrature ordering must
+    # fail loudly wherever it is read.  Phase-insensitive states, all that
+    # the suites build, never read it: their spectra and mixed-state
+    # fidelities come from the n x n X and P blocks and the pure-state
+    # overlap needs none, so every suite reads the same under the corrupted
+    # form.  The spectra of x-p-correlated states and their mixed-state
+    # fidelities, the 2n x 2n routes, read it, and must raise.
     def xxpp_form(n):
         top = np.hstack([np.zeros((n, n)), np.eye(n)])
         bottom = np.hstack([-np.eye(n), np.zeros((n, n))])
         return np.vstack([top, bottom])
 
+    # near-pure squeezed thermal modes, with x-p correlations
+    correlated = [squeezed_product((0.2, 0.8, 0.3), (0.1, 0.5, 1.1)),
+                  squeezed_product((0.25, 0.7, 0.35), (0.1, 0.55, 1.0))]
+    states = [gaussian.CovMatrix(data) for data in correlated]  # checked under the true form
+    honest = run_suites("smoke")
     monkeypatch.setattr(gaussian, "symplectic_form", xxpp_form)
     monkeypatch.setattr(blocks, "_BLOCK_FID_CACHE", {})  # nothing cached before, nothing corrupted kept
-    for suite in (validate.suite_fidelity_symmetry, validate.suite_counting_vs_bruteforce):
-        with pytest.raises(NumericError, match=r"outside \[0, 1\]"):
-            suite("smoke")
-    for suite in (validate.suite_closed_form_oracles, validate.suite_multiplicativity):
-        assert not suite("smoke").passed, suite.__name__
-    with pytest.raises(NumericError):
-        run_suites("smoke")
+    assert run_suites("smoke") == honest
+    for data in correlated:
+        with pytest.raises(NumericError, match="not bona fide"):
+            gaussian.CovMatrix(data)
+    with pytest.raises(NumericError, match=r"outside \[0, 1\]"):
+        gaussian.gaussian_fidelity(*states)
 
 
 def test_suite_results_serialize():
