@@ -77,6 +77,12 @@ from .probes import (
 BRUTE_TABLE_MAX_PATTERNS = 512
 BLOCK_TABLE_MAX_PATTERNS = 4096
 
+# Census entries whose neighbouring log F differ by at most this many eps,
+# relative, are one degeneracy class: a class's members sum the same block
+# log F in different orders, a few ulps apart, while distinct classes of
+# the committed censuses lie at least 1e-5 relative apart.
+CENSUS_MERGE_EPS = 16
+
 
 @dataclass
 class BoundReport:
@@ -267,15 +273,27 @@ def _table_sums(table: FidelityTable, power, scale=None) -> list[tuple[float, fl
 
 def census_histogram(table: FidelityTable, copies=1.0) -> list[tuple[float, int]]:
     """Degeneracy histogram: (F^copies rounded to 12 decimals, number of
-    ordered pattern pairs), in ascending fidelity."""
+    ordered pattern pairs), in ascending fidelity.
+
+    Entries are first merged into classes: in ascending log F, an entry
+    within CENSUS_MERGE_EPS eps (relative) of its predecessor joins its
+    class.  Each class is rounded at the midpoint of its smallest and
+    largest log F, so a class whose members straddle a rounding boundary
+    still prints as one row; classes that round alike share a row.
+    """
     if not len(table.logf):
         return []
     # a stable sort and reduceat rather than np.unique, whose first call imports numpy.ma
-    rounded = np.round(np.exp(float(copies) * table.logf), 12)
-    order = np.argsort(rounded, kind="stable")
-    rounded = rounded[order]
-    first = np.flatnonzero(np.concatenate(([True], rounded[1:] != rounded[:-1])))
-    return [(float(v), int(c)) for v, c in zip(rounded[first], np.add.reduceat(table.counts[order], first))]
+    order = np.argsort(table.logf, kind="stable")
+    logf = table.logf[order]
+    # a comparison, not a difference of neighbours: log F = -inf (F = 0) makes no NaN
+    apart = logf[:-1] < logf[1:] - CENSUS_MERGE_EPS * np.finfo(float).eps * np.abs(logf[1:])
+    first = np.flatnonzero(np.concatenate(([True], apart)))
+    last = np.append(first[1:], len(logf)) - 1
+    rounded = np.round(np.exp(float(copies) * ((logf[first] + logf[last]) / 2.0)), 12)
+    counts = np.add.reduceat(table.counts[order], first)
+    row = np.flatnonzero(np.concatenate(([True], rounded[1:] != rounded[:-1])))
+    return [(float(v), int(c)) for v, c in zip(rounded[row], np.add.reduceat(counts, row))]
 
 
 def _dp(space: ImageSpace, points):
@@ -444,8 +462,9 @@ def bruteforce_fidelities(patterns, spec: ProbeSpec, family: ChannelFamily) -> n
     the complete probe state for every pattern in one stacked step (idlers
     pass), and every pair runs through one ``stacked_fidelities`` call, so
     each value equals ``gaussian_fidelity`` of the two ``probe.output``
-    states bit for bit.  Patterns are checked as ``probe.output`` checks
-    them.
+    states bit for bit.  That call evaluates each distinct canonical pair
+    once: pairs that are mirror images under a symmetry of the probe share
+    one evaluation.  Patterns are checked as ``probe.output`` checks them.
     """
     patterns = list(patterns)
     n = len(patterns)

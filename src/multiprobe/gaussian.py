@@ -35,9 +35,11 @@ BRANCH_TOL = 1e-10
 
 _EPS = float(np.finfo(float).eps)
 
-# Pairs per stacked fidelity call (``_stack_pairs``): STACK_MAX_PAIRS, or
-# more where that many pairs keep within STACK_MAX_ENTRIES matrix entries,
-# those of 64 pairs of 5-mode states.  This bounds the (pairs, 2n, 2n)
+# Pairs per chunk that ``_pair_fidelities`` puts in canonical form
+# (``_stack_pairs``): STACK_MAX_PAIRS, or more where that many pairs keep
+# within STACK_MAX_ENTRIES matrix entries, those of 64 pairs of 5-mode
+# states.  A chunk's canonical pairs not seen earlier in the call run
+# through one stacked ``_fidelity`` call.  This bounds the (pairs, 2n, 2n)
 # temporaries of a large batch while pairs of small states share few calls;
 # the results do not depend on it.
 STACK_MAX_PAIRS = 64
@@ -479,7 +481,10 @@ def stacked_fidelities(data, means, pairs) -> np.ndarray:
     and checked as CovMatrix does, with one stacked eigensolve, and raises
     NumericError where CovMatrix would.  Mixed pairs of two states without
     x-p correlations take the half-size n x n route, others the 2n x 2n
-    one; the route of a pair depends on its two states alone.
+    one; the route of a pair depends on its two states alone.  Each
+    distinct canonical pair of the call is evaluated once, however many
+    index pairs, argument orders or mirror images share it (see
+    ``_pair_fidelities``).
     """
     data = np.asarray(data, dtype=float)
     means = np.asarray(means, dtype=float)
@@ -500,13 +505,16 @@ def _pair_fidelities(data: np.ndarray, means: np.ndarray, pure, pairs) -> np.nda
     form under mode permutation and argument order: of its two candidates,
     (a, b) and (b, a) with the modes of each sorted by the two states'
     variances and means (``_canonical``), it takes the one that comes
-    first lexicographically.  So F(a, b) and F(b, a) are one
-    computation, and so are pairs that differ only by a permutation of
-    modes alike in both states, such as mirror-image patterns on a
-    symmetric block.  The pairs run through ``_fidelity`` in stacks of at
-    most ``_stack_pairs``, in pair order, pairs with a pure member, mixed
-    pairs without x-p correlations and other mixed pairs apart, so that
-    each stack takes one route.
+    first lexicographically.  So F(a, b) and F(b, a) have one canonical
+    pair, and so do pairs that differ only by a permutation of modes alike
+    in both states, such as mirror-image patterns on a symmetric block.
+    The pairs are put in canonical form in chunks of at most
+    ``_stack_pairs``, in pair order, pairs with a pure member, mixed pairs
+    without x-p correlations and other mixed pairs apart, so that each
+    chunk takes one route.  Within a route group each distinct canonical
+    pair, by its exact bytes (``_pair_keys``), runs through ``_fidelity``
+    once, in the chunk where it first appears; its copies, in that chunk
+    or a later one, read the value back.
     """
     keys = [(d.tobytes(), m.tobytes()) for d, m in zip(data, means)]
     rank_of = {key: r for r, key in enumerate(sorted(set(keys)))}
@@ -522,11 +530,44 @@ def _pair_fidelities(data: np.ndarray, means: np.ndarray, pure, pairs) -> np.nda
     per_stack = _stack_pairs(data.shape[-1])
     for group in range(3):
         todo = np.flatnonzero(differ & (route == group))
+        slots: dict[bytes, int] = {}  # canonical pair key -> its index in values
+        values = np.empty(len(todo))
         for start in range(0, len(todo), per_stack):
             idx = todo[start:start + per_stack]
             v1, m1, v2, m2 = _canonical(data, means, per_mode, i[idx], j[idx])
-            out[idx] = _fidelity(v1, v2, group > 0, m1 - m2)
+            delta = m1 - m2
+            if len(todo) == 1:
+                out[idx] = _fidelity(v1, v2, group > 0, delta)
+                continue
+            seen, slot, first = len(slots), [], []
+            for r, key in enumerate(_pair_keys(v1, v2, delta)):
+                at = slots.get(key)
+                if at is None:
+                    at = slots[key] = len(slots)
+                    first.append(r)
+                slot.append(at)
+            if first:
+                new = first if len(first) < len(idx) else slice(None)  # no copies when all are new
+                values[seen:len(slots)] = _fidelity(v1[new], v2[new], group > 0, delta[new])
+            out[idx] = values[slot]
     return out
+
+
+@functools.cache
+def _upper(dim: int) -> np.ndarray:
+    """Flat indices of the upper triangle, diagonal included, of a (dim, dim)
+    matrix; np.triu_indices costs more than the gathers it feeds."""
+    rows, cols = np.triu_indices(dim)
+    return rows * dim + cols
+
+
+def _pair_keys(v1: np.ndarray, v2: np.ndarray, delta: np.ndarray) -> list[bytes]:
+    """One exact byte key per canonical pair of a stack: the upper triangles
+    of V1 and V2, which are symmetric, and the mean difference, all that
+    ``_fidelity`` reads."""
+    upper = _upper(v1.shape[-1])
+    flat = np.concatenate([v.reshape(len(v), -1).take(upper, axis=1) for v in (v1, v2)] + [delta], axis=1)
+    return flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel().tolist()
 
 
 def _canonical(data: np.ndarray, means: np.ndarray, per_mode: np.ndarray, i: np.ndarray, j: np.ndarray) -> list:

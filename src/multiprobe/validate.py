@@ -24,6 +24,10 @@ each mode count through one channel map and one stacked check or
 block.  Each value equals the one-``CovMatrix``-per-state evaluation bit
 for bit.  ``fidelity_symmetry`` runs the fidelity formula itself in both
 argument orders, since ``gaussian_fidelity`` orders each pair canonically.
+Every probe of this package is phase-insensitive, so its states take the
+half-size n x n routes; the last XP_CASES cases of ``block_multiplicativity``
+phase-rotate their blocks, so the 2n x 2n spectrum and fidelity routes,
+which read the symplectic form, run too.
 """
 
 from __future__ import annotations
@@ -72,6 +76,10 @@ class SuiteResult:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+# x-p-correlated cases that ``block_multiplicativity`` adds at every scale
+XP_CASES = 4
 
 
 def _families() -> list[ChannelFamily]:
@@ -404,28 +412,61 @@ def suite_degeneracy_classes(scale: str, oracle=None) -> SuiteResult:
     return SuiteResult("degeneracy_classes", worst < tol, worst, tol, cases)
 
 
+def _phase_rotated(state, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """(covariance matrix, mean) of ``state`` with every mode rotated in
+    phase space by ``theta``, symmetrised as ``CovMatrix`` does: a GHZ
+    block gains x-p correlations between its modes."""
+    c, s = math.cos(theta), math.sin(theta)
+    rot = np.kron(np.eye(len(state[1]) // 2), [[c, -s], [s, c]])
+    data = rot @ state[0] @ rot.T
+    return 0.5 * (data + data.T), rot @ state[1]
+
+
 def suite_multiplicativity(scale: str, seed: int = 2) -> SuiteResult:
-    """F(A (+) A', B (+) B') = F(A, B) F(A', B') for block-diagonal states."""
+    """F(A (+) A', B (+) B') = F(A, B) F(A', B') for block-diagonal states.
+
+    The last XP_CASES cases phase-rotate their blocks, so their spectra and
+    mixed-state fidelities take the 2n x 2n routes.  They are evaluated
+    apart, so the other cases keep the half-size routes.
+    """
     tol = 1e-10
     rng = np.random.default_rng(seed)
-    n_cases = {"smoke": 10, "quick": 40, "full": 100}[scale]
-    blocks, cases, n_blocks = [], [], []  # cases per block: output A, then output B
-    for _ in range(n_cases):
+    n_cases = {"smoke": 10, "quick": 40, "full": 100}[scale] + XP_CASES
+    drawn = []  # per case, its blocks as (state, family, pattern A, pattern B)
+    for case in range(n_cases):
         family = _random_family(rng)
-        n_blocks.append(int(rng.integers(2, 4)))
-        for _ in range(n_blocks[-1]):
+        theta = float(rng.uniform(0.1, 1.4)) if case >= n_cases - XP_CASES else 0.0
+        parts = []
+        for _ in range(int(rng.integers(2, 4))):
             mu = float(rng.uniform(0.6, 30.0))
             k = int(rng.integers(2, 4))
             block = ghz_state(k, mu)
+            if theta:
+                block = _phase_rotated(block, theta)
             pa = tuple(int(b) for b in rng.integers(0, 2, k))
             pb = tuple(int(b) for b in rng.integers(0, 2, k))
-            lay = tuple(range(k))
+            parts.append((block, family, pa, pb))
+        drawn.append(parts)
+    split = n_cases - XP_CASES
+    worst = max(_product_gap(drawn[:split]), _product_gap(drawn[split:]))
+    return SuiteResult("block_multiplicativity", worst < tol, worst, tol, n_cases)
+
+
+def _product_gap(drawn) -> float:
+    """Largest |F(A (+) A', B (+) B') - F(A, B) F(A', B')| over cases given
+    as lists of (block state, family, pattern A, pattern B): one channel map
+    and one ``stacked_fidelities`` call per mode count for the blocks, and
+    one ``stacked_fidelities`` call per mode count for the joint states."""
+    blocks, cases = [], []  # cases per block: output A, then output B
+    for parts in drawn:
+        for block, family, pa, pb in parts:
+            lay = tuple(range(len(pa)))
             blocks.append(block)
             cases += [(block, lay, family, pa), (block, lay, family, pb)]
     _spectra(blocks)
     outs = _outputs(cases)
     per_block = _fidelities(outs, [(c, c + 1) for c in range(0, len(cases), 2)])
-    starts = np.cumsum([0, *n_blocks]).tolist()
+    starts = np.cumsum([0, *map(len, drawn)]).tolist()
     joints = []
     for a, b in zip(starts, starts[1:]):
         joints += [direct_sum(outs[2 * a:2 * b:2]), direct_sum(outs[2 * a + 1:2 * b:2])]
@@ -433,7 +474,7 @@ def suite_multiplicativity(scale: str, seed: int = 2) -> SuiteResult:
     worst = 0.0
     for fid, a, b in zip(joint, starts, starts[1:]):
         worst = max(worst, abs(fid - math.prod(per_block[a:b])))
-    return SuiteResult("block_multiplicativity", worst < tol, worst, tol, n_cases)
+    return worst
 
 
 def suite_monotonicity(scale: str) -> SuiteResult:

@@ -18,7 +18,7 @@ from multiprobe.channels import (
 from multiprobe.errors import DimensionError
 from multiprobe.gaussian import gaussian_fidelity, ghz_cm, stacked_fidelities, symplectic_form, tensor
 from multiprobe.probes import assemble_probe, decompose_rounds
-from multiprobe.validate import SuiteResult, _random_family, _random_spec
+from multiprobe.validate import XP_CASES, SuiteResult, _phase_rotated, _random_family, _random_spec
 
 
 @pytest.fixture
@@ -278,15 +278,18 @@ def scalar_fidelity_symmetry(scale: str, seed: int = 1) -> SuiteResult:
 def scalar_multiplicativity(scale: str, seed: int = 2) -> SuiteResult:
     tol = 1e-10
     rng = np.random.default_rng(seed)
-    n_cases = {"smoke": 10, "quick": 40, "full": 100}[scale]
+    n_cases = {"smoke": 10, "quick": 40, "full": 100}[scale] + XP_CASES
     worst = 0.0
-    for _ in range(n_cases):
+    for case in range(n_cases):
         family = _random_family(rng)
+        theta = float(rng.uniform(0.1, 1.4)) if case >= n_cases - XP_CASES else 0.0
         parts_a, parts_b = [], []
         for _ in range(int(rng.integers(2, 4))):
             mu = float(rng.uniform(0.6, 30.0))
             k = int(rng.integers(2, 4))
             block = ghz_cm(k, mu)
+            if theta:
+                block = gaussian.CovMatrix(*_phase_rotated((block.data, block.mean), theta))
             pa = tuple(int(b) for b in rng.integers(0, 2, k))
             pb = tuple(int(b) for b in rng.integers(0, 2, k))
             lay = tuple(range(k))

@@ -371,7 +371,7 @@ def test_criterion_8_invariant_suites():
         ("counting_vs_bruteforce", 320),
         ("tmsv_closed_form", 50),
         ("degeneracy_classes", 18),
-        ("block_multiplicativity", 100),
+        ("block_multiplicativity", 104),
         ("bound_monotonicity", 36),
         ("mutual_vs_bruteforce", 24),
     ]

@@ -16,6 +16,7 @@ from multiprobe.bounds import (
     bounds_tmsv_pairs,
     bounds_tmsv_pairs_odd,
     block_fidelities,
+    census_histogram,
     block_subfidelity,
     evaluate,
     evaluate_points,
@@ -162,6 +163,24 @@ def test_counting_census_totals_random_configs(seed):
     assert sum(table.counts) == n_patterns**2 - n_patterns
 
 
+def test_census_class_straddling_a_rounding_boundary_prints_as_one_row():
+    # one class whose log F, ulps apart as sums of block log F in different
+    # orders are, rounds to two 12-decimal values on its own; a distinct
+    # class next to it, and two F = 0 entries
+    centre = math.log(0.6484702612435)
+    spread = centre + np.arange(-16, 17) * np.spacing(abs(centre))
+    assert len(set(np.round(np.exp(spread), 12).tolist())) == 2
+    logf = np.concatenate([spread[::-1], [math.log(0.6484702612), -math.inf, -math.inf]])
+    counts = np.ones(len(logf))
+    table = FidelityTable(12, counts, logf)
+    # the class prints once, at its midpoint
+    merged = float(np.round(np.exp(centre), 12))
+    assert census_histogram(table) == [(0.0, 2), (0.648470261200, 1), (merged, len(spread))]
+    assert [c for _, c in census_histogram(table, 2.0)] == [2, 1, len(spread)]
+    # classes that round alike share a row, as before
+    assert census_histogram(FidelityTable(12, counts[:2], np.log([0.25, 0.25 + 1e-14]))) == [(0.25, 2)]
+
+
 def test_counting_census_equals_enumeration_m6_three_blocks():
     spec = ProbeSpec(6, 20.5, blocks=((0, 1, 2), (3, 4, 5)))
     for space in (full_space(6), cpf_space(6, 2), bcpf_space(6, (1, 2))):
@@ -227,8 +246,9 @@ def test_block_fidelities_equal_scalar_path_bit_for_bit(data, desc, family):
 @pytest.mark.parametrize("idlers", [0, 2])
 def test_block_fidelities_beyond_the_stack_cap(family, idlers):
     # every pair of a five-channel block without idlers (496 distinct pairs,
-    # eight stacks of 5-mode pairs) or of a four-channel one with two idlers
-    # (120 distinct pairs, two stacks of 6-mode pairs)
+    # put in canonical form in eight chunks of 5-mode pairs) or of a
+    # four-channel one with two idlers (120 distinct pairs, two chunks of
+    # 6-mode pairs)
     size = {0: 5, 2: 4}[idlers]
     desc = BlockDescriptor("ghz", tuple(range(size)), idlers, mu=7.3)
     every = list(itertools.product((0, 1), repeat=size))

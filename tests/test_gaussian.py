@@ -219,8 +219,23 @@ def test_fidelities_of_no_states_is_empty():
     assert got.shape == (0,)
 
 
-def test_fidelities_beyond_the_stack_cap_equal_scalar_calls():
-    # both purity groups longer than one stack of 2-mode pairs
+def _record_fidelity_inputs(monkeypatch) -> list:
+    """Patch ``gaussian._fidelity`` to record, per pair it evaluates, the
+    exact bytes of its canonical inputs and its route: (mixed, V1, V2,
+    mean difference)."""
+    inputs = []
+    fidelity = gaussian._fidelity
+
+    def recording(v1, v2, mixed, delta):
+        inputs.extend((mixed, a.tobytes(), b.tobytes(), d.tobytes()) for a, b, d in zip(v1, v2, delta))
+        return fidelity(v1, v2, mixed, delta)
+
+    monkeypatch.setattr(gaussian, "_fidelity", recording)
+    return inputs
+
+
+def test_fidelities_beyond_the_stack_cap_equal_scalar_calls(monkeypatch):
+    # both purity groups longer than one stack of distinct canonical 2-mode pairs
     a = coherent_cm([0.3 - 0.1j, 0.2j])
     others = []
     for k in range(2 * STACK_MAX_PAIRS + 5):
@@ -231,10 +246,55 @@ def test_fidelities_beyond_the_stack_cap_equal_scalar_calls():
     means = np.stack([s.mean for s in states])
     pairs = [(0, j) for j in range(1, len(states))]
     pairs += [(i, j) for i in range(1, len(states), 7) for j in range(1, len(states))]
-    mixed = sum(i != j and not (states[i].is_pure or states[j].is_pure) for i, j in pairs)
-    assert min(mixed, len(pairs) - mixed - len(states)) > gaussian._stack_pairs(4)
+    inputs = _record_fidelity_inputs(monkeypatch)
+    want = [gaussian_fidelity(states[i], states[j]) for i, j in pairs]
+    distinct = set(inputs)
+    mixed = sum(key[0] for key in distinct)
+    assert min(mixed, len(distinct) - mixed) > gaussian._stack_pairs(4)
     got = stacked_fidelities(data, means, pairs).tolist()
-    assert got == [gaussian_fidelity(states[i], states[j]) for i, j in pairs]
+    assert got == want
+
+
+@pytest.mark.parametrize("kind", ["pure", "mixed", "correlated"])
+def test_each_distinct_canonical_pair_reaches_the_formula_once(monkeypatch, kind):
+    # outputs of a symmetric 3-mode block for every pattern, so mirror-image
+    # patterns give pairs with one canonical form; every pair in both
+    # argument orders, repeated past one stack so that copies of a pair sit
+    # on both sides of a stack boundary.  "pure" pairs each output with the
+    # pure probe, "mixed" pairs outputs without x-p correlations, and
+    # "correlated" outputs of a probe whose every mode is phase-rotated
+    # alike: one route group each
+    probe = ghz_cm(3, 4.5)
+    if kind == "correlated":
+        c, s = np.cos(0.4), np.sin(0.4)
+        rot = np.kron(np.eye(3), [[c, -s], [s, c]])  # one phase rotation per mode
+        probe = CovMatrix(rot @ probe.data @ rot.T)
+    family = ChannelFamily.thermal(0.9, 1.3, 0.7, 0.6)
+    outputs = [apply_pattern(probe, family, bits) for bits in itertools.product((0, 1), repeat=3)]
+    states = [probe, *outputs] if kind == "pure" else outputs
+    if kind == "pure":
+        ordered = [(0, k) for k in range(1, len(states))] + [(k, 0) for k in range(1, len(states))]
+    else:
+        ordered = [(i, j) for i in range(len(states)) for j in range(len(states)) if i != j]
+    per_stack = gaussian._stack_pairs(6)
+    pairs = ordered * (per_stack // len(ordered) + 2)
+    inputs = _record_fidelity_inputs(monkeypatch)
+    want = [gaussian_fidelity(states[i], states[j]) for i, j in pairs]
+    keys = inputs[:]  # one scalar call per pair, each pair its own group of one
+    assert len(keys) == len(pairs) and len({key[0] for key in keys}) == 1
+    assert (kind == "correlated") == bool(np.abs(states[0].data[0::2, 1::2]).max() > 0.1)
+    distinct = set(keys)
+    # mirror images: fewer distinct canonical pairs than unordered index pairs
+    assert len(distinct) < len({frozenset(pair) for pair in ordered})
+    # some canonical pair has copies in two stacks
+    chunks = {}
+    for at, key in enumerate(keys):
+        chunks.setdefault(key, set()).add(at // per_stack)
+    assert max(len(c) for c in chunks.values()) > 1
+    inputs.clear()
+    got = stacked_fidelities(np.stack([s.data for s in states]), np.stack([s.mean for s in states]), pairs)
+    assert got.tolist() == want
+    assert len(inputs) == len(distinct) and set(inputs) == distinct
 
 
 def test_stacked_fidelities_canonicalise_each_pair_as_gaussian_fidelity():

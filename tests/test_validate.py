@@ -40,12 +40,14 @@ def test_unknown_scale_rejected():
 
 def test_corrupted_symplectic_form_fails_loudly(monkeypatch):
     # a symplectic form that does not match the quadrature ordering must
-    # fail loudly wherever it is read.  Phase-insensitive states, all that
-    # the suites build, never read it: their spectra and mixed-state
-    # fidelities come from the n x n X and P blocks and the pure-state
-    # overlap needs none, so every suite reads the same under the corrupted
-    # form.  The spectra of x-p-correlated states and their mixed-state
-    # fidelities, the 2n x 2n routes, read it, and must raise.
+    # fail loudly wherever it is read.  Phase-insensitive states never read
+    # it: their spectra and mixed-state fidelities come from the n x n X
+    # and P blocks and the pure-state overlap needs none, so every suite
+    # but block_multiplicativity reads the same under the corrupted form.
+    # The spectra of x-p-correlated states and their mixed-state
+    # fidelities, the 2n x 2n routes, read it, and must raise: in
+    # block_multiplicativity, whose last cases phase-rotate their blocks,
+    # and in direct calls.
     def xxpp_form(n):
         top = np.hstack([np.zeros((n, n)), np.eye(n)])
         bottom = np.hstack([-np.eye(n), np.zeros((n, n))])
@@ -58,7 +60,10 @@ def test_corrupted_symplectic_form_fails_loudly(monkeypatch):
     honest = run_suites("smoke")
     monkeypatch.setattr(gaussian, "symplectic_form", xxpp_form)
     monkeypatch.setattr(blocks, "_BLOCK_FID_CACHE", {})  # nothing cached before, nothing corrupted kept
-    assert run_suites("smoke") == honest
+    with pytest.raises(NumericError, match="not bona fide"):
+        validate.suite_multiplicativity("smoke")
+    monkeypatch.setattr(validate, "_SUITES", [s for s in validate._SUITES if s is not validate.suite_multiplicativity])
+    assert run_suites("smoke") == [r for r in honest if r.suite != "block_multiplicativity"]
     for data in correlated:
         with pytest.raises(NumericError, match="not bona fide"):
             gaussian.CovMatrix(data)
