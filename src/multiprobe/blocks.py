@@ -11,13 +11,8 @@ import itertools
 import numpy as np
 
 from .channels import ChannelFamily, mode_channel_map
-from .gaussian import _checked, stacked_fidelities
+from .gaussian import BATCH_MAX_FLOATS, _checked, stacked_fidelities
 from .probes import BlockDescriptor
-
-# Floats in one temporary of a batch over grid points: the covariance-matrix
-# entries of one stacked block batch, or the bound sums' states x columns.
-# Larger batches run in chunks; the results do not depend on it.
-BATCH_MAX_FLOATS = 1 << 16
 
 
 def representative_local_patterns(size: int, v: int, u: int, d: int):

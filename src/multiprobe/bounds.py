@@ -48,8 +48,7 @@ import numpy as np
 
 from .channels import ADDITIVE, PURE_LOSS, ChannelFamily, check_pattern, mode_channel_map
 from .closedform import coherent_loss_fidelity, vacuum_additive_fidelity
-from .blocks import (BATCH_MAX_FLOATS, block_fidelities, block_signature, block_subfidelity,
-                     representative_local_patterns)
+from .blocks import block_fidelities, block_signature, block_subfidelity, representative_local_patterns
 from .dp import counting_plan, frontier_plan, local_pairs, replay_entries, replay_sums
 from .errors import (
     CapacityError,
@@ -60,7 +59,7 @@ from .errors import (
     PartitionError,
     UnsupportedBenchmarkError,
 )
-from .gaussian import stacked_fidelities
+from .gaussian import BATCH_MAX_FLOATS, stacked_fidelities
 from .imagespace import ImageSpace
 from .presets import CLASSICAL, MUTUAL, ProbePlan
 from .probes import (

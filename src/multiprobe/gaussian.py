@@ -35,20 +35,12 @@ BRANCH_TOL = 1e-10
 
 _EPS = float(np.finfo(float).eps)
 
-# Pairs per chunk that ``_pair_fidelities`` puts in canonical form
-# (``_stack_pairs``): STACK_MAX_PAIRS, or more where that many pairs keep
-# within STACK_MAX_ENTRIES matrix entries, those of 64 pairs of 5-mode
-# states.  A chunk's canonical pairs not seen earlier in the call run
-# through one stacked ``_fidelity`` call.  This bounds the (pairs, 2n, 2n)
-# temporaries of a large batch while pairs of small states share few calls;
+# Floats in one batch: the covariance-matrix entries of one stacked block
+# batch over grid points (``blocks``), the bound sums' states x columns
+# (``bounds``), and the temporaries of one key chunk or one stacked
+# ``_fidelity`` call of ``_pair_fidelities``.  Larger batches run in chunks;
 # the results do not depend on it.
-STACK_MAX_PAIRS = 64
-STACK_MAX_ENTRIES = 64 * 10 * 10
-
-
-def _stack_pairs(dim: int) -> int:
-    """Pairs of (dim, dim) covariance matrices per stacked fidelity call."""
-    return max(STACK_MAX_PAIRS, STACK_MAX_ENTRIES // (dim * dim))
+BATCH_MAX_FLOATS = 1 << 16
 
 
 def _scale_tol(base: float, scale):
@@ -154,22 +146,31 @@ def _half_spectrum(data: np.ndarray) -> np.ndarray | None:
 
 def _checked(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symplectic spectra and purity flags of symmetric covariance matrices
-    over any leading shape, one stacked eigensolve; NumericError unless
+    over any leading shape, in stacked eigensolves; NumericError unless
     every matrix is bona fide and positive definite.
 
-    A stack without x-p correlations, as is every probe of this package
+    A state without x-p correlations, as is every probe of this package
     through phase-insensitive channels, takes the half-size route on its
-    n x n X and P blocks (``_half_spectrum``).  Any other stack, and one
-    whose X or P is not positive definite, takes the 2n x 2n route: the
-    general eigensolve of Omega V (``_spectrum_of``) and a Cholesky
-    factorisation of V, so every error reads as it does there.
+    n x n X and P blocks (``_half_spectrum``).  Any other state takes the
+    2n x 2n route: the general eigensolve of Omega V (``_spectrum_of``) and
+    a Cholesky factorisation of V, so every error reads as it does there.
+    A stack that holds both kinds is checked in one call per route, so each
+    state gets the spectrum and purity flag of its own one-state check; a
+    stack whose X or P blocks are not all positive definite takes the 2n x
+    2n route as a whole.
     """
     if not np.isfinite(data).all():
         raise NumericError("covariance matrix has non-finite entries")
-    spectrum = _half_spectrum(data)
-    definite = spectrum is not None
-    if not definite:
-        spectrum = _spectrum_of(data)
+    spectrum, unchecked = _half_spectrum(data), None  # unchecked: still to factorise
+    if spectrum is None:
+        general = data[..., 0::2, 1::2].any(axis=(-2, -1))
+        half = _half_spectrum(data[~general]) if general.any() and not general.all() else None
+        if half is None:
+            spectrum, unchecked = _spectrum_of(data), data
+        else:
+            spectrum = np.empty(general.shape + half.shape[-1:])
+            spectrum[~general], spectrum[general] = half, _spectrum_of(data[general])
+            unchecked = data[general]
     scale = np.maximum(1.0, np.abs(data).max(axis=(-2, -1)))
     low = spectrum[..., 0]
     bad = low < SHOT_NOISE - _scale_tol(BONA_FIDE_TOL, scale)
@@ -179,9 +180,9 @@ def _checked(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"{float(np.extract(bad, low)[0]):.12g} < 1/2"
         )
     # |eig(i Omega V)| >= 1/2 holds for -V as well as for V
-    if not definite:
+    if unchecked is not None:
         try:
-            np.linalg.cholesky(data)
+            np.linalg.cholesky(unchecked)
         except np.linalg.LinAlgError as exc:
             raise NumericError("covariance matrix is not positive definite") from exc
     return spectrum, spectrum[..., -1] <= SHOT_NOISE + _scale_tol(PURITY_TOL, scale)
@@ -461,15 +462,16 @@ def gaussian_fidelity(a: CovMatrix, b: CovMatrix) -> float:
     P blocks when neither state has x-p correlations (every output of this
     package's probes) and on the whole 2n x 2n matrices otherwise (see
     ``_fidelity``).  The result is clamped to [0, 1]; an excursion beyond
-    the 1e-9 tolerance raises.  The pair runs through ``_pair_fidelities``,
-    whose canonical form makes the symmetry F(a,b) = F(b,a) exact, gives
-    pairs that differ by a mode permutation alike in both states the same
-    bits, and gives identical inputs exactly 1.
+    the 1e-9 tolerance raises.  The pair runs through ``_one_pair``, as a
+    one-pair ``stacked_fidelities`` call does, so the two agree bit for
+    bit.  Its canonical form makes the symmetry F(a,b) = F(b,a) exact,
+    gives pairs that differ by a mode permutation alike in both states the
+    same bits, and gives identical inputs exactly 1.
     """
     if a.n_modes != b.n_modes:
         raise DimensionError(f"mode counts differ: {a.n_modes} vs {b.n_modes}")
     data, means = np.stack((a.data, b.data)), np.stack((a.mean, b.mean))
-    return float(_pair_fidelities(data, means, (a.is_pure, b.is_pure), [(0, 1)])[0])
+    return _one_pair(data, means, (a.is_pure, b.is_pure), np.array([[0], [1]]))
 
 
 def stacked_fidelities(data, means, pairs) -> np.ndarray:
@@ -500,100 +502,182 @@ def stacked_fidelities(data, means, pairs) -> np.ndarray:
 def _pair_fidelities(data: np.ndarray, means: np.ndarray, pure, pairs) -> np.ndarray:
     """Fidelities of the index pairs (i, j) of a stack of checked states.
 
-    Identical states give exactly 1.0, from one rank per state of its
-    (data, mean) ``tobytes`` key.  Every other pair is put in canonical
-    form under mode permutation and argument order: of its two candidates,
-    (a, b) and (b, a) with the modes of each sorted by the two states'
-    variances and means (``_canonical``), it takes the one that comes
-    first lexicographically.  So F(a, b) and F(b, a) have one canonical
-    pair, and so do pairs that differ only by a permutation of modes alike
-    in both states, such as mirror-image patterns on a symmetric block.
-    The pairs are put in canonical form in chunks of at most
-    ``_stack_pairs``, in pair order, pairs with a pure member, mixed pairs
-    without x-p correlations and other mixed pairs apart, so that each
-    chunk takes one route.  Within a route group each distinct canonical
-    pair, by its exact bytes (``_pair_keys``), runs through ``_fidelity``
-    once, in the chunk where it first appears; its copies, in that chunk
-    or a later one, read the value back.
+    Each (state, mode) gets one integer code, ordered as the modes'
+    (x variance, p variance, x mean, p mean) rows (``_mode_codes``).  A
+    pair is put in canonical form under mode permutation and argument
+    order: of its two candidates, (a, b) and (b, a) with the modes of each
+    sorted by the two states' codes, ties in mode order, it takes the one
+    whose sorted codes come first, and where those tie the one whose
+    arrays come first lexicographically (``_canonical``).  So F(a, b) and
+    F(b, a) have one canonical pair, and so do pairs that differ only by a
+    permutation of modes alike in both states, such as mirror-image
+    patterns on a symmetric block.  Identical states give exactly 1.0:
+    pairs whose states have the same codes are compared bit for bit.
+
+    Pairs with a pure member and mixed pairs, each split into pairs of two
+    states without x-p correlations and other pairs, form four groups.
+    Within a group each distinct canonical pair, by the exact bytes of the
+    entries ``_fidelity`` reads (``_pair_keys``), is gathered and evaluated
+    once; its copies read the value back.  Keys are made in chunks of
+    pairs, and the distinct pairs are gathered and run through
+    ``_fidelity`` in stacks, each sized so that its temporaries keep
+    within BATCH_MAX_FLOATS; the results do not depend on it.  A call of
+    one pair takes the same canonical form and evaluation without groups
+    or keys (``_one_pair``).
     """
-    keys = [(d.tobytes(), m.tobytes()) for d, m in zip(data, means)]
-    rank_of = {key: r for r, key in enumerate(sorted(set(keys)))}
-    rank = np.array([rank_of[key] for key in keys], dtype=np.int64)
-    pure = np.asarray(pure, dtype=bool)
-    i, j = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
-    differ = rank[i] != rank[j]
-    free = ~data[:, 0::2, 1::2].any(axis=(-2, -1))
-    route = np.where(pure[i] | pure[j], 0, np.where(free[i] & free[j], 1, 2))
-    n = data.shape[-1] // 2
-    per_mode = np.concatenate([np.diagonal(data, axis1=-2, axis2=-1).reshape(-1, n, 2), means.reshape(-1, n, 2)], -1)
-    out = np.ones(len(i))
-    per_stack = _stack_pairs(data.shape[-1])
-    for group in range(3):
-        todo = np.flatnonzero(differ & (route == group))
-        slots: dict[bytes, int] = {}  # canonical pair key -> its index in values
-        values = np.empty(len(todo))
-        for start in range(0, len(todo), per_stack):
-            idx = todo[start:start + per_stack]
-            v1, m1, v2, m2 = _canonical(data, means, per_mode, i[idx], j[idx])
-            delta = m1 - m2
-            if len(todo) == 1:
-                out[idx] = _fidelity(v1, v2, group > 0, delta)
-                continue
-            seen, slot, first = len(slots), [], []
-            for r, key in enumerate(_pair_keys(v1, v2, delta)):
-                at = slots.get(key)
-                if at is None:
-                    at = slots[key] = len(slots)
-                    first.append(r)
-                slot.append(at)
-            if first:
-                new = first if len(first) < len(idx) else slice(None)  # no copies when all are new
-                values[seen:len(slots)] = _fidelity(v1[new], v2[new], group > 0, delta[new])
-            out[idx] = values[slot]
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T  # (2, pairs): i, j
+    if pairs.shape[1] == 1:
+        return np.array([_one_pair(data, means, pure, pairs)])
+    out = np.ones(pairs.shape[1])
+    if not len(out):
+        return out
+    dim = data.shape[-1]
+    code, count = _mode_codes(data, means)
+    pure = np.asarray(pure, dtype=bool)[pairs]
+    general = data[:, 0::2, 1::2].any(axis=(-2, -1))[pairs]
+    # 0: a pure member, both states x-p-free; 1: a pure member, others;
+    # 2: mixed, both x-p-free; 3: mixed, others
+    group = 2 * ~(pure[0] | pure[1]) + (general[0] | general[1])
+    # pairs per key chunk and per stacked _fidelity call: per pair, a key
+    # chunk holds about 3 (2n)^2 floats (entries, their indices and the byte
+    # keys), a _fidelity call about 12 (both gathered states and the
+    # formula's temporaries)
+    per_chunk, per_stack = (max(1, BATCH_MAX_FLOATS // (k * dim * dim)) for k in (3, 12))
+    for g in np.flatnonzero(np.bincount(group, minlength=4)):
+        todo = np.flatnonzero(group == g)
+        template = _template(dim // 2, g % 2 == 0)
+        slots: dict = {}  # canonical pair key -> its index in values
+        slot = np.full(len(todo), -1)  # per pair of the group; values[-1] = 1.0 for identical states
+        fresh = []  # per chunk: (states, order) of its keys not seen before
+        for start in range(0, len(todo), per_chunk):
+            at = np.arange(start, min(start + per_chunk, len(todo)))
+            ab = pairs[:, todo[at]]
+            alike = (code[ab[0]] == code[ab[1]]).all(axis=1)
+            if alike.any():
+                alike[alike] = _identical(data, means, ab[:, alike])
+                at, ab = at[~alike], ab[:, ~alike]
+            states, order = _canonical(data, code, count, ab, template)
+            seen, new = len(slots), []
+            for r, key in enumerate(_pair_keys(data, means, states, order, template)):
+                slot[at[r]] = value = slots.setdefault(key, len(slots))
+                if value == seen + len(new):
+                    new.append(r)
+            fresh.append((states[:, new], order[new]))
+        states = np.concatenate([part for part, _ in fresh], axis=1)
+        order = np.concatenate([part for _, part in fresh])
+        values = np.ones(len(slots) + 1)
+        for start in range(0, len(slots), per_stack):
+            at = slice(start, min(start + per_stack, len(slots)))
+            v, m = _permuted(data, means, states[:, at], order[at])
+            values[at] = _fidelity(v[0], v[1], g > 1, m[0] - m[1])
+        out[todo] = values[slot]
     return out
 
 
-@functools.cache
-def _upper(dim: int) -> np.ndarray:
-    """Flat indices of the upper triangle, diagonal included, of a (dim, dim)
-    matrix; np.triu_indices costs more than the gathers it feeds."""
-    rows, cols = np.triu_indices(dim)
-    return rows * dim + cols
+def _one_pair(data: np.ndarray, means: np.ndarray, pure, pair: np.ndarray) -> float:
+    """Fidelity of one index pair, a (2, 1) array, of a stack of checked
+    states: the canonical form and evaluation of ``_pair_fidelities``
+    without its groups and keys."""
+    if _identical(data, means, pair)[0]:
+        return 1.0
+    (i, j), n = pair[:, 0], data.shape[-1] // 2
+    template = _template(n, not (data[i, 0::2, 1::2].any() or data[j, 0::2, 1::2].any()))
+    states, order = _canonical(data, *_mode_codes(data, means), pair, template)
+    v, m = _permuted(data, means, states, order)
+    return float(_fidelity(v[0], v[1], not (pure[i] or pure[j]), m[0] - m[1])[0])
 
 
-def _pair_keys(v1: np.ndarray, v2: np.ndarray, delta: np.ndarray) -> list[bytes]:
-    """One exact byte key per canonical pair of a stack: the upper triangles
-    of V1 and V2, which are symmetric, and the mean difference, all that
-    ``_fidelity`` reads."""
-    upper = _upper(v1.shape[-1])
-    flat = np.concatenate([v.reshape(len(v), -1).take(upper, axis=1) for v in (v1, v2)] + [delta], axis=1)
-    return flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel().tolist()
+def _mode_codes(data: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, int]:
+    """One integer per (state, mode) of a stack, as a (k, n) array, and the
+    number of distinct codes: modes with equal (x variance, p variance,
+    x mean, p mean) share a code, and codes are ordered as those rows are
+    lexicographically (one lexsort and a diff)."""
+    n = data.shape[-1] // 2
+    rows = np.concatenate([np.diagonal(data, axis1=-2, axis2=-1).reshape(-1, 2), means.reshape(-1, 2)], axis=1)
+    order = np.lexsort(rows.T[::-1])  # column 0 primary
+    ranked = rows[order]
+    step = np.zeros(len(rows), dtype=np.int64)
+    np.cumsum((ranked[1:] != ranked[:-1]).any(axis=1), out=step[1:])
+    code = np.empty_like(step)
+    code[order] = step
+    return code.reshape(-1, n), int(step[-1]) + 1
 
 
-def _canonical(data: np.ndarray, means: np.ndarray, per_mode: np.ndarray, i: np.ndarray, j: np.ndarray) -> list:
-    """V1, mean 1, V2 and mean 2 of the canonical forms of pairs (i, j) of a
-    stack (see ``_pair_fidelities``); ``per_mode`` holds each state's
-    (x variance, p variance, x mean, p mean) per mode.
+def _identical(data: np.ndarray, means: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Per index pair, a column of ``pairs``, whether its two states are
+    equal bit for bit."""
+    (a, b), (ma, mb) = data[pairs].view(np.int64), means[pairs].view(np.int64)
+    return (a == b).all(axis=(1, 2)) & (ma == mb).all(axis=1)
+
+
+def _canonical(data: np.ndarray, code: np.ndarray, count: int, pairs: np.ndarray, template) -> tuple:
+    """The states, as a (2, pairs) array of first and second states, and
+    the mode orders of the canonical forms of index pairs ``pairs`` (i, j),
+    one per column, of a stack (see ``_pair_fidelities``).
 
     The candidates are (i, j) and (j, i), each with its modes sorted by the
-    first state's numbers, then the second's, ties in mode order (one
-    stable lexsort).  They are compared by their sorted per-mode numbers
-    first, and by their whole arrays where those tie; only the chosen
-    candidate, and both of a tie, are gathered."""
-    # candidate c < len(i) is pair c in its given order, c + len(i) the pair swapped
-    first, second = np.concatenate([i, j]), np.concatenate([j, i])
-    keys = np.concatenate([per_mode[first], per_mode[second]], axis=-1)  # (candidates, n, 8)
-    order = np.lexsort(keys.transpose(2, 0, 1)[::-1], axis=-1)  # column 0 primary; stable
-    ranked = keys[np.arange(len(keys))[:, None], order].reshape(len(first), -1)
-    swap = _after(ranked[:len(i)], ranked[len(i):])
-    tie = np.flatnonzero((ranked[:len(i)] == ranked[len(i):]).all(axis=1))
+    combined code (first state's code) x count + (second state's code): one
+    stable argsort each, which orders the modes as a lexicographic sort of
+    the two states' per-mode rows would.  They are compared by their sorted
+    combined codes first.  Where those tie, both states' per-mode rows
+    match between the candidates, so their arrays can differ first only
+    off the diagonal: the candidates are compared by their ``_template``
+    entries, which of a symmetric matrix decide its row-major order."""
+    ci, cj = code[pairs]
+    # candidate c < len(ci) is pair c in its given order, c + len(ci) the pair
+    # swapped; count is at most k n, so the combined codes fit in int64
+    combined = np.concatenate([ci * count + cj, cj * count + ci])
+    order = np.argsort(combined, axis=1, kind="stable")
+    ranked = np.sort(combined, axis=1)
+    c = len(ci)
+    swap = _after(ranked[:c], ranked[c:])
+    tie = np.flatnonzero((ranked[:c] == ranked[c:]).all(axis=1))
     if len(tie):
-        both = np.concatenate([tie, tie + len(i)])
-        parts = [_permuted(data, means, k, order[both]) for k in (first[both], second[both])]
-        flat = np.concatenate([part.reshape(len(both), -1) for pair in parts for part in pair], axis=1)
-        swap[tie] = _after(flat[:len(tie)], flat[len(tie):])
-    pick = np.arange(len(i)) + len(i) * swap
-    return [part for k in (first[pick], second[pick]) for part in _permuted(data, means, k, order[pick])]
+        both = pairs[:, tie]
+        swap[tie] = _after(_entries(data, both, order[tie], template),
+                           _entries(data, both[::-1], order[tie + c], template))
+    return np.where(swap, pairs[::-1], pairs), order[np.arange(c) + c * swap]
+
+
+@functools.cache
+def _template(n: int, free: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of a 2n x 2n covariance matrix, in row-major order of its
+    upper triangle, that decide a pair's canonical order and key: the whole
+    upper triangle, or for states without x-p correlations, whose other
+    entries are zero, each mode's X row and then P row from its diagonal
+    on.  Given as the row mode, the column mode and the offset row
+    quadrature x 2n + column quadrature, so that with modes in an order o
+    the entry sits at 2n (2 o[row mode]) + 2 o[column mode] + offset."""
+    rows, cols = np.triu_indices(2 * n)
+    if free:
+        keep = rows % 2 == cols % 2
+        rows, cols = rows[keep], cols[keep]
+    template = rows // 2, cols // 2, rows % 2 * (2 * n) + cols % 2
+    for part in template:
+        part.flags.writeable = False
+    return template
+
+
+def _entries(data: np.ndarray, states: np.ndarray, order: np.ndarray, template) -> np.ndarray:
+    """The ``_template`` entries of the first, then the second states of
+    ``states`` (a (2, pairs) array) of a stack, with their modes in the
+    orders ``order``, one row per pair."""
+    dim = data.shape[-1]
+    row, col, offset = template
+    at = 2 * dim * order[:, row] + 2 * order[:, col] + offset
+    flat = (states.T * (dim * dim))[:, :, None] + at[:, None, :]
+    return data.reshape(-1).take(flat).reshape(len(at), 2 * len(row))
+
+
+def _pair_keys(data: np.ndarray, means: np.ndarray, states: np.ndarray, order: np.ndarray, template) -> list[bytes]:
+    """One exact byte key per canonical pair (states, order) of a stack:
+    the ``_template`` entries of V1 and V2, which are symmetric, and the
+    mean difference, all that ``_fidelity`` reads of a pair of its group."""
+    dim = data.shape[-1]
+    q = (2 * order[:, :, None] + np.arange(2)).reshape(len(order), dim)  # quadrature order
+    m1, m2 = means.reshape(-1).take((states * dim)[:, :, None] + q)
+    keys = np.concatenate([_entries(data, states, order, template), m1 - m2], axis=1)
+    return keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize))).ravel().tolist()
 
 
 def _after(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -602,10 +686,11 @@ def _after(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return b[at] < a[at]
 
 
-def _permuted(data: np.ndarray, means: np.ndarray, k: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """States ``k`` of a stack with their modes in the orders ``order``
-    (one row per state), gathered from the flat arrays."""
+def _permuted(data: np.ndarray, means: np.ndarray, states: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """States ``states`` (a (2, pairs) array) of a stack with their modes in
+    the orders ``order`` (one row per pair), gathered from the flat arrays:
+    (2, pairs, 2n, 2n) and (2, pairs, 2n)."""
     dim = data.shape[-1]
-    q = (2 * order[..., None] + np.arange(2)).reshape(len(k), dim)  # quadrature order
-    square = (k * dim)[:, None, None] + q[:, :, None]
-    return data.reshape(-1).take(square * dim + q[:, None, :]), means.reshape(-1).take((k * dim)[:, None] + q)
+    q = (2 * order[:, :, None] + np.arange(2)).reshape(len(order), dim)  # quadrature order
+    square = (states * dim)[:, :, None, None] + q[:, :, None]
+    return data.reshape(-1).take(square * dim + q[:, None, :]), means.reshape(-1).take((states * dim)[:, :, None] + q)

@@ -149,11 +149,6 @@ def _position_space(m: int, kind: tuple, priors) -> ImageSpace:
 # serialization: one pattern per line as a bitstring, optional weight
 
 
-def write_space(space: ImageSpace, fh) -> None:
-    for pat, w in zip(space.patterns, space.priors):
-        fh.write("".join(str(b) for b in pat) + f" {float(w)!r}\n")
-
-
 def read_space(fh) -> ImageSpace:
     patterns, weights = [], []
     for line in fh:

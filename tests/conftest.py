@@ -95,6 +95,42 @@ def fidelity_sqrtm_reference(v1, v2):
         return float(mpmath.re(mpmath.det(core) / mpmath.det(vsum)) ** 0.25)
 
 
+def budget_pairs(monkeypatch, pairs: int, n: int) -> list:
+    """Set the float budget to ``pairs`` pairs of n-mode states per stacked
+    ``gaussian._fidelity`` call, and so four times as many per key chunk,
+    and record the number of pairs of each key chunk."""
+    monkeypatch.setattr(gaussian, "BATCH_MAX_FLOATS", pairs * 12 * (2 * n) ** 2)
+    chunks, keys = [], gaussian._pair_keys
+    monkeypatch.setattr(gaussian, "_pair_keys", lambda data, means, states, *rest: (
+        chunks.append(states.shape[1]) or keys(data, means, states, *rest)))
+    return chunks
+
+
+def whole_array_pick(data, means, i, j) -> list[tuple[int, int, list[int]]]:
+    """(first state, second state, mode order) of the canonical form of
+    each pair (i, j) of a stack, picked on whole arrays: of the candidates
+    (a, b) and (b, a), each with its modes in the stable lexicographic
+    order of the two states' per-mode (x variance, p variance, x mean,
+    p mean), the one whose sorted per-mode numbers, then V_a, mean a, V_b
+    and mean b with modes in that order, come first in row-major order;
+    (a, b) where all of these are equal."""
+    n = data.shape[-1] // 2
+    per_mode = np.concatenate([np.diagonal(data, axis1=1, axis2=2).reshape(-1, n, 2), means.reshape(-1, n, 2)], axis=2)
+    picks = []
+    for a, b in zip(np.asarray(i).tolist(), np.asarray(j).tolist()):
+        candidates = []
+        for first, second in ((a, b), (b, a)):
+            rows = np.concatenate([per_mode[first], per_mode[second]], axis=1)
+            order = np.lexsort(rows.T[::-1])  # column 0 primary
+            q = (2 * order[:, None] + np.arange(2)).ravel()
+            arrays = [rows[order], data[first][np.ix_(q, q)], means[first][q],
+                      data[second][np.ix_(q, q)], means[second][q]]
+            candidates.append((np.concatenate([x.ravel() for x in arrays]).tolist(), (first, second, order.tolist())))
+        (mine, pick), (theirs, other) = candidates
+        picks.append(other if theirs < mine else pick)
+    return picks
+
+
 def loss_families():
     return st.tuples(
         st.floats(0.3, 0.999), st.floats(0.3, 0.999)

@@ -56,7 +56,8 @@ from multiprobe.probes import (
     pair_partition,
 )
 
-from conftest import any_family, counting_sums, hamming, pair_class_key, pair_degeneracy_census, patterns
+from conftest import (any_family, budget_pairs, counting_sums, hamming, pair_class_key, pair_degeneracy_census,
+                      patterns)
 
 LOSS = ChannelFamily.pure_loss(0.99, 0.97)
 ADD = ChannelFamily.additive(0.02, 0.01)
@@ -244,18 +245,24 @@ def test_block_fidelities_equal_scalar_path_bit_for_bit(data, desc, family):
     LOSS, ADD, ChannelFamily.thermal(0.9, 1.5, 1.2, 0.8), ChannelFamily.pure_loss(0.0, 1.0),
 ], ids=["loss", "additive", "thermal", "loss-from-zero"])
 @pytest.mark.parametrize("idlers", [0, 2])
-def test_block_fidelities_beyond_the_stack_cap(family, idlers):
-    # every pair of a five-channel block without idlers (496 distinct pairs,
-    # put in canonical form in eight chunks of 5-mode pairs) or of a
-    # four-channel one with two idlers (120 distinct pairs, two chunks of
-    # 6-mode pairs)
+def test_block_fidelities_beyond_the_stack_cap(monkeypatch, family, idlers):
+    # every pair of a five-channel block without idlers (28 distinct
+    # canonical pairs) or of a four-channel one with two idlers (17), with
+    # the float budget at five pairs per stacked _fidelity call and twenty
+    # per key chunk: the key pass runs in several chunks and the distinct
+    # pairs in several stacked calls
     size = {0: 5, 2: 4}[idlers]
+    chunks = budget_pairs(monkeypatch, 5, size + idlers)
     desc = BlockDescriptor("ghz", tuple(range(size)), idlers, mu=7.3)
     every = list(itertools.product((0, 1), repeat=size))
     pairs = list(itertools.product(every, every))
-    assert len(every) * (len(every) - 1) // 2 > gaussian._stack_pairs(2 * (size + idlers))
+    stacks, fidelity = [], gaussian._fidelity
+    monkeypatch.setattr(gaussian, "_fidelity", lambda v1, *rest: stacks.append(len(v1)) or fidelity(v1, *rest))
     blocks_mod._BLOCK_FID_CACHE.clear()
     got = block_fidelities([(desc, family)], pairs)[0].tolist()
+    assert max(chunks) == 20 and max(stacks) == 5
+    assert sum(stacks) == {0: 28, 2: 17}[idlers] and len(stacks) > 2
+    assert len(chunks) > 2
     assert got == [scalar_block_fidelity(desc, family, a, b) for a, b in pairs]
     v_u_d = [(v, u, d) for v in range(size + 1) for u in range(size + 1)
              for d, _ in bounds_mod._block_occupancy_options(size, v, u)]

@@ -19,7 +19,6 @@ from multiprobe.errors import DimensionError, EnergyError, NumericError, Partiti
 from multiprobe import gaussian
 from multiprobe.gaussian import (
     SHOT_NOISE,
-    STACK_MAX_PAIRS,
     CovMatrix,
     coherent_cm,
     coherent_state,
@@ -39,10 +38,12 @@ from multiprobe.gaussian import (
 from conftest import (
     any_family,
     apply_pattern,
+    budget_pairs,
     fidelity_sqrtm_reference,
     patterns,
     rotated_squeezed,
     squeezed_product,
+    whole_array_pick,
 )
 
 
@@ -219,26 +220,30 @@ def test_fidelities_of_no_states_is_empty():
     assert got.shape == (0,)
 
 
-def _record_fidelity_inputs(monkeypatch) -> list:
+def _record_fidelity_inputs(monkeypatch) -> tuple[list, list]:
     """Patch ``gaussian._fidelity`` to record, per pair it evaluates, the
     exact bytes of its canonical inputs and its route: (mixed, V1, V2,
-    mean difference)."""
-    inputs = []
+    mean difference); and per call, its route and number of pairs."""
+    inputs, stacks = [], []
     fidelity = gaussian._fidelity
 
     def recording(v1, v2, mixed, delta):
         inputs.extend((mixed, a.tobytes(), b.tobytes(), d.tobytes()) for a, b, d in zip(v1, v2, delta))
+        stacks.append((mixed, len(v1)))
         return fidelity(v1, v2, mixed, delta)
 
     monkeypatch.setattr(gaussian, "_fidelity", recording)
-    return inputs
+    return inputs, stacks
 
 
 def test_fidelities_beyond_the_stack_cap_equal_scalar_calls(monkeypatch):
-    # both purity groups longer than one stack of distinct canonical 2-mode pairs
+    # with the float budget at eight pairs of 2-mode states per stacked
+    # call, both purity groups run their keys in several chunks and their
+    # distinct canonical pairs in several stacked calls; self-pairs give
+    # exactly 1
     a = coherent_cm([0.3 - 0.1j, 0.2j])
     others = []
-    for k in range(2 * STACK_MAX_PAIRS + 5):
+    for k in range(21):
         others.append(coherent_cm([0.01 * k, -0.02j * k]))
         others.append(CovMatrix(np.diag(np.repeat([0.5 + 0.03 * k, 0.6 + 0.01 * k], 2))))
     states = [a, *others]
@@ -246,22 +251,28 @@ def test_fidelities_beyond_the_stack_cap_equal_scalar_calls(monkeypatch):
     means = np.stack([s.mean for s in states])
     pairs = [(0, j) for j in range(1, len(states))]
     pairs += [(i, j) for i in range(1, len(states), 7) for j in range(1, len(states))]
-    inputs = _record_fidelity_inputs(monkeypatch)
+    inputs, stacks = _record_fidelity_inputs(monkeypatch)
     want = [gaussian_fidelity(states[i], states[j]) for i, j in pairs]
     distinct = set(inputs)
-    mixed = sum(key[0] for key in distinct)
-    assert min(mixed, len(distinct) - mixed) > gaussian._stack_pairs(4)
+    inputs.clear()
+    stacks.clear()
+    chunks = budget_pairs(monkeypatch, 8, 2)
     got = stacked_fidelities(data, means, pairs).tolist()
     assert got == want
+    assert len(inputs) == len(distinct) and set(inputs) == distinct
+    for mixed in (False, True):
+        sizes = [size for route, size in stacks if route == mixed]
+        assert len(sizes) > 2 and max(sizes) == 8
+    assert len(chunks) > 2 and max(chunks) == 32
 
 
 @pytest.mark.parametrize("kind", ["pure", "mixed", "correlated"])
 def test_each_distinct_canonical_pair_reaches_the_formula_once(monkeypatch, kind):
     # outputs of a symmetric 3-mode block for every pattern, so mirror-image
     # patterns give pairs with one canonical form; every pair in both
-    # argument orders, repeated past one stack so that copies of a pair sit
-    # on both sides of a stack boundary.  "pure" pairs each output with the
-    # pure probe, "mixed" pairs outputs without x-p correlations, and
+    # argument orders, repeated past one key chunk so that copies of a pair
+    # sit on both sides of a chunk boundary.  "pure" pairs each output with
+    # the pure probe, "mixed" pairs outputs without x-p correlations, and
     # "correlated" outputs of a probe whose every mode is phase-rotated
     # alike: one route group each
     probe = ghz_cm(3, 4.5)
@@ -276,9 +287,9 @@ def test_each_distinct_canonical_pair_reaches_the_formula_once(monkeypatch, kind
         ordered = [(0, k) for k in range(1, len(states))] + [(k, 0) for k in range(1, len(states))]
     else:
         ordered = [(i, j) for i in range(len(states)) for j in range(len(states)) if i != j]
-    per_stack = gaussian._stack_pairs(6)
-    pairs = ordered * (per_stack // len(ordered) + 2)
-    inputs = _record_fidelity_inputs(monkeypatch)
+    per_chunk = 16  # four pairs per stacked call
+    pairs = ordered * (per_chunk // len(ordered) + 2)
+    inputs, _ = _record_fidelity_inputs(monkeypatch)
     want = [gaussian_fidelity(states[i], states[j]) for i, j in pairs]
     keys = inputs[:]  # one scalar call per pair, each pair its own group of one
     assert len(keys) == len(pairs) and len({key[0] for key in keys}) == 1
@@ -286,15 +297,54 @@ def test_each_distinct_canonical_pair_reaches_the_formula_once(monkeypatch, kind
     distinct = set(keys)
     # mirror images: fewer distinct canonical pairs than unordered index pairs
     assert len(distinct) < len({frozenset(pair) for pair in ordered})
-    # some canonical pair has copies in two stacks
+    # some canonical pair has copies in two key chunks
     chunks = {}
     for at, key in enumerate(keys):
-        chunks.setdefault(key, set()).add(at // per_stack)
+        chunks.setdefault(key, set()).add(at // per_chunk)
     assert max(len(c) for c in chunks.values()) > 1
     inputs.clear()
+    sizes = budget_pairs(monkeypatch, per_chunk // 4, 3)
     got = stacked_fidelities(np.stack([s.data for s in states]), np.stack([s.mean for s in states]), pairs)
+    assert sizes[0] == per_chunk and len(sizes) == -(-len(pairs) // per_chunk)
     assert got.tolist() == want
     assert len(inputs) == len(distinct) and set(inputs) == distinct
+
+
+def test_canonical_pick_equals_the_whole_array_pick(rng):
+    # symmetric 3-mode states whose X and P differ off the diagonal alone,
+    # so many candidates tie on their mode codes; phase-rotated copies
+    # (x-p correlated), displaced copies, some alike on every mode, mode
+    # permutations, random symmetric matrices, and exact copies
+    states = []
+    for c1, c2 in ((0.3, -0.3), (0.3, -0.2), (0.2, -0.3), (0.0, 0.1)):
+        x, p = np.full((3, 3), c1), np.full((3, 3), c2)
+        np.fill_diagonal(x, 1.5)
+        np.fill_diagonal(p, 1.5)
+        states.append((_x_plus_p(x, p), np.zeros(6)))
+    rot = np.kron(np.eye(3), [[np.cos(0.4), -np.sin(0.4)], [np.sin(0.4), np.cos(0.4)]])
+    states += [(rot @ v @ rot.T, m) for v, m in states[:3]]
+    states += [(v, np.tile([0.2, -0.1], 3)) for v, _ in states[:6:2]]
+    states += [(v, rng.choice([0.0, 0.5], 6)) for v, _ in states[1:7:2]]
+    for perm in ([1, 0, 2], [2, 1, 0], [1, 2, 0]):
+        q = (2 * np.array(perm)[:, None] + np.arange(2)).ravel()
+        states += [(v[np.ix_(q, q)], m[q]) for v, m in states[5:14:4]]
+    for _ in range(4):
+        g = rng.standard_normal((6, 6))
+        states.append((g @ g.T + np.eye(6), rng.standard_normal(6)))
+    states += states[:3]
+    data, means = (np.stack(part) for part in zip(*states))
+    code, count = gaussian._mode_codes(data, means)
+    free = ~data[:, 0::2, 1::2].any(axis=(1, 2))
+    i, j = np.array([(a, b) for a in range(len(states)) for b in range(len(states))]).T
+    both = free[i] & free[j]
+    assert both.any() and not both.all()
+    for in_free in (True, False):
+        a, b = i[both == in_free], j[both == in_free]
+        (first, second), order = gaussian._canonical(data, code, count, np.stack([a, b]), gaussian._template(3, in_free))
+        assert list(zip(first.tolist(), second.tolist(), order.tolist())) == whole_array_pick(data, means, a, b)
+        # pairs whose candidates tie on their sorted codes, in either pick
+        tie = (np.sort(code[a] * count + code[b]) == np.sort(code[b] * count + code[a])).all(axis=1)
+        assert 0 < (tie & (first == a)).sum() and 0 < (tie & (first == b) & (a != b)).sum()
 
 
 def test_stacked_fidelities_canonicalise_each_pair_as_gaussian_fidelity():
@@ -344,10 +394,11 @@ def test_split_is_exact_and_heads_keep_s_bits(rng, n, axis):
 
 
 @pytest.mark.parametrize("m", [2, 3])
-def test_stacked_fidelities_equal_scalar_calls_where_the_product_cancels(m):
+def test_stacked_fidelities_equal_scalar_calls_where_the_product_cancels(monkeypatch, m):
     # GHZ/TMSV outputs near purity at mu ~ 50 through loss 0.999 vs 0.998,
-    # where V2 Omega V1 cancels far below its terms; more pairs than one
-    # stack, every state first in many mixed pairs and second in many
+    # where V2 Omega V1 cancels far below its terms; with the float budget
+    # at eight pairs per stacked call, more pairs than one stack, every
+    # state first in many mixed pairs and second in many
     family = ChannelFamily.pure_loss(0.999, 0.998)
     states = [
         apply_pattern(ghz_cm(m, mu), family, bits)
@@ -356,9 +407,12 @@ def test_stacked_fidelities_equal_scalar_calls_where_the_product_cancels(m):
     ]
     assert not any(s.is_pure for s in states)
     pairs = [(i, j) for i in range(len(states)) for j in range(len(states)) if i != j]
-    pairs = pairs * (2 * gaussian._stack_pairs(2 * m) // len(pairs) + 1)
+    want = [gaussian_fidelity(states[i], states[j]) for i, j in pairs]
+    _, stacks = _record_fidelity_inputs(monkeypatch)
+    budget_pairs(monkeypatch, 8, m)
     got = stacked_fidelities(np.stack([s.data for s in states]), np.stack([s.mean for s in states]), pairs)
-    assert got.tolist() == [gaussian_fidelity(states[i], states[j]) for i, j in pairs]
+    assert got.tolist() == want
+    assert len(stacks) > 1
 
 
 GOOD_ROW = 0.7 * np.eye(2)
@@ -469,7 +523,28 @@ def test_xp_correlated_states_take_the_general_eigensolve(monkeypatch):
     assert spectrum[0] == pytest.approx([0.5, 2.8], rel=1e-12)
     assert spectrum[1] == pytest.approx([1.0, 1.0], rel=1e-12)
     assert pure.tolist() == [False, False]
-    assert calls == [(2, 2), (2, 4, 4)]
+    # the x-p-free second state takes the half-size route
+    assert calls == [(2, 2), (1, 4, 4)]
+
+
+def test_mixed_stack_checks_each_state_as_its_own_check(monkeypatch):
+    # x-p-correlated states among GHZ outputs and a coherent state: one
+    # check per route, so each state's spectrum and purity flag are those
+    # of its own one-state check, and only the correlated states reach the
+    # 2n x 2n eigensolve
+    probe = ghz_cm(3, 2.5)
+    free = [coherent_cm([0.2, -0.1j, 0.3])] + [apply_pattern(probe, ChannelFamily.pure_loss(0.9, 0.7), bits)
+                                                for bits in ((0, 0, 1), (1, 0, 1))]
+    correlated = [squeezed_product((0.0, 0.8, 0.3), (0.4, 0.2, 1.0), (1.1, 0.5, 2.0)),
+                  squeezed_product((0.0, 0.3, 0.5), (0.0, 0.1, 2.5), (0.0, 0.7, 1.5))]
+    data = np.stack([correlated[0], *(s.data for s in free[:2]), correlated[1], free[2].data])
+    calls, spectrum_of = [], gaussian._spectrum_of
+    monkeypatch.setattr(gaussian, "_spectrum_of", lambda data: calls.append(data.shape) or spectrum_of(data))
+    spectrum, pure = gaussian._checked(data)
+    assert calls == [(2, 6, 6)]
+    alone = [gaussian._checked(state) for state in data]
+    assert all(np.array_equal(got, want) for got, (want, _) in zip(spectrum, alone))
+    assert pure.tolist() == [bool(flag) for _, flag in alone] == [False, True, False, True, False]
 
 
 XP_FREE_BAD_ROWS = {

@@ -12,7 +12,6 @@ from multiprobe.imagespace import (
     cpf_space,
     full_space,
     read_space,
-    write_space,
 )
 
 from conftest import hamming, pair_class_key, pair_degeneracy_census
@@ -146,6 +145,13 @@ def test_hamming_attainable_distances_between_cpf_spaces(m):
             }
             want = {2 * t - (v + u) for t in range(u, min(v + u, m) + 1)}
             assert got == want
+
+
+def write_space(space: ImageSpace, fh) -> None:
+    """Write a space in the format ``read_space`` reads: one pattern per
+    line as a bitstring, then its weight."""
+    for pat, w in zip(space.patterns, space.priors):
+        fh.write("".join(str(b) for b in pat) + f" {float(w)!r}\n")
 
 
 def test_serialization_round_trip_uniform():

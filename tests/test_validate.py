@@ -95,6 +95,49 @@ def test_sub_space_tables_index_the_full_space_oracle():
                 assert got.weights is None and want.weights is None
 
 
+def _count_pairs(monkeypatch) -> dict:
+    """Count the index pairs that reach ``gaussian._pair_fidelities`` and
+    the pairs that ``gaussian._fidelity`` evaluates."""
+    counts = {"requested": 0, "evaluated": 0}
+    pair_fidelities, fidelity = gaussian._pair_fidelities, gaussian._fidelity
+
+    def requesting(data, means, pure, pairs):
+        counts["requested"] += len(pairs)
+        return pair_fidelities(data, means, pure, pairs)
+
+    def evaluating(v1, v2, mixed, delta):
+        counts["evaluated"] += len(v1)
+        return fidelity(v1, v2, mixed, delta)
+
+    monkeypatch.setattr(gaussian, "_pair_fidelities", requesting)
+    monkeypatch.setattr(gaussian, "_fidelity", evaluating)
+    return counts
+
+
+@pytest.mark.parametrize("spec, distinct", [
+    (validate._partitions_for(6)[0], 43),  # one 6-mode GHZ block
+    (validate._partitions_for(6)[1], 293),  # three TMSV blocks
+    (validate._partitions_for(6)[2], 179),  # two 3-mode GHZ blocks
+])
+def test_oracle_evaluates_each_distinct_canonical_pair_once(monkeypatch, spec, distinct):
+    # the m = 6 full-state oracle of validate: of the 2,016 pattern pairs,
+    # pairs that are mirror images under a symmetry of the probe share one
+    # evaluation; a weaker key would evaluate fewer pairs, a stronger one more
+    counts = _count_pairs(monkeypatch)
+    for family in validate._families():
+        validate._full_fidelities(spec, family)
+    assert counts == {"requested": 2 * 2016, "evaluated": 2 * distinct}
+
+
+def test_full_validation_evaluates_the_documented_distinct_pairs(monkeypatch):
+    # every stacked fidelity call of validate --scale full, block
+    # fidelities computed afresh
+    monkeypatch.setattr(blocks, "_BLOCK_FID_CACHE", {})
+    counts = _count_pairs(monkeypatch)
+    assert all(r.passed for r in run_suites("full"))
+    assert counts == {"requested": 16412, "evaluated": 2467}
+
+
 def test_run_suites_shares_the_oracle_and_drops_it(monkeypatch):
     calls, alive = [], []
 
