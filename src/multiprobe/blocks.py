@@ -6,11 +6,11 @@ representative pair."""
 
 from __future__ import annotations
 
-import itertools
+from dataclasses import replace
 
 import numpy as np
 
-from .channels import ChannelFamily, mode_channel_map
+from .channels import ChannelFamily, layout_channels, mode_channel_map
 from .gaussian import BATCH_MAX_FLOATS, _checked, stacked_fidelities
 from .probes import BlockDescriptor
 
@@ -49,61 +49,51 @@ def block_fidelities(points, pairs) -> np.ndarray:
 
     ``points`` holds one (descriptor, family) per point; the descriptors
     differ at most in mu or alpha.  Values are cached per block signature
-    and unordered pair.  The misses of all points are evaluated in one
-    batch: one probe state per distinct energy, all checked in one stacked
-    call, the channels act on every distinct local pattern in one stacked
-    step (idlers pass), and the pairs run through ``stacked_fidelities`` in
-    chunks of points of at most BATCH_MAX_FLOATS matrix entries, so each
-    value equals ``gaussian_fidelity`` of the two output states bit for
-    bit, and identical outputs give exactly 1.0.
+    and unordered pair; a signature that misses any pair has all of them
+    evaluated again.  The signatures to fill are evaluated in one batch:
+    one probe state per distinct (mu, alpha), all checked in one stacked
+    call, the channels of ``layout_channels`` act on every distinct local
+    pattern in one stacked step, and the pairs run through
+    ``stacked_fidelities`` in chunks of points of at most BATCH_MAX_FLOATS
+    matrix entries, so each value equals ``gaussian_fidelity`` of the two
+    output states bit for bit, and identical outputs give exactly 1.0.
     """
     sigs = [block_signature(desc, family) for desc, family in points]
     ordered = [(a, b) if a <= b else (b, a) for a, b in pairs]
     distinct = sorted({pair for pair in ordered if pair[0] != pair[1]})
-    missing: dict[tuple, tuple[int, list]] = {}  # signature -> (point, which distinct pairs miss)
+    first: dict[tuple, int] = {}  # signature -> its first point
     for k, sig in enumerate(sigs):
-        if sig not in missing:
-            missing[sig] = (k, [(sig, *pair) not in _BLOCK_FID_CACHE for pair in distinct])
-    todo = [(sig, k, miss) for sig, (k, miss) in missing.items() if any(miss)]
+        first.setdefault(sig, k)
+    todo = [(sig, k) for sig, k in first.items()
+            if any((sig, *pair) not in _BLOCK_FID_CACHE for pair in distinct)]
     if todo:
         _fill_block_cache(points, distinct, todo)
     return np.array([[1.0 if a == b else _BLOCK_FID_CACHE[sig, a, b] for a, b in ordered] for sig in sigs])
 
 
 def _fill_block_cache(points, distinct, todo) -> None:
-    """Evaluate the missing pairs of one block into the cache: ``todo``
-    holds (signature, point, which of the pairs ``distinct`` miss) per
-    signature; see ``block_fidelities``."""
-    desc = points[todo[0][1]][0]
+    """Evaluate the pairs ``distinct`` of one block into the cache for each
+    (signature, point) of ``todo``; see ``block_fidelities``."""
+    descs = [points[k][0] for _, k in todo]
+    local = replace(descs[0], channels=tuple(range(len(descs[0].channels))))
     locals_ = sorted({lp for pair in distinct for lp in pair})
     row = {lp: r for r, lp in enumerate(locals_)}
-    ends = np.array([(row[a], row[b]) for a, b in distinct]).T
-    descs = [points[k][0] for _, k, _ in todo]
-    energy = [d.alpha if d.kind == "coherent" else d.mu for d in descs]
-    states = dict(zip(energy, descs))  # one probe state per energy, all checked at once
+    ends = np.array([(row[a], row[b]) for a, b in distinct])
+    states = {(d.mu, d.alpha): d for d in descs}  # one probe state per (mu, alpha), all checked at once
     probe_data, probe_means = (np.array(part) for part in zip(*(d.state() for d in states.values())))
     _checked(probe_data)
-    position = {e: i for i, e in enumerate(states)}
-    probe = [position[e] for e in energy]
-    # (tau, nu) per point, local pattern and mode; idler modes come first and pass
-    params = np.array([[(f.background.tau, f.background.nu), (f.target.tau, f.target.nu)]
-                       for f in (points[k][1] for _, k, _ in todo)])
-    idle = np.full((len(todo), len(locals_), desc.idlers, 2), (1.0, 0.0))
-    taus, nus = np.concatenate([idle, params[:, np.array(locals_, dtype=int)]], axis=2).transpose(3, 0, 1, 2)
-    dim = 2 * desc.n_modes
+    position = {key: i for i, key in enumerate(states)}
+    probe = [position[d.mu, d.alpha] for d in descs]
+    taus, nus = layout_channels([points[k][1] for _, k in todo], local.layout, locals_)
+    dim = 2 * local.n_modes
     per_call = max(1, BATCH_MAX_FLOATS // (len(locals_) * dim * dim))
-    missing = np.array([miss for *_, miss in todo])
     for start in range(0, len(todo), per_call):
         chunk = slice(start, start + per_call)
         data, means = mode_channel_map(probe_data[probe[chunk], None], probe_means[probe[chunk], None],
                                        taus[chunk], nus[chunk])
-        point, pair = np.nonzero(missing[chunk])
-        at = point * len(locals_)
-        pairs = np.array([at + ends[0, pair], at + ends[1, pair]]).T
-        fids = iter(stacked_fidelities(data.reshape(-1, dim, dim), means.reshape(-1, dim), pairs).tolist())
-        for sig, _, miss in todo[chunk]:
-            # zip takes no value past the signature's last pair
-            _BLOCK_FID_CACHE.update(zip(((sig, *pair) for pair in itertools.compress(distinct, miss)), fids))
+        pairs = (len(locals_) * np.arange(len(data))[:, None, None] + ends).reshape(-1, 2)
+        fids = stacked_fidelities(data.reshape(-1, dim, dim), means.reshape(-1, dim), pairs).tolist()
+        _BLOCK_FID_CACHE.update(zip(((sig, *pair) for sig, _ in todo[chunk] for pair in distinct), fids))
 
 
 def block_subfidelity(desc: BlockDescriptor, family: ChannelFamily, v: int, u: int, d: int) -> float:

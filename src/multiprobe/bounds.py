@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ADDITIVE, PURE_LOSS, ChannelFamily, check_pattern, mode_channel_map
+from .channels import ADDITIVE, PURE_LOSS, ChannelFamily, layout_channels, mode_channel_map
 from .closedform import coherent_loss_fidelity, vacuum_additive_fidelity
 from .blocks import block_fidelities, block_signature, block_subfidelity, representative_local_patterns
 from .dp import counting_plan, frontier_plan, local_pairs, replay_entries, replay_sums
@@ -98,7 +98,6 @@ class BoundReport:
     m_bar: float
     method: str
     rounds: int | None = None
-    delta_perr: float | None = None
 
     @property
     def lower(self) -> float:
@@ -457,11 +456,11 @@ def bruteforce_fidelities(patterns, spec: ProbeSpec, family: ChannelFamily) -> n
     """Full-state output fidelities of the pattern pairs i < j, in row-major
     order; the slow reference path.
 
-    No block factorisation and no degeneracy grouping: the channels act on
-    the complete probe state for every pattern in one stacked step (idlers
-    pass), and every pair runs through one ``stacked_fidelities`` call, so
-    each value equals ``gaussian_fidelity`` of the two ``probe.output``
-    states bit for bit.  That call evaluates each distinct canonical pair
+    No block factorisation and no degeneracy grouping: the channels of
+    ``layout_channels`` act on the complete probe state for every pattern
+    in one stacked step, and every pair runs through one
+    ``stacked_fidelities`` call, so each value equals ``gaussian_fidelity``
+    of the two ``probe.output`` states bit for bit.  That call evaluates each distinct canonical pair
     once: pairs that are mirror images under a symmetry of the probe share
     one evaluation.  Patterns are checked as ``probe.output`` checks them.
     """
@@ -470,17 +469,7 @@ def bruteforce_fidelities(patterns, spec: ProbeSpec, family: ChannelFamily) -> n
     if n > BRUTE_TABLE_MAX_PATTERNS:
         raise CapacityError(f"brute-force table capped at {BRUTE_TABLE_MAX_PATTERNS} patterns")
     probe = assemble_probe(spec)
-    modes = probe.layout
-    probed = [k for k, ch in enumerate(modes) if ch is not None]
-    channels = [modes[k] for k in probed]
-    rows = []
-    for pattern in patterns:
-        bits = check_pattern(pattern, spec.m)
-        rows.append([bits[c] for c in channels])
-    targets = np.array(rows, dtype=bool).reshape(n, len(channels))
-    taus, nus = np.ones((n, len(modes))), np.zeros((n, len(modes)))
-    taus[:, probed] = np.where(targets, family.target.tau, family.background.tau)
-    nus[:, probed] = np.where(targets, family.target.nu, family.background.nu)
+    taus, nus = layout_channels(family, probe.layout, patterns)
     data, means = mode_channel_map(probe.cm.data, probe.cm.mean, taus, nus)
     first, second = np.triu_indices(n, 1)
     return stacked_fidelities(data, means, list(zip(first.tolist(), second.tolist())))

@@ -121,31 +121,32 @@ def apply_mode_channels(state: CovMatrix, taus, nus) -> CovMatrix:
     return CovMatrix(*mode_channel_map(state.data, state.mean, taus, nus))
 
 
-def layout_channels(family: ChannelFamily, pattern, layout) -> tuple[list[float], list[float]]:
-    """Per-mode (taus, nus) that send each probed mode through the pattern's
-    channel; idler modes pass (tau 1, nu 0).  The layout holds per mode its
-    0-based channel index, or None for an idler, and the pattern one bit
-    per channel the layout probes."""
-    bits = check_pattern(pattern, sum(ch is not None for ch in layout))
-    taus, nus = [], []
+def layout_channels(family: ChannelFamily | list[ChannelFamily], layout,
+                    patterns) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mode (taus, nus) rows that send each probed mode of the layout
+    through ``family.params(bit)`` of its channel's bit; idler modes pass
+    (tau 1, nu 0).  ``patterns`` is a stack of patterns, each one bit per
+    channel the layout probes; the rows are (len(patterns), len(layout)),
+    or (len(family), len(patterns), len(layout)) for a list of families,
+    one per point."""
+    n = sum(ch is not None for ch in layout)
+    # each pattern's bits, then a 2 that picks the passing entry of a family's row
+    bits = np.array([check_pattern(p, n) + (2,) for p in patterns], dtype=int).reshape(-1, n + 1)
     for ch in layout:
-        if ch is None:
-            taus.append(1.0)
-            nus.append(0.0)
-        else:
-            if not 0 <= ch < len(bits):
-                raise DimensionError(f"layout channel {ch} outside pattern of length {len(bits)}")
-            p = family.params(bits[ch])
-            taus.append(p.tau)
-            nus.append(p.nu)
+        if ch is not None and not 0 <= ch < n:
+            raise DimensionError(f"layout channel {ch} outside pattern of length {n}")
+    pick = bits[:, [n if ch is None else ch for ch in layout]]
+    one = isinstance(family, ChannelFamily)
+    params = [(f.params(0), f.params(1)) for f in ([family] if one else family)]
+    table = np.array([[(b.tau, t.tau, 1.0) for b, t in params], [(b.nu, t.nu, 0.0) for b, t in params]])
+    taus, nus = table[:, 0, pick] if one else table[:, :, pick]
     return taus, nus
 
 
 def apply_pattern_with_idlers(state: CovMatrix, family: ChannelFamily, pattern, layout) -> CovMatrix:
     """Send each probed mode of the layout through the pattern's channel;
-    modes marked as idlers (None) pass through untouched (see
-    ``layout_channels``)."""
-    taus, nus = layout_channels(family, pattern, layout)
+    idler modes (None) pass untouched (see ``layout_channels``)."""
+    taus, nus = layout_channels(family, layout, [pattern])
     if len(layout) != state.n_modes:
         raise DimensionError(f"layout covers {len(layout)} modes but state has {state.n_modes}")
-    return apply_mode_channels(state, taus, nus)
+    return apply_mode_channels(state, taus[0], nus[0])

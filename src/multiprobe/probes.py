@@ -287,10 +287,16 @@ class BlockDescriptor:
     def n_modes(self) -> int:
         return self.idlers + len(self.channels)
 
+    @property
+    def layout(self) -> tuple[int | None, ...]:
+        """The mode order of ``state()``: None for each idler, idlers
+        first, then the index of each of its channels."""
+        return (None,) * self.idlers + self.channels
+
     def state(self) -> tuple[np.ndarray, np.ndarray]:
-        """Covariance matrix and mean of the sub-state, unchecked: a GHZ
-        state over idlers + probe modes (idlers first), or a displaced
-        vacuum mode."""
+        """Covariance matrix and mean of the sub-state in ``layout`` order,
+        unchecked: a GHZ state over its idler and probe modes, or a
+        displaced vacuum mode."""
         return ghz_state(self.n_modes, self.mu) if self.kind == "ghz" else coherent_state([self.alpha])
 
 
@@ -385,13 +391,14 @@ class ProbeState:
 
 def probe_state(spec: ProbeSpec) -> tuple[np.ndarray, np.ndarray, tuple[int | None, ...]]:
     """Covariance matrix, mean and layout of the probe of ``spec``,
-    unchecked: the block-diagonal matrix of its descriptors in order.
+    unchecked: the block-diagonal matrix of its descriptors in order, each
+    in its own ``BlockDescriptor.layout``.
 
-    Entangled blocks become GHZ states over idlers + probe modes (idlers
-    first); coherent entries become displaced vacuum modes.
+    Entangled blocks become GHZ states over their idler and probe modes;
+    coherent entries become displaced vacuum modes.
     """
     descs = spec.descriptors()
-    layout = tuple(ch for desc in descs for ch in (None,) * desc.idlers + desc.channels)
+    layout = tuple(ch for desc in descs for ch in desc.layout)
     return (*direct_sum([desc.state() for desc in descs]), layout)
 
 

@@ -185,7 +185,8 @@ def _outputs(cases) -> list[tuple[np.ndarray, np.ndarray]]:
     out = [None] * len(cases)
     for idx in _by_modes([state for state, *_ in cases]):
         group = [cases[c] for c in idx]
-        taus, nus = zip(*(layout_channels(family, pattern, layout) for _, layout, family, pattern in group))
+        rows = [layout_channels(family, layout, [pattern]) for _, layout, family, pattern in group]
+        taus, nus = (np.concatenate(part) for part in zip(*rows))
         data, means = (np.stack(part) for part in zip(*(state for state, *_ in group)))
         data, means = mode_channel_map(data, means, taus, nus)
         data = 0.5 * (data + data.swapaxes(1, 2))

@@ -7,6 +7,7 @@ from multiprobe.channels import (
     ChannelFamily,
     additive_params,
     apply_pattern_with_idlers,
+    layout_channels,
     pure_loss_params,
     thermal_params,
 )
@@ -176,3 +177,34 @@ def test_idler_layout_rejects_patterns_longer_than_the_probed_channels():
     apply_pattern_with_idlers(probe, family, (0, 1, 0, 1), pairs)
     with pytest.raises(DimensionError):
         apply_pattern_with_idlers(probe, family, (0, 1, 0, 1, 1, 1), pairs)
+
+
+def test_layout_channels_on_a_stack_of_patterns_and_families_follow_the_per_mode_rule():
+    families = [ChannelFamily.pure_loss(0.99, 0.97), ChannelFamily.additive(0.01, 0.05),
+                ChannelFamily.thermal(0.5, 1.5, 0.9, 2.0)]
+    layout = (None, 2, 0, None, 1)
+    stack = [tuple(int(b) for b in f"{i:03b}") for i in range(8)]
+    taus, nus = layout_channels(families, layout, stack)
+    assert taus.shape == nus.shape == (3, 8, 5)
+    for family, fam_taus, fam_nus in zip(families, taus, nus):
+        want = [[(1.0, 0.0) if ch is None else (family.params(p[ch]).tau, family.params(p[ch]).nu)
+                 for ch in layout] for p in stack]
+        assert np.array_equal(np.stack([fam_taus, fam_nus], axis=-1), np.array(want))
+        # one family gives the list's row for it
+        one = layout_channels(family, layout, stack)
+        assert np.array_equal(one[0], fam_taus) and np.array_equal(one[1], fam_nus)
+
+
+@pytest.mark.parametrize("layout, pattern, error, message", [
+    ((None, 0, 1), (1,), DimensionError, "pattern length 1 != expected 2"),
+    ((None, 0, 1), (1, 0, 1), DimensionError, "pattern length 3 != expected 2"),
+    ((None, 0, 1), (1, 2), ValueError, "pattern bits must be 0 or 1"),
+    ((None, 0, 2), (1, 0), DimensionError, "layout channel 2 outside pattern of length 2"),
+    ((-1, None, 0), (1, 0), DimensionError, "layout channel -1 outside pattern of length 2"),
+], ids=["short", "long", "not-binary", "channel-past-the-pattern", "negative-channel"])
+def test_layout_channels_reject_bad_patterns_and_layouts(layout, pattern, error, message):
+    family = ChannelFamily.pure_loss(0.9, 0.4)
+    for fam in (family, [family, family]):
+        with pytest.raises(error, match=message):
+            layout_channels(fam, layout, [(0, 0), pattern])
+

@@ -450,6 +450,22 @@ def test_census_nn_support_wider_than_disjoint(tmp_path):
     assert ring > ghz and ring > disjoint
 
 
+@pytest.mark.parametrize("probe", ["tmsv-disjoint", "nn"])  # counting DP, frontier DP
+def test_census_at_the_pattern_length_cap_counts_every_ordered_pair_once(tmp_path, probe):
+    # m = 24, the longest pattern: 2^24 (2^24 - 1) ordered pairs, where the
+    # int64 pair counts of the DPs are largest
+    out = tmp_path / "census.csv"
+    code = run_cli(
+        ["census", "--family", "pure-loss", "--m", "24", "--eta-b", "0.99",
+         "--eta-t", "0.97", "--ns", "20", "--space", "full",
+         "--probe", probe, "--out", str(out)]
+    )
+    assert code == 0
+    mults = [int(r.split(",")[1]) for r in out.read_text().splitlines()[2:]]
+    assert min(mults) > 0
+    assert sum(mults) == 2**24 * (2**24 - 1) == 281_474_959_933_440
+
+
 def test_cli_import_leaves_process_pool_out():
     # no command runs a process pool, which is slow to import
     src = Path(__file__).resolve().parents[1] / "src"

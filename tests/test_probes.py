@@ -24,6 +24,7 @@ from multiprobe.probes import (
     odd_m_disjoint_spec,
     pair_partition,
     parse_partition,
+    probe_state,
 )
 
 # ---------------------------------------------------------------------------
@@ -254,6 +255,23 @@ def test_odd_spec_single_idler():
     probe = assemble_probe(spec)
     assert probe.cm.n_modes == 4
     assert probe.layout == (0, 1, None, 2)
+
+
+def test_block_layouts_are_their_slices_of_the_probe_layout():
+    spec = ProbeSpec(6, 3.5, blocks=((0, 2), (3,)), idlers=(1, 2), coherent=((1, 0.5), (4, 0.0), (5, 1.0)))
+    data, mean, layout = probe_state(spec)
+    descs = spec.descriptors()
+    assert [d.layout for d in descs] == [(None, 0, 2), (None, None, 3), (1,), (4,), (5,)]
+    start = 0
+    for desc in descs:
+        stop = start + desc.n_modes
+        assert layout[start:stop] == desc.layout
+        # the slice of the probe is the descriptor's own state, in its layout's order
+        block, block_mean = desc.state()
+        assert np.array_equal(data[2 * start:2 * stop, 2 * start:2 * stop], block)
+        assert np.array_equal(mean[2 * start:2 * stop], block_mean)
+        start = stop
+    assert start == len(layout) == data.shape[0] // 2
 
 
 def test_odd_spec_hybrid():
