@@ -49,7 +49,7 @@ import numpy as np
 from .channels import ADDITIVE, PURE_LOSS, ChannelFamily, layout_channels, mode_channel_map
 from .closedform import coherent_loss_fidelity, vacuum_additive_fidelity
 from .blocks import block_fidelities, block_signature, block_subfidelity, representative_local_patterns
-from .dp import counting_plan, frontier_plan, local_pairs, replay_entries, replay_sums
+from .dp import _reach, counting_plan, frontier_plan, local_pairs, replay_entries, replay_sums
 from .errors import (
     CapacityError,
     ComparabilityError,
@@ -408,18 +408,20 @@ def _plan_reports(n: int, plan, final, fids, fields: dict, copies):
 def _frontier(space: ImageSpace, partition: Partition, points):
     """The plan of the frontier DP of ``partition`` on ``space`` (see
     ``dp.frontier_plan``) and, per block size, the (point, reachable local
-    pair) fidelities of every (family, mu) point, from one batch.
+    pair) fidelities of every (family, mu) point, from one batch, on a
+    block over channels 0..size-1: channel labels enter no block fidelity.
 
     Replayed with entries, a new state takes every entry of its parent plus
     the log-fidelities of the blocks added at that channel in block order,
     so log F is the same float as the dense route's entry; replayed with
     sums, adding a block multiplies them by its f^M and f^(2M).  More
     states or entries than a dense table may hold raise CapacityError."""
-    plan, final, reach = frontier_plan(partition, space.target_counts, _state_cap())
+    plan, final, codes = frontier_plan(partition, space.target_counts, _state_cap())
     fids = {}
-    for size, (blk, codes) in reach.items():
-        descs = {mu: BlockDescriptor("ghz", blk, mu=mu) for mu in dict.fromkeys(mu for _, mu in points)}
-        fids[size] = block_fidelities([(descs[mu], family) for family, mu in points], local_pairs(codes, size))
+    for size, reachable in codes.items():
+        block = tuple(range(size))
+        descs = {mu: BlockDescriptor("ghz", block, mu=mu) for mu in dict.fromkeys(mu for _, mu in points)}
+        fids[size] = block_fidelities([(descs[mu], family) for family, mu in points], local_pairs(reachable, size))
     return plan, final, fids
 
 
@@ -594,23 +596,22 @@ def _classical(space: ImageSpace, points) -> tuple[FidelityTable, list[float]]:
     return FidelityTable.pairs(n, dists, None if space.uniform else space.priors, method="classical"), logfs
 
 
-@functools.lru_cache(maxsize=None)
 def _hamming_census(m: int, target_counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Ordered pattern pair counts and their Hamming distances d > 0 on a
-    uniform full/cpf/bcpf space: one block over all m channels, keyed like
-    the per-block classes.  Cached, so the arrays are read-only."""
-    census: dict[tuple[int, int, int], int] = {}
-    for v in target_counts:
-        for u in target_counts:
-            for d, count in _block_occupancy_options(m, v, u):
-                if d:
-                    key = (min(v, u), max(v, u), d)
-                    census[key] = census.get(key, 0) + count
-    arrays = (np.fromiter(census.values(), dtype=float, count=len(census)),
-              np.fromiter((key[2] for key in census), dtype=float, count=len(census)))
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
+    uniform full/cpf/bcpf space: the classes of one block over all m
+    channels (``_block_classes``) with admissible v and u, summed over the
+    classes that share a representative pair."""
+    (v, u, d, count, pair), pairs = _block_classes(m, m, min(target_counts), max(target_counts))
+    keep = d > 0
+    reach = _reach(m, target_counts)
+    if reach is not None:
+        # with no channel left, a count reaches only itself
+        keep &= reach[0, v] & reach[0, u]
+    counts, dists = np.zeros(len(pairs)), np.zeros(len(pairs))
+    np.add.at(counts, pair[keep], count[keep])
+    dists[pair] = d
+    present = np.flatnonzero(counts)
+    return counts[present], dists[present]
 
 
 def bound_reports(space: ImageSpace, points, copies) -> list[list[BoundReport]]:
@@ -670,19 +671,10 @@ def _pair_excess(fids: list[float], power: float) -> float:
 def bounds_tmsv_pairs(family: ChannelFamily, mu: float, copies, m: int) -> BoundReport:
     """Closed-form bounds for disjoint two-mode blocks over the full uniform
     space of an even-length pattern: (1 + s)^(m/2) - 1, with s the pair
-    excess, evaluated as expm1((m/2) log1p(s)) so that it does not cancel
-    when s is tiny."""
+    excess (see ``_tmsv_pairs_report``)."""
     if m % 2:
         raise PartitionError(f"the paired-TMSV closed form needs even m, got {m}")
-    m_val = float(copies)
-    fids = _tmsv_pair_fidelities(family, mu)
-
-    def d_even(power: float) -> float:
-        return math.expm1(m / 2 * math.log1p(_pair_excess(fids, power)))
-
-    ub = d_even(m_val)
-    lb = d_even(2 * m_val) / 2 ** (m + 1)
-    return _checked_reports([(m_val, m_val, lb, ub)], [[copies]], "closed-form-d2")[0][0]
+    return _tmsv_pairs_report(family, mu, copies, m)
 
 
 def bounds_tmsv_pairs_odd(
@@ -691,8 +683,7 @@ def bounds_tmsv_pairs_odd(
     """Odd-m variant: paired blocks on m-1 channels plus a remainder term.
 
     The remainder channel contributes a factor (1 + F^M) where F is the
-    idler-assisted (Choi) fidelity or the coherent-probe fidelity; the
-    product minus 1 is again formed through log1p/expm1.
+    idler-assisted (Choi) fidelity or the coherent-probe fidelity.
     """
     if m % 2 == 0 or m < 3:
         raise PartitionError(f"odd-m closed form needs odd m >= 3, got {m}")
@@ -702,15 +693,23 @@ def bounds_tmsv_pairs_odd(
         desc = BlockDescriptor("coherent", (0,), alpha=float(np.sqrt(mu - 0.5)))
     else:
         raise ValueError(f"unknown odd-m strategy {strategy!r}")
-    f_rem = block_subfidelity(desc, family, 0, 1, 1)
+    return _tmsv_pairs_report(family, mu, copies, m, block_subfidelity(desc, family, 0, 1, 1))
+
+
+def _tmsv_pairs_report(family: ChannelFamily, mu: float, copies, m: int, f_rem: float | None = None) -> BoundReport:
+    """The paired-TMSV bounds of m // 2 pairs, times (1 + f_rem^M) for a
+    remainder channel of fidelity ``f_rem``, less 1: the product minus 1 is
+    formed as expm1 of a sum of log1p terms, so that it does not cancel
+    when the pair excess is tiny."""
     fids = _tmsv_pair_fidelities(family, mu)
     m_val = float(copies)
 
-    def d_odd(power: float) -> float:
-        return math.expm1(
-            math.log1p(f_rem**power) + (m - 1) / 2 * math.log1p(_pair_excess(fids, power))
-        )
+    def excess(power: float) -> float:
+        log_prod = m // 2 * math.log1p(_pair_excess(fids, power))
+        if f_rem is not None:
+            log_prod += math.log1p(f_rem**power)
+        return math.expm1(log_prod)
 
-    ub = d_odd(m_val)
-    lb = d_odd(2 * m_val) / 2 ** (m + 1)
+    ub = excess(m_val)
+    lb = excess(2 * m_val) / 2 ** (m + 1)
     return _checked_reports([(m_val, m_val, lb, ub)], [[copies]], "closed-form-d2")[0][0]

@@ -21,6 +21,20 @@ from .errors import CapacityError
 from .probes import Partition
 
 
+def _reach(m: int, target_counts: tuple[int, ...]) -> np.ndarray | None:
+    """reach[rem, t]: whether t targets so far can end at an admissible count
+    with rem of the m channels left, for rem and t in 0..m; None when every
+    count 0..m is admissible, so that no state need track its targets."""
+    admissible = np.zeros(m + 1, dtype=bool)
+    admissible[list(target_counts)] = True
+    if admissible.all():
+        return None
+    # below[t]: the admissible counts under t
+    below = np.concatenate(([0], np.cumsum(admissible)))
+    t = np.arange(m + 1)
+    return below[np.minimum(t + t[:, None] + 1, m + 1)] > below[t]
+
+
 def counting_plan(blocks, classes, m: int, target_counts: tuple[int, ...]):
     """The counting DP over keys alone, which depends on the block sizes
     and the admissible target counts only.
@@ -35,16 +49,11 @@ def counting_plan(blocks, classes, m: int, target_counts: tuple[int, ...]):
     count; the child's multiplicity is the class's count, and its block
     reads the class's pair.  Children of equal keys merge.
     """
-    admissible = np.zeros(m + 1, dtype=bool)
-    admissible[list(target_counts)] = True
-    track = not admissible.all()
+    reach = _reach(m, target_counts)
+    track = reach is not None
     # key: (targets of A * (m + 1) + targets of B) * 2 + differs; the targets stay 0 untracked
     key = np.zeros(1, dtype=np.int64)
     if track:
-        # reach[rem, t]: t targets so far can end admissible with rem channels left
-        below = np.concatenate(([0], np.cumsum(admissible)))
-        t = np.arange(m + 1)
-        reach = below[np.minimum(t + t[:, None] + 1, m + 1)] > below[t]
         feasible = np.repeat(reach[:, :, None] & reach[:, None, :], 2).reshape(m + 1, -1)
     steps: dict[int, tuple] = {}
     plan = []
@@ -86,9 +95,9 @@ def frontier_plan(partition: Partition, target_counts: tuple[int, ...], cap: int
 
     Returns the plan, its lut keys the block sizes and each child's local
     pair indexed among the reachable ones; then the final states, and per
-    block size one of its blocks and the sorted codes of its reachable
-    local pairs (see ``local_pairs``).  More than ``cap`` states, or keys
-    wider than an int64 holds, raise CapacityError.
+    block size the sorted codes of its reachable local pairs (see
+    ``local_pairs``).  More than ``cap`` states, or keys wider than an int64
+    holds, raise CapacityError.
     """
     m, blocks = partition.m, partition.blocks
     # the step after which block j is added, and the last step that reads channel c
@@ -105,24 +114,22 @@ def frontier_plan(partition: Partition, target_counts: tuple[int, ...], cap: int
     tbits = m.bit_length()
     if ta_shift + 2 * tbits > 63:
         raise CapacityError(f"frontier DP keys need {ta_shift + 2 * tbits} bits, more than the 63 of an int64")
-    ks = set(target_counts)
-    track = len(ks) <= m
+    reach = _reach(m, target_counts)
     key = np.zeros(1, dtype=np.int64)
     raw = []
-    sample: dict[int, tuple] = {}  # one block per size
-    codes: dict[int, list] = {}
+    seen: dict[int, list] = {}  # per block size, the local pair codes of each block added
     for c in range(m):
         check_states(4 * len(key), cap)
         a_inc, b_inc = 1 << slot[c], 1 << width + slot[c]
-        if track:
+        if reach is not None:
             a_inc += 1 << ta_shift
             b_inc += 1 << ta_shift + tbits
         child = ((key[:, None] + np.array([0, a_inc, b_inc, a_inc + b_inc]))
                  | np.array([0, differs, differs, 0])).ravel()
         parent = np.repeat(np.arange(len(key)), 4)
-        if track:
-            ok = np.array([any(t <= k <= t + m - 1 - c for k in ks) for t in range(1 << tbits)])
-            feasible = (ok[:, None] & ok).ravel()[child >> ta_shift]
+        if reach is not None:
+            ok, targets = reach[m - 1 - c], child >> ta_shift
+            feasible = ok[targets & (1 << tbits) - 1] & ok[targets >> tbits]
             child, parent = child[feasible], parent[feasible]
         keep_bits = ~sum((1 << slot[ch]) | (1 << width + slot[ch]) for ch in range(m) if last[ch] == c)
         order = np.argsort(child & keep_bits, kind="stable")
@@ -132,20 +139,19 @@ def frontier_plan(partition: Partition, target_counts: tuple[int, ...], cap: int
             if added[j] == c:
                 shifts = np.array([slot[ch] for ch in blk] + [width + slot[ch] for ch in blk])
                 idx = (child[:, None] >> shifts & 1) @ (1 << np.arange(2 * len(blk)))
-                sample.setdefault(len(blk), blk)
-                codes.setdefault(len(blk), []).append(idx)
+                seen.setdefault(len(blk), []).append(idx)
                 step_adds.append((len(blk), idx))
         merged = child & keep_bits
         starts = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
         key = merged[starts]
         raw.append((parent, step_adds, starts))
     # sorted(set()) rather than np.unique, whose first call imports numpy.ma
-    reach = {size: (sample[size], sorted(set(np.concatenate(idx).tolist()))) for size, idx in codes.items()}
+    codes = {size: sorted(set(np.concatenate(idx).tolist())) for size, idx in seen.items()}
     plan = tuple(
-        (parent, None, tuple((size, np.searchsorted(reach[size][1], idx)) for size, idx in adds), starts)
+        (parent, None, tuple((size, np.searchsorted(codes[size], idx)) for size, idx in adds), starts)
         for parent, adds, starts in raw
     )
-    return plan, np.flatnonzero(key & differs), reach
+    return plan, np.flatnonzero(key & differs), codes
 
 
 def local_pairs(codes, size: int) -> list[tuple]:

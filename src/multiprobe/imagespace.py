@@ -19,11 +19,6 @@ from .errors import CapacityError, DimensionError
 
 Pattern = tuple[int, ...]
 
-FULL = "full"
-CPF = "cpf"
-BCPF = "bcpf"
-CUSTOM = "custom"
-
 PRIOR_TOL = 1e-12
 
 
@@ -45,22 +40,27 @@ def _enumerate(m: int, ks) -> tuple[Pattern, ...]:
 class ImageSpace:
     """Ordered patterns plus priors.  Patterns are lexicographically sorted.
 
-    Without patterns, a full/cpf/bcpf ``kind`` describes a uniform
-    position-finding space: its size, target counts and uniformity follow
-    from m and the kind, and its patterns and priors are enumerated, and
-    checked as given ones are, on the first read of either.  Only the dense
-    routes, the brute-force oracle and serialization read them.
+    ``target_counts`` holds the admissible numbers of target channels of a
+    full/cpf/bcpf position-finding space, None for a custom one.  Without
+    patterns, the target counts describe a uniform space: its size and
+    uniformity follow from m and them, and its patterns and priors are
+    enumerated, and checked as given ones are, on the first read of either.
+    Only the dense routes, the brute-force oracle and serialization read
+    them.  Patterns over more than MAX_PATTERN_LEN channels raise
+    CapacityError, whether or not they are listed.
     """
 
-    def __init__(self, m: int, patterns=None, priors=None, kind: tuple = (CUSTOM,)):
-        if not 1 <= m <= MAX_PATTERN_LEN:
-            raise DimensionError(f"pattern length must be in [1, {MAX_PATTERN_LEN}]")
+    def __init__(self, m: int, patterns=None, priors=None, target_counts: tuple[int, ...] | None = None):
+        if m > MAX_PATTERN_LEN:
+            raise CapacityError(f"image spaces are capped at m={MAX_PATTERN_LEN}, got m={m}")
+        if m < 1:
+            raise DimensionError(f"pattern length must be at least 1, got m={m}")
         self.m = m
-        self.kind = kind
+        self.target_counts = target_counts
         if patterns is None:
-            if priors is not None or self.target_counts is None:
+            if priors is not None or target_counts is None:
                 raise ValueError("only a uniform full/cpf/bcpf space may leave its patterns out")
-            self._size = sum(math.comb(m, k) for k in self.target_counts)
+            self._size = sum(math.comb(m, k) for k in target_counts)
             if not self._size:
                 raise ValueError("image space is empty")
             self.uniform = True
@@ -85,17 +85,6 @@ class ImageSpace:
     def __len__(self) -> int:
         return self._size
 
-    @property
-    def target_counts(self) -> tuple[int, ...] | None:
-        """Admissible numbers of target channels, when the kind fixes them."""
-        if self.kind[0] == FULL:
-            return tuple(range(self.m + 1))
-        if self.kind[0] == CPF:
-            return (self.kind[1],)
-        if self.kind[0] == BCPF:
-            return self.kind[1]
-        return None
-
 
 def _checked(m: int, patterns: tuple[Pattern, ...], priors) -> tuple[tuple[Pattern, ...], np.ndarray]:
     """The patterns and priors of an image space over m channels, checked."""
@@ -117,16 +106,14 @@ def _checked(m: int, patterns: tuple[Pattern, ...], priors) -> tuple[tuple[Patte
 
 def full_space(m: int, priors=None) -> ImageSpace:
     """All 2^m patterns in lexicographic order."""
-    if m > MAX_PATTERN_LEN:
-        raise CapacityError(f"full space enumeration capped at m={MAX_PATTERN_LEN}")
-    return _position_space(m, (FULL,), priors)
+    return _position_space(m, tuple(range(m + 1)), priors)
 
 
 def cpf_space(m: int, k: int, priors=None) -> ImageSpace:
     """Patterns with exactly k target channels."""
     if not 0 <= k <= m:
         raise ValueError(f"target count k={k} outside [0, {m}]")
-    return _position_space(m, (CPF, k), priors)
+    return _position_space(m, (k,), priors)
 
 
 def bcpf_space(m: int, ks, priors=None) -> ImageSpace:
@@ -134,15 +121,15 @@ def bcpf_space(m: int, ks, priors=None) -> ImageSpace:
     ks = tuple(sorted(set(int(k) for k in ks)))
     if not ks or ks[0] < 0 or ks[-1] > m:
         raise ValueError(f"target counts {ks} outside [0, {m}]")
-    return _position_space(m, (BCPF, ks), priors)
+    return _position_space(m, ks, priors)
 
 
-def _position_space(m: int, kind: tuple, priors) -> ImageSpace:
+def _position_space(m: int, ks: tuple[int, ...], priors) -> ImageSpace:
     """A lazy uniform space, or the enumerated one when priors are given."""
-    space = ImageSpace(m, kind=kind)
+    space = ImageSpace(m, target_counts=ks)
     if priors is None:
         return space
-    return ImageSpace(m, _enumerate(m, space.target_counts), priors, kind=kind)
+    return ImageSpace(m, _enumerate(m, ks), priors, target_counts=ks)
 
 
 # ---------------------------------------------------------------------------
@@ -173,4 +160,4 @@ def read_space(fh) -> ImageSpace:
         if not np.isfinite(pri).all() or (pri < 0).any() or not pri.sum() > 0:
             raise ValueError("pattern weights must be finite and nonnegative, with a positive sum")
         pri = pri / pri.sum()
-    return ImageSpace(m, tuple(patterns), pri, kind=(CUSTOM,))
+    return ImageSpace(m, tuple(patterns), pri)

@@ -40,6 +40,7 @@ import numpy as np
 
 from . import closedform, gaussian
 from .bounds import (
+    BoundReport,
     FidelityTable,
     bounds_from_table,
     bounds_tmsv_pairs,
@@ -306,6 +307,13 @@ def _sub_pairs(fids: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
     return fids[a * n - a * (a + 1) // 2 + b - a - 1]
 
 
+def _relative_gap(ref: BoundReport, got: BoundReport) -> float:
+    """The largest gap of ``got``'s raw bounds to ``ref``'s, relative to
+    ``ref``'s, over the raw bounds that ``ref`` holds positive."""
+    pairs = ((ref.upper_raw, got.upper_raw), (ref.lower_raw, got.lower_raw))
+    return max([abs(r - g) / r for r, g in pairs if r > 0], default=0.0)
+
+
 def suite_counting_vs_bruteforce(scale: str, oracle=None) -> SuiteResult:
     """Occupancy-counting bounds, from the counting DP tables of
     ``evaluate_points`` and from the counting sums of ``bound_reports``,
@@ -337,9 +345,7 @@ def suite_counting_vs_bruteforce(scale: str, oracle=None) -> SuiteResult:
                     for c, rs in zip(copies, row):
                         rb = bounds_from_table(table_b, c)
                         for rc in (bounds_from_table(table_c, c), rs):
-                            for raw_b, raw_c in ((rb.upper_raw, rc.upper_raw), (rb.lower_raw, rc.lower_raw)):
-                                if raw_b > 0:
-                                    worst = max(worst, abs(raw_b - raw_c) / raw_b)
+                            worst = max(worst, _relative_gap(rb, rc))
                             cases += 1
     return SuiteResult("counting_vs_bruteforce", worst < tol, worst, tol, cases)
 
@@ -366,10 +372,7 @@ def suite_tmsv_closed_form(scale: str) -> SuiteResult:
                     closed = bounds_tmsv_pairs(family, mu, copies, m)
                 else:
                     closed = bounds_tmsv_pairs_odd(family, mu, copies, m, SINGLE_IDLER)
-                counted = bounds_from_table(table, copies)
-                for a, b in ((closed.upper_raw, counted.upper_raw), (closed.lower_raw, counted.lower_raw)):
-                    if b > 0:
-                        worst = max(worst, abs(a - b) / b)
+                worst = max(worst, _relative_gap(bounds_from_table(table, copies), closed))
                 cases += 1
     return SuiteResult("tmsv_closed_form", worst < tol, worst, tol, cases)
 
@@ -538,9 +541,7 @@ def suite_mutual_vs_bruteforce(scale: str) -> SuiteResult:
             for c, rs in zip(copies, sums):
                 rb = bounds_from_table(ref, c)
                 for rc in (bounds_from_table(dense, c), bounds_from_table(frontier, c), rs):
-                    for a, b in ((rb.upper_raw, rc.upper_raw), (rb.lower_raw, rc.lower_raw)):
-                        if a > 0:
-                            worst = max(worst, abs(a - b) / a)
+                    worst = max(worst, _relative_gap(rb, rc))
                     cases += 1
     return SuiteResult("mutual_vs_bruteforce", worst < tol, worst, tol, cases)
 

@@ -32,7 +32,7 @@ from multiprobe.closedform import (
     vacuum_additive_fidelity,
 )
 from multiprobe.gaussian import CovMatrix, coherent_cm, gaussian_fidelity
-from multiprobe.imagespace import FULL, bcpf_space, cpf_space, full_space
+from multiprobe.imagespace import bcpf_space, cpf_space, full_space
 from multiprobe.presets import CLASSICAL, DISJOINT, MUTUAL, ProbePlan
 from multiprobe.probes import (
     SINGLE_IDLER,
@@ -153,7 +153,7 @@ def test_criterion_3_counting_equals_brute_force():
                         ):
                             if a > 0:
                                 worst = max(worst, abs(a - b) / a)
-                        if space.kind[0] == FULL and label in ("pairs", "pairs+idler"):
+                        if space is full and label in ("pairs", "pairs+idler"):
                             if m % 2 == 0:
                                 closed = bounds_tmsv_pairs(family, 20.5, copies, m)
                             else:

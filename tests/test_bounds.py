@@ -523,11 +523,22 @@ def test_classical_benchmark_additive_vacuum():
 
 def test_classical_benchmark_counting_equals_dense():
     space = full_space(4)
-    custom = ImageSpace(4, space.patterns, space.priors)  # kind custom, same priors
+    custom = ImageSpace(4, space.patterns, space.priors)  # no target counts, same priors
     a = bounds_from_table(evaluate(ProbePlan(CLASSICAL), space, LOSS, ns=20.0), 3)
     b = bounds_from_table(evaluate(ProbePlan(CLASSICAL), custom, LOSS, ns=20.0), 3)
     assert a.upper_raw == pytest.approx(b.upper_raw, rel=1e-12)
     assert a.lower_raw == pytest.approx(b.lower_raw, rel=1e-12)
+
+
+@pytest.mark.parametrize("space", [bcpf_space(7, (1, 3, 6)), cpf_space(5, 0)] + [full_space(m) for m in range(1, 9)],
+                         ids=["bcpf-1-3-6", "cpf-0"] + [f"full-{m}" for m in range(1, 9)])
+def test_classical_census_equals_bruteforce_pair_distances(space):
+    counts, dists = bounds_mod._hamming_census(space.m, space.target_counts)
+    bits = np.array(space.patterns)
+    want = np.bincount((bits[:, None] != bits[None]).sum(axis=2).ravel(), minlength=space.m + 1)
+    want[0] -= len(space)  # a pattern paired with itself
+    assert (counts > 0).all() and (dists > 0).all()
+    assert np.bincount(dists.astype(int), weights=counts, minlength=space.m + 1).tolist() == want.tolist()
 
 
 def test_classical_benchmark_rejects_thermal():

@@ -526,3 +526,15 @@ def test_reused_parser_leaks_nothing_between_runs(tmp_path, capsys):
     assert parser.parse_args(flags).grid == []  # the append default stays empty
     assert reused == run_all("fresh", fresh=True)
     assert "overrides" in reused[2][1]
+
+
+def test_every_space_past_24_channels_exits_1_with_one_message(tmp_path, capsys):
+    space_file = tmp_path / "long.txt"
+    space_file.write_text("1" + "0" * 24 + "\n" + "0" * 24 + "1\n")
+    errors = set()
+    for space in ("full", "cpf:1", f"file:{space_file}"):
+        code = run_cli(["bounds", "--family", "pure-loss", "--m", "25", "--eta-b", "0.99",
+                        "--eta-t", "0.97", "--ns", "20", "--copies", "1", "--space", space])
+        assert code == 1
+        errors.add(capsys.readouterr().err)
+    assert errors == {"error: image spaces are capped at m=24, got m=25\n"}

@@ -5,6 +5,7 @@ that ``bound_reports`` takes straight from the frontier DP: how they split
 their rows, look up their block fidelities and meet their edge cases.  The
 sums against the tables of both DPs are checked in ``test_counting``."""
 
+import itertools
 import math
 
 import numpy as np
@@ -278,9 +279,25 @@ def test_frontier_keys_fit_an_int64_up_to_the_boundary():
     # a block over every channel holds them all to the end: m slots, so
     # 2 * 26 + 1 + 2 * bit_length(26) = 63 key bits at m = 26, 65 at m = 27
     partition = Partition(26, (tuple(range(26)), (0, 1)))
-    plan, final, reach = dp.frontier_plan(partition, (1,), cap=10**6)
+    plan, final, codes = dp.frontier_plan(partition, (1,), cap=10**6)
     # with every block factor 1 the sum counts the ordered pairs of one-target patterns
-    luts = {size: np.ones((len(codes), 1)) for size, (_, codes) in reach.items()}
+    luts = {size: np.ones((len(reachable), 1)) for size, reachable in codes.items()}
     assert dp.replay_sums(plan, final, luts).tolist() == [26 * 25]
     with pytest.raises(CapacityError, match="65 bits"):
         dp.frontier_plan(Partition(27, (tuple(range(27)), (0, 1))), (1,), cap=10**6)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_reach_follows_the_admissible_counts(m):
+    # the full space, every single count, every set less one count (so
+    # either endpoint), and every two counts, adjacent or gapped
+    counts = range(m + 1)
+    sets = ([tuple(counts)] + [(k,) for k in counts] + [tuple(c for c in counts if c != k) for k in counts]
+            + list(itertools.combinations(counts, 2)))
+    for ks in sets:
+        reach = dp._reach(m, ks)
+        if set(ks) == set(counts):
+            assert reach is None
+            continue
+        want = [[any(t <= k <= t + rem for k in ks) for t in counts] for rem in counts]
+        assert reach.tolist() == want, ks

@@ -64,8 +64,9 @@ def test_read_space_rejects_weights_it_cannot_normalise(weights):
 
 
 def _lazy_spaces(m: int):
-    """(lazy space, admissible target counts) for every kind over m channels:
-    the full space, every cpf space and the bcpf spaces of one or two counts."""
+    """(lazy space, admissible target counts) for every position-finding space
+    over m channels: the full space, every cpf space and the bcpf spaces of
+    one or two counts."""
     yield full_space(m), set(range(m + 1))
     for k in range(m + 1):
         yield cpf_space(m, k), {k}
@@ -81,7 +82,7 @@ def test_lazy_spaces_match_materialised(m):
         assert len(space) == len(pats)
         assert space.target_counts == tuple(sorted(ks))
         assert space.uniform is True
-        want = ImageSpace(m, pats, np.full(len(pats), 1.0 / len(pats)), kind=space.kind)
+        want = ImageSpace(m, pats, np.full(len(pats), 1.0 / len(pats)), target_counts=space.target_counts)
         assert want.uniform is True
         assert want.target_counts == space.target_counts
         assert space.patterns == want.patterns
@@ -100,7 +101,6 @@ def test_explicit_priors_keep_the_eager_path(m):
         pri = rng.random(len(lazy))
         pri /= pri.sum()
         eager = build(pri)
-        assert eager.kind == lazy.kind
         assert eager.target_counts == lazy.target_counts
         assert len(eager) == len(lazy)
         assert eager.patterns == lazy.patterns
@@ -115,7 +115,7 @@ def test_only_position_finding_spaces_leave_patterns_out():
     with pytest.raises(ValueError):
         ImageSpace(3)
     with pytest.raises(ValueError):
-        ImageSpace(3, priors=np.full(8, 0.125), kind=full_space(3).kind)
+        ImageSpace(3, priors=np.full(8, 0.125), target_counts=full_space(3).target_counts)
     with pytest.raises(DimensionError):
         full_space(0)
 
@@ -123,6 +123,21 @@ def test_only_position_finding_spaces_leave_patterns_out():
 def test_full_space_capacity_guard():
     with pytest.raises(CapacityError):
         full_space(25)
+
+
+def test_every_space_is_capped_at_24_channels():
+    long_patterns = [(0,) * 25, (1,) + (0,) * 24]
+    for build in (
+        lambda: full_space(25),
+        lambda: cpf_space(25, 1),
+        lambda: bcpf_space(25, (1, 3)),
+        lambda: ImageSpace(25, long_patterns, [0.5, 0.5]),
+        lambda: read_space(io.StringIO("".join("".join(map(str, p)) + "\n" for p in long_patterns))),
+    ):
+        with pytest.raises(CapacityError, match="capped at m=24"):
+            build()
+    # the cap itself is a space
+    assert len(cpf_space(24, 1)) == 24
 
 
 def test_hamming_basics():
