@@ -1,8 +1,9 @@
 """Output fidelities of single probe blocks, which every bound route reads:
-``block_fidelities`` evaluates the local pattern pairs a route needs at
-every grid point of a sweep in one stacked batch per block, and caches
-them; ``block_subfidelity`` reads a (v, u, d) class off its
-representative pair."""
+``block_fidelities`` evaluates the local pattern pairs a route names (the
+DP routes: the pairs their plans read) at every grid point of a sweep in
+one stacked batch per block, and caches them; ``block_subfidelity`` reads
+a (v, u, d) class off its representative pair, which ``multiprobe.dp``
+owns."""
 
 from __future__ import annotations
 
@@ -11,26 +12,9 @@ from dataclasses import replace
 import numpy as np
 
 from .channels import ChannelFamily, layout_channels, mode_channel_map
+from .dp import representative_local_patterns
 from .gaussian import BATCH_MAX_FLOATS, _checked, stacked_fidelities
 from .probes import BlockDescriptor
-
-
-def representative_local_patterns(size: int, v: int, u: int, d: int):
-    """A sub-pattern pair with v and u targets at Hamming distance d."""
-    if (v + u - d) % 2:
-        raise ValueError(f"class {(v, u, d)} has non-integer overlap")
-    overlap = (v + u - d) // 2
-    if overlap < 0 or overlap > min(v, u) or v + u - overlap > size:
-        raise ValueError(f"class {(v, u, d)} impossible for block size {size}")
-    pat_a = [0] * size
-    pat_b = [0] * size
-    for k in range(v):
-        pat_a[k] = 1
-    for k in range(overlap):
-        pat_b[k] = 1
-    for k in range(v, v + u - overlap):
-        pat_b[k] = 1
-    return tuple(pat_a), tuple(pat_b)
 
 
 _BLOCK_FID_CACHE: dict[tuple, float] = {}

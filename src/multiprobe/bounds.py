@@ -21,17 +21,17 @@ literals), one dense table per point on any other space (``_dense_table``),
 or the classical probe's distance table.
 Fidelities of block-structured probes factor over blocks and are
 degenerate within per-block (v, u, d) classes, so one Gaussian fidelity
-per block and class suffices.  ``multiprobe.blocks`` evaluates the local
-pattern pairs the routes need in one stacked batch per block over all
-configurations and caches them; a class reads its representative pair.
-On uniform position-finding spaces
-a DP over blocks counts ordered pattern pairs per distinct log-fidelity
-from occupancy multiplicities, and overlapping blocks are counted by a DP
-over channels that keeps the bits of the channels still read, both
-without enumerating patterns.  Each DP is one plan of key transitions
-that depends on no fidelity (``multiprobe.dp``): the table replays it with
-(log F, count) entries per state, the sums with count * F^M and
-count * F^(2M) per state.
+per block and class suffices.  On uniform position-finding spaces a DP
+over blocks counts ordered pattern pairs per distinct log-fidelity from
+the multiplicities of those classes, and overlapping blocks are counted
+by a DP over channels that keeps the bits of the channels still read,
+both without enumerating patterns.  ``multiprobe.dp`` owns both plans of
+key transitions, the classes and their representative local pairs; a
+plan depends on no fidelity and names the local pairs it reads, and
+``_dp`` evaluates them in one ``multiprobe.blocks`` batch per lut key
+over all configurations.  The table replays the plan with (log F, count)
+entries per state, the sums with count * F^M and count * F^(2M) per
+state.
 Custom spaces get one entry per unordered pattern pair from per-block
 lookups, which read each block's channels off the pattern whether or not
 the blocks overlap, so overlapping blocks need no copy-channel extension.
@@ -39,7 +39,6 @@ the blocks overlap, so overlapping blocks need no copy-channel extension.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -48,8 +47,9 @@ import numpy as np
 
 from .channels import ADDITIVE, PURE_LOSS, ChannelFamily, layout_channels, mode_channel_map
 from .closedform import coherent_loss_fidelity, vacuum_additive_fidelity
-from .blocks import block_fidelities, block_signature, block_subfidelity, representative_local_patterns
-from .dp import _reach, counting_plan, frontier_plan, local_pairs, replay_entries, replay_sums
+from .blocks import block_fidelities, block_signature, block_subfidelity
+from .dp import (counting_plan, frontier_plan, hamming_census, local_pairs, replay_entries, replay_sums,
+                 representative_local_patterns)
 from .errors import (
     CapacityError,
     ComparabilityError,
@@ -149,15 +149,6 @@ def tmsv_subfidelity(family: ChannelFamily, mu: float, v: int, u: int, d: int) -
 
 # ---------------------------------------------------------------------------
 # fidelity tables
-
-
-@functools.lru_cache(maxsize=None)
-def _block_occupancy_options(size: int, v: int, u: int) -> tuple[tuple[int, int], ...]:
-    """(d, multiplicity) for ordered sub-pattern pairs with v and u targets."""
-    return tuple(
-        (2 * t - (v + u), math.comb(size, t) * math.comb(t, u) * math.comb(u, v + u - t))
-        for t in range(max(v, u), min(v + u, size) + 1)
-    )
 
 
 def counting_applies(space: ImageSpace) -> bool:
@@ -298,76 +289,46 @@ def _dp(space: ImageSpace, points):
     """The classed route of (plan, family, ns, mu) points that share one
     probe structure on a uniform full/cpf/bcpf space: the plan and final
     states of its DP, its block fidelities (a lut key -> (point, lut entry)
-    map, from one batch per key over every point) and the fields of its
-    tables.  A mutual plan takes the frontier DP over channels, a disjoint
-    one the counting DP over blocks.  ``evaluate_points`` replays the plan
-    with entries per state, ``bound_reports`` with sums."""
+    map) and the fields of its tables.  ``evaluate_points`` replays the
+    plan with entries per state, ``bound_reports`` with sums.
+
+    A mutual plan takes the frontier DP over channels, whose lut keys are
+    block sizes, on GHZ blocks over channels 0..size-1: channel labels
+    enter no block fidelity.  A disjoint one takes the counting DP over
+    blocks, whose lut keys are the signatures of a block under each spec
+    of the sweep.  Each lut key's fidelities come from one batch over every
+    point and the local pairs the plan reads.  Replayed with entries, log F
+    sums one block log-fidelity per block in block order, so pairs whose
+    blocks read the same local pairs reach the same float.  More DP states
+    or entries than a dense table may hold raise CapacityError."""
     plan = points[0][0]
+    families = [family for _, family, _, _ in points]
     if plan.route == MUTUAL:
-        return (*_frontier(space, plan.partition, [(family, mu) for _, family, _, mu in points]),
-                _mutual_fields(plan.partition))
-    return (*_counting(space, [(p.spec, family) for p, family, _, _ in points]), {"method": "counting"})
+        dp_plan, final, codes = frontier_plan(plan.partition, space.target_counts, _state_cap())
+        mus = [mu for *_, mu in points]
+        ghz = {(size, mu): BlockDescriptor("ghz", tuple(range(size)), mu=mu) for size in codes for mu in set(mus)}
+        descs = {size: [ghz[size, mu] for mu in mus] for size in codes}
+        fields = _mutual_fields(plan.partition)
+    else:
+        # a sweep's points share few specs, so blocks are grouped once per spec
+        specs: dict[ProbeSpec, int] = {}
+        index = [specs.setdefault(p.spec, len(specs)) for p, *_ in points]
+        descs, blocks = {}, []
+        for per_spec in zip(*(spec.descriptors() for spec in specs)):
+            # the family is the same for every block of a point, so one stands for all
+            shape = tuple(block_signature(desc, families[0]) for desc in per_spec)
+            descs.setdefault(shape, [per_spec[i] for i in index])
+            blocks.append((shape, len(per_spec[0].channels)))
+        dp_plan, final, codes = counting_plan(blocks, space.m, space.target_counts)
+        fields = {"method": "counting"}
+    fids = {key: block_fidelities(list(zip(descs[key], families)), local_pairs(read, len(descs[key][0].channels)))
+            for key, read in codes.items()}
+    return dp_plan, final, fids, fields
 
 
 def _mutual_fields(partition: Partition) -> dict:
     """The table fields of mutual probing over ``partition``."""
     return {"method": "mutual", "partition": partition, "rounds": len(decompose_rounds(partition))}
-
-
-def _counting(space: ImageSpace, points):
-    """The plan of the counting DP of the points' shared blocks on
-    ``space`` (see ``dp.counting_plan``) and, per group of blocks with the
-    same signatures, the (point, representative pair) fidelities of every
-    (spec, family) point, from one batch (as ``block_subfidelity``).  A
-    sweep's points share few specs, so blocks are grouped once per spec.
-
-    Replayed with entries, log F sums one class fidelity per block in block
-    order, so pairs whose blocks fall in the same classes reach the same
-    float; replayed with sums, adding a block multiplies them by the class
-    count and the block's f^M and f^(2M)."""
-    specs: dict[ProbeSpec, int] = {}
-    index = [specs.setdefault(spec, len(specs)) for spec, _ in points]
-    groups: dict[tuple, tuple] = {}  # signatures -> the block's descriptor under each spec
-    blocks = []
-    for descs in zip(*(spec.descriptors() for spec in specs)):
-        # the family is the same for every block of a point, so one stands for all
-        shape = tuple(block_signature(desc, points[0][1]) for desc in descs)
-        groups.setdefault(shape, descs)
-        blocks.append((shape, len(descs[0].channels)))
-    ks = space.target_counts
-    classes = {size: _block_classes(size, space.m, min(ks), max(ks)) for _, size in blocks}
-    plan, final = counting_plan(blocks, {size: arrays for size, (arrays, _) in classes.items()}, space.m, ks)
-    fids = {
-        shape: block_fidelities([(descs[i], family) for i, (_, family) in zip(index, points)],
-                                classes[len(descs[0].channels)][1])
-        for shape, descs in groups.items()
-    }
-    return plan, final, fids
-
-
-@functools.lru_cache(maxsize=None)
-def _block_classes(size: int, m: int, kmin: int, kmax: int):
-    """The ordered (v, u, d) classes of a block of ``size`` channels that a
-    pattern pair with kmin..kmax targets over m channels can pass through,
-    as arrays v, u, d, ordered sub-pattern pair counts and the index of
-    each class's representative local pair (as ``block_subfidelity``),
-    then the distinct pairs.  (v, u, d) and (u, v, d) share one.  Cached,
-    so the arrays are read-only."""
-    # a block holds at most kmax targets, and the other m - size channels at most m - size
-    targets = range(max(0, kmin - (m - size)), min(size, kmax) + 1)
-    classes = [
-        (v, u, d, count)
-        for v in targets
-        for u in targets
-        for d, count in _block_occupancy_options(size, v, u)
-    ]
-    index: dict[tuple, int] = {}
-    pair = [index.setdefault((min(v, u), max(v, u), d), len(index)) for v, u, d, _ in classes]
-    pairs = tuple(representative_local_patterns(size, *vud) for vud in index)
-    arrays = (*np.array(classes, dtype=np.int64).T, np.array(pair))
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays, pairs
 
 
 def _rows(copies) -> tuple[np.ndarray, np.ndarray]:
@@ -403,26 +364,6 @@ def _plan_reports(n: int, plan, final, fids, fields: dict, copies):
     partition = fields.get("partition")
     rows = [(c, _m_bar(partition, c), 0.5 * s2 / n**2, s1 / n) for c, (s1, s2) in zip(power.tolist(), sums)]
     return _checked_reports(rows, copies, fields["method"], fields.get("rounds"))
-
-
-def _frontier(space: ImageSpace, partition: Partition, points):
-    """The plan of the frontier DP of ``partition`` on ``space`` (see
-    ``dp.frontier_plan``) and, per block size, the (point, reachable local
-    pair) fidelities of every (family, mu) point, from one batch, on a
-    block over channels 0..size-1: channel labels enter no block fidelity.
-
-    Replayed with entries, a new state takes every entry of its parent plus
-    the log-fidelities of the blocks added at that channel in block order,
-    so log F is the same float as the dense route's entry; replayed with
-    sums, adding a block multiplies them by its f^M and f^(2M).  More
-    states or entries than a dense table may hold raise CapacityError."""
-    plan, final, codes = frontier_plan(partition, space.target_counts, _state_cap())
-    fids = {}
-    for size, reachable in codes.items():
-        block = tuple(range(size))
-        descs = {mu: BlockDescriptor("ghz", block, mu=mu) for mu in dict.fromkeys(mu for _, mu in points)}
-        fids[size] = block_fidelities([(descs[mu], family) for family, mu in points], local_pairs(reachable, size))
-    return plan, final, fids
 
 
 def _state_cap() -> int:
@@ -587,31 +528,13 @@ def _classical(space: ImageSpace, points) -> tuple[FidelityTable, list[float]]:
     spaces, one entry per unordered pair otherwise."""
     logfs = [_log(per_channel_classical_fidelity(family, ns)) for _, family, ns, _ in points]
     if counting_applies(space):
-        return FidelityTable(len(space), *_hamming_census(space.m, space.target_counts), method="classical"), logfs
+        return FidelityTable(len(space), *hamming_census(space.m, space.target_counts), method="classical"), logfs
     n = len(space)
     if n > BLOCK_TABLE_MAX_PATTERNS:
         raise CapacityError("classical dense table too large")
     bits = np.array(space.patterns, dtype=np.uint8)
     dists = _pair_entries(n, lambda i: (bits[i] != bits[i + 1:]).sum(axis=1))
     return FidelityTable.pairs(n, dists, None if space.uniform else space.priors, method="classical"), logfs
-
-
-def _hamming_census(m: int, target_counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Ordered pattern pair counts and their Hamming distances d > 0 on a
-    uniform full/cpf/bcpf space: the classes of one block over all m
-    channels (``_block_classes``) with admissible v and u, summed over the
-    classes that share a representative pair."""
-    (v, u, d, count, pair), pairs = _block_classes(m, m, min(target_counts), max(target_counts))
-    keep = d > 0
-    reach = _reach(m, target_counts)
-    if reach is not None:
-        # with no channel left, a count reaches only itself
-        keep &= reach[0, v] & reach[0, u]
-    counts, dists = np.zeros(len(pairs)), np.zeros(len(pairs))
-    np.add.at(counts, pair[keep], count[keep])
-    dists[pair] = d
-    present = np.flatnonzero(counts)
-    return counts[present], dists[present]
 
 
 def bound_reports(space: ImageSpace, points, copies) -> list[list[BoundReport]]:

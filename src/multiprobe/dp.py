@@ -1,19 +1,26 @@
-"""Key plans of the pattern-pair DPs and their replays.
+"""Key plans of the pattern-pair DPs, their replays, and the (v, u, d)
+block classes and local pairs they read.
 
 Both DPs count ordered pattern pairs on uniform full/cpf/bcpf spaces
 without enumerating patterns: ``counting_plan`` over the blocks of a
-disjoint probe, ``frontier_plan`` over the channels of possibly
-overlapping blocks.  A plan depends on no fidelity.  Per step it holds the
-parent state of each child, the child's multiplicity (None: every child
-counts one pair of sub-patterns) and, per block added, its lut key and the
-index of each child's local pair in that lut, all in the order of the
-merged keys, with the first child of each merged key; then come the final
-states whose patterns differ.  ``replay_entries`` replays a plan with
-(log F, ordered pair count) entries per state, ``replay_sums`` with
-products of block factors per column.
+disjoint probe, whose children are the classes of ``block_classes``,
+``frontier_plan`` over the channels of possibly overlapping blocks.  A
+plan depends on no fidelity.  Per step it holds the parent state of each
+child, the child's multiplicity (None: every child counts one pair of
+sub-patterns) and, per block added, its lut key and the index of each
+child's local pair in that lut, all in the order of the merged keys, with
+the first child of each merged key; then come the final states whose
+patterns differ, and per lut key the sorted codes of the local pairs its
+children read (see ``local_pairs``), which index its lut.
+``replay_entries`` replays a plan with (log F, ordered pair count) entries
+per state, ``replay_sums`` with products of block factors per column.
+``hamming_census`` reads the classes of one block over every channel.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -35,35 +42,93 @@ def _reach(m: int, target_counts: tuple[int, ...]) -> np.ndarray | None:
     return below[np.minimum(t + t[:, None] + 1, m + 1)] > below[t]
 
 
-def counting_plan(blocks, classes, m: int, target_counts: tuple[int, ...]):
+def pair_code(size: int, v, u, d):
+    """The code (see ``local_pairs``) of the representative local pair of
+    the (v, u, d) class of a block of ``size`` channels: a holds targets at
+    its first v channels, b at the first (v + u - d) / 2 of them and at the
+    channels after them.  Takes ints or integer arrays; unchecked."""
+    overlap = (v + u - d) // 2
+    return (1 << v) - 1 | ((1 << overlap) - 1 | (1 << u - overlap) - 1 << v) << size
+
+
+def representative_local_patterns(size: int, v: int, u: int, d: int):
+    """A sub-pattern pair with v and u targets at Hamming distance d."""
+    if (v + u - d) % 2:
+        raise ValueError(f"class {(v, u, d)} has non-integer overlap")
+    overlap = (v + u - d) // 2
+    if overlap < 0 or overlap > min(v, u) or v + u - overlap > size:
+        raise ValueError(f"class {(v, u, d)} impossible for block size {size}")
+    return local_pairs([pair_code(size, v, u, d)], size)[0]
+
+
+@functools.cache
+def block_classes(size: int, lo: int, hi: int):
+    """The ordered (v, u, d) classes of a block of ``size`` channels whose
+    patterns hold lo..hi targets each, as arrays v, u, d, the ordered
+    sub-pattern pairs in each and the code of its representative local
+    pair, which (v, u, d) and (u, v, d) share; in ascending v, u, d.  A
+    pair whose union holds s targets has d = 2s - v - u.  Cached, so the
+    arrays are read-only."""
+    comb = np.array([[math.comb(n, k) for k in range(size + 1)] for n in range(size + 1)])
+    t = np.arange(lo, hi + 1)
+    v, u, s = t[:, None, None], t[:, None], np.arange(size + 1)
+    i, j, s = np.nonzero((np.maximum(v, u) <= s) & (s <= np.minimum(v + u, size)))
+    v, u = t[i], t[j]
+    d = 2 * s - v - u
+    arrays = (v, u, d, comb[size, s] * comb[s, u] * comb[u, v + u - s],
+              pair_code(size, np.minimum(v, u), np.maximum(v, u), d))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def hamming_census(m: int, target_counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered pattern pair counts and their Hamming distances d > 0 on a
+    uniform full/cpf/bcpf space: the classes (v, u, d) of one block over
+    all m channels with admissible v <= u, in ascending v, u, d; a class
+    with v < u counts (u, v, d) too, which holds as many pairs."""
+    v, u, d, count, _ = block_classes(m, min(target_counts), max(target_counts))
+    keep = (d > 0) & (v <= u)
+    reach = _reach(m, target_counts)
+    if reach is not None:
+        # with no channel left, a count reaches only itself
+        keep &= reach[0, v] & reach[0, u]
+    return (count * np.where(v < u, 2, 1))[keep].astype(float), d[keep].astype(float)
+
+
+def counting_plan(blocks, m: int, target_counts: tuple[int, ...]):
     """The counting DP over keys alone, which depends on the block sizes
     and the admissible target counts only.
 
-    ``blocks`` holds (lut key, size) per block, in block order, and
-    ``classes`` maps a block size to the arrays v, u, d, count and pair of
-    its ordered (v, u, d) classes: the ordered sub-pattern pairs in each
-    and the lut index of its representative local pair.  A state's key
-    holds the targets of A and of B so far when the space fixes them, and
-    whether A and B differ yet.  Adding a block gives each state a child
-    per class, less those whose targets can no longer reach an admissible
-    count; the child's multiplicity is the class's count, and its block
-    reads the class's pair.  Children of equal keys merge.
+    ``blocks`` holds (lut key, size) per block, in block order.  A block of
+    ``size`` channels holds at most max(target_counts) targets, and the
+    other m - size channels at most m - size, so its classes are those of
+    ``block_classes`` over that range of targets.  A state's key holds the
+    targets of A and of B so far when the space fixes them, and whether A
+    and B differ yet.  Adding a block gives each state a child per class,
+    less those whose targets can no longer reach an admissible count; the
+    child's multiplicity is the class's count, and its block reads the
+    class's representative pair.  Children of equal keys merge.
+
+    Returns the plan, the final states and the codes per lut key (see the
+    module docstring).
     """
     reach = _reach(m, target_counts)
     track = reach is not None
+    kmin, kmax = min(target_counts), max(target_counts)
     # key: (targets of A * (m + 1) + targets of B) * 2 + differs; the targets stay 0 untracked
     key = np.zeros(1, dtype=np.int64)
     if track:
         feasible = np.repeat(reach[:, :, None] & reach[:, None, :], 2).reshape(m + 1, -1)
     steps: dict[int, tuple] = {}
-    plan = []
+    raw = []
     rem = m
     for lut, size in blocks:
         rem -= size
         if size not in steps:
-            v, u, d, count, pair = classes[size]
-            steps[size] = ((v * (m + 1) + u) * 2 * track, d > 0, count, pair)
-        inc, step_differs, count, pair = steps[size]
+            v, u, d, count, code = block_classes(size, max(0, kmin - (m - size)), min(size, kmax))
+            steps[size] = ((v * (m + 1) + u) * 2 * track, d > 0, count, code)
+        inc, step_differs, count, code = steps[size]
         # child (state, class) sits at state * classes + class
         child = ((key[:, None] + inc) | step_differs).ravel()
         if track:
@@ -76,8 +141,27 @@ def counting_plan(blocks, classes, m: int, target_counts: tuple[int, ...]):
         parent, cls = np.divmod(flat[order], len(inc))
         starts = np.flatnonzero(np.concatenate(([True], child[1:] != child[:-1])))
         key = child[starts]
-        plan.append((parent, count[cls], ((lut, pair[cls]),), starts))
-    return tuple(plan), np.flatnonzero(key & 1)
+        raw.append((parent, count[cls], ((lut, code[cls]),), starts))
+    plan, codes = _indexed(raw)
+    return plan, np.flatnonzero(key & 1), codes
+
+
+def _indexed(raw):
+    """The plan of ``raw`` steps whose blocks name each child's local pair
+    by its code, with each code replaced by its index among the sorted
+    codes that its lut key reads; then those codes per lut key."""
+    seen: dict = {}
+    for _, _, adds, _ in raw:
+        for lut, code in adds:
+            seen.setdefault(lut, []).append(code)
+    # a sort rather than np.unique, whose first call imports numpy.ma
+    read = {lut: np.sort(np.concatenate(code)) for lut, code in seen.items()}
+    read = {lut: code[np.concatenate(([True], code[1:] != code[:-1]))] for lut, code in read.items()}
+    plan = tuple(
+        (parent, mult, tuple((lut, read[lut].searchsorted(code)) for lut, code in adds), starts)
+        for parent, mult, adds, starts in raw
+    )
+    return plan, {lut: code.tolist() for lut, code in read.items()}
 
 
 def frontier_plan(partition: Partition, target_counts: tuple[int, ...], cap: int):
@@ -93,11 +177,9 @@ def frontier_plan(partition: Partition, target_counts: tuple[int, ...], cap: int
     local pair is read off the child's key.  Then the bits that no later
     block reads are dropped, and children of equal keys merge.
 
-    Returns the plan, its lut keys the block sizes and each child's local
-    pair indexed among the reachable ones; then the final states, and per
-    block size the sorted codes of its reachable local pairs (see
-    ``local_pairs``).  More than ``cap`` states, or keys wider than an int64
-    holds, raise CapacityError.
+    Returns the plan, whose lut keys are the block sizes, the final states
+    and the codes per block size (see the module docstring).  More than
+    ``cap`` states, or keys wider than an int64 holds, raise CapacityError.
     """
     m, blocks = partition.m, partition.blocks
     # the step after which block j is added, and the last step that reads channel c
@@ -117,7 +199,6 @@ def frontier_plan(partition: Partition, target_counts: tuple[int, ...], cap: int
     reach = _reach(m, target_counts)
     key = np.zeros(1, dtype=np.int64)
     raw = []
-    seen: dict[int, list] = {}  # per block size, the local pair codes of each block added
     for c in range(m):
         check_states(4 * len(key), cap)
         a_inc, b_inc = 1 << slot[c], 1 << width + slot[c]
@@ -138,29 +219,20 @@ def frontier_plan(partition: Partition, target_counts: tuple[int, ...], cap: int
         for j, blk in enumerate(blocks):
             if added[j] == c:
                 shifts = np.array([slot[ch] for ch in blk] + [width + slot[ch] for ch in blk])
-                idx = (child[:, None] >> shifts & 1) @ (1 << np.arange(2 * len(blk)))
-                seen.setdefault(len(blk), []).append(idx)
-                step_adds.append((len(blk), idx))
+                step_adds.append((len(blk), (child[:, None] >> shifts & 1) @ (1 << np.arange(2 * len(blk)))))
         merged = child & keep_bits
         starts = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
         key = merged[starts]
-        raw.append((parent, step_adds, starts))
-    # sorted(set()) rather than np.unique, whose first call imports numpy.ma
-    codes = {size: sorted(set(np.concatenate(idx).tolist())) for size, idx in seen.items()}
-    plan = tuple(
-        (parent, None, tuple((size, np.searchsorted(codes[size], idx)) for size, idx in adds), starts)
-        for parent, adds, starts in raw
-    )
+        raw.append((parent, None, step_adds, starts))
+    plan, codes = _indexed(raw)
     return plan, np.flatnonzero(key & differs), codes
 
 
 def local_pairs(codes, size: int) -> list[tuple]:
     """The local pattern pairs (a, b) of a block of ``size`` channels whose
     bits a0..a(size-1) b0..b(size-1) form the integers ``codes``."""
-    return [
-        tuple(tuple(code >> at + k & 1 for k in range(size)) for at in (0, size))
-        for code in codes
-    ]
+    bits = (np.array(codes, dtype=np.int64)[:, None] >> np.arange(2 * size) & 1).tolist()
+    return [(tuple(row[:size]), tuple(row[size:])) for row in bits]
 
 
 def replay_entries(plan, final, luts, cap: int):

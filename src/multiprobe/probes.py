@@ -2,8 +2,11 @@
 
 A partition distributes entangled blocks over the m channels of a
 pattern.  Disjoint blocks tile the channels and may carry idler modes;
-overlapping blocks (mutual probing) are realised by extending the pattern
-with copy-channels.
+overlapping blocks (mutual probing) are evaluated as they sit, by the
+frontier DP and by per-block lookups (``multiprobe.bounds``).  Extending
+the pattern with copy-channels (``extend_for_mutual_probing``) realises
+them as disjoint blocks: the reference that ``validate`` and the tests
+check those routes against.
 
 Text grammar (1-based channel labels): blocks are separated by ``|``.  A
 block containing a comma lists channels as comma-separated integers

@@ -181,13 +181,18 @@ def _spectra(states) -> list[np.ndarray]:
 def _outputs(cases) -> list[tuple[np.ndarray, np.ndarray]]:
     """(covariance matrix, mean) of each ((covariance matrix, mean), layout,
     family, pattern) case's output, as ``apply_pattern_with_idlers`` gives
-    it: one ``mode_channel_map`` call per mode count, the matrices
-    symmetrised as ``CovMatrix`` does but not checked."""
+    it: one ``layout_channels`` call per (layout, family) and one
+    ``mode_channel_map`` call per mode count, the matrices symmetrised as
+    ``CovMatrix`` does but not checked."""
     out = [None] * len(cases)
     for idx in _by_modes([state for state, *_ in cases]):
         group = [cases[c] for c in idx]
-        rows = [layout_channels(family, layout, [pattern]) for _, layout, family, pattern in group]
-        taus, nus = (np.concatenate(part) for part in zip(*rows))
+        rows: dict[tuple, list[int]] = {}
+        for r, (_, layout, family, _) in enumerate(group):
+            rows.setdefault((layout, family), []).append(r)
+        taus, nus = np.empty((2, len(group), len(group[0][1])))
+        for (layout, family), rs in rows.items():
+            taus[rs], nus[rs] = layout_channels(family, layout, [group[r][3] for r in rs])
         data, means = (np.stack(part) for part in zip(*(state for state, *_ in group)))
         data, means = mode_channel_map(data, means, taus, nus)
         data = 0.5 * (data + data.swapaxes(1, 2))

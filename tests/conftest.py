@@ -1,5 +1,6 @@
 """Shared strategies and reference implementations for the test suite."""
 
+import functools
 import math
 
 import mpmath
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 from multiprobe import gaussian
-from multiprobe.bounds import _block_occupancy_options, block_subfidelity, bounds_from_table
+from multiprobe.bounds import block_subfidelity, bounds_from_table
 from multiprobe.channels import (
     ChannelFamily,
     apply_mode_channels,
@@ -181,6 +182,20 @@ def pair_degeneracy_census(space, blocks):
     return census
 
 
+@functools.cache
+def occupancies(size):
+    """{(v, u): ((d, count), ...) in ascending d} of the ordered sub-pattern
+    pairs (a, b) of a block of ``size`` channels, a with v targets and b
+    with u, at Hamming distance d: counted over all 2^size x 2^size pairs."""
+    codes = np.arange(2**size)
+    ones = np.array([bin(code).count("1") for code in codes])
+    # each pair's (v * (size + 1) + u) * (size + 1) + d
+    key = (ones[:, None] * (size + 1) + ones[None, :]) * (size + 1) + ones[codes[:, None] ^ codes[None, :]]
+    counts = np.bincount(key.ravel(), minlength=(size + 1) ** 3).reshape((size + 1,) * 3)
+    return {(v, u): tuple((d, int(counts[v, u, d])) for d in range(size + 1) if counts[v, u, d])
+            for v in range(size + 1) for u in range(size + 1)}
+
+
 def counting_sums(space, spec, family, m_val):
     """(sum F^M, sum F^(2M)) over ordered pairs of distinct patterns.
 
@@ -203,7 +218,7 @@ def counting_sums(space, spec, family, m_val):
         for v in range(size + 1):
             for u in range(size + 1):
                 same, diff_m, diff_2m = 0.0, 0.0, 0.0
-                for d, count in _block_occupancy_options(size, v, u):
+                for d, count in occupancies(size)[v, u]:
                     if d == 0:
                         same = float(count)
                         continue

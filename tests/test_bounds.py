@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import multiprobe.blocks as blocks_mod
 import multiprobe.bounds as bounds_mod
+import multiprobe.dp as dp
 from multiprobe.bounds import (
     BoundReport,
     FidelityTable,
@@ -56,8 +57,8 @@ from multiprobe.probes import (
     pair_partition,
 )
 
-from conftest import (any_family, budget_pairs, counting_sums, hamming, pair_class_key, pair_degeneracy_census,
-                      patterns)
+from conftest import (any_family, budget_pairs, counting_sums, hamming, occupancies, pair_class_key,
+                      pair_degeneracy_census, patterns)
 
 LOSS = ChannelFamily.pure_loss(0.99, 0.97)
 ADD = ChannelFamily.additive(0.02, 0.01)
@@ -264,10 +265,9 @@ def test_block_fidelities_beyond_the_stack_cap(monkeypatch, family, idlers):
     assert sum(stacks) == {0: 28, 2: 17}[idlers] and len(stacks) > 2
     assert len(chunks) > 2
     assert got == [scalar_block_fidelity(desc, family, a, b) for a, b in pairs]
-    v_u_d = [(v, u, d) for v in range(size + 1) for u in range(size + 1)
-             for d, _ in bounds_mod._block_occupancy_options(size, v, u)]
+    v_u_d = [(v, u, d) for (v, u), options in occupancies(size).items() for d, _ in options]
     for v, u, d in v_u_d:
-        pair = bounds_mod.representative_local_patterns(size, min(v, u), max(v, u), d)
+        pair = dp.representative_local_patterns(size, min(v, u), max(v, u), d)
         assert block_subfidelity(desc, family, v, u, d) == scalar_block_fidelity(desc, family, *pair)
 
 
@@ -533,7 +533,7 @@ def test_classical_benchmark_counting_equals_dense():
 @pytest.mark.parametrize("space", [bcpf_space(7, (1, 3, 6)), cpf_space(5, 0)] + [full_space(m) for m in range(1, 9)],
                          ids=["bcpf-1-3-6", "cpf-0"] + [f"full-{m}" for m in range(1, 9)])
 def test_classical_census_equals_bruteforce_pair_distances(space):
-    counts, dists = bounds_mod._hamming_census(space.m, space.target_counts)
+    counts, dists = dp.hamming_census(space.m, space.target_counts)
     bits = np.array(space.patterns)
     want = np.bincount((bits[:, None] != bits[None]).sum(axis=2).ravel(), minlength=space.m + 1)
     want[0] -= len(space)  # a pattern paired with itself
@@ -760,9 +760,9 @@ def test_counting_evaluates_only_feasible_classes(monkeypatch, space, probe):
     if probe == "full-ghz" and space.target_counts == (1,):
         # the block holds the whole pattern: (v, u, d) = (1, 1, 0) or (1, 1, 2) of all 220 classes
         assert [len(pairs) for _, pairs in batches] == [2]
-    # the same table as from every class of every block
-    classes_of = bounds_mod._block_classes
-    monkeypatch.setattr(bounds_mod, "_block_classes", lambda size, m, kmin, kmax: classes_of(size, m, 0, m))
+    # the same table as from every class of every block: dp's per-block target range widened to 0..size
+    classes_of = dp.block_classes
+    monkeypatch.setattr(dp, "block_classes", lambda size, lo, hi: classes_of(size, 0, size))
     want = evaluate(disjoint(spec), space, LOSS)
     assert got.counts.tolist() == want.counts.tolist()
     assert got.logf.tolist() == want.logf.tolist()
