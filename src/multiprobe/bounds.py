@@ -63,14 +63,13 @@ from .gaussian import BATCH_MAX_FLOATS, stacked_fidelities
 from .imagespace import ImageSpace
 from .presets import CLASSICAL, MUTUAL, ProbePlan
 from .probes import (
-    HYBRID_COHERENT,
-    SINGLE_IDLER,
     BlockDescriptor,
     Partition,
     ProbeSpec,
     assemble_probe,
     average_channel_use,
     decompose_rounds,
+    odd_m_disjoint_spec,
 )
 
 BRUTE_TABLE_MAX_PATTERNS = 512
@@ -605,18 +604,16 @@ def bounds_tmsv_pairs_odd(
 ) -> BoundReport:
     """Odd-m variant: paired blocks on m-1 channels plus a remainder term.
 
-    The remainder channel contributes a factor (1 + F^M) where F is the
-    idler-assisted (Choi) fidelity or the coherent-probe fidelity.
+    The remainder channel contributes a factor (1 + F^M), where F is the
+    fidelity of the last block of ``odd_m_disjoint_spec(m, mu, strategy)``
+    between the background and the target channel: the idler-assisted
+    (Choi) fidelity for ``single-idler``, the coherent-probe fidelity for
+    ``hybrid-coherent``.
     """
     if m % 2 == 0 or m < 3:
         raise PartitionError(f"odd-m closed form needs odd m >= 3, got {m}")
-    if strategy == SINGLE_IDLER:
-        desc = BlockDescriptor("ghz", (0,), 1, mu=mu)
-    elif strategy == HYBRID_COHERENT:
-        desc = BlockDescriptor("coherent", (0,), alpha=float(np.sqrt(mu - 0.5)))
-    else:
-        raise ValueError(f"unknown odd-m strategy {strategy!r}")
-    return _tmsv_pairs_report(family, mu, copies, m, block_subfidelity(desc, family, 0, 1, 1))
+    remainder = odd_m_disjoint_spec(m, mu, strategy).descriptors()[-1]
+    return _tmsv_pairs_report(family, mu, copies, m, block_subfidelity(remainder, family, 0, 1, 1))
 
 
 def _tmsv_pairs_report(family: ChannelFamily, mu: float, copies, m: int, f_rem: float | None = None) -> BoundReport:

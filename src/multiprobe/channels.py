@@ -43,16 +43,16 @@ def pure_loss_params(eta: float) -> GpiParams:
 
 
 def additive_params(nu: float) -> GpiParams:
-    if nu < 0.0:
-        raise ValueError(f"additive noise must be >= 0, got {nu}")
+    if not 0.0 <= nu < np.inf:
+        raise ValueError(f"additive noise must be finite and >= 0, got {nu}")
     return GpiParams(1.0, float(nu))
 
 
 def thermal_params(tau: float, epsilon: float) -> GpiParams:
-    if tau < 0.0:
-        raise ValueError(f"thermal transmissivity must be >= 0, got {tau}")
-    if epsilon < 0.5:
-        raise ValueError(f"thermal noise parameter must be >= 1/2, got {epsilon}")
+    if not 0.0 <= tau < np.inf:
+        raise ValueError(f"thermal transmissivity must be finite and >= 0, got {tau}")
+    if not 0.5 <= epsilon < np.inf:
+        raise ValueError(f"thermal noise parameter must be finite and >= 1/2, got {epsilon}")
     return GpiParams(float(tau), epsilon * abs(1.0 - tau))
 
 

@@ -24,7 +24,7 @@ from .channels import ChannelFamily
 from .errors import NumericError
 from .imagespace import bcpf_space, cpf_space, full_space, read_space
 from .presets import CLASSICAL, MUTUAL, SCALES, ProbePlan, resolve_probe
-from .probes import SINGLE_IDLER
+from .probes import HYBRID_COHERENT, SINGLE_IDLER
 
 # grouped as ``_eval_group`` fills a row
 COLUMNS = [
@@ -261,9 +261,11 @@ def _sweep_payloads(args) -> list[dict]:
     for name in SWEEPABLE:
         scalars[name] = getattr(args, name.replace("-", "_"), None)
     grids = [parse_grid(spec) for spec in getattr(args, "grid", None) or []]
-    for name, _ in grids:
-        scalars.pop(name, None)
     names = [name for name, _ in grids]
+    for name in names:
+        if names.count(name) > 1:
+            raise UsageError(f"grid over {name!r} given more than once")
+        scalars.pop(name, None)
     return [
         {**scalars, **dict(zip(names, point))}
         for point in itertools.product(*(values for _, values in grids))
@@ -318,7 +320,7 @@ def _add_common(p: _Parser, with_copies: bool = True) -> None:
     p.add_argument("--space", default="full", help="full | cpf:K | bcpf:K1,K2 | file:PATH")
     p.add_argument("--probe", default="classical", help="preset name or part:LITERAL")
     p.add_argument("--odd-strategy", default=SINGLE_IDLER,
-                   choices=("single-idler", "hybrid-coherent"),
+                   choices=(SINGLE_IDLER, HYBRID_COHERENT),
                    help="remainder handling for tmsv-disjoint with odd m")
     for name in ("eta-b", "eta-t", "nu-b", "nu-t", "tau-b", "tau-t", "eps-b", "eps-t"):
         p.add_argument(f"--{name}", type=float, default=None)

@@ -1,5 +1,5 @@
-"""Named probe presets used by the CLI and the experiment scripts, and the
-scale names of ``multiprobe validate``.
+"""Named probe presets used by the CLI, the experiment scripts and the
+suites of ``multiprobe validate``, and the scale names of those suites.
 
 A preset resolves to one of three computation routes: a disjoint (possibly
 idler-assisted) ProbeSpec, a partition of overlapping blocks handled by

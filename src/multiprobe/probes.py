@@ -50,6 +50,20 @@ def _check_cover(blocks, m: int, *, disjoint: bool) -> None:
         raise PartitionError(f"channels {missing} not covered by any block")
 
 
+def _set_blocks(obj) -> None:
+    """Store ``obj``'s blocks and idler counts (none by default) as tuples:
+    one count >= 0 per block, and at least two modes in every block."""
+    object.__setattr__(obj, "blocks", tuple(tuple(b) for b in obj.blocks))
+    object.__setattr__(obj, "idlers", tuple(int(q) for q in obj.idlers or (0,) * len(obj.blocks)))
+    if len(obj.idlers) != len(obj.blocks):
+        raise PartitionError("need one idler count per block")
+    for blk, q in zip(obj.blocks, obj.idlers):
+        if q < 0:
+            raise PartitionError("idler counts must be >= 0")
+        if len(blk) + q < 2:
+            raise PartitionError(f"block {blk} with {q} idlers has fewer than 2 modes")
+
+
 @dataclass(frozen=True)
 class Partition:
     """Entangled blocks over m channels, each with an idler count (none by
@@ -61,18 +75,10 @@ class Partition:
     idlers: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
-        object.__setattr__(self, "idlers", tuple(int(q) for q in self.idlers or (0,) * len(self.blocks)))
-        if len(self.idlers) != len(self.blocks):
-            raise PartitionError("need one idler count per block")
+        _set_blocks(self)
         _check_cover(self.blocks, self.m, disjoint=False)
         if any(self.idlers) and not self.disjoint:
             raise PartitionError("idlers are not supported on overlapping blocks")
-        for blk, q in zip(self.blocks, self.idlers):
-            if q < 0:
-                raise PartitionError("idler counts must be >= 0")
-            if len(blk) + q < 2:
-                raise PartitionError(f"block {blk} with {q} idlers has fewer than 2 modes")
 
     @property
     def l_overlap(self) -> int:
@@ -319,19 +325,12 @@ class ProbeSpec:
     coherent: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
-        idlers = self.idlers or (0,) * len(self.blocks)
-        object.__setattr__(self, "idlers", tuple(int(q) for q in idlers))
+        _set_blocks(self)
         object.__setattr__(
             self, "coherent", tuple((int(c), float(a)) for c, a in self.coherent)
         )
-        if len(self.idlers) != len(self.blocks):
-            raise PartitionError("need one idler count per entangled block")
         cover = list(self.blocks) + [(c,) for c, _ in self.coherent]
         _check_cover(cover, self.m, disjoint=True)
-        for blk, q in zip(self.blocks, self.idlers):
-            if len(blk) + q < 2:
-                raise PartitionError(f"entangled block {blk} needs >= 2 modes (use an idler)")
         if self.blocks:
             if self.mu is None:
                 raise EnergyError("entangled blocks need a squeezing energy mu")

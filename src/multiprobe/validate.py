@@ -55,14 +55,12 @@ from .bounds import (
 from .channels import ChannelFamily, layout_channels, mode_channel_map
 from .gaussian import direct_sum, ghz_state, stacked_fidelities
 from .imagespace import bcpf_space, cpf_space, full_space
-from .presets import DISJOINT, MUTUAL, SCALES, ProbePlan
+from .presets import DISJOINT, MUTUAL, SCALES, ProbePlan, resolve_probe
 from .probes import (
     SINGLE_IDLER,
     ProbeSpec,
     extend_for_mutual_probing,
     nn_partition,
-    odd_m_disjoint_spec,
-    pair_partition,
     probe_state,
 )
 
@@ -104,24 +102,17 @@ def _random_family(rng) -> ChannelFamily:
 
 
 def _random_spec(rng, m: int) -> ProbeSpec:
+    """``full-ghz`` for one choice in three, else ``tmsv-disjoint``."""
     mu = float(rng.uniform(0.6, 50.0))
-    choice = rng.integers(0, 3)
-    if choice == 0:
-        return ProbeSpec(m, mu, blocks=(tuple(range(m)),))
-    if choice == 1 and m % 2 == 0:
-        return ProbeSpec.from_partition(pair_partition(m), mu)
-    if m % 2:
-        return odd_m_disjoint_spec(m, mu, SINGLE_IDLER)
-    return ProbeSpec.from_partition(pair_partition(m), mu)
+    return resolve_probe("full-ghz" if rng.integers(0, 3) == 0 else "tmsv-disjoint", m, mu).spec
 
 
 def _partitions_for(m: int) -> list[ProbeSpec]:
+    """``full-ghz``, then ``tmsv-disjoint`` where it differs (m > 2), and
+    two triples at m = 6."""
     mu = 20.5
-    specs = [ProbeSpec(m, mu, blocks=(tuple(range(m)),))]
-    if m % 2 == 0 and m > 2:
-        specs.append(ProbeSpec.from_partition(pair_partition(m), mu))
-    if m % 2 and m >= 3:
-        specs.append(odd_m_disjoint_spec(m, mu, SINGLE_IDLER))
+    names = ("full-ghz", "tmsv-disjoint") if m > 2 else ("full-ghz",)
+    specs = [resolve_probe(name, m, mu).spec for name in names]
     if m == 6:
         specs.append(ProbeSpec(m, mu, blocks=((0, 1, 2), (3, 4, 5))))
     return specs
@@ -364,14 +355,9 @@ def suite_tmsv_closed_form(scale: str) -> SuiteResult:
     mu = 20.5
     for m in ms:
         space = full_space(m)
-        if m % 2 == 0:
-            spec = ProbeSpec.from_partition(pair_partition(m), mu) if m > 2 else ProbeSpec(
-                m, mu, blocks=((0, 1),)
-            )
-        else:
-            spec = odd_m_disjoint_spec(m, mu, SINGLE_IDLER)
+        plan = resolve_probe("tmsv-disjoint", m, mu)
         for family in _families():
-            table = evaluate(ProbePlan(DISJOINT, spec=spec), space, family)
+            table = evaluate(plan, space, family)
             for copies in (1, 10, 100, 1000, 5000):
                 if m % 2 == 0:
                     closed = bounds_tmsv_pairs(family, mu, copies, m)

@@ -783,18 +783,19 @@ def test_counting_rejects_mismatched_pattern_length():
 @pytest.mark.parametrize("copies", [1000, 5000])
 @pytest.mark.parametrize("m", [9, 10])
 def test_tmsv_closed_forms_do_not_cancel_at_large_copies(m, copies):
-    # (1 + s)^(m/2) - 1 with s ~ 1e-17 at M = 1000: formed naively it is 0.0
+    # (1 + s)^(m/2) - 1 with s ~ 1e-17 at M = 1000: formed naively it is 0.0;
+    # odd m is checked with both remainder strategies
     space = full_space(m)
     if m % 2:
-        spec = odd_m_disjoint_spec(m, 20.5, SINGLE_IDLER)
-        closed = bounds_tmsv_pairs_odd(LOSS, 20.5, copies, m, SINGLE_IDLER)
+        cases = [(odd_m_disjoint_spec(m, 20.5, strategy), bounds_tmsv_pairs_odd(LOSS, 20.5, copies, m, strategy))
+                 for strategy in (SINGLE_IDLER, HYBRID_COHERENT)]
     else:
-        spec = ProbeSpec.from_partition(pair_partition(m), 20.5)
-        closed = bounds_tmsv_pairs(LOSS, 20.5, copies, m)
-    counted = bounds_from_table(evaluate(disjoint(spec), space, LOSS), copies)
-    assert counted.lower_raw > 0.0
-    assert closed.upper_raw == pytest.approx(counted.upper_raw, rel=1e-12, abs=0.0)
-    assert closed.lower_raw == pytest.approx(counted.lower_raw, rel=1e-12, abs=0.0)
+        cases = [(ProbeSpec.from_partition(pair_partition(m), 20.5), bounds_tmsv_pairs(LOSS, 20.5, copies, m))]
+    for spec, closed in cases:
+        counted = bounds_from_table(evaluate(disjoint(spec), space, LOSS), copies)
+        assert counted.lower_raw > 0.0
+        assert closed.upper_raw == pytest.approx(counted.upper_raw, rel=1e-12, abs=0.0)
+        assert closed.lower_raw == pytest.approx(counted.lower_raw, rel=1e-12, abs=0.0)
 
 
 def test_fidelity_table_rejects_mismatched_lengths():

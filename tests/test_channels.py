@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,15 @@ def test_param_constructors_reject_unphysical():
         additive_params(-0.1)
     with pytest.raises(ValueError):
         thermal_params(0.9, 0.4)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            additive_params(bad)
+        with pytest.raises(ValueError, match="finite"):
+            thermal_params(bad, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            thermal_params(0.9, bad)
+        with pytest.raises(ValueError):
+            pure_loss_params(bad)
 
 
 def test_family_rejects_identical_channels():

@@ -233,6 +233,38 @@ def test_bad_copy_numbers_and_energies_are_config_errors(tmp_path, capsys, argv)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--family", "additive-noise", "--nu-b", "inf", "--nu-t", "0.01", "--probe", "nn"],
+    ["--family", "thermal", "--tau-b", "0.9", "--eps-b", "inf", "--tau-t", "0.8", "--eps-t", "1.0",
+     "--probe", "nn"],
+    ["--family", "additive-noise", "--nu-b", "nan", "--nu-t", "0.01", "--probe", "classical"],
+], ids=["additive-inf-nn", "thermal-inf-nn", "additive-nan-classical"])
+def test_non_finite_channel_parameters_are_config_errors(tmp_path, capsys, argv):
+    # a NaN noise would give the classical probe lower = upper = 0.0
+    out = tmp_path / "o.csv"
+    flags = ["--m", "3", "--space", "full", "--ns", "5", "--copies", "3", "--out", str(out)]
+    assert run_cli(["bounds"] + argv + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_repeated_grid_axis_is_usage_error(tmp_path, capsys, source):
+    grids = ["ns=1:2:2", "ns=3:4:2"]
+    out = tmp_path / "o.csv"
+    if source == "flags":
+        extra = [arg for grid in grids for arg in ("--grid", grid)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": grids}))
+        extra = ["--config", str(cfg)]
+    assert run_cli(CONFIG_FLAGS + extra + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "'ns'" in err
+    assert not out.exists()
+
+
 def test_space_from_file(tmp_path):
     space_file = tmp_path / "space.txt"
     space_file.write_text("# three-pattern custom space\n000 0.5\n011 0.25\n101 0.25\n")

@@ -76,6 +76,10 @@ def test_partition_rules():
         Partition(3, ((0, 1), (2,)), (1,))
     with pytest.raises(PartitionError, match=">= 0"):
         Partition(3, ((0, 1, 2),), (-1,))
+    # a probe spec takes the same rules: a negative count would assemble
+    # a 2-mode state with a 3-entry layout
+    with pytest.raises(PartitionError, match=">= 0"):
+        ProbeSpec(3, 5.0, blocks=((0, 1, 2),), idlers=(-1,))
     with pytest.raises(PartitionError, match="not covered"):
         Partition(4, ((0, 1), (1, 2)))
     with pytest.raises(PartitionError, match="mutual probing"):
