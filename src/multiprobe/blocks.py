@@ -14,30 +14,29 @@ import numpy as np
 from .channels import ChannelFamily, layout_channels, mode_channel_map
 from .dp import representative_local_patterns
 from .gaussian import BATCH_MAX_FLOATS, _checked, stacked_fidelities
-from .probes import BlockDescriptor
+from .probes import SymmetricBlock
 
 
 _BLOCK_FID_CACHE: dict[tuple, float] = {}
 
 
-def block_signature(desc: BlockDescriptor, family: ChannelFamily) -> tuple:
+def block_signature(desc: SymmetricBlock, family: ChannelFamily) -> tuple:
     """What a block's output fidelities depend on: not its channel labels."""
     b, t = family.background, family.target
-    return (desc.kind, len(desc.channels), desc.idlers, desc.mu, desc.alpha,
-            family.kind, b.tau, b.nu, t.tau, t.nu)
+    return (*desc.numbers, family.kind, b.tau, b.nu, t.tau, t.nu)
 
 
 def block_fidelities(points, pairs) -> np.ndarray:
     """Output fidelities of one block at K points for local pattern pairs
     (a, b), as a (K, len(pairs)) array.
 
-    ``points`` holds one (descriptor, family) per point; the descriptors
-    differ at most in mu or alpha.  Values are cached per block signature
-    and unordered pair; a signature that misses any pair has all of them
-    evaluated again.  The signatures to fill are evaluated in one batch:
-    one probe state per distinct (mu, alpha), all checked in one stacked
-    call, the channels of ``layout_channels`` act on every distinct local
-    pattern in one stacked step, and the pairs run through
+    ``points`` holds one (block, family) per point; the blocks differ at
+    most in their numbers (a, b, c1, c2, alpha).  Values are cached per
+    block signature and unordered pair; a signature that misses any pair
+    has all of them evaluated again.  The signatures to fill are evaluated
+    in one batch: one probe state per distinct block, all checked in one
+    stacked call, the channels of ``layout_channels`` act on every distinct
+    local pattern in one stacked step, and the pairs run through
     ``stacked_fidelities`` in chunks of points of at most BATCH_MAX_FLOATS
     matrix entries, so each value equals ``gaussian_fidelity`` of the two
     output states bit for bit, and identical outputs give exactly 1.0.
@@ -63,11 +62,11 @@ def _fill_block_cache(points, distinct, todo) -> None:
     locals_ = sorted({lp for pair in distinct for lp in pair})
     row = {lp: r for r, lp in enumerate(locals_)}
     ends = np.array([(row[a], row[b]) for a, b in distinct])
-    states = {(d.mu, d.alpha): d for d in descs}  # one probe state per (mu, alpha), all checked at once
+    states = {d.numbers: d for d in descs}  # one probe state per distinct block, all checked at once
     probe_data, probe_means = (np.array(part) for part in zip(*(d.state() for d in states.values())))
     _checked(probe_data)
     position = {key: i for i, key in enumerate(states)}
-    probe = [position[d.mu, d.alpha] for d in descs]
+    probe = [position[d.numbers] for d in descs]
     taus, nus = layout_channels([points[k][1] for _, k in todo], local.layout, locals_)
     dim = 2 * local.n_modes
     per_call = max(1, BATCH_MAX_FLOATS // (len(locals_) * dim * dim))
@@ -80,7 +79,7 @@ def _fill_block_cache(points, distinct, todo) -> None:
         _BLOCK_FID_CACHE.update(zip(((sig, *pair) for sig, _ in todo[chunk] for pair in distinct), fids))
 
 
-def block_subfidelity(desc: BlockDescriptor, family: ChannelFamily, v: int, u: int, d: int) -> float:
+def block_subfidelity(desc: SymmetricBlock, family: ChannelFamily, v: int, u: int, d: int) -> float:
     """Single-copy output fidelity of one block for a (v, u, d) class.
 
     Degenerate within the class up to rounding, so one representative

@@ -142,8 +142,7 @@ def guaranteed_advantage(classical: BoundReport, quantum: BoundReport) -> float:
 
 def tmsv_subfidelity(family: ChannelFamily, mu: float, v: int, u: int, d: int) -> float:
     """Numeric two-mode sub-fidelity F_{vu}(d) for a bare TMSV probe."""
-    desc = BlockDescriptor("ghz", (0, 1), 0, mu=mu)
-    return block_subfidelity(desc, family, v, u, d)
+    return block_subfidelity(BlockDescriptor("ghz", (0, 1), mu=mu), family, v, u, d)
 
 
 # ---------------------------------------------------------------------------
@@ -576,10 +575,9 @@ def bound_reports(space: ImageSpace, points, copies) -> list[list[BoundReport]]:
 def _tmsv_pair_fidelities(family: ChannelFamily, mu: float) -> list[float]:
     """The sub-fidelities f01, f12, f11, f02 of the paired-TMSV sums, in one
     batch (as ``tmsv_subfidelity``)."""
-    desc = BlockDescriptor("ghz", (0, 1), 0, mu=mu)
     classes = ((0, 1, 1), (1, 2, 1), (1, 1, 2), (0, 2, 2))
     pairs = [representative_local_patterns(2, v, u, d) for v, u, d in classes]
-    return block_fidelities([(desc, family)], pairs)[0].tolist()
+    return block_fidelities([(BlockDescriptor("ghz", (0, 1), mu=mu), family)], pairs)[0].tolist()
 
 
 def _pair_excess(fids: list[float], power: float) -> float:

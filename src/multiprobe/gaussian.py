@@ -269,20 +269,32 @@ def ghz_cm(m: int, mu: float) -> CovMatrix:
     return CovMatrix(*ghz_state(m, mu))
 
 
-def ghz_state(m: int, mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """Covariance matrix and (zero) mean of ``ghz_cm``, unchecked."""
+def ghz_numbers(m: int, mu: float) -> tuple[float, float, float, float]:
+    """(a, b, c1, c2) of ``ghz_cm`` in ``symmetric_state``: (mu, mu, c, -c)."""
     if m < 2:
         raise PartitionError(f"GHZ state needs at least 2 modes, got m={m}")
-    if mu < SHOT_NOISE:
-        raise EnergyError(f"squeezing mu must be >= 1/2, got {mu}")
+    if mu is None or not SHOT_NOISE <= mu < np.inf:
+        raise EnergyError(f"squeezing mu must be finite and >= 1/2, got {mu}")
     c = max_correlation(mu, m)
-    x, p = np.full((m, m), c), np.full((m, m), -c)
-    np.fill_diagonal(x, mu)
-    np.fill_diagonal(p, mu)
-    data = np.zeros((2 * m, 2 * m))  # no x-p correlation
-    data[0::2, 0::2] = x
-    data[1::2, 1::2] = p
-    return data, np.zeros(2 * m)
+    return mu, mu, c, -c
+
+
+def ghz_state(m: int, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Covariance matrix and (zero) mean of ``ghz_cm``, unchecked."""
+    return symmetric_state(m, *ghz_numbers(m, mu))
+
+
+def symmetric_state(n: int, a: float, b: float, c1: float, c2: float, alpha: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Covariance matrix and mean of the n-mode permutation-symmetric state,
+    unchecked: X = (a - c1) I + c1 J, P = (b - c2) I + c2 J (J all ones), no
+    x-p correlation and the x mean sqrt(2) alpha of ``coherent_state``."""
+    data = np.zeros((2 * n, 2 * n))
+    data[0::2, 0::2] = c1
+    data[1::2, 1::2] = c2
+    np.fill_diagonal(data, (a, b))  # a on each x, b on each p
+    mean = np.zeros(2 * n)
+    mean[0::2] = np.sqrt(2.0) * alpha
+    return data, mean
 
 
 def tmsv_cm(mu: float) -> CovMatrix:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .channels import apply_pattern_with_idlers
 from .errors import EnergyError, PartitionError
-from .gaussian import CovMatrix, coherent_state, direct_sum, ghz_state
+from .gaussian import SHOT_NOISE, CovMatrix, direct_sum, ghz_numbers, symmetric_state
 from .imagespace import ImageSpace, Pattern
 
 Block = tuple[int, ...]
@@ -283,18 +283,26 @@ def extend_for_mutual_probing(
 
 
 @dataclass(frozen=True)
-class BlockDescriptor:
-    """One sub-state of a probe: an entangled block or a coherent mode."""
+class SymmetricBlock:
+    """One sub-state of a probe: the ``gaussian.symmetric_state`` of numbers
+    (a, b, c1, c2, alpha) on its idler and probe modes."""
 
-    kind: str  # "ghz" | "coherent"
     channels: Block
-    idlers: int = 0
-    mu: float | None = None
-    alpha: float | None = None
+    idlers: int
+    a: float
+    b: float
+    c1: float
+    c2: float
+    alpha: float = 0.0
 
     @property
     def n_modes(self) -> int:
         return self.idlers + len(self.channels)
+
+    @property
+    def numbers(self) -> tuple:
+        """What ``state()`` depends on: the size, the idlers and (a, b, c1, c2, alpha)."""
+        return (len(self.channels), self.idlers, self.a, self.b, self.c1, self.c2, self.alpha)
 
     @property
     def layout(self) -> tuple[int | None, ...]:
@@ -303,10 +311,21 @@ class BlockDescriptor:
         return (None,) * self.idlers + self.channels
 
     def state(self) -> tuple[np.ndarray, np.ndarray]:
-        """Covariance matrix and mean of the sub-state in ``layout`` order,
-        unchecked: a GHZ state over its idler and probe modes, or a
-        displaced vacuum mode."""
-        return ghz_state(self.n_modes, self.mu) if self.kind == "ghz" else coherent_state([self.alpha])
+        """Covariance matrix and mean in ``layout`` order, unchecked."""
+        return symmetric_state(self.n_modes, self.a, self.b, self.c1, self.c2, self.alpha)
+
+
+def BlockDescriptor(shape: str, channels, idlers: int = 0, mu: float | None = None, alpha: float = 0.0) -> SymmetricBlock:
+    """The block of a named shape on ``channels`` and ``idlers`` idler modes:
+    ``ghz`` at per-mode energy mu (``gaussian.ghz_numbers``), or ``coherent``,
+    vacuum displaced by alpha on every mode, (1/2, 1/2, 0, 0, alpha)."""
+    if shape == "ghz":
+        return SymmetricBlock(channels, idlers, *ghz_numbers(idlers + len(channels), mu))
+    if shape == "coherent":
+        if not np.isfinite(alpha):
+            raise EnergyError(f"coherent amplitude must be finite, got {alpha}")
+        return SymmetricBlock(channels, idlers, SHOT_NOISE, SHOT_NOISE, 0.0, 0.0, alpha)
+    raise ValueError(f"unknown block shape {shape!r}")
 
 
 @dataclass(frozen=True)
@@ -326,16 +345,10 @@ class ProbeSpec:
 
     def __post_init__(self):
         _set_blocks(self)
-        object.__setattr__(
-            self, "coherent", tuple((int(c), float(a)) for c, a in self.coherent)
-        )
+        object.__setattr__(self, "coherent", tuple((int(c), float(a)) for c, a in self.coherent))
         cover = list(self.blocks) + [(c,) for c, _ in self.coherent]
         _check_cover(cover, self.m, disjoint=True)
-        if self.blocks:
-            if self.mu is None:
-                raise EnergyError("entangled blocks need a squeezing energy mu")
-            if self.mu < 0.5:
-                raise EnergyError(f"squeezing mu must be >= 1/2, got {self.mu}")
+        self.descriptors()  # checks mu and every alpha
 
     @classmethod
     def from_partition(cls, partition: Partition, mu: float) -> "ProbeSpec":
@@ -343,20 +356,10 @@ class ProbeSpec:
             raise PartitionError("overlapping blocks are probed via mutual probing, not directly")
         return cls(partition.m, mu, partition.blocks, partition.idlers)
 
-    @classmethod
-    def classical(cls, m: int, alpha: float = 0.0) -> "ProbeSpec":
-        """Per-channel coherent (or vacuum, alpha=0) probes."""
-        return cls(m, None, coherent=tuple((c, alpha) for c in range(m)))
-
-    def descriptors(self) -> tuple[BlockDescriptor, ...]:
-        out = [
-            BlockDescriptor("ghz", blk, q, mu=self.mu)
-            for blk, q in zip(self.blocks, self.idlers)
-        ]
-        out.extend(
-            BlockDescriptor("coherent", (c,), alpha=a) for c, a in self.coherent
-        )
-        return tuple(out)
+    def descriptors(self) -> tuple[SymmetricBlock, ...]:
+        """A GHZ block at mu per entangled block, then one per coherent entry."""
+        ghz = (BlockDescriptor("ghz", blk, q, mu=self.mu) for blk, q in zip(self.blocks, self.idlers))
+        return (*ghz, *(BlockDescriptor("coherent", (c,), alpha=a) for c, a in self.coherent))
 
 
 def odd_m_disjoint_spec(m: int, mu: float, strategy: str) -> ProbeSpec:
@@ -394,7 +397,7 @@ class ProbeState:
 def probe_state(spec: ProbeSpec) -> tuple[np.ndarray, np.ndarray, tuple[int | None, ...]]:
     """Covariance matrix, mean and layout of the probe of ``spec``,
     unchecked: the block-diagonal matrix of its descriptors in order, each
-    in its own ``BlockDescriptor.layout``.
+    in its own ``SymmetricBlock.layout``.
 
     Entangled blocks become GHZ states over their idler and probe modes;
     coherent entries become displaced vacuum modes.

@@ -14,15 +14,15 @@ configuration, is built once per configuration in ``run_suites`` and shared
 by ``counting_vs_bruteforce``, which reads its cpf and bcpf tables off it,
 and ``degeneracy_classes``; a suite called alone builds its own.
 
-Every suite evaluates its states in stacked calls.  States are built
-unchecked (``probes.probe_state``, ``gaussian.ghz_state``) and checked in
-one stacked ``gaussian._checked`` call per mode count, so the only
-``CovMatrix`` a run builds is the probe of each brute-force oracle.  The
-random-state suites draw all their cases first, then send the states of
-each mode count through one channel map and one stacked check or
-``stacked_fidelities`` call; the mutual reference takes one channel map per
-block.  Each value equals the one-``CovMatrix``-per-state evaluation bit
-for bit.  ``fidelity_symmetry`` runs the fidelity formula itself in both
+Every suite evaluates its states in stacked calls.  States are built unchecked
+(``probes.probe_state`` and ``gaussian.ghz_state``, both from
+``gaussian.symmetric_state``) and checked in one stacked ``gaussian._checked``
+call per mode count, so the only ``CovMatrix`` a run builds is the probe of
+each brute-force oracle.  The random-state suites draw all their cases first,
+then send the states of each mode count through one channel map and one stacked
+check or ``stacked_fidelities`` call; the mutual reference takes one channel
+map per block.  Each value equals the one-``CovMatrix``-per-state evaluation
+bit for bit.  ``fidelity_symmetry`` runs the fidelity formula itself in both
 argument orders, since ``gaussian_fidelity`` orders each pair canonically.
 Every probe of this package is phase-insensitive, so its states take the
 half-size n x n routes; the last XP_CASES cases of ``block_multiplicativity``

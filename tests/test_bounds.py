@@ -42,13 +42,14 @@ from multiprobe.imagespace import (
     full_space,
 )
 from multiprobe import gaussian
-from multiprobe.gaussian import coherent_cm, gaussian_fidelity, ghz_cm
+from multiprobe.gaussian import CovMatrix, gaussian_fidelity
 from multiprobe.presets import CLASSICAL, DISJOINT, MUTUAL, ProbePlan, resolve_probe
 from multiprobe.probes import (
     HYBRID_COHERENT,
     SINGLE_IDLER,
     BlockDescriptor,
     ProbeSpec,
+    SymmetricBlock,
     assemble_probe,
     extend_for_mutual_probing,
     full_idler_partition,
@@ -200,11 +201,35 @@ def test_hybrid_coherent_block_additive_equals_vacuum_benchmark():
     assert got == pytest.approx(vacuum_additive_fidelity(0.02, 0.01), rel=1e-13)
 
 
-def scalar_block_fidelity(desc, family, local_a, local_b):
-    """gaussian_fidelity on separately built output states of one block."""
+def entrywise_state(n, a, b, c1, c2, alpha=0.0):
+    """The n-mode permutation-symmetric state of numbers (a, b, c1, c2,
+    alpha), built entry by entry apart from ``gaussian.symmetric_state``."""
+    data, mean = np.zeros((2 * n, 2 * n)), np.zeros(2 * n)
+    for i, j in itertools.product(range(n), repeat=2):
+        data[2 * i, 2 * j] = a if i == j else c1
+        data[2 * i + 1, 2 * j + 1] = b if i == j else c2
+    mean[0::2] = math.sqrt(2.0) * alpha
+    return CovMatrix(data, mean)
+
+
+def pure_symmetric_numbers(n, mu):
+    """(mu, mu, c1, c2) of the pure n-mode permutation-symmetric state at
+    per-mode energy mu: both of its symplectic eigenvalues,
+    sqrt((mu + (n-1) c1)(mu + (n-1) c2)) and sqrt((mu - c1)(mu - c2)), are
+    1/2, so c1 c2 = (1/4 - mu^2)/(n - 1) and c1 + c2 = -(n - 2) c1 c2 / mu."""
+    prod = (0.25 - mu * mu) / (n - 1)
+    total = -(n - 2) * prod / mu
+    root = math.sqrt(total * total - 4.0 * prod)
+    return mu, mu, (total + root) / 2.0, (total - root) / 2.0
+
+
+def scalar_block_fidelity(desc, family, local_a, local_b, state=None):
+    """gaussian_fidelity on separately built output states of one block,
+    whose state is built entry by entry from its numbers unless given."""
     if local_a == local_b:
         return 1.0
-    state = coherent_cm([desc.alpha]) if desc.kind == "coherent" else ghz_cm(desc.n_modes, desc.mu)
+    if state is None:
+        state = entrywise_state(desc.n_modes, desc.a, desc.b, desc.c1, desc.c2, desc.alpha)
     outs = []
     for bits in (local_a, local_b):
         params = [family.params(bit) for bit in bits]
@@ -216,10 +241,14 @@ def scalar_block_fidelity(desc, family, local_a, local_b):
 
 @st.composite
 def block_descriptors(draw):
-    """GHZ blocks of 1-4 channels with 0-2 idlers (two modes at least), or a
-    coherent mode."""
-    if draw(st.integers(0, 4)) == 0:
+    """GHZ blocks of 1-4 channels with 0-2 idlers (two modes at least), a
+    coherent mode, or a pure symmetric block of 3-4 channels."""
+    shape = draw(st.integers(0, 5))
+    if shape == 0:
         return BlockDescriptor("coherent", (0,), alpha=draw(st.floats(0.0, 6.0)))
+    if shape == 1:
+        size = draw(st.integers(3, 4))
+        return SymmetricBlock(tuple(range(size)), 0, *pure_symmetric_numbers(size, draw(st.floats(0.5, 50.0))))
     size = draw(st.integers(1, 4))
     idlers = draw(st.integers(1 if size == 1 else 0, 2))
     return BlockDescriptor("ghz", tuple(range(size)), idlers, mu=draw(st.floats(0.5, 50.0)))
@@ -240,6 +269,28 @@ def test_block_fidelities_equal_scalar_path_bit_for_bit(data, desc, family):
     assert got == [scalar_block_fidelity(desc, family, a, b) for a, b in pairs]
     # cached values are the same bits
     assert block_fidelities([(desc, family)], pairs[::-1])[0].tolist() == got[::-1]
+
+
+def test_two_block_shapes_of_one_size_and_energy_differ():
+    # a 3-mode GHZ block, then the pure symmetric block on the same
+    # channels at the same per-mode energy, in one process: block
+    # fidelities are cached per state, so the second reads none of the
+    # first's values
+    n, mu = 3, 20.5
+    c = math.sqrt(mu * mu - 0.25) / (n - 1)
+    shapes = [(BlockDescriptor("ghz", (0, 1, 2), mu=mu), (mu, mu, c, -c)),
+              (SymmetricBlock((0, 1, 2), 0, *pure_symmetric_numbers(n, mu)), pure_symmetric_numbers(n, mu))]
+    for desc, numbers in shapes:
+        data, mean = desc.state()
+        assert np.array_equal(data, entrywise_state(n, *numbers).data) and not mean.any()
+    pair = dp.representative_local_patterns(n, 0, 1, 1)
+    blocks_mod._BLOCK_FID_CACHE.clear()
+    got = [block_subfidelity(desc, LOSS, 0, 1, 1) for desc, _ in shapes]
+    assert got == [scalar_block_fidelity(desc, LOSS, *pair, state=entrywise_state(n, *numbers))
+                   for desc, numbers in shapes]
+    assert got == pytest.approx([0.98799, 0.95621], abs=1e-5)
+    pure = CovMatrix(*shapes[1][0].state())
+    assert pure.spectrum == pytest.approx([0.5] * n, abs=1e-10)
 
 
 @pytest.mark.parametrize("family", [

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,9 +10,11 @@ from multiprobe.errors import EnergyError, PartitionError
 from multiprobe import gaussian
 from multiprobe.gaussian import coherent_cm, ghz_cm, symplectic_spectrum, tensor
 from multiprobe.imagespace import full_space
+from multiprobe.presets import resolve_probe
 from multiprobe.probes import (
     HYBRID_COHERENT,
     SINGLE_IDLER,
+    BlockDescriptor,
     Partition,
     ProbeSpec,
     assemble_probe,
@@ -234,7 +237,7 @@ def test_spec_pair_blocks():
 
 
 def test_classical_vacuum_spec():
-    spec = ProbeSpec.classical(3, 0.0)
+    spec = ProbeSpec(3, None, coherent=tuple((c, 0.0) for c in range(3)))
     probe = assemble_probe(spec)
     assert np.allclose(probe.cm.data, 0.5 * np.eye(6), atol=0)
     assert np.all(probe.cm.mean == 0)
@@ -245,6 +248,24 @@ def test_spec_requires_energy_for_blocks():
         ProbeSpec(2, None, blocks=((0, 1),))
     with pytest.raises(EnergyError):
         ProbeSpec(2, 0.3, blocks=((0, 1),))
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf, 0.49])
+def test_ghz_energy_must_be_finite_and_at_least_vacuum(mu):
+    # each way to a GHZ block rejects the energy before a state is built
+    builds = (lambda: resolve_probe("full-ghz", 3, mu), lambda: ProbeSpec(2, mu, blocks=((0, 1),)),
+              lambda: BlockDescriptor("ghz", (0, 1), mu=mu), lambda: gaussian.ghz_state(3, mu))
+    for build in builds:
+        with pytest.raises(EnergyError, match="mu"):
+            build()
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_coherent_amplitude_must_be_finite(alpha):
+    with pytest.raises(EnergyError, match="amplitude"):
+        ProbeSpec(2, None, coherent=((0, alpha), (1, 0.0)))
+    with pytest.raises(EnergyError, match="amplitude"):
+        BlockDescriptor("coherent", (0,), alpha=alpha)
 
 
 def test_spec_rejects_uncovered_channels():

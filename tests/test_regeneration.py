@@ -1,14 +1,15 @@
-"""The committed figures built from block fidelities regenerate from the
-scripts.
+"""Every committed figure regenerates from the scripts: the thirty bound
+files of the two m = 9 sweeps, whose quantum bounds come from the two
+counting DPs (``full-ghz``, ``tmsv-disjoint`` and ``idler-full`` over
+blocks, the ``nn`` ring over channels) and whose six ``classical`` files
+are closed forms read off the Hamming census, the four advantage surfaces
+(``nn`` and ``idler-full`` on ``cpf:1``) and the three m = 10 censuses.
 
-Regenerated are the bound files whose quantum bounds come from the two
-counting DPs (``tmsv-disjoint`` and ``idler-full`` over blocks, the ``nn``
-ring over channels), the six ``classical`` files, whose bounds are closed
-forms read off the Hamming census, the four advantage surfaces (``nn`` and
-``idler-full`` on ``cpf:1``) and the ``tmsv-disjoint`` and ``nn``
-censuses: the ``full-ghz`` files carry 9- and 10-mode fidelities that
-drift across machines by about 1e-10 relative, far above the block
-fidelities of the files checked here.
+Regenerated on a 2-core x86-64 Linux machine (numpy with OpenBLAS
+0.3.31), every file matches the committed bytes, a deviation of 0.  How
+far they drift on other machines is not measured; the ``full-ghz`` files
+carry 9- and 10-mode fidelities, whose LAPACK calls make the most
+rounding, and RTOL leaves 1e-9 relative for it.
 """
 
 import csv
@@ -18,8 +19,6 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SPACES = {"full": "full", "cpf3": "cpf:3", "cpf1": "cpf:1"}
-PROBES = ("tmsv-disjoint", "idler-full", "nn", "classical")
 TEXT_COLUMNS = {"family", "m", "space", "probe", "method", "rounds"}
 RTOL = 1e-9
 TINY = 1e-300
@@ -67,13 +66,12 @@ def _assert_bounds_file_regenerates(got_path, want_path, n_rows):
 
 
 @pytest.mark.parametrize("script, prefix", [("sweep_loss_m9", "loss"), ("sweep_noise_m9", "noise")])
-def test_counting_figures_regenerate(tmp_path, monkeypatch, script, prefix):
+def test_counting_figures_regenerate(tmp_path, script, prefix):
     module = _load_script(script)
-    monkeypatch.setattr(module, "SPACES", SPACES)
-    monkeypatch.setattr(module, "PROBES", PROBES)
     assert module.run(tmp_path, 50) == 0
-    for tag in SPACES:
-        for probe in PROBES:
+    assert len(module.SPACES) * len(module.PROBES) == 15
+    for tag in module.SPACES:
+        for probe in module.PROBES:
             name = f"{prefix}_m9_{tag}_{probe}.csv"
             _assert_bounds_file_regenerates(tmp_path / name, ROOT / "results" / name, 50)
 
@@ -87,13 +85,11 @@ def test_advantage_surfaces_regenerate(tmp_path):
             _assert_bounds_file_regenerates(tmp_path / name, ROOT / "results" / name, 25 * 25)
 
 
-def test_censuses_regenerate(tmp_path, monkeypatch):
+def test_censuses_regenerate(tmp_path):
     module = _load_script("census_histograms")
-    configs = tuple(c for c in module.CONFIGS if c[0] in ("tmsv-disjoint", "nn"))
-    assert len(configs) == 2
-    monkeypatch.setattr(module, "CONFIGS", configs)
     assert module.run(tmp_path) == 0
-    for probe, _ in configs:
+    assert len(module.CONFIGS) == 3
+    for probe, _ in module.CONFIGS:
         name = f"census_loss_m10_{probe}.csv"
         got_comment, got = _rows(tmp_path / name)
         want_comment, want = _rows(ROOT / "results" / name)
