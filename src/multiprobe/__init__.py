@@ -42,7 +42,6 @@ from .imagespace import (
     cpf_space,
     full_space,
 )
-from .presets import ProbePlan
 from .probes import (
     Partition,
     ProbeSpec,
@@ -66,7 +65,6 @@ __all__ = [
     "GpiParams",
     "ImageSpace",
     "Partition",
-    "ProbePlan",
     "ProbeSpec",
     "apply_pattern_with_idlers",
     "assemble_probe",

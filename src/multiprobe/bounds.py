@@ -61,16 +61,9 @@ from .errors import (
 )
 from .gaussian import BATCH_MAX_FLOATS, stacked_fidelities
 from .imagespace import ImageSpace
-from .presets import CLASSICAL, MUTUAL, ProbePlan
-from .probes import (
-    BlockDescriptor,
-    Partition,
-    ProbeSpec,
-    assemble_probe,
-    average_channel_use,
-    decompose_rounds,
-    odd_m_disjoint_spec,
-)
+from .presets import CLASSICAL
+from .probes import (BlockDescriptor, ProbeSpec, assemble_probe, average_channel_use, decompose_rounds,
+                     odd_m_disjoint_spec)
 
 BRUTE_TABLE_MAX_PATTERNS = 512
 BLOCK_TABLE_MAX_PATTERNS = 4096
@@ -166,7 +159,7 @@ class FidelityTable:
     optional per-entry ``weights`` = sqrt(pi_i pi_j) carry non-uniform
     priors; without them the priors are uniform.  ``method`` names the
     route that built the table; a mutual-probing table also carries its
-    overlapping ``partition``, which sets the average channel use, and the
+    overlapping ``probe``, which sets the average channel use, and the
     number of disjoint ``rounds``.
     """
 
@@ -175,7 +168,7 @@ class FidelityTable:
     logf: np.ndarray
     weights: np.ndarray | None = None
     method: str = "brute"
-    partition: Partition | None = None
+    probe: ProbeSpec | None = None
     rounds: int | None = None
 
     def __post_init__(self):
@@ -227,14 +220,14 @@ def bounds_from_table(table: FidelityTable, copies, *, m_bar=None) -> BoundRepor
     if m_val < 1:
         raise ValueError(f"copy number must be >= 1, got {copies}")
     ((lb, ub),) = _table_sums(table, np.array([m_val]))
-    m_bar = _m_bar(table.partition, copies) if m_bar is None else float(m_bar)
+    m_bar = _m_bar(table.probe, copies) if m_bar is None else float(m_bar)
     return _checked_reports([(m_val, m_bar, lb, ub)], [[copies]], table.method, table.rounds)[0][0]
 
 
-def _m_bar(partition: Partition | None, copies) -> float:
-    """The average channel use at ``copies``: M, or (m + l) / m * M for a
-    mutual-probing ``partition``."""
-    return float(copies if partition is None else average_channel_use(partition, copies))
+def _m_bar(probe: ProbeSpec | None, copies) -> float:
+    """The average channel use at ``copies``: M, or (m + l) / m * M for an
+    overlapping ``probe``."""
+    return float(copies if probe is None else average_channel_use(probe, copies))
 
 
 def _table_sums(table: FidelityTable, power, scale=None) -> list[tuple[float, float]]:
@@ -284,49 +277,49 @@ def census_histogram(table: FidelityTable, copies=1.0) -> list[tuple[float, int]
 
 
 def _dp(space: ImageSpace, points):
-    """The classed route of (plan, family, ns, mu) points that share one
-    probe structure on a uniform full/cpf/bcpf space: the plan and final
-    states of its DP, its block fidelities (a lut key -> (point, lut entry)
-    map) and the fields of its tables.  ``evaluate_points`` replays the
-    plan with entries per state, ``bound_reports`` with sums.
+    """The classed route of (probe, family, ns) points that share one block
+    structure on a uniform full/cpf/bcpf space: the plan and final states
+    of its DP and its block fidelities (a lut key -> (point, lut entry)
+    map).  ``evaluate_points`` replays the plan with entries per state,
+    ``bound_reports`` with sums.
 
-    A mutual plan takes the frontier DP over channels, whose lut keys are
-    block sizes, on GHZ blocks over channels 0..size-1: channel labels
-    enter no block fidelity.  A disjoint one takes the counting DP over
-    blocks, whose lut keys are the signatures of a block under each spec
-    of the sweep.  Each lut key's fidelities come from one batch over every
+    A block's lut key is its signature under each distinct probe of the
+    sweep, so blocks whose numbers agree at every point share one lut:
+    channel labels enter no block fidelity.  Disjoint blocks take the
+    counting DP over blocks, overlapping ones the frontier DP over
+    channels.  Each lut key's fidelities come from one batch over every
     point and the local pairs the plan reads.  Replayed with entries, log F
     sums one block log-fidelity per block in block order, so pairs whose
     blocks read the same local pairs reach the same float.  More DP states
     or entries than a dense table may hold raise CapacityError."""
-    plan = points[0][0]
-    families = [family for _, family, _, _ in points]
-    if plan.route == MUTUAL:
-        dp_plan, final, codes = frontier_plan(plan.partition, space.target_counts, _state_cap())
-        mus = [mu for *_, mu in points]
-        ghz = {(size, mu): BlockDescriptor("ghz", tuple(range(size)), mu=mu) for size in codes for mu in set(mus)}
-        descs = {size: [ghz[size, mu] for mu in mus] for size in codes}
-        fields = _mutual_fields(plan.partition)
+    probe = points[0][0]
+    families = [family for _, family, _ in points]
+    # a sweep's points share few probe objects, so blocks are grouped once per probe
+    probes: dict[int, tuple[int, ProbeSpec]] = {}
+    index = [probes.setdefault(id(p), (len(probes), p))[0] for p, *_ in points]
+    descs, blocks = {}, []
+    for per_probe in zip(*(p.blocks for _, p in probes.values())):
+        # the family is the same for every block of a point, so one stands for all
+        key = tuple(block_signature(desc, families[0]) for desc in per_probe)
+        descs.setdefault(key, [per_probe[i] for i in index])
+        blocks.append((key, per_probe[0].channels))
+    if probe.disjoint:
+        dp_plan, final, codes = counting_plan([(key, len(ch)) for key, ch in blocks], space.m, space.target_counts)
     else:
-        # a sweep's points share few specs, so blocks are grouped once per spec
-        specs: dict[ProbeSpec, int] = {}
-        index = [specs.setdefault(p.spec, len(specs)) for p, *_ in points]
-        descs, blocks = {}, []
-        for per_spec in zip(*(spec.descriptors() for spec in specs)):
-            # the family is the same for every block of a point, so one stands for all
-            shape = tuple(block_signature(desc, families[0]) for desc in per_spec)
-            descs.setdefault(shape, [per_spec[i] for i in index])
-            blocks.append((shape, len(per_spec[0].channels)))
-        dp_plan, final, codes = counting_plan(blocks, space.m, space.target_counts)
-        fields = {"method": "counting"}
+        dp_plan, final, codes = frontier_plan(blocks, space.m, space.target_counts, _state_cap())
     fids = {key: block_fidelities(list(zip(descs[key], families)), local_pairs(read, len(descs[key][0].channels)))
             for key, read in codes.items()}
-    return dp_plan, final, fids, fields
+    return dp_plan, final, fids
 
 
-def _mutual_fields(partition: Partition) -> dict:
-    """The table fields of mutual probing over ``partition``."""
-    return {"method": "mutual", "partition": partition, "rounds": len(decompose_rounds(partition))}
+def _fields(probe: ProbeSpec, method: str) -> dict:
+    """The table fields of ``probe`` on the route ``method``: mutual
+    probing, with the probe and its number of disjoint rounds, for
+    overlapping blocks."""
+    if probe.disjoint:
+        return {"method": method}
+    rounds = decompose_rounds(tuple(blk.channels for blk in probe.blocks))
+    return {"method": "mutual", "probe": probe, "rounds": len(rounds)}
 
 
 def _rows(copies) -> tuple[np.ndarray, np.ndarray]:
@@ -341,7 +334,7 @@ def _rows(copies) -> tuple[np.ndarray, np.ndarray]:
 def _plan_reports(n: int, plan, final, fids, fields: dict, copies):
     """The reports over n patterns of each row (see ``_rows``), whose sums
     of F^M and F^(2M) over the ordered pattern pairs that differ come from
-    replaying ``plan``; ``fids`` and ``fields`` as ``_dp`` gives them.
+    replaying ``plan``; ``fids`` as ``_dp`` gives them, ``fields`` as ``_fields``.
 
     A (point, copy number) row is an F^M and an F^(2M) column; the block
     factors of a column are f^M and f^(2M) of its point's fidelities.  The
@@ -359,8 +352,8 @@ def _plan_reports(n: int, plan, final, fids, fields: dict, copies):
         cols, col_point = np.concatenate((power[rows], 2.0 * power[rows])), np.tile(point[rows], 2)
         luts = {key: f[col_point].T ** cols for key, f in fids.items()}
         sums += replay_sums(plan, final, luts).reshape(2, -1).T.tolist()
-    partition = fields.get("partition")
-    rows = [(c, _m_bar(partition, c), 0.5 * s2 / n**2, s1 / n) for c, (s1, s2) in zip(power.tolist(), sums)]
+    probe = fields.get("probe")
+    rows = [(c, _m_bar(probe, c), 0.5 * s2 / n**2, s1 / n) for c, (s1, s2) in zip(power.tolist(), sums)]
     return _checked_reports(rows, copies, fields["method"], fields.get("rounds"))
 
 
@@ -435,47 +428,39 @@ def per_channel_classical_fidelity(family: ChannelFamily, ns: float) -> float:
     )
 
 
-def evaluate(plan: ProbePlan, space: ImageSpace, family: ChannelFamily, *, ns=None, mu=None) -> FidelityTable:
+def evaluate(probe: ProbeSpec | str, space: ImageSpace, family: ChannelFamily, *, ns=None) -> FidelityTable:
     """The fidelity table of one probe configuration, for every copy number:
     the one-point case of ``evaluate_points``.  ``ns`` is the energy of the
-    optimal classical probe and ``mu`` the squeezing energy of the
-    mutual-probing blocks."""
-    return evaluate_points(space, [(plan, family, ns, mu)])[0]
+    optimal classical probe."""
+    return evaluate_points(space, [(probe, family, ns)])[0]
 
 
-def _structure(plan: ProbePlan) -> tuple:
-    """What the points of one ``evaluate_points`` call share: the plan
-    without its energy."""
-    spec = plan.spec
-    blocks = None if spec is None else (spec.m, spec.blocks, spec.idlers, [c for c, _ in spec.coherent])
-    return plan.route, plan.partition, blocks
+def _structure(probe: ProbeSpec | str):
+    """What the points of one ``evaluate_points`` call share: the channels
+    and idlers of the probe's blocks, not their numbers."""
+    return probe if probe == CLASSICAL else (probe.m, [(blk.channels, blk.idlers) for blk in probe.blocks])
 
 
-def _check_points(space: ImageSpace, points) -> ProbePlan:
-    """The plan that ``points`` share, checked against ``space``; see
+def _check_points(space: ImageSpace, points) -> ProbeSpec | str:
+    """The probe that ``points`` share, checked against ``space``; see
     ``evaluate_points``.  A probe over another number of channels than the
-    space raises DimensionError, a partition PartitionError, as do idlers
-    on the blocks of a mutual plan, which its routes do not read."""
-    plan = points[0][0]
-    structure = _structure(plan)
-    # a sweep's points share few plan objects
+    space raises DimensionError."""
+    probe = points[0][0]
+    structure = _structure(probe)
+    # a sweep's points share few probe objects
     if any(_structure(p) != structure for p in {id(p): p for p, *_ in points}.values()):
         raise ValueError("the points of one evaluation must share the probe structure")
-    if plan.route == MUTUAL and any(mu is None for *_, mu in points):
-        raise EnergyError("mutual probing needs a squeezing energy mu")
-    if plan.partition is not None and plan.partition.m != space.m:
-        raise PartitionError(f"partition over m={plan.partition.m} does not match space m={space.m}")
-    if plan.route == MUTUAL and any(plan.partition.idlers):
-        raise PartitionError("mutual probing takes no idlers")
-    if plan.spec is not None and plan.spec.m != space.m:
-        raise DimensionError(f"probe over m={plan.spec.m} but space has m={space.m}")
-    return plan
+    if probe != CLASSICAL and probe.m != space.m:
+        raise DimensionError(f"probe over m={probe.m} but space has m={space.m}")
+    return probe
 
 
 def evaluate_points(space: ImageSpace, points) -> list[FidelityTable]:
     """The fidelity tables of probe configurations that differ only in the
-    channels and the energy, one per (plan, family, ns, mu) point, each
-    equal bit for bit to the table of its point alone.
+    channels and the numbers of their blocks, one per (probe, family, ns)
+    point, each equal bit for bit to the table of its point alone.  A
+    point's probe is a ProbeSpec, or CLASSICAL for the optimal classical
+    probe at energy ``ns``.
 
     On a uniform full/cpf/bcpf space each point replays the plan of its
     DP (``_dp``) with (log F, ordered pair count) entries per state,
@@ -484,47 +469,42 @@ def evaluate_points(space: ImageSpace, points) -> list[FidelityTable]:
     sums the bounds of the same DPs without them.  On any other space:
     per-block lookups (dense, ``_dense_table``), per point, over the
     blocks as they sit, overlapping or not, with no copy-channel
-    extension.  The optimal classical probe at energy ``ns`` gets the
-    Hamming census, which factors per channel so that a pair at distance
-    d has fidelity f^d.  ``mu`` is the squeezing energy of the
-    mutual-probing blocks; a disjoint plan carries its own.
+    extension.  The optimal classical probe gets the Hamming census, which
+    factors per channel so that a pair at distance d has fidelity f^d.
     """
     if not points:
         return []
-    plan = _check_points(space, points)
-    if plan.route == CLASSICAL:
+    probe = _check_points(space, points)
+    if probe == CLASSICAL:
         table, logfs = _classical(space, points)
         return [FidelityTable(table.n_patterns, table.counts, table.logf * lf, table.weights, method="classical")
                 for lf in logfs]
     if not counting_applies(space):
         return [_dense_table(space, point) for point in points]
-    dp_plan, final, fids, fields = _dp(space, points)
+    dp_plan, final, fids = _dp(space, points)
     tables = []
-    for k in range(len(points)):
+    for k, (p, *_) in enumerate(points):
         luts = {key: np.array([_log(f) for f in f_all[k].tolist()]) for key, f_all in fids.items()}
         logf, cnt = replay_entries(dp_plan, final, luts, _state_cap())
-        tables.append(FidelityTable(len(space), cnt.astype(float), logf, **fields))
+        tables.append(FidelityTable(len(space), cnt.astype(float), logf, **_fields(p, "counting")))
     return tables
 
 
 def _dense_table(space: ImageSpace, point) -> FidelityTable:
-    """The dense table of one (plan, family, ns, mu) point on a custom
-    space, from per-block lookups (``fidelity_table_blocks``)."""
-    plan, family, _, mu = point
+    """The dense table of one (probe, family, ns) point on a custom space,
+    from per-block lookups (``fidelity_table_blocks``)."""
+    probe, family, _ = point
     priors = None if space.uniform else space.priors
-    if plan.route == MUTUAL:
-        descs = [BlockDescriptor("ghz", blk, mu=mu) for blk in plan.partition.blocks]
-        return fidelity_table_blocks(space.patterns, priors, descs, family, **_mutual_fields(plan.partition))
-    return fidelity_table_blocks(space.patterns, priors, plan.spec.descriptors(), family)
+    return fidelity_table_blocks(space.patterns, priors, probe.blocks, family, **_fields(probe, "blocks"))
 
 
 def _classical(space: ImageSpace, points) -> tuple[FidelityTable, list[float]]:
     """The optimal classical probe's per-channel log-fidelity at each
-    (plan, family, ns, mu) point, and its table with each pair's Hamming
+    (probe, family, ns) point, and its table with each pair's Hamming
     distance d in place of log F: the probe factors per channel, so the
     pair's fidelity is f^d.  The Hamming census on uniform full/cpf/bcpf
     spaces, one entry per unordered pair otherwise."""
-    logfs = [_log(per_channel_classical_fidelity(family, ns)) for _, family, ns, _ in points]
+    logfs = [_log(per_channel_classical_fidelity(family, ns)) for _, family, ns in points]
     if counting_applies(space):
         return FidelityTable(len(space), *hamming_census(space.m, space.target_counts), method="classical"), logfs
     n = len(space)
@@ -537,7 +517,7 @@ def _classical(space: ImageSpace, points) -> tuple[FidelityTable, list[float]]:
 
 def bound_reports(space: ImageSpace, points, copies) -> list[list[BoundReport]]:
     """The bound reports of probe configurations of one structure, one list
-    per (plan, family, ns, mu) point (as ``evaluate_points``) with one
+    per (probe, family, ns) point (as ``evaluate_points``) with one
     report per copy number in the matching list of ``copies``.
 
     The route is that of ``evaluate_points``, read with sums.  On a uniform
@@ -551,20 +531,20 @@ def bound_reports(space: ImageSpace, points, copies) -> list[list[BoundReport]]:
     """
     if not points:
         return []
-    plan = _check_points(space, points)
-    if plan.route == CLASSICAL:
+    probe = _check_points(space, points)
+    if probe == CLASSICAL:
         table, logfs = _classical(space, points)
         power, point = _rows(copies)
         sums = _table_sums(table, power, np.array(logfs)[point])
         return _checked_reports([(c, c, lb, ub) for c, (lb, ub) in zip(power.tolist(), sums)], copies, "classical")
     if counting_applies(space):
-        return _plan_reports(len(space), *_dp(space, points), copies)
+        return _plan_reports(len(space), *_dp(space, points), _fields(probe, "counting"), copies)
     power, point = _rows(copies)
     rows = []
     for k, (p, cs) in enumerate(zip(points, copies)):
         table = _dense_table(space, p)
         sums = _table_sums(table, power[point == k])
-        rows += [(float(c), _m_bar(table.partition, c), lb, ub) for c, (lb, ub) in zip(cs, sums)]
+        rows += [(float(c), _m_bar(table.probe, c), lb, ub) for c, (lb, ub) in zip(cs, sums)]
     return _checked_reports(rows, copies, table.method, table.rounds)
 
 
@@ -610,7 +590,7 @@ def bounds_tmsv_pairs_odd(
     """
     if m % 2 == 0 or m < 3:
         raise PartitionError(f"odd-m closed form needs odd m >= 3, got {m}")
-    remainder = odd_m_disjoint_spec(m, mu, strategy).descriptors()[-1]
+    remainder = odd_m_disjoint_spec(m, mu, strategy).blocks[-1]
     return _tmsv_pairs_report(family, mu, copies, m, block_subfidelity(remainder, family, 0, 1, 1))
 
 

@@ -126,10 +126,10 @@ def layout_channels(family: ChannelFamily | list[ChannelFamily], layout,
     """Per-mode (taus, nus) rows that send each probed mode of the layout
     through ``family.params(bit)`` of its channel's bit; idler modes pass
     (tau 1, nu 0).  ``patterns`` is a stack of patterns, each one bit per
-    channel the layout probes; the rows are (len(patterns), len(layout)),
-    or (len(family), len(patterns), len(layout)) for a list of families,
-    one per point."""
-    n = sum(ch is not None for ch in layout)
+    distinct channel the layout probes, so modes of one channel read one
+    bit; the rows are (len(patterns), len(layout)), or (len(family),
+    len(patterns), len(layout)) for a list of families, one per point."""
+    n = len({ch for ch in layout if ch is not None})
     # each pattern's bits, then a 2 that picks the passing entry of a family's row
     bits = np.array([check_pattern(p, n) + (2,) for p in patterns], dtype=int).reshape(-1, n + 1)
     for ch in layout:

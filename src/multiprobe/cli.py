@@ -23,8 +23,8 @@ from .bounds import bound_reports, census_histogram, evaluate_points, guaranteed
 from .channels import ChannelFamily
 from .errors import NumericError
 from .imagespace import bcpf_space, cpf_space, full_space, read_space
-from .presets import CLASSICAL, MUTUAL, SCALES, ProbePlan, resolve_probe
-from .probes import HYBRID_COHERENT, SINGLE_IDLER
+from .presets import CLASSICAL, SCALES, resolve_probe
+from .probes import HYBRID_COHERENT, SINGLE_IDLER, ProbeSpec
 
 # grouped as ``_eval_group`` fills a row
 COLUMNS = [
@@ -64,20 +64,24 @@ def _fmt(value) -> str:
 
 
 def parse_grid(spec: str):
-    """``param=start:stop:steps`` (linear) or ``param=log:start:stop:steps``."""
+    """``param=start:stop:steps`` (linear) or ``param=log:start:stop:steps``
+    (geometric): exactly three fields after the optional ``log:``, finite
+    endpoints, and positive ones on a geometric grid."""
     try:
         name, rest = spec.split("=", 1)
         name = name.strip()
         parts = rest.split(":")
-        log = False
-        if parts[0] == "log":
-            log = True
-            parts = parts[1:]
-        start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
-    except (ValueError, IndexError) as exc:
+        log = parts[0] == "log"
+        start, stop, steps = parts[1:] if log else parts
+        start, stop, steps = float(start), float(stop), int(steps)
+    except ValueError as exc:
         raise UsageError(f"bad grid spec {spec!r}; expected param=start:stop:steps") from exc
     if name not in SWEEPABLE:
         raise UsageError(f"cannot sweep {name!r}; sweepable: {', '.join(SWEEPABLE)}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise UsageError(f"grid spec {spec!r} needs finite endpoints")
+    if log and not (start > 0 and stop > 0):
+        raise UsageError(f"log grid spec {spec!r} needs positive endpoints")
     if steps < 1:
         raise UsageError("grid needs at least one step")
     if steps == 1:
@@ -155,26 +159,28 @@ def _copies(payload: dict, m: int, l_overlap: int) -> float:
 
 
 def _points(payloads: list[dict]):
-    """The space and the (plan, family, ns, mu) evaluation point of each of
-    ``payloads``, which share a structure (everything but the channel
-    parameters, the energy and the copy number): the space is built once,
-    the plan once per energy and the family once per channel setting."""
+    """The space, and the (probe, family, ns) evaluation point and the mu of
+    each of ``payloads``, which share a structure (everything but the
+    channel parameters, the energy and the copy number): the space is built
+    once, the probe once per energy and the family once per channel
+    setting."""
     first = payloads[0]
     m = first["m"]
     space = build_space(first["space"], m)
-    plans: dict[float, ProbePlan] = {}
+    probes: dict[float, ProbeSpec | str] = {}
     families: dict[tuple, ChannelFamily] = {}
     setting = operator.itemgetter("family", *SWEEPABLE[:8])  # the channel parameters
-    points = []
+    points, mus = [], []
     for payload in payloads:
         ns, mu = _energy(payload)
-        if mu not in plans:
-            plans[mu] = resolve_probe(first["probe"], m, mu, first["odd_strategy"])
+        if mu not in probes:
+            probes[mu] = resolve_probe(first["probe"], m, mu, first["odd_strategy"])
         key = setting(payload)
         if key not in families:
             families[key] = build_family(payload)
-        points.append((plans[mu], families[key], ns, mu))
-    return space, points
+        points.append((probes[mu], families[key], ns))
+        mus.append(mu)
+    return space, points, mus
 
 
 def _eval_group(configs: list[list[dict]]) -> list[list[dict]]:
@@ -187,22 +193,21 @@ def _eval_group(configs: list[list[dict]]) -> list[list[dict]]:
     """
     first = configs[0][0]
     m = first["m"]
-    space, points = _points([payloads[0] for payloads in configs])
-    plan = points[0][0]
-    l_overlap = plan.partition.l_overlap if plan.route == MUTUAL else 0
+    space, points, mus = _points([payloads[0] for payloads in configs])
+    probe = points[0][0]
+    l_overlap = 0 if probe == CLASSICAL else probe.l_overlap
     copies_lists = [[_copies(payload, m, l_overlap) for payload in payloads] for payloads in configs]
     reports = bound_reports(space, points, copies_lists)
     comparisons = [[None] * len(copies_list) for copies_list in copies_lists]
-    if first["against_classical"] and plan.route != CLASSICAL:
-        classical = ProbePlan(CLASSICAL)
+    if first["against_classical"] and probe != CLASSICAL:
         comparisons = bound_reports(
             space,
-            [(classical, family, ns, None) for _, family, ns, _ in points],
+            [(CLASSICAL, family, ns) for _, family, ns in points],
             [[report.m_bar for report in config_reports] for config_reports in reports],
         )
     results = []
-    for payloads, (_, family, ns, mu), config_reports, config_comparisons in zip(
-        configs, points, reports, comparisons
+    for payloads, (_, family, ns), mu, config_reports, config_comparisons in zip(
+        configs, points, mus, reports, comparisons
     ):
         rows = []
         for payload, report, comparison in zip(payloads, config_reports, config_comparisons):
@@ -302,7 +307,7 @@ def cmd_validate(args) -> int:
 def cmd_census(args) -> int:
     (payload,) = _sweep_payloads(args)
     copies = _copies(payload, payload["m"], 0)
-    space, points = _points([payload])
+    space, points, _ = _points([payload])
     (table,) = evaluate_points(space, points)
     pairs = census_histogram(table, copies)
     rows = [{"fidelity": v, "multiplicity": c} for v, c in pairs]

@@ -25,7 +25,6 @@ import math
 import numpy as np
 
 from .errors import CapacityError
-from .probes import Partition
 
 
 def _reach(m: int, target_counts: tuple[int, ...]) -> np.ndarray | None:
@@ -164,24 +163,26 @@ def _indexed(raw):
     return plan, {lut: code.tolist() for lut, code in read.items()}
 
 
-def frontier_plan(partition: Partition, target_counts: tuple[int, ...], cap: int):
-    """The frontier DP over keys alone, which depends on the partition and
-    the admissible target counts only.
+def frontier_plan(blocks, m: int, target_counts: tuple[int, ...], cap: int):
+    """The frontier DP over keys alone, which depends on the channels of the
+    blocks and the admissible target counts only.
 
-    A state's key holds the A and B bits of the channels that a block not
-    yet added still reads, the targets of A and of B when the space fixes
-    them, and whether A and B differ yet.  At channel c each state has a
+    ``blocks`` holds (lut key, channels) per block, in block order, and the
+    blocks cover the m channels, overlapping or not.  A state's key holds
+    the A and B bits of the channels that a block not yet added still
+    reads, the targets of A and of B when the space fixes them, and whether
+    A and B differ yet.  At channel c each state has a
     child per (a, b) bit choice, less those whose targets can no longer
     reach an admissible count.  Block j is added at the channel that
     completes every block up to j, so blocks add in block order, and its
     local pair is read off the child's key.  Then the bits that no later
     block reads are dropped, and children of equal keys merge.
 
-    Returns the plan, whose lut keys are the block sizes, the final states
-    and the codes per block size (see the module docstring).  More than
-    ``cap`` states, or keys wider than an int64 holds, raise CapacityError.
+    Returns the plan, the final states and the codes per lut key (see the
+    module docstring).  More than ``cap`` states, or keys wider than an
+    int64 holds, raise CapacityError.
     """
-    m, blocks = partition.m, partition.blocks
+    luts, blocks = zip(*blocks)
     # the step after which block j is added, and the last step that reads channel c
     added = [max(max(blk) for blk in blocks[:j + 1]) for j in range(len(blocks))]
     last = [max(added[j] for j, blk in enumerate(blocks) if c in blk) for c in range(m)]
@@ -216,10 +217,10 @@ def frontier_plan(partition: Partition, target_counts: tuple[int, ...], cap: int
         order = np.argsort(child & keep_bits, kind="stable")
         child, parent = child[order], parent[order]
         step_adds = []
-        for j, blk in enumerate(blocks):
+        for j, (lut, blk) in enumerate(zip(luts, blocks)):
             if added[j] == c:
                 shifts = np.array([slot[ch] for ch in blk] + [width + slot[ch] for ch in blk])
-                step_adds.append((len(blk), (child[:, None] >> shifts & 1) @ (1 << np.arange(2 * len(blk)))))
+                step_adds.append((lut, (child[:, None] >> shifts & 1) @ (1 << np.arange(2 * len(blk)))))
         merged = child & keep_bits
         starts = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
         key = merged[starts]

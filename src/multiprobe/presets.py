@@ -1,14 +1,12 @@
 """Named probe presets used by the CLI, the experiment scripts and the
 suites of ``multiprobe validate``, and the scale names of those suites.
 
-A preset resolves to one of three computation routes: a disjoint (possibly
-idler-assisted) ProbeSpec, a partition of overlapping blocks handled by
-mutual probing, or the closed-form classical benchmark.
+A preset resolves to a ProbeSpec, GHZ blocks with or without idlers,
+overlapping or not (see ``ProbeSpec.from_partition``), or to CLASSICAL,
+the closed-form classical benchmark.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import PartitionError
 from .probes import (
@@ -22,8 +20,6 @@ from .probes import (
     parse_partition,
 )
 
-DISJOINT = "disjoint"
-MUTUAL = "mutual"
 CLASSICAL = "classical"
 
 PRESET_NAMES = ("full-ghz", "tmsv-disjoint", "nn", "idler-full", "classical")
@@ -32,41 +28,28 @@ PRESET_NAMES = ("full-ghz", "tmsv-disjoint", "nn", "idler-full", "classical")
 SCALES = ("smoke", "quick", "full")
 
 
-@dataclass(frozen=True)
-class ProbePlan:
-    """How to evaluate one probe configuration."""
-
-    route: str
-    spec: ProbeSpec | None = None
-    partition: Partition | None = None
-
-
-def resolve_probe(name: str, m: int, mu: float | None, odd_strategy: str = SINGLE_IDLER) -> ProbePlan:
-    """Map a preset name or ``part:`` literal to a probe plan.
+def resolve_probe(name: str, m: int, mu: float | None, odd_strategy: str = SINGLE_IDLER) -> ProbeSpec | str:
+    """Map a preset name or ``part:`` literal to its probe spec at squeezing
+    mu, or to CLASSICAL.
 
     ``tmsv-disjoint`` tiles even patterns with adjacent pairs; odd patterns
     use the requested remainder strategy (single idler by default).
     """
     name = name.strip()
     if name == "classical":
-        return ProbePlan(CLASSICAL)
+        return CLASSICAL
     if name.startswith("part:"):
         partition = parse_partition(name[5:], m)
-        if partition.disjoint:
-            return ProbePlan(DISJOINT, spec=ProbeSpec.from_partition(partition, mu))
-        return ProbePlan(MUTUAL, partition=partition)
-    if name == "full-ghz":
-        return ProbePlan(DISJOINT, spec=ProbeSpec(m, mu, blocks=(tuple(range(m)),)))
-    if name == "tmsv-disjoint":
-        if m % 2 == 0:
-            spec = ProbeSpec.from_partition(pair_partition(m), mu)
-        else:
-            spec = odd_m_disjoint_spec(m, mu, odd_strategy)
-        return ProbePlan(DISJOINT, spec=spec)
-    if name == "nn":
-        return ProbePlan(MUTUAL, partition=nn_partition(m))
-    if name == "idler-full":
-        return ProbePlan(DISJOINT, spec=ProbeSpec.from_partition(full_idler_partition(m), mu))
-    raise PartitionError(
-        f"unknown probe {name!r}; use one of {PRESET_NAMES} or a 'part:' literal"
-    )
+    elif name == "full-ghz":
+        partition = Partition(m, (tuple(range(m)),))
+    elif name == "tmsv-disjoint":
+        if m % 2:
+            return odd_m_disjoint_spec(m, mu, odd_strategy)
+        partition = pair_partition(m)
+    elif name == "nn":
+        partition = nn_partition(m)
+    elif name == "idler-full":
+        partition = full_idler_partition(m)
+    else:
+        raise PartitionError(f"unknown probe {name!r}; use one of {PRESET_NAMES} or a 'part:' literal")
+    return ProbeSpec.from_partition(partition, mu)

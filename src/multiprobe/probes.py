@@ -1,12 +1,14 @@
-"""Partition sets over channel patterns and probe-state assembly.
+"""Partition sets over channel patterns, probe specs and probe-state assembly.
 
 A partition distributes entangled blocks over the m channels of a
 pattern.  Disjoint blocks tile the channels and may carry idler modes;
-overlapping blocks (mutual probing) are evaluated as they sit, by the
-frontier DP and by per-block lookups (``multiprobe.bounds``).  Extending
-the pattern with copy-channels (``extend_for_mutual_probing``) realises
-them as disjoint blocks: the reference that ``validate`` and the tests
-check those routes against.
+overlapping blocks (mutual probing) take none.  A probe spec is the
+``SymmetricBlock`` states on such blocks (``ProbeSpec.from_partition``
+puts a GHZ state on each), overlapping or not; ``multiprobe.bounds``
+evaluates overlapping blocks as they sit, by the frontier DP and by
+per-block lookups.  Extending the pattern with copy-channels
+(``extend_for_mutual_probing``) realises them as disjoint blocks: the
+reference that ``validate`` and the tests check those routes against.
 
 Text grammar (1-based channel labels): blocks are separated by ``|``.  A
 block containing a comma lists channels as comma-separated integers
@@ -19,7 +21,7 @@ over channel 10 or beyond therefore needs a trailing comma ("10,*"), since
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +37,7 @@ HYBRID_COHERENT = "hybrid-coherent"
 SINGLE_IDLER = "single-idler"
 
 
-def _check_cover(blocks, m: int, *, disjoint: bool) -> None:
+def _check_cover(blocks, m: int) -> None:
     seen: list[int] = []
     for blk in blocks:
         if len(set(blk)) != len(blk):
@@ -43,25 +45,9 @@ def _check_cover(blocks, m: int, *, disjoint: bool) -> None:
         if any(not 0 <= c < m for c in blk):
             raise PartitionError(f"block {blk} outside channel range 0..{m - 1}")
         seen.extend(blk)
-    if disjoint and len(set(seen)) != len(seen):
-        raise PartitionError("blocks overlap in a disjoint partition")
     if set(seen) != set(range(m)):
         missing = sorted(set(range(m)) - set(seen))
         raise PartitionError(f"channels {missing} not covered by any block")
-
-
-def _set_blocks(obj) -> None:
-    """Store ``obj``'s blocks and idler counts (none by default) as tuples:
-    one count >= 0 per block, and at least two modes in every block."""
-    object.__setattr__(obj, "blocks", tuple(tuple(b) for b in obj.blocks))
-    object.__setattr__(obj, "idlers", tuple(int(q) for q in obj.idlers or (0,) * len(obj.blocks)))
-    if len(obj.idlers) != len(obj.blocks):
-        raise PartitionError("need one idler count per block")
-    for blk, q in zip(obj.blocks, obj.idlers):
-        if q < 0:
-            raise PartitionError("idler counts must be >= 0")
-        if len(blk) + q < 2:
-            raise PartitionError(f"block {blk} with {q} idlers has fewer than 2 modes")
 
 
 @dataclass(frozen=True)
@@ -75,8 +61,16 @@ class Partition:
     idlers: tuple[int, ...] = ()
 
     def __post_init__(self):
-        _set_blocks(self)
-        _check_cover(self.blocks, self.m, disjoint=False)
+        object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
+        object.__setattr__(self, "idlers", tuple(int(q) for q in self.idlers or (0,) * len(self.blocks)))
+        if len(self.idlers) != len(self.blocks):
+            raise PartitionError("need one idler count per block")
+        for blk, q in zip(self.blocks, self.idlers):
+            if q < 0:
+                raise PartitionError("idler counts must be >= 0")
+            if len(blk) + q < 2:
+                raise PartitionError(f"block {blk} with {q} idlers has fewer than 2 modes")
+        _check_cover(self.blocks, self.m)
         if any(self.idlers) and not self.disjoint:
             raise PartitionError("idlers are not supported on overlapping blocks")
 
@@ -157,8 +151,8 @@ def full_idler_partition(m: int) -> Partition:
     return Partition(m, tuple((k,) for k in range(m)), (1,) * m)
 
 
-def average_channel_use(partition: Partition, copies):
-    """Average probings per channel: (m + l) / m * M.
+def average_channel_use(partition: Partition | ProbeSpec, copies):
+    """Average probings per channel of a partition or probe spec: (m + l) / m * M.
 
     Returns an exact Fraction for integral M, a float otherwise.
     """
@@ -223,15 +217,16 @@ def _exact_coloring(adj, k: int) -> list[int] | None:
 
 
 @functools.lru_cache(maxsize=128)
-def decompose_rounds(partition: Partition) -> tuple[tuple[Block, ...], ...]:
-    """Split the blocks into a minimal number of internally disjoint rounds.
+def decompose_rounds(blocks: tuple[Block, ...]) -> tuple[tuple[Block, ...], ...]:
+    """Split blocks, given by their channels, into a minimal number of
+    internally disjoint rounds.
 
     Rounds need not cover every channel, only the union over rounds does.
     Minimality is exact for up to 12 blocks (backtracking on the conflict
-    graph), greedy first-fit beyond that.  Memoised per partition: a sweep
-    evaluates one partition at many channel parameters.
+    graph), greedy first-fit beyond that.  Memoised per tuple of blocks: a
+    sweep evaluates one block structure at many channel parameters and
+    energies.
     """
-    blocks = partition.blocks
     adj = _conflicts(blocks)
     colors = _greedy_coloring(adj)
     n_colors = max(colors) + 1
@@ -330,36 +325,33 @@ def BlockDescriptor(shape: str, channels, idlers: int = 0, mu: float | None = No
 
 @dataclass(frozen=True)
 class ProbeSpec:
-    """Declarative description of what to shine at an m-channel pattern.
-
-    Entangled blocks (with optional idlers, all at squeezing mu) plus
-    single-mode coherent probes must jointly cover every channel exactly
-    once.  An all-coherent spec with amplitude 0 is the vacuum probe.
-    """
+    """What to shine at an m-channel pattern: symmetric blocks that jointly
+    cover every channel.  Blocks may overlap (mutual probing) only when
+    none has idlers; ``l_overlap`` counts the channel instances beyond one
+    per channel, and ``disjoint`` says that there are none.  An all-coherent
+    spec with amplitude 0 is the vacuum probe."""
 
     m: int
-    mu: float | None
-    blocks: tuple[Block, ...] = ()
-    idlers: tuple[int, ...] = ()
-    coherent: tuple[tuple[int, float], ...] = ()
+    blocks: tuple[SymmetricBlock, ...]
+    l_overlap: int = field(init=False)
+    disjoint: bool = field(init=False)
 
     def __post_init__(self):
-        _set_blocks(self)
-        object.__setattr__(self, "coherent", tuple((int(c), float(a)) for c, a in self.coherent))
-        cover = list(self.blocks) + [(c,) for c, _ in self.coherent]
-        _check_cover(cover, self.m, disjoint=True)
-        self.descriptors()  # checks mu and every alpha
+        object.__setattr__(self, "blocks", tuple(self.blocks))
+        if any(blk.idlers < 0 for blk in self.blocks):
+            raise PartitionError("idler counts must be >= 0")
+        _check_cover([blk.channels for blk in self.blocks], self.m)
+        l_overlap = sum(len(blk.channels) for blk in self.blocks) - self.m
+        if l_overlap and any(blk.idlers for blk in self.blocks):
+            raise PartitionError("idlers are not supported on overlapping blocks")
+        object.__setattr__(self, "l_overlap", l_overlap)
+        object.__setattr__(self, "disjoint", l_overlap == 0)
 
     @classmethod
     def from_partition(cls, partition: Partition, mu: float) -> "ProbeSpec":
-        if not partition.disjoint:
-            raise PartitionError("overlapping blocks are probed via mutual probing, not directly")
-        return cls(partition.m, mu, partition.blocks, partition.idlers)
-
-    def descriptors(self) -> tuple[SymmetricBlock, ...]:
-        """A GHZ block at mu per entangled block, then one per coherent entry."""
-        ghz = (BlockDescriptor("ghz", blk, q, mu=self.mu) for blk, q in zip(self.blocks, self.idlers))
-        return (*ghz, *(BlockDescriptor("coherent", (c,), alpha=a) for c, a in self.coherent))
+        """A GHZ block at squeezing mu on each block of ``partition``, with its idlers."""
+        return cls(partition.m, tuple(BlockDescriptor("ghz", blk, q, mu=mu)
+                                      for blk, q in zip(partition.blocks, partition.idlers)))
 
 
 def odd_m_disjoint_spec(m: int, mu: float, strategy: str) -> ProbeSpec:
@@ -372,13 +364,12 @@ def odd_m_disjoint_spec(m: int, mu: float, strategy: str) -> ProbeSpec:
     """
     if m % 2 == 0 or m < 3:
         raise PartitionError(f"odd-m strategies need odd m >= 3, got {m}")
-    pairs = tuple((2 * k, 2 * k + 1) for k in range((m - 1) // 2))
+    if strategy not in (SINGLE_IDLER, HYBRID_COHERENT):
+        raise ValueError(f"unknown odd-m strategy {strategy!r}")
+    pairs = tuple(BlockDescriptor("ghz", (2 * k, 2 * k + 1), mu=mu) for k in range((m - 1) // 2))
     if strategy == SINGLE_IDLER:
-        return ProbeSpec(m, mu, pairs + ((m - 1,),), (0,) * len(pairs) + (1,))
-    if strategy == HYBRID_COHERENT:
-        alpha = float(np.sqrt(mu - 0.5))
-        return ProbeSpec(m, mu, pairs, coherent=((m - 1, alpha),))
-    raise ValueError(f"unknown odd-m strategy {strategy!r}")
+        return ProbeSpec(m, (*pairs, BlockDescriptor("ghz", (m - 1,), 1, mu=mu)))
+    return ProbeSpec(m, (*pairs, BlockDescriptor("coherent", (m - 1,), alpha=float(np.sqrt(mu - 0.5)))))
 
 
 @dataclass(frozen=True)
@@ -396,15 +387,11 @@ class ProbeState:
 
 def probe_state(spec: ProbeSpec) -> tuple[np.ndarray, np.ndarray, tuple[int | None, ...]]:
     """Covariance matrix, mean and layout of the probe of ``spec``,
-    unchecked: the block-diagonal matrix of its descriptors in order, each
-    in its own ``SymmetricBlock.layout``.
-
-    Entangled blocks become GHZ states over their idler and probe modes;
-    coherent entries become displaced vacuum modes.
-    """
-    descs = spec.descriptors()
-    layout = tuple(ch for desc in descs for ch in desc.layout)
-    return (*direct_sum([desc.state() for desc in descs]), layout)
+    unchecked: the block-diagonal matrix of its blocks in order, each in its
+    own ``SymmetricBlock.layout``.  Overlapping blocks each probe their
+    channels, so a channel is used once per block that holds it."""
+    layout = tuple(ch for blk in spec.blocks for ch in blk.layout)
+    return (*direct_sum([blk.state() for blk in spec.blocks]), layout)
 
 
 def assemble_probe(spec: ProbeSpec) -> ProbeState:

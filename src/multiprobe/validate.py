@@ -8,7 +8,7 @@ cross-checks.  ``smoke`` is a seconds-scale subset used by the CLI tests.
 Every fidelity table is built once per configuration, through
 ``evaluate`` or ``evaluate_points``, and read at each copy number with
 ``bounds_from_table``; the bound sums that ``bounds`` takes come from
-``bound_reports``, with the same (plan, family, ns, mu) points.  The
+``bound_reports``, with the same (probe, family, ns) points.  The
 full-state oracle, every pair fidelity on the full space of one probe
 configuration, is built once per configuration in ``run_suites`` and shared
 by ``counting_vs_bruteforce``, which reads its cpf and bcpf tables off it,
@@ -55,14 +55,8 @@ from .bounds import (
 from .channels import ChannelFamily, layout_channels, mode_channel_map
 from .gaussian import direct_sum, ghz_state, stacked_fidelities
 from .imagespace import bcpf_space, cpf_space, full_space
-from .presets import DISJOINT, MUTUAL, SCALES, ProbePlan, resolve_probe
-from .probes import (
-    SINGLE_IDLER,
-    ProbeSpec,
-    extend_for_mutual_probing,
-    nn_partition,
-    probe_state,
-)
+from .presets import SCALES, resolve_probe
+from .probes import SINGLE_IDLER, ProbeSpec, extend_for_mutual_probing, nn_partition, probe_state
 
 
 @dataclass
@@ -104,7 +98,7 @@ def _random_family(rng) -> ChannelFamily:
 def _random_spec(rng, m: int) -> ProbeSpec:
     """``full-ghz`` for one choice in three, else ``tmsv-disjoint``."""
     mu = float(rng.uniform(0.6, 50.0))
-    return resolve_probe("full-ghz" if rng.integers(0, 3) == 0 else "tmsv-disjoint", m, mu).spec
+    return resolve_probe("full-ghz" if rng.integers(0, 3) == 0 else "tmsv-disjoint", m, mu)
 
 
 def _partitions_for(m: int) -> list[ProbeSpec]:
@@ -112,9 +106,9 @@ def _partitions_for(m: int) -> list[ProbeSpec]:
     two triples at m = 6."""
     mu = 20.5
     names = ("full-ghz", "tmsv-disjoint") if m > 2 else ("full-ghz",)
-    specs = [resolve_probe(name, m, mu).spec for name in names]
+    specs = [resolve_probe(name, m, mu) for name in names]
     if m == 6:
-        specs.append(ProbeSpec(m, mu, blocks=((0, 1, 2), (3, 4, 5))))
+        specs.append(resolve_probe("part:123|456", m, mu))
     return specs
 
 
@@ -331,8 +325,7 @@ def suite_counting_vs_bruteforce(scale: str, oracle=None) -> SuiteResult:
         for spec in _partitions_for(m):
             for space in _spaces_for(m):
                 rows = np.array([index[p] for p in space.patterns])
-                plan = ProbePlan(DISJOINT, spec=spec)
-                points = [(plan, family, None, None) for family in families]
+                points = [(spec, family, None) for family in families]
                 tables = evaluate_points(space, points)
                 sums = bound_reports(space, points, [copies] * len(families))
                 for family, table_c, row in zip(families, tables, sums):
@@ -355,9 +348,9 @@ def suite_tmsv_closed_form(scale: str) -> SuiteResult:
     mu = 20.5
     for m in ms:
         space = full_space(m)
-        plan = resolve_probe("tmsv-disjoint", m, mu)
+        spec = resolve_probe("tmsv-disjoint", m, mu)
         for family in _families():
-            table = evaluate(plan, space, family)
+            table = evaluate(spec, space, family)
             for copies in (1, 10, 100, 1000, 5000):
                 if m % 2 == 0:
                     closed = bounds_tmsv_pairs(family, mu, copies, m)
@@ -397,7 +390,7 @@ def suite_degeneracy_classes(scale: str, oracle=None) -> SuiteResult:
         bits = np.array(full_space(m).patterns)
         for family in _families():
             for spec in _partitions_for(m):
-                codes = _class_codes(bits, [desc.channels for desc in spec.descriptors()])
+                codes = _class_codes(bits, [desc.channels for desc in spec.blocks])
                 order = np.argsort(codes, kind="stable")
                 starts = np.flatnonzero(np.r_[True, np.diff(codes[order]) != 0])
                 fids = oracle(spec, family)[order]
@@ -481,7 +474,7 @@ def suite_monotonicity(scale: str) -> SuiteResult:
         space = full_space(m)
         spec = _partitions_for(m)[0]
         for family in _families():
-            table = evaluate(ProbePlan(DISJOINT, spec=spec), space, family)
+            table = evaluate(spec, space, family)
             prev = None
             for copies in (1, 2, 5, 10, 50, 200):
                 rep = bounds_from_table(table, copies)
@@ -521,12 +514,13 @@ def suite_mutual_vs_bruteforce(scale: str) -> SuiteResult:
     for m in ms:
         partition = nn_partition(m)
         space = full_space(m)
+        probe = ProbeSpec.from_partition(partition, mu)
         for family in _families():
             ext_part, ext_patterns = extend_for_mutual_probing(partition, space)
-            spec = ProbeSpec(ext_part.m, mu, ext_part.blocks)
+            ext = ProbeSpec.from_partition(ext_part, mu)
             ref = FidelityTable.pairs(len(ext_patterns), _mutual_reference(ext_part, ext_patterns, family, mu))
-            dense = fidelity_table_blocks(ext_patterns, None, spec.descriptors(), family)
-            point = (ProbePlan(MUTUAL, partition=partition), family, None, mu)
+            dense = fidelity_table_blocks(ext_patterns, None, ext.blocks, family)
+            point = (probe, family, None)
             (frontier,) = evaluate_points(space, [point])
             (sums,) = bound_reports(space, [point], [copies])
             for c, rs in zip(copies, sums):

@@ -18,13 +18,30 @@ from multiprobe.channels import (
 )
 from multiprobe.errors import DimensionError
 from multiprobe.gaussian import gaussian_fidelity, ghz_cm, stacked_fidelities, symplectic_form, tensor
-from multiprobe.probes import assemble_probe, decompose_rounds
+from multiprobe.probes import Partition, ProbeSpec, assemble_probe, decompose_rounds
 from multiprobe.validate import XP_CASES, SuiteResult, _phase_rotated, _random_family, _random_spec
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260811)
+
+
+def ghz_spec(m, mu, blocks, idlers=()):
+    """GHZ blocks at squeezing mu on the channel tuples ``blocks``, with
+    their idler counts (none by default)."""
+    return ProbeSpec.from_partition(Partition(m, blocks, idlers), mu)
+
+
+def pure_symmetric_numbers(n, mu):
+    """(mu, mu, c1, c2) of the pure n-mode permutation-symmetric state at
+    per-mode energy mu: both of its symplectic eigenvalues,
+    sqrt((mu + (n-1) c1)(mu + (n-1) c2)) and sqrt((mu - c1)(mu - c2)), are
+    1/2, so c1 c2 = (1/4 - mu^2)/(n - 1) and c1 + c2 = -(n - 2) c1 c2 / mu."""
+    prod = (0.25 - mu * mu) / (n - 1)
+    total = -(n - 2) * prod / mu
+    root = math.sqrt(total * total - 4.0 * prod)
+    return mu, mu, (total + root) / 2.0, (total - root) / 2.0
 
 
 def apply_pattern(state, family, pattern):
@@ -209,7 +226,7 @@ def counting_sums(space, spec, family, m_val):
     kmin, kmax = min(ks), max(ks)
     rem = space.m
     states = {(0, 0, False): (1.0, 1.0)}
-    for desc in spec.descriptors():
+    for desc in spec.blocks:
         size = len(desc.channels)
         rem -= size
         # per (v, u): the count of identical sub-pattern pairs, and the
@@ -258,7 +275,7 @@ def assert_sums_match_entries(reports, tables, copies, method):
     table's route ``method``, channel use and rounds."""
     for table, row in zip(tables, reports):
         assert [r.copies for r in row] == [float(c) for c in copies]
-        rounds = None if table.partition is None else len(decompose_rounds(table.partition))
+        rounds = None if table.probe is None else len(decompose_rounds(tuple(b.channels for b in table.probe.blocks)))
         for c, got in zip(copies, row):
             want = bounds_from_table(table, c)
             assert (got.m_bar, got.method, got.rounds) == (want.m_bar, method, rounds)

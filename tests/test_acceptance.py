@@ -33,7 +33,7 @@ from multiprobe.closedform import (
 )
 from multiprobe.gaussian import CovMatrix, coherent_cm, gaussian_fidelity
 from multiprobe.imagespace import bcpf_space, cpf_space, full_space
-from multiprobe.presets import CLASSICAL, DISJOINT, MUTUAL, ProbePlan
+from multiprobe.presets import CLASSICAL
 from multiprobe.probes import (
     SINGLE_IDLER,
     ProbeSpec,
@@ -46,7 +46,7 @@ from multiprobe.probes import (
 )
 from multiprobe.validate import run_suites
 
-from conftest import apply_pattern
+from conftest import apply_pattern, ghz_spec
 
 NU_GRID = (0.005, 0.01, 0.02, 0.05, 0.1)
 ETA_GRID = (0.9, 0.95, 0.99, 0.999)
@@ -121,13 +121,13 @@ def test_criterion_2_limit_behaviour():
 
 
 def _specs_for_m(m):
-    specs = [("single-block", ProbeSpec(m, 20.5, blocks=(tuple(range(m)),)))]
+    specs = [("single-block", ghz_spec(m, 20.5, (tuple(range(m)),)))]
     if m % 2 == 0 and m > 2:
         specs.append(("pairs", ProbeSpec.from_partition(pair_partition(m), 20.5)))
     if m % 2 and m >= 3:
         specs.append(("pairs+idler", odd_m_disjoint_spec(m, 20.5, SINGLE_IDLER)))
     if m == 6:
-        specs.append(("3+3", ProbeSpec(m, 20.5, blocks=((0, 1, 2), (3, 4, 5)))))
+        specs.append(("3+3", ghz_spec(m, 20.5, ((0, 1, 2), (3, 4, 5)))))
     return specs
 
 
@@ -143,7 +143,7 @@ def test_criterion_3_counting_equals_brute_force():
             for family in families:
                 for space in spaces:
                     brute = fidelity_table_bruteforce(space.patterns, None, spec, family)
-                    counting = evaluate(ProbePlan(DISJOINT, spec=spec), space, family)
+                    counting = evaluate(spec, space, family)
                     for copies in (1, 10):
                         rb = bounds_from_table(brute, copies)
                         rc = bounds_from_table(counting, copies)
@@ -207,15 +207,15 @@ def test_criterion_4_mutual_probing_equals_extended_brute_force():
                 for i in range(n)
                 for j in range(i + 1, n)
             ])
-            table = evaluate(ProbePlan(MUTUAL, partition=partition), space, family, mu=20.5)
+            table = evaluate(ProbeSpec.from_partition(partition, 20.5), space, family)
             for copies in (1, 5):
                 ref = bounds_from_table(ref_table, copies)
                 got = bounds_from_table(table, copies)
                 for a, b in ((ref.upper_raw, got.upper_raw), (ref.lower_raw, got.lower_raw)):
                     worst = max(worst, abs(a - b) / a)
     assert worst <= 1e-12, f"mutual-probing deviation {worst}"
-    assert len(decompose_rounds(nn_partition(4))) == 2
-    assert len(decompose_rounds(nn_partition(8))) == 2
+    assert len(decompose_rounds(nn_partition(4).blocks)) == 2
+    assert len(decompose_rounds(nn_partition(8).blocks)) == 2
     report(4, f"mutual probing = extended brute force, worst rel dev {worst:.2e}; even rings need 2 rounds")
 
 
@@ -244,7 +244,7 @@ def test_criterion_5_classical_closed_forms():
 
 def _first_advantage(space, family, ns, quantum_eval, mbar_grid):
     """Smallest grid point with positive guaranteed advantage, or None."""
-    classical = evaluate(ProbePlan(CLASSICAL), space, family, ns=ns)
+    classical = evaluate(CLASSICAL, space, family, ns=ns)
     for mbar in mbar_grid:
         q_rep = quantum_eval(mbar)
         cl = bounds_from_table(classical, mbar)
@@ -270,8 +270,8 @@ def test_criterion_6_pure_loss_figure_regime():
         ("full", full_space(m)),
     ):
         ext_part, ext_patterns = extend_for_mutual_probing(nn, space)
-        spec = ProbeSpec(ext_part.m, mu, ext_part.blocks)
-        table = fidelity_table_blocks(ext_patterns, None, spec.descriptors(), family)
+        spec = ProbeSpec.from_partition(ext_part, mu)
+        table = fidelity_table_blocks(ext_patterns, None, spec.blocks, family)
         found = _first_advantage(
             space, family, ns,
             lambda mb: bounds_from_table(table, mb / 2.0, m_bar=mb),
@@ -281,8 +281,7 @@ def test_criterion_6_pure_loss_figure_regime():
         crossings[f"nn-{name}"] = found
 
     space1 = cpf_space(m, 1)
-    ghz_spec = ProbeSpec(m, mu, blocks=(tuple(range(m)),))
-    ghz_table = evaluate(ProbePlan(DISJOINT, spec=ghz_spec), space1, family)
+    ghz_table = evaluate(ghz_spec(m, mu, (tuple(range(m)),)), space1, family)
     ghz_cross = _first_advantage(
         space1, family, ns,
         lambda mb: bounds_from_table(ghz_table, mb, m_bar=mb),
@@ -291,7 +290,7 @@ def test_criterion_6_pure_loss_figure_regime():
     assert ghz_cross is not None and 300 <= ghz_cross <= 30000, f"GHZ crossover {ghz_cross}"
 
     idler_spec = ProbeSpec.from_partition(full_idler_partition(m), mu)
-    idler_table = evaluate(ProbePlan(DISJOINT, spec=idler_spec), space1, family)
+    idler_table = evaluate(idler_spec, space1, family)
     idler_cross = _first_advantage(
         space1, family, ns,
         lambda mb: bounds_from_table(idler_table, mb, m_bar=mb),
@@ -323,8 +322,8 @@ def test_criterion_7_additive_noise_regime():
     space = cpf_space(m, 1)
 
     spec = odd_m_disjoint_spec(m, mu, SINGLE_IDLER)
-    table = evaluate(ProbePlan(DISJOINT, spec=spec), space, family)
-    classical = evaluate(ProbePlan(CLASSICAL), space, family, ns=ns)
+    table = evaluate(spec, space, family)
+    classical = evaluate(CLASSICAL, space, family, ns=ns)
     grid = np.geomspace(10, 5000, 40)
     informative = 0
     for mbar in grid:
@@ -338,8 +337,8 @@ def test_criterion_7_additive_noise_regime():
 
     nn = nn_partition(m)
     ext_part, ext_patterns = extend_for_mutual_probing(nn, space)
-    nn_spec = ProbeSpec(ext_part.m, mu, ext_part.blocks)
-    nn_table = fidelity_table_blocks(ext_patterns, None, nn_spec.descriptors(), family)
+    nn_spec = ProbeSpec.from_partition(ext_part, mu)
+    nn_table = fidelity_table_blocks(ext_patterns, None, nn_spec.blocks, family)
     found = _first_advantage(
         space, family, ns,
         lambda mb: bounds_from_table(nn_table, mb / 2.0, m_bar=mb),

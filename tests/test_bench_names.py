@@ -35,4 +35,4 @@ def test_the_names_the_benchmark_imports_exist():
     out = apply_mode_channels(CovMatrix(0.5 * np.eye(2)), [0.9], [0.05])
     assert isinstance(out, CovMatrix) and out.n_modes == 1
     assert list(inspect.signature(assemble_probe).parameters) == ["spec"]
-    assert isinstance(assemble_probe(ProbeSpec(2, 20.5, blocks=((0, 1),))), ProbeState)
+    assert isinstance(assemble_probe(ProbeSpec(2, (desc,))), ProbeState)

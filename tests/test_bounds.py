@@ -43,7 +43,7 @@ from multiprobe.imagespace import (
 )
 from multiprobe import gaussian
 from multiprobe.gaussian import CovMatrix, gaussian_fidelity
-from multiprobe.presets import CLASSICAL, DISJOINT, MUTUAL, ProbePlan, resolve_probe
+from multiprobe.presets import CLASSICAL, resolve_probe
 from multiprobe.probes import (
     HYBRID_COHERENT,
     SINGLE_IDLER,
@@ -58,16 +58,12 @@ from multiprobe.probes import (
     pair_partition,
 )
 
-from conftest import (any_family, budget_pairs, counting_sums, hamming, occupancies, pair_class_key,
-                      pair_degeneracy_census, patterns)
+from conftest import (any_family, budget_pairs, counting_sums, ghz_spec, hamming, occupancies, pair_class_key,
+                      pair_degeneracy_census, patterns, pure_symmetric_numbers)
 
 LOSS = ChannelFamily.pure_loss(0.99, 0.97)
 ADD = ChannelFamily.additive(0.02, 0.01)
 THERMAL = ChannelFamily.thermal(0.8, 1.2, 0.9, 0.7)
-
-
-def disjoint(spec):
-    return ProbePlan(DISJOINT, spec=spec)
 
 
 def brute_table(space, spec, family):
@@ -107,8 +103,8 @@ def test_report_clipping_and_invariants():
 
 
 def test_single_pattern_space_is_trivial():
-    spec = ProbeSpec(2, 20.5, blocks=((0, 1),))
-    rep = bounds_from_table(evaluate(disjoint(spec), cpf_space(2, 2), LOSS), 5)
+    spec = ghz_spec(2, 20.5, ((0, 1),))
+    rep = bounds_from_table(evaluate(spec, cpf_space(2, 2), LOSS), 5)
     assert rep.upper_raw == 0.0
     assert rep.lower_raw == 0.0
 
@@ -116,10 +112,10 @@ def test_single_pattern_space_is_trivial():
 def test_one_cpf_ghz_closed_form():
     # single GHZ probe on 1-CPF: UB = (m-1) F^M, LB = (m-1)/(2m) F^(2M)
     m, copies = 5, 3
-    spec = ProbeSpec(m, 20.5, blocks=(tuple(range(m)),))
+    spec = ghz_spec(m, 20.5, (tuple(range(m)),))
     space = cpf_space(m, 1)
-    rep = bounds_from_table(evaluate(disjoint(spec), space, ADD), copies)
-    table = evaluate(disjoint(spec), space, ADD)
+    rep = bounds_from_table(evaluate(spec, space, ADD), copies)
+    table = evaluate(spec, space, ADD)
     assert len(table.counts) == 1  # all 1-CPF pairs are one class
     fid = math.exp(table.logf[0])
     assert rep.upper_raw == pytest.approx((m - 1) * fid**copies, rel=1e-12)
@@ -131,7 +127,7 @@ def test_one_cpf_ghz_closed_form():
 def enumerated_histogram(space, spec, family):
     """log F -> number of ordered pairs of distinct patterns, by enumerating
     the pairs' class keys and summing block log-fidelities in block order."""
-    descs = spec.descriptors()
+    descs = spec.blocks
     hist = {}
     for key, count in pair_degeneracy_census(space, [desc.channels for desc in descs]).items():
         logf = 0.0
@@ -160,8 +156,8 @@ def test_counting_census_totals_random_configs(seed):
     ks = sorted(rng.choice(range(m + 1), size=rng.integers(1, m + 1), replace=False))
     starts = np.cumsum([0] + sizes)
     blocks = tuple(tuple(range(starts[j], starts[j + 1])) for j in range(len(sizes)))
-    spec = ProbeSpec(m, 20.5, blocks, tuple(int(s == 1) for s in sizes))
-    table = evaluate(disjoint(spec), bcpf_space(m, ks), LOSS)
+    spec = ghz_spec(m, 20.5, blocks, tuple(int(s == 1) for s in sizes))
+    table = evaluate(spec, bcpf_space(m, ks), LOSS)
     n_patterns = sum(math.comb(m, k) for k in ks)
     assert sum(table.counts) == n_patterns**2 - n_patterns
 
@@ -185,9 +181,9 @@ def test_census_class_straddling_a_rounding_boundary_prints_as_one_row():
 
 
 def test_counting_census_equals_enumeration_m6_three_blocks():
-    spec = ProbeSpec(6, 20.5, blocks=((0, 1, 2), (3, 4, 5)))
+    spec = ghz_spec(6, 20.5, ((0, 1, 2), (3, 4, 5)))
     for space in (full_space(6), cpf_space(6, 2), bcpf_space(6, (1, 2))):
-        table = evaluate(disjoint(spec), space, LOSS)
+        table = evaluate(spec, space, LOSS)
         assert table_histogram(table) == enumerated_histogram(space, spec, LOSS)
 
 
@@ -210,17 +206,6 @@ def entrywise_state(n, a, b, c1, c2, alpha=0.0):
         data[2 * i + 1, 2 * j + 1] = b if i == j else c2
     mean[0::2] = math.sqrt(2.0) * alpha
     return CovMatrix(data, mean)
-
-
-def pure_symmetric_numbers(n, mu):
-    """(mu, mu, c1, c2) of the pure n-mode permutation-symmetric state at
-    per-mode energy mu: both of its symplectic eigenvalues,
-    sqrt((mu + (n-1) c1)(mu + (n-1) c2)) and sqrt((mu - c1)(mu - c2)), are
-    1/2, so c1 c2 = (1/4 - mu^2)/(n - 1) and c1 + c2 = -(n - 2) c1 c2 / mu."""
-    prod = (0.25 - mu * mu) / (n - 1)
-    total = -(n - 2) * prod / mu
-    root = math.sqrt(total * total - 4.0 * prod)
-    return mu, mu, (total + root) / 2.0, (total - root) / 2.0
 
 
 def scalar_block_fidelity(desc, family, local_a, local_b, state=None):
@@ -346,25 +331,25 @@ def test_mirror_image_local_pairs_give_the_same_bits(size, idlers):
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_counting_census_equals_enumeration(family, m):
     for spec in (
-        ProbeSpec(m, 20.5, blocks=(tuple(range(m)),)),
+        ghz_spec(m, 20.5, (tuple(range(m)),)),
         odd_m_disjoint_spec(m, 20.5, SINGLE_IDLER) if m % 2 else ProbeSpec.from_partition(pair_partition(m), 20.5),
     ):
         for space in (full_space(m), cpf_space(m, 1), bcpf_space(m, (1, 2))):
-            table = evaluate(disjoint(spec), space, family)
+            table = evaluate(spec, space, family)
             assert table_histogram(table) == enumerated_histogram(space, spec, family)
 
 
 @pytest.mark.parametrize("family", [LOSS, ADD], ids=["loss", "additive"])
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_counting_matches_brute_force(family, m):
-    specs = [ProbeSpec(m, 20.5, blocks=(tuple(range(m)),))]
+    specs = [ghz_spec(m, 20.5, (tuple(range(m)),))]
     if m % 2 == 0:
         specs.append(ProbeSpec.from_partition(pair_partition(m), 20.5))
     else:
         specs.append(odd_m_disjoint_spec(m, 20.5, SINGLE_IDLER))
     for spec in specs:
         for space in (full_space(m), cpf_space(m, 1), bcpf_space(m, (1, 2))):
-            brute_t, fast_t = brute_table(space, spec, family), evaluate(disjoint(spec), space, family)
+            brute_t, fast_t = brute_table(space, spec, family), evaluate(spec, space, family)
             for copies in (1, 10):
                 brute = bounds_from_table(brute_t, copies)
                 fast = bounds_from_table(fast_t, copies)
@@ -388,13 +373,13 @@ def _scalar_pair_logf(spec, family, patterns):
 def _bruteforce_cases():
     """Patterns and the probe specs to evaluate on them, per case id."""
     odd = [
-        ProbeSpec(5, 20.5, blocks=(tuple(range(5)),)),
+        ghz_spec(5, 20.5, (tuple(range(5)),)),
         odd_m_disjoint_spec(5, 20.5, HYBRID_COHERENT),
         odd_m_disjoint_spec(5, 20.5, SINGLE_IDLER),  # the idler mode passes through
     ]
     even = [
         ProbeSpec.from_partition(pair_partition(6), 20.5),
-        ProbeSpec(6, 7.5, blocks=((0, 1, 2), (3, 4, 5))),
+        ghz_spec(6, 7.5, ((0, 1, 2), (3, 4, 5))),
         ProbeSpec.from_partition(full_idler_partition(6), 3.5),
     ]
     ext_part, ext_patterns = extend_for_mutual_probing(nn_partition(4), full_space(4))
@@ -403,7 +388,7 @@ def _bruteforce_cases():
         "cpf2": (cpf_space(5, 2).patterns, odd),
         "bcpf6": (bcpf_space(6, (1, 2)).patterns, even),
         # copy-channel patterns, as the mutual-probing cross-checks feed them
-        "nn4-extended": (ext_patterns, [ProbeSpec(ext_part.m, 20.5, ext_part.blocks)]),
+        "nn4-extended": (ext_patterns, [ghz_spec(ext_part.m, 20.5, ext_part.blocks)]),
     }
 
 
@@ -466,7 +451,7 @@ def test_counting_falls_back_for_nonuniform_priors():
     pri = np.linspace(1, 2, len(space))
     skew = ImageSpace(m, space.patterns, pri / pri.sum())
     spec = odd_m_disjoint_spec(m, 20.5, SINGLE_IDLER)
-    rep = bounds_from_table(evaluate(disjoint(spec), skew, ADD), 2)
+    rep = bounds_from_table(evaluate(spec, skew, ADD), 2)
     assert rep.method == "blocks"
     brute = bounds_from_table(brute_table(skew, spec, ADD), 2)
     assert rep.upper_raw == pytest.approx(brute.upper_raw, rel=1e-10)
@@ -556,7 +541,7 @@ def test_classical_benchmark_pure_loss_value():
     # contribute f^(d M)
     m, ns, copies = 3, 20.0, 4
     space = cpf_space(m, 1)
-    rep = bounds_from_table(evaluate(ProbePlan(CLASSICAL), space, LOSS, ns=ns), copies)
+    rep = bounds_from_table(evaluate(CLASSICAL, space, LOSS, ns=ns), copies)
     f = coherent_loss_fidelity(0.99, 0.97, ns)
     want_ub = (m - 1) * f ** (2 * copies)  # 1-CPF pairs differ at 2 positions
     assert rep.upper_raw == pytest.approx(want_ub, rel=1e-12)
@@ -566,7 +551,7 @@ def test_classical_benchmark_pure_loss_value():
 def test_classical_benchmark_additive_vacuum():
     space = full_space(2)
     # the energy is ignored by the vacuum probe
-    rep = bounds_from_table(evaluate(ProbePlan(CLASSICAL), space, ADD, ns=123.0), 1)
+    rep = bounds_from_table(evaluate(CLASSICAL, space, ADD, ns=123.0), 1)
     f = vacuum_additive_fidelity(0.02, 0.01)
     want = (8 * f + 4 * f**2) / 4  # 8 ordered pairs at distance 1, 4 at distance 2
     assert rep.upper_raw == pytest.approx(want, rel=1e-12)
@@ -575,8 +560,8 @@ def test_classical_benchmark_additive_vacuum():
 def test_classical_benchmark_counting_equals_dense():
     space = full_space(4)
     custom = ImageSpace(4, space.patterns, space.priors)  # no target counts, same priors
-    a = bounds_from_table(evaluate(ProbePlan(CLASSICAL), space, LOSS, ns=20.0), 3)
-    b = bounds_from_table(evaluate(ProbePlan(CLASSICAL), custom, LOSS, ns=20.0), 3)
+    a = bounds_from_table(evaluate(CLASSICAL, space, LOSS, ns=20.0), 3)
+    b = bounds_from_table(evaluate(CLASSICAL, custom, LOSS, ns=20.0), 3)
     assert a.upper_raw == pytest.approx(b.upper_raw, rel=1e-12)
     assert a.lower_raw == pytest.approx(b.lower_raw, rel=1e-12)
 
@@ -595,7 +580,7 @@ def test_classical_census_equals_bruteforce_pair_distances(space):
 def test_classical_benchmark_rejects_thermal():
     thermal = ChannelFamily.thermal(0.8, 1.0, 0.8, 1.5)
     with pytest.raises(UnsupportedBenchmarkError):
-        evaluate(ProbePlan(CLASSICAL), full_space(2), thermal, ns=5.0)
+        evaluate(CLASSICAL, full_space(2), thermal, ns=5.0)
 
 
 def test_classical_near_degenerate_channels():
@@ -606,15 +591,15 @@ def test_classical_near_degenerate_channels():
         ChannelFamily.pure_loss(0.99, 0.99 - 1e-9),
         ChannelFamily.additive(0.02, 0.02 + 1e-12),
     ):
-        rep = bounds_from_table(evaluate(ProbePlan(CLASSICAL), space, family, ns=20.0), 1)
+        rep = bounds_from_table(evaluate(CLASSICAL, space, family, ns=20.0), 1)
         assert rep.upper_raw == pytest.approx(len(space) - 1, rel=1e-6)
         assert rep.upper == 1.0
 
 
 def test_bound_monotonic_in_copies():
-    spec = ProbeSpec(4, 20.5, blocks=((0, 1, 2, 3),))
+    spec = ghz_spec(4, 20.5, ((0, 1, 2, 3),))
     space = full_space(4)
-    table = evaluate(disjoint(spec), space, LOSS)
+    table = evaluate(spec, space, LOSS)
     prev = None
     for copies in (1, 2, 4, 8, 32, 128):
         rep = bounds_from_table(table, copies)
@@ -653,7 +638,7 @@ def test_idler_full_equals_choi_powers():
     m, copies = 3, 5
     spec = ProbeSpec.from_partition(full_idler_partition(m), 20.5)
     space = cpf_space(m, 1)
-    rep = bounds_from_table(evaluate(disjoint(spec), space, LOSS), copies)
+    rep = bounds_from_table(evaluate(spec, space, LOSS), copies)
     f_choi = block_subfidelity(BlockDescriptor("ghz", (0,), 1, mu=20.5), LOSS, 0, 1, 1)
     assert rep.upper_raw == pytest.approx((m - 1) * f_choi ** (2 * copies), rel=1e-12)
 
@@ -668,7 +653,7 @@ def test_idler_assisted_m9_golden_values():
     """
     spec = ProbeSpec.from_partition(full_idler_partition(9), 20.5)
     space = cpf_space(9, 1)
-    table = evaluate(disjoint(spec), space, LOSS)
+    table = evaluate(spec, space, LOSS)
     golden = {
         1.0: (7.192932616117448, 0.35929360847226527, 1e-10),
         10.0: (2.762167654357331, 0.05298312604706858, 1e-9),
@@ -690,11 +675,11 @@ def test_lemma_degeneracy_spread_small():
     from multiprobe.probes import assemble_probe
 
     m = 4
-    spec = ProbeSpec(m, 20.5, blocks=(tuple(range(m)),))
+    spec = ghz_spec(m, 20.5, (tuple(range(m)),))
     probe = assemble_probe(spec)
     space = full_space(m)
     outs = [probe.output(LOSS, p) for p in space.patterns]
-    blocks = [desc.channels for desc in spec.descriptors()]
+    blocks = [desc.channels for desc in spec.blocks]
     groups = {}
     for i, pa in enumerate(space.patterns):
         for j, pb in enumerate(space.patterns):
@@ -715,9 +700,9 @@ def test_counting_dp_equals_class_table_on_figure_grid(family, space, probe):
     # the counting table against a per-copy-number DP of the two bound sums
     # over the m=9 figure range; below 1e-300 both are subnormal and only
     # roughly equal
-    spec = resolve_probe(probe, 9, 20.5).spec
+    spec = resolve_probe(probe, 9, 20.5)
     n = len(space)
-    table = evaluate(disjoint(spec), space, family)
+    table = evaluate(spec, space, family)
     for copies in FIGURE_COPIES:
         sum_m, sum_2m = counting_sums(space, spec, family, copies)
         got = bounds_from_table(table, copies)
@@ -742,29 +727,28 @@ def test_counting_dp_errors_propagate(monkeypatch):
     _break_block_fidelities(monkeypatch)
     spec = odd_m_disjoint_spec(3, 20.5, SINGLE_IDLER)
     with pytest.raises(ValueError, match="broken block fidelity"):
-        evaluate(disjoint(spec), full_space(3), ADD)
+        evaluate(spec, full_space(3), ADD)
 
 
 def test_frontier_dp_errors_propagate(monkeypatch):
     # likewise for overlapping blocks: no fallback to the copy-channel extension
     _break_block_fidelities(monkeypatch)
-    plan = ProbePlan(MUTUAL, partition=nn_partition(4))
     with pytest.raises(ValueError, match="broken block fidelity"):
-        evaluate(plan, full_space(4), ADD, mu=20.5)
+        evaluate(resolve_probe("nn", 4, 20.5), full_space(4), ADD)
 
 
 def test_evaluate_points_needs_one_structure():
     space = cpf_space(4, 1)
     assert evaluate_points(space, []) == []
-    mixed = [(resolve_probe(probe, 4, 20.5), ADD, 20.0, 20.5) for probe in ("full-ghz", "tmsv-disjoint")]
+    mixed = [(resolve_probe(probe, 4, 20.5), ADD, 20.0) for probe in ("full-ghz", "tmsv-disjoint")]
     with pytest.raises(ValueError, match="share the probe structure"):
         evaluate_points(space, mixed)
     # energies may differ: each table is the one of its point alone
-    points = [(resolve_probe("tmsv-disjoint", 4, mu), fam, mu - 0.5, mu) for mu in (1.5, 20.5) for fam in (ADD, LOSS)]
+    points = [(resolve_probe("tmsv-disjoint", 4, mu), fam, mu - 0.5) for mu in (1.5, 20.5) for fam in (ADD, LOSS)]
     blocks_mod._BLOCK_FID_CACHE.clear()
-    for table, (plan, fam, ns, mu) in zip(evaluate_points(space, points), points):
+    for table, (spec, fam, ns) in zip(evaluate_points(space, points), points):
         blocks_mod._BLOCK_FID_CACHE.clear()
-        alone = evaluate(plan, space, fam, ns=ns, mu=mu)
+        alone = evaluate(spec, space, fam, ns=ns)
         assert table.counts.tolist() == alone.counts.tolist()
         assert table.logf.tolist() == alone.logf.tolist()
 
@@ -775,14 +759,14 @@ def test_evaluate_without_the_energy_it_needs_raises_energy_error(custom):
     if custom:
         space = ImageSpace(4, space.patterns, space.priors)
     with pytest.raises(EnergyError, match="mu"):
-        evaluate(ProbePlan(MUTUAL, partition=nn_partition(4)), space, LOSS)
+        evaluate(resolve_probe("nn", 4, None), space, LOSS)
     with pytest.raises(EnergyError, match="mu"):
-        evaluate_points(space, [(ProbePlan(MUTUAL, partition=nn_partition(4)), LOSS, None, mu) for mu in (20.5, None)])
+        evaluate_points(space, [(resolve_probe("nn", 4, mu), LOSS, None) for mu in (20.5, None)])
     with pytest.raises(EnergyError, match="ns"):
-        evaluate(ProbePlan(CLASSICAL), space, LOSS)
+        evaluate(CLASSICAL, space, LOSS)
     # the vacuum probe of additive noise has no energy
-    table = evaluate(ProbePlan(CLASSICAL), space, ADD)
-    assert table.logf.tolist() == evaluate(ProbePlan(CLASSICAL), space, ADD, ns=20.0).logf.tolist()
+    table = evaluate(CLASSICAL, space, ADD)
+    assert table.logf.tolist() == evaluate(CLASSICAL, space, ADD, ns=20.0).logf.tolist()
 
 
 @pytest.mark.parametrize("space, probe", [
@@ -792,7 +776,7 @@ def test_evaluate_without_the_energy_it_needs_raises_energy_error(custom):
     (full_space(5), "full-ghz"),
 ], ids=["cpf1-full-ghz", "cpf3-tmsv", "bcpf-idler", "full-full-ghz"])
 def test_counting_evaluates_only_feasible_classes(monkeypatch, space, probe):
-    spec = resolve_probe(probe, space.m, 20.5).spec
+    spec = resolve_probe(probe, space.m, 20.5)
     kmin, kmax = min(space.target_counts), max(space.target_counts)
     batches = []
     evaluate_block = bounds_mod.block_fidelities
@@ -803,7 +787,7 @@ def test_counting_evaluates_only_feasible_classes(monkeypatch, space, probe):
 
     monkeypatch.setattr(bounds_mod, "block_fidelities", spy)
     blocks_mod._BLOCK_FID_CACHE.clear()
-    got = evaluate(disjoint(spec), space, LOSS)
+    got = evaluate(spec, space, LOSS)
     for size, pairs in batches:
         # a block holds at most kmax targets, and the rest of the pattern at most m - size
         lo, hi = max(0, kmin - (space.m - size)), min(size, kmax)
@@ -814,21 +798,21 @@ def test_counting_evaluates_only_feasible_classes(monkeypatch, space, probe):
     # the same table as from every class of every block: dp's per-block target range widened to 0..size
     classes_of = dp.block_classes
     monkeypatch.setattr(dp, "block_classes", lambda size, lo, hi: classes_of(size, 0, size))
-    want = evaluate(disjoint(spec), space, LOSS)
+    want = evaluate(spec, space, LOSS)
     assert got.counts.tolist() == want.counts.tolist()
     assert got.logf.tolist() == want.logf.tolist()
 
 
 def test_counting_rejects_mismatched_pattern_length():
-    spec = ProbeSpec(3, 20.5, blocks=((0, 1, 2),))
+    spec = ghz_spec(3, 20.5, ((0, 1, 2),))
     # the dense route on a custom space too, rather than ignore the fourth channel
     custom = ImageSpace(4, full_space(4).patterns, full_space(4).priors)
     for space in (full_space(4), custom):
         with pytest.raises(DimensionError):
-            evaluate(disjoint(spec), space, LOSS)
+            evaluate(spec, space, LOSS)
         # the sums that bounds takes
         with pytest.raises(DimensionError):
-            bound_reports(space, [(disjoint(spec), LOSS, None, None)], [[1]])
+            bound_reports(space, [(spec, LOSS, None)], [[1]])
 
 
 @pytest.mark.parametrize("copies", [1000, 5000])
@@ -843,7 +827,7 @@ def test_tmsv_closed_forms_do_not_cancel_at_large_copies(m, copies):
     else:
         cases = [(ProbeSpec.from_partition(pair_partition(m), 20.5), bounds_tmsv_pairs(LOSS, 20.5, copies, m))]
     for spec, closed in cases:
-        counted = bounds_from_table(evaluate(disjoint(spec), space, LOSS), copies)
+        counted = bounds_from_table(evaluate(spec, space, LOSS), copies)
         assert counted.lower_raw > 0.0
         assert closed.upper_raw == pytest.approx(counted.upper_raw, rel=1e-12, abs=0.0)
         assert closed.lower_raw == pytest.approx(counted.lower_raw, rel=1e-12, abs=0.0)
@@ -871,7 +855,7 @@ def prior_weighted_sums(fid, priors, copies):
 def block_product_fidelity(blocks, patterns, family, mu):
     """F_ij as the product over blocks of the full-state fidelities of the
     block's outputs, each block probed by its own single-block state."""
-    probes = [assemble_probe(ProbeSpec(len(b), mu, (tuple(range(len(b))),))) for b in blocks]
+    probes = [assemble_probe(ghz_spec(len(b), mu, (tuple(range(len(b))),))) for b in blocks]
     outs = [
         [probe.output(family, tuple(p[c] for c in b)) for probe, b in zip(probes, blocks)]
         for p in patterns
@@ -890,16 +874,16 @@ def test_dense_routes_weight_nonuniform_priors(route, family):
     pri = np.random.default_rng(3).uniform(0.2, 2.0, 2**m)
     space = ImageSpace(m, full_space(m).patterns, pri / pri.sum())
     if route == "blocks":
-        spec = ProbeSpec(m, mu, blocks=((0, 1), (2, 3)))
-        table = evaluate(ProbePlan(DISJOINT, spec=spec), space, family)
-        fid = block_product_fidelity(spec.blocks, space.patterns, family, mu)
+        spec = ghz_spec(m, mu, ((0, 1), (2, 3)))
+        table = evaluate(spec, space, family)
+        fid = block_product_fidelity([blk.channels for blk in spec.blocks], space.patterns, family, mu)
     elif route == "mutual":
         partition = nn_partition(m)
-        table = evaluate(ProbePlan(MUTUAL, partition=partition), space, family, mu=mu)
+        table = evaluate(ProbeSpec.from_partition(partition, mu), space, family)
         ext_partition, ext_patterns = extend_for_mutual_probing(partition, space)
         fid = block_product_fidelity(ext_partition.blocks, ext_patterns, family, mu)
     else:
-        table = evaluate(ProbePlan(CLASSICAL), space, family, ns=ns)
+        table = evaluate(CLASSICAL, space, family, ns=ns)
         f = per_channel_classical_fidelity(family, ns)
 
         def fid(i, j):

@@ -63,6 +63,20 @@ def test_parse_grid_forms():
         parse_grid("mbar=1:2")
 
 
+@pytest.mark.parametrize("spec", [
+    "copies=1:3:2:9", "mbar=log:1:10:2:3", "ns=log:0:3:2", "copies=log:-1:3:2", "copies=log:1:inf:2",
+    "ns=nan:3:2", "ns=1:-inf:2",
+])
+def test_bad_grid_specs_are_usage_errors(tmp_path, capsys, spec):
+    # trailing fields were dropped, and log endpoints reached np.geomspace,
+    # which raised or warned (a traceback under -W error)
+    out = tmp_path / "o.csv"
+    assert run_cli(CONFIG_FLAGS + ["--grid", spec, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and repr(spec) in err
+    assert not out.exists()
+
+
 def test_bounds_csv_deterministic(tmp_path):
     args = [
         "bounds", "--family", "additive-noise", "--m", "3",
@@ -520,8 +534,8 @@ def test_classed_routes_never_enumerate_patterns(monkeypatch, tmp_path, space):
     m, mu = 7, 20.5
     families = [ChannelFamily.pure_loss(0.99, 0.97), ChannelFamily.additive(0.02, 0.01)]
     for probe in PRESET_NAMES:
-        plan = resolve_probe(probe, m, mu)
-        tables = evaluate_points(build_space(space, m), [(plan, f, mu - 0.5, mu) for f in families])
+        spec = resolve_probe(probe, m, mu)
+        tables = evaluate_points(build_space(space, m), [(spec, f, mu - 0.5) for f in families])
         assert {t.method for t in tables} <= {"counting", "mutual", "classical"}
         flags = ["--family", "pure-loss", "--m", str(m), "--eta-b", "0.99", "--eta-t", "0.97",
                  "--ns", "20", "--space", space, "--probe", probe]

@@ -18,7 +18,7 @@ from multiprobe.bounds import (
 )
 from multiprobe.channels import ChannelFamily
 from multiprobe.cli import build_space
-from multiprobe.presets import MUTUAL, resolve_probe
+from multiprobe.presets import resolve_probe
 from multiprobe.probes import HYBRID_COHERENT, SINGLE_IDLER
 
 from conftest import assert_sums_match_entries
@@ -47,11 +47,11 @@ MUS = (20.5, 5.5, 50.5)
 
 def _points(probe, family):
     name, m, strategy = probe
-    return [(resolve_probe(name, m, mu, strategy), family, None, mu) for mu in MUS]
+    return [(resolve_probe(name, m, mu, strategy), family, None) for mu in MUS]
 
 
 def _method(points):
-    return "mutual" if points[0][0].route == MUTUAL else "counting"
+    return "counting" if points[0][0].disjoint else "mutual"
 
 
 @pytest.mark.parametrize("family", FAMILIES.values(), ids=FAMILIES.keys())
@@ -73,7 +73,7 @@ def test_sums_route_matches_the_entries_route(probe, space_text, family):
 @pytest.mark.parametrize("probe, method", [("idler-full", "counting"), ("nn", "mutual")], ids=["idler-full", "nn"])
 def test_bound_reports_sums_disjoint_probes_without_tables(monkeypatch, probe, method):
     space, family = build_space("cpf:3", 9), FAMILIES["loss"]
-    points = [(resolve_probe(probe, 9, mu), family, mu - 0.5, mu) for mu in MUS]
+    points = [(resolve_probe(probe, 9, mu), family, mu - 0.5) for mu in MUS]
     tables = evaluate_points(space, points)
 
     def no_table(*args):
@@ -112,7 +112,7 @@ def test_sums_route_rows_do_not_depend_on_their_chunks(monkeypatch, space_text):
 def test_sums_route_on_a_one_pattern_space():
     # no pair of patterns differs: both bounds are an empty sum, and the table is empty
     space = build_space("cpf:0", 4)
-    point = (resolve_probe("tmsv-disjoint", 4, 20.5), FAMILIES["loss"], None, 20.5)
+    point = (resolve_probe("tmsv-disjoint", 4, 20.5), FAMILIES["loss"], None)
     (row,) = bound_reports(space, [point], [[1, 7]])
     assert [(r.lower_raw, r.upper_raw) for r in row] == [(0.0, 0.0)] * 2
     (table,) = evaluate_points(space, [point])
@@ -122,7 +122,7 @@ def test_sums_route_on_a_one_pattern_space():
 
 
 def test_sums_route_checks_its_copy_numbers():
-    point = (resolve_probe("idler-full", 4, 20.5), FAMILIES["loss"], None, 20.5)
+    point = (resolve_probe("idler-full", 4, 20.5), FAMILIES["loss"], None)
     with pytest.raises(ValueError, match="copy number"):
         bound_reports(build_space("full", 4), [point], [[0.5]])
 
@@ -133,14 +133,14 @@ def test_sums_route_is_exact_to_rounding_at_tiny_bounds():
     m, space = 9, build_space("cpf:1", 9)
     copies = [100.0, 500.0, 2000.0]
     configs = list(itertools.product(np.linspace(0.012, 0.1, 5), np.geomspace(1.0, 50.0, 5)))
-    points = [(resolve_probe("idler-full", m, ns + 0.5), ChannelFamily.additive(nu_b, 0.01), None, None)
+    points = [(resolve_probe("idler-full", m, ns + 0.5), ChannelFamily.additive(nu_b, 0.01), None)
               for nu_b, ns in configs]
     reports = bound_reports(space, points, [copies] * len(points))
     patterns = space.patterns
     checked = 0
     with mpmath.workdps(50):
-        for (plan, family, _, _), row in zip(points, reports):
-            descs = plan.spec.descriptors()
+        for (spec, family, _), row in zip(points, reports):
+            descs = spec.blocks
             # every block of idler-full has one channel: its two local patterns
             f = block_fidelities([(descs[0], family)], [((0,), (1,))])[0, 0]
             assert all(len(d.channels) == 1 for d in descs)

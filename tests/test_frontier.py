@@ -17,6 +17,7 @@ from multiprobe.bounds import (
     FidelityTable,
     bound_reports,
     bounds_from_table,
+    bruteforce_fidelities,
     census_histogram,
     evaluate,
     evaluate_points,
@@ -26,16 +27,16 @@ from multiprobe.channels import ChannelFamily
 from multiprobe.cli import build_space, main
 from multiprobe.errors import CapacityError
 from multiprobe.imagespace import ImageSpace
-from multiprobe.presets import MUTUAL, ProbePlan
 from multiprobe.probes import (
-    Partition,
+    BlockDescriptor,
     ProbeSpec,
+    SymmetricBlock,
     extend_for_mutual_probing,
     nn_partition,
     parse_partition,
 )
 
-from conftest import assert_sums_match_entries
+from conftest import assert_sums_match_entries, pure_symmetric_numbers
 
 MU = 20.5
 FAMILIES = {
@@ -59,22 +60,27 @@ def _partition(text, m):
     return nn_partition(m) if text == "nn" else parse_partition(text, m)
 
 
+def probe_points(partition, points):
+    """The (probe, family, ns) points of (family, mu) points: GHZ blocks on
+    ``partition``, one spec per mu."""
+    specs = {mu: ProbeSpec.from_partition(partition, mu) for _, mu in points}
+    return [(specs[mu], family, None) for family, mu in points]
+
+
 def frontier_tables(space, partition, points):
     """The frontier DP tables of (family, mu) points, through ``evaluate_points``."""
-    plan = ProbePlan(MUTUAL, partition=partition)
-    return evaluate_points(space, [(plan, family, None, mu) for family, mu in points])
+    return evaluate_points(space, probe_points(partition, points))
 
 
 def frontier_sums(space, partition, points, copies):
     """The frontier DP sums of (family, mu) points, through ``bound_reports``."""
-    plan = ProbePlan(MUTUAL, partition=partition)
-    return bound_reports(space, [(plan, family, None, mu) for family, mu in points], copies)
+    return bound_reports(space, probe_points(partition, points), copies)
 
 
 def dense_table(space, partition, family):
     """One entry per unordered pair of extended patterns."""
     ext_part, ext_patterns = extend_for_mutual_probing(partition, space)
-    descs = ProbeSpec(ext_part.m, MU, ext_part.blocks).descriptors()
+    descs = ProbeSpec.from_partition(ext_part, MU).blocks
     return fidelity_table_blocks(ext_patterns, None, descs, family)
 
 
@@ -95,7 +101,7 @@ def test_frontier_matches_dense_extension(text, m, space_text, family):
     # a custom copy of the space takes the dense route, which reads the
     # overlapping blocks off the patterns: the extension's entries exactly
     custom = ImageSpace(m, space.patterns, space.priors)
-    direct = evaluate(ProbePlan(MUTUAL, partition=partition), custom, family, mu=MU)
+    direct = evaluate(ProbeSpec.from_partition(partition, MU), custom, family)
     assert np.array_equal(direct.logf, dense.logf)
     assert np.array_equal(direct.counts, dense.counts)
     assert direct.weights is None
@@ -115,9 +121,9 @@ def test_frontier_matches_dense_extension(text, m, space_text, family):
 
 def test_evaluate_takes_the_frontier_dp_on_uniform_spaces():
     space = build_space("cpf:3", 9)
-    plan = ProbePlan(MUTUAL, partition=nn_partition(9))
-    table = evaluate(plan, space, FAMILIES["loss"], mu=MU)
-    assert (table.method, table.partition, table.rounds) == ("mutual", plan.partition, 3)
+    spec = ProbeSpec.from_partition(nn_partition(9), MU)
+    table = evaluate(spec, space, FAMILIES["loss"])
+    assert (table.method, table.probe, table.rounds) == ("mutual", spec, 3)
     # one entry per distinct log F, not per pattern pair
     assert len(np.unique(table.logf)) == len(table.logf) < len(space) * (len(space) - 1) // 2
 
@@ -167,15 +173,14 @@ def test_entries_are_capped_apart_from_the_keys(monkeypatch):
 
 def test_evaluate_points_gives_the_tables_of_lone_points():
     space, partition = build_space("full", 9), nn_partition(9)
-    plan = ProbePlan(MUTUAL, partition=partition)
-    points = [(plan, family, None, mu) for family in FAMILIES.values() for mu in (MU, 5.5)]
+    points = probe_points(partition, [(family, mu) for family in FAMILIES.values() for mu in (MU, 5.5)])
     tables = evaluate_points(space, points)
     assert len(tables) == len(points)
     for table, point in zip(tables, points):
         (alone,) = evaluate_points(space, [point])
         assert np.array_equal(table.logf, alone.logf)
         assert np.array_equal(table.counts, alone.counts)
-        assert (table.method, table.partition, table.rounds) == ("mutual", partition, alone.rounds)
+        assert (table.method, table.probe, table.rounds) == ("mutual", point[0], alone.rounds)
 
 
 SUMS_COPIES = [1, 10, 100, 1000, 5000]
@@ -278,13 +283,70 @@ def test_sums_route_checks_its_copy_numbers():
 def test_frontier_keys_fit_an_int64_up_to_the_boundary():
     # a block over every channel holds them all to the end: m slots, so
     # 2 * 26 + 1 + 2 * bit_length(26) = 63 key bits at m = 26, 65 at m = 27
-    partition = Partition(26, (tuple(range(26)), (0, 1)))
-    plan, final, codes = dp.frontier_plan(partition, (1,), cap=10**6)
+    blocks = [(26, tuple(range(26))), (2, (0, 1))]
+    plan, final, codes = dp.frontier_plan(blocks, 26, (1,), cap=10**6)
     # with every block factor 1 the sum counts the ordered pairs of one-target patterns
     luts = {size: np.ones((len(reachable), 1)) for size, reachable in codes.items()}
     assert dp.replay_sums(plan, final, luts).tolist() == [26 * 25]
     with pytest.raises(CapacityError, match="65 bits"):
-        dp.frontier_plan(Partition(27, (tuple(range(27)), (0, 1))), (1,), cap=10**6)
+        dp.frontier_plan([(27, tuple(range(27))), (2, (0, 1))], 27, (1,), cap=10**6)
+
+
+# overlapping specs by the numbers of their blocks: GHZ at one energy, GHZ at
+# two energies in turn, and pure symmetric blocks, which differ from GHZ from
+# three modes on
+OVERLAPPING = {
+    "ghz-nn3": ("ghz", "nn", 3),
+    "ghz-nn4": ("ghz", "nn", 4),
+    "ghz-nn5": ("ghz", "nn", 5),
+    "two-energies-nn4": ("two-energies", "nn", 4),
+    "two-energies-nn5": ("two-energies", "nn", 5),
+    "pure-windows-m5": ("pure", "123|345|51", 5),
+}
+
+
+def overlapping_spec(numbers, text, m):
+    blocks = _partition(text, m).blocks
+    if numbers == "ghz":
+        descs = [BlockDescriptor("ghz", blk, mu=MU) for blk in blocks]
+    elif numbers == "two-energies":
+        descs = [BlockDescriptor("ghz", blk, mu=(MU, 5.5)[j % 2]) for j, blk in enumerate(blocks)]
+    else:
+        descs = [SymmetricBlock(blk, 0, *pure_symmetric_numbers(len(blk), MU)) for blk in blocks]
+    return ProbeSpec(m, descs)
+
+
+@pytest.mark.parametrize("space_text", ["full", "cpf:1", "file"])
+@pytest.mark.parametrize("numbers, text, m", OVERLAPPING.values(), ids=OVERLAPPING.keys())
+def test_overlapping_specs_match_the_joint_state(tmp_path, numbers, text, m, space_text):
+    # the frontier tables and sums, and the dense route on a weighted custom
+    # space, against full-state fidelities of the joint probe of all blocks,
+    # each channel used once per block that holds it
+    spec = overlapping_spec(numbers, text, m)
+    assert not spec.disjoint
+    if space_text == "file":
+        space_file = tmp_path / "space.txt"
+        weighted = [f"{k:0{m}b} {1 + k % 3}" for k in range(2**m) if bin(k).count("1") in (1, 2)]
+        space_file.write_text("\n".join(weighted) + "\n")
+        space_text = f"file:{space_file}"
+    space = build_space(space_text, m)
+    families = [FAMILIES["loss"], FAMILIES["additive"]]
+    points = [(spec, family, None) for family in families]
+    copies = (1, 7, 100)
+    tables = evaluate_points(space, points)
+    sums = bound_reports(space, points, [copies] * len(points))
+    priors = None if space.uniform else space.priors
+    checked = 0
+    for family, table, row in zip(families, tables, sums):
+        assert table.method == "mutual" and table.probe is spec
+        ref = FidelityTable.from_fidelities(len(space), bruteforce_fidelities(space.patterns, spec, family), priors)
+        for c, rs in zip(copies, row):
+            want = bounds_from_table(ref, c)
+            for got in (bounds_from_table(table, c), rs):
+                for g, w in ((got.upper_raw, want.upper_raw), (got.lower_raw, want.lower_raw)):
+                    assert w > 0 and abs(g - w) <= 1e-10 * w
+                    checked += 1
+    assert checked == 2 * 2 * 2 * len(copies)
 
 
 @pytest.mark.parametrize("m", range(1, 13))

@@ -15,22 +15,24 @@ from multiprobe.bounds import (
 )
 from multiprobe.channels import ChannelFamily, apply_pattern_with_idlers
 from multiprobe.gaussian import gaussian_fidelity, ghz_cm
-from multiprobe.errors import PartitionError
+from multiprobe.errors import DimensionError, PartitionError
 from multiprobe.imagespace import ImageSpace, full_space
-from multiprobe.presets import DISJOINT, MUTUAL, ProbePlan
 from multiprobe.probes import (
+    BlockDescriptor,
     Partition,
     ProbeSpec,
     extend_for_mutual_probing,
     nn_partition,
 )
 
+from conftest import ghz_spec
+
 LOSS = ChannelFamily.pure_loss(0.99, 0.97)
 ADD = ChannelFamily.additive(0.02, 0.01)
 
 
 def mutual_bounds(space, partition, family, mu, copies):
-    return bounds_from_table(evaluate(ProbePlan(MUTUAL, partition=partition), space, family, mu=mu), copies)
+    return bounds_from_table(evaluate(ProbeSpec.from_partition(partition, mu), space, family), copies)
 
 
 def exhaustive_product_table(partition, space, family, mu):
@@ -77,7 +79,7 @@ def test_nn_m3_matches_joint_state_fidelities(family):
     partition = nn_partition(3)
     space = full_space(3)
     ext_part, ext_patterns = extend_for_mutual_probing(partition, space)
-    spec = ProbeSpec(ext_part.m, mu, ext_part.blocks)
+    spec = ProbeSpec.from_partition(ext_part, mu)
     joint = fidelity_table_bruteforce(ext_patterns, None, spec, family)
     ref = bounds_from_table(joint, copies)
     got = mutual_bounds(space, partition, family, mu, copies)
@@ -86,27 +88,27 @@ def test_nn_m3_matches_joint_state_fidelities(family):
 
 
 def test_mutual_with_disjoint_partition_reduces_to_counting():
+    # a partition whose blocks do not overlap is probed as a disjoint spec
     partition = Partition(4, ((0, 1), (2, 3)))
     space = full_space(4)
-    spec = ProbeSpec(4, 20.5, blocks=((0, 1), (2, 3)))
+    spec = ghz_spec(4, 20.5, ((0, 1), (2, 3)))
     mut = mutual_bounds(space, partition, ADD, 20.5, 3)
-    cnt = bounds_from_table(evaluate(ProbePlan(DISJOINT, spec=spec), space, ADD), 3)
+    cnt = bounds_from_table(evaluate(spec, space, ADD), 3)
     brt = bounds_from_table(fidelity_table_bruteforce(space.patterns, None, spec, ADD), 3)
     assert mut.m_bar == mut.copies == 3.0
-    assert mut.rounds == 1
+    assert (mut.method, mut.rounds) == ("counting", None)
     assert mut.upper_raw == pytest.approx(cnt.upper_raw, rel=1e-10)
     assert mut.upper_raw == pytest.approx(brt.upper_raw, rel=1e-10)
     assert mut.lower_raw == pytest.approx(brt.lower_raw, rel=1e-10)
 
 
 def test_mutual_plan_rejects_idlers():
-    # the frontier and dense routes read no idlers: they are refused, not dropped
-    plan = ProbePlan(MUTUAL, partition=Partition(3, ((0,), (1, 2)), (1, 0)))
-    for space in (full_space(3), ImageSpace(3, full_space(3).patterns, full_space(3).priors)):
-        with pytest.raises(PartitionError, match="idlers"):
-            evaluate(plan, space, LOSS, mu=20.5)
-        with pytest.raises(PartitionError, match="idlers"):
-            bound_reports(space, [(plan, LOSS, None, 20.5)], [[1]])
+    # the frontier and dense routes read no idlers: overlapping blocks with
+    # idlers are refused when the spec is built, not dropped
+    with pytest.raises(PartitionError, match="idlers"):
+        ProbeSpec(3, (BlockDescriptor("ghz", (0,), 1, mu=20.5), BlockDescriptor("ghz", (0, 1, 2), mu=20.5)))
+    with pytest.raises(PartitionError, match="idlers"):
+        Partition(3, ((0,), (0, 1, 2)), (1, 0))
 
 
 def test_mutual_resource_accounting():
@@ -131,9 +133,9 @@ def test_dense_census_equals_pair_enumeration(family):
     mu, copies = 20.5, 2.5
     partition = nn_partition(4)
     space = full_space(4)
-    table = evaluate(ProbePlan(MUTUAL, partition=partition), space, family, mu=mu)
+    table = evaluate(ProbeSpec.from_partition(partition, mu), space, family)
     ext_part, ext_patterns = extend_for_mutual_probing(partition, space)
-    descs = ProbeSpec(ext_part.m, mu, ext_part.blocks).descriptors()
+    descs = ProbeSpec.from_partition(ext_part, mu).blocks
     hist = {}
     for a in ext_patterns:
         for b in ext_patterns:
@@ -156,8 +158,8 @@ def test_dense_mutual_rejects_a_partition_of_another_length():
     space = full_space(5)
     custom = ImageSpace(5, space.patterns, space.priors)
     for target, m in itertools.product((custom, space), (4, 6)):
-        plan = ProbePlan(MUTUAL, partition=nn_partition(m))
-        with pytest.raises(PartitionError):
-            evaluate(plan, target, ADD, mu=20.5)
-        with pytest.raises(PartitionError):
-            bound_reports(target, [(plan, ADD, None, 20.5)], [[1]])
+        spec = ProbeSpec.from_partition(nn_partition(m), 20.5)
+        with pytest.raises(DimensionError):
+            evaluate(spec, target, ADD)
+        with pytest.raises(DimensionError):
+            bound_reports(target, [(spec, ADD, None)], [[1]])

@@ -82,11 +82,11 @@ def test_partition_rules():
     # a probe spec takes the same rules: a negative count would assemble
     # a 2-mode state with a 3-entry layout
     with pytest.raises(PartitionError, match=">= 0"):
-        ProbeSpec(3, 5.0, blocks=((0, 1, 2),), idlers=(-1,))
+        ProbeSpec(3, (BlockDescriptor("ghz", (0, 1, 2), -1, mu=5.0),))
+    with pytest.raises(PartitionError, match="overlapping"):
+        ProbeSpec(3, (BlockDescriptor("ghz", (0, 1), 1, mu=5.0), BlockDescriptor("ghz", (1, 2), mu=5.0)))
     with pytest.raises(PartitionError, match="not covered"):
         Partition(4, ((0, 1), (1, 2)))
-    with pytest.raises(PartitionError, match="mutual probing"):
-        ProbeSpec.from_partition(nn_partition(4), 20.5)
     # a bare channel with an idler is a two-mode block
     assert Partition(3, ((0, 1), (2,)), (0, 1)).disjoint
 
@@ -146,11 +146,11 @@ def test_nn_requires_ring():
 
 def test_decompose_rounds_disjoint_is_single():
     p = Partition(4, ((0, 1), (2, 3)))
-    assert len(decompose_rounds(p)) == 1
+    assert len(decompose_rounds(p.blocks)) == 1
 
 
 def test_decompose_rounds_nn_even_is_two():
-    rounds = decompose_rounds(nn_partition(4))
+    rounds = decompose_rounds(nn_partition(4).blocks)
     assert len(rounds) == 2
     for rnd in rounds:
         flat = [c for blk in rnd for c in blk]
@@ -160,13 +160,12 @@ def test_decompose_rounds_nn_even_is_two():
 def test_decompose_rounds_nn_odd_is_three():
     # odd rings are odd cycles in the conflict graph: three rounds exactly
     for m in (3, 5, 7):
-        assert len(decompose_rounds(nn_partition(m))) == 3
+        assert len(decompose_rounds(nn_partition(m).blocks)) == 3
 
 
 def test_decompose_rounds_three_round_example():
     blocks = ((0, 1), (2, 5), (3, 4), (0, 3), (1, 2), (4, 5), (0, 4), (1, 5))
-    p = Partition(6, blocks)
-    rounds = decompose_rounds(p)
+    rounds = decompose_rounds(Partition(6, blocks).blocks)
     assert len(rounds) == 3
     all_blocks = sorted(blk for rnd in rounds for blk in rnd)
     assert all_blocks == sorted(blocks)
@@ -222,7 +221,7 @@ def test_extension_nn_m4_preserves_cardinality():
 
 
 def test_spec_single_ghz_block_is_ghz_cm():
-    spec = ProbeSpec(4, 3.5, blocks=((0, 1, 2, 3),))
+    spec = ProbeSpec.from_partition(Partition(4, ((0, 1, 2, 3),)), 3.5)
     probe = assemble_probe(spec)
     assert np.allclose(probe.cm.data, ghz_cm(4, 3.5).data, atol=0)
 
@@ -237,7 +236,7 @@ def test_spec_pair_blocks():
 
 
 def test_classical_vacuum_spec():
-    spec = ProbeSpec(3, None, coherent=tuple((c, 0.0) for c in range(3)))
+    spec = ProbeSpec(3, tuple(BlockDescriptor("coherent", (c,)) for c in range(3)))
     probe = assemble_probe(spec)
     assert np.allclose(probe.cm.data, 0.5 * np.eye(6), atol=0)
     assert np.all(probe.cm.mean == 0)
@@ -245,15 +244,15 @@ def test_classical_vacuum_spec():
 
 def test_spec_requires_energy_for_blocks():
     with pytest.raises(EnergyError):
-        ProbeSpec(2, None, blocks=((0, 1),))
+        ProbeSpec.from_partition(Partition(2, ((0, 1),)), None)
     with pytest.raises(EnergyError):
-        ProbeSpec(2, 0.3, blocks=((0, 1),))
+        ProbeSpec.from_partition(Partition(2, ((0, 1),)), 0.3)
 
 
 @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf, 0.49])
 def test_ghz_energy_must_be_finite_and_at_least_vacuum(mu):
     # each way to a GHZ block rejects the energy before a state is built
-    builds = (lambda: resolve_probe("full-ghz", 3, mu), lambda: ProbeSpec(2, mu, blocks=((0, 1),)),
+    builds = (lambda: resolve_probe("full-ghz", 3, mu), lambda: ProbeSpec.from_partition(Partition(2, ((0, 1),)), mu),
               lambda: BlockDescriptor("ghz", (0, 1), mu=mu), lambda: gaussian.ghz_state(3, mu))
     for build in builds:
         with pytest.raises(EnergyError, match="mu"):
@@ -263,29 +262,29 @@ def test_ghz_energy_must_be_finite_and_at_least_vacuum(mu):
 @pytest.mark.parametrize("alpha", [math.nan, math.inf])
 def test_coherent_amplitude_must_be_finite(alpha):
     with pytest.raises(EnergyError, match="amplitude"):
-        ProbeSpec(2, None, coherent=((0, alpha), (1, 0.0)))
+        ProbeSpec(2, (BlockDescriptor("coherent", (0,), alpha=alpha), BlockDescriptor("coherent", (1,))))
     with pytest.raises(EnergyError, match="amplitude"):
         BlockDescriptor("coherent", (0,), alpha=alpha)
 
 
 def test_spec_rejects_uncovered_channels():
     with pytest.raises(PartitionError):
-        ProbeSpec(3, 2.0, blocks=((0, 1),))
+        ProbeSpec(3, (BlockDescriptor("ghz", (0, 1), mu=2.0),))
 
 
 def test_odd_spec_single_idler():
     spec = odd_m_disjoint_spec(3, 20.5, SINGLE_IDLER)
-    assert spec.blocks == ((0, 1), (2,))
-    assert spec.idlers == (0, 1)
+    assert [(blk.channels, blk.idlers) for blk in spec.blocks] == [((0, 1), 0), ((2,), 1)]
     probe = assemble_probe(spec)
     assert probe.cm.n_modes == 4
     assert probe.layout == (0, 1, None, 2)
 
 
 def test_block_layouts_are_their_slices_of_the_probe_layout():
-    spec = ProbeSpec(6, 3.5, blocks=((0, 2), (3,)), idlers=(1, 2), coherent=((1, 0.5), (4, 0.0), (5, 1.0)))
+    spec = ProbeSpec(6, (BlockDescriptor("ghz", (0, 2), 1, mu=3.5), BlockDescriptor("ghz", (3,), 2, mu=3.5),
+                         *(BlockDescriptor("coherent", (c,), alpha=a) for c, a in ((1, 0.5), (4, 0.0), (5, 1.0)))))
     data, mean, layout = probe_state(spec)
-    descs = spec.descriptors()
+    descs = spec.blocks
     assert [d.layout for d in descs] == [(None, 0, 2), (None, None, 3), (1,), (4,), (5,)]
     start = 0
     for desc in descs:
@@ -301,8 +300,8 @@ def test_block_layouts_are_their_slices_of_the_probe_layout():
 
 def test_odd_spec_hybrid():
     spec = odd_m_disjoint_spec(9, 20.5, HYBRID_COHERENT)
-    assert len(spec.blocks) == 4
-    assert spec.coherent == ((8, pytest.approx(np.sqrt(20.0))),)
+    assert len(spec.blocks) == 5  # four pairs, then the coherent mode
+    assert (spec.blocks[-1].channels, spec.blocks[-1].alpha) == ((8,), pytest.approx(np.sqrt(20.0)))
     probe = assemble_probe(spec)
     assert probe.cm.n_modes == 9
     assert probe.cm.mean[16] == pytest.approx(np.sqrt(2.0 * 20.0))
@@ -325,7 +324,7 @@ def test_three_block_odd_partition_literal():
 
 def test_assembled_probes_are_bona_fide_and_saturated():
     for spec in (
-        ProbeSpec(4, 20.5, blocks=((0, 1, 2, 3),)),
+        ProbeSpec.from_partition(Partition(4, ((0, 1, 2, 3),)), 20.5),
         ProbeSpec.from_partition(pair_partition(6), 7.0),
         odd_m_disjoint_spec(5, 3.0, SINGLE_IDLER),
         ProbeSpec.from_partition(full_idler_partition(3), 12.0),

@@ -170,7 +170,7 @@ def test_class_codes_group_pairs_as_pair_class_key(m):
     n = len(space)
     pairs = [(space.patterns[i], space.patterns[j]) for i in range(n) for j in range(i + 1, n)]
     for spec in validate._partitions_for(m):
-        blocks = [desc.channels for desc in spec.descriptors()]
+        blocks = [desc.channels for desc in spec.blocks]
         codes = validate._class_codes(bits, blocks).tolist()
         keys = [pair_class_key(a, b, blocks) for a, b in pairs]
         # the codes name the classes one to one
