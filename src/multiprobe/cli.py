@@ -99,9 +99,9 @@ def build_space(text: str, m: int):
     if text == "full":
         return full_space(m)
     if text.startswith("cpf:"):
-        return cpf_space(m, int(text[4:]))
+        return cpf_space(m, _target_count(text[4:], text))
     if text.startswith("bcpf:"):
-        return bcpf_space(m, [int(tok) for tok in text[5:].split(",")])
+        return bcpf_space(m, [_target_count(tok, text) for tok in text[5:].split(",")])
     if text.startswith("file:"):
         with open(text[5:]) as fh:
             space = read_space(fh)
@@ -109,6 +109,13 @@ def build_space(text: str, m: int):
             raise UsageError(f"space file has m={space.m}, expected {m}")
         return space
     raise UsageError(f"unknown space {text!r}; use full, cpf:K, bcpf:K1,K2 or file:PATH")
+
+
+def _target_count(token: str, spec: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise UsageError(f"bad space {spec!r}; target counts are integers, as in cpf:K or bcpf:K1,K2") from None
 
 
 def build_family(payload: dict) -> ChannelFamily:

@@ -12,8 +12,12 @@ child's local pair in that lut, all in the order of the merged keys, with
 the first child of each merged key; then come the final states whose
 patterns differ, and per lut key the sorted codes of the local pairs its
 children read (see ``local_pairs``), which index its lut.
-``replay_entries`` replays a plan with (log F, ordered pair count) entries
-per state, ``replay_sums`` with products of block factors per column.
+``frontier_plan`` keys a state by the smaller of it and its mirror, its
+A and B bits and target counts swapped: every block lut is symmetric in
+its local pair, so the two hold the same entries and factors and merge
+exactly.  ``replay_entries`` replays a plan with (log F, ordered pair
+count) entries per state, ``replay_sums`` with products of block factors
+per column.
 ``hamming_census`` reads the classes of one block over every channel.
 """
 
@@ -176,7 +180,14 @@ def frontier_plan(blocks, m: int, target_counts: tuple[int, ...], cap: int):
     reach an admissible count.  Block j is added at the channel that
     completes every block up to j, so blocks add in block order, and its
     local pair is read off the child's key.  Then the bits that no later
-    block reads are dropped, and children of equal keys merge.
+    block reads are dropped, each key becomes the smaller of it and its
+    mirror (A and B bits and target counts swapped, differs kept), and
+    children of equal keys merge.  The merge is exact: a block's fidelity
+    of (a, b) is that of (b, a) bit for bit (``blocks.block_fidelities``
+    caches unordered pairs), and both A and B end at the same admissible
+    counts, so a state and its mirror hold the same (log F, count) entries
+    and have mirrored children of equal factors; the merged state carries
+    both, as the two would have summed at the end.
 
     Returns the plan, the final states and the codes per lut key (see the
     module docstring).  More than ``cap`` states, or keys wider than an
@@ -195,6 +206,7 @@ def frontier_plan(blocks, m: int, target_counts: tuple[int, ...], cap: int):
     differs = 1 << 2 * width
     ta_shift = 2 * width + 1
     tbits = m.bit_length()
+    slot_mask, count_mask = (1 << width) - 1, (1 << tbits) - 1
     if ta_shift + 2 * tbits > 63:
         raise CapacityError(f"frontier DP keys need {ta_shift + 2 * tbits} bits, more than the 63 of an int64")
     reach = _reach(m, target_counts)
@@ -211,17 +223,22 @@ def frontier_plan(blocks, m: int, target_counts: tuple[int, ...], cap: int):
         parent = np.repeat(np.arange(len(key)), 4)
         if reach is not None:
             ok, targets = reach[m - 1 - c], child >> ta_shift
-            feasible = ok[targets & (1 << tbits) - 1] & ok[targets >> tbits]
+            feasible = ok[targets & count_mask] & ok[targets >> tbits]
             child, parent = child[feasible], parent[feasible]
         keep_bits = ~sum((1 << slot[ch]) | (1 << width + slot[ch]) for ch in range(m) if last[ch] == c)
-        order = np.argsort(child & keep_bits, kind="stable")
-        child, parent = child[order], parent[order]
+        # a key and its mirror, A and B swapped, hold the same entries, so they merge
+        merged = child & keep_bits
+        mirror = merged & differs | (merged & slot_mask) << width | merged >> width & slot_mask
+        if reach is not None:
+            mirror |= (merged >> ta_shift & count_mask) << ta_shift + tbits | merged >> ta_shift + tbits << ta_shift
+        merged = np.minimum(merged, mirror)
+        order = np.argsort(merged, kind="stable")
+        child, parent, merged = child[order], parent[order], merged[order]
         step_adds = []
         for j, (lut, blk) in enumerate(zip(luts, blocks)):
             if added[j] == c:
                 shifts = np.array([slot[ch] for ch in blk] + [width + slot[ch] for ch in blk])
                 step_adds.append((lut, (child[:, None] >> shifts & 1) @ (1 << np.arange(2 * len(blk)))))
-        merged = child & keep_bits
         starts = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
         key = merged[starts]
         raw.append((parent, None, step_adds, starts))

@@ -21,6 +21,7 @@ over channel 10 or beyond therefore needs a trailing comma ("10,*"), since
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -289,6 +290,9 @@ class SymmetricBlock:
     c1: float
     c2: float
     alpha: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "channels", tuple(map(operator.index, self.channels)))
 
     @property
     def n_modes(self) -> int:

@@ -147,6 +147,16 @@ CONFIG_FLAGS = ["bounds", "--family", "pure-loss", "--m", "2", "--eta-b", "0.99"
                 "--eta-t", "0.97", "--copies", "1", "--probe", "classical"]
 
 
+@pytest.mark.parametrize("spec", ["cpf:x", "cpf:", "cpf:1,2", "bcpf:", "bcpf:1,,2", "bcpf:1,x"])
+def test_bad_space_specs_are_usage_errors(tmp_path, capsys, spec):
+    # the message names the spec, not only the token that int() refused
+    out = tmp_path / "o.csv"
+    assert run_cli(CONFIG_FLAGS + ["--ns", "1", "--space", spec, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and repr(spec) in err
+    assert not out.exists()
+
+
 def test_config_warns_only_about_flags_given(tmp_path, capsys):
     # --grid and --format keep their parser defaults ([] and "csv"), so the
     # file overrides nothing the command line said

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import multiprobe.blocks as blocks_mod
 import multiprobe.bounds as bounds_mod
 import multiprobe.dp as dp
 from multiprobe.bounds import (
@@ -162,7 +163,7 @@ def test_frontier_state_cap(monkeypatch, capsys):
 
 
 def test_entries_are_capped_apart_from_the_keys(monkeypatch):
-    # nn at m=9 has at most 20 keys per channel, but far more (key, log F) entries
+    # nn at m=9 has at most 14 keys per channel, but far more (key, log F) entries
     monkeypatch.setattr(bounds_mod, "BLOCK_TABLE_MAX_PATTERNS", 16)
     space, partition, points = build_space("full", 9), nn_partition(9), [(FAMILIES["loss"], MU)]
     (row,) = frontier_sums(space, partition, points, [[1, 10]])
@@ -210,7 +211,7 @@ def test_sums_route_rows_do_not_depend_on_their_chunks(monkeypatch):
     assert [r for row in whole for r in row] == alone
 
 
-@pytest.mark.parametrize("floats", [64, 4096])
+@pytest.mark.parametrize("floats", [64, 2048])
 def test_split_rows_give_the_tables_of_lone_points(monkeypatch, floats):
     space, partition = build_space("full", 9), nn_partition(9)
     points = [(family, mu) for family in FAMILIES.values() for mu in (MU, 5.5)]
@@ -290,6 +291,40 @@ def test_frontier_keys_fit_an_int64_up_to_the_boundary():
     assert dp.replay_sums(plan, final, luts).tolist() == [26 * 25]
     with pytest.raises(CapacityError, match="65 bits"):
         dp.frontier_plan([(27, tuple(range(27))), (2, (0, 1))], 27, (1,), cap=10**6)
+
+
+@pytest.mark.parametrize("family", FAMILIES.values(), ids=FAMILIES.keys())
+def test_block_fidelities_are_bitwise_symmetric_in_the_pair(monkeypatch, family):
+    # the frontier DP merges each state with its mirror, which is exact only
+    # if (a, b) and (b, a) read the same value, whichever order comes first
+    blocks = [BlockDescriptor("ghz", (0, 1, 2), mu=MU), SymmetricBlock((0, 1, 2), 0, *pure_symmetric_numbers(3, MU)),
+              BlockDescriptor("ghz", (0, 1), 1, mu=5.5), BlockDescriptor("coherent", (0, 1), alpha=1.5)]
+    for block in blocks:
+        local = list(itertools.product((0, 1), repeat=len(block.channels)))
+        pairs = list(itertools.product(local, repeat=2))
+        monkeypatch.setattr(blocks_mod, "_BLOCK_FID_CACHE", {})
+        fids = blocks_mod.block_fidelities([(block, family)], pairs)
+        monkeypatch.setattr(blocks_mod, "_BLOCK_FID_CACHE", {})
+        swapped = blocks_mod.block_fidelities([(block, family)], [(b, a) for a, b in pairs])
+        assert np.array_equal(fids, swapped)
+        assert len(np.unique(fids)) > 2
+
+
+@pytest.mark.parametrize("m, space_text, states", [
+    (9, "full", [3, 10, 14, 14, 14, 14, 14, 14, 2]),
+    (9, "cpf:3", [3, 10, 36, 70, 85, 86, 74, 43, 2]),
+    (12, "full", [3, 10] + [14] * 9 + [2]),
+])
+def test_frontier_merges_each_state_with_its_mirror(m, space_text, states):
+    # kept apart, a state and its mirror (A and B swapped) give the nn ring
+    # [4, 16, 20, ..., 2] states per channel on full, and on cpf:3 at m=9
+    # [4, 16, 64, 125, 151, 152, 129, 71, 2]
+    space = build_space(space_text, m)
+    plan, final, codes = dp.frontier_plan(list(enumerate(nn_partition(m).blocks)), m, space.target_counts, cap=10**6)
+    assert [len(starts) for *_, starts in plan] == states
+    # with every block factor 1 the merged states still count every ordered pair
+    luts = {lut: np.ones((len(reachable), 1)) for lut, reachable in codes.items()}
+    assert dp.replay_sums(plan, final, luts).tolist() == [len(space) * (len(space) - 1)]
 
 
 # overlapping specs by the numbers of their blocks: GHZ at one energy, GHZ at

@@ -17,6 +17,7 @@ from multiprobe.probes import (
     BlockDescriptor,
     Partition,
     ProbeSpec,
+    SymmetricBlock,
     assemble_probe,
     average_channel_use,
     decompose_rounds,
@@ -233,6 +234,19 @@ def test_spec_pair_blocks():
     assert np.allclose(probe.cm.data[:4, :4], want, atol=0)
     assert np.allclose(probe.cm.data[4:, 4:], want, atol=0)
     assert np.all(probe.cm.data[:4, 4:] == 0)
+
+
+def test_block_channels_are_stored_as_a_tuple_of_ints():
+    # a block's layout appends its channels to a tuple of idlers, so a list must not reach it
+    listed = SymmetricBlock([0, np.int64(1)], 0, 5.5, 5.5, 5.47, -5.47)
+    assert listed.channels == (0, 1) and all(type(c) is int for c in listed.channels)
+    tupled = SymmetricBlock((0, 1), 0, 5.5, 5.5, 5.47, -5.47)
+    assert listed == tupled
+    probe = assemble_probe(ProbeSpec(2, [listed]))
+    assert probe.layout == assemble_probe(ProbeSpec(2, [tupled])).layout == (0, 1)
+    assert BlockDescriptor("ghz", [0, 1], mu=5.5).channels == (0, 1)
+    with pytest.raises(TypeError):
+        SymmetricBlock([0, 1.5], 0, 5.5, 5.5, 5.47, -5.47)
 
 
 def test_classical_vacuum_spec():

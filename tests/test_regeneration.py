@@ -6,8 +6,11 @@ are closed forms read off the Hamming census, the four advantage surfaces
 (``nn`` and ``idler-full`` on ``cpf:1``) and the three m = 10 censuses.
 
 Regenerated on a 2-core x86-64 Linux machine (numpy with OpenBLAS
-0.3.31), every file matches the committed bytes, a deviation of 0.  How
-far they drift on other machines is not measured; the ``full-ghz`` files
+0.3.31), the three censuses and the 21 bound files of other probes match
+the committed bytes, a deviation of 0.  The eight ``nn`` bound files
+deviate by at most 1.9e-14 relative: the frontier DP merges each state
+with its mirror, so its sums add in another order than when they were
+committed.  How far they drift on other machines is not measured; the ``full-ghz`` files
 carry 9- and 10-mode fidelities, whose LAPACK calls make the most
 rounding, and RTOL leaves 1e-9 relative for it.
 """
