@@ -6,6 +6,7 @@ and quantum error-probability bounds for pattern discrimination.
 """
 
 from .bounds import (
+    BoundColumns,
     BoundReport,
     FidelityTable,
     block_subfidelity,
@@ -58,6 +59,7 @@ from .probes import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BoundColumns",
     "BoundReport",
     "ChannelFamily",
     "CovMatrix",

@@ -17,7 +17,9 @@ from .gaussian import BATCH_MAX_FLOATS, _checked, stacked_fidelities
 from .probes import SymmetricBlock
 
 
-_BLOCK_FID_CACHE: dict[tuple, float] = {}
+# block signature -> {canonical local pair: fidelity}; identical local
+# patterns are the pair None, of fidelity exactly 1.0
+_BLOCK_FID_CACHE: dict[tuple, dict] = {}
 
 
 def block_signature(desc: SymmetricBlock, family: ChannelFamily) -> tuple:
@@ -32,8 +34,9 @@ def block_fidelities(points, pairs) -> np.ndarray:
 
     ``points`` holds one (block, family) per point; the blocks differ at
     most in their numbers (a, b, c1, c2, alpha).  Values are cached per
-    block signature and unordered pair; a signature that misses any pair
-    has all of them evaluated again.  The signatures to fill are evaluated
+    block signature and unordered pair, so a point's row is one lookup per
+    pair in its signature's values; a signature that misses any pair has
+    all of them evaluated again.  The signatures to fill are evaluated
     in one batch: one probe state per distinct block, all checked in one
     stacked call, the channels of ``layout_channels`` act on every distinct
     local pattern in one stacked step, and the pairs run through
@@ -42,16 +45,18 @@ def block_fidelities(points, pairs) -> np.ndarray:
     output states bit for bit, and identical outputs give exactly 1.0.
     """
     sigs = [block_signature(desc, family) for desc, family in points]
-    ordered = [(a, b) if a <= b else (b, a) for a, b in pairs]
-    distinct = sorted({pair for pair in ordered if pair[0] != pair[1]})
+    ordered = [(a, b) if a < b else (b, a) if a > b else None for a, b in pairs]
+    need = set(ordered) - {None}
+    distinct = sorted(need)
     first: dict[tuple, int] = {}  # signature -> its first point
     for k, sig in enumerate(sigs):
         first.setdefault(sig, k)
-    todo = [(sig, k) for sig, k in first.items()
-            if any((sig, *pair) not in _BLOCK_FID_CACHE for pair in distinct)]
+    # every signature gets its entry, which holds the identical pair at least
+    todo = [(sig, k) for sig, k in first.items() if not _BLOCK_FID_CACHE.setdefault(sig, {None: 1.0}).keys() >= need]
     if todo:
         _fill_block_cache(points, distinct, todo)
-    return np.array([[1.0 if a == b else _BLOCK_FID_CACHE[sig, a, b] for a, b in ordered] for sig in sigs])
+    rows = {sig: list(map(_BLOCK_FID_CACHE[sig].__getitem__, ordered)) for sig in first}
+    return np.array([rows[sig] for sig in sigs])
 
 
 def _fill_block_cache(points, distinct, todo) -> None:
@@ -75,8 +80,9 @@ def _fill_block_cache(points, distinct, todo) -> None:
         data, means = mode_channel_map(probe_data[probe[chunk], None], probe_means[probe[chunk], None],
                                        taus[chunk], nus[chunk])
         pairs = (len(locals_) * np.arange(len(data))[:, None, None] + ends).reshape(-1, 2)
-        fids = stacked_fidelities(data.reshape(-1, dim, dim), means.reshape(-1, dim), pairs).tolist()
-        _BLOCK_FID_CACHE.update(zip(((sig, *pair) for sig, _ in todo[chunk] for pair in distinct), fids))
+        fids = iter(stacked_fidelities(data.reshape(-1, dim, dim), means.reshape(-1, dim), pairs).tolist())
+        for sig, _ in todo[chunk]:
+            _BLOCK_FID_CACHE[sig].update(zip(distinct, fids))
 
 
 def block_subfidelity(desc: SymmetricBlock, family: ChannelFamily, v: int, u: int, d: int) -> float:

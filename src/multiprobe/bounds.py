@@ -39,7 +39,7 @@ the blocks overlap, so overlapping blocks need no copy-channel extension.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,8 +80,9 @@ class BoundReport:
     """Lower/upper error-probability bounds plus resource accounting.
 
     Raw values are the bare fidelity sums (the upper one may exceed 1 for
-    small M); ``lower``/``upper`` are clipped to [0, 1].  The routes
-    range-check their reports together (``_checked_reports``).
+    small M); ``lower``/``upper`` are clipped to [0, 1].  The one-report
+    routes, ``bounds_from_table`` and the closed forms, give one; a sweep's
+    ``bound_reports`` gives BoundColumns.
     """
 
     lower_raw: float
@@ -100,32 +101,93 @@ class BoundReport:
         return min(max(self.upper_raw, 0.0), 1.0)
 
 
-def _checked_reports(rows: list, copies, method: str, rounds: int | None = None) -> list[list[BoundReport]]:
-    """The reports of (M, m_bar, lower_raw, upper_raw) rows (see ``_rows``),
-    one list per point, after one range check of them all: NumericError for
-    the first row whose sums are not finite, whose lower bound is negative
-    beyond rounding, or whose upper bound falls below it."""
-    for *_, lower, upper in rows:
-        if not (math.isfinite(lower) and math.isfinite(upper)):
-            raise NumericError("bound sums are not finite")
-        if lower < -1e-12:
-            raise NumericError(f"negative lower bound {lower}")
-        if upper < lower - 1e-12:
-            raise NumericError("upper bound fell below lower bound")
-    reports = iter([BoundReport(lb, ub, c, mb, method, rounds) for c, mb, lb, ub in rows])
-    return [list(itertools.islice(reports, len(cs))) for cs in copies]
+@dataclass(eq=False)
+class BoundColumns:
+    """The bounds of a sweep's (point, copy number) rows as columns, point
+    by point and, within a point, in the order of its copy numbers.
 
-
-def guaranteed_advantage(classical: BoundReport, quantum: BoundReport) -> float:
-    """Classical lower bound minus quantum upper bound (clipped values).
-
-    Positive values certify quantum advantage.  Both reports must refer to
-    the same average channel use.
+    The fields are those of BoundReport, one array entry per row, but the
+    route's ``method`` and ``rounds``, which hold for every row (None
+    without rows).  ``lower``/``upper`` clip the raw columns as
+    BoundReport clips its values, -0.0 kept, once per column.
     """
-    if not math.isclose(classical.m_bar, quantum.m_bar, rel_tol=1e-12, abs_tol=0.0):
-        raise ComparabilityError(
-            f"average channel use differs: {classical.m_bar} vs {quantum.m_bar}"
-        )
+
+    copies: np.ndarray
+    m_bar: np.ndarray
+    lower_raw: np.ndarray
+    upper_raw: np.ndarray
+    method: str | None
+    rounds: int | None = None
+
+    def __len__(self) -> int:
+        return len(self.copies)
+
+    @functools.cached_property
+    def lower(self) -> np.ndarray:
+        return _clip(self.lower_raw)
+
+    @functools.cached_property
+    def upper(self) -> np.ndarray:
+        return _clip(self.upper_raw)
+
+
+def _clip(x: np.ndarray) -> np.ndarray:
+    """min(max(x, 0.0), 1.0) of each entry: np.minimum, as min, keeps -0.0
+    and NaN."""
+    clipped = np.minimum(x, 1.0)
+    clipped[x < 0.0] = 0.0
+    return clipped
+
+
+def _check_range(lower: np.ndarray, upper: np.ndarray) -> None:
+    """One range check of the raw bounds of every row: NumericError for the
+    first row whose sums are not finite, whose lower bound is negative
+    beyond rounding, or whose upper bound falls below it."""
+    # each comparison fails for NaN; an infinite bound fails one of them
+    ok = (lower >= -1e-12) & (upper >= lower - 1e-12) & (upper < np.inf)
+    if np.count_nonzero(ok) == len(ok):
+        return
+    row = int(ok.argmin())
+    lo, up = lower[row].item(), upper[row].item()
+    if not (math.isfinite(lo) and math.isfinite(up)):
+        raise NumericError("bound sums are not finite")
+    if lo < -1e-12:
+        raise NumericError(f"negative lower bound {lo}")
+    raise NumericError("upper bound fell below lower bound")
+
+
+def _checked_report(copies: float, m_bar: float, lower: float, upper: float, method: str,
+                    rounds: int | None = None) -> BoundReport:
+    """The report of one row, range-checked as ``_check_range`` checks rows."""
+    _check_range(np.array([lower]), np.array([upper]))
+    return BoundReport(lower, upper, copies, m_bar, method, rounds)
+
+
+def _checked_columns(copies: np.ndarray, m_bar: np.ndarray, lower: np.ndarray, upper: np.ndarray, method: str,
+                     rounds: int | None = None) -> BoundColumns:
+    """The columns of a route's rows, range-checked once (``_check_range``)."""
+    _check_range(lower, upper)
+    return BoundColumns(copies, m_bar, lower, upper, method, rounds)
+
+
+def guaranteed_advantage(classical, quantum):
+    """Classical lower bound minus quantum upper bound (clipped values), of
+    two BoundReports or, row by row, of two BoundColumns.
+
+    Positive values certify quantum advantage.  Both must refer to the same
+    average channel use, row by row: ComparabilityError names the first
+    row where they differ.
+    """
+    a, b = np.asarray(classical.m_bar), np.asarray(quantum.m_bar)
+    apart = a != b
+    if np.count_nonzero(apart):
+        # not math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0), row by row
+        apart = apart & ~(np.abs(a - b) <= 1e-12 * np.maximum(np.abs(a), np.abs(b)))
+        if apart.any():
+            row = int(apart.argmax())
+            raise ComparabilityError(
+                f"average channel use differs: {a.flat[row].item()} vs {b.flat[row].item()}"
+            )
     return classical.lower - quantum.upper
 
 
@@ -220,14 +282,16 @@ def bounds_from_table(table: FidelityTable, copies, *, m_bar=None) -> BoundRepor
     if m_val < 1:
         raise ValueError(f"copy number must be >= 1, got {copies}")
     ((lb, ub),) = _table_sums(table, np.array([m_val]))
-    m_bar = _m_bar(table.probe, copies) if m_bar is None else float(m_bar)
-    return _checked_reports([(m_val, m_bar, lb, ub)], [[copies]], table.method, table.rounds)[0][0]
+    if m_bar is None:
+        m_bar = copies if table.probe is None else average_channel_use(table.probe, copies)
+    return _checked_report(m_val, float(m_bar), lb, ub, table.method, table.rounds)
 
 
-def _m_bar(probe: ProbeSpec | None, copies) -> float:
-    """The average channel use at ``copies``: M, or (m + l) / m * M for an
-    overlapping ``probe``."""
-    return float(copies if probe is None else average_channel_use(probe, copies))
+def _m_bar(probe: ProbeSpec | None, power: np.ndarray) -> np.ndarray:
+    """The average channel use of rows at copy numbers ``power``: M, or
+    (m + l) / m * M for an overlapping ``probe`` (``average_channel_use``
+    at a float M)."""
+    return power if probe is None else average_channel_use(probe, 1.0) * power
 
 
 def _table_sums(table: FidelityTable, power, scale=None) -> list[tuple[float, float]]:
@@ -331,8 +395,8 @@ def _rows(copies) -> tuple[np.ndarray, np.ndarray]:
     return power, np.repeat(np.arange(len(copies)), [len(cs) for cs in copies])
 
 
-def _plan_reports(n: int, plan, final, fids, fields: dict, copies):
-    """The reports over n patterns of each row (see ``_rows``), whose sums
+def _plan_columns(n: int, plan, final, fids, fields: dict, power, point) -> BoundColumns:
+    """The bounds over n patterns of the rows of ``_rows``, whose sums
     of F^M and F^(2M) over the ordered pattern pairs that differ come from
     replaying ``plan``; ``fids`` as ``_dp`` gives them, ``fields`` as ``_fields``.
 
@@ -343,7 +407,6 @@ def _plan_reports(n: int, plan, final, fids, fields: dict, copies):
     over the same plan, and every sum adds in a fixed order, so a row's
     value does not depend on the rows that ran with it.
     """
-    power, point = _rows(copies)
     # columns F^M of each row, then F^2M of each row; no points, no blocks: an empty plan
     per_chunk = max(1, BATCH_MAX_FLOATS // (2 * max((len(parent) for parent, *_ in plan), default=1)))
     sums = []
@@ -351,10 +414,10 @@ def _plan_reports(n: int, plan, final, fids, fields: dict, copies):
         rows = slice(start, start + per_chunk)
         cols, col_point = np.concatenate((power[rows], 2.0 * power[rows])), np.tile(point[rows], 2)
         luts = {key: f[col_point].T ** cols for key, f in fids.items()}
-        sums += replay_sums(plan, final, luts).reshape(2, -1).T.tolist()
-    probe = fields.get("probe")
-    rows = [(c, _m_bar(probe, c), 0.5 * s2 / n**2, s1 / n) for c, (s1, s2) in zip(power.tolist(), sums)]
-    return _checked_reports(rows, copies, fields["method"], fields.get("rounds"))
+        sums.append(replay_sums(plan, final, luts).reshape(2, -1))
+    s1, s2 = np.concatenate(sums, axis=1) if sums else np.empty((2, 0))
+    return _checked_columns(power, _m_bar(fields.get("probe"), power), 0.5 * s2 / n**2, s1 / n,
+                            fields["method"], fields.get("rounds"))
 
 
 def _state_cap() -> int:
@@ -515,10 +578,11 @@ def _classical(space: ImageSpace, points) -> tuple[FidelityTable, list[float]]:
     return FidelityTable.pairs(n, dists, None if space.uniform else space.priors, method="classical"), logfs
 
 
-def bound_reports(space: ImageSpace, points, copies) -> list[list[BoundReport]]:
-    """The bound reports of probe configurations of one structure, one list
-    per (probe, family, ns) point (as ``evaluate_points``) with one
-    report per copy number in the matching list of ``copies``.
+def bound_reports(space: ImageSpace, points, copies) -> BoundColumns:
+    """The bounds of probe configurations of one structure, one row per
+    (probe, family, ns) point (as ``evaluate_points``) and copy number in
+    the point's list in ``copies``: the rows of the first point, in the
+    order of its copy numbers, then those of the next.
 
     The route is that of ``evaluate_points``, read with sums.  On a uniform
     full/cpf/bcpf space a probe sums its bounds straight from the plan of
@@ -527,25 +591,28 @@ def bound_reports(space: ImageSpace, points, copies) -> list[list[BoundReport]]:
     its point's per-channel log-fidelity.  Every other probe on a custom
     space reads dense tables (``_dense_table``), one at a time, each read
     at all its copy numbers before the next is built.  Each route
-    range-checks its reports once.
+    range-checks its rows once.
     """
     if not points:
-        return []
+        return BoundColumns(*np.empty((4, 0)), method=None)
     probe = _check_points(space, points)
+    power, point = _rows(copies)
     if probe == CLASSICAL:
         table, logfs = _classical(space, points)
-        power, point = _rows(copies)
-        sums = _table_sums(table, power, np.array(logfs)[point])
-        return _checked_reports([(c, c, lb, ub) for c, (lb, ub) in zip(power.tolist(), sums)], copies, "classical")
+        lower, upper = _sum_columns(_table_sums(table, power, np.array(logfs)[point]))
+        return _checked_columns(power, power, lower, upper, "classical")
     if counting_applies(space):
-        return _plan_reports(len(space), *_dp(space, points), _fields(probe, "counting"), copies)
-    power, point = _rows(copies)
-    rows = []
-    for k, (p, cs) in enumerate(zip(points, copies)):
+        return _plan_columns(len(space), *_dp(space, points), _fields(probe, "counting"), power, point)
+    sums = []
+    for k, p in enumerate(points):
         table = _dense_table(space, p)
-        sums = _table_sums(table, power[point == k])
-        rows += [(float(c), _m_bar(table.probe, c), lb, ub) for c, (lb, ub) in zip(cs, sums)]
-    return _checked_reports(rows, copies, table.method, table.rounds)
+        sums += _table_sums(table, power[point == k])
+    return _checked_columns(power, _m_bar(table.probe, power), *_sum_columns(sums), table.method, table.rounds)
+
+
+def _sum_columns(sums: list[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
+    """The lower and the upper column of ``_table_sums`` rows."""
+    return tuple(np.array(sums, dtype=float).reshape(-1, 2).T)
 
 
 # ---------------------------------------------------------------------------
@@ -610,4 +677,4 @@ def _tmsv_pairs_report(family: ChannelFamily, mu: float, copies, m: int, f_rem: 
 
     ub = excess(m_val)
     lb = excess(2 * m_val) / 2 ** (m + 1)
-    return _checked_reports([(m_val, m_val, lb, ub)], [[copies]], "closed-form-d2")[0][0]
+    return _checked_report(m_val, m_val, lb, ub, "closed-form-d2")

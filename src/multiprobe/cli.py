@@ -23,10 +23,10 @@ from .bounds import bound_reports, census_histogram, evaluate_points, guaranteed
 from .channels import ChannelFamily
 from .errors import NumericError
 from .imagespace import bcpf_space, cpf_space, full_space, read_space
-from .presets import CLASSICAL, SCALES, resolve_probe
+from .presets import CLASSICAL, SCALES, resolve_preset
 from .probes import HYBRID_COHERENT, SINGLE_IDLER, ProbeSpec
 
-# grouped as ``_eval_group`` fills a row
+# grouped as ``_eval_group`` fills them
 COLUMNS = [
     "family", "m", "space", "probe",
     "eta_b", "eta_t", "nu_b", "nu_t", "tau_b", "tau_t", "eps_b", "eps_t",
@@ -61,6 +61,26 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _cells(column: list, texts: dict) -> list[str]:
+    """The CSV text (``_fmt``) of each value of ``column``.  ``texts`` holds
+    the text of each value formatted so far, per type, and gains this
+    column's: a value is formatted once, however often it appears, in this
+    column or another.  A column in which equal values may format apart is
+    formatted value by value: one of mixed types (1, 1.0, True) or one
+    that holds a zero (0.0, -0.0)."""
+    kinds, distinct = set(map(type, column)), dict.fromkeys(column)
+    if len(kinds) != 1:
+        return list(map(_fmt, column))
+    kind = kinds.pop()
+    fmt = float.__repr__ if kind is float else _fmt
+    if 0 in distinct:
+        return list(map(fmt, column))
+    text = texts.setdefault(kind, {})
+    new = distinct.keys() - text.keys()
+    text.update(zip(new, map(fmt, new)))
+    return list(map(text.__getitem__, column))
 
 
 def parse_grid(spec: str):
@@ -168,20 +188,22 @@ def _copies(payload: dict, m: int, l_overlap: int) -> float:
 def _points(payloads: list[dict]):
     """The space, and the (probe, family, ns) evaluation point and the mu of
     each of ``payloads``, which share a structure (everything but the
-    channel parameters, the energy and the copy number): the space is built
-    once, the probe once per energy and the family once per channel
-    setting."""
+    channel parameters, the energy and the copy number): the space and the
+    preset are built once, the probe once per energy and the family once
+    per channel setting."""
     first = payloads[0]
     m = first["m"]
     space = build_space(first["space"], m)
     probes: dict[float, ProbeSpec | str] = {}
+    probe_at = None  # the preset, resolved once at the first energy
     families: dict[tuple, ChannelFamily] = {}
     setting = operator.itemgetter("family", *SWEEPABLE[:8])  # the channel parameters
     points, mus = [], []
     for payload in payloads:
         ns, mu = _energy(payload)
         if mu not in probes:
-            probes[mu] = resolve_probe(first["probe"], m, mu, first["odd_strategy"])
+            probe_at = probe_at or resolve_preset(first["probe"], m, first["odd_strategy"])
+            probes[mu] = probe_at(mu)
         key = setting(payload)
         if key not in families:
             families[key] = build_family(payload)
@@ -190,9 +212,11 @@ def _points(payloads: list[dict]):
     return space, points, mus
 
 
-def _eval_group(configs: list[list[dict]]) -> list[list[dict]]:
-    """Rows of configurations that share a structure, one list per
-    configuration, whose grid points differ only in ``copies``/``mbar``.
+def _eval_group(configs: list[list[dict]]) -> dict:
+    """The output columns (``COLUMNS``) of configurations that share a
+    structure, whose grid points differ only in ``copies``/``mbar``: the
+    rows of each configuration in turn, and in each a column of one value
+    per row, or one value for every row.
 
     ``cmd_bounds`` passes every configuration of a sweep in one call, and
     ``bound_reports`` picks the route of the probe and of its classical
@@ -200,56 +224,59 @@ def _eval_group(configs: list[list[dict]]) -> list[list[dict]]:
     """
     first = configs[0][0]
     m = first["m"]
-    space, points, mus = _points([payloads[0] for payloads in configs])
+    heads = [payloads[0] for payloads in configs]  # the channels and energy of each configuration
+    space, points, mus = _points(heads)
     probe = points[0][0]
     l_overlap = 0 if probe == CLASSICAL else probe.l_overlap
     copies_lists = [[_copies(payload, m, l_overlap) for payload in payloads] for payloads in configs]
     reports = bound_reports(space, points, copies_lists)
-    comparisons = [[None] * len(copies_list) for copies_list in copies_lists]
+    delta = None
     if first["against_classical"] and probe != CLASSICAL:
+        m_bar = iter(reports.m_bar.tolist())
         comparisons = bound_reports(
             space,
             [(CLASSICAL, family, ns) for _, family, ns in points],
-            [[report.m_bar for report in config_reports] for config_reports in reports],
+            [list(itertools.islice(m_bar, len(cs))) for cs in copies_lists],
         )
-    results = []
-    for payloads, (_, family, ns), mu, config_reports, config_comparisons in zip(
-        configs, points, mus, reports, comparisons
-    ):
-        rows = []
-        for payload, report, comparison in zip(payloads, config_reports, config_comparisons):
-            delta = None if comparison is None else guaranteed_advantage(comparison, report)
-            rows.append(dict(zip(COLUMNS, (
-                family.kind, m, payload["space"], payload["probe"], *map(payload.get, SWEEPABLE[:8]), ns, mu,
-                report.copies, report.m_bar, report.lower_raw, report.lower, report.upper_raw, report.upper,
-                delta, report.method, report.rounds,
-            ))))
-        results.append(rows)
-    return results
+        delta = guaranteed_advantage(comparisons, reports).tolist()
+    sizes = [len(payloads) for payloads in configs]
+
+    def per_row(values):
+        """The column of one value per configuration: that of every row when
+        there is one configuration, else repeated for each of its rows."""
+        if len(values) == 1:
+            return values[0]
+        if len(values) == len(reports):
+            return list(values)
+        return list(itertools.chain.from_iterable(map(itertools.repeat, values, sizes)))
+
+    return dict(zip(COLUMNS, (
+        points[0][1].kind, m, first["space"], first["probe"],
+        *map(per_row, zip(*map(operator.itemgetter(*SWEEPABLE[:8]), heads))),
+        per_row([ns for *_, ns in points]), per_row(mus),
+        *(col.tolist() for col in (reports.copies, reports.m_bar, reports.lower_raw, reports.lower,
+                                   reports.upper_raw, reports.upper)),
+        delta, reports.method, reports.rounds,
+    )))
 
 
-def _write_rows(rows, columns, args, comment: str) -> None:
-    """Write ``rows`` to ``args.out`` (default: standard output) in ``args.format``."""
+def _write_rows(columns: dict, n: int, args, comment: str) -> None:
+    """Write ``n`` rows of ``columns`` to ``args.out`` (default: standard
+    output) in ``args.format``: a column is a list of one value per row, or
+    one value for every row, which is formatted once."""
     out = sys.stdout if args.out in (None, "-") else open(args.out, "w")
     try:
         if args.format == "csv":
             out.write(comment + "\n")
             out.write(",".join(columns) + "\n")
-            # each column's values are formatted once, but for falsy ones:
-            # 0.0 and -0.0 are equal keys that format apart
-            texts = [{} for _ in columns]
-            for row in rows:
-                line = []
-                for c, text in zip(columns, texts):
-                    value = row[c]
-                    cell = text.get(value)
-                    if cell is None or not value:
-                        cell = text[value] = _fmt(value)
-                    line.append(cell)
-                out.write(",".join(line) + "\n")
+            texts: dict[type, dict] = {}
+            cells = [_cells(col, texts) if isinstance(col, list) else itertools.repeat(_fmt(col), n)
+                     for col in columns.values()]
+            out.writelines(line + "\n" for line in map(",".join, zip(*cells)))
         else:
-            for row in rows:
-                out.write(json.dumps({c: row[c] for c in columns}) + "\n")
+            values = [col if isinstance(col, list) else itertools.repeat(col, n) for col in columns.values()]
+            for row in zip(*values):
+                out.write(json.dumps(dict(zip(columns, row))) + "\n")
     finally:
         if out is not sys.stdout:
             out.close()
@@ -294,10 +321,14 @@ def cmd_bounds(args) -> int:
         configs.setdefault(setting(payload), []).append(i)
     # grids vary only channel parameters, energy and copy number, so all
     # configurations share one structure and go into one batch
-    results = _eval_group([[payloads[i] for i in idx] for idx in configs.values()])
-    # back in grid order
-    rows = dict(zip(itertools.chain(*configs.values()), itertools.chain(*results)))
-    _write_rows([rows[i] for i in range(len(payloads))], COLUMNS, args, HEADER_COMMENT)
+    columns = _eval_group([[payloads[i] for i in idx] for idx in configs.values()])
+    # back in grid order: the evaluated row of each payload
+    order = list(itertools.chain(*configs.values()))
+    if order != list(range(len(order))):
+        rows = np.argsort(order).tolist()
+        columns = {name: list(map(col.__getitem__, rows)) if isinstance(col, list) else col
+                   for name, col in columns.items()}
+    _write_rows(columns, len(payloads), args, HEADER_COMMENT)
     return 0
 
 
@@ -317,8 +348,8 @@ def cmd_census(args) -> int:
     space, points, _ = _points([payload])
     (table,) = evaluate_points(space, points)
     pairs = census_histogram(table, copies)
-    rows = [{"fidelity": v, "multiplicity": c} for v, c in pairs]
-    _write_rows(rows, ["fidelity", "multiplicity"], args, CENSUS_COMMENT)
+    columns = {"fidelity": [v for v, _ in pairs], "multiplicity": [c for _, c in pairs]}
+    _write_rows(columns, len(pairs), args, CENSUS_COMMENT)
     return 0
 
 

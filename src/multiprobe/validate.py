@@ -297,11 +297,21 @@ def _sub_pairs(fids: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
     return fids[a * n - a * (a + 1) // 2 + b - a - 1]
 
 
-def _relative_gap(ref: BoundReport, got: BoundReport) -> float:
-    """The largest gap of ``got``'s raw bounds to ``ref``'s, relative to
-    ``ref``'s, over the raw bounds that ``ref`` holds positive."""
-    pairs = ((ref.upper_raw, got.upper_raw), (ref.lower_raw, got.lower_raw))
+def _relative_gap(ref: BoundReport, got) -> float:
+    """The largest gap of the raw bounds ``got`` = (upper, lower) to
+    ``ref``'s, relative to ``ref``'s, over the raw bounds that ``ref`` holds
+    positive."""
+    pairs = zip((ref.upper_raw, ref.lower_raw), got)
     return max([abs(r - g) / r for r, g in pairs if r > 0], default=0.0)
+
+
+def _raw(report: BoundReport) -> tuple[float, float]:
+    return report.upper_raw, report.lower_raw
+
+
+def _raw_rows(columns) -> list[tuple[float, float]]:
+    """The raw (upper, lower) bounds of each row of ``bound_reports`` columns."""
+    return list(zip(columns.upper_raw.tolist(), columns.lower_raw.tolist()))
 
 
 def suite_counting_vs_bruteforce(scale: str, oracle=None) -> SuiteResult:
@@ -327,13 +337,13 @@ def suite_counting_vs_bruteforce(scale: str, oracle=None) -> SuiteResult:
                 rows = np.array([index[p] for p in space.patterns])
                 points = [(spec, family, None) for family in families]
                 tables = evaluate_points(space, points)
-                sums = bound_reports(space, points, [copies] * len(families))
-                for family, table_c, row in zip(families, tables, sums):
+                sums = iter(_raw_rows(bound_reports(space, points, [copies] * len(families))))
+                for family, table_c in zip(families, tables):
                     fids = _sub_pairs(oracle(spec, family), len(index), rows)
                     table_b = FidelityTable.from_fidelities(len(rows), fids)
-                    for c, rs in zip(copies, row):
+                    for c in copies:
                         rb = bounds_from_table(table_b, c)
-                        for rc in (bounds_from_table(table_c, c), rs):
+                        for rc in (_raw(bounds_from_table(table_c, c)), next(sums)):
                             worst = max(worst, _relative_gap(rb, rc))
                             cases += 1
     return SuiteResult("counting_vs_bruteforce", worst < tol, worst, tol, cases)
@@ -356,7 +366,7 @@ def suite_tmsv_closed_form(scale: str) -> SuiteResult:
                     closed = bounds_tmsv_pairs(family, mu, copies, m)
                 else:
                     closed = bounds_tmsv_pairs_odd(family, mu, copies, m, SINGLE_IDLER)
-                worst = max(worst, _relative_gap(bounds_from_table(table, copies), closed))
+                worst = max(worst, _relative_gap(bounds_from_table(table, copies), _raw(closed)))
                 cases += 1
     return SuiteResult("tmsv_closed_form", worst < tol, worst, tol, cases)
 
@@ -522,10 +532,10 @@ def suite_mutual_vs_bruteforce(scale: str) -> SuiteResult:
             dense = fidelity_table_blocks(ext_patterns, None, ext.blocks, family)
             point = (probe, family, None)
             (frontier,) = evaluate_points(space, [point])
-            (sums,) = bound_reports(space, [point], [copies])
+            sums = _raw_rows(bound_reports(space, [point], [copies]))
             for c, rs in zip(copies, sums):
                 rb = bounds_from_table(ref, c)
-                for rc in (bounds_from_table(dense, c), bounds_from_table(frontier, c), rs):
+                for rc in (_raw(bounds_from_table(dense, c)), _raw(bounds_from_table(frontier, c)), rs):
                     worst = max(worst, _relative_gap(rb, rc))
                     cases += 1
     return SuiteResult("mutual_vs_bruteforce", worst < tol, worst, tol, cases)

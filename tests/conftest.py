@@ -1,6 +1,7 @@
 """Shared strategies and reference implementations for the test suite."""
 
 import functools
+import itertools
 import math
 
 import mpmath
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import strategies as st
 
 from multiprobe import gaussian
-from multiprobe.bounds import block_subfidelity, bounds_from_table
+from multiprobe.bounds import BoundReport, block_subfidelity, bound_reports, bounds_from_table
 from multiprobe.channels import (
     ChannelFamily,
     apply_mode_channels,
@@ -269,8 +270,20 @@ def counting_sums(space, spec, family, m_val):
     return sum_m, sum_2m
 
 
+def report_rows(space, points, copies):
+    """``bound_reports`` of a sweep, its columns read back as BoundReports:
+    one list per point, with one report per copy number in the point's list
+    in ``copies``."""
+    cols = bound_reports(space, points, copies)
+    assert len(cols) == sum(map(len, copies))
+    values = (col.tolist() for col in (cols.copies, cols.m_bar, cols.lower_raw, cols.upper_raw))
+    rows = iter([BoundReport(lo, up, c, mb, cols.method, cols.rounds) for c, mb, lo, up in zip(*values)])
+    return [list(itertools.islice(rows, len(cs))) for cs in copies]
+
+
 def assert_sums_match_entries(reports, tables, copies, method):
-    """Each point's ``bound_reports`` row at ``copies`` equals the bounds
+    """Each point's ``bound_reports`` row at ``copies`` (as ``report_rows``
+    reads them) equals the bounds
     read off its table (``evaluate_points``) to rounding, and carries the
     table's route ``method``, channel use and rounds."""
     for table, row in zip(tables, reports):

@@ -1,3 +1,5 @@
+import argparse
+import itertools
 import json
 import os
 import subprocess
@@ -6,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import multiprobe.cli as cli
 import multiprobe.imagespace as imagespace
 from multiprobe.bounds import evaluate_points
 from multiprobe.channels import ChannelFamily
@@ -127,6 +130,67 @@ def test_bounds_jsonl_and_delta_pairing(tmp_path):
     assert row["copies"] == 15.0  # nearest-neighbour ring halves M
     assert row["rounds"] == 2
     assert row["delta_perr"] is not None
+
+
+def _cell(value) -> str:
+    """The CSV text of a JSONL value: repr of a float, str of an int or a
+    string, the empty string for null."""
+    return "" if value is None else repr(value) if isinstance(value, float) else str(value)
+
+
+@pytest.mark.parametrize("argv", [
+    # shaped like the advantage surfaces: a channel grid times a log energy grid
+    ["bounds", "--family", "pure-loss", "--m", "6", "--eta-t", "1.0", "--space", "cpf:1", "--probe", "nn",
+     "--mbar", "100", "--grid", "eta-b=0.95:0.999:4", "--grid", "ns=log:1:50:3", "--against-classical"],
+    # the copy axis outermost: rows are evaluated configuration by configuration, written in grid order
+    ["bounds", "--family", "additive-noise", "--m", "6", "--nu-b", "0.02", "--nu-t", "0.01", "--space", "cpf:1",
+     "--probe", "idler-full", "--grid", "mbar=10:500:3", "--grid", "ns=log:1:50:2", "--against-classical"],
+    ["census", "--family", "pure-loss", "--m", "6", "--eta-b", "0.99", "--eta-t", "0.97", "--ns", "20",
+     "--probe", "nn", "--copies", "1"],
+], ids=["surface", "copies-outermost", "census"])
+def test_csv_cells_are_the_jsonl_values(tmp_path, argv):
+    csv_out, jsonl_out = tmp_path / "rows.csv", tmp_path / "rows.jsonl"
+    assert run_cli(argv + ["--out", str(csv_out)]) == 0
+    assert run_cli(argv + ["--format", "jsonl", "--out", str(jsonl_out)]) == 0
+    header, *lines = csv_out.read_text().splitlines()[1:]
+    rows = [json.loads(line) for line in jsonl_out.read_text().splitlines()]
+    assert len(lines) == len(rows) > 2
+    for line, row in zip(lines, rows):
+        assert list(row) == header.split(",")
+        assert line.split(",") == [_cell(value) for value in row.values()]
+    if argv[0] == "bounds":
+        # in grid order, the first grid outermost
+        grids = [parse_grid(argv[i + 1]) for i, flag in enumerate(argv) if flag == "--grid"]
+        names = [{"mbar": "m_bar"}.get(name, name.replace("-", "_")) for name, _ in grids]
+        got = [tuple(row[name] for name in names) for row in rows]
+        assert got == pytest.approx(list(itertools.product(*(values for _, values in grids))), rel=1e-12)
+
+
+def test_writer_formats_each_column_value_by_value_where_equal_values_differ(tmp_path):
+    # dict and set keys and list.count take -0.0 for 0.0 and 1 for 1.0 and
+    # True, so a cache of each column's texts must not merge them
+    columns = {
+        "mixed": [0.0, -0.0, None, 1, "a", 1.0, True, 0],
+        "floats": [0.5, -0.0, 0.5, 0.0, -0.0, 0.5, 2.0, 0.5],
+        "repeats": [0.5, 2.0, 0.5, 0.5, 2.0, 0.5, 0.5, 0.5],
+        "ints": [1, 2, 1, 1, 2, 1, 1, 0],
+        "none": [None] * 8,
+        "constant": -0.0,
+        "label": "a",
+        "empty": None,
+    }
+    out = tmp_path / "rows.csv"
+    cli._write_rows(columns, 8, argparse.Namespace(out=str(out), format="csv"), "# comment")
+    comment, header, *lines = out.read_text().splitlines()
+    assert (comment, header) == ("# comment", ",".join(columns))
+    want = [[_cell(col if not isinstance(col, list) else col[r]) for col in columns.values()] for r in range(8)]
+    assert [line.split(",") for line in lines] == want
+    assert [line.split(",")[:2] for line in lines[:4]] == [["0.0", "0.5"], ["-0.0", "-0.0"], ["", "0.5"], ["1", "0.0"]]
+    assert lines[6].split(",")[:4] == ["True", "2.0", "0.5", "1"]
+    out = tmp_path / "rows.jsonl"
+    cli._write_rows(columns, 8, argparse.Namespace(out=str(out), format="jsonl"), "# comment")
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [list(map(_cell, row.values())) for row in rows] == want
 
 
 def test_config_file_wins_with_warning(tmp_path, capsys):

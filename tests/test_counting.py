@@ -21,7 +21,7 @@ from multiprobe.cli import build_space
 from multiprobe.presets import resolve_probe
 from multiprobe.probes import HYBRID_COHERENT, SINGLE_IDLER
 
-from conftest import assert_sums_match_entries
+from conftest import assert_sums_match_entries, report_rows
 
 FAMILIES = {
     "loss": ChannelFamily.pure_loss(0.99, 0.97),
@@ -62,11 +62,11 @@ def test_sums_route_matches_the_entries_route(probe, space_text, family):
     tables = evaluate_points(space, points)
     assert {table.method for table in tables} == {_method(points)}
     copies = [COPIES, COPIES[::-1], COPIES[1:3]]
-    reports = bound_reports(space, points, copies)
+    reports = report_rows(space, points, copies)
     for row, table, cs in zip(reports, tables, copies):
         assert_sums_match_entries([row], [table], cs, _method(points))
     # a point's rows do not depend on the copy numbers of the others
-    assert bound_reports(space, points, [COPIES] * len(points))[0] == reports[0]
+    assert report_rows(space, points, [COPIES] * len(points))[0] == reports[0]
 
 
 # the counting DP of a disjoint probe, the frontier DP of overlapping blocks
@@ -80,7 +80,7 @@ def test_bound_reports_sums_disjoint_probes_without_tables(monkeypatch, probe, m
         raise AssertionError("the sums route builds no table")
 
     monkeypatch.setattr(bounds_mod, "replay_entries", no_table)
-    reports = bound_reports(space, points, [COPIES] * len(MUS))
+    reports = report_rows(space, points, [COPIES] * len(MUS))
     assert_sums_match_entries(reports, tables, COPIES, method)
 
 
@@ -90,7 +90,7 @@ def test_sums_route_rows_do_not_depend_on_their_chunks(monkeypatch, space_text):
     probe = ("tmsv-disjoint", 9, SINGLE_IDLER)
     points = [point for family in FAMILIES.values() for point in _points(probe, family)]
     copies = [COPIES] * len(points)
-    whole = bound_reports(space, points, copies)
+    whole = report_rows(space, points, copies)
     chunks = []
     sums = bounds_mod.replay_sums
 
@@ -100,12 +100,12 @@ def test_sums_route_rows_do_not_depend_on_their_chunks(monkeypatch, space_text):
 
     monkeypatch.setattr(bounds_mod, "BATCH_MAX_FLOATS", 8)
     monkeypatch.setattr(bounds_mod, "replay_sums", spy)
-    chunked = bound_reports(space, points, copies)
+    chunked = report_rows(space, points, copies)
     # one (point, copy number) row, as F^M and F^2M columns, per chunk
     assert chunks == [2] * len(points) * len(COPIES)
     assert chunked == whole
     assert_sums_match_entries(chunked, evaluate_points(space, points), COPIES, "counting")
-    alone = [bound_reports(space, [point], [[c]])[0][0] for point in points for c in COPIES]
+    alone = [report_rows(space, [point], [[c]])[0][0] for point in points for c in COPIES]
     assert [r for row in whole for r in row] == alone
 
 
@@ -113,12 +113,12 @@ def test_sums_route_on_a_one_pattern_space():
     # no pair of patterns differs: both bounds are an empty sum, and the table is empty
     space = build_space("cpf:0", 4)
     point = (resolve_probe("tmsv-disjoint", 4, 20.5), FAMILIES["loss"], None)
-    (row,) = bound_reports(space, [point], [[1, 7]])
+    (row,) = report_rows(space, [point], [[1, 7]])
     assert [(r.lower_raw, r.upper_raw) for r in row] == [(0.0, 0.0)] * 2
     (table,) = evaluate_points(space, [point])
     assert len(table.logf) == 0
-    # no points: no reports, as from the tables
-    assert bound_reports(space, [], []) == [] == evaluate_points(space, [])
+    # no points: no rows, as no tables
+    assert len(bound_reports(space, [], [])) == 0 and evaluate_points(space, []) == []
 
 
 def test_sums_route_checks_its_copy_numbers():
@@ -135,7 +135,7 @@ def test_sums_route_is_exact_to_rounding_at_tiny_bounds():
     configs = list(itertools.product(np.linspace(0.012, 0.1, 5), np.geomspace(1.0, 50.0, 5)))
     points = [(resolve_probe("idler-full", m, ns + 0.5), ChannelFamily.additive(nu_b, 0.01), None)
               for nu_b, ns in configs]
-    reports = bound_reports(space, points, [copies] * len(points))
+    reports = report_rows(space, points, [copies] * len(points))
     patterns = space.patterns
     checked = 0
     with mpmath.workdps(50):

@@ -16,7 +16,6 @@ import multiprobe.bounds as bounds_mod
 import multiprobe.dp as dp
 from multiprobe.bounds import (
     FidelityTable,
-    bound_reports,
     bounds_from_table,
     bruteforce_fidelities,
     census_histogram,
@@ -37,7 +36,7 @@ from multiprobe.probes import (
     parse_partition,
 )
 
-from conftest import assert_sums_match_entries, pure_symmetric_numbers
+from conftest import assert_sums_match_entries, pure_symmetric_numbers, report_rows
 
 MU = 20.5
 FAMILIES = {
@@ -74,8 +73,9 @@ def frontier_tables(space, partition, points):
 
 
 def frontier_sums(space, partition, points, copies):
-    """The frontier DP sums of (family, mu) points, through ``bound_reports``."""
-    return bound_reports(space, probe_points(partition, points), copies)
+    """The frontier DP sums of (family, mu) points, through ``bound_reports``
+    (``report_rows``)."""
+    return report_rows(space, probe_points(partition, points), copies)
 
 
 def dense_table(space, partition, family):
@@ -369,7 +369,7 @@ def test_overlapping_specs_match_the_joint_state(tmp_path, numbers, text, m, spa
     points = [(spec, family, None) for family in families]
     copies = (1, 7, 100)
     tables = evaluate_points(space, points)
-    sums = bound_reports(space, points, [copies] * len(points))
+    sums = report_rows(space, points, [copies] * len(points))
     priors = None if space.uniform else space.priors
     checked = 0
     for family, table, row in zip(families, tables, sums):

@@ -3,6 +3,7 @@ must be the bytes that a run of that point alone writes."""
 
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,10 @@ from hypothesis import strategies as st
 import multiprobe.blocks as blocks_mod
 import multiprobe.bounds as bounds_mod
 import multiprobe.cli as cli_mod
+import multiprobe.presets as presets_mod
+from multiprobe.bounds import guaranteed_advantage
 from multiprobe.cli import main, parse_grid
+from multiprobe.errors import ComparabilityError, NumericError
 
 FAMILIES = {
     "pure-loss": (["--eta-t", "0.97"], "eta-b", (0.9, 0.999)),
@@ -198,27 +202,93 @@ def test_sweep_with_a_non_finite_row_is_a_numeric_error(tmp_path, monkeypatch, c
         return sums
 
     checks = []
-    check = bounds_mod._checked_reports
+    check = bounds_mod._checked_columns
 
-    def spy(rows, *args):
-        checks.append(len(rows))
-        return check(rows, *args)
+    def spy(copies, *args):
+        checks.append(len(copies))
+        return check(copies, *args)
 
     monkeypatch.setattr(bounds_mod, broken, one_row_infinite)
-    monkeypatch.setattr(bounds_mod, "_checked_reports", spy)
+    monkeypatch.setattr(bounds_mod, "_checked_columns", spy)
     assert _run(SWEEP + ["--probe", probe], tmp_path / "o.csv") == (3, None)
     assert "numeric error: bound sums are not finite" in capsys.readouterr().err
     # one range check of every row of the sweep: the probe's, then the comparator's
     assert checks == [9] if broken == "replay_sums" else [9, 9]
 
 
+def _spoil(sums, row, upper=None, lower=None):
+    """``replay_sums`` columns, F^M of each row then F^2M, with the sums
+    that give row ``row`` (one of the first chunk's) raw bounds ``upper``
+    and ``lower`` over a 6-pattern space; see ``bounds._plan_columns``."""
+    half = len(sums) // 2
+    if upper is not None:
+        sums[row] = 6.0 * upper
+    if lower is not None:
+        sums[half + row] = 2.0 * 36.0 * lower
+    return sums
+
+
+@pytest.mark.parametrize("upper, lower, message", [
+    (np.inf, None, "bound sums are not finite"),
+    (None, -1e-3, "negative lower bound -0.001"),
+    (0.25, 0.5, "upper bound fell below lower bound"),
+], ids=["not-finite", "negative", "crossed"])
+def test_each_range_check_is_a_numeric_error(tmp_path, monkeypatch, capsys, upper, lower, message):
+    # the nn probe on cpf:1, 6 patterns; the first row of the probe's sums is spoilt
+    sums = bounds_mod.replay_sums
+    monkeypatch.setattr(bounds_mod, "replay_sums", lambda *args: _spoil(sums(*args), 1, upper, lower))
+    assert _run(SWEEP + ["--probe", "nn"], tmp_path / "o.csv") == (3, None)
+    assert f"numeric error: {message}" in capsys.readouterr().err
+
+
+def test_range_check_names_the_first_bad_row():
+    # row 1 is negative, row 2 not finite, row 3 crossed: row 1 is named
+    lower = np.array([0.1, -0.5, np.nan, 0.4])
+    upper = np.array([0.2, 0.3, 0.3, 0.1])
+    with pytest.raises(NumericError, match=r"^negative lower bound -0\.5$"):
+        bounds_mod._check_range(lower, upper)
+    with pytest.raises(NumericError, match="not finite"):
+        bounds_mod._check_range(lower[2:], upper[2:])
+    with pytest.raises(NumericError, match="fell below"):
+        bounds_mod._check_range(lower[3:], upper[3:])
+    # rounding below zero, or of the upper bound below the lower, passes
+    bounds_mod._check_range(np.array([-1e-13, 0.5]), np.array([0.1, 0.5 - 1e-13]))
+
+
+def test_columnar_advantage_checks_the_channel_use_of_each_row(tmp_path, monkeypatch, capsys):
+    def columns(m_bar, lower, upper):
+        m_bar = np.array(m_bar)
+        return bounds_mod.BoundColumns(m_bar, m_bar, np.array(lower), np.array(upper), "counting")
+
+    # clipped as min(max(x, 0.0), 1.0): rounding below zero to 0.0, above one to 1.0, -0.0 kept
+    classical = columns([10.0, 20.0, 30.0], [0.3, -1e-13, 0.25], [0.8, 0.9, 1.5])
+    quantum = columns([10.0, 20.0 * (1 + 5e-13), 30.0], [0.0, 0.0, 0.0], [0.1, 1.2, -0.0])
+    assert guaranteed_advantage(classical, quantum).tolist() == [0.3 - 0.1, 0.0 - 1.0, 0.25 - -0.0]
+    assert [repr(x) for x in quantum.upper.tolist()] == ["0.1", "1.0", "-0.0"]
+    with pytest.raises(ComparabilityError, match="differs: 30.0 vs 30.5"):
+        guaranteed_advantage(classical, columns([10.0, 20.0, 30.5], [0.0] * 3, [0.1] * 3))
+    # in a sweep, a comparator read at another channel use than its probe: exit code 1
+    reports = cli_mod.bound_reports
+
+    def shifted(space, points, copies):
+        cols = reports(space, points, copies)
+        return replace(cols, m_bar=cols.m_bar * 2.0) if cols.method == "classical" else cols
+
+    monkeypatch.setattr(cli_mod, "bound_reports", shifted)
+    assert _run(SWEEP + ["--probe", "nn"], tmp_path / "o.csv") == (1, None)
+    assert "average channel use differs" in capsys.readouterr().err
+
+
 def test_sweep_builds_its_families_and_probe_states_once(tmp_path, monkeypatch):
     # 3 x 3 points: three channel settings, three energies
-    builds, stacks = [], []
-    build, checked = cli_mod.build_family, blocks_mod._checked
+    builds, stacks, partitions = [], [], []
+    build, checked, partition = cli_mod.build_family, blocks_mod._checked, presets_mod.full_idler_partition
     monkeypatch.setattr(cli_mod, "build_family", lambda payload: builds.append(payload["nu-b"]) or build(payload))
     monkeypatch.setattr(blocks_mod, "_checked", lambda data: stacks.append(data.shape) or checked(data))
+    monkeypatch.setattr(presets_mod, "full_idler_partition", lambda m: partitions.append(m) or partition(m))
     assert _run(SWEEP + ["--probe", "idler-full"], tmp_path / "o.csv")[0] == 0
     assert len(builds) == len(set(builds)) == 3
+    # the preset's partition, and its cover check, once for the three energies
+    assert partitions == [6]
     # the nine blocks of idler-full share one batch: one (idler, channel) GHZ state per energy
     assert stacks == [(3, 4, 4)]
