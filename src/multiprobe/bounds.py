@@ -179,15 +179,11 @@ def guaranteed_advantage(classical, quantum):
     row where they differ.
     """
     a, b = np.asarray(classical.m_bar), np.asarray(quantum.m_bar)
-    apart = a != b
-    if np.count_nonzero(apart):
-        # not math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0), row by row
-        apart = apart & ~(np.abs(a - b) <= 1e-12 * np.maximum(np.abs(a), np.abs(b)))
-        if apart.any():
-            row = int(apart.argmax())
-            raise ComparabilityError(
-                f"average channel use differs: {a.flat[row].item()} vs {b.flat[row].item()}"
-            )
+    # not math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0), row by row
+    apart = (a != b) & ~(np.abs(a - b) <= 1e-12 * np.maximum(np.abs(a), np.abs(b)))
+    if apart.any():
+        row = int(apart.argmax())
+        raise ComparabilityError(f"average channel use differs: {a.flat[row].item()} vs {b.flat[row].item()}")
     return classical.lower - quantum.upper
 
 
@@ -276,21 +272,20 @@ def bounds_from_table(table: FidelityTable, copies, *, m_bar=None) -> BoundRepor
     UB = sum_{i != j} sqrt(pi_i pi_j) F_ij^M, LB = (1/2) sum pi_i pi_j F_ij^(2M);
     uniform priors collapse to the 1/|U| and 1/(2|U|^2) prefactors.  The
     average channel use defaults to M, or to (m + l) / m * M for a
-    mutual-probing table.
+    mutual-probing table, in floats, as in ``bound_reports``.
     """
     m_val = float(copies)
     if m_val < 1:
         raise ValueError(f"copy number must be >= 1, got {copies}")
     ((lb, ub),) = _table_sums(table, np.array([m_val]))
-    if m_bar is None:
-        m_bar = copies if table.probe is None else average_channel_use(table.probe, copies)
-    return _checked_report(m_val, float(m_bar), lb, ub, table.method, table.rounds)
+    m_bar = _m_bar(table.probe, m_val) if m_bar is None else float(m_bar)
+    return _checked_report(m_val, m_bar, lb, ub, table.method, table.rounds)
 
 
-def _m_bar(probe: ProbeSpec | None, power: np.ndarray) -> np.ndarray:
-    """The average channel use of rows at copy numbers ``power``: M, or
-    (m + l) / m * M for an overlapping ``probe`` (``average_channel_use``
-    at a float M)."""
+def _m_bar(probe: ProbeSpec | None, power):
+    """The average channel use of rows at copy numbers ``power`` (an array,
+    or one float): M, or (m + l) / m * M for an overlapping ``probe``
+    (``average_channel_use`` at a float M), on every route."""
     return power if probe is None else average_channel_use(probe, 1.0) * power
 
 

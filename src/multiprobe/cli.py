@@ -63,24 +63,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _cells(column: list, texts: dict) -> list[str]:
-    """The CSV text (``_fmt``) of each value of ``column``.  ``texts`` holds
-    the text of each value formatted so far, per type, and gains this
-    column's: a value is formatted once, however often it appears, in this
-    column or another.  A column in which equal values may format apart is
-    formatted value by value: one of mixed types (1, 1.0, True) or one
-    that holds a zero (0.0, -0.0)."""
-    kinds, distinct = set(map(type, column)), dict.fromkeys(column)
-    if len(kinds) != 1:
-        return list(map(_fmt, column))
-    kind = kinds.pop()
-    fmt = float.__repr__ if kind is float else _fmt
-    if 0 in distinct:
-        return list(map(fmt, column))
-    text = texts.setdefault(kind, {})
-    new = distinct.keys() - text.keys()
-    text.update(zip(new, map(fmt, new)))
-    return list(map(text.__getitem__, column))
+def _cells(column: list) -> list[str]:
+    """The CSV text (``_fmt``) of each value of ``column``, formatted once
+    per distinct value where equal values format alike: in a column of one
+    type without a zero.  Elsewhere (1, 1.0 and True; 0.0 and -0.0) each
+    value is formatted on its own."""
+    if len(set(map(type, column))) == 1 and 0 not in column:
+        distinct = dict.fromkeys(column)
+        text = dict(zip(distinct, map(_fmt, distinct)))
+        return list(map(text.__getitem__, column))
+    return list(map(_fmt, column))
 
 
 def parse_grid(spec: str):
@@ -194,15 +186,14 @@ def _points(payloads: list[dict]):
     first = payloads[0]
     m = first["m"]
     space = build_space(first["space"], m)
+    probe_at = resolve_preset(first["probe"], m, first["odd_strategy"])
     probes: dict[float, ProbeSpec | str] = {}
-    probe_at = None  # the preset, resolved once at the first energy
     families: dict[tuple, ChannelFamily] = {}
     setting = operator.itemgetter("family", *SWEEPABLE[:8])  # the channel parameters
     points, mus = [], []
     for payload in payloads:
         ns, mu = _energy(payload)
         if mu not in probes:
-            probe_at = probe_at or resolve_preset(first["probe"], m, first["odd_strategy"])
             probes[mu] = probe_at(mu)
         key = setting(payload)
         if key not in families:
@@ -246,8 +237,6 @@ def _eval_group(configs: list[list[dict]]) -> dict:
         there is one configuration, else repeated for each of its rows."""
         if len(values) == 1:
             return values[0]
-        if len(values) == len(reports):
-            return list(values)
         return list(itertools.chain.from_iterable(map(itertools.repeat, values, sizes)))
 
     return dict(zip(COLUMNS, (
@@ -269,8 +258,7 @@ def _write_rows(columns: dict, n: int, args, comment: str) -> None:
         if args.format == "csv":
             out.write(comment + "\n")
             out.write(",".join(columns) + "\n")
-            texts: dict[type, dict] = {}
-            cells = [_cells(col, texts) if isinstance(col, list) else itertools.repeat(_fmt(col), n)
+            cells = [_cells(col) if isinstance(col, list) else itertools.repeat(_fmt(col), n)
                      for col in columns.values()]
             out.writelines(line + "\n" for line in map(",".join, zip(*cells)))
         else:
@@ -323,11 +311,9 @@ def cmd_bounds(args) -> int:
     # configurations share one structure and go into one batch
     columns = _eval_group([[payloads[i] for i in idx] for idx in configs.values()])
     # back in grid order: the evaluated row of each payload
-    order = list(itertools.chain(*configs.values()))
-    if order != list(range(len(order))):
-        rows = np.argsort(order).tolist()
-        columns = {name: list(map(col.__getitem__, rows)) if isinstance(col, list) else col
-                   for name, col in columns.items()}
+    rows = np.argsort(list(itertools.chain(*configs.values()))).tolist()
+    columns = {name: list(map(col.__getitem__, rows)) if isinstance(col, list) else col
+               for name, col in columns.items()}
     _write_rows(columns, len(payloads), args, HEADER_COMMENT)
     return 0
 

@@ -40,7 +40,7 @@ def resolve_probe(name: str, m: int, mu: float | None, odd_strategy: str = SINGL
 def resolve_preset(name: str, m: int, odd_strategy: str = SINGLE_IDLER) -> Callable[[float | None], ProbeSpec | str]:
     """The probe of a preset name or ``part:`` literal as a function of the
     squeezing mu: its partition is parsed and checked here, once, so that a
-    sweep over energies builds only the blocks at each mu.
+    sweep over energies builds only the probe spec at each mu.
 
     ``tmsv-disjoint`` tiles even patterns with adjacent pairs; odd patterns
     use the requested remainder strategy (single idler by default).

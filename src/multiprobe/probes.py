@@ -354,16 +354,11 @@ class ProbeSpec:
     @classmethod
     def from_partition(cls, partition: Partition, mu: float) -> "ProbeSpec":
         """A GHZ block at squeezing mu on each block of ``partition``, with its
-        idlers: one ``ghz_numbers`` per block size, and no second check of
-        what the partition has checked (the cover, idlers only on disjoint
-        blocks), so a sweep over mu builds only the blocks at each mu."""
+        idlers, and one ``ghz_numbers`` per block size."""
         sizes = [len(blk) + q for blk, q in zip(partition.blocks, partition.idlers)]
         numbers = {n: ghz_numbers(n, mu) for n in dict.fromkeys(sizes)}
-        blocks = tuple(SymmetricBlock(blk, q, *numbers[n]) for blk, q, n in zip(partition.blocks, partition.idlers, sizes))
-        spec, l_overlap = object.__new__(cls), partition.l_overlap
-        for name, value in (("m", partition.m), ("blocks", blocks), ("l_overlap", l_overlap), ("disjoint", not l_overlap)):
-            object.__setattr__(spec, name, value)
-        return spec
+        return cls(partition.m, tuple(SymmetricBlock(blk, q, *numbers[n])
+                                      for blk, q, n in zip(partition.blocks, partition.idlers, sizes)))
 
 
 def odd_m_disjoint_spec(m: int, mu: float, strategy: str) -> ProbeSpec:

@@ -119,6 +119,21 @@ def test_mutual_resource_accounting():
     assert rep.method == "mutual"
 
 
+def test_every_route_gives_one_channel_use():
+    # (m + l) / m * M in floats, for an integer M too, on the dense route
+    # (a custom space), the frontier DP and off a table: with m = 3 and
+    # l = 1, 4 / 3 * 5 is not the float nearest to 20 / 3
+    spec = ProbeSpec.from_partition(Partition(3, ((0, 1), (1, 2))), 20.5)
+    space = full_space(3)
+    custom = ImageSpace(3, space.patterns, space.priors)
+    copies = [1, 5, 7]
+    want = [4 / 3 * c for c in copies]
+    assert want[1] != 20 / 3
+    for target in (custom, space):
+        assert bound_reports(target, [(spec, ADD, None)], [copies]).m_bar.tolist() == want
+        assert [bounds_from_table(evaluate(spec, target, ADD), c).m_bar for c in copies] == want
+
+
 def test_mutual_extension_cardinality_m4():
     partition = nn_partition(4)
     space = full_space(4)
