@@ -63,16 +63,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _cells(column: list) -> list[str]:
-    """The CSV text (``_fmt``) of each value of ``column``, formatted once
-    per distinct value where equal values format alike: in a column of one
-    type without a zero.  Elsewhere (1, 1.0 and True; 0.0 and -0.0) each
-    value is formatted on its own."""
-    if len(set(map(type, column))) == 1 and 0 not in column:
-        distinct = dict.fromkeys(column)
-        text = dict(zip(distinct, map(_fmt, distinct)))
-        return list(map(text.__getitem__, column))
-    return list(map(_fmt, column))
+def _cells(column: list, texts: dict) -> list[str]:
+    """The CSV text (``_fmt``) of each value of ``column``.  ``texts`` maps
+    each value formatted so far, in this column or another, to its text,
+    per type, and gains this column's, so a value is formatted once however
+    often it repeats: the clipped bounds mostly repeat the raw ones.  A
+    column in which equal values may format apart, one of mixed types (1,
+    1.0, True) or one that holds a zero (0.0, -0.0), is formatted value by
+    value."""
+    kinds, distinct = set(map(type, column)), dict.fromkeys(column)
+    if len(kinds) != 1 or 0 in distinct:
+        return list(map(_fmt, column))
+    kind = kinds.pop()
+    text = texts.setdefault(kind, {})
+    new = distinct.keys() - text.keys()
+    text.update(zip(new, map(float.__repr__ if kind is float else _fmt, new)))
+    return list(map(text.__getitem__, column))
 
 
 def parse_grid(spec: str):
@@ -234,9 +240,12 @@ def _eval_group(configs: list[list[dict]]) -> dict:
 
     def per_row(values):
         """The column of one value per configuration: that of every row when
-        there is one configuration, else repeated for each of its rows."""
+        there is one configuration, else repeated for each of its rows (as
+        they are, when each configuration has one row, as on a surface)."""
         if len(values) == 1:
             return values[0]
+        if len(values) == len(reports):
+            return list(values)
         return list(itertools.chain.from_iterable(map(itertools.repeat, values, sizes)))
 
     return dict(zip(COLUMNS, (
@@ -258,7 +267,8 @@ def _write_rows(columns: dict, n: int, args, comment: str) -> None:
         if args.format == "csv":
             out.write(comment + "\n")
             out.write(",".join(columns) + "\n")
-            cells = [_cells(col) if isinstance(col, list) else itertools.repeat(_fmt(col), n)
+            texts: dict[type, dict] = {}
+            cells = [_cells(col, texts) if isinstance(col, list) else itertools.repeat(_fmt(col), n)
                      for col in columns.values()]
             out.writelines(line + "\n" for line in map(",".join, zip(*cells)))
         else:
