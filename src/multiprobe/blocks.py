@@ -3,11 +3,22 @@
 DP routes: the pairs their plans read) at every grid point of a sweep in
 one stacked batch per block, and caches them; ``block_subfidelity`` reads
 a (v, u, d) class off its representative pair, which ``multiprobe.dp``
-owns."""
+owns.
+
+A block of at most four channels is evaluated on its whole output states.
+A larger one is evaluated through its quotient (Serafini, Adesso &
+Illuminati, PRA 71, 032349 (2005)): a pair of local patterns splits the
+block's modes into groups by (bit in A, bit in B), with its idlers as a
+fifth group.  The passive change of basis O (+) O, group averages and then
+contrasts within each group, leaves the group averages, whose state is
+that of one mode per group, and decouples every contrast into the same
+one-mode state, X = a - c1 and P = b - c2 with zero mean.  Contrasts of the
+(0, 0), (1, 1) and idler groups meet one channel in both outputs, so
+F(block) = F(quotient) f^(max(n01 - 1, 0) + max(n10 - 1, 0)), where f is
+the contrast state's fidelity through background against target.
+"""
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 
@@ -16,6 +27,14 @@ from .dp import representative_local_patterns
 from .gaussian import BATCH_MAX_FLOATS, _checked, stacked_fidelities
 from .probes import SymmetricBlock
 
+
+# blocks of more channels are evaluated through their quotient
+_WHOLE_MAX_CHANNELS = 4
+
+# a quotient's bits per group (0, 0), (0, 1), (1, 0), (1, 1): in output A,
+# in output B, and in output B where the (1, 0) group is empty, so that its
+# padding mode meets output A's channel in both
+_QUOTIENT_BITS = ((0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 1))
 
 # block signature -> {canonical local pair: fidelity}; identical local
 # patterns are the pair None, of fidelity exactly 1.0
@@ -35,14 +54,32 @@ def block_fidelities(points, pairs) -> np.ndarray:
     ``points`` holds one (block, family) per point; the blocks differ at
     most in their numbers (a, b, c1, c2, alpha).  Values are cached per
     block signature and unordered pair, so a point's row is one lookup per
-    pair in its signature's values; a signature that misses any pair has
-    all of them evaluated again.  The signatures to fill are evaluated
-    in one batch: one probe state per distinct block, all checked in one
-    stacked call, the channels of ``layout_channels`` act on every distinct
-    local pattern in one stacked step, and the pairs run through
-    ``stacked_fidelities`` in chunks of points of at most BATCH_MAX_FLOATS
-    matrix entries, so each value equals ``gaussian_fidelity`` of the two
-    output states bit for bit, and identical outputs give exactly 1.0.
+    pair in its signature's values, the same bits in either pair order; a
+    signature that misses any pair has all of them evaluated again.  The
+    signatures to fill are evaluated in one batch, with one probe state per
+    distinct block, all checked in one stacked call.  Identical local
+    patterns give exactly 1.0.
+
+    A block of at most four channels is evaluated whole: the channels of
+    ``layout_channels`` act on every distinct local pattern in one stacked
+    step, and the pairs run through ``stacked_fidelities`` in chunks of
+    points of at most BATCH_MAX_FLOATS matrix entries, so each value equals
+    ``gaussian_fidelity`` of the two output states bit for bit.
+
+    A larger block is evaluated through its quotient (see the module
+    docstring), one per distinct (n00, n01, n10, n11) of the pairs, oriented
+    so that n01 >= n10: four modes, (0, 0), (0, 1), (1, 0), (1, 1), after
+    one idler mode if the block has idlers, with X[g, h] = delta_gh (a - c1)
+    + sqrt(n_g n_h) c1, P likewise with b and c2, and x mean
+    sqrt(2 n_g) alpha.  An empty group is such a mode with n_g = 0,
+    decoupled, and meets one channel in both outputs: a factor of exactly 1
+    in theory.  The quotient pairs run through one ``stacked_fidelities``
+    call per chunk of points of at most BATCH_MAX_FLOATS matrix entries,
+    and the contrast fidelities f of every point through one more.  The
+    values agree with the whole outputs' ``stacked_fidelities`` to within
+    1e-12 relative (measured worst 3.4e-13, at 12 channels and mu 50.5;
+    ``tests/test_bounds.py``), and, against a 70-digit reference on a
+    9-channel GHZ block, are no less accurate on -log F.
     """
     sigs = [block_signature(desc, family) for desc, family in points]
     ordered = [(a, b) if a < b else (b, a) if a > b else None for a, b in pairs]
@@ -63,26 +100,88 @@ def _fill_block_cache(points, distinct, todo) -> None:
     """Evaluate the pairs ``distinct`` of one block into the cache for each
     (signature, point) of ``todo``; see ``block_fidelities``."""
     descs = [points[k][0] for _, k in todo]
-    local = replace(descs[0], channels=tuple(range(len(descs[0].channels))))
-    locals_ = sorted({lp for pair in distinct for lp in pair})
-    row = {lp: r for r, lp in enumerate(locals_)}
-    ends = np.array([(row[a], row[b]) for a, b in distinct])
+    families = [points[k][1] for _, k in todo]
     states = {d.numbers: d for d in descs}  # one probe state per distinct block, all checked at once
     probe_data, probe_means = (np.array(part) for part in zip(*(d.state() for d in states.values())))
     _checked(probe_data)
-    position = {key: i for i, key in enumerate(states)}
-    probe = [position[d.numbers] for d in descs]
-    taus, nus = layout_channels([points[k][1] for _, k in todo], local.layout, locals_)
-    dim = 2 * local.n_modes
+    locals_ = sorted({lp for pair in distinct for lp in pair})
+    row = {lp: r for r, lp in enumerate(locals_)}
+    ends = np.array([(row[a], row[b]) for a, b in distinct])
+    if len(descs[0].channels) > _WHOLE_MAX_CHANNELS:
+        fids = _quotient_fidelities(descs, families, np.array(locals_, dtype=np.int8)[ends])
+    else:
+        position = {key: i for i, key in enumerate(states)}
+        probe = [position[d.numbers] for d in descs]
+        fids = _whole_fidelities(probe_data[probe], probe_means[probe], descs[0], families, locals_, ends)
+    for (sig, _), values in zip(todo, fids.tolist()):
+        _BLOCK_FID_CACHE[sig].update(zip(distinct, values))
+
+
+def _whole_fidelities(probe_data, probe_means, desc, families, locals_, ends) -> np.ndarray:
+    """Fidelities of the pairs (locals_[i], locals_[j]) of ``ends`` on the
+    whole output states of a block, one row per point, whose probe state is
+    (probe_data[t], probe_means[t]) and channels families[t]."""
+    taus, nus = layout_channels(families, (None,) * desc.idlers + tuple(range(len(desc.channels))), locals_)
+    dim = 2 * desc.n_modes
     per_call = max(1, BATCH_MAX_FLOATS // (len(locals_) * dim * dim))
-    for start in range(0, len(todo), per_call):
+    fids = []
+    for start in range(0, len(families), per_call):
         chunk = slice(start, start + per_call)
-        data, means = mode_channel_map(probe_data[probe[chunk], None], probe_means[probe[chunk], None],
-                                       taus[chunk], nus[chunk])
+        data, means = mode_channel_map(probe_data[chunk, None], probe_means[chunk, None], taus[chunk], nus[chunk])
         pairs = (len(locals_) * np.arange(len(data))[:, None, None] + ends).reshape(-1, 2)
-        fids = iter(stacked_fidelities(data.reshape(-1, dim, dim), means.reshape(-1, dim), pairs).tolist())
-        for sig, _ in todo[chunk]:
-            _BLOCK_FID_CACHE[sig].update(zip(distinct, fids))
+        fids.append(stacked_fidelities(data.reshape(-1, dim, dim), means.reshape(-1, dim), pairs))
+    return np.concatenate(fids).reshape(len(families), -1)
+
+
+def _quotient_fidelities(descs, families, bits) -> np.ndarray:
+    """Fidelities of the local pattern pairs ``bits``, a (pairs, 2,
+    channels) array, of blocks ``descs`` through channels ``families``, one
+    row per point, each the fidelity of the pair's quotient times f^e (see
+    ``block_fidelities``)."""
+    group = 2 * bits[:, 0] + bits[:, 1]  # per channel: 0 for (0, 0), 1 for (0, 1), 2 for (1, 0), 3 for (1, 1)
+    counts = np.stack([(group == g).sum(axis=1) for g in range(4)], axis=1)
+    swap = counts[:, 1] < counts[:, 2]  # A and B swapped: (0, 1) and (1, 0) trade places
+    counts[swap, 1:3] = counts[swap, 2:0:-1]
+    base = bits.shape[-1] + 1
+    place = base ** np.arange(3, -1, -1)  # each class as one integer, in the order of its counts
+    codes, inverse = np.unique(counts @ place, return_inverse=True)
+    classes = codes[:, None] // place % base
+    exponent = np.maximum(classes[:, 1] - 1, 0) + np.maximum(classes[:, 2] - 1, 0)
+    idlers = descs[0].idlers
+    sizes = np.concatenate([np.full((len(classes), min(idlers, 1)), idlers), classes], axis=1)
+    n, dim = sizes.shape[1], 2 * sizes.shape[1]
+    taus, nus = layout_channels(families, (None,) * min(idlers, 1) + (0, 1, 2, 3), _QUOTIENT_BITS)
+    outputs = np.stack([np.zeros(len(classes), dtype=np.int64), 1 + (classes[:, 2] == 0)])  # rows of _QUOTIENT_BITS
+    numbers = np.array([d.numbers[2:] for d in descs])  # (points, 5): a, b, c1, c2, alpha
+    root, eye = np.sqrt(sizes[:, :, None] * sizes[:, None, :]), np.eye(n)
+    per_call = max(1, BATCH_MAX_FLOATS // (2 * len(classes) * dim * dim))
+    fq = []
+    for start in range(0, len(descs), per_call):
+        chunk = slice(start, start + per_call)
+        a, b, c1, c2, alpha = (col[:, None, None, None] for col in numbers[chunk].T)
+        data = np.zeros((len(a), len(classes), dim, dim))
+        data[..., 0::2, 0::2] = (a - c1) * eye + c1 * root
+        data[..., 1::2, 1::2] = (b - c2) * eye + c2 * root
+        means = np.zeros((len(a), len(classes), dim))
+        means[..., 0::2] = alpha[..., 0] * np.sqrt(2.0 * sizes)
+        data, means = mode_channel_map(data[:, None], means[:, None], taus[chunk][:, outputs], nus[chunk][:, outputs])
+        at = np.arange(data.size // (dim * dim)).reshape(len(a), 2, -1)  # per point, output A of each class, then B
+        pairs = at.swapaxes(1, 2).reshape(-1, 2)
+        fq.append(stacked_fidelities(data.reshape(-1, dim, dim), means.reshape(-1, dim), pairs))
+    fids = np.concatenate(fq).reshape(len(descs), -1) * _contrast_fidelities(numbers, families)[:, None] ** exponent
+    return fids[:, inverse]
+
+
+def _contrast_fidelities(numbers, families) -> np.ndarray:
+    """Per point, the one-mode fidelity f of a block's contrast mode
+    (X = a - c1, P = b - c2, zero mean) through the background channel
+    against the target channel, in one stacked call."""
+    data = np.zeros((len(numbers), 1, 2, 2))
+    data[:, 0, 0, 0] = numbers[:, 0] - numbers[:, 2]
+    data[:, 0, 1, 1] = numbers[:, 1] - numbers[:, 3]
+    taus, nus = layout_channels(families, (0,), [(0,), (1,)])
+    data, means = mode_channel_map(data, np.zeros((len(numbers), 1, 2)), taus, nus)
+    return stacked_fidelities(data.reshape(-1, 2, 2), means.reshape(-1, 2), np.arange(2 * len(numbers)).reshape(-1, 2))
 
 
 def block_subfidelity(desc: SymmetricBlock, family: ChannelFamily, v: int, u: int, d: int) -> float:

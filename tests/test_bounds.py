@@ -26,7 +26,7 @@ from multiprobe.bounds import (
     per_channel_classical_fidelity,
     tmsv_subfidelity,
 )
-from multiprobe.channels import ChannelFamily, apply_mode_channels
+from multiprobe.channels import ChannelFamily, apply_mode_channels, layout_channels, mode_channel_map
 from multiprobe.closedform import coherent_loss_fidelity, vacuum_additive_fidelity
 from multiprobe.errors import (
     ComparabilityError,
@@ -42,7 +42,7 @@ from multiprobe.imagespace import (
     full_space,
 )
 from multiprobe import gaussian
-from multiprobe.gaussian import CovMatrix, gaussian_fidelity
+from multiprobe.gaussian import CovMatrix, gaussian_fidelity, stacked_fidelities
 from multiprobe.presets import CLASSICAL, resolve_probe
 from multiprobe.probes import (
     HYBRID_COHERENT,
@@ -283,12 +283,12 @@ def test_two_block_shapes_of_one_size_and_energy_differ():
 ], ids=["loss", "additive", "thermal", "loss-from-zero"])
 @pytest.mark.parametrize("idlers", [0, 2])
 def test_block_fidelities_beyond_the_stack_cap(monkeypatch, family, idlers):
-    # every pair of a five-channel block without idlers (28 distinct
-    # canonical pairs) or of a four-channel one with two idlers (17), with
+    # every pair of a four-channel block, the largest evaluated whole,
+    # without idlers or with two (17 distinct canonical pairs each), with
     # the float budget at five pairs per stacked _fidelity call and twenty
     # per key chunk: the key pass runs in several chunks and the distinct
     # pairs in several stacked calls
-    size = {0: 5, 2: 4}[idlers]
+    size = 4
     chunks = budget_pairs(monkeypatch, 5, size + idlers)
     desc = BlockDescriptor("ghz", tuple(range(size)), idlers, mu=7.3)
     every = list(itertools.product((0, 1), repeat=size))
@@ -298,13 +298,130 @@ def test_block_fidelities_beyond_the_stack_cap(monkeypatch, family, idlers):
     blocks_mod._BLOCK_FID_CACHE.clear()
     got = block_fidelities([(desc, family)], pairs)[0].tolist()
     assert max(chunks) == 20 and max(stacks) == 5
-    assert sum(stacks) == {0: 28, 2: 17}[idlers] and len(stacks) > 2
+    assert sum(stacks) == 17 and len(stacks) > 2
     assert len(chunks) > 2
     assert got == [scalar_block_fidelity(desc, family, a, b) for a, b in pairs]
     v_u_d = [(v, u, d) for (v, u), options in occupancies(size).items() for d, _ in options]
     for v, u, d in v_u_d:
         pair = dp.representative_local_patterns(size, min(v, u), max(v, u), d)
         assert block_subfidelity(desc, family, v, u, d) == scalar_block_fidelity(desc, family, *pair)
+
+
+QUOTIENT_FAMILIES = {"loss": LOSS, "additive": ADD, "thermal": ChannelFamily.thermal(0.9, 1.5, 1.2, 0.8),
+                     "loss-from-zero": ChannelFamily.pure_loss(0.0, 1.0)}
+
+# Blocks of more than four channels take the quotient route.  Measured worst
+# relative gap to stacked_fidelities on the whole block's outputs over every
+# case of the three tests below: 3.4e-13, on the 12-channel GHZ block at
+# mu 50.5 under loss (8.5e-14 at most on the 9-channel blocks)
+QUOTIENT_ACCURACY = 1e-12
+
+
+def quotient_blocks() -> list[SymmetricBlock]:
+    """Blocks of 5-12 channels: GHZ at several mu, pure symmetric, coherent
+    with alpha != 0, and GHZ with one or two idlers."""
+    return [BlockDescriptor("ghz", tuple(range(5)), mu=1.2), BlockDescriptor("ghz", tuple(range(7)), mu=7.3),
+            BlockDescriptor("ghz", tuple(range(9)), mu=20.5), BlockDescriptor("ghz", tuple(range(12)), mu=50.5),
+            SymmetricBlock(tuple(range(6)), 0, *pure_symmetric_numbers(6, 20.5)),
+            SymmetricBlock(tuple(range(10)), 0, *pure_symmetric_numbers(10, 3.5)),
+            BlockDescriptor("coherent", tuple(range(8)), alpha=2.5),
+            BlockDescriptor("ghz", tuple(range(6)), 1, mu=20.5), BlockDescriptor("ghz", tuple(range(11)), 2, mu=5.5)]
+
+
+def whole_block_fidelities(desc, family, pairs) -> np.ndarray:
+    """Fidelities of local pattern pairs of a block on channels 0..k-1 from
+    one ``stacked_fidelities`` call on its whole output states: the route of
+    blocks of at most four channels, the oracle of the quotient route."""
+    patterns = sorted({local for pair in pairs for local in pair})
+    row = {local: r for r, local in enumerate(patterns)}
+    taus, nus = layout_channels(family, desc.layout, patterns)
+    outputs = mode_channel_map(*(part[None] for part in desc.state()), taus, nus)
+    return stacked_fidelities(*outputs, [(row[a], row[b]) for a, b in pairs])
+
+
+def assert_quotient_matches_whole(got, points, pairs):
+    """Each point's row of ``block_fidelities`` against its whole block."""
+    for row, (desc, family) in zip(got, points):
+        want = whole_block_fidelities(desc, family, pairs)
+        assert (np.abs(row - want) <= QUOTIENT_ACCURACY * want).all()
+        assert (row[[a == b for a, b in pairs]] == 1.0).all()
+
+
+@pytest.mark.parametrize("family", QUOTIENT_FAMILIES.values(), ids=QUOTIENT_FAMILIES.keys())
+def test_quotient_route_matches_the_whole_block(monkeypatch, family):
+    # every (n00, n01, n10, n11) class of each block through its
+    # representative pair, random pairs, their images under a permutation
+    # of the channels, which share their bits, and both pair orders, which
+    # read the same bits whichever came first; no fidelity of more than the
+    # quotient's four modes, five with idlers, is evaluated
+    rng = np.random.default_rng(35)
+    modes, pair_fidelities = [], gaussian._pair_fidelities
+    for desc in quotient_blocks():
+        size = len(desc.channels)
+        codes = sorted(set(dp.block_classes(size, 0, size)[4].tolist()))
+        pairs = dp.local_pairs(codes, size)
+        pairs += [tuple(tuple(rng.integers(0, 2, size).tolist()) for _ in range(2)) for _ in range(20)]
+        perm = rng.permutation(size)
+        images = [tuple(tuple(local[k] for k in perm) for local in pair) for pair in pairs]
+        monkeypatch.setattr(gaussian, "_pair_fidelities", lambda data, *rest: (
+            modes.append(data.shape[-1] // 2) or pair_fidelities(data, *rest)))
+        blocks_mod._BLOCK_FID_CACHE.clear()
+        got = block_fidelities([(desc, family)], pairs + images)
+        blocks_mod._BLOCK_FID_CACHE.clear()
+        swapped = block_fidelities([(desc, family)], [(b, a) for a, b in pairs + images])
+        monkeypatch.undo()
+        assert max(modes) == 4 + bool(desc.idlers)
+        modes.clear()
+        assert np.array_equal(got, swapped)
+        assert np.array_equal(got[0, :len(pairs)], got[0, len(pairs):])
+        assert_quotient_matches_whole(got[:, :len(pairs)], [(desc, family)], pairs)
+
+
+def test_quotient_route_batches_points_of_different_signatures():
+    # one batch per block size over points whose blocks and families differ,
+    # with and without idlers: each point's row is its own block's, in
+    # either pair order
+    rng = np.random.default_rng(36)
+    families = list(QUOTIENT_FAMILIES.values())
+    batches = [[BlockDescriptor("ghz", tuple(range(9)), mu=mu) for mu in (1.2, 20.5, 50.5)]
+               + [SymmetricBlock(tuple(range(9)), 0, *pure_symmetric_numbers(9, 20.5)),
+                  BlockDescriptor("coherent", tuple(range(9)), alpha=1.5)],
+               [BlockDescriptor("ghz", tuple(range(7)), idlers, mu=mu) for idlers, mu in ((2, 5.5), (2, 20.5))]]
+    for descs in batches:
+        size = len(descs[0].channels)
+        points = [(desc, families[k % len(families)]) for k, desc in enumerate(descs)]
+        pairs = [tuple(tuple(rng.integers(0, 2, size).tolist()) for _ in range(2)) for _ in range(40)]
+        blocks_mod._BLOCK_FID_CACHE.clear()
+        got = block_fidelities(points, pairs)
+        blocks_mod._BLOCK_FID_CACHE.clear()
+        assert np.array_equal(block_fidelities(points, [(b, a) for a, b in pairs]), got)
+        assert_quotient_matches_whole(got, points, pairs)
+
+
+@pytest.mark.parametrize("family", QUOTIENT_FAMILIES.values(), ids=QUOTIENT_FAMILIES.keys())
+@pytest.mark.parametrize("idlers", [0, 2])
+def test_quotient_fidelities_beyond_the_stack_cap(monkeypatch, family, idlers):
+    # every pair of a five-channel block at two energies (28 classes each),
+    # one point per block batch, and a float budget of five quotient pairs
+    # per stacked _fidelity call and twenty per key chunk: each point's
+    # classes run in two key chunks and six stacked calls, then both
+    # points' contrast pairs in one call, with the values of one unbudgeted
+    # batch, bit for bit
+    every = list(itertools.product((0, 1), repeat=5))
+    pairs = list(itertools.product(every, every))
+    points = [(BlockDescriptor("ghz", tuple(range(5)), idlers, mu=mu), family) for mu in (7.3, 20.5)]
+    blocks_mod._BLOCK_FID_CACHE.clear()
+    want = block_fidelities(points, pairs)
+    chunks = budget_pairs(monkeypatch, 5, 4 + bool(idlers))
+    monkeypatch.setattr(blocks_mod, "BATCH_MAX_FLOATS", 1)
+    stacks, fidelity = [], gaussian._fidelity
+    monkeypatch.setattr(gaussian, "_fidelity", lambda v1, *rest: stacks.append(len(v1)) or fidelity(v1, *rest))
+    blocks_mod._BLOCK_FID_CACHE.clear()
+    got = block_fidelities(points, pairs)
+    assert chunks == [20, 8, 20, 8, 2]
+    assert stacks == [5, 5, 5, 5, 5, 3] * 2 + [2]
+    assert np.array_equal(got, want)
+    assert_quotient_matches_whole(got, points, pairs)
 
 
 @pytest.mark.parametrize("size, idlers", [(2, 0), (3, 0), (4, 0), (2, 1)])

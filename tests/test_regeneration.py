@@ -6,13 +6,14 @@ are closed forms read off the Hamming census, the four advantage surfaces
 (``nn`` and ``idler-full`` on ``cpf:1``) and the three m = 10 censuses.
 
 Regenerated on a 2-core x86-64 Linux machine (numpy with OpenBLAS
-0.3.31), the three censuses and the 21 bound files of other probes match
-the committed bytes, a deviation of 0.  The eight ``nn`` bound files
-deviate by at most 1.9e-14 relative: the frontier DP merges each state
-with its mirror, so its sums add in another order than when they were
-committed.  How far they drift on other machines is not measured; the ``full-ghz`` files
-carry 9- and 10-mode fidelities, whose LAPACK calls make the most
-rounding, and RTOL leaves 1e-9 relative for it.
+0.3.31), all 37 files match the committed bytes, a deviation of 0.  How
+far rounding moves them was measured when blocks of more than four
+channels moved from their whole outputs to their quotient: the
+``full-ghz`` bound files moved by up to 2.4e-10 relative (``delta_perr``
+on the scale of its two terms, as below), at M = 5000,
+where F^(2M) multiplies a block fidelity's relative error by 10^4, and
+the ``full-ghz`` census by 1.1e-12.  How far the files drift on other
+machines is not measured; RTOL leaves 1e-9 relative for it.
 """
 
 import csv
