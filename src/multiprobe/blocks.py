@@ -1,9 +1,8 @@
 """Output fidelities of single probe blocks, which every bound route reads:
-``block_fidelities`` evaluates the local pattern pairs a route names (the
-DP routes: the pairs their plans read) at every grid point of a sweep in
-one stacked batch per block, and caches them; ``block_subfidelity`` reads
-a (v, u, d) class off its representative pair, which ``multiprobe.dp``
-owns.
+``block_fidelities`` evaluates the classes a route names (the DP routes:
+the classes their plans read; see ``multiprobe.dp.class_code``) at every
+grid point of a sweep in one stacked batch per block, and caches them;
+``block_subfidelity`` reads a (v, u, d) class.
 
 A block of at most four channels is evaluated on its whole output states.
 A larger one is evaluated through its quotient (Serafini, Adesso &
@@ -23,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import ChannelFamily, layout_channels, mode_channel_map
-from .dp import representative_local_patterns
+from .dp import class_code, class_counts
 from .gaussian import BATCH_MAX_FLOATS, _checked, stacked_fidelities
 from .probes import SymmetricBlock
 
@@ -36,8 +35,7 @@ _WHOLE_MAX_CHANNELS = 4
 # padding mode meets output A's channel in both
 _QUOTIENT_BITS = ((0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 1))
 
-# block signature -> {canonical local pair: fidelity}; identical local
-# patterns are the pair None, of fidelity exactly 1.0
+# block signature -> {class code: fidelity}
 _BLOCK_FID_CACHE: dict[tuple, dict] = {}
 
 
@@ -47,30 +45,30 @@ def block_signature(desc: SymmetricBlock, family: ChannelFamily) -> tuple:
     return (*desc.numbers, family.kind, b.tau, b.nu, t.tau, t.nu)
 
 
-def block_fidelities(points, pairs) -> np.ndarray:
-    """Output fidelities of one block at K points for local pattern pairs
-    (a, b), as a (K, len(pairs)) array.
+def block_fidelities(points, codes) -> np.ndarray:
+    """Output fidelities of one block at K points for class codes (see
+    ``multiprobe.dp.class_code``), as a (K, len(codes)) array.
 
     ``points`` holds one (block, family) per point; the blocks differ at
     most in their numbers (a, b, c1, c2, alpha).  Values are cached per
-    block signature and unordered pair, so a point's row is one lookup per
-    pair in its signature's values, the same bits in either pair order; a
-    signature that misses any pair has all of them evaluated again.  The
-    signatures to fill are evaluated in one batch, with one probe state per
-    distinct block, all checked in one stacked call.  Identical local
-    patterns give exactly 1.0.
+    block signature and class, so a point's row is one lookup per code in
+    its signature's values; a signature that misses any class has all of
+    them evaluated again.  The signatures to fill are evaluated in one
+    batch, with one probe state per distinct block, all checked in one
+    stacked call.  A class with n01 = n10 = 0, of identical local patterns,
+    gives exactly 1.0.
 
-    A block of at most four channels is evaluated whole: the channels of
-    ``layout_channels`` act on every distinct local pattern in one stacked
-    step, and the pairs run through ``stacked_fidelities`` in chunks of
-    points of at most BATCH_MAX_FLOATS matrix entries, so each value equals
-    ``gaussian_fidelity`` of the two output states bit for bit.
+    A block of at most four channels is evaluated whole, at one local pair
+    per class: the channels of ``layout_channels`` act on every distinct
+    local pattern in one stacked step, and the pairs run through
+    ``stacked_fidelities`` in chunks of points of at most BATCH_MAX_FLOATS
+    matrix entries, so each value equals ``gaussian_fidelity`` of the two
+    output states of any pair of the class bit for bit (its canonical form).
 
     A larger block is evaluated through its quotient (see the module
-    docstring), one per distinct (n00, n01, n10, n11) of the pairs, oriented
-    so that n01 >= n10: four modes, (0, 0), (0, 1), (1, 0), (1, 1), after
-    one idler mode if the block has idlers, with X[g, h] = delta_gh (a - c1)
-    + sqrt(n_g n_h) c1, P likewise with b and c2, and x mean
+    docstring), one per class: four modes, (0, 0), (0, 1), (1, 0), (1, 1),
+    after one idler mode if the block has idlers, with X[g, h] = delta_gh
+    (a - c1) + sqrt(n_g n_h) c1, P likewise with b and c2, and x mean
     sqrt(2 n_g) alpha.  An empty group is such a mode with n_g = 0,
     decoupled, and meets one channel in both outputs: a factor of exactly 1
     in theory.  The quotient pairs run through one ``stacked_fidelities``
@@ -82,45 +80,50 @@ def block_fidelities(points, pairs) -> np.ndarray:
     9-channel GHZ block, are no less accurate on -log F.
     """
     sigs = [block_signature(desc, family) for desc, family in points]
-    ordered = [(a, b) if a < b else (b, a) if a > b else None for a, b in pairs]
-    need = set(ordered) - {None}
-    distinct = sorted(need)
+    codes = np.asarray(codes, dtype=np.int64).tolist()
+    need = set(codes)
     first: dict[tuple, int] = {}  # signature -> its first point
     for k, sig in enumerate(sigs):
         first.setdefault(sig, k)
-    # every signature gets its entry, which holds the identical pair at least
-    todo = [(sig, k) for sig, k in first.items() if not _BLOCK_FID_CACHE.setdefault(sig, {None: 1.0}).keys() >= need]
+    todo = [(sig, k) for sig, k in first.items() if not _BLOCK_FID_CACHE.setdefault(sig, {}).keys() >= need]
     if todo:
-        _fill_block_cache(points, distinct, todo)
-    rows = {sig: list(map(_BLOCK_FID_CACHE[sig].__getitem__, ordered)) for sig in first}
+        _fill_block_cache(points, sorted(need), todo)
+    rows = {sig: list(map(_BLOCK_FID_CACHE[sig].__getitem__, codes)) for sig in first}
     return np.array([rows[sig] for sig in sigs])
 
 
 def _fill_block_cache(points, distinct, todo) -> None:
-    """Evaluate the pairs ``distinct`` of one block into the cache for each
-    (signature, point) of ``todo``; see ``block_fidelities``."""
+    """Evaluate the classes ``distinct`` of one block into the cache for
+    each (signature, point) of ``todo``; see ``block_fidelities``."""
     descs = [points[k][0] for _, k in todo]
     families = [points[k][1] for _, k in todo]
     states = {d.numbers: d for d in descs}  # one probe state per distinct block, all checked at once
     probe_data, probe_means = (np.array(part) for part in zip(*(d.state() for d in states.values())))
     _checked(probe_data)
-    locals_ = sorted({lp for pair in distinct for lp in pair})
-    row = {lp: r for r, lp in enumerate(locals_)}
-    ends = np.array([(row[a], row[b]) for a, b in distinct])
-    if len(descs[0].channels) > _WHOLE_MAX_CHANNELS:
-        fids = _quotient_fidelities(descs, families, np.array(locals_, dtype=np.int8)[ends])
-    else:
+    size = len(descs[0].channels)
+    classes = class_counts(size, distinct)
+    differ = classes[:, 1] > 0  # n01 >= n10, so n01 = 0 leaves the patterns identical
+    fids = np.ones((len(todo), len(distinct)))
+    if differ.any() and size > _WHOLE_MAX_CHANNELS:
+        fids[:, differ] = _quotient_fidelities(descs, families, classes[differ])
+    elif differ.any():
         position = {key: i for i, key in enumerate(states)}
         probe = [position[d.numbers] for d in descs]
-        fids = _whole_fidelities(probe_data[probe], probe_means[probe], descs[0], families, locals_, ends)
+        fids[:, differ] = _whole_fidelities(probe_data[probe], probe_means[probe], descs[0], families, classes[differ])
     for (sig, _), values in zip(todo, fids.tolist()):
         _BLOCK_FID_CACHE[sig].update(zip(distinct, values))
 
 
-def _whole_fidelities(probe_data, probe_means, desc, families, locals_, ends) -> np.ndarray:
-    """Fidelities of the pairs (locals_[i], locals_[j]) of ``ends`` on the
-    whole output states of a block, one row per point, whose probe state is
-    (probe_data[t], probe_means[t]) and channels families[t]."""
+def _whole_fidelities(probe_data, probe_means, desc, families, classes) -> np.ndarray:
+    """Fidelities of the classes (n00, n01, n10, n11), the rows of
+    ``classes``, on the whole output states of a block, one row per point,
+    whose probe state is (probe_data[t], probe_means[t]) and channels
+    families[t].  A class's local pair holds n11 channels (1, 1), then n10
+    (1, 0), n01 (0, 1) and n00 (0, 0)."""
+    chosen = [((1,) * (n11 + n10) + (0,) * (n01 + n00), (1,) * n11 + (0,) * n10 + (1,) * n01 + (0,) * n00)
+              for n00, n01, n10, n11 in classes.tolist()]
+    locals_ = sorted({lp for pair in chosen for lp in pair})
+    ends = np.array([[locals_.index(lp) for lp in pair] for pair in chosen])
     taus, nus = layout_channels(families, (None,) * desc.idlers + tuple(range(len(desc.channels))), locals_)
     dim = 2 * desc.n_modes
     per_call = max(1, BATCH_MAX_FLOATS // (len(locals_) * dim * dim))
@@ -133,19 +136,11 @@ def _whole_fidelities(probe_data, probe_means, desc, families, locals_, ends) ->
     return np.concatenate(fids).reshape(len(families), -1)
 
 
-def _quotient_fidelities(descs, families, bits) -> np.ndarray:
-    """Fidelities of the local pattern pairs ``bits``, a (pairs, 2,
-    channels) array, of blocks ``descs`` through channels ``families``, one
-    row per point, each the fidelity of the pair's quotient times f^e (see
-    ``block_fidelities``)."""
-    group = 2 * bits[:, 0] + bits[:, 1]  # per channel: 0 for (0, 0), 1 for (0, 1), 2 for (1, 0), 3 for (1, 1)
-    counts = np.stack([(group == g).sum(axis=1) for g in range(4)], axis=1)
-    swap = counts[:, 1] < counts[:, 2]  # A and B swapped: (0, 1) and (1, 0) trade places
-    counts[swap, 1:3] = counts[swap, 2:0:-1]
-    base = bits.shape[-1] + 1
-    place = base ** np.arange(3, -1, -1)  # each class as one integer, in the order of its counts
-    codes, inverse = np.unique(counts @ place, return_inverse=True)
-    classes = codes[:, None] // place % base
+def _quotient_fidelities(descs, families, classes) -> np.ndarray:
+    """Fidelities of the classes (n00, n01, n10, n11), n01 >= n10, the rows
+    of ``classes``, of blocks ``descs`` through channels ``families``, one
+    row per point, each the fidelity of the class's quotient times f^e
+    (see ``block_fidelities``)."""
     exponent = np.maximum(classes[:, 1] - 1, 0) + np.maximum(classes[:, 2] - 1, 0)
     idlers = descs[0].idlers
     sizes = np.concatenate([np.full((len(classes), min(idlers, 1)), idlers), classes], axis=1)
@@ -168,8 +163,7 @@ def _quotient_fidelities(descs, families, bits) -> np.ndarray:
         at = np.arange(data.size // (dim * dim)).reshape(len(a), 2, -1)  # per point, output A of each class, then B
         pairs = at.swapaxes(1, 2).reshape(-1, 2)
         fq.append(stacked_fidelities(data.reshape(-1, dim, dim), means.reshape(-1, dim), pairs))
-    fids = np.concatenate(fq).reshape(len(descs), -1) * _contrast_fidelities(numbers, families)[:, None] ** exponent
-    return fids[:, inverse]
+    return np.concatenate(fq).reshape(len(descs), -1) * _contrast_fidelities(numbers, families)[:, None] ** exponent
 
 
 def _contrast_fidelities(numbers, families) -> np.ndarray:
@@ -185,12 +179,14 @@ def _contrast_fidelities(numbers, families) -> np.ndarray:
 
 
 def block_subfidelity(desc: SymmetricBlock, family: ChannelFamily, v: int, u: int, d: int) -> float:
-    """Single-copy output fidelity of one block for a (v, u, d) class.
-
-    Degenerate within the class up to rounding, so one representative
-    local pattern pair stands for it (see ``block_fidelities``).
-    """
+    """Single-copy output fidelity of one block for the pairs of local
+    patterns with v and u targets at Hamming distance d: the class with
+    n11 = (v + u - d) / 2 (see ``block_fidelities``)."""
+    if (v + u - d) % 2:
+        raise ValueError(f"class {(v, u, d)} has non-integer overlap")
+    n11 = (v + u - d) // 2
+    if n11 < 0 or n11 > min(v, u) or v + u - n11 > len(desc.channels):
+        raise ValueError(f"class {(v, u, d)} impossible for block size {len(desc.channels)}")
     if d == 0:
         return 1.0
-    pair = representative_local_patterns(len(desc.channels), min(v, u), max(v, u), d)
-    return float(block_fidelities([(desc, family)], [pair])[0, 0])
+    return float(block_fidelities([(desc, family)], [class_code(len(desc.channels), u - n11, v - n11, n11)])[0, 0])

@@ -20,18 +20,17 @@ the frontier DP for overlapping ones such as the ``nn`` ring and ``part:``
 literals), one dense table per point on any other space (``_dense_table``),
 or the classical probe's distance table.
 Fidelities of block-structured probes factor over blocks and are
-degenerate within per-block (v, u, d) classes, so one Gaussian fidelity
-per block and class suffices.  On uniform position-finding spaces a DP
-over blocks counts ordered pattern pairs per distinct log-fidelity from
-the multiplicities of those classes, and overlapping blocks are counted
-by a DP over channels that keeps the bits of the channels still read,
-both without enumerating patterns.  ``multiprobe.dp`` owns both plans of
-key transitions, the classes and their representative local pairs; a
-plan depends on no fidelity and names the local pairs it reads, and
-``_dp`` evaluates them in one ``multiprobe.blocks`` batch per lut key
-over all configurations.  The table replays the plan with (log F, count)
-entries per state, the sums with count * F^M and count * F^(2M) per
-state.
+degenerate within per-block classes (n00, n01, n10, n11), so one
+Gaussian fidelity per block and class suffices.  On uniform
+position-finding spaces a DP over blocks counts ordered pattern pairs per
+distinct log-fidelity from the multiplicities of those classes, and
+overlapping blocks are counted by a DP over channels that keeps the bits
+of the channels still read, both without enumerating patterns.
+``multiprobe.dp`` owns both plans of key transitions and the class codes;
+a plan depends on no fidelity and names the classes it reads, and ``_dp``
+evaluates them in one ``multiprobe.blocks`` batch per lut key over all
+configurations.  The table replays the plan with (log F, count) entries
+per state, the sums with count * F^M and count * F^(2M) per state.
 Custom spaces get one entry per unordered pattern pair from per-block
 lookups, which read each block's channels off the pattern whether or not
 the blocks overlap, so overlapping blocks need no copy-channel extension.
@@ -48,8 +47,8 @@ import numpy as np
 from .channels import ADDITIVE, PURE_LOSS, ChannelFamily, layout_channels, mode_channel_map
 from .closedform import coherent_loss_fidelity, vacuum_additive_fidelity
 from .blocks import block_fidelities, block_signature, block_subfidelity
-from .dp import (counting_plan, frontier_plan, hamming_census, local_pairs, replay_entries, replay_sums,
-                 representative_local_patterns)
+from .dp import (class_code, counting_plan, frontier_plan, hamming_census, pattern_classes, replay_entries,
+                 replay_sums, sorted_codes)
 from .errors import (
     CapacityError,
     ComparabilityError,
@@ -347,9 +346,9 @@ def _dp(space: ImageSpace, points):
     channel labels enter no block fidelity.  Disjoint blocks take the
     counting DP over blocks, overlapping ones the frontier DP over
     channels.  Each lut key's fidelities come from one batch over every
-    point and the local pairs the plan reads.  Replayed with entries, log F
+    point and the classes the plan reads.  Replayed with entries, log F
     sums one block log-fidelity per block in block order, so pairs whose
-    blocks read the same local pairs reach the same float.  More DP states
+    blocks fall in the same classes reach the same float.  More DP states
     or entries than a dense table may hold raise CapacityError."""
     probe = points[0][0]
     families = [family for _, family, _ in points]
@@ -366,8 +365,7 @@ def _dp(space: ImageSpace, points):
         dp_plan, final, codes = counting_plan([(key, len(ch)) for key, ch in blocks], space.m, space.target_counts)
     else:
         dp_plan, final, codes = frontier_plan(blocks, space.m, space.target_counts, _state_cap())
-    fids = {key: block_fidelities(list(zip(descs[key], families)), local_pairs(read, len(descs[key][0].channels)))
-            for key, read in codes.items()}
+    fids = {key: block_fidelities(list(zip(descs[key], families)), read) for key, read in codes.items()}
     return dp_plan, final, fids
 
 
@@ -427,7 +425,7 @@ def fidelity_table_blocks(patterns, priors, descs, family: ChannelFamily, *, met
     with the table ``fields`` given.
 
     A pair's log F sums one looked-up block log-fidelity per block, in
-    block order.
+    block order, from one log per class of the block's local patterns.
     """
     n = len(patterns)
     if n > BLOCK_TABLE_MAX_PATTERNS:
@@ -437,9 +435,11 @@ def fidelity_table_blocks(patterns, priors, descs, family: ChannelFamily, *, met
         locals_ = [tuple(p[c] for c in desc.channels) for p in patterns]
         uniq = sorted(set(locals_))
         index = {lp: a for a, lp in enumerate(uniq)}
-        fids = block_fidelities([(desc, family)], [(la, lb) for la in uniq for lb in uniq])[0]
-        lut = np.array([_log(f) for f in fids.tolist()]).reshape(len(uniq), len(uniq))
-        lookups.append((lut, np.array([index[lp] for lp in locals_])))
+        bits = np.array(uniq)
+        codes = pattern_classes(bits[:, None], bits)
+        read = sorted_codes(codes)
+        logf = np.array([_log(f) for f in block_fidelities([(desc, family)], read)[0].tolist()])
+        lookups.append((logf[read.searchsorted(codes)], np.array([index[lp] for lp in locals_])))
     logf = _pair_entries(n, lambda i: sum(lut[code[i], code[i + 1:]] for lut, code in lookups))
     return FidelityTable.pairs(n, logf, priors, method=method, **fields)
 
@@ -543,7 +543,7 @@ def evaluate_points(space: ImageSpace, points) -> list[FidelityTable]:
     tables = []
     for k, (p, *_) in enumerate(points):
         luts = {key: np.array([_log(f) for f in f_all[k].tolist()]) for key, f_all in fids.items()}
-        logf, cnt = replay_entries(dp_plan, final, luts, _state_cap())
+        logf, cnt = replay_entries(dp_plan, final, luts, _state_cap(), "counting" if probe.disjoint else "frontier")
         tables.append(FidelityTable(len(space), cnt.astype(float), logf, **_fields(p, "counting")))
     return tables
 
@@ -616,10 +616,10 @@ def _sum_columns(sums: list[tuple[float, float]]) -> tuple[np.ndarray, np.ndarra
 
 def _tmsv_pair_fidelities(family: ChannelFamily, mu: float) -> list[float]:
     """The sub-fidelities f01, f12, f11, f02 of the paired-TMSV sums, in one
-    batch (as ``tmsv_subfidelity``)."""
-    classes = ((0, 1, 1), (1, 2, 1), (1, 1, 2), (0, 2, 2))
-    pairs = [representative_local_patterns(2, v, u, d) for v, u, d in classes]
-    return block_fidelities([(BlockDescriptor("ghz", (0, 1), mu=mu), family)], pairs)[0].tolist()
+    batch (as ``tmsv_subfidelity``): the (v, u, d) classes (0, 1, 1),
+    (1, 2, 1), (1, 1, 2) and (0, 2, 2), whose (n01, n10, n11) follow."""
+    codes = [class_code(2, *counts) for counts in ((1, 0, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0))]
+    return block_fidelities([(BlockDescriptor("ghz", (0, 1), mu=mu), family)], codes)[0].tolist()
 
 
 def _pair_excess(fids: list[float], power: float) -> float:

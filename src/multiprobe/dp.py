@@ -1,5 +1,6 @@
-"""Key plans of the pattern-pair DPs, their replays, and the (v, u, d)
-block classes and local pairs they read.
+"""Key plans of the pattern-pair DPs, their replays, and the block
+classes they read: a block's lut is keyed by class codes (``class_code``),
+which ``pattern_classes`` gives pairs of local patterns.
 
 Both DPs count ordered pattern pairs on uniform full/cpf/bcpf spaces
 without enumerating patterns: ``counting_plan`` over the blocks of a
@@ -8,16 +9,15 @@ disjoint probe, whose children are the classes of ``block_classes``,
 plan depends on no fidelity.  Per step it holds the parent state of each
 child, the child's multiplicity (None: every child counts one pair of
 sub-patterns) and, per block added, its lut key and the index of each
-child's local pair in that lut, all in the order of the merged keys, with
-the first child of each merged key; then come the final states whose
-patterns differ, and per lut key the sorted codes of the local pairs its
-children read (see ``local_pairs``), which index its lut.
-``frontier_plan`` keys a state by the smaller of it and its mirror, its
-A and B bits and target counts swapped: every block lut is symmetric in
-its local pair, so the two hold the same entries and factors and merge
-exactly.  ``replay_entries`` replays a plan with (log F, ordered pair
-count) entries per state, ``replay_sums`` with products of block factors
-per column.
+child's class in that lut, all in the order of the merged keys, with the
+first child of each merged key; then come the final states whose
+patterns differ, and per lut key the sorted class codes its children
+read, which index its lut.  ``frontier_plan`` keys a state by the smaller
+of it and its mirror, its A and B bits and target counts swapped: a class
+code is that of the mirrored pair, so the two hold the same entries and
+factors and merge exactly.  ``replay_entries`` replays a plan with
+(log F, ordered pair count) entries per state, ``replay_sums`` with
+products of block factors per column.
 ``hamming_census`` reads the classes of one block over every channel.
 """
 
@@ -45,33 +45,45 @@ def _reach(m: int, target_counts: tuple[int, ...]) -> np.ndarray | None:
     return below[np.minimum(t + t[:, None] + 1, m + 1)] > below[t]
 
 
-def pair_code(size: int, v, u, d):
-    """The code (see ``local_pairs``) of the representative local pair of
-    the (v, u, d) class of a block of ``size`` channels: a holds targets at
-    its first v channels, b at the first (v + u - d) / 2 of them and at the
-    channels after them.  Takes ints or integer arrays; unchecked."""
-    overlap = (v + u - d) // 2
-    return (1 << v) - 1 | ((1 << overlap) - 1 | (1 << u - overlap) - 1 << v) << size
+def class_code(size: int, n01, n10, n11):
+    """The code of the class of local pairs of a block of ``size`` channels
+    with n00, n01, n10 and n11 channels of (bit in A, bit in B) (0, 0), (0, 1),
+    (1, 0) and (1, 1), which sets their fidelity, as the block state is
+    symmetric under any permutation of its channels: oriented n01 >= n10 (A
+    and B swapped otherwise), (n01 (size + 1) + n10) (size + 1) + n11.
+    Takes ints or integer arrays; unchecked."""
+    return (np.maximum(n01, n10) * (size + 1) + np.minimum(n01, n10)) * (size + 1) + n11
 
 
-def representative_local_patterns(size: int, v: int, u: int, d: int):
-    """A sub-pattern pair with v and u targets at Hamming distance d."""
-    if (v + u - d) % 2:
-        raise ValueError(f"class {(v, u, d)} has non-integer overlap")
-    overlap = (v + u - d) // 2
-    if overlap < 0 or overlap > min(v, u) or v + u - overlap > size:
-        raise ValueError(f"class {(v, u, d)} impossible for block size {size}")
-    return local_pairs([pair_code(size, v, u, d)], size)[0]
+def class_counts(size: int, codes) -> np.ndarray:
+    """The counts (n00, n01, n10, n11) of class codes of a block of ``size``
+    channels, one row per code."""
+    rest, n11 = np.divmod(np.asarray(codes, dtype=np.int64), size + 1)
+    n01, n10 = np.divmod(rest, size + 1)
+    return np.stack([size - n01 - n10 - n11, n01, n10, n11], axis=-1)
+
+
+def pattern_classes(a, b) -> np.ndarray:
+    """The class codes of local pattern pairs: ``a`` and ``b`` hold the bits
+    of one block's channels along their last axis, and broadcast."""
+    a, b = np.asarray(a, dtype=bool), np.asarray(b, dtype=bool)
+    return class_code(a.shape[-1], (b & ~a).sum(axis=-1), (a & ~b).sum(axis=-1), (a & b).sum(axis=-1))
+
+
+def sorted_codes(codes) -> np.ndarray:
+    """The distinct values of ``codes``, sorted; np.unique's first call imports numpy.ma."""
+    codes = np.sort(codes, axis=None)
+    return codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
 
 
 @functools.cache
 def block_classes(size: int, lo: int, hi: int):
     """The ordered (v, u, d) classes of a block of ``size`` channels whose
     patterns hold lo..hi targets each, as arrays v, u, d, the ordered
-    sub-pattern pairs in each and the code of its representative local
-    pair, which (v, u, d) and (u, v, d) share; in ascending v, u, d.  A
-    pair whose union holds s targets has d = 2s - v - u.  Cached, so the
-    arrays are read-only."""
+    sub-pattern pairs in each and its class code, which (v, u, d) and
+    (u, v, d) share; in ascending v, u, d.  A pair whose union holds s
+    targets has (n01, n10, n11) = (s - v, s - u, v + u - s) and
+    d = 2s - v - u.  Cached, so the arrays are read-only."""
     comb = np.array([[math.comb(n, k) for k in range(size + 1)] for n in range(size + 1)])
     t = np.arange(lo, hi + 1)
     v, u, s = t[:, None, None], t[:, None], np.arange(size + 1)
@@ -79,7 +91,7 @@ def block_classes(size: int, lo: int, hi: int):
     v, u = t[i], t[j]
     d = 2 * s - v - u
     arrays = (v, u, d, comb[size, s] * comb[s, u] * comb[u, v + u - s],
-              pair_code(size, np.minimum(v, u), np.maximum(v, u), d))
+              class_code(size, s - v, s - u, v + u - s))
     for array in arrays:
         array.flags.writeable = False
     return arrays
@@ -111,7 +123,7 @@ def counting_plan(blocks, m: int, target_counts: tuple[int, ...]):
     and B differ yet.  Adding a block gives each state a child per class,
     less those whose targets can no longer reach an admissible count; the
     child's multiplicity is the class's count, and its block reads the
-    class's representative pair.  Children of equal keys merge.
+    class's code.  Children of equal keys merge.
 
     Returns the plan, the final states and the codes per lut key (see the
     module docstring).
@@ -150,16 +162,14 @@ def counting_plan(blocks, m: int, target_counts: tuple[int, ...]):
 
 
 def _indexed(raw):
-    """The plan of ``raw`` steps whose blocks name each child's local pair
-    by its code, with each code replaced by its index among the sorted
-    codes that its lut key reads; then those codes per lut key."""
+    """The plan of ``raw`` steps whose blocks name each child's class by its
+    code, with each code replaced by its index among the sorted codes that
+    its lut key reads; then those codes per lut key."""
     seen: dict = {}
     for _, _, adds, _ in raw:
         for lut, code in adds:
             seen.setdefault(lut, []).append(code)
-    # a sort rather than np.unique, whose first call imports numpy.ma
-    read = {lut: np.sort(np.concatenate(code)) for lut, code in seen.items()}
-    read = {lut: code[np.concatenate(([True], code[1:] != code[:-1]))] for lut, code in read.items()}
+    read = {lut: sorted_codes(np.concatenate(code)) for lut, code in seen.items()}
     plan = tuple(
         (parent, mult, tuple((lut, read[lut].searchsorted(code)) for lut, code in adds), starts)
         for parent, mult, adds, starts in raw
@@ -179,15 +189,15 @@ def frontier_plan(blocks, m: int, target_counts: tuple[int, ...], cap: int):
     child per (a, b) bit choice, less those whose targets can no longer
     reach an admissible count.  Block j is added at the channel that
     completes every block up to j, so blocks add in block order, and its
-    local pair is read off the child's key.  Then the bits that no later
-    block reads are dropped, each key becomes the smaller of it and its
-    mirror (A and B bits and target counts swapped, differs kept), and
-    children of equal keys merge.  The merge is exact: a block's fidelity
-    of (a, b) is that of (b, a) bit for bit (``blocks.block_fidelities``
-    caches unordered pairs), and both A and B end at the same admissible
-    counts, so a state and its mirror hold the same (log F, count) entries
-    and have mirrored children of equal factors; the merged state carries
-    both, as the two would have summed at the end.
+    class is read off the child's key: the counts of its channels by A and
+    B bit.  Then the bits that no later block reads are dropped, each key
+    becomes the smaller of it and its mirror (A and B bits and target
+    counts swapped, differs kept), and children of equal keys merge.  The
+    merge is exact: (a, b) and (b, a) have one class code, and both A and B
+    end at the same admissible counts, so a state and its mirror hold the
+    same (log F, count) entries and have mirrored children of equal
+    factors; the merged state carries both, as the two would have summed
+    at the end.
 
     Returns the plan, the final states and the codes per lut key (see the
     module docstring).  More than ``cap`` states, or keys wider than an
@@ -213,7 +223,7 @@ def frontier_plan(blocks, m: int, target_counts: tuple[int, ...], cap: int):
     key = np.zeros(1, dtype=np.int64)
     raw = []
     for c in range(m):
-        check_states(4 * len(key), cap)
+        check_states(4 * len(key), cap, "frontier", "states")
         a_inc, b_inc = 1 << slot[c], 1 << width + slot[c]
         if reach is not None:
             a_inc += 1 << ta_shift
@@ -237,8 +247,8 @@ def frontier_plan(blocks, m: int, target_counts: tuple[int, ...], cap: int):
         step_adds = []
         for j, (lut, blk) in enumerate(zip(luts, blocks)):
             if added[j] == c:
-                shifts = np.array([slot[ch] for ch in blk] + [width + slot[ch] for ch in blk])
-                step_adds.append((lut, (child[:, None] >> shifts & 1) @ (1 << np.arange(2 * len(blk)))))
+                at = np.array([slot[ch] for ch in blk])
+                step_adds.append((lut, pattern_classes(child[:, None] >> at & 1, child[:, None] >> width + at & 1)))
         starts = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
         key = merged[starts]
         raw.append((parent, None, step_adds, starts))
@@ -246,20 +256,14 @@ def frontier_plan(blocks, m: int, target_counts: tuple[int, ...], cap: int):
     return plan, np.flatnonzero(key & differs), codes
 
 
-def local_pairs(codes, size: int) -> list[tuple]:
-    """The local pattern pairs (a, b) of a block of ``size`` channels whose
-    bits a0..a(size-1) b0..b(size-1) form the integers ``codes``."""
-    bits = (np.array(codes, dtype=np.int64)[:, None] >> np.arange(2 * size) & 1).tolist()
-    return [(tuple(row[:size]), tuple(row[size:])) for row in bits]
-
-
-def replay_entries(plan, final, luts, cap: int):
+def replay_entries(plan, final, luts, cap: int, name: str):
     """Replay ``plan`` on the entries of one point; ``luts`` maps a lut key
-    to the log-fidelities of its local pairs.  A child's entries are its
+    to the log-fidelities of its classes.  A child's entries are its
     parent's, with their counts times the child's multiplicity and the
     log-fidelities of its blocks added.  Returns the log F and ordered pair
     counts of the final states whose patterns differ, merged by log F, in
-    ascending log F.  More than ``cap`` entries raise CapacityError."""
+    ascending log F.  More than ``cap`` entries raise CapacityError, which
+    names the DP of the plan, ``name``."""
     # the entries, grouped by state
     state, logf, cnt = np.zeros(1, dtype=np.int64), np.zeros(1), np.ones(1, dtype=np.int64)
     n_states = 1
@@ -267,7 +271,7 @@ def replay_entries(plan, final, luts, cap: int):
         # each new state copies the entries first[p]:first[p + 1] of its parent p
         first = np.searchsorted(state, np.arange(n_states + 1))
         size = (first[1:] - first[:-1])[parent]
-        check_states(int(size.sum()), cap)
+        check_states(int(size.sum()), cap, name, "states and entries")
         new = np.repeat(np.arange(len(parent)), size)
         entry = np.arange(len(new)) + np.repeat(first[parent] - (np.cumsum(size) - size), size)
         logf, cnt = logf[entry], cnt[entry]
@@ -289,7 +293,7 @@ def replay_entries(plan, final, luts, cap: int):
 
 def replay_sums(plan, final, luts) -> np.ndarray:
     """Replay ``plan`` on one chunk of rows; ``luts`` maps a lut key to its
-    (local pair, column) block factors, which a child's values take on
+    (class, column) block factors, which a child's values take on
     after its parent's and its multiplicity.  Returns the column sums over
     the final states whose patterns differ."""
     vals = np.ones((1, next(iter(luts.values())).shape[1]))
@@ -306,10 +310,10 @@ def replay_sums(plan, final, luts) -> np.ndarray:
     return np.add.reduceat(vals[final], [0], axis=0)[0]
 
 
-def check_states(n: int, cap: int) -> None:
-    """Raise CapacityError for more than ``cap`` DP states or entries."""
+def check_states(n: int, cap: int, name: str, what: str) -> None:
+    """Raise CapacityError for more than ``cap`` of ``what`` in the DP ``name``."""
     if n > cap:
-        raise CapacityError(f"frontier DP capped at {cap} states")
+        raise CapacityError(f"{name} DP capped at {cap} {what}")
 
 
 def merge_states(key, logf, cnt):

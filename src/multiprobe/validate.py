@@ -53,6 +53,7 @@ from .bounds import (
     tmsv_subfidelity,
 )
 from .channels import ChannelFamily, layout_channels, mode_channel_map
+from .dp import pattern_classes
 from .gaussian import direct_sum, ghz_state, stacked_fidelities
 from .imagespace import bcpf_space, cpf_space, full_space
 from .presets import SCALES, resolve_probe
@@ -373,15 +374,12 @@ def suite_tmsv_closed_form(scale: str) -> SuiteResult:
 
 def _class_codes(bits: np.ndarray, blocks) -> np.ndarray:
     """One integer per pattern pair i < j, in row-major order, naming its
-    per-block (min(v, u), max(v, u), d) class; ``bits`` is (patterns, m)."""
+    per-block classes (``dp.pattern_classes``); ``bits`` is (patterns, m)."""
     first, second = np.triu_indices(len(bits), 1)
     codes = np.zeros(len(first), dtype=np.int64)
     for blk in blocks:
         sub = bits[:, list(blk)]
-        a, b = sub[first], sub[second]
-        v, u, d = a.sum(axis=1), b.sum(axis=1), (a != b).sum(axis=1)
-        base = len(blk) + 1
-        codes = ((codes * base + np.minimum(v, u)) * base + np.maximum(v, u)) * base + d
+        codes = codes * (len(blk) + 1) ** 3 + pattern_classes(sub[first], sub[second])
     return codes
 
 

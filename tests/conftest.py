@@ -17,6 +17,7 @@ from multiprobe.channels import (
     apply_pattern_with_idlers,
     check_pattern,
 )
+from multiprobe.dp import pattern_classes
 from multiprobe.errors import DimensionError
 from multiprobe.gaussian import gaussian_fidelity, ghz_cm, stacked_fidelities, symplectic_form, tensor
 from multiprobe.probes import Partition, ProbeSpec, assemble_probe, decompose_rounds
@@ -87,6 +88,30 @@ def block_class(pat_a, pat_b, block) -> tuple[int, int, int]:
 
 
 ClassKey = tuple[tuple[int, int, int], ...]
+
+
+def pair_codes(pairs) -> np.ndarray:
+    """The class codes of local pattern pairs (a, b) of one block, as
+    ``block_fidelities`` takes them."""
+    return pattern_classes([a for a, _ in pairs], [b for _, b in pairs])
+
+
+def representative_pair(size, v, u, d):
+    """A local pair with v and u targets at Hamming distance d, built bit by
+    bit: a holds targets at its first v channels, b at the first
+    (v + u - d) / 2 of them and at the channels after them."""
+    overlap = (v + u - d) // 2
+    pat_a = tuple(int(k < v) for k in range(size))
+    pat_b = tuple(int(k < overlap or v <= k < v + u - overlap) for k in range(size))
+    return pat_a, pat_b
+
+
+def class_pairs(size):
+    """One local pair per class of a block of ``size`` channels, identical
+    patterns included: the representative pair of each (v, u, d) with
+    v <= u, in ascending v, u, d."""
+    return [representative_pair(size, v, u, d)
+            for (v, u), options in occupancies(size).items() if v <= u for d, _ in options]
 
 
 def pair_class_key(pat_a, pat_b, blocks) -> ClassKey:

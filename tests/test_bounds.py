@@ -58,8 +58,9 @@ from multiprobe.probes import (
     pair_partition,
 )
 
-from conftest import (any_family, budget_pairs, counting_sums, ghz_spec, hamming, occupancies, pair_class_key,
-                      pair_degeneracy_census, patterns, pure_symmetric_numbers)
+from conftest import (any_family, budget_pairs, class_pairs, counting_sums, ghz_spec, hamming, occupancies,
+                      pair_class_key, pair_codes, pair_degeneracy_census, patterns, pure_symmetric_numbers,
+                      representative_pair)
 
 LOSS = ChannelFamily.pure_loss(0.99, 0.97)
 ADD = ChannelFamily.additive(0.02, 0.01)
@@ -250,10 +251,11 @@ def test_block_fidelities_equal_scalar_path_bit_for_bit(data, desc, family):
         pairs += list(itertools.product(every, every))
     data.draw(st.randoms()).shuffle(pairs)
     blocks_mod._BLOCK_FID_CACHE.clear()
-    got = block_fidelities([(desc, family)], pairs)[0].tolist()
+    # every pair of a class reads its one value, which has the bits of each
+    got = block_fidelities([(desc, family)], pair_codes(pairs))[0].tolist()
     assert got == [scalar_block_fidelity(desc, family, a, b) for a, b in pairs]
     # cached values are the same bits
-    assert block_fidelities([(desc, family)], pairs[::-1])[0].tolist() == got[::-1]
+    assert block_fidelities([(desc, family)], pair_codes(pairs[::-1]))[0].tolist() == got[::-1]
 
 
 def test_two_block_shapes_of_one_size_and_energy_differ():
@@ -268,7 +270,7 @@ def test_two_block_shapes_of_one_size_and_energy_differ():
     for desc, numbers in shapes:
         data, mean = desc.state()
         assert np.array_equal(data, entrywise_state(n, *numbers).data) and not mean.any()
-    pair = dp.representative_local_patterns(n, 0, 1, 1)
+    pair = representative_pair(n, 0, 1, 1)
     blocks_mod._BLOCK_FID_CACHE.clear()
     got = [block_subfidelity(desc, LOSS, 0, 1, 1) for desc, _ in shapes]
     assert got == [scalar_block_fidelity(desc, LOSS, *pair, state=entrywise_state(n, *numbers))
@@ -284,26 +286,26 @@ def test_two_block_shapes_of_one_size_and_energy_differ():
 @pytest.mark.parametrize("idlers", [0, 2])
 def test_block_fidelities_beyond_the_stack_cap(monkeypatch, family, idlers):
     # every pair of a four-channel block, the largest evaluated whole,
-    # without idlers or with two (17 distinct canonical pairs each), with
-    # the float budget at five pairs per stacked _fidelity call and twenty
-    # per key chunk: the key pass runs in several chunks and the distinct
+    # without idlers or with two: 17 classes of differing patterns, one pair
+    # each, with the float budget at three pairs per stacked _fidelity call
+    # and twelve per key chunk: the key pass runs in several chunks and the
     # pairs in several stacked calls
     size = 4
-    chunks = budget_pairs(monkeypatch, 5, size + idlers)
+    chunks = budget_pairs(monkeypatch, 3, size + idlers)
     desc = BlockDescriptor("ghz", tuple(range(size)), idlers, mu=7.3)
     every = list(itertools.product((0, 1), repeat=size))
     pairs = list(itertools.product(every, every))
     stacks, fidelity = [], gaussian._fidelity
     monkeypatch.setattr(gaussian, "_fidelity", lambda v1, *rest: stacks.append(len(v1)) or fidelity(v1, *rest))
     blocks_mod._BLOCK_FID_CACHE.clear()
-    got = block_fidelities([(desc, family)], pairs)[0].tolist()
-    assert max(chunks) == 20 and max(stacks) == 5
+    got = block_fidelities([(desc, family)], pair_codes(pairs))[0].tolist()
+    assert max(chunks) == 12 and max(stacks) == 3
     assert sum(stacks) == 17 and len(stacks) > 2
-    assert len(chunks) > 2
+    assert len(chunks) > 1
     assert got == [scalar_block_fidelity(desc, family, a, b) for a, b in pairs]
     v_u_d = [(v, u, d) for (v, u), options in occupancies(size).items() for d, _ in options]
     for v, u, d in v_u_d:
-        pair = dp.representative_local_patterns(size, min(v, u), max(v, u), d)
+        pair = representative_pair(size, v, u, d)
         assert block_subfidelity(desc, family, v, u, d) == scalar_block_fidelity(desc, family, *pair)
 
 
@@ -358,23 +360,19 @@ def test_quotient_route_matches_the_whole_block(monkeypatch, family):
     modes, pair_fidelities = [], gaussian._pair_fidelities
     for desc in quotient_blocks():
         size = len(desc.channels)
-        codes = sorted(set(dp.block_classes(size, 0, size)[4].tolist()))
-        pairs = dp.local_pairs(codes, size)
+        pairs = class_pairs(size)
         pairs += [tuple(tuple(rng.integers(0, 2, size).tolist()) for _ in range(2)) for _ in range(20)]
         perm = rng.permutation(size)
         images = [tuple(tuple(local[k] for k in perm) for local in pair) for pair in pairs]
         monkeypatch.setattr(gaussian, "_pair_fidelities", lambda data, *rest: (
             modes.append(data.shape[-1] // 2) or pair_fidelities(data, *rest)))
         blocks_mod._BLOCK_FID_CACHE.clear()
-        got = block_fidelities([(desc, family)], pairs + images)
-        blocks_mod._BLOCK_FID_CACHE.clear()
-        swapped = block_fidelities([(desc, family)], [(b, a) for a, b in pairs + images])
+        got = block_fidelities([(desc, family)], pair_codes(pairs + images))
         monkeypatch.undo()
         assert max(modes) == 4 + bool(desc.idlers)
         modes.clear()
-        assert np.array_equal(got, swapped)
-        assert np.array_equal(got[0, :len(pairs)], got[0, len(pairs):])
-        assert_quotient_matches_whole(got[:, :len(pairs)], [(desc, family)], pairs)
+        assert np.array_equal(pair_codes(pairs + images), pair_codes([(b, a) for a, b in pairs + images]))
+        assert_quotient_matches_whole(got, [(desc, family)], pairs + images)
 
 
 def test_quotient_route_batches_points_of_different_signatures():
@@ -392,9 +390,9 @@ def test_quotient_route_batches_points_of_different_signatures():
         points = [(desc, families[k % len(families)]) for k, desc in enumerate(descs)]
         pairs = [tuple(tuple(rng.integers(0, 2, size).tolist()) for _ in range(2)) for _ in range(40)]
         blocks_mod._BLOCK_FID_CACHE.clear()
-        got = block_fidelities(points, pairs)
+        got = block_fidelities(points, pair_codes(pairs))
         blocks_mod._BLOCK_FID_CACHE.clear()
-        assert np.array_equal(block_fidelities(points, [(b, a) for a, b in pairs]), got)
+        assert np.array_equal(block_fidelities(points, pair_codes([(b, a) for a, b in pairs])), got)
         assert_quotient_matches_whole(got, points, pairs)
 
 
@@ -411,13 +409,13 @@ def test_quotient_fidelities_beyond_the_stack_cap(monkeypatch, family, idlers):
     pairs = list(itertools.product(every, every))
     points = [(BlockDescriptor("ghz", tuple(range(5)), idlers, mu=mu), family) for mu in (7.3, 20.5)]
     blocks_mod._BLOCK_FID_CACHE.clear()
-    want = block_fidelities(points, pairs)
+    want = block_fidelities(points, pair_codes(pairs))
     chunks = budget_pairs(monkeypatch, 5, 4 + bool(idlers))
     monkeypatch.setattr(blocks_mod, "BATCH_MAX_FLOATS", 1)
     stacks, fidelity = [], gaussian._fidelity
     monkeypatch.setattr(gaussian, "_fidelity", lambda v1, *rest: stacks.append(len(v1)) or fidelity(v1, *rest))
     blocks_mod._BLOCK_FID_CACHE.clear()
-    got = block_fidelities(points, pairs)
+    got = block_fidelities(points, pair_codes(pairs))
     assert chunks == [20, 8, 20, 8, 2]
     assert stacks == [5, 5, 5, 5, 5, 3] * 2 + [2]
     assert np.array_equal(got, want)
@@ -428,20 +426,21 @@ def test_quotient_fidelities_beyond_the_stack_cap(monkeypatch, family, idlers):
 def test_mirror_image_local_pairs_give_the_same_bits(size, idlers):
     # a GHZ block is symmetric under any permutation of its channels, so a
     # pair of local patterns and its image under one permutation have one
-    # fidelity; over the advantage surfaces' grid they share its bits
-    # (evaluated in their given mode order they differ by up to 7e-13 at 2
-    # modes and 3e-11 at 4)
+    # fidelity; over the advantage surfaces' grid stacked_fidelities gives
+    # them its bits on the whole outputs (evaluated in their given mode
+    # order they differ by up to 7e-13 at 2 modes and 3e-11 at 4), so one
+    # class code stands for every pair of its class bit for bit
     every = list(itertools.product((0, 1), repeat=size))
     pairs = list(itertools.combinations(every, 2))
     images = [tuple(tuple(bits[k] for k in perm) for bits in pair)
               for perm in itertools.permutations(range(size)) for pair in pairs]
     families = [ChannelFamily.pure_loss(eta, 1.0) for eta in (0.95, 0.98, 0.999)]
     families += [ChannelFamily.additive(nu, 0.01) for nu in (0.012, 0.05, 0.1)]
-    points = [(BlockDescriptor("ghz", tuple(range(size)), idlers, mu=ns + 0.5), family)
-              for ns in (1.0, 7.1, 50.0) for family in families]
-    blocks_mod._BLOCK_FID_CACHE.clear()
-    got = block_fidelities(points, images).reshape(len(points), -1, len(pairs))
-    assert (got == got[:, :1]).all()
+    for ns in (1.0, 7.1, 50.0):
+        desc = BlockDescriptor("ghz", tuple(range(size)), idlers, mu=ns + 0.5)
+        for family in families:
+            got = whole_block_fidelities(desc, family, images).reshape(-1, len(pairs))
+            assert (got == got[:1]).all()
 
 
 @pytest.mark.parametrize("family", [LOSS, ADD], ids=["loss", "additive"])
@@ -898,20 +897,22 @@ def test_counting_evaluates_only_feasible_classes(monkeypatch, space, probe):
     batches = []
     evaluate_block = bounds_mod.block_fidelities
 
-    def spy(points, pairs):
-        batches.append((len(points[0][0].channels), list(pairs)))
-        return evaluate_block(points, pairs)
+    def spy(points, codes):
+        batches.append((len(points[0][0].channels), list(codes)))
+        return evaluate_block(points, codes)
 
     monkeypatch.setattr(bounds_mod, "block_fidelities", spy)
     blocks_mod._BLOCK_FID_CACHE.clear()
     got = evaluate(spec, space, LOSS)
-    for size, pairs in batches:
-        # a block holds at most kmax targets, and the rest of the pattern at most m - size
+    for size, codes in batches:
+        # a block holds at most kmax targets, and the rest of the pattern at
+        # most m - size; a class's patterns hold n10 + n11 and n01 + n11
         lo, hi = max(0, kmin - (space.m - size)), min(size, kmax)
-        assert all(lo <= sum(a) <= hi and lo <= sum(b) <= hi for a, b in pairs)
+        _, n01, n10, n11 = dp.class_counts(size, codes).T
+        assert all(lo <= n10 + n11) and all(n10 + n11 <= hi) and all(lo <= n01 + n11) and all(n01 + n11 <= hi)
     if probe == "full-ghz" and space.target_counts == (1,):
         # the block holds the whole pattern: (v, u, d) = (1, 1, 0) or (1, 1, 2) of all 220 classes
-        assert [len(pairs) for _, pairs in batches] == [2]
+        assert [len(codes) for _, codes in batches] == [2]
     # the same table as from every class of every block: dp's per-block target range widened to 0..size
     classes_of = dp.block_classes
     monkeypatch.setattr(dp, "block_classes", lambda size, lo, hi: classes_of(size, 0, size))

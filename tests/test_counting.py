@@ -17,11 +17,11 @@ from multiprobe.bounds import (
     evaluate_points,
 )
 from multiprobe.channels import ChannelFamily
-from multiprobe.cli import build_space
+from multiprobe.cli import build_space, main
 from multiprobe.presets import resolve_probe
 from multiprobe.probes import HYBRID_COHERENT, SINGLE_IDLER
 
-from conftest import assert_sums_match_entries, report_rows
+from conftest import assert_sums_match_entries, pair_codes, report_rows
 
 FAMILIES = {
     "loss": ChannelFamily.pure_loss(0.99, 0.97),
@@ -142,7 +142,7 @@ def test_sums_route_is_exact_to_rounding_at_tiny_bounds():
         for (spec, family, _), row in zip(points, reports):
             descs = spec.blocks
             # every block of idler-full has one channel: its two local patterns
-            f = block_fidelities([(descs[0], family)], [((0,), (1,))])[0, 0]
+            f = block_fidelities([(descs[0], family)], pair_codes([((0,), (1,))]))[0, 0]
             assert all(len(d.channels) == 1 for d in descs)
             fids = {(a, b): mpmath.mpf(1.0 if a == b else f) for a in (0, 1) for b in (0, 1)}
             pair_fids = [
@@ -158,3 +158,14 @@ def test_sums_route_is_exact_to_rounding_at_tiny_bounds():
                         assert abs(got - want) <= 1e-14 * want
                         checked += 1
     assert checked > len(points)
+
+
+@pytest.mark.parametrize("probe", ["tmsv-disjoint", "full-ghz"])
+def test_counting_entry_cap_names_the_counting_dp(monkeypatch, capsys, probe):
+    # a census replays the counting DP's plan with (log F, count) entries,
+    # capped at the entries of the largest dense table: 8 * 8 // 2 here
+    monkeypatch.setattr(bounds_mod, "BLOCK_TABLE_MAX_PATTERNS", 8)
+    argv = ["census", "--family", "pure-loss", "--m", "9", "--eta-b", "0.99", "--eta-t", "0.97", "--ns", "20",
+            "--space", "full", "--probe", probe, "--copies", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: counting DP capped at 32 states and entries\n"

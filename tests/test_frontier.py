@@ -36,7 +36,7 @@ from multiprobe.probes import (
     parse_partition,
 )
 
-from conftest import assert_sums_match_entries, pure_symmetric_numbers, report_rows
+from conftest import assert_sums_match_entries, pair_codes, pure_symmetric_numbers, report_rows
 
 MU = 20.5
 FAMILIES = {
@@ -225,9 +225,9 @@ def test_split_rows_give_the_tables_of_lone_points(monkeypatch, floats):
         chunks.append(next(iter(luts.values())).shape[1] // 2)
         return sums(plan, final, luts)
 
-    def lookup_spy(block, pairs):
+    def lookup_spy(block, codes):
         batches.append(len(block))
-        return lookup(block, pairs)
+        return lookup(block, codes)
 
     monkeypatch.setattr(bounds_mod, "BATCH_MAX_FLOATS", floats)
     monkeypatch.setattr(bounds_mod, "replay_sums", sums_spy)
@@ -255,15 +255,18 @@ def test_frontier_looks_up_reachable_pairs_in_one_batch(monkeypatch, consumer):
     batches = []
     lookup = bounds_mod.block_fidelities
 
-    def spy(block, pairs):
-        batches.append((len(block), len(pairs)))
-        return lookup(block, pairs)
+    def spy(block, codes):
+        batches.append((len(block), dp.class_counts(2, codes).tolist()))
+        return lookup(block, codes)
 
     monkeypatch.setattr(bounds_mod, "block_fidelities", spy)
     consumer(space, partition, points)
-    # two-channel blocks; on cpf:1 a pair of blocks never holds more than two targets
-    ((n_points, n_pairs),) = batches
-    assert n_points == len(points) and n_pairs < 16
+    # two-channel blocks; on cpf:1 a block holds at most one target of each
+    # pattern: (n00, n01, n10, n11) of (2, 0, 0, 0), (1, 0, 0, 1), (1, 1, 0, 0)
+    # and (0, 1, 1, 0), of all 7 classes
+    ((n_points, classes),) = batches
+    assert n_points == len(points)
+    assert classes == [[2, 0, 0, 0], [1, 0, 0, 1], [1, 1, 0, 0], [0, 1, 1, 0]]
 
 
 def test_sums_route_on_a_one_pattern_space():
@@ -296,17 +299,20 @@ def test_frontier_keys_fit_an_int64_up_to_the_boundary():
 @pytest.mark.parametrize("family", FAMILIES.values(), ids=FAMILIES.keys())
 def test_block_fidelities_are_bitwise_symmetric_in_the_pair(monkeypatch, family):
     # the frontier DP merges each state with its mirror, which is exact only
-    # if (a, b) and (b, a) read the same value, whichever order comes first
+    # if (a, b) and (b, a) read the same value, whichever order comes first:
+    # both have one class code, and so one lut entry
     blocks = [BlockDescriptor("ghz", (0, 1, 2), mu=MU), SymmetricBlock((0, 1, 2), 0, *pure_symmetric_numbers(3, MU)),
               BlockDescriptor("ghz", (0, 1), 1, mu=5.5), BlockDescriptor("coherent", (0, 1), alpha=1.5)]
     for block in blocks:
         local = list(itertools.product((0, 1), repeat=len(block.channels)))
         pairs = list(itertools.product(local, repeat=2))
+        codes, mirrored = pair_codes(pairs), pair_codes([(b, a) for a, b in pairs])
+        assert np.array_equal(codes, mirrored)
         monkeypatch.setattr(blocks_mod, "_BLOCK_FID_CACHE", {})
-        fids = blocks_mod.block_fidelities([(block, family)], pairs)
+        fids = blocks_mod.block_fidelities([(block, family)], codes)
         monkeypatch.setattr(blocks_mod, "_BLOCK_FID_CACHE", {})
-        swapped = blocks_mod.block_fidelities([(block, family)], [(b, a) for a, b in pairs])
-        assert np.array_equal(fids, swapped)
+        swapped = blocks_mod.block_fidelities([(block, family)], mirrored[::-1])
+        assert np.array_equal(fids, swapped[:, ::-1])
         assert len(np.unique(fids)) > 2
 
 

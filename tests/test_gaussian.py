@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from multiprobe import blocks, dp
+from multiprobe import blocks
 from multiprobe.channels import (
     ChannelFamily,
     additive_params,
@@ -42,7 +42,9 @@ from conftest import (
     any_family,
     apply_pattern,
     budget_pairs,
+    class_pairs,
     fidelity_sqrtm_reference,
+    pair_codes,
     patterns,
     rotated_squeezed,
     squeezed_product,
@@ -682,8 +684,9 @@ def test_block_fidelities_match_exact_arithmetic(m):
                          ids=["loss", "noise"])
 def test_quotient_block_fidelities_are_no_less_accurate_than_the_whole_block(family):
     # a 9-channel GHZ block at mu 20.5, the m = 9 figures' probe, on every
-    # fourth of its 115 (n00, n01, n10, n11) classes in code order (29):
-    # block_fidelities takes the block's quotient, stacked_fidelities on
+    # fourth of its 115 (n00, n01, n10, n11) classes (29), each at its
+    # representative pair, in the order of the integers whose bits are
+    # a0..a8 b0..b8: block_fidelities takes the block's quotient, stacked_fidelities on
     # the 9-mode outputs is the route it replaced, and the reference is
     # built from the parameters at 70 digits.  The structured 1e-40 nudge of
     # _exact_fidelity stalls mpmath's QR iteration at 9 modes; a fixed
@@ -693,11 +696,11 @@ def test_quotient_block_fidelities_are_no_less_accurate_than_the_whole_block(fam
     # 1.1e-11 against 1.7e-11 and 2.1e-9 against 2.7e-9; class by class
     # either route may be the closer one)
     m, mu = 9, 20.5
-    codes = sorted(set(dp.block_classes(m, 0, m)[4].tolist()))
-    pairs = [pair for pair in dp.local_pairs(codes, m) if pair[0] != pair[1]][::4]
+    pairs = sorted((pair for pair in class_pairs(m) if pair[0] != pair[1]),
+                   key=lambda pair: sum(bit << k for k, bit in enumerate(pair[0] + pair[1])))[::4]
     desc = BlockDescriptor("ghz", tuple(range(m)), mu=mu)
     blocks._BLOCK_FID_CACHE.clear()
-    quotient = blocks.block_fidelities([(desc, family)], pairs)[0]
+    quotient = blocks.block_fidelities([(desc, family)], pair_codes(pairs))[0]
     patterns = sorted({local for pair in pairs for local in pair})
     row = {local: r for r, local in enumerate(patterns)}
     taus, nus = layout_channels(family, desc.layout, patterns)

@@ -25,7 +25,7 @@ from multiprobe.probes import (
     nn_partition,
 )
 
-from conftest import ghz_spec
+from conftest import ghz_spec, pair_codes
 
 LOSS = ChannelFamily.pure_loss(0.99, 0.97)
 ADD = ChannelFamily.additive(0.02, 0.01)
@@ -160,7 +160,7 @@ def test_dense_census_equals_pair_enumeration(family):
             for desc in descs:
                 local_a = tuple(a[c] for c in desc.channels)
                 local_b = tuple(b[c] for c in desc.channels)
-                logf += math.log(block_fidelities([(desc, family)], [(local_a, local_b)])[0, 0])
+                logf += math.log(block_fidelities([(desc, family)], pair_codes([(local_a, local_b)]))[0, 0])
             value = float(np.round(np.exp(copies * logf), 12))
             hist[value] = hist.get(value, 0) + 1
     assert sum(hist.values()) == 16 * 15

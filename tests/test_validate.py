@@ -131,17 +131,23 @@ def test_oracle_evaluates_each_distinct_canonical_pair_once(monkeypatch, spec, d
 
 def test_full_validation_evaluates_the_documented_distinct_pairs(monkeypatch):
     # every stacked fidelity call of validate --scale full, block
-    # fidelities computed afresh; a block signature that misses any pair
-    # has all of its pairs evaluated again, which requests 10 cached pairs.
-    # The 5- and 6-channel full-ghz blocks of counting_vs_bruteforce, each
-    # under two families, take the quotient route: their 28 and 43 classes
-    # are requested and evaluated once each as 4-mode quotient pairs, as
-    # many as the whole blocks' distinct canonical pairs, plus one
-    # contrast-mode pair per family and block size, 4 more of each
+    # fidelities computed afresh; a block signature that misses any class
+    # has all of its classes evaluated again, which requests 2 cached
+    # classes.  The 5- and 6-channel full-ghz blocks of
+    # counting_vs_bruteforce, each under two families, take the quotient
+    # route: their 28 and 43 classes are requested and evaluated once each
+    # as 4-mode quotient pairs, as many as the whole blocks' distinct
+    # canonical pairs, plus one contrast-mode pair per family and block
+    # size, 4 more of each.  Values are cached per class: the dense tables
+    # of mutual_vs_bruteforce find every class of their 2-channel blocks in
+    # the cache that counting_vs_bruteforce filled, where a cache by local
+    # pair missed the channel-swapped pairs ((0, 0), (0, 1)) and
+    # ((0, 1), (1, 1)) and evaluated all six pairs again, under each of two
+    # families (12 more requested, 8 more evaluated)
     monkeypatch.setattr(blocks, "_BLOCK_FID_CACHE", {})
     counts = _count_pairs(monkeypatch)
     assert all(r.passed for r in run_suites("full"))
-    assert counts == {"requested": 16426, "evaluated": 2477}
+    assert counts == {"requested": 16414, "evaluated": 2469}
 
 
 def test_run_suites_shares_the_oracle_and_drops_it(monkeypatch):
